@@ -9,16 +9,11 @@ packing numbers at small scale; probe disjoint-path structure.
 from .construct import (
     Case,
     CaseTag,
-    FallbackDisabled,
     InternalError,
     SteinerTree,
     TreeFamily,
     base_case_search,
     classify,
-    construct,
-    construct_case1,
-    construct_case2_image,
-    construct_case2_nonimage,
     embed,
     target_family_size,
 )

@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -28,7 +29,6 @@ from typing import Sequence
 from . import paths as _paths
 from . import verify as _verify
 from .construct import (
-    FallbackDisabled,
     InternalError,
     SteinerTree,
     TreeFamily,
@@ -220,13 +220,13 @@ class SweepRecord:
     verified: bool
 
 
-def _sweep_batch(args: tuple[int, list[tuple[int, ...]], bool]) -> list[SweepRecord]:
-    n, batch, allow_fallback = args
+def _sweep_batch(args: tuple[int, list[tuple[int, ...]]]) -> list[SweepRecord]:
+    n, batch = args
     g = AugmentedCube(n)
     out = []
     for labels in batch:
         terms = [Vertex(a, n) for a in labels]
-        family = build_family(g, terms, allow_fallback=allow_fallback)
+        family = build_family(g, terms)
         report = _verify.verify_family(g, family)
         out.append(
             SweepRecord(
@@ -240,22 +240,17 @@ def _sweep_batch(args: tuple[int, list[tuple[int, ...]], bool]) -> list[SweepRec
     return out
 
 
-def run_sweep(
-    n: int,
-    triples: Sequence[tuple[int, ...]],
-    jobs: int = 1,
-    allow_fallback: bool = True,
-) -> list[SweepRecord]:
+def run_sweep(n: int, triples: Sequence[tuple[int, ...]], jobs: int = 1) -> list[SweepRecord]:
     """Construct and re-verify every triple; deterministic merge order."""
     triples = sorted(triples)
     if jobs <= 1 or len(triples) < 4:
-        records = _sweep_batch((n, list(triples), allow_fallback))
+        records = _sweep_batch((n, list(triples)))
     else:
         chunk = max(1, (len(triples) + 4 * jobs - 1) // (4 * jobs))
         batches = [triples[i : i + chunk] for i in range(0, len(triples), chunk)]
         records = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_sweep_batch, [(n, list(b), allow_fallback) for b in batches]):
+            for part in pool.map(_sweep_batch, [(n, list(b)) for b in batches]):
                 records.extend(part)
     records.sort(key=lambda r: r.labels)
     return records
@@ -284,8 +279,13 @@ def all_triples(n: int) -> list[tuple[int, ...]]:
 
 
 def sample_triples(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
+    """``count`` distinct triples drawn with a seeded generator; the count
+    must lie in 1..C(2^n, 3), which also bounds the rejection loop."""
     total = 1 << n
+    limit = math.comb(total, 3)
+    if not 1 <= count <= limit:
+        raise ContractViolation(f"sample count must be in 1..{limit} at dimension {n}, got {count}")
+    rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
     while len(seen) < count:
         trio = tuple(sorted(rng.sample(range(total), 3)))
@@ -357,12 +357,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        family = build_family(
-            g, targets, fidelity=args.fidelity, allow_fallback=not args.no_fallback
-        )
-    except FallbackDisabled as exc:
-        print(f"fallback required but disabled: {exc}", file=sys.stderr)
-        return 1
+        family = build_family(g, targets, fidelity=args.fidelity)
     except (InternalError, _paths.SearchBudgetExceeded) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
@@ -408,12 +403,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.samples is None:
             print("either --exhaustive or --samples N is required", file=sys.stderr)
             return 2
-        triples = sample_triples(n, args.samples, args.seed)
+        try:
+            triples = sample_triples(n, args.samples, args.seed)
+        except ContractViolation as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     started = time.monotonic()
     try:
-        records = run_sweep(n, triples, jobs=args.jobs, allow_fallback=not args.no_fallback)
-    except FallbackDisabled as exc:
-        print(f"fallback required but disabled: {exc}", file=sys.stderr)
+        records = run_sweep(n, triples, jobs=args.jobs)
+    except InternalError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started
     summary = sweep_summary(n, records)
@@ -508,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-S", "--targets", required=True, help="three comma-separated binary labels")
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--fidelity", action="store_true", help="route one-side extras along spanning paths")
-    p.add_argument("--no-fallback", action="store_true", help="fail instead of repairing a rejected recipe")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_construct)
 
@@ -523,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--no-fallback", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sweep)
 

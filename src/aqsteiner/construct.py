@@ -20,10 +20,10 @@ analysis on how S straddles the two half-copies:
   special trees are carved out, depends on whether x and y are
   cross-twins, whether they are adjacent, and which partners z touches.
 
-Every family is re-verified before being returned; if a case recipe
-produces a rejected family (possible only where the case analysis is
-ambiguous), a verified fallback takes over and the provenance records
-that, so fidelity regressions stay visible.
+The dispatch is total (see the end of ``_dispatch``): every triple
+reaches a branch with a written recipe, so there is no repair path.
+Every ``construct`` call runs the independent verifier once, on its
+result; a rejected recipe output is a bug and raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .topology import (
 )
 
 BASE_SEARCH_BUDGET = 2_000_000
-FALLBACK_BUDGET = 200_000
 
 
 class Case(Enum):
@@ -67,7 +66,6 @@ class Case(Enum):
     CASE2_2_3A = "Case2_2_3a"
     CASE2_2_3B = "Case2_2_3b"
     CASE2_2_3C = "Case2_2_3c"
-    FALLBACK = "FallbackSearch"
 
 
 @dataclass(frozen=True)
@@ -100,19 +98,11 @@ class TreeFamily:
     terminals: frozenset[Vertex]
     trees: tuple[SteinerTree, ...]
     provenance: tuple[CaseTag, ...]
-    fallback_used: bool
+    fallback_used: bool  # always False; kept for the v1 certificate schema
 
 
 class InternalError(RuntimeError):
-    """A construction that must succeed did not; carries the case tag."""
-
-
-class FallbackDisabled(RuntimeError):
-    """A case recipe failed verification and fallback was switched off."""
-
-
-class _BuilderFailure(Exception):
-    """Internal: a recipe could not complete (triggers fallback)."""
+    """A construction that must succeed did not: a bug, never bad input."""
 
 
 def target_family_size(dim: int) -> int:
@@ -262,11 +252,13 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, _Instance, tuple[
         return mk(cc, x, y, "c@x")
     if yc and not yh:
         return mk(cc, x, y, "h@y")
-    if xc and not xh:
-        return mk(cc, x, y, "h@x")
-    # z touches all four cross-partners; no splice anchor is clean.  Not
-    # observed for dim <= 8; the verified fallback owns this corner.
-    return mk(cc, x, y, "c@y")
+    # What is left has z adjacent to h(y), c(y) and c(x), and never to
+    # h(x) as well: with primes for the low n-1 bits, touching all four
+    # needs z'^x' and z'^y' each in a pair {d, d ^ trail} of the
+    # half-copy's delta set.  The only such pair is {leading bit, longest
+    # proper trailing block}, so x != y forces x'^y' = trail: the twins,
+    # dispatched above.
+    return mk(cc, x, y, "h@x")
 
 
 def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
@@ -296,18 +288,20 @@ def _trunc_edges(path: _paths.Path) -> set[tuple[Vertex, Vertex]]:
 def _system(g: AugmentedCube, side: Side, src: int, dst: int, k: int) -> _paths.PathSystem:
     res = _paths.disjoint_paths(side_view(g, side), Vertex(src, g.dim), Vertex(dst, g.dim), k)
     if isinstance(res, _paths.MinCut):
-        raise _BuilderFailure(
+        raise InternalError(
             f"half-copy admits only {res.size} disjoint paths between "
             f"{src:0{g.dim}b} and {dst:0{g.dim}b}, need {k}"
         )
     return res
 
 
-def _pin_all(ps: _paths.PathSystem, wanted: Sequence[int], n: int) -> _paths.PathSystem:
+def _pin(ps: _paths.PathSystem, wanted: Sequence[int], n: int) -> _paths.PathSystem:
+    """Reorder so that path i reaches the sink through wanted[i]; the
+    remaining paths keep their relative order."""
     try:
         return _paths.reorder_paths(ps, [(i, Vertex(w, n)) for i, w in enumerate(wanted)])
     except _paths.PinUnsatisfiable as exc:
-        raise _BuilderFailure(str(exc)) from exc
+        raise InternalError(str(exc)) from exc
 
 
 def _sink_nbrs(ps: _paths.PathSystem) -> list[int]:
@@ -319,7 +313,7 @@ _Edges = set[tuple[Vertex, Vertex]]
 
 def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
-    P = _pin_all_partial(_system(g, Side.ZERO, x, y, k), {0: x}, n)
+    P = _pin(_system(g, Side.ZERO, x, y, k), [x], n)
     xc = c_label(x, n)  # equals the bit-keeping partner of y; the star centre
     trees: list[_Edges] = [{_edge(x, xc, n), _edge(y, xc, n), _edge(z, xc, n)}]
     for i in range(1, k):
@@ -334,9 +328,9 @@ def _recipe_2_1_2(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     P = _system(g, Side.ZERO, x, y, k)
     Q = _paths.map_path_system(lambda v: Vertex(h_label(v.bits, n), n), P)
     trees: list[_Edges] = []
+    # x and y are not adjacent (else z = h(x) would touch h(y): Case2_1_3),
+    # so every path has an interior vertex to join through
     for p, q in zip(P.paths, Q.paths):
-        if len(p) < 3:
-            raise _BuilderFailure("unexpected direct edge between non-adjacent anchors")
         join = p.vertices[-2].bits
         trees.append(_path_edges(p) | _trunc_edges(q) | {_edge(join, h_label(join, n), n)})
     return trees
@@ -346,10 +340,10 @@ def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     trail = (1 << (n - 1)) - 1
     xch = x ^ trail  # the all-bits partner of z pulled below; adjacent to x
-    P = _pin_all_partial(_system(g, Side.ZERO, y, x, k), {0: y, 1: xch}, n)
+    P = _pin(_system(g, Side.ZERO, y, x, k), [y, xch], n)
     x_nb = _sink_nbrs(P)
     xc = c_label(x, n)
-    Q = _pin_all(_system(g, Side.ONE, z, xc, k), [c_label(w, n) for w in x_nb], n)
+    Q = _pin(_system(g, Side.ONE, z, xc, k), [c_label(w, n) for w in x_nb], n)
     trees: list[_Edges] = [
         _path_edges(P.paths[1]) | {_edge(xch, z, n)},
         _path_edges(Q.paths[0]) | {_edge(x, xc, n), _edge(y, c_label(y, n), n)},
@@ -365,10 +359,10 @@ def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 
 def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
-    P = _pin_all_partial(_system(g, Side.ZERO, x, y, k), {0: x}, n)
+    P = _pin(_system(g, Side.ZERO, x, y, k), [x], n)
     y_nb = _sink_nbrs(P)
     yc = c_label(y, n)  # bit-keeping partner of x
-    Q = _pin_all(_system(g, Side.ONE, z, yc, k), [c_label(w, n) for w in y_nb], n)
+    Q = _pin(_system(g, Side.ONE, z, yc, k), [c_label(w, n) for w in y_nb], n)
     trees: list[_Edges] = [
         _trunc_edges(Q.paths[0]) | {_edge(x, c_label(x, n), n), _edge(y, h_label(y, n), n)}
     ]
@@ -384,10 +378,10 @@ def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 def _recipe_2_2_1b(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     zc = c_label(z, n)  # below, adjacent to y because z touches y's all-bits partner
-    P = _pin_all_partial(_system(g, Side.ZERO, x, y, k), {0: zc, 1: x}, n)
+    P = _pin(_system(g, Side.ZERO, x, y, k), [zc, x], n)
     y_nb = _sink_nbrs(P)
     yc = c_label(y, n)
-    Q = _pin_all(_system(g, Side.ONE, z, yc, k), [c_label(w, n) for w in y_nb], n)
+    Q = _pin(_system(g, Side.ONE, z, yc, k), [c_label(w, n) for w in y_nb], n)
     trees: list[_Edges] = [
         _path_edges(P.paths[0]) | {_edge(zc, z, n)},
         _path_edges(Q.paths[1]) | {_edge(x, h_label(x, n), n), _edge(y, h_label(y, n), n)},
@@ -411,13 +405,11 @@ def _recipe_grid(
     img = h_label if matching == "h" else c_label
     w = x if anchor == "x" else y
     w_other = y if anchor == "x" else x
-    if z == img(w, n):
-        raise _BuilderFailure("upper fan would collapse onto z")
     P = _system(g, Side.ZERO, w_other, w, k)
     if adjacent:
-        P = _pin_all_partial(P, {0: w_other}, n)
+        P = _pin(P, [w_other], n)
     w_nb = _sink_nbrs(P)
-    Q = _pin_all(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb], n)
+    Q = _pin(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb], n)
     trees: list[_Edges] = []
     start = 0
     if adjacent:
@@ -435,13 +427,6 @@ def _recipe_grid(
     return trees
 
 
-def _pin_all_partial(ps: _paths.PathSystem, pins: dict[int, int], n: int) -> _paths.PathSystem:
-    try:
-        return _paths.reorder_paths(ps, [(i, Vertex(w, n)) for i, w in sorted(pins.items())])
-    except _paths.PinUnsatisfiable as exc:
-        raise _BuilderFailure(str(exc)) from exc
-
-
 _RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
     Case.CASE2_1_1: _recipe_2_1_1,
     Case.CASE2_1_2: _recipe_2_1_2,
@@ -451,49 +436,10 @@ _RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
 }
 
 
-def construct_case2_image(g: AugmentedCube, terminals: Iterable[Vertex], tag: CaseTag) -> TreeFamily:
-    """Build a family for the branches where z is a cross-partner of x."""
-    if tag.case not in (Case.CASE2_1_1, Case.CASE2_1_2, Case.CASE2_1_3):
-        raise ContractViolation(f"not a cross-partner branch: {tag.case.value}")
-    return _build_case2(g, terminals, tag)
-
-
-def construct_case2_nonimage(g: AugmentedCube, terminals: Iterable[Vertex], tag: CaseTag) -> TreeFamily:
-    """Build a family for the branches where z is not a cross-partner."""
-    allowed = (
-        Case.CASE2_2_1A,
-        Case.CASE2_2_1B,
-        Case.CASE2_2_2A,
-        Case.CASE2_2_2B,
-        Case.CASE2_2_2C,
-        Case.CASE2_2_3A,
-        Case.CASE2_2_3B,
-        Case.CASE2_2_3C,
-    )
-    if tag.case not in allowed:
-        raise ContractViolation(f"not a non-partner branch: {tag.case.value}")
-    return _build_case2(g, terminals, tag)
-
-
-def _build_case2(g: AugmentedCube, terminals: Iterable[Vertex], tag: CaseTag) -> TreeFamily:
-    labels = _validate_terminals(g, terminals)
-    fresh, inst, recipe = _dispatch(g.dim, labels)
-    if fresh.case is not tag.case:
-        raise ContractViolation(f"targets classify as {fresh.case.value}, not {tag.case.value}")
-    trees = _run_recipe(g, fresh, inst, recipe)
-    family = _assemble(g, labels, inst, trees, (fresh,))
-    report = _verify.verify_family(g, family)
-    if not report.accepted:
-        raise _BuilderFailure(f"recipe for {fresh.case.value} produced a rejected family: {report.violations[0].detail}")
-    return family
-
-
 def _run_recipe(g: AugmentedCube, tag: CaseTag, inst: _Instance, recipe: tuple[str, str] | None) -> list[_Edges]:
     x, y, z = inst.x, inst.y, inst.z
     if tag.case in _RECIPES:
         return _RECIPES[tag.case](g, x, y, z)
-    if recipe is None:
-        raise _BuilderFailure(f"no recipe for {tag.case.value}")
     matching, anchor = recipe
     adjacent = g.adjacent_labels(x, y)
     return _recipe_grid(g, x, y, z, matching, anchor, adjacent)
@@ -505,7 +451,6 @@ def _assemble(
     inst: _Instance,
     trees: list[_Edges],
     provenance: tuple[CaseTag, ...],
-    fallback: bool = False,
 ) -> TreeFamily:
     n = g.dim
     terminals = frozenset(Vertex(a, n) for a in labels)
@@ -520,7 +465,7 @@ def _assemble(
         terminals=terminals,
         trees=tuple(mapped),
         provenance=provenance,
-        fallback_used=fallback,
+        fallback_used=False,
     )
 
 
@@ -528,31 +473,16 @@ def _assemble(
 # all targets on one side
 # ---------------------------------------------------------------------------
 
-def construct_case1(
-    g: AugmentedCube,
-    terminals: Iterable[Vertex],
-    *,
-    fidelity: bool = False,
-    allow_fallback: bool = True,
+def _construct_case1(
+    g: AugmentedCube, labels: Sequence[int], tag: CaseTag, inst: _Instance, fidelity: bool
 ) -> TreeFamily:
     """All three targets in one half: recurse, then add one tree through
     each quarter of the other half."""
-    labels = _validate_terminals(g, terminals)
-    tag, inst, _ = _dispatch(g.dim, labels)
-    if tag.case is not Case.CASE1:
-        raise ContractViolation(f"targets classify as {tag.case.value}, not Case1")
     n = g.dim
     norm_labels = sorted(inst.fwd(a) for a in labels)
+    sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
+    trees: list[_Edges] = [set(t.edges) for t in embed(sub, 0).trees]
 
-    sub = construct(
-        AugmentedCube(n - 1),
-        [Vertex(a, n - 1) for a in norm_labels],
-        fidelity=fidelity,
-        allow_fallback=allow_fallback,
-    )
-    lifted = embed(sub, 0)
-
-    quarter_trees: list[_Edges] = []
     shift = n - 2
     for quarter in (0b10, 0b11):
         q_labels = frozenset(v for v in range(1 << n) if v >> shift == quarter)
@@ -570,35 +500,9 @@ def construct_case1(
             conn: Iterable[tuple[Vertex, Vertex]] = span.edges()
         else:
             conn = _paths.connector_tree(view, [Vertex(a, n) for a in anchors])
-        edges = set(conn) | {_edge(s, attach(s), n) for s in norm_labels}
-        quarter_trees.append(edges)
+        trees.append(set(conn) | {_edge(s, attach(s), n) for s in norm_labels})
 
-    terminals_set = frozenset(Vertex(a, n) for a in labels)
-    mapped_quarters = [
-        SteinerTree(
-            terminals_set,
-            frozenset(_edge(inst.inv(u.bits), inst.inv(v.bits), n) for (u, v) in t),
-        )
-        for t in quarter_trees
-    ]
-    lifted_back = [
-        SteinerTree(
-            terminals_set,
-            frozenset(_edge(inst.inv(u.bits), inst.inv(v.bits), n) for (u, v) in t.edges),
-        )
-        for t in lifted.trees
-    ]
-    family = TreeFamily(
-        dim=n,
-        terminals=terminals_set,
-        trees=tuple(lifted_back + mapped_quarters),
-        provenance=(tag,) + sub.provenance,
-        fallback_used=sub.fallback_used,
-    )
-    report = _verify.verify_family(g, family)
-    if not report.accepted:
-        raise _BuilderFailure(f"one-side recipe rejected: {report.violations[0].detail}")
-    return family
+    return _assemble(g, labels, inst, trees, (tag,) + sub.provenance)
 
 
 def embed(family: TreeFamily, prefix_bit: int) -> TreeFamily:
@@ -809,173 +713,6 @@ def _search_family(n: int, term_labels: Sequence[int], target: int) -> list[set[
 
 
 # ---------------------------------------------------------------------------
-# verified fallback
-# ---------------------------------------------------------------------------
-
-def _fallback_family(
-    g: AugmentedCube, labels: Sequence[int], failed: CaseTag
-) -> TreeFamily | None:
-    """Recover from a rejected recipe: try the mirror recipes first, then a
-    bounded backtracking search over spider trees."""
-    n = g.dim
-    tagged = CaseTag(
-        Case.FALLBACK,
-        failed.normalization,
-        failed.roles,
-        variant=f"after {failed.case.value}",
-    )
-    _, inst, _ = _dispatch(n, labels)
-    if inst.z is not None:
-        x, y, z = inst.x, inst.y, inst.z
-        adjacent = g.adjacent_labels(x, y)
-        for matching in ("h", "c"):
-            for anchor in ("y", "x"):
-                img = h_label if matching == "h" else c_label
-                w = x if anchor == "x" else y
-                if z == img(w, n):
-                    continue
-                try:
-                    trees = _recipe_grid(g, x, y, z, matching, anchor, adjacent)
-                    family = _assemble(g, labels, inst, trees, (tagged,), fallback=True)
-                except _BuilderFailure:
-                    continue
-                if _verify.verify_family(g, family).accepted:
-                    return family
-    trees = _spider_pack(g, labels, target_family_size(n))
-    if trees is None:
-        return None
-    terminals_set = frozenset(Vertex(a, n) for a in labels)
-    family = TreeFamily(
-        dim=n,
-        terminals=terminals_set,
-        trees=tuple(SteinerTree(terminals_set, frozenset(t)) for t in trees),
-        provenance=(tagged,),
-        fallback_used=True,
-    )
-    if _verify.verify_family(g, family).accepted:
-        return family
-    return None
-
-
-def _spider_pack(
-    g: AugmentedCube, labels: Sequence[int], target: int, budget: int = FALLBACK_BUDGET
-) -> list[set[tuple[Vertex, Vertex]]] | None:
-    """Backtracking packing of spider trees: pick an unused centre, fan
-    three disjoint paths from it to the targets through unused vertices,
-    repeat.  Deterministic; bounded by a node budget."""
-    n = g.dim
-    terms = list(labels)
-    spent = 0
-
-    def spider(center: int, blocked: set[int]) -> list[list[int]] | None:
-        # tiny three-target fan by unit-capacity flow
-        cap: dict[tuple[int, int], int] = {}
-        adj: dict[int, list[int]] = {}
-
-        def add(a: int, b: int, c: int) -> None:
-            if (a, b) not in cap:
-                cap[(a, b)] = 0
-                cap.setdefault((b, a), 0)
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-            cap[(a, b)] += c
-
-        avail = [v for v in range(1 << n) if v not in blocked and v not in terms and v != center]
-        nodes = set(avail) | set(terms) | {center}
-        SINK = -1
-        for v in avail:
-            add(2 * v, 2 * v + 1, 1)
-        for u in nodes:
-            if u in terms:
-                continue  # no arcs out of targets
-            a = 2 * u + 1
-            for w in g.neighbor_labels(u):
-                if w not in nodes or w == center:
-                    continue
-                add(a, 2 * w, 1)
-        for t in terms:
-            add(2 * t, SINK, 1)
-        for a in adj:
-            adj[a] = sorted(set(adj[a]), key=lambda q: (q == SINK, q))
-        src = 2 * center + 1
-        if src not in adj:
-            return None
-        flow = 0
-        pushed: dict[tuple[int, int], int] = {}
-        from collections import deque as _dq
-
-        while flow < 3:
-            parent: dict[int, int | None] = {src: None}
-            queue = _dq([src])
-            while queue and SINK not in parent:
-                a = queue.popleft()
-                for b in adj[a]:
-                    if b not in parent and cap.get((a, b), 0) > 0:
-                        parent[b] = a
-                        queue.append(b)
-            if SINK not in parent:
-                return None
-            b = SINK
-            while parent[b] is not None:
-                a = parent[b]
-                cap[(a, b)] -= 1
-                cap[(b, a)] += 1
-                if pushed.get((b, a), 0) > 0:
-                    pushed[(b, a)] -= 1
-                else:
-                    pushed[(a, b)] = pushed.get((a, b), 0) + 1
-                b = a
-            flow += 1
-        walks = []
-        for _ in range(3):
-            node = src
-            verts = [center]
-            while node != SINK:
-                for b in adj[node]:
-                    if pushed.get((node, b), 0) > 0:
-                        pushed[(node, b)] -= 1
-                        node = b
-                        break
-                else:
-                    raise AssertionError("fan decomposition failed")
-                if node != SINK and node % 2 == 0:
-                    verts.append(node // 2)
-            walks.append(verts)
-        return walks
-
-    chosen: list[set[tuple[Vertex, Vertex]]] = []
-    used: set[int] = set()
-
-    def recurse() -> bool:
-        nonlocal spent
-        if len(chosen) == target:
-            return True
-        for center in range(1 << n):
-            if center in used or center in terms:
-                continue
-            spent += 1
-            if spent > budget:
-                return False
-            walks = spider(center, used)
-            if walks is None:
-                continue
-            internal = {v for walk in walks for v in walk if v not in terms}
-            edges = set()
-            for walk in walks:
-                for a, b in zip(walk, walk[1:]):
-                    edges.add(_edge(a, b, n))
-            chosen.append(edges)
-            used.update(internal)
-            if recurse():
-                return True
-            chosen.pop()
-            used.difference_update(internal)
-        return False
-
-    return chosen if recurse() else None
-
-
-# ---------------------------------------------------------------------------
 # top-level constructor
 # ---------------------------------------------------------------------------
 
@@ -984,15 +721,16 @@ def construct(
     terminals: Iterable[Vertex],
     *,
     fidelity: bool = False,
-    allow_fallback: bool = True,
 ) -> TreeFamily:
     """Build and verify a family of 2*dim - 3 internally disjoint pendant
     Steiner trees for the target triple.
 
     Dimensions 3 and 4 are searched exhaustively; higher dimensions go
-    through the case dispatch, with a verified fallback replacing any
-    rejected recipe output (raise instead when allow_fallback is off).
-    The returned family always passed the independent verifier.
+    through the case dispatch and its written recipe (Case1 recurses
+    through this function, one call per dimension).  The result passes
+    the independent verifier exactly once, here; a rejected or short
+    family raises ``InternalError``.  ``fidelity`` routes the Case1
+    quarter trees along spanning paths.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim
@@ -1000,38 +738,16 @@ def construct(
         family = base_case_search(g, terminals, target_family_size(n))
     else:
         tag, inst, recipe = _dispatch(n, labels)
-        family = None
-        failure = ""
         if tag.case is Case.CASE1:
-            try:
-                family = construct_case1(g, terminals, fidelity=fidelity, allow_fallback=allow_fallback)
-            except _BuilderFailure as exc:
-                failure = str(exc)
+            family = _construct_case1(g, labels, tag, inst, fidelity)
         else:
-            try:
-                trees = _run_recipe(g, tag, inst, recipe)
-                candidate = _assemble(g, labels, inst, trees, (tag,))
-                if _verify.verify_family(g, candidate).accepted:
-                    family = candidate
-                else:
-                    failure = "recipe output rejected by the verifier"
-            except _BuilderFailure as exc:
-                failure = str(exc)
-        if family is None:
-            if not allow_fallback:
-                raise FallbackDisabled(
-                    f"{tag.case.value} recipe failed ({failure}) and fallback is disabled"
-                )
-            family = _fallback_family(g, labels, tag)
-            if family is None:
-                raise InternalError(
-                    f"all builders failed for targets {[f'{a:0{n}b}' for a in labels]} "
-                    f"(dispatched {tag.case.value}: {failure})"
-                )
+            trees = _run_recipe(g, tag, inst, recipe)
+            family = _assemble(g, labels, inst, trees, (tag,))
     report = _verify.verify_family(g, family)
     if not report.accepted:
         raise InternalError(
-            f"constructed family rejected: {[v.detail for v in report.violations]}"
+            f"{family.provenance[0].case.value} family rejected for targets "
+            f"{[f'{a:0{n}b}' for a in labels]}: {[v.detail for v in report.violations]}"
         )
     if len(family.trees) != target_family_size(n):
         raise InternalError(

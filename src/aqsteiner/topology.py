@@ -136,10 +136,6 @@ def c_label(v: int, dim: int) -> int:
     return v ^ ((1 << dim) - 1)
 
 
-def complement_label(v: int, dim: int) -> int:
-    return v ^ ((1 << dim) - 1)
-
-
 def hc_swap_label(v: int, dim: int) -> int:
     """Complement the trailing bits of upper-copy labels, fix the lower copy.
 
@@ -194,7 +190,7 @@ def c_image(v: Vertex) -> Vertex:
 def complement_automorphism(v: Vertex) -> Vertex:
     """Full bitwise complement; an involutive automorphism that swaps the
     two half-copies."""
-    return Vertex(complement_label(v.bits, v.dim), v.dim)
+    return Vertex(c_label(v.bits, v.dim), v.dim)
 
 
 def hc_swap_automorphism(v: Vertex) -> Vertex:

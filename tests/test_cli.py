@@ -257,3 +257,21 @@ def test_sample_triples_deterministic():
 
 def test_main_returns_exit_code():
     assert main(["info", "-n", "2"]) == 0
+
+
+def test_sweep_sample_count_out_of_range_is_usage_error():
+    # C(8, 3) = 56 triples exist at n = 3; more used to loop forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "aqsteiner.cli", "sweep", "-n", "3", "--samples", "57"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "1..56" in proc.stderr
+    for bad in ("0", "-4"):
+        code, out, err = run_cli(["sweep", "-n", "3", "--samples", bad])
+        assert code == 2 and out == "" and "1..56" in err
+    code, out, _ = run_cli(["sweep", "-n", "3", "--samples", "56", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["triples"] == 56

@@ -1,20 +1,20 @@
-import importlib
+import inspect
 
 import pytest
 
-construct_mod = importlib.import_module("aqsteiner.construct")
+import aqsteiner
+from aqsteiner import cli
+from aqsteiner import construct as construct_mod
+from aqsteiner import verify as verify_mod
 from aqsteiner.construct import (
     Case,
-    CaseTag,
-    FallbackDisabled,
+    InternalError,
     SteinerTree,
     TreeFamily,
+    _dispatch,
     base_case_search,
     classify,
     construct,
-    construct_case1,
-    construct_case2_image,
-    construct_case2_nonimage,
     embed,
     target_family_size,
 )
@@ -22,6 +22,7 @@ from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
     Vertex,
+    adjacency_deltas,
     complement_automorphism,
     hc_swap_automorphism,
     parse_vertex,
@@ -63,6 +64,75 @@ def test_classify_normalisation_flags():
     tag = classify(g, vs("0000", "0011", "1111"))
     assert "hc_swap" in tag.normalization
     assert tag.case in (Case.CASE2_1_1, Case.CASE2_1_2, Case.CASE2_1_3)
+
+
+# ---------------------------------------------------------------------------
+# the dispatch is total
+# ---------------------------------------------------------------------------
+
+def test_dispatch_lemma_only_trailing_pair():
+    # inside the half-copy's delta set D', the only pair whose xor is the
+    # full trailing mask is {leading bit, longest proper trailing block}
+    for n in range(4, 63):
+        trail = (1 << (n - 1)) - 1
+        deltas = adjacency_deltas(n - 1)
+        pairs = {frozenset((d, d ^ trail)) for d in deltas if d ^ trail in deltas}
+        assert pairs == {frozenset((1 << (n - 2), (1 << (n - 2)) - 1))}, n
+
+
+def _branch(tag):
+    """Identify the return statement of ``_dispatch`` that made ``tag``."""
+    mirrored = tag.case is Case.CASE2_2_1A and tag.roles[0].bits > tag.roles[1].bits
+    return tag.case.value, tag.variant, mirrored
+
+
+KEPT_BRANCHES = {
+    ("Case1", "", False),
+    ("Case2_1_1", "", False),
+    ("Case2_1_2", "", False),
+    ("Case2_1_3", "", False),
+    ("Case2_2_1a", "", False),
+    ("Case2_2_1a", "", True),
+    ("Case2_2_1b", "", False),
+} | {
+    (f"Case2_2_{k}{branch}", variant, False)
+    for k in "23"
+    for branch, variant in (("a", "h@y"), ("b", "h@x"), ("b", "h@y"),
+                            ("c", "c@y"), ("c", "c@x"), ("c", "h@y"), ("c", "h@x"))
+}
+
+
+def _relation_type(a, b, deltas, trail):
+    """All that the Case2 dispatch can see of x = 0, y = a, z = half | b:
+    the delta-set memberships and the partner equalities."""
+    touches = (b in deltas, b ^ trail in deltas, b ^ a in deltas, b ^ a ^ trail in deltas)
+    return a in deltas, a == trail, touches, b in (0, trail), b in (a, a ^ trail)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_dispatch_relation_types_cover_every_branch(n):
+    # Translating by x leaves x = 0, y = a, z = half | b with a = x'^y' and
+    # b = z'^x'.  Enumerate every (a, b), dispatch one pair per type.
+    half = 1 << (n - 1)
+    trail = half - 1
+    deltas = frozenset(adjacency_deltas(n - 1))
+    pairs = [(a, b) for a in range(1, half) for b in range(half)]
+    representative = {}
+    for a, b in pairs:
+        kind = _relation_type(a, b, deltas, trail)
+        # z adjacent to h(x), c(x), h(y) and c(y) needs cross-twins
+        assert a == trail or not all(kind[2]), (a, b)
+        representative.setdefault(kind, (a, b))
+    branch_of = {
+        kind: _branch(_dispatch(n, (0, a, half | b))[0]) for kind, (a, b) in representative.items()
+    }
+    if n <= 7:
+        # the relation type really determines the branch
+        for a, b in pairs:
+            kind = _relation_type(a, b, deltas, trail)
+            assert _branch(_dispatch(n, (0, a, half | b))[0]) == branch_of[kind], (a, b)
+    case1 = _branch(_dispatch(n, (0, 1, 2))[0])
+    assert set(branch_of.values()) | {case1} == KEPT_BRANCHES
 
 
 def test_classify_contract_errors():
@@ -136,7 +206,8 @@ def test_construct_dim5_one_side_recurses():
 def test_construct_case1_partition_and_attachments():
     g = AugmentedCube(5)
     targets = vs("00000", "00011", "01100")
-    fam = construct_case1(g, targets)
+    fam = construct(g, targets)
+    assert fam.provenance[0].case is Case.CASE1
     assert len(fam.trees) == 7
     # the two extra trees use cross edges into distinct quarters
     quarter_trees = fam.trees[5:]
@@ -152,30 +223,6 @@ def test_construct_case1_partition_and_attachments():
             touching = [e for e in tree.edges if t in e]
             assert len(touching) == 1
     assert seen_quarters == {0b10, 0b11}
-
-
-def test_construct_case1_wrong_shape_rejected():
-    g = AugmentedCube(5)
-    with pytest.raises(ContractViolation):
-        construct_case1(g, vs("00000", "00001", "10000"))
-
-
-def test_branch_builders_match_dispatch():
-    g = AugmentedCube(5)
-    twin = vs("00000", "01111", "10000")
-    tag = classify(g, twin)
-    assert tag.case is Case.CASE2_1_1
-    fam = construct_case2_image(g, twin, tag)
-    assert len(fam.trees) == 7 and verify_family(g, fam).accepted
-
-    other = vs("00000", "00011", "11110")
-    tag = classify(g, other)
-    assert tag.case.value.startswith("Case2_2")
-    fam = construct_case2_nonimage(g, other, tag)
-    assert len(fam.trees) == 7 and verify_family(g, fam).accepted
-
-    with pytest.raises(ContractViolation):
-        construct_case2_image(g, other, tag)
 
 
 def test_construct_rejects_bad_inputs():
@@ -265,7 +312,7 @@ def test_construct_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# fallback machinery
+# failures and verification
 # ---------------------------------------------------------------------------
 
 def _broken_recipe(g, x, y, z):
@@ -274,41 +321,48 @@ def _broken_recipe(g, x, y, z):
     return [{tuple(sorted((a, b)))} for _ in range(target_family_size(n))]
 
 
-def test_fallback_repairs_broken_recipe(monkeypatch):
+def test_broken_recipe_raises_internal_error(monkeypatch):
     g = AugmentedCube(5)
     twin = vs("00000", "01111", "10000")
     assert classify(g, twin).case is Case.CASE2_1_1
     monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, _broken_recipe)
-    fam = construct(g, twin)
-    assert fam.fallback_used
-    assert fam.provenance[0].case is Case.FALLBACK
-    assert "Case2_1_1" in fam.provenance[0].variant
-    assert len(fam.trees) == 7
-    assert verify_family(g, fam).accepted
+    with pytest.raises(InternalError, match="Case2_1_1"):
+        construct(g, twin)
 
 
-def test_no_fallback_mode_raises(monkeypatch):
-    g = AugmentedCube(5)
-    twin = vs("00000", "01111", "10000")
+def test_broken_recipe_exits_1_from_cli(monkeypatch, capsys):
     monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, _broken_recipe)
-    with pytest.raises(FallbackDisabled):
-        construct(g, twin, allow_fallback=False)
+    assert cli.main(["construct", "-n", "5", "-S", "00000,01111,10000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("construction failed:")
+    # break every Case2 recipe so the sampled sweep meets one at once
+    monkeypatch.setattr(construct_mod, "_run_recipe", lambda g, tag, inst, recipe: _broken_recipe(g, 0, 0, 0))
+    assert cli.main(["sweep", "-n", "5", "--samples", "40", "--seed", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("construction failed:")
 
 
-def test_spider_pack_finds_full_family():
-    g = AugmentedCube(5)
-    labels = [0b00000, 0b00011, 0b11100]
-    trees = construct_mod._spider_pack(g, labels, 7)
-    assert trees is not None and len(trees) == 7
-    terminals = frozenset(Vertex(a, 5) for a in labels)
-    fam = TreeFamily(
-        5,
-        terminals,
-        tuple(SteinerTree(terminals, frozenset(t)) for t in trees),
-        (CaseTag(Case.FALLBACK),),
-        True,
-    )
-    assert verify_family(g, fam).accepted
+@pytest.mark.parametrize(
+    "trio, dims",
+    [(("00000", "01111", "10000"), [5]), (("00000", "00001", "00010"), [4, 5])],
+)
+def test_verify_runs_once_per_construct_level(monkeypatch, trio, dims):
+    # a Case2 triple is one level; Case1 at n = 5 adds the n = 4 base level
+    seen = []
+    original = verify_mod.verify_family
+
+    def counting(g, family):
+        seen.append(g.dim)
+        return original(g, family)
+
+    monkeypatch.setattr(verify_mod, "verify_family", counting)
+    construct(AugmentedCube(5), vs(*trio))
+    assert seen == dims
+
+
+def test_package_attribute_construct_is_the_submodule():
+    assert inspect.ismodule(aqsteiner.construct)
+    assert aqsteiner.construct.construct is construct is cli.build_family
 
 
 # ---------------------------------------------------------------------------
