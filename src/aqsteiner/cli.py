@@ -36,7 +36,7 @@ from .construct import (
     construct as build_family,
     target_family_size,
 )
-from .topology import AugmentedCube, ContractViolation, Vertex, parse_vertex
+from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, parse_vertex
 
 TOOL_ID = "aqsteiner"
 TOOL_VERSION = "0.1.0"
@@ -391,8 +391,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 3:
-        print("sweep needs dimension at least 3", file=sys.stderr)
+    if not 3 <= n <= MAX_DIM:
+        print(f"sweep needs dimension in 3..{MAX_DIM}", file=sys.stderr)
         return 2
     if args.exhaustive:
         if n > 5 and not args.force:

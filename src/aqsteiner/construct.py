@@ -485,7 +485,7 @@ def _construct_case1(
 
     shift = n - 2
     for quarter in (0b10, 0b11):
-        q_labels = frozenset(v for v in range(1 << n) if v >> shift == quarter)
+        q_labels = range(quarter << shift, (quarter + 1) << shift)
         view = GraphView(g, q_labels)
 
         def attach(s: int) -> int:
@@ -494,9 +494,7 @@ def _construct_case1(
 
         anchors = sorted({attach(s) for s in norm_labels})
         if fidelity:
-            span = _paths.hamiltonian_path(
-                view, Vertex(min(q_labels), n), Vertex(max(q_labels), n)
-            )
+            span = _paths.hamiltonian_path(view, Vertex(q_labels[0], n), Vertex(q_labels[-1], n))
             conn: Iterable[tuple[Vertex, Vertex]] = span.edges()
         else:
             conn = _paths.connector_tree(view, [Vertex(a, n) for a in anchors])

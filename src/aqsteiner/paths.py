@@ -10,9 +10,12 @@ exception is a direct u-v edge, whose arc keeps capacity 1; a witness
 that needs it reports that separately, since no vertex set separates an
 adjacent pair.
 
-Augmenting paths are found by BFS with neighbours enumerated in
-ascending label order, so results are reproducible across runs, thread
-counts and platforms.
+The residual network is implicit: arcs come from the view's neighbour
+queries when the search reaches a vertex, and flow is held only for
+vertices the search has touched, so memory follows the search, not the
+size of the view.  Augmenting paths are found by BFS with neighbours
+enumerated in ascending label order, so results are reproducible across
+runs, thread counts and platforms.
 """
 
 from __future__ import annotations
@@ -90,89 +93,79 @@ def undirected(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
 
 def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]] | None, list[int]]:
     """Return (paths, []) with exactly k label paths, or (None, vertex_cut)."""
-    # node ids: 2*v = in side, 2*v + 1 = out side
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
+    # node ids: 2*v = in side, 2*v + 1 = out side.  `through` holds the
+    # inner vertices whose split arc carries a unit, `flow` the (u, w)
+    # edge arcs (u's out side to w's in side) that carry one.  Edge arcs
+    # never hold more than one unit, so only the direct s-t arc, of
+    # capacity 1, can saturate.
+    closed: dict[int, list[int]] = {}
+    through: set[int] = set()
+    flow: set[tuple[int, int]] = set()
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap.setdefault((b, a), 0)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
-    labels = view.vertex_labels()
-    for v in labels:
-        if v != s and v != t:
-            add_arc(2 * v, 2 * v + 1, 1)
-    for u in labels:
-        for w in view.neighbor_labels(u):
-            if u == t or w == s:
-                continue
-            a = 2 * u + 1
-            b = 2 * w
-            add_arc(a, b, 1 if (u == s and w == t) else 2)
-    for a in adj:
-        adj[a] = sorted(set(adj[a]))
+    def nbrs(v: int) -> list[int]:
+        out = closed.get(v)
+        if out is None:
+            out = closed[v] = sorted([v, *view.neighbor_labels(v)])
+        return out
 
     src, dst = 2 * s + 1, 2 * t
-    if dst not in adj:
-        adj[dst] = []
-    flow = 0
-    pushed: dict[tuple[int, int], int] = {}
-    while flow < k:
-        parent: dict[int, int | None] = {src: None}
+    for _ in range(k):
+        parent = {src: -1}
         queue = deque([src])
         while queue and dst not in parent:
             a = queue.popleft()
-            for b in adj[a]:
-                if b not in parent and cap.get((a, b), 0) > 0:
+            v = a >> 1
+            if a & 1:
+                # out side: the split arc back when v carries a unit, and
+                # the edge arcs, none of which enters s; the direct s-t
+                # arc is the only one a unit can fill
+                heads = [
+                    2 * w
+                    for w in nbrs(v)
+                    if (v in through if w == v else w != s and not (v == s and w == t and (s, t) in flow))
+                ]
+            elif v not in through:
+                # in side of an idle vertex: nothing enters it, so only its
+                # split arc leaves (t's in side ends every search reaching it)
+                heads = [a + 1]
+            else:
+                heads = [2 * w + 1 for w in nbrs(v) if (w, v) in flow]
+            for b in heads:
+                if b not in parent:
                     parent[b] = a
                     queue.append(b)
         if dst not in parent:
-            break
+            # in sides reached whose out side is not; neither s's in side
+            # (no arc enters it) nor t's is ever reached here
+            return None, sorted(a >> 1 for a in parent if not a & 1 and a + 1 not in parent)
         b = dst
-        while parent[b] is not None:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            if pushed.get((b, a), 0) > 0:
-                pushed[(b, a)] -= 1
-            else:
-                pushed[(a, b)] = pushed.get((a, b), 0) + 1
+        while (a := parent[b]) >= 0:
+            u, w = a >> 1, b >> 1
+            if u == w:  # split arc: forward from the in side, back from the out side
+                if a & 1:
+                    through.remove(u)
+                else:
+                    through.add(u)
+            elif a & 1:  # edge arc u -> w
+                flow.add((u, w))
+            else:  # back along the edge arc w -> u
+                flow.remove((w, u))
             b = a
-        flow += 1
 
-    if flow < k:
-        reach = {src}
-        queue = deque([src])
-        while queue:
-            a = queue.popleft()
-            for b in adj[a]:
-                if b not in reach and cap.get((a, b), 0) > 0:
-                    reach.add(b)
-                    queue.append(b)
-        cut = [v for v in labels if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach]
-        return None, sorted(cut)
-
-    # Decompose the net flow into k source-to-sink walks.  Unit vertex
-    # capacities mean no vertex repeats across walks; stray flow cycles
-    # (possible after residual cancellations) are simply never visited.
+    # Decompose the flow into k source-to-sink walks, taking the first
+    # flow-carrying arc in ascending order.  Unit vertex capacities mean
+    # no vertex repeats across walks; stray flow cycles (possible after
+    # residual cancellations) are simply never visited.
     paths: list[list[int]] = []
     for _ in range(k):
-        node = src
         verts = [s]
-        while node != dst:
-            for b in adj[node]:
-                if pushed.get((node, b), 0) > 0:
-                    pushed[(node, b)] -= 1
-                    node = b
-                    break
-            else:
+        while verts[-1] != t:
+            u = verts[-1]
+            w = next((w for w in nbrs(u) if (u, w) in flow), None)
+            if w is None:
                 raise AssertionError("flow conservation violated during decomposition")
-            if node % 2 == 0:
-                verts.append(node // 2)
+            flow.remove((u, w))
+            verts.append(w)
         paths.append(verts)
     return paths, []
 
@@ -341,10 +334,9 @@ def hamiltonian_path(
     view.cube.check_vertex(v)
     if u == v:
         raise ContractViolation("endpoints must differ")
-    labels = view.vertex_labels()
-    if u.bits not in labels or v.bits not in labels:
+    if not (view.contains_label(u.bits) and view.contains_label(v.bits)):
         raise ContractViolation("endpoints must lie inside the view")
-    total = len(labels)
+    total = len(view.vertex_labels())
     target = v.bits
     visited = {u.bits}
     order = [u.bits]

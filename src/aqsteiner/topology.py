@@ -14,7 +14,8 @@ Conventions used everywhere in this package:
   matching (flip every bit).
 - The graph is never materialised.  Adjacency is O(1) on labels and
   neighbour enumeration is O(n); ``GraphView`` restricts the vertex set
-  (and optionally deletes edges) without copying anything.
+  to a label collection (a ``range`` for every view the package builds)
+  without copying anything.
 
 The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism, as is the map that complements the trailing
@@ -26,9 +27,9 @@ and the base-case cache uses them for canonical forms.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 MAX_DIM = 62
 
@@ -146,12 +147,6 @@ def hc_swap_label(v: int, dim: int) -> int:
     return v ^ (half - 1) if v & half else v
 
 
-def xor_label(v: int, mask: int) -> int:
-    """Label translation; adjacency depends only on u ^ v, so any xor shift
-    is an automorphism."""
-    return v ^ mask
-
-
 # ---------------------------------------------------------------------------
 # operations on Vertex values
 # ---------------------------------------------------------------------------
@@ -235,16 +230,16 @@ def sub_cube_vertices(g: AugmentedCube, fixed_prefix: str) -> set[Vertex]:
 
 @dataclass(frozen=True)
 class GraphView:
-    """A vertex-filtered (and optionally edge-deleted) slice of a cube.
+    """A vertex-filtered slice of a cube.
 
-    allowed=None means the full vertex set.  removed_edges holds sorted
-    label pairs.  Everything stays implicit; neighbour queries filter on
-    the fly and always return labels in ascending order.
+    allowed=None means the full vertex set; otherwise it is a collection
+    of labels with O(1) membership, such as a ``range`` for a subcube.
+    Everything stays implicit; neighbour queries filter on the fly and
+    always return labels in ascending order.
     """
 
     cube: AugmentedCube
-    allowed: frozenset[int] | None = None
-    removed_edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    allowed: Collection[int] | None = None
 
     @property
     def dim(self) -> int:
@@ -263,23 +258,10 @@ class GraphView:
     def has_edge_labels(self, u: int, v: int) -> bool:
         if u == v or not (self.contains_label(u) and self.contains_label(v)):
             return False
-        if (min(u, v), max(u, v)) in self.removed_edges:
-            return False
         return self.cube.adjacent_labels(u, v)
 
     def neighbor_labels(self, v: int) -> list[int]:
-        out = []
-        for w in self.cube.neighbor_labels(v):
-            if self.contains_label(w) and (min(v, w), max(v, w)) not in self.removed_edges:
-                out.append(w)
-        return out
-
-    def degree_label(self, v: int) -> int:
-        return len(self.neighbor_labels(v))
-
-    def without_edge(self, u: int, v: int) -> "GraphView":
-        pair = (min(u, v), max(u, v))
-        return GraphView(self.cube, self.allowed, self.removed_edges | {pair})
+        return [w for w in self.cube.neighbor_labels(v) if self.contains_label(w)]
 
 
 def side_view(g: AugmentedCube, side: Side) -> GraphView:
@@ -287,5 +269,4 @@ def side_view(g: AugmentedCube, side: Side) -> GraphView:
     if g.dim < 2:
         raise ContractViolation("no split below dimension 2")
     half = 1 << (g.dim - 1)
-    labels = range(half, 2 * half) if side is Side.ONE else range(half)
-    return GraphView(g, frozenset(labels))
+    return GraphView(g, range(half, 2 * half) if side is Side.ONE else range(half))

@@ -35,6 +35,7 @@ from util import (
     brute_min_vertex_cut,
     max_disjoint_paths_brute,
     recursive_adjacency_masks,
+    run_bounded,
 )
 
 
@@ -112,6 +113,18 @@ def test_menger_agreement_exhaustive_small_dims():
             res = disjoint_paths(g.view(), Vertex(u, n), Vertex(v, n), g.degree)
             value = g.degree if isinstance(res, PathSystem) else res.size
             assert value == max_disjoint_paths_brute(masks, n, u, v), (n, u, v)
+
+
+def test_flow_state_only_for_touched_vertices_at_dim_40():
+    out = run_bounded(
+        "from aqsteiner.paths import disjoint_paths\n"
+        "from aqsteiner.topology import AugmentedCube\n"
+        "g = AugmentedCube(40)\n"
+        "for k in (1, 2, 3):\n"
+        "    res = disjoint_paths(g.view(), g.vertex(0), g.vertex(1), k)\n"
+        "    print([len(p) for p in res.paths])\n"
+    )
+    assert out.splitlines() == ["[2]", "[2, 3]", "[2, 3, 3]"]
 
 
 def test_determinism_repeat_calls():

@@ -22,7 +22,7 @@ from aqsteiner.topology import (
     sub_cube_vertices,
 )
 
-from util import recursive_edges
+from util import recursive_edges, run_bounded
 
 
 def labels(g, vs):
@@ -218,7 +218,7 @@ def test_sub_cube_vertices():
         sub_cube_vertices(g3, "111")
 
 
-def test_graph_view_restriction_and_edge_removal():
+def test_graph_view_restriction():
     g = AugmentedCube(4)
     lower = side_view(g, Side.ZERO)
     assert lower.vertex_labels() == list(range(8))
@@ -226,9 +226,15 @@ def test_graph_view_restriction_and_edge_removal():
     g3 = AugmentedCube(3)
     for v in range(8):
         assert lower.neighbor_labels(v) == g3.neighbor_labels(v)
-    dropped = lower.without_edge(0, 1)
-    assert 1 not in dropped.neighbor_labels(0)
-    assert 0 not in dropped.neighbor_labels(1)
+
+
+def test_side_view_is_a_label_range_at_dim_62():
+    out = run_bounded(
+        "from aqsteiner.topology import AugmentedCube, Side, side_view\n"
+        "view = side_view(AugmentedCube(62), Side.ONE)\n"
+        "print(view.contains_label(2**61), view.contains_label(5), len(view.allowed) == 2**61)\n"
+    )
+    assert out.split() == ["True", "False", "True"]
 
 
 def test_vertex_parsing_roundtrip():

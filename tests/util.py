@@ -5,12 +5,21 @@ edge builder follows the two-copies-plus-matchings definition literally,
 and the minimum-cut search enumerates deletion sets by brute force over
 bitmask adjacency.  Anything the package computes cleverly is checked
 against these slow-but-obvious versions.
+
+``run_bounded`` runs the large-dimension tests in a child process with
+capped memory, so a view that gets materialised fails fast with
+``MemoryError`` instead of exhausting the machine.
 """
 
 from __future__ import annotations
 
 import itertools
+import resource
+import subprocess
+import sys
 from functools import lru_cache
+
+MEMORY_LIMIT = 1 << 30
 
 
 @lru_cache(maxsize=None)
@@ -98,3 +107,17 @@ def triangles(masks: list[int], n: int) -> list[tuple[int, int, int]]:
         if masks[a] >> b & 1 and masks[a] >> c & 1 and masks[b] >> c & 1:
             out.append((a, b, c))
     return out
+
+
+def run_bounded(code: str, timeout: float = 30) -> str:
+    """Run Python source in a child limited to MEMORY_LIMIT bytes of
+    address space and ``timeout`` seconds; return its stdout."""
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout, preexec_fn=limit
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
