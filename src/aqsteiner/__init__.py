@@ -37,17 +37,8 @@ from .topology import (
     GraphView,
     Side,
     Vertex,
-    c_image,
-    complement_automorphism,
-    h_image,
-    hc_swap_automorphism,
-    is_adjacent,
-    neighbors,
     parse_vertex,
-    side_isomorphism,
     side_view,
-    split_side,
-    sub_cube_vertices,
 )
 from .verify import (
     ConnectivityResult,

@@ -41,6 +41,11 @@ from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, parse_v
 TOOL_ID = "aqsteiner"
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
+# The oracle builds about 2^n masks of 2^n bits each before its node
+# budget can stop it, so its memory grows as 4^n (n = 20 needs far more
+# than 1 GiB).  At n = 12 a forced run still ends in a budget-bounded
+# bracket.
+ORACLE_MAX_DIM = 12
 
 _PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02",
@@ -439,6 +444,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     n = args.n
+    if not 1 <= n <= ORACLE_MAX_DIM:
+        print(f"oracle needs dimension in 1..{ORACLE_MAX_DIM}", file=sys.stderr)
+        return 2
     if (1 << n) > 16 and not args.force:
         print("oracle beyond 16 vertices needs --force (results may be a bracket)", file=sys.stderr)
         return 2

@@ -110,21 +110,45 @@ def target_family_size(dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# label automorphisms
+# ---------------------------------------------------------------------------
+#
+# One form serves the dispatch normalisation and the base-case cache: the
+# pair (swap, mask) maps v to hc_swap_label(v) when swap is set, else to v,
+# and then xors mask.  These pairs are the label-translation group
+# extended by the matching swap.
+
+def _transforms(n: int):
+    """Every (swap, mask) pair at dimension n."""
+    for swap in (0, 1):
+        for mask in range(1 << n):
+            yield swap, mask
+
+
+def _apply_transform(v: int, swap: int, mask: int, n: int) -> int:
+    if swap:
+        v = hc_swap_label(v, n)
+    return v ^ mask
+
+
+def _invert_transform(v: int, swap: int, mask: int, n: int) -> int:
+    v ^= mask
+    if swap:
+        v = hc_swap_label(v, n)
+    return v
+
+
+def _normalization(swap: int, mask: int) -> str:
+    """The ``CaseTag.normalization`` name of a dispatch transform.  Its
+    mask is nonzero only for the complement: ``full``, or ``half`` once
+    moved past the swap."""
+    names = (["complement"] if mask else []) + (["hc_swap"] if swap else [])
+    return "+".join(names) or "identity"
+
+
+# ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Instance:
-    """A normalised problem: labels after automorphisms, plus the maps."""
-
-    n: int
-    names: str
-    fwd: Callable[[int], int]
-    inv: Callable[[int], int]
-    x: int | None  # side-zero roles (two-one split only)
-    y: int | None
-    z: int | None  # the side-one target
-
 
 def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[int, ...]:
     terms = list(terminals)
@@ -140,11 +164,14 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
     return labels
 
 
-def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, _Instance, tuple[str, str] | None]:
-    """Classify a target triple; returns (tag, normalised instance, recipe).
+def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, tuple[int, int]]:
+    """Classify a target triple; returns (tag, transform).
 
-    recipe is the (matching, anchor-role) pair for the branches that have
-    symmetric mirrors, None elsewhere.
+    ``transform`` is the (swap, mask) automorphism of ``_apply_transform``
+    that moves the targets into the normalised coordinates of the tag.
+    Complement is the mask ``full``.  Complement followed by the matching
+    swap is the swap followed by the mask ``half``, because hc_swap_label
+    is linear over GF(2) and sends ``full`` to ``half``.
     """
     g = AugmentedCube(n)
     half = 1 << (n - 1)
@@ -152,32 +179,12 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, _Instance, tuple[
     trail = half - 1
     adj = g.adjacent_labels
 
-    names: list[str] = []
-    cur = tuple(labels)
-    if sum(1 for v in cur if v & half) >= 2:
-        cur = tuple(v ^ full for v in cur)
-        names.append("complement")
-
-    apply_swap = False
-
-    def fwd(v: int) -> int:
-        if "complement" in names:
-            v ^= full
-        if apply_swap:
-            v = hc_swap_label(v, n)
-        return v
-
-    def inv(v: int) -> int:
-        if apply_swap:
-            v = hc_swap_label(v, n)
-        if "complement" in names:
-            v ^= full
-        return v
-
+    complement = sum(1 for v in labels if v & half) >= 2
+    cur = [v ^ full for v in labels] if complement else list(labels)
     ones = [v for v in cur if v & half]
     if not ones:
-        tag = CaseTag(Case.CASE1, "+".join(names) or "identity")
-        return tag, _Instance(n, tag.normalization, fwd, inv, None, None, None), None
+        transform = (0, full if complement else 0)
+        return CaseTag(Case.CASE1, _normalization(*transform)), transform
 
     z = ones[0]
     u, v = sorted(set(cur) - {z})
@@ -188,6 +195,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, _Instance, tuple[
     def c(a: int) -> int:
         return (a ^ trail) | half
 
+    swap = 0
     x = y = None
     for cx, cy in ((u, v), (v, u)):
         if z == h(cx):
@@ -197,21 +205,16 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, _Instance, tuple[
         for cx, cy in ((u, v), (v, u)):
             if z == c(cx):
                 x, y = cx, cy
-                apply_swap = True
-                names.append("hc_swap")
+                swap = 1
                 z = h(cx)
                 break
 
-    norm = "+".join(names) or "identity"
+    transform = (swap, (half if swap else full) if complement else 0)
+    norm = _normalization(*transform)
 
-    def mk(case: Case, xx: int, yy: int, variant: str = "") -> tuple[CaseTag, _Instance, tuple[str, str] | None]:
+    def mk(case: Case, xx: int, yy: int, variant: str = "") -> tuple[CaseTag, tuple[int, int]]:
         roles = (Vertex(xx, n), Vertex(yy, n), Vertex(z, n))
-        tag = CaseTag(case, norm, roles, variant)
-        recipe = None
-        if variant and "@" in variant:
-            m, w = variant.split("@")
-            recipe = (m, w)
-        return tag, _Instance(n, norm, fwd, inv, xx, yy, z), recipe
+        return CaseTag(case, norm, roles, variant), transform
 
     if x is not None:
         # z is a cross-partner of x (after normalisation, the bit-keeping one)
@@ -264,7 +267,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, _Instance, tuple[
 def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
     """Structural classification of a target triple (any dim >= 3)."""
     labels = _validate_terminals(g, terminals)
-    tag, _, _ = _dispatch(g.dim, labels)
+    tag, _ = _dispatch(g.dim, labels)
     return tag
 
 
@@ -395,13 +398,14 @@ def _recipe_2_2_1b(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     return trees
 
 
-def _recipe_grid(
-    g: AugmentedCube, x: int, y: int, z: int, matching: str, anchor: str, adjacent: bool
-) -> list[_Edges]:
+def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list[_Edges]:
     """Shared recipe for the non-partner branches: fan below between x and
     y, fan above between z and the chosen cross-partner of the anchor,
-    spliced by one matching edge per tree."""
+    spliced by one matching edge per tree.  ``variant`` is
+    "matching@anchor", e.g. "c@y"."""
     n, k = g.dim, target_family_size(g.dim)
+    matching, anchor = variant.split("@")
+    adjacent = g.adjacent_labels(x, y)
     img = h_label if matching == "h" else c_label
     w = x if anchor == "x" else y
     w_other = y if anchor == "x" else x
@@ -436,30 +440,32 @@ _RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
 }
 
 
-def _run_recipe(g: AugmentedCube, tag: CaseTag, inst: _Instance, recipe: tuple[str, str] | None) -> list[_Edges]:
-    x, y, z = inst.x, inst.y, inst.z
+def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
+    x, y, z = (v.bits for v in tag.roles)
     if tag.case in _RECIPES:
         return _RECIPES[tag.case](g, x, y, z)
-    matching, anchor = recipe
-    adjacent = g.adjacent_labels(x, y)
-    return _recipe_grid(g, x, y, z, matching, anchor, adjacent)
+    return _recipe_grid(g, x, y, z, tag.variant)
 
 
 def _assemble(
     g: AugmentedCube,
     labels: Sequence[int],
-    inst: _Instance,
+    transform: tuple[int, int],
     trees: list[_Edges],
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
+    """Map normalised tree edges back to the caller's labels."""
     n = g.dim
+    swap, mask = transform
+
+    def back(v: Vertex) -> int:
+        return _invert_transform(v.bits, swap, mask, n)
+
     terminals = frozenset(Vertex(a, n) for a in labels)
-    mapped: list[SteinerTree] = []
-    for edges in trees:
-        back = frozenset(
-            _edge(inst.inv(u.bits), inst.inv(v.bits), n) for (u, v) in edges
-        )
-        mapped.append(SteinerTree(terminals, back))
+    mapped = [
+        SteinerTree(terminals, frozenset(_edge(back(u), back(v), n) for (u, v) in edges))
+        for edges in trees
+    ]
     return TreeFamily(
         dim=n,
         terminals=terminals,
@@ -474,12 +480,16 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 def _construct_case1(
-    g: AugmentedCube, labels: Sequence[int], tag: CaseTag, inst: _Instance, fidelity: bool
+    g: AugmentedCube,
+    labels: Sequence[int],
+    tag: CaseTag,
+    transform: tuple[int, int],
+    fidelity: bool,
 ) -> TreeFamily:
     """All three targets in one half: recurse, then add one tree through
     each quarter of the other half."""
     n = g.dim
-    norm_labels = sorted(inst.fwd(a) for a in labels)
+    norm_labels = sorted(_apply_transform(a, *transform, n) for a in labels)
     sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
     trees: list[_Edges] = [set(t.edges) for t in embed(sub, 0).trees]
 
@@ -500,7 +510,7 @@ def _construct_case1(
             conn = _paths.connector_tree(view, [Vertex(a, n) for a in anchors])
         trees.append(set(conn) | {_edge(s, attach(s), n) for s in norm_labels})
 
-    return _assemble(g, labels, inst, trees, (tag,) + sub.provenance)
+    return _assemble(g, labels, transform, trees, (tag,) + sub.provenance)
 
 
 def embed(family: TreeFamily, prefix_bit: int) -> TreeFamily:
@@ -538,26 +548,6 @@ _base_cache: dict[tuple[int, int, tuple[int, ...]], tuple[tuple[tuple[int, int],
 _base_lock = threading.Lock()
 
 
-def _transforms(n: int):
-    """The label-translation group extended by the matching swap."""
-    for swap in (0, 1):
-        for mask in range(1 << n):
-            yield swap, mask
-
-
-def _apply_transform(v: int, swap: int, mask: int, n: int) -> int:
-    if swap:
-        v = hc_swap_label(v, n)
-    return v ^ mask
-
-
-def _invert_transform(v: int, swap: int, mask: int, n: int) -> int:
-    v ^= mask
-    if swap:
-        v = hc_swap_label(v, n)
-    return v
-
-
 def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, int]]:
     best: tuple[int, ...] | None = None
     best_t = (0, 0)
@@ -578,7 +568,7 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     touching the neighbourhood of every target, and keeping only the
     inclusion-minimal such sets loses nothing.  Backtracking then packs
     ``target`` pairwise disjoint sets.  Results are cached per canonical
-    form of the targets under the automorphisms of the topology module.
+    form of the targets under the (swap, mask) label automorphisms.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim
@@ -735,12 +725,11 @@ def construct(
     if n <= 4:
         family = base_case_search(g, terminals, target_family_size(n))
     else:
-        tag, inst, recipe = _dispatch(n, labels)
+        tag, transform = _dispatch(n, labels)
         if tag.case is Case.CASE1:
-            family = _construct_case1(g, labels, tag, inst, fidelity)
+            family = _construct_case1(g, labels, tag, transform, fidelity)
         else:
-            trees = _run_recipe(g, tag, inst, recipe)
-            family = _assemble(g, labels, inst, trees, (tag,))
+            family = _assemble(g, labels, transform, _run_recipe(g, tag), (tag,))
     report = _verify.verify_family(g, family)
     if not report.accepted:
         raise InternalError(

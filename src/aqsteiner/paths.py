@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .topology import ContractViolation, GraphView, Vertex
+from .verify import check_path_system
 
 DEFAULT_HAMILTONIAN_BUDGET = 2_000_000
 
@@ -198,17 +199,11 @@ def disjoint_paths(view: GraphView, u: Vertex, v: Vertex, k: int) -> PathSystem 
         sink=v,
         paths=tuple(Path(tuple(Vertex(w, view.dim) for w in p)) for p in label_paths),
     )
-    problems = _system_problems(view, system)
+    # independent of the flow bookkeeping: checks the finished object only
+    problems = check_path_system(view, system)
     if problems:
         raise AssertionError(f"flow produced an invalid path system: {problems}")
     return system
-
-
-def _system_problems(view: GraphView, ps: PathSystem) -> list[str]:
-    # independent of the flow bookkeeping: checks the finished object only
-    from . import verify
-
-    return verify.check_path_system(view, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +220,14 @@ def neighbor_along(ps: PathSystem, endpoint: Vertex, i: int) -> Vertex:
     return vs[1] if endpoint == ps.source else vs[-2]
 
 
-def reorder_paths(
-    ps: PathSystem,
-    pinned: Sequence[tuple[int, Vertex]],
-    endpoint: Vertex | None = None,
-) -> PathSystem:
-    """Permute paths so prescribed endpoint neighbours land at prescribed
+def reorder_paths(ps: PathSystem, pinned: Sequence[tuple[int, Vertex]]) -> PathSystem:
+    """Permute paths so prescribed sink neighbours land at prescribed
     indices; unpinned paths keep their relative order.
 
-    Pins refer to the sink end unless ``endpoint`` says otherwise.
+    Each pin (index, w) asks for the path that reaches the sink through w.
     """
-    at = ps.sink if endpoint is None else endpoint
     k = len(ps.paths)
-    nbrs = [neighbor_along(ps, at, i) for i in range(k)]
+    nbrs = [neighbor_along(ps, ps.sink, i) for i in range(k)]
     slot: dict[int, int] = {}
     taken: set[int] = set()
     for index, required in pinned:

@@ -18,10 +18,11 @@ Conventions used everywhere in this package:
   without copying anything.
 
 The xor structure of the adjacency rule makes every label translation
-v -> v ^ a an automorphism, as is the map that complements the trailing
-bits of the upper copy only (which exchanges the two cross matchings).
-Both are exposed here; the constructor uses them to normalise instances
-and the base-case cache uses them for canonical forms.
+v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
+the complement), as is ``hc_swap_label``, which complements the trailing
+bits of the upper copy only and so exchanges the two cross matchings.
+All of them are label maps on plain ints; the constructor composes them
+to normalise instances and to key the base-case cache.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class AugmentedCube:
 
 
 # ---------------------------------------------------------------------------
-# label-level maps (hot paths work on plain ints)
+# label maps: cross-matching partners and automorphisms
 # ---------------------------------------------------------------------------
 
 def h_label(v: int, dim: int) -> int:
@@ -133,7 +134,8 @@ def h_label(v: int, dim: int) -> int:
 
 
 def c_label(v: int, dim: int) -> int:
-    """Cross-matching partner that complements every bit."""
+    """Cross-matching partner that complements every bit; on the whole
+    cube, the complement automorphism (it swaps the two half-copies)."""
     return v ^ ((1 << dim) - 1)
 
 
@@ -145,83 +147,6 @@ def hc_swap_label(v: int, dim: int) -> int:
     """
     half = 1 << (dim - 1)
     return v ^ (half - 1) if v & half else v
-
-
-# ---------------------------------------------------------------------------
-# operations on Vertex values
-# ---------------------------------------------------------------------------
-
-def neighbors(g: AugmentedCube, v: Vertex) -> set[Vertex]:
-    """All 2*dim - 1 neighbours of v."""
-    g.check_vertex(v)
-    return {Vertex(w, g.dim) for w in g.neighbor_labels(v.bits)}
-
-
-def is_adjacent(g: AugmentedCube, u: Vertex, v: Vertex) -> bool:
-    g.check_vertex(u)
-    g.check_vertex(v)
-    return u.bits != v.bits and g.adjacent_labels(u.bits, v.bits)
-
-
-def split_side(v: Vertex) -> Side:
-    """Which half-copy holds v (the leading bit); undefined at dimension 1."""
-    if v.dim < 2:
-        raise ContractViolation("no split below dimension 2")
-    return Side.ONE if v.bits & (1 << (v.dim - 1)) else Side.ZERO
-
-
-def h_image(v: Vertex) -> Vertex:
-    if v.dim < 2:
-        raise ContractViolation("no cross matching below dimension 2")
-    return Vertex(h_label(v.bits, v.dim), v.dim)
-
-
-def c_image(v: Vertex) -> Vertex:
-    if v.dim < 2:
-        raise ContractViolation("no cross matching below dimension 2")
-    return Vertex(c_label(v.bits, v.dim), v.dim)
-
-
-def complement_automorphism(v: Vertex) -> Vertex:
-    """Full bitwise complement; an involutive automorphism that swaps the
-    two half-copies."""
-    return Vertex(c_label(v.bits, v.dim), v.dim)
-
-
-def hc_swap_automorphism(v: Vertex) -> Vertex:
-    """Involutive automorphism fixing the lower copy pointwise and swapping
-    each lower-copy vertex's two cross-matching partners."""
-    if v.dim < 2:
-        raise ContractViolation("no split below dimension 2")
-    return Vertex(hc_swap_label(v.bits, v.dim), v.dim)
-
-
-def side_isomorphism(kind: str, v: Vertex) -> Vertex:
-    """Edge-preserving bijection from the lower copy onto the upper copy.
-
-    kind "H" prepends 1 keeping the trailing bits; kind "C" prepends 1 and
-    complements the trailing bits.  Input must lie on side ZERO.
-    """
-    if kind not in ("H", "C"):
-        raise ContractViolation(f"isomorphism kind must be 'H' or 'C', got {kind!r}")
-    if split_side(v) is not Side.ZERO:
-        raise ContractViolation("side isomorphism expects a side-ZERO vertex")
-    return h_image(v) if kind == "H" else c_image(v)
-
-
-def sub_cube_vertices(g: AugmentedCube, fixed_prefix: str) -> set[Vertex]:
-    """Vertices whose label extends the given prefix.
-
-    The induced subgraph on them is a copy of the augmented cube of
-    dimension dim - len(prefix).
-    """
-    if any(ch not in "01" for ch in fixed_prefix):
-        raise ContractViolation(f"prefix must be binary, got {fixed_prefix!r}")
-    if len(fixed_prefix) >= g.dim:
-        raise ContractViolation("prefix must be shorter than the dimension")
-    rest = g.dim - len(fixed_prefix)
-    base = int(fixed_prefix, 2) << rest if fixed_prefix else 0
-    return {Vertex(base | t, g.dim) for t in range(1 << rest)}
 
 
 # ---------------------------------------------------------------------------

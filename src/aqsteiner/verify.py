@@ -98,18 +98,10 @@ def _tree_violations(view: GraphView, tree, index: int) -> list[Violation]:
         for u, v in ok_edges:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
-        start = next(iter(vertices))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        if len(seen) != len(vertices):
+        components = _count_components(adj, vertices)
+        if components > 1:
             out.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
-        if len(ok_edges) > len(vertices) - len(_components(adj, vertices)):
+        if len(ok_edges) > len(vertices) - components:
             out.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
 
     for t in sorted(terminals):
@@ -119,22 +111,20 @@ def _tree_violations(view: GraphView, tree, index: int) -> list[Violation]:
     return out
 
 
-def _components(adj: dict[Vertex, list[Vertex]], vertices: set[Vertex]) -> list[set[Vertex]]:
-    comps = []
+def _count_components(adj: dict[Vertex, list[Vertex]], vertices: set[Vertex]) -> int:
+    count = 0
     left = set(vertices)
     while left:
         start = left.pop()
-        comp = {start}
         queue = deque([start])
         while queue:
             a = queue.popleft()
-            for b in adj.get(a, ()):
-                if b not in comp:
-                    comp.add(b)
+            for b in adj[a]:
+                if b in left:
+                    left.remove(b)
                     queue.append(b)
-        left -= comp
-        comps.append(comp)
-    return comps
+        count += 1
+    return count
 
 
 def verify_tree(g: AugmentedCube | GraphView, tree) -> VerificationReport:

@@ -18,6 +18,8 @@ from aqsteiner.cli import (
 from aqsteiner.construct import construct
 from aqsteiner.topology import AugmentedCube, parse_vertex
 
+from util import run_bounded
+
 
 def schema(name):
     ref = importlib.resources.files("aqsteiner") / "schemas" / f"{name}.schema.json"
@@ -213,6 +215,22 @@ def test_oracle_command():
     assert doc["exact"] and doc["lower"] == 1
     code, _, _ = run_cli(["oracle", "-n", "3", "-S", "000"])
     assert code == 2  # too few labels
+
+
+def test_oracle_dimension_out_of_range_is_usage_error():
+    # rejected before any work; run under a memory cap, since a forced
+    # n = 20 oracle would build 2^20 masks of 2^20 bits each
+    out = run_bounded(
+        "import contextlib, io\n"
+        "from aqsteiner.cli import main\n"
+        "for argv in (['oracle', '-n', '-1', '-S', '0,1'],\n"
+        "             ['oracle', '-n', '20', '--force', '-S', '0' * 20 + ',' + '0' * 19 + '1']):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(code, repr(out.getvalue()), '1..12' in err.getvalue())\n"
+    )
+    assert out.splitlines() == ["2 '' True", "2 '' True"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import random
 
 import pytest
 
@@ -11,7 +13,9 @@ from aqsteiner.construct import (
     InternalError,
     SteinerTree,
     TreeFamily,
+    _apply_transform,
     _dispatch,
+    _invert_transform,
     base_case_search,
     classify,
     construct,
@@ -23,8 +27,8 @@ from aqsteiner.topology import (
     ContractViolation,
     Vertex,
     adjacency_deltas,
-    complement_automorphism,
-    hc_swap_automorphism,
+    c_label,
+    hc_swap_label,
     parse_vertex,
 )
 from aqsteiner.verify import verify_family
@@ -64,6 +68,42 @@ def test_classify_normalisation_flags():
     tag = classify(g, vs("0000", "0011", "1111"))
     assert "hc_swap" in tag.normalization
     assert tag.case in (Case.CASE2_1_1, Case.CASE2_1_2, Case.CASE2_1_3)
+
+
+def _triples(n):
+    if n == 5:
+        return itertools.combinations(range(1 << n), 3)
+    rng = random.Random(n)
+    return (sorted(rng.sample(range(1 << n), 3)) for _ in range(400))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_dispatch_transform_normalises_targets(n):
+    # every n = 5 triple; 400 seeded samples at n = 6, 7 and 8
+    half, full = 1 << (n - 1), (1 << n) - 1
+    for labels in _triples(n):
+        tag, (swap, mask) = _dispatch(n, labels)
+        image = [_apply_transform(v, swap, mask, n) for v in labels]
+        assert [_invert_transform(v, swap, mask, n) for v in image] == list(labels)
+        if tag.case is Case.CASE1:
+            assert all(v < half for v in image) and not swap
+        else:
+            assert set(image) == {r.bits for r in tag.roles}
+        flags = {"complement": mask != 0, "hc_swap": swap == 1}
+        assert tag.normalization == ("+".join(k for k, on in flags.items() if on) or "identity")
+        # the pair is "complement, then swap" with the complement moved
+        # past the linear swap, which sends full to half
+        moved = [v ^ full if flags["complement"] else v for v in labels]
+        moved = [hc_swap_label(v, n) if swap else v for v in moved]
+        assert moved == image
+
+
+def test_swap_sends_full_to_half():
+    for n in range(3, 12):
+        half, full = 1 << (n - 1), (1 << n) - 1
+        assert hc_swap_label(full, n) == half
+        for v in range(1 << n):
+            assert hc_swap_label(v ^ full, n) == hc_swap_label(v, n) ^ half
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +290,7 @@ def test_base_search_cache_consistency_across_orbit():
     # both must verify in their own coordinates
     g = AugmentedCube(4)
     fam_a = base_case_search(g, vs("0000", "0001", "0010"), 5)
-    image = [complement_automorphism(v) for v in vs("0000", "0001", "0010")]
+    image = [Vertex(c_label(v.bits, 4), 4) for v in vs("0000", "0001", "0010")]
     fam_b = base_case_search(g, image, 5)
     assert verify_family(g, fam_a).accepted and verify_family(g, fam_b).accepted
     assert frozenset(fam_b.terminals) == frozenset(image)
@@ -279,10 +319,16 @@ def test_embed_trivials():
     assert embed(empty, 0).trees == ()
 
 
-@pytest.mark.parametrize("auto", [complement_automorphism, hc_swap_automorphism])
-def test_family_images_under_automorphisms_verify(auto):
+@pytest.mark.parametrize(
+    "label_map", [c_label, hc_swap_label], ids=["complement_automorphism", "hc_swap_automorphism"]
+)
+def test_family_images_under_automorphisms_verify(label_map):
     g = AugmentedCube(4)
     fam = construct(g, vs("0000", "0011", "1110"))
+
+    def auto(v):
+        return Vertex(label_map(v.bits, 4), 4)
+
     mapped = TreeFamily(
         dim=4,
         terminals=frozenset(auto(t) for t in fam.terminals),
@@ -336,7 +382,7 @@ def test_broken_recipe_exits_1_from_cli(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:")
     # break every Case2 recipe so the sampled sweep meets one at once
-    monkeypatch.setattr(construct_mod, "_run_recipe", lambda g, tag, inst, recipe: _broken_recipe(g, 0, 0, 0))
+    monkeypatch.setattr(construct_mod, "_run_recipe", lambda g, tag: _broken_recipe(g, 0, 0, 0))
     assert cli.main(["sweep", "-n", "5", "--samples", "40", "--seed", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:")

@@ -23,9 +23,8 @@ from aqsteiner.topology import (
     GraphView,
     Side,
     Vertex,
-    c_image,
-    complement_automorphism,
-    h_image,
+    c_label,
+    h_label,
     parse_vertex,
     side_view,
 )
@@ -191,20 +190,29 @@ def test_reorder_empty_and_conflicts():
 # mapping systems through isomorphisms
 # ---------------------------------------------------------------------------
 
+def on_vertices(label_map):
+    """Lift a label map of the topology module to a map of vertices."""
+    return lambda v: Vertex(label_map(v.bits, v.dim), v.dim)
+
+
 def test_map_path_system_examples():
     n = 3
     g = AugmentedCube(n)
     p = PathSystem(Vertex(0, n), Vertex(1, n), (Path((Vertex(0, n), Vertex(1, n))),))
-    image = map_path_system(c_image, p)
+    image = map_path_system(on_vertices(c_label), p)
     assert image.source == parse_vertex("111")
     assert image.sink == parse_vertex("110")
     assert check_path_system(g.view(), image) == []
     assert map_path_system(lambda v: v, p) == p
-    himg = map_path_system(h_image, p)
-    assert himg.source == h_image(Vertex(0, n)) and himg.sink == h_image(Vertex(1, n))
+    himg = map_path_system(on_vertices(h_label), p)
+    assert himg.source == parse_vertex("100") and himg.sink == parse_vertex("101")
 
 
-@pytest.mark.parametrize("iso", [h_image, c_image, complement_automorphism])
+# the cross matchings map the lower half onto the upper one; c_label is
+# also the complement automorphism of the whole cube
+@pytest.mark.parametrize(
+    "iso", [on_vertices(h_label), on_vertices(c_label)], ids=["h_image", "c_image"]
+)
 def test_map_preserves_system_invariants_dim4_lower_half(iso):
     g = AugmentedCube(4)
     lower = side_view(g, Side.ZERO)

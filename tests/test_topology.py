@@ -9,24 +9,22 @@ from aqsteiner.topology import (
     ContractViolation,
     Side,
     Vertex,
-    c_image,
-    complement_automorphism,
-    h_image,
-    hc_swap_automorphism,
-    is_adjacent,
-    neighbors,
+    c_label,
+    h_label,
+    hc_swap_label,
     parse_vertex,
-    side_isomorphism,
     side_view,
-    split_side,
-    sub_cube_vertices,
 )
 
 from util import recursive_edges, run_bounded
 
 
 def labels(g, vs):
-    return sorted(v.label() for v in vs)
+    return [format(v, f"0{g.dim}b") for v in vs]
+
+
+def b(text):
+    return int(text, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +33,11 @@ def labels(g, vs):
 
 def test_neighbors_examples():
     g3 = AugmentedCube(3)
-    assert labels(g3, neighbors(g3, parse_vertex("000"))) == ["001", "010", "011", "100", "111"]
+    assert labels(g3, g3.neighbor_labels(0)) == ["001", "010", "011", "100", "111"]
     g1 = AugmentedCube(1)
-    assert labels(g1, neighbors(g1, Vertex(0, 1))) == ["1"]
+    assert labels(g1, g1.neighbor_labels(0)) == ["1"]
     g4 = AugmentedCube(4)
-    assert labels(g4, neighbors(g4, parse_vertex("0000"))) == sorted(
+    assert labels(g4, g4.neighbor_labels(0)) == sorted(
         ["1000", "0100", "0010", "0001", "1111", "0111", "0011"]
     )
 
@@ -47,14 +45,16 @@ def test_neighbors_examples():
 def test_neighbors_dimension_mismatch():
     g = AugmentedCube(3)
     with pytest.raises(ContractViolation):
-        neighbors(g, Vertex(0, 4))
+        g.check_vertex(Vertex(0, 4))
+    with pytest.raises(ContractViolation):
+        g.check_label(8)
 
 
 def test_is_adjacent_examples():
     g = AugmentedCube(3)
-    assert is_adjacent(g, parse_vertex("000"), parse_vertex("111"))
-    assert not is_adjacent(g, parse_vertex("001"), parse_vertex("100"))
-    assert not is_adjacent(g, parse_vertex("000"), parse_vertex("000"))
+    assert g.adjacent_labels(b("000"), b("111"))
+    assert not g.adjacent_labels(b("001"), b("100"))
+    assert not g.adjacent_labels(b("000"), b("000"))
 
 
 def test_regularity_dims_1_to_8():
@@ -89,28 +89,30 @@ def test_adjacency_symmetry_sampled():
 # ---------------------------------------------------------------------------
 
 def test_split_side():
-    assert split_side(parse_vertex("0110")) is Side.ZERO
-    assert split_side(parse_vertex("1001")) is Side.ONE
+    # the leading bit picks the half-copy
+    g = AugmentedCube(4)
+    assert side_view(g, Side.ZERO).contains_label(b("0110"))
+    assert side_view(g, Side.ONE).contains_label(b("1001"))
+    assert not side_view(g, Side.ZERO).contains_label(b("1001"))
     with pytest.raises(ContractViolation):
-        split_side(Vertex(0, 1))
+        side_view(AugmentedCube(1), Side.ZERO)
 
 
 def test_images_examples():
-    assert h_image(parse_vertex("0101")) == parse_vertex("1101")
-    assert c_image(parse_vertex("0101")) == parse_vertex("1010")
-    assert c_image(parse_vertex("001")) == parse_vertex("110")
+    assert h_label(b("0101"), 4) == b("1101")
+    assert c_label(b("0101"), 4) == b("1010")
+    assert c_label(b("001"), 3) == b("110")
 
 
 def test_images_cross_and_adjacent():
     for n in (2, 3, 4, 5):
         g = AugmentedCube(n)
         half = 1 << (n - 1)
-        for b in range(half):
-            v = Vertex(b, n)
-            hv, cv = h_image(v), c_image(v)
-            assert split_side(hv) is Side.ONE and split_side(cv) is Side.ONE
+        for v in range(half):
+            hv, cv = h_label(v, n), c_label(v, n)
+            assert hv & half and cv & half
             assert hv != cv
-            assert is_adjacent(g, v, hv) and is_adjacent(g, v, cv)
+            assert g.adjacent_labels(v, hv) and g.adjacent_labels(v, cv)
 
 
 def test_quarter_property():
@@ -118,17 +120,16 @@ def test_quarter_property():
     # the 10 quarter and the other in the 11 quarter
     for n in (3, 4, 5, 6):
         shift = n - 2
-        for b in range(1 << (n - 1)):
-            v = Vertex(b, n)
-            quarters = {h_image(v).bits >> shift, c_image(v).bits >> shift}
+        for v in range(1 << (n - 1)):
+            quarters = {h_label(v, n) >> shift, c_label(v, n) >> shift}
             assert quarters == {0b10, 0b11}
 
 
 def test_cross_matchings_are_disjoint_perfect_matchings():
     for n in (2, 3, 4, 5, 6):
         half = 1 << (n - 1)
-        h_edges = {frozenset({v, h_image(Vertex(v, n)).bits}) for v in range(half)}
-        c_edges = {frozenset({v, c_image(Vertex(v, n)).bits}) for v in range(half)}
+        h_edges = {frozenset({v, h_label(v, n)}) for v in range(half)}
+        c_edges = {frozenset({v, c_label(v, n)}) for v in range(half)}
         assert len(h_edges) == len(c_edges) == half
         assert not h_edges & c_edges
         assert {w for e in h_edges for w in e} == set(range(1 << n))
@@ -140,31 +141,34 @@ def test_cross_matchings_are_disjoint_perfect_matchings():
 # ---------------------------------------------------------------------------
 
 def test_complement_automorphism_examples():
-    assert complement_automorphism(parse_vertex("0000")) == parse_vertex("1111")
+    assert c_label(b("0000"), 4) == b("1111")
     g = AugmentedCube(3)
-    u, v = parse_vertex("000"), parse_vertex("011")
-    assert is_adjacent(g, u, v)
-    assert is_adjacent(g, complement_automorphism(u), complement_automorphism(v))
-    assert complement_automorphism(complement_automorphism(u)) == u
+    u, v = b("000"), b("011")
+    assert g.adjacent_labels(u, v)
+    assert g.adjacent_labels(c_label(u, 3), c_label(v, 3))
+    assert c_label(c_label(u, 3), 3) == u
+    # it swaps the two half-copies
+    assert all(c_label(w, 3) >> 2 == 1 - (w >> 2) for w in range(8))
 
 
-@pytest.mark.parametrize("auto", [complement_automorphism, hc_swap_automorphism])
+@pytest.mark.parametrize(
+    "auto", [c_label, hc_swap_label], ids=["complement_automorphism", "hc_swap_automorphism"]
+)
 def test_automorphisms_preserve_adjacency_exhaustive(auto):
     for n in range(2, 7):
         g = AugmentedCube(n)
+        assert sorted(auto(v, n) for v in range(g.order)) == list(range(g.order))
         for u, v in itertools.combinations(range(g.order), 2):
-            a, b = Vertex(u, n), Vertex(v, n)
-            assert is_adjacent(g, a, b) == is_adjacent(g, auto(a), auto(b))
+            assert g.adjacent_labels(u, v) == g.adjacent_labels(auto(u, n), auto(v, n))
 
 
 def test_hc_swap_swaps_the_matchings():
     for n in (2, 4, 6):
         half = 1 << (n - 1)
-        for b in range(half):
-            v = Vertex(b, n)
-            assert hc_swap_automorphism(v) == v
-            assert hc_swap_automorphism(h_image(v)) == c_image(v)
-            assert hc_swap_automorphism(c_image(v)) == h_image(v)
+        for v in range(half):
+            assert hc_swap_label(v, n) == v
+            assert hc_swap_label(h_label(v, n), n) == c_label(v, n)
+            assert hc_swap_label(c_label(v, n), n) == h_label(v, n)
 
 
 @settings(max_examples=200)
@@ -181,41 +185,42 @@ def test_label_translations_preserve_adjacency(n, data):
 # side isomorphisms, subcubes, views
 # ---------------------------------------------------------------------------
 
+# The two cross matchings restricted to the lower copy are isomorphisms
+# onto the upper copy: "H" keeps the trailing bits, "C" complements them.
+SIDE_MAPS = {"H": h_label, "C": c_label}
+
+
 def test_side_isomorphism_examples():
-    assert side_isomorphism("H", parse_vertex("0011")) == parse_vertex("1011")
-    assert side_isomorphism("C", parse_vertex("0011")) == parse_vertex("1100")
+    assert SIDE_MAPS["H"](b("0011"), 4) == b("1011")
+    assert SIDE_MAPS["C"](b("0011"), 4) == b("1100")
     g = AugmentedCube(3)
-    img = (side_isomorphism("C", parse_vertex("000")), side_isomorphism("C", parse_vertex("001")))
-    assert is_adjacent(g, *img)
-    with pytest.raises(ContractViolation):
-        side_isomorphism("H", parse_vertex("1000"))
-    with pytest.raises(ContractViolation):
-        side_isomorphism("X", parse_vertex("0000"))
+    assert g.adjacent_labels(SIDE_MAPS["C"](b("000"), 3), SIDE_MAPS["C"](b("001"), 3))
 
 
 @pytest.mark.parametrize("kind", ["H", "C"])
 def test_side_isomorphisms_preserve_adjacency_exhaustive(kind):
+    iso = SIDE_MAPS[kind]
     for n in range(2, 7):
         g = AugmentedCube(n)
         half = 1 << (n - 1)
+        assert sorted(iso(v, n) for v in range(half)) == list(range(half, 2 * half))
         for u, v in itertools.combinations(range(half), 2):
-            a, b = Vertex(u, n), Vertex(v, n)
-            assert is_adjacent(g, a, b) == is_adjacent(
-                g, side_isomorphism(kind, a), side_isomorphism(kind, b)
-            )
+            assert g.adjacent_labels(u, v) == g.adjacent_labels(iso(u, n), iso(v, n))
 
 
 def test_sub_cube_vertices():
-    g3 = AugmentedCube(3)
-    assert labels(g3, sub_cube_vertices(g3, "1")) == ["100", "101", "110", "111"]
-    assert len(sub_cube_vertices(g3, "")) == 8
+    # the labels extending a prefix are a range, and they induce a copy of
+    # the cube of dimension dim - len(prefix)
     g4 = AugmentedCube(4)
-    quarter = sub_cube_vertices(g4, "10")
-    assert len(quarter) == 4
-    for a, b in itertools.combinations(sorted(quarter), 2):
-        assert is_adjacent(g4, a, b)  # induces a complete graph on 4 vertices
-    with pytest.raises(ContractViolation):
-        sub_cube_vertices(g3, "111")
+    assert side_view(g4, Side.ONE).allowed == range(0b1000, 0b10000)
+    for prefix, rest in ((0b1, 3), (0b10, 2), (0b011, 1)):
+        base = prefix << rest
+        sub = AugmentedCube(rest)
+        for u, v in itertools.combinations(range(1 << rest), 2):
+            assert g4.adjacent_labels(base | u, base | v) == sub.adjacent_labels(u, v)
+    # the quarter 10.. induces a complete graph on 4 vertices
+    for u, v in itertools.combinations(range(0b1000, 0b1100), 2):
+        assert g4.adjacent_labels(u, v)
 
 
 def test_graph_view_restriction():

@@ -143,6 +143,14 @@ def test_mutation_add_edge_creates_cycle():
     assert CYCLE in {v.kind for v in report.violations}
 
 
+def test_disconnected_cycle_reports_both_in_order():
+    # a triangle 000-001-011 plus the separate edge 100-101: two components,
+    # so five vertices and four edges still hold a cycle
+    t = tree(S_A, [("000", "001"), ("001", "011"), ("000", "011"), ("100", "101")])
+    kinds = [v.kind for v in verify_tree(AugmentedCube(3), t).violations]
+    assert kinds[:2] == [DISCONNECTED, CYCLE]
+
+
 def test_mutation_wrong_terminals():
     g = AugmentedCube(3)
     rogue = tree(("000", "001", "010"), [("000", "011"), ("011", "001"), ("011", "010")])
