@@ -14,19 +14,15 @@ from .construct import (
     TreeFamily,
     base_case_search,
     classify,
-    embed,
     target_family_size,
 )
 from .paths import (
-    HamiltonianNotFound,
     MinCut,
     Path,
     PathSystem,
     PinUnsatisfiable,
-    SearchBudgetExceeded,
     connector_tree,
     disjoint_paths,
-    hamiltonian_path,
     map_path_system,
     neighbor_along,
     reorder_paths,

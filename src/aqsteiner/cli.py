@@ -29,6 +29,7 @@ from typing import Sequence
 from . import paths as _paths
 from . import verify as _verify
 from .construct import (
+    Case,
     InternalError,
     SteinerTree,
     TreeFamily,
@@ -46,6 +47,10 @@ SCHEMA_VERSION = "1"
 # than 1 GiB).  At n = 12 a forced run still ends in a budget-bounded
 # bracket.
 ORACLE_MAX_DIM = 12
+# --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
+# labels at every level, so the certificate doubles per dimension: about
+# 5 MB of JSON at n = 16.
+FIDELITY_MAX_DIM = 16
 
 _PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02",
@@ -361,9 +366,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.fidelity and tag.case is Case.CASE1 and args.n > FIDELITY_MAX_DIM:
+        print(f"--fidelity on a Case1 triple needs dimension at most {FIDELITY_MAX_DIM}", file=sys.stderr)
+        return 2
     try:
         family = build_family(g, targets, fidelity=args.fidelity)
-    except (InternalError, _paths.SearchBudgetExceeded) as exc:
+    except InternalError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
     case = tag.case.value
@@ -514,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-S", "--targets", required=True, help="three comma-separated binary labels")
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    p.add_argument("--fidelity", action="store_true", help="route one-side extras along spanning paths")
+    p.add_argument(
+        "--fidelity", action="store_true", help="Case1 quarter trees as spanning paths in counting order (n <= 16)"
+    )
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_construct)
 

@@ -339,63 +339,64 @@ def _recipe_2_1_2(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     return trees
 
 
+def _splice(
+    g: AugmentedCube,
+    P: _paths.PathSystem,
+    w: int,
+    img: Callable[[int, int], int],
+    z: int,
+    start: int,
+) -> tuple[_paths.PathSystem, list[_Edges]]:
+    """Splice the lower fan P (sink w) to an upper fan from z to img(w).
+
+    The upper fan is pinned so that its path i ends through the image of
+    P's sink neighbour nb_i; for i >= start, path i of both fans joins
+    through the matching edge nb_i-img(nb_i).  Returns the upper fan, for
+    the recipe's special trees, and the spliced trees."""
+    n, k = g.dim, len(P.paths)
+    w_nb = _sink_nbrs(P)
+    Q = _pin(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb], n)
+    trees = [
+        _path_edges(P.paths[i]) | _trunc_edges(Q.paths[i]) | {_edge(w_nb[i], img(w_nb[i], n), n)}
+        for i in range(start, k)
+    ]
+    return Q, trees
+
+
 def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     trail = (1 << (n - 1)) - 1
     xch = x ^ trail  # the all-bits partner of z pulled below; adjacent to x
     P = _pin(_system(g, Side.ZERO, y, x, k), [y, xch], n)
-    x_nb = _sink_nbrs(P)
-    xc = c_label(x, n)
-    Q = _pin(_system(g, Side.ONE, z, xc, k), [c_label(w, n) for w in x_nb], n)
-    trees: list[_Edges] = [
+    Q, spliced = _splice(g, P, x, c_label, z, 2)
+    return [
         _path_edges(P.paths[1]) | {_edge(xch, z, n)},
-        _path_edges(Q.paths[0]) | {_edge(x, xc, n), _edge(y, c_label(y, n), n)},
+        _path_edges(Q.paths[0]) | {_edge(x, c_label(x, n), n), _edge(y, c_label(y, n), n)},
+        *spliced,
     ]
-    for i in range(2, k):
-        trees.append(
-            _path_edges(P.paths[i])
-            | _trunc_edges(Q.paths[i])
-            | {_edge(x_nb[i], c_label(x_nb[i], n), n)}
-        )
-    return trees
 
 
 def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     P = _pin(_system(g, Side.ZERO, x, y, k), [x], n)
-    y_nb = _sink_nbrs(P)
-    yc = c_label(y, n)  # bit-keeping partner of x
-    Q = _pin(_system(g, Side.ONE, z, yc, k), [c_label(w, n) for w in y_nb], n)
-    trees: list[_Edges] = [
-        _trunc_edges(Q.paths[0]) | {_edge(x, c_label(x, n), n), _edge(y, h_label(y, n), n)}
+    # the upper fan ends at the bit-keeping partner of x
+    Q, spliced = _splice(g, P, y, c_label, z, 1)
+    return [
+        _trunc_edges(Q.paths[0]) | {_edge(x, c_label(x, n), n), _edge(y, h_label(y, n), n)},
+        *spliced,
     ]
-    for i in range(1, k):
-        trees.append(
-            _path_edges(P.paths[i])
-            | _trunc_edges(Q.paths[i])
-            | {_edge(y_nb[i], c_label(y_nb[i], n), n)}
-        )
-    return trees
 
 
 def _recipe_2_2_1b(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     zc = c_label(z, n)  # below, adjacent to y because z touches y's all-bits partner
     P = _pin(_system(g, Side.ZERO, x, y, k), [zc, x], n)
-    y_nb = _sink_nbrs(P)
-    yc = c_label(y, n)
-    Q = _pin(_system(g, Side.ONE, z, yc, k), [c_label(w, n) for w in y_nb], n)
-    trees: list[_Edges] = [
+    Q, spliced = _splice(g, P, y, c_label, z, 2)
+    return [
         _path_edges(P.paths[0]) | {_edge(zc, z, n)},
         _path_edges(Q.paths[1]) | {_edge(x, h_label(x, n), n), _edge(y, h_label(y, n), n)},
+        *spliced,
     ]
-    for i in range(2, k):
-        trees.append(
-            _path_edges(P.paths[i])
-            | _trunc_edges(Q.paths[i])
-            | {_edge(y_nb[i], c_label(y_nb[i], n), n)}
-        )
-    return trees
 
 
 def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list[_Edges]:
@@ -410,25 +411,13 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
     w = x if anchor == "x" else y
     w_other = y if anchor == "x" else x
     P = _system(g, Side.ZERO, w_other, w, k)
-    if adjacent:
-        P = _pin(P, [w_other], n)
-    w_nb = _sink_nbrs(P)
-    Q = _pin(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb], n)
-    trees: list[_Edges] = []
-    start = 0
-    if adjacent:
-        trees.append(
-            _path_edges(Q.paths[0])
-            | {_edge(w_other, img(w_other, n), n), _edge(w, img(w, n), n)}
-        )
-        start = 1
-    for i in range(start, k):
-        trees.append(
-            _path_edges(P.paths[i])
-            | _trunc_edges(Q.paths[i])
-            | {_edge(w_nb[i], img(w_nb[i], n), n)}
-        )
-    return trees
+    if not adjacent:
+        return _splice(g, P, w, img, z, 0)[1]
+    Q, spliced = _splice(g, _pin(P, [w_other], n), w, img, z, 1)
+    return [
+        _path_edges(Q.paths[0]) | {_edge(w_other, img(w_other, n), n), _edge(w, img(w, n), n)},
+        *spliced,
+    ]
 
 
 _RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
@@ -491,53 +480,28 @@ def _construct_case1(
     n = g.dim
     norm_labels = sorted(_apply_transform(a, *transform, n) for a in labels)
     sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
-    trees: list[_Edges] = [set(t.edges) for t in embed(sub, 0).trees]
+    # sub's labels already name the lower half-copy (prefix bit 0), and
+    # _assemble reads only labels
+    trees: list[_Edges] = [set(t.edges) for t in sub.trees]
 
     shift = n - 2
     for quarter in (0b10, 0b11):
         q_labels = range(quarter << shift, (quarter + 1) << shift)
-        view = GraphView(g, q_labels)
 
         def attach(s: int) -> int:
             hs = h_label(s, n)
             return hs if hs >> shift == quarter else c_label(s, n)
 
-        anchors = sorted({attach(s) for s in norm_labels})
         if fidelity:
-            span = _paths.hamiltonian_path(view, Vertex(q_labels[0], n), Vertex(q_labels[-1], n))
-            conn: Iterable[tuple[Vertex, Vertex]] = span.edges()
+            # a spanning path in counting order: v ^ (v + 1) is a trailing
+            # block of ones, so it lies in the delta set
+            conn: Iterable[tuple[Vertex, Vertex]] = [_edge(v, v + 1, n) for v in q_labels[:-1]]
         else:
-            conn = _paths.connector_tree(view, [Vertex(a, n) for a in anchors])
+            anchors = sorted({attach(s) for s in norm_labels})
+            conn = _paths.connector_tree(GraphView(g, q_labels), [Vertex(a, n) for a in anchors])
         trees.append(set(conn) | {_edge(s, attach(s), n) for s in norm_labels})
 
     return _assemble(g, labels, transform, trees, (tag,) + sub.provenance)
-
-
-def embed(family: TreeFamily, prefix_bit: int) -> TreeFamily:
-    """Lift a family one dimension up into the chosen half-copy by
-    prepending a bit to every label; validity is preserved because the
-    copy is an induced subgraph."""
-    if prefix_bit not in (0, 1):
-        raise ContractViolation("prefix bit must be 0 or 1")
-    d = family.dim + 1
-    off = prefix_bit << family.dim
-
-    def lift(v: Vertex) -> Vertex:
-        return Vertex(off | v.bits, d)
-
-    return TreeFamily(
-        dim=d,
-        terminals=frozenset(lift(t) for t in family.terminals),
-        trees=tuple(
-            SteinerTree(
-                frozenset(lift(t) for t in tree.terminals),
-                frozenset(_paths.undirected(lift(u), lift(v)) for (u, v) in tree.edges),
-            )
-            for tree in family.trees
-        ),
-        provenance=family.provenance,
-        fallback_used=family.fallback_used,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +681,9 @@ def construct(
     through the case dispatch and its written recipe (Case1 recurses
     through this function, one call per dimension).  The result passes
     the independent verifier exactly once, here; a rejected or short
-    family raises ``InternalError``.  ``fidelity`` routes the Case1
-    quarter trees along spanning paths.
+    family raises ``InternalError``.  ``fidelity`` lays each Case1
+    quarter tree along the quarter's labels in counting order, a spanning
+    path of 2^(dim-2) vertices.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim

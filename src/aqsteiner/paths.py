@@ -27,19 +27,9 @@ from typing import Callable, Iterable, Sequence
 from .topology import ContractViolation, GraphView, Vertex
 from .verify import check_path_system
 
-DEFAULT_HAMILTONIAN_BUDGET = 2_000_000
-
 
 class PinUnsatisfiable(ContractViolation):
     """No path of the system has the requested endpoint neighbour."""
-
-
-class HamiltonianNotFound(Exception):
-    """Exhaustive backtracking proved there is no such path."""
-
-
-class SearchBudgetExceeded(Exception):
-    """Backtracking ran out of its node budget before deciding."""
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ def map_path_system(iso: Callable[[Vertex], Vertex], ps: PathSystem) -> PathSyst
 
 
 # ---------------------------------------------------------------------------
-# connector trees and Hamiltonian paths inside views
+# connector trees inside views
 # ---------------------------------------------------------------------------
 
 def connector_tree(view: GraphView, terminals: Iterable[Vertex]) -> frozenset[tuple[Vertex, Vertex]]:
@@ -307,49 +297,3 @@ def connector_tree(view: GraphView, terminals: Iterable[Vertex]) -> frozenset[tu
             node = prev[node]
         tree_vertices.add(t.bits)
     return frozenset(edges)
-
-
-def hamiltonian_path(
-    view: GraphView,
-    u: Vertex,
-    v: Vertex,
-    node_budget: int = DEFAULT_HAMILTONIAN_BUDGET,
-) -> Path:
-    """A u-v path visiting every view vertex once, by backtracking.
-
-    Raises HamiltonianNotFound when the exhaustive search finishes empty,
-    SearchBudgetExceeded when the node budget runs out first.
-    """
-    view.cube.check_vertex(u)
-    view.cube.check_vertex(v)
-    if u == v:
-        raise ContractViolation("endpoints must differ")
-    if not (view.contains_label(u.bits) and view.contains_label(v.bits)):
-        raise ContractViolation("endpoints must lie inside the view")
-    total = len(view.vertex_labels())
-    target = v.bits
-    visited = {u.bits}
-    order = [u.bits]
-    expanded = 0
-
-    def extend(cur: int) -> bool:
-        nonlocal expanded
-        expanded += 1
-        if expanded > node_budget:
-            raise SearchBudgetExceeded(f"budget of {node_budget} nodes exhausted")
-        if len(order) == total:
-            return cur == target
-        for w in view.neighbor_labels(cur):
-            if w in visited or (w == target and len(order) != total - 1):
-                continue
-            visited.add(w)
-            order.append(w)
-            if extend(w):
-                return True
-            visited.remove(w)
-            order.pop()
-        return False
-
-    if extend(u.bits):
-        return Path(tuple(Vertex(w, view.dim) for w in order))
-    raise HamiltonianNotFound(f"no spanning path between {u.label()} and {v.label()}")

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .topology import AugmentedCube, ContractViolation, GraphView, Vertex
+from .topology import AugmentedCube, ContractViolation, GraphView, Vertex, adjacency_deltas
 
 NON_EDGE = "NonEdge"
 CYCLE = "Cycle"
@@ -36,6 +36,7 @@ VIOLATION_KINDS = (
 )
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
+CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -373,19 +374,19 @@ class ConnectivityResult:
     exact: bool
 
 
-def connectivity(g: AugmentedCube, exact_limit: int = 5) -> ConnectivityResult:
+def connectivity(g: AugmentedCube) -> ConnectivityResult:
     """Vertex connectivity via the path engine.
 
     Label translations are automorphisms, so the pair minimum over all
     (u, v) equals the minimum over pairs (0, w).  Exact for dim up to
-    exact_limit; beyond that a deterministic sample of w values gives an
-    upper estimate flagged as inexact.
+    CONNECTIVITY_EXACT_MAX_DIM; beyond that a deterministic sample of w
+    values gives an upper estimate flagged as inexact.
     """
     from . import paths as _paths
 
     n = g.dim
     view = g.view()
-    if n <= exact_limit:
+    if n <= CONNECTIVITY_EXACT_MAX_DIM:
         candidates = range(1, g.order)
         exact = True
     else:
@@ -403,8 +404,6 @@ def connectivity(g: AugmentedCube, exact_limit: int = 5) -> ConnectivityResult:
 
 def adjacency_candidates(n: int) -> set[int]:
     """Deterministic w sample for large-dimension connectivity estimates."""
-    from .topology import adjacency_deltas
-
     out = set(adjacency_deltas(n))
     out.add((1 << n) - 1)
     out.update(range(1, min(1 << n, 24)))

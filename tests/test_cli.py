@@ -233,6 +233,27 @@ def test_oracle_dimension_out_of_range_is_usage_error():
     assert out.splitlines() == ["2 '' True", "2 '' True"]
 
 
+def test_fidelity_case1_runs_to_its_bound():
+    # the deepest Case1 triple recurses at every level, so n = 12 lays
+    # quarter paths of 1024 vertices; above FIDELITY_MAX_DIM = 16 the
+    # certificate is refused before any work
+    out = run_bounded(
+        "import contextlib, io, json\n"
+        "from aqsteiner.cli import main, parse_certificate\n"
+        "from aqsteiner.topology import AugmentedCube\n"
+        "from aqsteiner.verify import verify_family\n"
+        "for n in (12, 17):\n"
+        "    targets = ','.join(format(v, f'0{n}b') for v in (0, 1, 2))\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(['construct', '-n', str(n), '-S', targets, '--fidelity'])\n"
+        "    text = out.getvalue()\n"
+        "    ok = bool(text) and verify_family(AugmentedCube(n), parse_certificate(json.loads(text))).accepted\n"
+        "    print(code, ok if text else repr(text), 'at most 16' in err.getvalue())\n"
+    )
+    assert out.splitlines() == ["0 True False", "2 '' True"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

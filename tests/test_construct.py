@@ -19,7 +19,6 @@ from aqsteiner.construct import (
     base_case_search,
     classify,
     construct,
-    embed,
     target_family_size,
 )
 from aqsteiner.topology import (
@@ -302,22 +301,8 @@ def test_base_search_contract():
 
 
 # ---------------------------------------------------------------------------
-# embedding and equivariance
+# equivariance
 # ---------------------------------------------------------------------------
-
-def test_embed_trivials():
-    g = AugmentedCube(3)
-    fam = construct(g, vs("000", "001", "011"))
-    up = embed(fam, 0)
-    assert up.dim == 4
-    assert sorted(t.label() for t in up.terminals) == ["0000", "0001", "0011"]
-    assert verify_family(AugmentedCube(4), up).accepted
-    up1 = embed(fam, 1)
-    assert sorted(t.label() for t in up1.terminals) == ["1000", "1001", "1011"]
-    assert verify_family(AugmentedCube(4), up1).accepted
-    empty = TreeFamily(3, fam.terminals, (), fam.provenance, False)
-    assert embed(empty, 0).trees == ()
-
 
 @pytest.mark.parametrize(
     "label_map", [c_label, hc_swap_label], ids=["complement_automorphism", "hc_swap_automorphism"]
@@ -421,6 +406,9 @@ def test_fidelity_mode_spans_the_quarters():
     fam = construct(g, targets, fidelity=True)
     assert len(fam.trees) == 7
     assert verify_family(g, fam).accepted
-    for tree in fam.trees[5:]:
+    for quarter, tree in zip((0b10, 0b11), fam.trees[5:]):
         upper = {v for e in tree.edges for v in e if v.bits >> 4}
         assert len(upper) == 8  # the whole quarter is visited
+        # ... along its labels in counting order
+        inside = {(u.bits, v.bits) for (u, v) in tree.edges if u.bits >> 3 == v.bits >> 3 == quarter}
+        assert inside == {(v, v + 1) for v in range(quarter << 3, ((quarter + 1) << 3) - 1)}

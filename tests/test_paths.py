@@ -3,15 +3,12 @@ import itertools
 import pytest
 
 from aqsteiner.paths import (
-    HamiltonianNotFound,
     MinCut,
     Path,
     PathSystem,
     PinUnsatisfiable,
-    SearchBudgetExceeded,
     connector_tree,
     disjoint_paths,
-    hamiltonian_path,
     map_path_system,
     neighbor_along,
     reorder_paths,
@@ -251,25 +248,3 @@ def test_connector_tree_errors():
     with pytest.raises(ContractViolation):
         connector_tree(two_islands, [Vertex(0b1000, 4), Vertex(0b0001, 4)])
 
-
-def test_hamiltonian_path_small():
-    g = AugmentedCube(2)
-    p = hamiltonian_path(g.view(), Vertex(0, 2), Vertex(1, 2))
-    assert len(p.vertices) == 4
-    assert p.vertices[0] == Vertex(0, 2) and p.vertices[-1] == Vertex(1, 2)
-    assert len(set(p.vertices)) == 4
-    # every adjacent pair in dimension 3 admits a spanning path
-    g3 = AugmentedCube(3)
-    for u, v in itertools.combinations(range(8), 2):
-        p = hamiltonian_path(g3.view(), Vertex(u, 3), Vertex(v, 3))
-        assert len(set(p.vertices)) == 8
-
-
-def test_hamiltonian_budget_and_absence():
-    g = AugmentedCube(3)
-    with pytest.raises(SearchBudgetExceeded):
-        hamiltonian_path(g.view(), Vertex(0, 3), Vertex(7, 3), node_budget=2)
-    # two isolated-ish vertices: a 2-vertex view with no edge between them
-    islands = GraphView(g, frozenset({0b000, 0b101}))  # not adjacent
-    with pytest.raises(HamiltonianNotFound):
-        hamiltonian_path(islands, Vertex(0, 3), Vertex(5, 3))

@@ -9,6 +9,7 @@ from aqsteiner.topology import (
     ContractViolation,
     Side,
     Vertex,
+    adjacency_deltas,
     c_label,
     h_label,
     hc_swap_label,
@@ -82,6 +83,18 @@ def test_adjacency_symmetry_sampled():
     for u in range(0, g.order, 7):
         for w in g.neighbor_labels(u):
             assert u in g.neighbor_labels(w)
+
+
+def test_consecutive_labels_are_adjacent():
+    # v ^ (v + 1) = 2^(t+1) - 1 when v has t trailing ones: a single bit
+    # for t = 0, else a trailing block, so counting order is a path
+    for n in range(1, 63):
+        deltas = adjacency_deltas(n)
+        for t in range(n):
+            assert (1 << (t + 1)) - 1 in deltas, (n, t)
+    for n in range(1, 9):
+        edges = recursive_edges(n)
+        assert all(frozenset({v, v + 1}) in edges for v in range((1 << n) - 1)), n
 
 
 # ---------------------------------------------------------------------------
