@@ -23,6 +23,8 @@ from .paths import (
     PinUnsatisfiable,
     connector_tree,
     disjoint_paths,
+    fan_region,
+    geodesic,
     map_path_system,
     neighbor_along,
     reorder_paths,

@@ -20,6 +20,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -505,6 +506,19 @@ def cmd_paths(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _job_count(text: str) -> int:
+    """``sweep --jobs``: 1..os.cpu_count(), checked while parsing, since a
+    process pool starts all of its workers at once."""
+    cap = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= jobs <= cap:
+        raise argparse.ArgumentTypeError(f"must be in 1..{cap} (the CPU count), got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqsteiner",
@@ -537,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sweep)

@@ -10,7 +10,8 @@ analysis on how S straddles the two half-copies:
 
 - all three targets in one half: recurse inside that half, then route
   two extra trees through the quarter-cubes of the other half, using the
-  fact that each target has exactly one cross-partner in each quarter;
+  fact that each target has exactly one cross-partner in each quarter,
+  and joining those partners by geodesics inside the quarter;
 - two targets x, y below and one target z above: take a full fan of
   2n - 3 disjoint x-y paths below (their endpoint neighbours exhaust the
   whole neighbourhood, so any required neighbour can be pinned by
@@ -19,6 +20,10 @@ analysis on how S straddles the two half-copies:
   cross-matching edge.  Which partner anchors the upper fan, and which
   special trees are carved out, depends on whether x and y are
   cross-twins, whether they are adjacent, and which partners z touches.
+  Each fan is searched from 0 to d = x ^ y inside the region
+  ``paths.fan_region(n - 1, d)``, translated by x and re-checked inside
+  its half-copy; a region without a full fan is a bug
+  (``InternalError``), with no retry on the whole half-copy.
 
 The dispatch is total (see the end of ``_dispatch``): every triple
 reaches a branch with a written recipe, so there is no repair path.
@@ -289,13 +294,18 @@ def _trunc_edges(path: _paths.Path) -> set[tuple[Vertex, Vertex]]:
 
 
 def _system(g: AugmentedCube, side: Side, src: int, dst: int, k: int) -> _paths.PathSystem:
-    res = _paths.disjoint_paths(side_view(g, side), Vertex(src, g.dim), Vertex(dst, g.dim), k)
+    """k disjoint src-dst paths inside a half-copy: a fan from 0 to
+    d = src ^ dst in the region R(d), translated by src.  Translation by
+    src is an automorphism that maps the lower half-copy onto src's."""
+    n, d = g.dim, src ^ dst
+    res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), Vertex(0, n), Vertex(d, n), k)
     if isinstance(res, _paths.MinCut):
-        raise InternalError(
-            f"half-copy admits only {res.size} disjoint paths between "
-            f"{src:0{g.dim}b} and {dst:0{g.dim}b}, need {k}"
-        )
-    return res
+        raise InternalError(f"region R({d:0{n - 1}b}) admits only {res.size} disjoint paths, need {k}")
+    system = _paths.map_path_system(lambda v: Vertex(v.bits ^ src, n), res)
+    problems = _verify.check_path_system(side_view(g, side), system)
+    if problems:
+        raise InternalError(f"translated fan leaves its half-copy: {problems}")
+    return system
 
 
 def _pin(ps: _paths.PathSystem, wanted: Sequence[int], n: int) -> _paths.PathSystem:

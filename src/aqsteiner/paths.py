@@ -1,4 +1,4 @@
-"""Internally disjoint path systems and connector trees inside cube views.
+"""Internally disjoint path systems, fan regions and connector trees.
 
 The central operation is ``disjoint_paths``: k internally disjoint u-v
 paths computed by unit-vertex-capacity max flow (the standard Menger
@@ -16,6 +16,14 @@ vertices the search has touched, so memory follows the search, not the
 size of the view.  Augmenting paths are found by BFS with neighbours
 enumerated in ascending label order, so results are reproducible across
 runs, thread counts and platforms.
+
+The constructor never runs the flow on a whole half-copy.  A fan between
+x and y is x xor a fan from 0 to d = x ^ y, and ``fan_region(m, d)`` is a
+region of O(m r^2) labels, built from generator words for gray(d), in
+which a full fan of 2m - 1 paths exists for every d checked (all d at
+m = 4..13).  Connector trees need no search at all: ``geodesic`` spells
+a shortest word for gray(u ^ v) by a DP over its bits, and
+``connector_tree`` grafts one geodesic per terminal inside a quarter.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .topology import ContractViolation, GraphView, Vertex
+from .topology import MAX_DIM, ContractViolation, GraphView, Vertex, adjacency_deltas, gray, inverse_gray
 from .verify import check_path_system
 
 
@@ -253,19 +261,112 @@ def map_path_system(iso: Callable[[Vertex], Vertex], ps: PathSystem) -> PathSyst
 
 
 # ---------------------------------------------------------------------------
-# connector trees inside views
+# generator words in Gray coordinates
+# ---------------------------------------------------------------------------
+#
+# A word is a list of Gray generators (single bits e_i and adjacent pairs
+# e_i + e_(i+1)); its label form xors inverse_gray of each in turn.
+
+def _pair_cover_word(dg: int) -> list[int]:
+    """Cover the bits of dg by pairs: a run 11 is one pair, a gap 101 the
+    two pairs around the gap, any other bit a single."""
+    word: list[int] = []
+    i = 0
+    while dg >> i:
+        if not dg >> i & 1:
+            i += 1
+        elif dg >> (i + 1) & 1:
+            word.append(3 << i)
+            i += 2
+        elif dg >> (i + 2) & 1:
+            word += [3 << i, 3 << (i + 1)]
+            i += 3
+        else:
+            word.append(1 << i)
+            i += 1
+    return word
+
+
+def fan_region(m: int, d: int) -> frozenset[int]:
+    """The region R(d) of AQ_m in which a full 0-d fan is searched.
+
+    Two words for gray(d), its single bits and its pair cover, give the
+    prefix sums of each of their cyclic rotations; R(d) is those sums
+    offset by 0 and by every generator, mapped back to labels.  It holds
+    the closed neighbourhoods of 0 and d and O(m r^2) labels, where r is
+    the number of bits of gray(d).
+    """
+    if not 1 <= m <= MAX_DIM:
+        raise ContractViolation(f"dimension must be in 1..{MAX_DIM}, got {m}")
+    if not 0 < d < 1 << m:
+        raise ContractViolation(f"fan target {d} out of range for dimension {m}")
+    dg = gray(d)
+    sums = {0}
+    for word in ([1 << i for i in range(dg.bit_length()) if dg >> i & 1], _pair_cover_word(dg)):
+        # inverse_gray is linear, so the sums are taken on labels
+        letters = [inverse_gray(gen) for gen in word]
+        for r in range(len(letters)):
+            s = 0
+            for delta in letters[r:] + letters[:r]:
+                s ^= delta
+                sums.add(s)
+    offsets = (0, *adjacency_deltas(m))
+    return frozenset(s ^ delta for s in sums for delta in offsets)
+
+
+def geodesic(u: int, v: int) -> list[int]:
+    """A shortest u-v path, as labels, in any augmented cube holding both.
+
+    The fewest generators summing to gray(u ^ v) come from a DP over its
+    bits whose state is whether a pair reaches up from the bit below; no
+    shortest word touches a bit above the top one of gray(u ^ v).  The
+    generators are applied in ascending bit order.
+    """
+    dg = gray(u ^ v)
+    top = dg.bit_length()
+    # best[c]: (length, word) over the bits below i, with c the pair
+    # e_(i-1) + e_i still to be counted at bit i
+    best: list[tuple[int, list[int]] | None] = [(0, []), None]
+    for i in range(top):
+        nxt: list[tuple[int, list[int]] | None] = [None, None]
+        for carry, entry in enumerate(best):
+            if entry is None:
+                continue
+            for pair in (0, 1) if i + 1 < top else (0,):
+                single = (dg >> i & 1) ^ carry ^ pair
+                word = entry[1] + [1 << i] * single + [3 << i] * pair
+                cand = (entry[0] + single + pair, word)
+                if nxt[pair] is None or cand[0] < nxt[pair][0]:
+                    nxt[pair] = cand
+        best = nxt
+    verts = [u]
+    for gen in best[0][1]:
+        verts.append(verts[-1] ^ inverse_gray(gen))
+    return verts
+
+
+# ---------------------------------------------------------------------------
+# connector trees inside quarters
 # ---------------------------------------------------------------------------
 
 def connector_tree(view: GraphView, terminals: Iterable[Vertex]) -> frozenset[tuple[Vertex, Vertex]]:
     """A tree inside the view containing all terminals.
 
-    Built as a union of breadth-first shortest paths, each grafted onto
-    the partial tree at first contact, so no cycle can form.  Returns the
-    edge set; a single terminal yields the empty set.
+    The view must be a 2^k-aligned label range, such as a quarter: that
+    block is AQ_k on the low bits and holds every geodesic between its
+    members.  The tree starts at the smallest terminal; each further
+    terminal walks a geodesic to the nearest vertex of the partial tree
+    (the smallest label among the nearest) and is grafted on there, so
+    no cycle can form.  Returns the edge set; a single terminal yields
+    the empty set.
     """
     terms = sorted(set(terminals))
     if not terms:
         raise ContractViolation("at least one terminal required")
+    block = range(view.cube.order) if view.allowed is None else view.allowed
+    size = len(block)
+    if not (isinstance(block, range) and block.step == 1 and size and not size & (size - 1) and not block.start % size):
+        raise ContractViolation("connector trees need a 2^k-aligned label range")
     for t in terms:
         view.cube.check_vertex(t)
         if not view.contains_label(t.bits):
@@ -273,27 +374,9 @@ def connector_tree(view: GraphView, terminals: Iterable[Vertex]) -> frozenset[tu
     tree_vertices = {terms[0].bits}
     edges: set[tuple[Vertex, Vertex]] = set()
     for t in terms[1:]:
-        if t.bits in tree_vertices:
-            continue
-        prev: dict[int, int] = {t.bits: -1}
-        queue = deque([t.bits])
-        hit = -1
-        while queue and hit < 0:
-            a = queue.popleft()
-            for b in view.neighbor_labels(a):
-                if b in prev:
-                    continue
-                prev[b] = a
-                if b in tree_vertices:
-                    hit = b
-                    break
-                queue.append(b)
-        if hit < 0:
-            raise ContractViolation(f"terminal {t.label()} not connected inside the view")
-        node = hit
-        while prev[node] != -1:
-            edges.add(undirected(Vertex(node, view.dim), Vertex(prev[node], view.dim)))
-            tree_vertices.add(node)
-            node = prev[node]
-        tree_vertices.add(t.bits)
+        walk = min((geodesic(t.bits, w) for w in tree_vertices), key=lambda p: (len(p), p[-1]))
+        # no vertex before the end of a walk to the nearest tree vertex
+        # lies in the tree
+        tree_vertices.update(walk)
+        edges.update(undirected(Vertex(a, view.dim), Vertex(b, view.dim)) for a, b in zip(walk, walk[1:]))
     return frozenset(edges)

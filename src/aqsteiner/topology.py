@@ -14,8 +14,8 @@ Conventions used everywhere in this package:
   matching (flip every bit).
 - The graph is never materialised.  Adjacency is O(1) on labels and
   neighbour enumeration is O(n); ``GraphView`` restricts the vertex set
-  to a label collection (a ``range`` for every view the package builds)
-  without copying anything.
+  to a label collection (a ``range`` for half-copies and quarters, a
+  frozenset for the fan regions of ``paths``) without copying it.
 
 The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
@@ -23,6 +23,11 @@ the complement), as is ``hc_swap_label``, which complements the trailing
 bits of the upper copy only and so exchanges the two cross matchings.
 All of them are label maps on plain ints; the constructor composes them
 to normalise instances and to key the base-case cache.
+
+In Gray coordinates (``gray``/``inverse_gray``) the delta set becomes the
+single bits e_i and the adjacent pairs e_i + e_(i+1), so the cube is a
+Cayley graph of Z_2^n: distances and disjoint-path fans depend only on
+u ^ v, and the path searches work from 0 and translate.
 """
 
 from __future__ import annotations
@@ -150,6 +155,29 @@ def hc_swap_label(v: int, dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Gray coordinates
+# ---------------------------------------------------------------------------
+#
+# gray is linear over GF(2) and sends the trailing block 2^(i+1) - 1 to the
+# single bit e_i and the single bit 2^(i+1) to the pair e_i + e_(i+1).  So
+# it maps the delta set of every dimension m onto {e_i} and {e_i + e_(i+1)},
+# and AQ_m is the Cayley graph of Z_2^m on those 2m - 1 generators.
+
+def gray(v: int) -> int:
+    """Gray coordinates of a label: v ^ (v >> 1)."""
+    return v ^ (v >> 1)
+
+
+def inverse_gray(g: int) -> int:
+    """The label with Gray coordinates g: the prefix xor of g's bits."""
+    shift = 1
+    while g >> shift:
+        g ^= g >> shift
+        shift <<= 1
+    return g
+
+
+# ---------------------------------------------------------------------------
 # restricted views
 # ---------------------------------------------------------------------------
 
@@ -171,9 +199,7 @@ class GraphView:
         return self.cube.dim
 
     def contains_label(self, v: int) -> bool:
-        if not 0 <= v < self.cube.order:
-            return False
-        return self.allowed is None or v in self.allowed
+        return 0 <= v < 1 << self.cube.dim and (self.allowed is None or v in self.allowed)
 
     def vertex_labels(self) -> list[int]:
         if self.allowed is None:

@@ -3,13 +3,16 @@ import hashlib
 import importlib.resources
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from aqsteiner.cli import (
+    build_parser,
     certificate_doc,
     main,
     parse_certificate,
@@ -325,106 +328,152 @@ def test_sweep_dimension_above_max_is_usage_error():
     assert "3..62" in err and "Traceback" not in err
 
 
+def test_sweep_jobs_outside_cpu_count_is_usage_error(capsys):
+    # checked by the parser, so no sweep runs and no pool starts
+    for bad in (0, -3, os.cpu_count() + 1):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "-n", "3", "--samples", "1", "--jobs", str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"1..{os.cpu_count()}" in err and str(bad) in err
+    assert build_parser().parse_args(["sweep", "-n", "3", "--samples", "1", "--jobs", "1"]).jobs == 1
+
+
+def test_construct_and_verify_at_dim_20():
+    # one Case1 and one Case2 triple; the fans search R(d), not the
+    # half-copy of 2^19 labels
+    out = run_bounded(
+        "import contextlib, io, json\n"
+        "from aqsteiner.cli import main, parse_certificate\n"
+        "from aqsteiner.topology import AugmentedCube\n"
+        "from aqsteiner.verify import verify_family\n"
+        "for labels in ((0x1234, 0x2345, 0x3456), (0x1234, 0x5678, 0x9abcd)):\n"
+        "    targets = ','.join(format(v, '020b') for v in labels)\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['construct', '-n', '20', '-S', targets])\n"
+        "    doc = json.loads(out.getvalue())\n"
+        "    print(code, doc['case'], verify_family(AugmentedCube(20), parse_certificate(doc)).accepted)\n"
+    )
+    assert out.splitlines() == ["0 Case1 True", "0 Case2_2_2a True"]
+
+
+def test_sweep_at_dim_20():
+    out = run_bounded(
+        "import contextlib, io, json\n"
+        "from aqsteiner.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(['sweep', '-n', '20', '--samples', '1', '--seed', '0', '--format', 'json'])\n"
+        "doc = json.loads(out.getvalue())\n"
+        "print(code, doc['triples'], doc['min_size'], doc['all_verified'])\n"
+    )
+    assert out.split() == ["0", "1", "37", "True"]
+
+
 # (command, exit code, sha256 of stdout): one triple per dispatched case at
 # n = 5..8, a --fidelity run, a cut and a sampled sweep.  Engine and view
 # changes must leave every certificate, cut and summary byte-identical.
+# The construct digests were recorded with the fans searched from 0 in
+# the region R(d) and the Case1 connectors built from geodesics; every
+# one of those certificates passes `aqsteiner verify`.
 STDOUT_DIGESTS = [
     ("construct -n 5 -S 00000,00110,01111 --format json", 0,  # Case1
-     "b05b5b995431843cd961965dd6b6806371a97c1d1d48234fa0ad4a0f4576fe64"),
+     "650f08d0ace9723293a20e54a0b8044f36f7e0d807637c4b02ab4e0fd9563ec1"),
     ("construct -n 5 -S 00001,10001,11110 --format json", 0,  # Case2_1_1
-     "02fb682c485d3fa0b2d24798ca2f159695729ebfeb737ed0184e3abed5de54b6"),
+     "1ded2a12f4bddf7e7827997c0fcecd7ed81b04793239445b2047b394fa55ce2a"),
     ("construct -n 5 -S 00111,01010,10111 --format json", 0,  # Case2_1_2
-     "c3821e3c81be1359ca6eb912b2e5d94f8bfae7d2433053bdccb43426af51afe9"),
+     "21a923d332293eba82fcdea42343d2c720cf7614b49dc724cb8a3ffa167826f7"),
     ("construct -n 5 -S 01010,01101,10010 --format json", 0,  # Case2_1_3
-     "c432b96e0d18ca6caa6216b7840750b36696d7c169a6a04022d01c60cd632cb9"),
+     "379bc70040343743c3097629010a5ef26e90f9eff435e46fc623d6a59d048369"),
     ("construct -n 5 -S 01001,10010,11101 --format json", 0,  # Case2_2_1a
-     "33de23d16bb2ee5646392fa20da540cfe0e5f818f658dd8e7ac6a13e4ce75fe7"),
+     "4329d0da71a8d15aab19ff5ad1d7edc7c96a0e1235417d3d41ef343e211b79a0"),
     ("construct -n 5 -S 00000,10111,11000 --format json", 0,  # Case2_2_1b
-     "38d1a66135677a9ffd375f819e0cfbb793e717c78ba02295f3e1b64d307d846e"),
+     "fe0a810f3b3f97c24b029a83f2fcbd8789899ef5e067e6dbe96cc139538209ac"),
     ("construct -n 5 -S 00101,01001,10011 --format json", 0,  # Case2_2_2a
-     "9c6bf6f13c673e9363695b92a2b069a747dbfe2ba2b95acbb0f862086a403a97"),
+     "21fa672837abd357ec1b7842d9306ddf3ff472ae3c70c14d17faaddc090e8b7c"),
     ("construct -n 5 -S 00000,10011,10101 --format json", 0,  # Case2_2_2b
-     "75b8a4e1d5259aeb94dbf1fd3cae1765c0395aa7a7c088ae28dc272a64ba2c38"),
+     "9aa5ed3d1a7448133bd2cf5931519d28188a226edb83f22e4b22b503691334c4"),
     ("construct -n 5 -S 00001,10000,10110 --format json", 0,  # Case2_2_2c
-     "cb2959a7854dd0e3c15e337cb4569f97f16292c789ec5449740cbdf774dcafd7"),
+     "7ed3cdd70c0834972000a4740945970adfc9a627f8fcb5c6220106d2704878ed"),
     ("construct -n 5 -S 01001,01010,10011 --format json", 0,  # Case2_2_3a
-     "262c51287e8db100ad71f93831241eaa21588ff61ad33ad412517c75fe6c0086"),
+     "4bbc945f2202f0d6eb1d086e8f42595dc1c6fea05cb3695671d9e9defe388f3b"),
     ("construct -n 5 -S 01100,01101,10100 --format json", 0,  # Case2_2_3b
-     "95277836965e8e4eeff44528338bf843fefce969431ede043dda4cc85389b9c0"),
+     "d46140564bf9d5276b77e22a02294bda87c4c0d181044e91f314dcae33031a3e"),
     ("construct -n 5 -S 01010,01011,11000 --format json", 0,  # Case2_2_3c
-     "d1883d9ec887e1ea6248b2e18f773c49ddd02e1158a3508488cf21e6574aebf1"),
+     "a71ff2d3de9ea49bc99cb07d4a5370b9893932f86d660e019e7fc7e96f994781"),
     ("construct -n 6 -S 000000,000100,010010 --format json", 0,  # Case1
-     "fecb9ffeb8e2d2b95cc556bb590ce3a3766586b9c5ceab78f8345800858b7531"),
+     "5d5afa597e7f815c70ea9af44aea4f30837bc9c226a79610be35a27e17da0c7a"),
     ("construct -n 6 -S 000000,011111,111111 --format json", 0,  # Case2_1_1
-     "e2815697544e1ca4ca0c374b1283fc3caee040b0c30462a84f186cd08205db61"),
+     "2009dc66882c57f6339053064d1efbb69bfaec7aed79815e203a898bfd888a2f"),
     ("construct -n 6 -S 000010,100010,111110 --format json", 0,  # Case2_1_2
-     "e53bf107d0ce68a2b8f580d2fe11ee9d1fe53ef2ed0ca1fac723fe8f0798a955"),
+     "6638b3aa5f9e56c959722548b83d4fb9933ec1357730d1a083de6e8518700842"),
     ("construct -n 6 -S 000001,110110,111110 --format json", 0,  # Case2_1_3
-     "3f56e33184c20bc4a29b904a4883b16f2f491a9927b149930246910acfb3234b"),
+     "301ecff7438c98a2337348ab8f6a2b485cf22dbfdec4650699c16560d443f67e"),
     ("construct -n 6 -S 001010,100001,111110 --format json", 0,  # Case2_2_1a
-     "17a6e23679e4d96e4c21efbde2f6f844c97e96639f6b4bba3a93ea130919a5b8"),
+     "bc6fa8438f613fdd29d26c980d5705b050fadf458108a23e3536515ab2044cb1"),
     ("construct -n 6 -S 001010,010101,111010 --format json", 0,  # Case2_2_1b
-     "17f9e1d7b901ad14af8841d5d712c3106f28c9d618758ba7d95cd8d6af775a3f"),
+     "f69db13579178078814ca5387ccd6212fbb18183358014066bf47ce0f7a8fa41"),
     ("construct -n 6 -S 001011,011000,100001 --format json", 0,  # Case2_2_2a
-     "a722b4c4926b0a4e0e46b09ed2adc58d37f1b8793fde145d91dccb950d32b53c"),
+     "be62791319ad6268f121c153e2fd845671bac334479249d5c9745e38cf81f64c"),
     ("construct -n 6 -S 001100,011001,110100 --format json", 0,  # Case2_2_2b
-     "10f5b348e1fa88f8d8df1b3bf2715be0d695c09449cf00f50e530209f36278aa"),
+     "376020eb16563ecee637dca7bea791c12cd8f1d39451c3c70c10e86261d0f5bd"),
     ("construct -n 6 -S 001011,101010,110110 --format json", 0,  # Case2_2_2c
-     "47ea04319b9b6f5b1f5beeeb375f9cb8c8df6e83fbe0fe5690c3056dd3645478"),
+     "4f41a3c25447d787c52a461f68fc57dc4e96eb8a352b4d049872f671812225b1"),
     ("construct -n 6 -S 000100,000110,101111 --format json", 0,  # Case2_2_3a
-     "5ae90c9fa27135005278eb5ffd2bf1d3548e9aa541b05a74bc8e272b882fdacc"),
+     "cbc0020dc783241f79aa3f91616853b2b2e999994382d86b7f2028c074c2ef12"),
     ("construct -n 6 -S 001011,001111,101101 --format json", 0,  # Case2_2_3b
-     "f522aefee21ebd21b7d06b00d86969de55bb691222fb0f4ac6e697bb6f7da3e0"),
+     "aacc56cd6695d5fe3bbd40909423ccce49a30fcd2ebf50afbfbffc4887cf09a9"),
     ("construct -n 6 -S 011001,101110,111110 --format json", 0,  # Case2_2_3c
-     "a3526b74d1db6ac2c83d986f4578a9a911649f59b55ceabea506e68142cd3045"),
+     "ecd97c373c7173f4f1873c59a9c28efa71e8e834fd9fee8963d93fc8fbb67f24"),
     ("construct -n 7 -S 0001100,0010010,0011000 --format json", 0,  # Case1
-     "15e6da35328d566a6d6cf60f448f4f0421eb3fc96b6a283193258b403c6cca39"),
+     "a88598d3e013cdb823e0e0ad24d8b38c63ec4538545359b7cc004e944ab15b1f"),
     ("construct -n 7 -S 0000111,1000111,1111000 --format json", 0,  # Case2_1_1
-     "b0eb85c1b238de33e18838c4299a992c5cf3bff8942d461d309e4474b67fa66c"),
+     "11e8138c97b60c7cea9fe32f48c6d640f3a1eb830b20ddaaab1e74dc184296b0"),
     ("construct -n 7 -S 0001111,1001111,1110010 --format json", 0,  # Case2_1_2
-     "705878cdd7311cab54e057b5f8dbe8fc839ed4fe03ba38b18d63e298ee2c49e4"),
+     "3684b212fe24ffaf85e0121fafd40d7bf1ef44dfa0032834d0b381317faba616"),
     ("construct -n 7 -S 0010100,1010100,1011100 --format json", 0,  # Case2_1_3
-     "0f3f1d0d8a92e00f6ec4da5bc466b62f7613046c2bc66e1bab34f386f911e498"),
+     "6027c8bcf98418336b049078d2c6469adbe584efcd749facf266f6014bd1eede"),
     ("construct -n 7 -S 0000100,1001010,1110101 --format json", 0,  # Case2_2_1a
-     "45c7fa453352389861de28cfc524c0f8d12f10437c8cd0cb189a7f48a2a7cb67"),
+     "8cd5f89a8362ece54727f2d0c301403e589028ab8f290b5bc58d601f5a48f9a5"),
     ("construct -n 7 -S 0110000,1010000,1101111 --format json", 0,  # Case2_2_1b
-     "947c04ea5b3f9663753a995e188c1bdbfb4f5562972f42000536953e9476fb2e"),
+     "38eb19f221336a89d8a29e8f34e0f7c45776318022d1a3a98553ed38fb59de58"),
     ("construct -n 7 -S 0001110,0110110,1011101 --format json", 0,  # Case2_2_2a
-     "2c83ce409e6287d6232027b88b03723700cf54fca923e0db92c294d39c3ef9f0"),
+     "ede96bd373fcd5ef5db3d4e90f6b90dbffb1cfd0fafaf99b6fd1c2a427ac7402"),
     ("construct -n 7 -S 0100110,1010010,1100101 --format json", 0,  # Case2_2_2b
-     "2b2e0da067731711d80569022ee90cfcfedcfc262ed23985bbf31f58cf7f73bd"),
+     "d8b45f7d69d264552ac650ae3e5b033a72071f4ede3c6dd2aa76865b7ec86937"),
     ("construct -n 7 -S 0011000,0110000,1011111 --format json", 0,  # Case2_2_2c
-     "641477e366fc1827d1a60e04a58995912a98742b95c595a91f9d0c4463398326"),
+     "a2c91f9aaabd2999b04eedbc416f88549add737a7626da967554626a5c974b7d"),
     ("construct -n 7 -S 0001001,0010110,1101111 --format json", 0,  # Case2_2_3a
-     "b2c9b30cc2129a53ba468b723d465aaab6b4c5767acd0ce5b443c94372e81618"),
+     "1465eb60a4437f8d3f6ce7aec88302fc7ff784261962fd4f1385d884a511dd65"),
     ("construct -n 7 -S 0100000,1010001,1011110 --format json", 0,  # Case2_2_3b
-     "ffc6c649128362e7c69b326ddee123e9896a7761cc8021fdf0d5d33b9f3a99b4"),
+     "7db0cbd40104aeae0a252a88ab537aba3ba43c41ef8142f0d3e676a9726f4595"),
     ("construct -n 7 -S 0011000,0111000,1110111 --format json", 0,  # Case2_2_3c
-     "8649e2c330914bbdfd2f5c21c79a9eca7783f1aede41f209f84234f66ba6c147"),
+     "f806d84364c49547c8c604fef5b69fdaeb668ef2625e7333631a8c7d2c8f5195"),
     ("construct -n 8 -S 00010110,01000000,01100010 --format json", 0,  # Case1
-     "6116e025417616e2cec0b30b0b794516754077ede6d4d762946930a9f34b275a"),
+     "5ac453fc0963a3bc3aba3184fdd1a014fff5aa5f559f7da62a9875f104c1c2ce"),
     ("construct -n 8 -S 00101001,01010110,10101001 --format json", 0,  # Case2_1_1
-     "60d3a97b129b030efcb7083cfbcde2a2da278efd203f46d20644e60898f22c8c"),
+     "599a40eb5b4995baa1a3b1f58edc1d9c46fb4d0f1fb382561655588434a2234a"),
     ("construct -n 8 -S 00001010,01110111,10001000 --format json", 0,  # Case2_1_2
-     "dedaea3a82a9b80b2aab605699e14bd552f9b8c50ece3c46707551737be9b2d4"),
+     "c45dbdb50e19475846a2ca0f44f24e241f191fb4c3ea91f7606d59810175b264"),
     ("construct -n 8 -S 00110110,00111001,11000110 --format json", 0,  # Case2_1_3
-     "3d97b87b2cb740ff1940987a7cd712f360c7125f89a37866ad0945854e5a6437"),
+     "00426a736ea6a797b5ee6af2abb8101cce32a2948c0349dfa58eb39e8a7f168e"),
     ("construct -n 8 -S 00001010,01110101,11010000 --format json", 0,  # Case2_2_1a
-     "50a9b39514ed0b3e1ac2432654cdb99eebf891ecf72aa3d52145b3d9b7a48837"),
+     "a1b3cbbab98adba9c6c51b83c100b2b2e1254dc6517b03b1fb89e9ea119c3418"),
     ("construct -n 8 -S 01100110,10100110,11011001 --format json", 0,  # Case2_2_1b
-     "1ab5986c1d5b0ee8bda7d423d5b1ae821a6422ce3321b21994d7bf1b7cf96194"),
+     "12f96d87b03aa88c825bac4b7625c32f55c2166731ff6ec86b001d540a385e21"),
     ("construct -n 8 -S 01110100,10111101,11000000 --format json", 0,  # Case2_2_2a
-     "23ba7efe98100b6921636c589b907a440f84e71a3ba9c62b0d31a2798c19695f"),
+     "1c03dfeb92547e712e9a4e93ebe5965f94c553e8330ac0d949fec87ddae99864"),
     ("construct -n 8 -S 01100010,11000111,11111101 --format json", 0,  # Case2_2_2b
-     "dcead1de5d01559d12c920e18c09669c964b72a54f4838b5c6d18277648951a4"),
+     "991f1382b9167cd09eb6c5014ba34f4d969f3eac868676772bc41f4d74090238"),
     ("construct -n 8 -S 00100001,00110011,11011100 --format json", 0,  # Case2_2_2c
-     "cd756b6d652d4f7eade2882f75c36d9111e6786c668444449878d958fe2ca08a"),
+     "317b9f7e7ffb21b4c6fccc99881e9676a9eb239a7cb445bc40ca2d0843ef58fb"),
     ("construct -n 8 -S 00100000,11000001,11000101 --format json", 0,  # Case2_2_3a
-     "0ef5de5901efa83f7c728266564b6932418a1b7d8bf6543d109f74ae737368ed"),
+     "cfb6cb920941ad66966d3cf78062545831039f89073ef6c6f17d7cd6fdd1d76f"),
     ("construct -n 8 -S 00101110,11100001,11110001 --format json", 0,  # Case2_2_3b
-     "c3f0496ed2ea47bf05fb6fb50fb973c0ed255490752d5830c6e8b9381de9537d"),
+     "eec638ba0988e8a194ebd1fe6b7c4d737063539da62af0db36eb448e24e8918d"),
     ("construct -n 8 -S 01000000,01000011,10111011 --format json", 0,  # Case2_2_3c
-     "456380ecc65ac19ecff1968248abae766280b0ade6e1e44ed52458581d0ac7a2"),
+     "9bfe210e4873ee67d9b29502e486a5010eb2bf1fdea96e688a5a3781e6852817"),
     ("construct -n 6 -S 000000,000100,010010 --fidelity", 0,  # Case1
      "cbc7bbdf2150926feb813513377338cbbd904905cf58693a18088f41476301e8"),
     ("paths -n 6 -u 000000 -v 101101 -k 12", 1,  # k above the connectivity: a cut

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,11 +10,15 @@ from aqsteiner.paths import (
     PinUnsatisfiable,
     connector_tree,
     disjoint_paths,
+    fan_region,
+    geodesic,
     map_path_system,
     neighbor_along,
     reorder_paths,
     undirected,
 )
+from aqsteiner import paths
+from aqsteiner.construct import classify, construct
 from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
@@ -21,6 +26,7 @@ from aqsteiner.topology import (
     Side,
     Vertex,
     c_label,
+    gray,
     h_label,
     parse_vertex,
     side_view,
@@ -31,6 +37,7 @@ from util import (
     brute_min_vertex_cut,
     max_disjoint_paths_brute,
     recursive_adjacency_masks,
+    recursive_edges,
     run_bounded,
 )
 
@@ -223,12 +230,72 @@ def test_map_preserves_system_invariants_dim4_lower_half(iso):
 
 
 # ---------------------------------------------------------------------------
-# connector trees and spanning paths
+# fans inside the region R(d)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_full_fan_in_region_every_d(m):
+    # the constructor searches its half-copy fans only inside R(d), with
+    # no fallback: every d needs all 2m - 1 paths there
+    g = AugmentedCube(m)
+    for d in range(1, 1 << m):
+        res = disjoint_paths(GraphView(g, fan_region(m, d)), Vertex(0, m), Vertex(d, m), 2 * m - 1)
+        assert isinstance(res, PathSystem), format(d, f"0{m}b")
+
+
+def test_fan_region_holds_both_closed_neighbourhoods():
+    rng = random.Random(5)
+    for m in range(1, 63):
+        g = AugmentedCube(m)
+        ds = range(1, 1 << m) if m <= 7 else [rng.randrange(1, 1 << m), (1 << m) - 1, 0b101 << (m - 3)]
+        for d in ds:
+            region = fan_region(m, d)
+            r = bin(gray(d)).count("1")
+            # 1 + 2 r^2 prefix sums (each word has at most r letters), each
+            # offset by 0 and the 2m - 1 generators
+            assert len(region) <= (1 + 2 * r * r) * 2 * m
+            assert all(0 <= v < 1 << m for v in region)
+            assert {0, d, *g.neighbor_labels(0), *g.neighbor_labels(d)} <= region
+    assert fan_region(4, 0b0101) == frozenset(range(16))
+    for m, d in ((4, 0), (4, 16), (0, 1), (63, 1)):
+        with pytest.raises(ContractViolation):
+            fan_region(m, d)
+
+
+def bfs_distances(masks, source):
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in range(len(masks)):
+                if masks[a] >> b & 1 and b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return dist
+
+
+def test_geodesic_length_is_bfs_distance():
+    for m in range(1, 8):
+        masks = recursive_adjacency_masks(m)
+        edges = recursive_edges(m)
+        for u in range(1 << m):
+            dist = bfs_distances(masks, u)
+            for v in range(1 << m):
+                walk = geodesic(u, v)
+                assert walk[0] == u and walk[-1] == v
+                assert len(walk) - 1 == dist[v], (m, u, v)
+                assert all(frozenset(e) in edges for e in zip(walk, walk[1:]))
+
+
+# ---------------------------------------------------------------------------
+# connector trees inside quarters
 # ---------------------------------------------------------------------------
 
 def test_connector_tree_examples():
     g = AugmentedCube(4)
-    quarter = GraphView(g, frozenset(v for v in range(16) if v >> 2 == 0b10))
+    quarter = GraphView(g, range(0b1000, 0b1100))
     single = connector_tree(quarter, [Vertex(0b1000, 4)])
     assert single == frozenset()
     pair = connector_tree(quarter, [Vertex(0b1000, 4), Vertex(0b1001, 4)])
@@ -237,14 +304,64 @@ def test_connector_tree_examples():
     vs = {w for e in three for w in e}
     assert len(three) <= 3 and len(three) == len(vs) - 1
     assert all(w.bits >> 2 == 0b10 for w in vs)
+    # at n = 6 the quarter 11.. is AQ_4: 1010 walks to 0000 by the two
+    # pairs of gray(1010) = 1111, lowest first (the labels 0010, 1000)
+    wide = GraphView(AugmentedCube(6), range(0b110000, 0b1000000))
+    tree = connector_tree(wide, [Vertex(0b110000, 6), Vertex(0b111010, 6)])
+    assert tree == {undirected(Vertex(0b111010, 6), Vertex(0b111000, 6)),
+                    undirected(Vertex(0b111000, 6), Vertex(0b110000, 6))}
 
 
 def test_connector_tree_errors():
     g = AugmentedCube(4)
-    quarter = GraphView(g, frozenset(v for v in range(16) if v >> 2 == 0b10))
+    quarter = GraphView(g, range(0b1000, 0b1100))
     with pytest.raises(ContractViolation):
         connector_tree(quarter, [Vertex(0, 4)])
-    two_islands = GraphView(g, frozenset({0b1000, 0b0001}))
     with pytest.raises(ContractViolation):
-        connector_tree(two_islands, [Vertex(0b1000, 4), Vertex(0b0001, 4)])
+        connector_tree(quarter, [])
+    # only 2^k-aligned label ranges: a quarter, a half, the whole cube
+    for allowed in (range(0b1001, 0b1101), range(0b1000, 0b1011), frozenset(range(0b1000, 0b1100))):
+        with pytest.raises(ContractViolation):
+            connector_tree(GraphView(g, allowed), [Vertex(0b1010, 4)])
+    assert connector_tree(g.view(), [Vertex(0, 4), Vertex(0b0110, 4)])
 
+
+def test_constructor_connectors_are_trees_holding_every_anchor(monkeypatch):
+    built = []
+
+    def recording(view, terminals):
+        terminals = list(terminals)
+        edges = connector_tree(view, terminals)
+        built.append((view, terminals, edges))
+        return edges
+
+    monkeypatch.setattr(paths, "connector_tree", recording)
+    rng = random.Random(11)
+    for n in range(5, 9):
+        g = AugmentedCube(n)
+        found = 0
+        while found < 25:
+            labels = rng.sample(range(1 << (n - 1)), 3)
+            terms = [Vertex(a, n) for a in labels]
+            if classify(g, terms).case.value == "Case1":
+                construct(g, terms)
+                found += 1
+    assert len(built) >= 2 * 25 * 4
+    for view, terminals, edges in built:
+        n = view.dim
+        quarter = view.allowed
+        assert len(quarter) == 1 << (n - 2) and quarter.start % len(quarter) == 0
+        vertices = {w.bits for e in edges for w in e} | {t.bits for t in terminals}
+        assert all(v in quarter for v in vertices)
+        assert all(frozenset((u.bits, w.bits)) in recursive_edges(n) for u, w in edges)
+        # a connected edge set with one edge fewer than vertices is a tree
+        assert len(edges) == len(vertices) - 1
+        reach, stack = {terminals[0].bits}, [terminals[0].bits]
+        while stack:
+            a = stack.pop()
+            for u, w in edges:
+                for x, y in ((u.bits, w.bits), (w.bits, u.bits)):
+                    if x == a and y not in reach:
+                        reach.add(y)
+                        stack.append(y)
+        assert reach == vertices

@@ -11,8 +11,10 @@ from aqsteiner.topology import (
     Vertex,
     adjacency_deltas,
     c_label,
+    gray,
     h_label,
     hc_swap_label,
+    inverse_gray,
     parse_vertex,
     side_view,
 )
@@ -100,6 +102,20 @@ def test_consecutive_labels_are_adjacent():
 # ---------------------------------------------------------------------------
 # split, images, matchings
 # ---------------------------------------------------------------------------
+
+def test_gray_maps_deltas_onto_generators():
+    # gray sends the delta set onto the single bits e_i and the adjacent
+    # pairs e_i + e_(i+1): AQ_m is a Cayley graph on those generators
+    for m in range(1, 63):
+        singles = {1 << i for i in range(m)}
+        pairs = {3 << i for i in range(m - 1)}
+        assert {gray(d) for d in adjacency_deltas(m)} == singles | pairs, m
+        for v in (*adjacency_deltas(m), (1 << m) - 1, 0x5555555555555555 & ((1 << m) - 1)):
+            assert inverse_gray(gray(v)) == v and gray(inverse_gray(v)) == v
+    for v in range(1 << 12):
+        assert inverse_gray(gray(v)) == v
+    assert [gray(v) for v in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
+
 
 def test_split_side():
     # the leading bit picks the half-copy
