@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -298,6 +299,22 @@ def test_base_search_cache_consistency_across_orbit():
 def test_base_search_contract():
     with pytest.raises(ContractViolation):
         base_case_search(AugmentedCube(5), vs("00000", "00001", "00010"), 7)
+
+
+# sha256 over the label edge lists of every tree that construct returns,
+# in tree order, for all 56 + 560 triples at n = 3 and 4
+SMALL_DIM_FAMILIES_DIGEST = "9040a472d03f99ed4ded254f297c1f44262aa45bc866922d7a4d671941282f77"
+
+
+def test_small_dimension_families_are_pinned():
+    h = hashlib.sha256()
+    for n in (3, 4):
+        g = AugmentedCube(n)
+        for t in itertools.combinations(range(1 << n), 3):
+            for tree in construct(g, [Vertex(a, n) for a in t]).trees:
+                h.update(repr(sorted((a.bits, b.bits) for a, b in tree.edges)).encode())
+            h.update(b";")
+    assert h.hexdigest() == SMALL_DIM_FAMILIES_DIGEST
 
 
 # ---------------------------------------------------------------------------
