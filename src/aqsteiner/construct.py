@@ -3,10 +3,11 @@ Steiner trees on three targets in an augmented cube.
 
 For dimension n >= 3 and any three distinct targets S the constructor
 returns 2n - 3 trees in which every target is a leaf, pairwise sharing
-no edge and no vertex beyond S.  Dimensions 3 and 4 are solved by
-exhaustive search (cached under the label-translation and
-matching-swap automorphisms); higher dimensions run a recursive case
-analysis on how S straddles the two half-copies:
+no edge and no vertex beyond S.  Dimensions 3 and 4 are solved by the
+exhaustive packing search of ``verify.oracle_tau``, stopped at 2n - 3
+trees (cached under the label-translation and matching-swap
+automorphisms); higher dimensions run a recursive case analysis on how
+S straddles the two half-copies:
 
 - all three targets in one half: recurse inside that half, then route
   two extra trees through the quarter-cubes of the other half, using the
@@ -33,7 +34,6 @@ result; a rejected recipe output is a bug and raises ``InternalError``.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -52,8 +52,6 @@ from .topology import (
     hc_swap_label,
     side_view,
 )
-
-BASE_SEARCH_BUDGET = 2_000_000
 
 
 class Case(Enum):
@@ -537,12 +535,13 @@ def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], t
 def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int) -> TreeFamily:
     """Exhaustive family search for dimensions 3 and 4.
 
-    Candidate trees are enumerated through their internal vertex sets,
-    smallest first: a set is usable iff it induces a connected subgraph
-    touching the neighbourhood of every target, and keeping only the
-    inclusion-minimal such sets loses nothing.  Backtracking then packs
-    ``target`` pairwise disjoint sets.  Results are cached per canonical
-    form of the targets under the (swap, mask) label automorphisms.
+    ``verify.oracle_tau`` packs ``target`` pairwise disjoint minimal
+    internal sets (connected, touching the neighbourhood of every target)
+    and stops there; each set becomes a tree through a spanning tree of
+    the set, smallest labels first, plus one pendant edge per target.
+    Results are cached per canonical form of the targets under the
+    (swap, mask) label automorphisms.  A packing short of ``target``
+    raises ``InternalError``.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim
@@ -556,8 +555,11 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     with _base_lock:
         cached = _base_cache.get(key)
     if cached is None:
-        edge_sets = _search_family(n, canon, target)
-        cached = tuple(tuple(sorted(t)) for t in edge_sets)
+        res = _verify.oracle_tau(g, [Vertex(a, n) for a in canon], stop_at=target)
+        if res.lower < target:
+            how = "search was exhaustive" if res.upper < target else "search budget ran out"
+            raise InternalError(f"no {target}-family found for targets {list(canon)} at dim {n}; {how}")
+        cached = tuple(_spanning_edges(g, canon, internal) for internal in res.witness)
         with _base_lock:
             _base_cache.setdefault(key, cached)
 
@@ -573,105 +575,26 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     return TreeFamily(n, terminals_set, tuple(trees), (tag,), False)
 
 
-def _search_family(n: int, term_labels: Sequence[int], target: int) -> list[set[tuple[int, int]]]:
-    g = AugmentedCube(n)
-    terms = list(term_labels)
-    ground = [v for v in range(1 << n) if v not in terms]
-    index = {v: i for i, v in enumerate(ground)}
-    m = len(ground)
-    adj_mask = [0] * m
-    for v in ground:
-        for w in g.neighbor_labels(v):
-            if w in index:
-                adj_mask[index[v]] |= 1 << index[w]
-    attach_mask = []
+def _spanning_edges(
+    g: AugmentedCube, terms: Sequence[int], internal: frozenset[int]
+) -> tuple[tuple[int, int], ...]:
+    """A spanning tree of the internal set, smallest labels first, plus
+    each target's edge to its smallest neighbour in the set."""
+    members = sorted(internal)
+    edges: set[tuple[int, int]] = set()
+    seen = {members[0]}
+    frontier = [members[0]]
+    while frontier:
+        a = frontier.pop(0)
+        for b in g.neighbor_labels(a):
+            if b in internal and b not in seen:
+                seen.add(b)
+                edges.add((min(a, b), max(a, b)))
+                frontier.append(b)
     for t in terms:
-        mask = 0
-        for w in g.neighbor_labels(t):
-            if w in index:
-                mask |= 1 << index[w]
-        attach_mask.append(mask)
-
-    def feasible(mask: int) -> bool:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            comp = low
-            frontier = low
-            while frontier:
-                grow = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    grow |= adj_mask[b.bit_length() - 1]
-                frontier = grow & mask & ~comp
-                comp |= frontier
-            if all(am & comp for am in attach_mask):
-                return True
-            rest &= ~comp
-        return False
-
-    minimal: list[int] = []
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(prev & mask == prev for prev in minimal):
-                continue
-            if feasible(mask):
-                minimal.append(mask)
-    minimal.sort(key=lambda msk: (msk.bit_count(), msk))
-
-    budget = BASE_SEARCH_BUDGET
-    chosen: list[int] = []
-
-    def slots(used: int) -> int:
-        return min((am & ~used).bit_count() for am in attach_mask)
-
-    def dfs(start: int, used: int) -> bool:
-        nonlocal budget
-        if len(chosen) == target:
-            return True
-        budget -= 1
-        if budget <= 0:
-            raise InternalError(f"base search budget exhausted for targets {terms} at dim {n}")
-        if len(chosen) + slots(used) < target:
-            return False
-        for j in range(start, len(minimal)):
-            if minimal[j] & used:
-                continue
-            chosen.append(minimal[j])
-            if dfs(j + 1, used | minimal[j]):
-                return True
-            chosen.pop()
-        return False
-
-    if not dfs(0, 0):
-        raise InternalError(
-            f"no {target}-family found for targets {terms} at dim {n}; search was exhaustive"
-        )
-
-    out: list[set[tuple[int, int]]] = []
-    for mask in chosen:
-        members = [ground[i] for i in range(m) if mask >> i & 1]
-        edges: set[tuple[int, int]] = set()
-        # spanning tree of the internal set, smallest labels first
-        seen = {members[0]}
-        frontier = [members[0]]
-        while frontier:
-            a = frontier.pop(0)
-            for b in g.neighbor_labels(a):
-                if b in members and b not in seen:
-                    seen.add(b)
-                    edges.add((min(a, b), max(a, b)))
-                    frontier.append(b)
-        for t in terms:
-            hook = min(w for w in g.neighbor_labels(t) if w in seen)
-            edges.add((min(t, hook), max(t, hook)))
-        out.append(edges)
-    return out
+        hook = min(w for w in g.neighbor_labels(t) if w in seen)
+        edges.add((min(t, hook), max(t, hook)))
+    return tuple(sorted(edges))
 
 
 # ---------------------------------------------------------------------------

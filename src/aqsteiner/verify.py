@@ -1,8 +1,11 @@
 """Independent certificate checking, exact small-scale oracles, bounds.
 
-Nothing here shares traversal or assembly code with the constructor; the
-checks go straight to label-level adjacency so a constructor bug cannot
-hide behind shared helpers.  Certificates are duck-typed: anything with
+``verify_family``, ``verify_tree`` and ``check_path_system`` share no
+traversal or assembly code with the constructor; they go straight to
+label-level adjacency so a constructor bug cannot hide behind shared
+helpers.  Only the packing search of ``oracle_tau`` is shared: the
+constructor's base case runs it with ``stop_at``, and this module never
+imports the constructor.  Certificates are duck-typed: anything with
 ``terminals`` and ``edges`` verifies as a tree, anything with ``dim``,
 ``terminals`` and ``trees`` verifies as a family, so parsed files check
 exactly like freshly built objects.
@@ -210,12 +213,15 @@ def check_path_system(view: GraphView, ps) -> list[str]:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact value when lower == upper and exact is set; else a bracket."""
+    """Exact value when lower == upper and exact is set; else a bracket.
+    ``witness`` holds the internal label sets of the best packing found
+    (a direct edge between two terminals is the empty set)."""
 
     lower: int
     upper: int
     exact: bool
     nodes_used: int
+    witness: tuple[frozenset[int], ...] = ()
 
     @property
     def value(self) -> int:
@@ -228,6 +234,8 @@ def oracle_tau(
     g: AugmentedCube | GraphView,
     terminals: Iterable[Vertex],
     budget: int = DEFAULT_ORACLE_BUDGET,
+    *,
+    stop_at: int | None = None,
 ) -> OracleResult:
     """Maximum number of internally disjoint pendant Steiner trees for the
     terminal set, by exhaustive packing.
@@ -238,9 +246,16 @@ def oracle_tau(
     then packs pairwise disjoint ones by branch and bound.  Intended for
     hosts of at most 16 vertices; the budget counts search nodes and an
     exhausted budget yields a bracket instead of an exact value.
+
+    With ``stop_at`` the packing returns once it holds ``stop_at`` trees
+    and prunes the branches that cannot reach that many: an early stop is
+    exact only at the degree ceiling, and a finished search that falls
+    short bounds the value by ``stop_at - 1``.
     """
     if budget <= 0:
         raise ContractViolation("budget must be positive")
+    if stop_at is not None and stop_at < 1:
+        raise ContractViolation("stop_at must be positive")
     view = _as_view(g)
     terms = sorted({t for t in terminals})
     for t in terms:
@@ -326,34 +341,49 @@ def oracle_tau(
             if feasible(mask):
                 minimal.append(mask)
 
-    # pack pairwise disjoint minimal sets, largest count wins
+    # pack pairwise disjoint minimal sets, largest count wins; below
+    # stop_at, a branch is worth searching only if it can reach stop_at
     minimal.sort(key=lambda msk: (msk.bit_count(), msk))
+    floor = 0 if stop_at is None else stop_at - 1
+    chosen = [0] if direct_edge_tree else []
     best = 0
-    packing_complete = True
+    witness: tuple[int, ...] = ()
+    halted = False
 
     def slots_left(used: int) -> int:
         return min((am & ~used).bit_count() for am in attach_mask)
 
     def dfs(start: int, used: int, count: int) -> None:
-        nonlocal best, nodes, packing_complete
-        best = max(best, count)
-        if nodes >= budget:
-            packing_complete = False
+        nonlocal best, nodes, witness, halted
+        if count > best:
+            best, witness = count, tuple(chosen)
+        if nodes >= budget or (stop_at is not None and best >= stop_at):
+            halted = True
             return
-        if count + slots_left(used) <= best:
+        if count + slots_left(used) <= max(best, floor):
             return
         for j in range(start, len(minimal)):
             if minimal[j] & used:
                 continue
             nodes += 1
+            chosen.append(minimal[j])
             dfs(j + 1, used | minimal[j], count + 1)
-            if not packing_complete:
+            chosen.pop()
+            if halted:
                 return
 
-    dfs(0, 0, 1 if direct_edge_tree else 0)
-    exact = enumeration_complete and packing_complete
-    upper = best if exact else max(best, ceiling)
-    return OracleResult(lower=best, upper=upper, exact=exact, nodes_used=nodes)
+    dfs(0, 0, len(chosen))
+    reached = stop_at is not None and best >= stop_at
+    if halted or not enumeration_complete:
+        # a spent budget or an early stop bounds the value only by the ceiling
+        upper = max(best, ceiling)
+        exact = reached and best == ceiling
+    else:
+        # a finished search below stop_at proves only that stop_at is out of reach
+        upper = best if stop_at is None else min(ceiling, floor)
+        exact = best == upper
+    sets = tuple(frozenset(ground[i] for i in range(m) if mask >> i & 1) for mask in witness)
+    return OracleResult(lower=best, upper=upper, exact=exact, nodes_used=nodes, witness=sets)
 
 
 # ---------------------------------------------------------------------------

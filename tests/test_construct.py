@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import itertools
@@ -299,6 +300,17 @@ def test_base_search_cache_consistency_across_orbit():
 def test_base_search_contract():
     with pytest.raises(ContractViolation):
         base_case_search(AugmentedCube(5), vs("00000", "00001", "00010"), 7)
+
+
+def test_base_search_short_packing_raises_internal_error(monkeypatch):
+    # a triangle in AQ_3 packs only 3 trees; a tiny budget stops short of 3
+    monkeypatch.setattr(construct_mod, "_base_cache", {})
+    with pytest.raises(InternalError, match="search was exhaustive"):
+        base_case_search(AugmentedCube(3), vs("000", "001", "011"), 4)
+    tiny = functools.partial(verify_mod.oracle_tau, budget=5)
+    monkeypatch.setattr(verify_mod, "oracle_tau", tiny)
+    with pytest.raises(InternalError, match="search budget ran out"):
+        base_case_search(AugmentedCube(3), vs("000", "001", "011"), 3)
 
 
 # sha256 over the label edge lists of every tree that construct returns,

@@ -20,7 +20,7 @@ from aqsteiner.verify import (
     verify_tree,
 )
 
-from util import max_disjoint_paths_brute, recursive_adjacency_masks, triangles
+from util import max_disjoint_paths_brute, reachable_mask, recursive_adjacency_masks, triangles
 
 
 def tree(terms, edges):
@@ -221,6 +221,48 @@ def test_degree_bound_met_with_equality():
         assert len(construct(g, terms).trees) == 2 * n - 3
 
 
+def _is_packing(n, terms, sets):
+    """Pairwise disjoint internal sets, each connected, free of terminals
+    and adjacent to every terminal, over the recursive edge set."""
+    masks = recursive_adjacency_masks(n)
+    used = sum(1 << t for t in terms)
+    for s in sets:
+        bits = sum(1 << v for v in s)
+        if not s or bits & used:
+            return False
+        if reachable_mask(masks, bits, min(s)) != bits:
+            return False
+        if not all(masks[t] & bits for t in terms):
+            return False
+        used |= bits
+    return True
+
+
+@pytest.mark.parametrize("n, stop_at", [(3, 3), (3, 4), (4, 5)])
+def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
+    from aqsteiner.construct import _canonical_triple
+
+    g = AugmentedCube(n)
+    masks = recursive_adjacency_masks(n)
+    canon = sorted({_canonical_triple(n, t)[0] for t in itertools.combinations(range(1 << n), 3)})
+    assert len(canon) == {3: 5, 4: 23}[n]
+    for t in canon:
+        terms = [Vertex(a, n) for a in t]
+        full = oracle_tau(g, terms)
+        assert full.exact and len(full.witness) == full.value and _is_packing(n, t, full.witness)
+        res = oracle_tau(g, terms, stop_at=stop_at)
+        assert _is_packing(n, t, res.witness) and len(res.witness) == res.lower
+        # a stop_at-family is found exactly when one exists
+        assert (res.lower == stop_at) == (full.value >= stop_at), t
+        assert res.lower <= full.value <= res.upper
+        ceiling = min((masks[a] & ~sum(1 << b for b in t)).bit_count() for a in t)
+        if res.lower == stop_at:
+            # an early stop is exact only where it meets the degree ceiling
+            assert res.exact == (stop_at == ceiling) and res.upper == ceiling, t
+        elif res.exact:
+            assert res.lower == full.value
+
+
 def test_oracle_budget_bracket():
     g = AugmentedCube(3)
     res = oracle_tau(g, [parse_vertex(s) for s in S_B], budget=5)
@@ -234,6 +276,8 @@ def test_oracle_contract_errors():
         oracle_tau(g, [Vertex(0, 3)])
     with pytest.raises(ContractViolation):
         oracle_tau(g, [Vertex(0, 3), Vertex(1, 3)], budget=0)
+    with pytest.raises(ContractViolation):
+        oracle_tau(g, [Vertex(0, 3), Vertex(1, 3)], stop_at=0)
 
 
 # ---------------------------------------------------------------------------
