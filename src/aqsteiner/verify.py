@@ -244,8 +244,9 @@ def oracle_tau(
     (connected, with every terminal attached and no removable vertex), so
     the search enumerates exactly those internal sets, smallest first,
     then packs pairwise disjoint ones by branch and bound.  Intended for
-    hosts of at most 16 vertices; the budget counts search nodes and an
-    exhausted budget yields a bracket instead of an exact value.
+    hosts of at most 16 vertices; the budget counts feasibility tests,
+    minimality comparisons and packing nodes, and an exhausted budget
+    yields a bracket instead of an exact value.
 
     With ``stop_at`` the packing returns once it holds ``stop_at`` trees
     and prunes the branches that cannot reach that many: an early stop is
@@ -336,10 +337,14 @@ def oracle_tau(
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if any(prev & mask == prev for prev in minimal):
-                continue
-            if feasible(mask):
-                minimal.append(mask)
+            # the minimality scan costs one node per comparison
+            for prev in minimal:
+                nodes += 1
+                if prev & mask == prev:
+                    break
+            else:
+                if feasible(mask):
+                    minimal.append(mask)
 
     # pack pairwise disjoint minimal sets, largest count wins; below
     # stop_at, a branch is worth searching only if it can reach stop_at

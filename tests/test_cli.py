@@ -236,6 +236,25 @@ def test_oracle_dimension_out_of_range_is_usage_error():
     assert out.splitlines() == ["2 '' True", "2 '' True"]
 
 
+def test_forced_oracle_spends_its_default_budget():
+    # the budget charges every comparison of the minimality scan, so a
+    # forced n = 5 run ends in a bracket instead of running for minutes
+    out = run_bounded(
+        "import contextlib, io\n"
+        "from aqsteiner.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['oracle', '-n', '5', '-S', '00000,00001,00010', '--force'])\n"
+        "print(code)\n"
+        "print(out.getvalue())\n",
+        timeout=30,
+    )
+    code, doc = out.split("\n", 1)
+    doc = json.loads(doc)
+    jsonschema.validate(doc, schema("oracle"))
+    assert code == "0" and doc["exact"] is False and doc["lower"] <= doc["upper"]
+
+
 def test_fidelity_case1_runs_to_its_bound():
     # the deepest Case1 triple recurses at every level, so n = 12 lays
     # quarter paths of 1024 vertices; above FIDELITY_MAX_DIM = 16 the
