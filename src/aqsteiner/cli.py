@@ -375,7 +375,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except InternalError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
-    case = tag.case.value
+    case = family.provenance[0].case.value
     if args.format == "json":
         _emit(json.dumps(certificate_doc(family, case), indent=2) + "\n", args.output)
     elif args.format == "dot":

@@ -144,10 +144,11 @@ def test_construct_duplicate_vertex_usage_error():
 
 
 def test_construct_case_tag_matches_classification():
+    # the certificate names the case that built it: the base search at n = 4
     code, out, _ = run_cli(["construct", "-n", "4", "-S", "0000,0011,1100"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["case"].startswith("Case2_1")
+    assert doc["case"] == "Base4"
     assert len(doc["trees"]) == 5
     assert doc["fallback_used"] is False
 
