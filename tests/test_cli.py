@@ -392,7 +392,8 @@ def test_sweep_at_dim_20():
 
 
 # (command, exit code, sha256 of stdout): one triple per dispatched case at
-# n = 5..8, a --fidelity run, a cut and a sampled sweep.  Engine and view
+# n = 5..8, a --fidelity run, the text and dot renderings of a Case1 and a
+# Case2 family, a full fan in all three formats, a cut and a sampled sweep.  Engine and view
 # changes must leave every certificate, cut and summary byte-identical.
 # The construct digests were recorded with the fans searched from 0 in
 # the region R(d) and the Case1 connectors built from geodesics; every
@@ -496,6 +497,20 @@ STDOUT_DIGESTS = [
      "9bfe210e4873ee67d9b29502e486a5010eb2bf1fdea96e688a5a3781e6852817"),
     ("construct -n 6 -S 000000,000100,010010 --fidelity", 0,  # Case1
      "cbc7bbdf2150926feb813513377338cbbd904905cf58693a18088f41476301e8"),
+    ("construct -n 6 -S 000000,000100,010010 --format text", 0,  # Case1
+     "5af0d7e12e45cf1f1345f4d33b13e87ae12198125577d70415fbcb31c2ab8fde"),
+    ("construct -n 6 -S 000000,000100,010010 --format dot", 0,  # Case1
+     "ab8d7bfd69ea1ea6162ed48840d93467081721c4a11a7df8f59853c168e40005"),
+    ("construct -n 6 -S 011001,101110,111110 --format text", 0,  # Case2_2_3c
+     "f5c1a2f3c598e5cc99e111ec8aaa50cd000d5a9c3047040ae00be3318d147be0"),
+    ("construct -n 6 -S 011001,101110,111110 --format dot", 0,  # Case2_2_3c
+     "e949fb9ee9c3db67c1056f517d9f55b23236a56b13b6f440ecdaf1f6f5affaae"),
+    ("paths -n 6 -u 000000 -v 101101 -k 11 --format json", 0,  # a full fan
+     "77c0235436c63e10dd39ff036dc841827e061d1604d508e35de890f0bde0a67f"),
+    ("paths -n 6 -u 000000 -v 101101 -k 11 --format text", 0,
+     "47ea5674fd3d22bcdf50d853df4d9daee2e160dbae1a6b91b73d1a9b9a4d0d1e"),
+    ("paths -n 6 -u 000000 -v 101101 -k 11 --format dot", 0,
+     "769adf991df14a6dbccf7610ea3b71b8f307cc64b333b369b7f146914eaf9050"),
     ("paths -n 6 -u 000000 -v 101101 -k 12", 1,  # k above the connectivity: a cut
      "108d2b73ba6721957ecf6ea4fbedb38bca55ada5748103b58aee9ea6a65fabe8"),
     ("sweep -n 6 --samples 200 --seed 7 --format json", 0,
