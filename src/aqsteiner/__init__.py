@@ -17,16 +17,17 @@ from .construct import (
     target_family_size,
 )
 from .paths import (
+    ConnectivityResult,
     MinCut,
-    Path,
     PathSystem,
     PinUnsatisfiable,
+    connectivity,
     connector_tree,
     disjoint_paths,
     fan_region,
     geodesic,
     map_path_system,
-    neighbor_along,
+    path_edges,
     reorder_paths,
 )
 from .topology import (
@@ -39,11 +40,9 @@ from .topology import (
     side_view,
 )
 from .verify import (
-    ConnectivityResult,
     OracleResult,
     VerificationReport,
     Violation,
-    connectivity,
     hager_upper_bound,
     oracle_tau,
     verify_family,

@@ -48,6 +48,9 @@ SCHEMA_VERSION = "1"
 # than 1 GiB).  At n = 12 a forced run still ends in a budget-bounded
 # bracket.
 ORACLE_MAX_DIM = 12
+# sweep lists and sorts every triple before the first construct: the
+# n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB.
+SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
 # labels at every level, so the certificate doubles per dimension: about
 # 5 MB of JSON at n = 16.
@@ -149,7 +152,7 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise CertificateFormatError(f"trees[{i}] has a malformed edge {pair!r}")
             u, v = read_vertex(pair[0]), read_vertex(pair[1])
-            edges.add(_paths.undirected(u, v))
+            edges.add((u, v) if u <= v else (v, u))
         trees.append(SteinerTree(terminals, frozenset(edges)))
     return ParsedCertificate(n, terminals, doc["case"], doc["fallback_used"], tuple(trees))
 
@@ -187,33 +190,37 @@ def family_to_text(family: TreeFamily, case: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def path_system_doc(res: _paths.PathSystem) -> dict:
+def _label(v: int, n: int) -> str:
+    return format(v, f"0{n}b")
+
+
+def path_system_doc(res: _paths.PathSystem, n: int) -> dict:
     return {
-        "source": res.source.label(),
-        "sink": res.sink.label(),
+        "source": _label(res.source, n),
+        "sink": _label(res.sink, n),
         "count": len(res.paths),
-        "paths": [[v.label() for v in p.vertices] for p in res.paths],
+        "paths": [[_label(v, n) for v in p] for p in res.paths],
     }
 
 
-def min_cut_doc(res: _paths.MinCut) -> dict:
+def min_cut_doc(res: _paths.MinCut, n: int) -> dict:
     return {
-        "source": res.source.label(),
-        "sink": res.sink.label(),
-        "separator": [v.label() for v in res.separator],
+        "source": _label(res.source, n),
+        "sink": _label(res.sink, n),
+        "separator": [_label(v, n) for v in res.separator],
         "uses_direct_edge": res.uses_direct_edge,
         "size": res.size,
     }
 
 
-def path_system_to_dot(res: _paths.PathSystem) -> str:
+def path_system_to_dot(res: _paths.PathSystem, n: int) -> str:
     lines = ["graph paths {"]
     for t in (res.source, res.sink):
-        lines.append(f'  "{t.label()}" [shape=doublecircle];')
+        lines.append(f'  "{_label(t, n)}" [shape=doublecircle];')
     for i, p in enumerate(res.paths):
         color = _PALETTE[i % len(_PALETTE)]
-        for u, v in p.edges():
-            lines.append(f'  "{u.label()}" -- "{v.label()}" [color="{color}"];')
+        for u, v in _paths.path_edges(p):
+            lines.append(f'  "{_label(u, n)}" -- "{_label(v, n)}" [color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -338,7 +345,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print("info supports dimensions 1..10", file=sys.stderr)
         return 2
     g = AugmentedCube(n)
-    conn = _verify.connectivity(g)
+    conn = _paths.connectivity(g)
     doc = {
         "n": n,
         "vertices": g.order,
@@ -412,16 +419,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if n > 5 and not args.force:
             print("exhaustive sweep above dimension 5 needs --force", file=sys.stderr)
             return 2
-        triples = all_triples(n)
+        count = math.comb(1 << n, 3)
+    elif args.samples is None:
+        print("either --exhaustive or --samples N is required", file=sys.stderr)
+        return 2
     else:
-        if args.samples is None:
-            print("either --exhaustive or --samples N is required", file=sys.stderr)
-            return 2
-        try:
-            triples = sample_triples(n, args.samples, args.seed)
-        except ContractViolation as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        count = args.samples
+    if count > SWEEP_MAX_TRIPLES:
+        print(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {count}", file=sys.stderr)
+        return 2
+    try:
+        triples = all_triples(n) if args.exhaustive else sample_triples(n, count, args.seed)
+    except ContractViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         records = run_sweep(n, triples, jobs=args.jobs)
@@ -485,20 +496,21 @@ def cmd_paths(args: argparse.Namespace) -> int:
         if u.dim != args.n or v.dim != args.n:
             raise ContractViolation("endpoint labels must have length n")
         g = AugmentedCube(args.n)
-        res = _paths.disjoint_paths(g.view(), u, v, args.k)
+        res = _paths.disjoint_paths(g.view(), u.bits, v.bits, args.k)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    n = args.n
     if isinstance(res, _paths.MinCut):
-        sys.stdout.write(json.dumps(min_cut_doc(res), indent=2) + "\n")
+        sys.stdout.write(json.dumps(min_cut_doc(res, n), indent=2) + "\n")
         return 1
     if args.format == "dot":
-        sys.stdout.write(path_system_to_dot(res))
+        sys.stdout.write(path_system_to_dot(res, n))
     elif args.format == "text":
         for i, p in enumerate(res.paths):
-            sys.stdout.write(f"path {i}: {'-'.join(w.label() for w in p.vertices)}\n")
+            sys.stdout.write(f"path {i}: {'-'.join(_label(w, n) for w in p)}\n")
     else:
-        sys.stdout.write(json.dumps(path_system_doc(res), indent=2) + "\n")
+        sys.stdout.write(json.dumps(path_system_doc(res, n), indent=2) + "\n")
     return 0
 
 

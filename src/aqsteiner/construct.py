@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import paths as _paths
 from . import verify as _verify
+from .paths import path_edges, undirected as _edge
 from .topology import (
     AugmentedCube,
     ContractViolation,
@@ -77,15 +78,15 @@ class CaseTag:
 
     ``normalization`` names the automorphism applied before the roles
     were assigned ("identity", "complement", "hc_swap" or
-    "complement+hc_swap"); ``roles`` gives (x, y, z) in normalised
-    coordinates for the two-one split branches; ``variant`` records the
-    concrete matching/endpoint choice where a branch has symmetric
-    mirrors.
+    "complement+hc_swap"); ``roles`` gives the labels (x, y, z) in
+    normalised coordinates for the two-one split branches; ``variant``
+    records the concrete matching/endpoint choice where a branch has
+    symmetric mirrors.
     """
 
     case: Case
     normalization: str = "identity"
-    roles: tuple[Vertex, Vertex, Vertex] | None = None
+    roles: tuple[int, int, int] | None = None
     variant: str = ""
 
 
@@ -216,8 +217,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, tuple[int, int]]:
     norm = _normalization(*transform)
 
     def mk(case: Case, xx: int, yy: int, variant: str = "") -> tuple[CaseTag, tuple[int, int]]:
-        roles = (Vertex(xx, n), Vertex(yy, n), Vertex(z, n))
-        return CaseTag(case, norm, roles, variant), transform
+        return CaseTag(case, norm, (xx, yy, z), variant), transform
 
     if x is not None:
         # z is a cross-partner of x (after normalisation, the bit-keeping one)
@@ -278,72 +278,55 @@ def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
 # recipe building blocks
 # ---------------------------------------------------------------------------
 
-def _edge(a: int, b: int, n: int) -> tuple[Vertex, Vertex]:
-    return _paths.undirected(Vertex(a, n), Vertex(b, n))
-
-
-def _path_edges(path: _paths.Path) -> set[tuple[Vertex, Vertex]]:
-    return set(path.edges())
-
-
-def _trunc_edges(path: _paths.Path) -> set[tuple[Vertex, Vertex]]:
-    vs = path.vertices[:-1]
-    return {_paths.undirected(vs[i], vs[i + 1]) for i in range(len(vs) - 1)}
-
-
 def _system(g: AugmentedCube, side: Side, src: int, dst: int, k: int) -> _paths.PathSystem:
     """k disjoint src-dst paths inside a half-copy: a fan from 0 to
     d = src ^ dst in the region R(d), translated by src.  Translation by
     src is an automorphism that maps the lower half-copy onto src's."""
     n, d = g.dim, src ^ dst
-    res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), Vertex(0, n), Vertex(d, n), k)
+    res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), 0, d, k)
     if isinstance(res, _paths.MinCut):
         raise InternalError(f"region R({d:0{n - 1}b}) admits only {res.size} disjoint paths, need {k}")
-    system = _paths.map_path_system(lambda v: Vertex(v.bits ^ src, n), res)
+    system = _paths.map_path_system(lambda v: v ^ src, res)
     problems = _verify.check_path_system(side_view(g, side), system)
     if problems:
         raise InternalError(f"translated fan leaves its half-copy: {problems}")
     return system
 
 
-def _pin(ps: _paths.PathSystem, wanted: Sequence[int], n: int) -> _paths.PathSystem:
+def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
     """Reorder so that path i reaches the sink through wanted[i]; the
     remaining paths keep their relative order."""
     try:
-        return _paths.reorder_paths(ps, [(i, Vertex(w, n)) for i, w in enumerate(wanted)])
+        return _paths.reorder_paths(ps, list(enumerate(wanted)))
     except _paths.PinUnsatisfiable as exc:
         raise InternalError(str(exc)) from exc
 
 
-def _sink_nbrs(ps: _paths.PathSystem) -> list[int]:
-    return [_paths.neighbor_along(ps, ps.sink, i).bits for i in range(len(ps.paths))]
-
-
-_Edges = set[tuple[Vertex, Vertex]]
+_Edges = set[tuple[int, int]]
 
 
 def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
-    P = _pin(_system(g, Side.ZERO, x, y, k), [x], n)
+    P = _pin(_system(g, Side.ZERO, x, y, k), [x])
     xc = c_label(x, n)  # equals the bit-keeping partner of y; the star centre
-    trees: list[_Edges] = [{_edge(x, xc, n), _edge(y, xc, n), _edge(z, xc, n)}]
-    for i in range(1, k):
-        yi = _paths.neighbor_along(P, P.sink, i).bits
+    trees: list[_Edges] = [{_edge(x, xc), _edge(y, xc), _edge(z, xc)}]
+    for p in P.paths[1:]:
+        yi = p[-2]
         yic = c_label(yi, n)
-        trees.append(_path_edges(P.paths[i]) | {_edge(yi, yic, n), _edge(yic, z, n)})
+        trees.append({*path_edges(p), _edge(yi, yic), _edge(yic, z)})
     return trees
 
 
 def _recipe_2_1_2(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     P = _system(g, Side.ZERO, x, y, k)
-    Q = _paths.map_path_system(lambda v: Vertex(h_label(v.bits, n), n), P)
+    Q = _paths.map_path_system(lambda v: h_label(v, n), P)
     trees: list[_Edges] = []
     # x and y are not adjacent (else z = h(x) would touch h(y): Case2_1_3),
     # so every path has an interior vertex to join through
     for p, q in zip(P.paths, Q.paths):
-        join = p.vertices[-2].bits
-        trees.append(_path_edges(p) | _trunc_edges(q) | {_edge(join, h_label(join, n), n)})
+        join = p[-2]
+        trees.append({*path_edges(p), *path_edges(q[:-1]), _edge(join, h_label(join, n))})
     return trees
 
 
@@ -359,13 +342,14 @@ def _splice(
 
     The upper fan is pinned so that its path i ends through the image of
     P's sink neighbour nb_i; for i >= start, path i of both fans joins
-    through the matching edge nb_i-img(nb_i).  Returns the upper fan, for
-    the recipe's special trees, and the spliced trees."""
+    through the matching edge nb_i-img(nb_i), and the upper path drops
+    its last edge.  Returns the upper fan, for the recipe's special
+    trees, and the spliced trees."""
     n, k = g.dim, len(P.paths)
-    w_nb = _sink_nbrs(P)
-    Q = _pin(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb], n)
+    w_nb = [p[-2] for p in P.paths]
+    Q = _pin(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb])
     trees = [
-        _path_edges(P.paths[i]) | _trunc_edges(Q.paths[i]) | {_edge(w_nb[i], img(w_nb[i], n), n)}
+        {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(w_nb[i], img(w_nb[i], n))}
         for i in range(start, k)
     ]
     return Q, trees
@@ -375,22 +359,22 @@ def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     trail = (1 << (n - 1)) - 1
     xch = x ^ trail  # the all-bits partner of z pulled below; adjacent to x
-    P = _pin(_system(g, Side.ZERO, y, x, k), [y, xch], n)
+    P = _pin(_system(g, Side.ZERO, y, x, k), [y, xch])
     Q, spliced = _splice(g, P, x, c_label, z, 2)
     return [
-        _path_edges(P.paths[1]) | {_edge(xch, z, n)},
-        _path_edges(Q.paths[0]) | {_edge(x, c_label(x, n), n), _edge(y, c_label(y, n), n)},
+        {*path_edges(P.paths[1]), _edge(xch, z)},
+        {*path_edges(Q.paths[0]), _edge(x, c_label(x, n)), _edge(y, c_label(y, n))},
         *spliced,
     ]
 
 
 def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
-    P = _pin(_system(g, Side.ZERO, x, y, k), [x], n)
+    P = _pin(_system(g, Side.ZERO, x, y, k), [x])
     # the upper fan ends at the bit-keeping partner of x
     Q, spliced = _splice(g, P, y, c_label, z, 1)
     return [
-        _trunc_edges(Q.paths[0]) | {_edge(x, c_label(x, n), n), _edge(y, h_label(y, n), n)},
+        {*path_edges(Q.paths[0][:-1]), _edge(x, c_label(x, n)), _edge(y, h_label(y, n))},
         *spliced,
     ]
 
@@ -398,11 +382,11 @@ def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 def _recipe_2_2_1b(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n, k = g.dim, target_family_size(g.dim)
     zc = c_label(z, n)  # below, adjacent to y because z touches y's all-bits partner
-    P = _pin(_system(g, Side.ZERO, x, y, k), [zc, x], n)
+    P = _pin(_system(g, Side.ZERO, x, y, k), [zc, x])
     Q, spliced = _splice(g, P, y, c_label, z, 2)
     return [
-        _path_edges(P.paths[0]) | {_edge(zc, z, n)},
-        _path_edges(Q.paths[1]) | {_edge(x, h_label(x, n), n), _edge(y, h_label(y, n), n)},
+        {*path_edges(P.paths[0]), _edge(zc, z)},
+        {*path_edges(Q.paths[1]), _edge(x, h_label(x, n)), _edge(y, h_label(y, n))},
         *spliced,
     ]
 
@@ -421,9 +405,9 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
     P = _system(g, Side.ZERO, w_other, w, k)
     if not adjacent:
         return _splice(g, P, w, img, z, 0)[1]
-    Q, spliced = _splice(g, _pin(P, [w_other], n), w, img, z, 1)
+    Q, spliced = _splice(g, _pin(P, [w_other]), w, img, z, 1)
     return [
-        _path_edges(Q.paths[0]) | {_edge(w_other, img(w_other, n), n), _edge(w, img(w, n), n)},
+        {*path_edges(Q.paths[0]), _edge(w_other, img(w_other, n)), _edge(w, img(w, n))},
         *spliced,
     ]
 
@@ -438,7 +422,7 @@ _RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
 
 
 def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
-    x, y, z = (v.bits for v in tag.roles)
+    x, y, z = tag.roles
     if tag.case in _RECIPES:
         return _RECIPES[tag.case](g, x, y, z)
     return _recipe_grid(g, x, y, z, tag.variant)
@@ -448,21 +432,20 @@ def _assemble(
     g: AugmentedCube,
     labels: Sequence[int],
     transform: tuple[int, int],
-    trees: list[_Edges],
+    trees: Iterable[Iterable[tuple[int, int]]],
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
-    """Map normalised tree edges back to the caller's labels."""
+    """Map normalised label edges back to the caller's labels; the
+    returned family holds them as ``Vertex`` pairs."""
     n = g.dim
     swap, mask = transform
 
-    def back(v: Vertex) -> int:
-        return _invert_transform(v.bits, swap, mask, n)
+    def back(a: int, b: int) -> tuple[Vertex, Vertex]:
+        a, b = _edge(_invert_transform(a, swap, mask, n), _invert_transform(b, swap, mask, n))
+        return Vertex(a, n), Vertex(b, n)
 
     terminals = frozenset(Vertex(a, n) for a in labels)
-    mapped = [
-        SteinerTree(terminals, frozenset(_edge(back(u), back(v), n) for (u, v) in edges))
-        for edges in trees
-    ]
+    mapped = [SteinerTree(terminals, frozenset(back(a, b) for a, b in edges)) for edges in trees]
     return TreeFamily(
         dim=n,
         terminals=terminals,
@@ -488,9 +471,8 @@ def _construct_case1(
     n = g.dim
     norm_labels = sorted(_apply_transform(a, *transform, n) for a in labels)
     sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
-    # sub's labels already name the lower half-copy (prefix bit 0), and
-    # _assemble reads only labels
-    trees: list[_Edges] = [set(t.edges) for t in sub.trees]
+    # sub's labels already name the lower half-copy (prefix bit 0)
+    trees: list[_Edges] = [{(u.bits, v.bits) for u, v in t.edges} for t in sub.trees]
 
     shift = n - 2
     for quarter in (0b10, 0b11):
@@ -503,11 +485,10 @@ def _construct_case1(
         if fidelity:
             # a spanning path in counting order: v ^ (v + 1) is a trailing
             # block of ones, so it lies in the delta set
-            conn: Iterable[tuple[Vertex, Vertex]] = [_edge(v, v + 1, n) for v in q_labels[:-1]]
+            conn: Iterable[tuple[int, int]] = [(v, v + 1) for v in q_labels[:-1]]
         else:
-            anchors = sorted({attach(s) for s in norm_labels})
-            conn = _paths.connector_tree(GraphView(g, q_labels), [Vertex(a, n) for a in anchors])
-        trees.append(set(conn) | {_edge(s, attach(s), n) for s in norm_labels})
+            conn = _paths.connector_tree(GraphView(g, q_labels), sorted({attach(s) for s in norm_labels}))
+        trees.append(set(conn) | {_edge(s, attach(s)) for s in norm_labels})
 
     return _assemble(g, labels, transform, trees, (tag,) + sub.provenance)
 
@@ -563,16 +544,8 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
         with _base_lock:
             _base_cache.setdefault(key, cached)
 
-    terminals_set = frozenset(Vertex(a, n) for a in labels)
-    trees = []
-    for t in cached:
-        edges = frozenset(
-            _edge(_invert_transform(a, swap, mask, n), _invert_transform(b, swap, mask, n), n)
-            for (a, b) in t
-        )
-        trees.append(SteinerTree(terminals_set, edges))
     tag = CaseTag(Case.BASE3 if n == 3 else Case.BASE4, "identity")
-    return TreeFamily(n, terminals_set, tuple(trees), (tag,), False)
+    return _assemble(g, labels, (swap, mask), cached, (tag,))
 
 
 def _spanning_edges(

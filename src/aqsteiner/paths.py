@@ -1,4 +1,10 @@
-"""Internally disjoint path systems, fan regions and connector trees.
+"""Internally disjoint path systems, fan regions, connector trees and
+vertex connectivity.
+
+Everything here works on plain int labels (see ``topology``): a path is
+a tuple of labels, a ``PathSystem`` holds label paths between two
+labels, and a connector tree is a set of label pairs.  Callers already
+know the dimension, so no label is wrapped in a ``Vertex``.
 
 The central operation is ``disjoint_paths``: k internally disjoint u-v
 paths computed by unit-vertex-capacity max flow (the standard Menger
@@ -24,6 +30,10 @@ which a full fan of 2m - 1 paths exists for every d checked (all d at
 m = 4..13).  Connector trees need no search at all: ``geodesic`` spells
 a shortest word for gray(u ^ v) by a DP over its bits, and
 ``connector_tree`` grafts one geodesic per terminal inside a quarter.
+
+``connectivity`` runs the same flow from 0 to every label (translations
+are automorphisms).  ``verify`` imports only ``topology``, so this
+module may use its ``check_path_system`` without an import cycle.
 """
 
 from __future__ import annotations
@@ -32,8 +42,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .topology import MAX_DIM, ContractViolation, GraphView, Vertex, adjacency_deltas, gray, inverse_gray
+from .topology import MAX_DIM, AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
 from .verify import check_path_system
+
+CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
 class PinUnsatisfiable(ContractViolation):
@@ -41,26 +53,12 @@ class PinUnsatisfiable(ContractViolation):
 
 
 @dataclass(frozen=True)
-class Path:
-    """A simple path as an ordered vertex tuple (length >= 1 vertex)."""
-
-    vertices: tuple[Vertex, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> list[tuple[Vertex, Vertex]]:
-        vs = self.vertices
-        return [undirected(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
-
-
-@dataclass(frozen=True)
 class PathSystem:
-    """Internally disjoint paths sharing exactly their two endpoints."""
+    """Internally disjoint label paths sharing exactly their two endpoints."""
 
-    source: Vertex
-    sink: Vertex
-    paths: tuple[Path, ...]
+    source: int
+    sink: int
+    paths: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,9 @@ class MinCut:
     endpoints) disconnects source from sink.
     """
 
-    source: Vertex
-    sink: Vertex
-    separator: tuple[Vertex, ...]
+    source: int
+    sink: int
+    separator: tuple[int, ...]
     uses_direct_edge: bool
 
     @property
@@ -82,8 +80,13 @@ class MinCut:
         return len(self.separator) + (1 if self.uses_direct_edge else 0)
 
 
-def undirected(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
+def undirected(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
+
+
+def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges of a label path, each with its smaller label first."""
+    return [undirected(a, b) for a, b in zip(path, path[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -169,34 +172,25 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
     return paths, []
 
 
-def disjoint_paths(view: GraphView, u: Vertex, v: Vertex, k: int) -> PathSystem | MinCut:
+def disjoint_paths(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinCut:
     """k internally disjoint u-v paths inside the view, or a cut witness.
 
     Deterministic for fixed inputs.  Raises on u == v, k < 1, or
     endpoints outside the view.
     """
-    view.cube.check_vertex(u)
-    view.cube.check_vertex(v)
+    view.cube.check_label(u)
+    view.cube.check_label(v)
     if u == v:
         raise ContractViolation("path system endpoints must differ")
     if k < 1:
         raise ContractViolation("at least one path must be requested")
-    if not (view.contains_label(u.bits) and view.contains_label(v.bits)):
+    if not (view.contains_label(u) and view.contains_label(v)):
         raise ContractViolation("endpoints must lie inside the view")
 
-    label_paths, cut = _flow_paths(view, u.bits, v.bits, k)
+    label_paths, cut = _flow_paths(view, u, v, k)
     if label_paths is None:
-        return MinCut(
-            source=u,
-            sink=v,
-            separator=tuple(Vertex(w, view.dim) for w in cut),
-            uses_direct_edge=view.has_edge_labels(u.bits, v.bits),
-        )
-    system = PathSystem(
-        source=u,
-        sink=v,
-        paths=tuple(Path(tuple(Vertex(w, view.dim) for w in p)) for p in label_paths),
-    )
+        return MinCut(source=u, sink=v, separator=tuple(cut), uses_direct_edge=view.has_edge_labels(u, v))
+    system = PathSystem(source=u, sink=v, paths=tuple(tuple(p) for p in label_paths))
     # independent of the flow bookkeeping: checks the finished object only
     problems = check_path_system(view, system)
     if problems:
@@ -208,24 +202,15 @@ def disjoint_paths(view: GraphView, u: Vertex, v: Vertex, k: int) -> PathSystem 
 # system manipulation
 # ---------------------------------------------------------------------------
 
-def neighbor_along(ps: PathSystem, endpoint: Vertex, i: int) -> Vertex:
-    """The vertex adjacent to the given endpoint on path i."""
-    if endpoint not in (ps.source, ps.sink):
-        raise ContractViolation("endpoint must be the system's source or sink")
-    if not 0 <= i < len(ps.paths):
-        raise ContractViolation(f"path index {i} out of range")
-    vs = ps.paths[i].vertices
-    return vs[1] if endpoint == ps.source else vs[-2]
-
-
-def reorder_paths(ps: PathSystem, pinned: Sequence[tuple[int, Vertex]]) -> PathSystem:
+def reorder_paths(ps: PathSystem, pinned: Sequence[tuple[int, int]]) -> PathSystem:
     """Permute paths so prescribed sink neighbours land at prescribed
     indices; unpinned paths keep their relative order.
 
-    Each pin (index, w) asks for the path that reaches the sink through w.
+    Each pin (index, w) asks for the path that reaches the sink through
+    the label w; path i's sink neighbour is ``ps.paths[i][-2]``.
     """
     k = len(ps.paths)
-    nbrs = [neighbor_along(ps, ps.sink, i) for i in range(k)]
+    nbrs = [p[-2] for p in ps.paths]
     slot: dict[int, int] = {}
     taken: set[int] = set()
     for index, required in pinned:
@@ -233,12 +218,12 @@ def reorder_paths(ps: PathSystem, pinned: Sequence[tuple[int, Vertex]]) -> PathS
             raise PinUnsatisfiable(f"pin index {index} out of range")
         matches = [j for j, nb in enumerate(nbrs) if nb == required]
         if not matches:
-            raise PinUnsatisfiable(f"no path has endpoint neighbour {required.label()}")
+            raise PinUnsatisfiable(f"no path has sink neighbour {required}")
         j = matches[0]
         if index in slot and slot[index] != j:
             raise PinUnsatisfiable(f"conflicting pins for index {index}")
         if j in taken and slot.get(index) != j:
-            raise PinUnsatisfiable(f"path for {required.label()} pinned twice")
+            raise PinUnsatisfiable(f"path for {required} pinned twice")
         slot[index] = j
         taken.add(j)
     rest = [j for j in range(k) if j not in taken]
@@ -251,12 +236,12 @@ def reorder_paths(ps: PathSystem, pinned: Sequence[tuple[int, Vertex]]) -> PathS
     return PathSystem(ps.source, ps.sink, tuple(ps.paths[j] for j in order))
 
 
-def map_path_system(iso: Callable[[Vertex], Vertex], ps: PathSystem) -> PathSystem:
-    """Image of a path system under an adjacency-preserving vertex map."""
+def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:
+    """Image of a path system under an adjacency-preserving label map."""
     return PathSystem(
         source=iso(ps.source),
         sink=iso(ps.sink),
-        paths=tuple(Path(tuple(iso(v) for v in p.vertices)) for p in ps.paths),
+        paths=tuple(tuple(iso(v) for v in p) for p in ps.paths),
     )
 
 
@@ -349,8 +334,8 @@ def geodesic(u: int, v: int) -> list[int]:
 # connector trees inside quarters
 # ---------------------------------------------------------------------------
 
-def connector_tree(view: GraphView, terminals: Iterable[Vertex]) -> frozenset[tuple[Vertex, Vertex]]:
-    """A tree inside the view containing all terminals.
+def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """A tree inside the view containing all terminal labels.
 
     The view must be a 2^k-aligned label range, such as a quarter: that
     block is AQ_k on the low bits and holds every geodesic between its
@@ -368,15 +353,57 @@ def connector_tree(view: GraphView, terminals: Iterable[Vertex]) -> frozenset[tu
     if not (isinstance(block, range) and block.step == 1 and size and not size & (size - 1) and not block.start % size):
         raise ContractViolation("connector trees need a 2^k-aligned label range")
     for t in terms:
-        view.cube.check_vertex(t)
-        if not view.contains_label(t.bits):
-            raise ContractViolation(f"terminal {t.label()} outside the view")
-    tree_vertices = {terms[0].bits}
-    edges: set[tuple[Vertex, Vertex]] = set()
+        view.cube.check_label(t)
+        if not view.contains_label(t):
+            raise ContractViolation(f"terminal {t:0{view.dim}b} outside the view")
+    tree_vertices = {terms[0]}
+    edges: set[tuple[int, int]] = set()
     for t in terms[1:]:
-        walk = min((geodesic(t.bits, w) for w in tree_vertices), key=lambda p: (len(p), p[-1]))
+        walk = min((geodesic(t, w) for w in tree_vertices), key=lambda p: (len(p), p[-1]))
         # no vertex before the end of a walk to the nearest tree vertex
         # lies in the tree
         tree_vertices.update(walk)
-        edges.update(undirected(Vertex(a, view.dim), Vertex(b, view.dim)) for a, b in zip(walk, walk[1:]))
+        edges.update(path_edges(walk))
     return frozenset(edges)
+
+
+# ---------------------------------------------------------------------------
+# vertex connectivity
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConnectivityResult:
+    value: int
+    exact: bool
+
+
+def connectivity(g: AugmentedCube) -> ConnectivityResult:
+    """Vertex connectivity via the path engine.
+
+    Label translations are automorphisms, so the pair minimum over all
+    (u, v) equals the minimum over pairs (0, w).  Exact for dim up to
+    CONNECTIVITY_EXACT_MAX_DIM; beyond that a deterministic sample of w
+    values gives an upper estimate flagged as inexact.
+    """
+    n = g.dim
+    view = g.view()
+    if n <= CONNECTIVITY_EXACT_MAX_DIM:
+        candidates = range(1, g.order)
+        exact = True
+    else:
+        candidates = sorted(adjacency_candidates(n))
+        exact = False
+    best = g.degree
+    for w in candidates:
+        res = disjoint_paths(view, 0, w, g.degree)
+        local = g.degree if isinstance(res, PathSystem) else res.size
+        best = min(best, local)
+    return ConnectivityResult(value=best, exact=exact)
+
+
+def adjacency_candidates(n: int) -> set[int]:
+    """Deterministic w sample for large-dimension connectivity estimates."""
+    out = set(adjacency_deltas(n))
+    out.add((1 << n) - 1)
+    out.update(range(1, min(1 << n, 24)))
+    return out

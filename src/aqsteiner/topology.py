@@ -12,6 +12,9 @@ Conventions used everywhere in this package:
   (leading bit 0 / leading bit 1) joined by the "hypercube" perfect
   matching (flip the leading bit only) and the "complement" perfect
   matching (flip every bit).
+- Inside the package a vertex is that plain int; ``Vertex`` pairs it
+  with its dimension only where a label meets the outside world:
+  certificates, the CLI, ``verify_family`` and ``oracle_tau``.
 - The graph is never materialised.  Adjacency is O(1) on labels and
   neighbour enumeration is O(n); ``GraphView`` restricts the vertex set
   to a label collection (a ``range`` for half-copies and quarters, a
@@ -120,10 +123,6 @@ class AugmentedCube:
 
     def neighbor_labels(self, v: int) -> list[int]:
         return sorted(v ^ d for d in adjacency_deltas(self.dim))
-
-    def vertex(self, bits: int) -> Vertex:
-        self.check_label(bits)
-        return Vertex(bits, self.dim)
 
     def view(self) -> "GraphView":
         return GraphView(self)

@@ -4,11 +4,12 @@
 traversal or assembly code with the constructor; they go straight to
 label-level adjacency so a constructor bug cannot hide behind shared
 helpers.  Only the packing search of ``oracle_tau`` is shared: the
-constructor's base case runs it with ``stop_at``, and this module never
-imports the constructor.  Certificates are duck-typed: anything with
-``terminals`` and ``edges`` verifies as a tree, anything with ``dim``,
-``terminals`` and ``trees`` verifies as a family, so parsed files check
-exactly like freshly built objects.
+constructor's base case runs it with ``stop_at``, and this module
+imports nothing of the package but ``topology``.  Certificates are
+duck-typed: anything with ``terminals`` and ``edges`` verifies as a
+tree, anything with ``dim``, ``terminals`` and ``trees`` verifies as a
+family, so parsed files check exactly like freshly built objects.  Path
+systems are checked as label paths, the form ``paths`` produces.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .topology import AugmentedCube, ContractViolation, GraphView, Vertex, adjacency_deltas
+from .topology import AugmentedCube, ContractViolation, GraphView, Vertex
 
 NON_EDGE = "NonEdge"
 CYCLE = "Cycle"
@@ -39,7 +40,6 @@ VIOLATION_KINDS = (
 )
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
-CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,15 @@ def verify_family(g: AugmentedCube | GraphView, family) -> VerificationReport:
 
 
 def check_path_system(view: GraphView, ps) -> list[str]:
-    """Invariant check for path systems; returns human-readable problems."""
+    """Invariant check for a path system of label paths; returns
+    human-readable problems, with labels written at ``view.dim`` digits."""
+    width = view.dim
     problems: list[str] = []
     if ps.source == ps.sink:
         problems.append("source equals sink")
-    seen_inner: dict[Vertex, int] = {}
-    seen_edges: dict[tuple[Vertex, Vertex], int] = {}
-    for i, path in enumerate(ps.paths):
-        vs = path.vertices
+    seen_inner: dict[int, int] = {}
+    seen_edges: dict[tuple[int, int], int] = {}
+    for i, vs in enumerate(ps.paths):
         if len(vs) < 2:
             problems.append(f"path {i} has fewer than two vertices")
             continue
@@ -193,15 +194,15 @@ def check_path_system(view: GraphView, ps) -> list[str]:
         if len(set(vs)) != len(vs):
             problems.append(f"path {i} repeats a vertex")
         for a, b in zip(vs, vs[1:]):
-            if not view.has_edge_labels(a.bits, b.bits):
-                problems.append(f"path {i} uses non-edge {a.label()}-{b.label()}")
+            if not view.has_edge_labels(a, b):
+                problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")
             key = (a, b) if a <= b else (b, a)
             if key in seen_edges and seen_edges[key] != i:
-                problems.append(f"edge {a.label()}-{b.label()} appears in paths {seen_edges[key]} and {i}")
+                problems.append(f"edge {a:0{width}b}-{b:0{width}b} appears in paths {seen_edges[key]} and {i}")
             seen_edges[key] = i
         for w in vs[1:-1]:
             if w in seen_inner:
-                problems.append(f"inner vertex {w.label()} shared by paths {seen_inner[w]} and {i}")
+                problems.append(f"inner vertex {w:0{width}b} shared by paths {seen_inner[w]} and {i}")
             else:
                 seen_inner[w] = i
     return problems
@@ -392,7 +393,7 @@ def oracle_tau(
 
 
 # ---------------------------------------------------------------------------
-# degree bound and connectivity
+# degree bound
 # ---------------------------------------------------------------------------
 
 def hager_upper_bound(g: AugmentedCube, k: int) -> int:
@@ -401,45 +402,3 @@ def hager_upper_bound(g: AugmentedCube, k: int) -> int:
     if k < 2:
         raise ContractViolation("terminal count must be at least 2")
     return g.degree - k + 1
-
-
-@dataclass(frozen=True)
-class ConnectivityResult:
-    value: int
-    exact: bool
-
-
-def connectivity(g: AugmentedCube) -> ConnectivityResult:
-    """Vertex connectivity via the path engine.
-
-    Label translations are automorphisms, so the pair minimum over all
-    (u, v) equals the minimum over pairs (0, w).  Exact for dim up to
-    CONNECTIVITY_EXACT_MAX_DIM; beyond that a deterministic sample of w
-    values gives an upper estimate flagged as inexact.
-    """
-    from . import paths as _paths
-
-    n = g.dim
-    view = g.view()
-    if n <= CONNECTIVITY_EXACT_MAX_DIM:
-        candidates = range(1, g.order)
-        exact = True
-    else:
-        fixed = set(adjacency_candidates(n))
-        candidates = sorted(fixed)
-        exact = False
-    best = g.degree
-    zero = g.vertex(0)
-    for w in candidates:
-        res = _paths.disjoint_paths(view, zero, g.vertex(w), g.degree)
-        local = g.degree if isinstance(res, _paths.PathSystem) else res.size
-        best = min(best, local)
-    return ConnectivityResult(value=best, exact=exact)
-
-
-def adjacency_candidates(n: int) -> set[int]:
-    """Deterministic w sample for large-dimension connectivity estimates."""
-    out = set(adjacency_deltas(n))
-    out.add((1 << n) - 1)
-    out.update(range(1, min(1 << n, 24)))
-    return out

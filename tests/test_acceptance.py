@@ -10,9 +10,9 @@ import time
 
 from aqsteiner.cli import all_triples, run_sweep, sweep_summary
 from aqsteiner.construct import Case, base_case_search
+from aqsteiner.paths import connectivity
 from aqsteiner.topology import AugmentedCube, Vertex
 from aqsteiner.verify import (
-    connectivity,
     hager_upper_bound,
     oracle_tau,
     verify_family,

@@ -348,6 +348,22 @@ def test_sweep_dimension_above_max_is_usage_error():
     assert "3..62" in err and "Traceback" not in err
 
 
+def test_sweep_above_the_triple_cap_is_usage_error():
+    # listing either triple set would exhaust the memory cap; the sweep
+    # cap, C(2^8, 3), is checked before anything is listed
+    out = run_bounded(
+        "import contextlib, io\n"
+        "from aqsteiner.cli import main\n"
+        "for argv in (['sweep', '-n', '20', '--exhaustive', '--force'],\n"
+        "             ['sweep', '-n', '30', '--samples', '100000000']):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(code, repr(out.getvalue()), 'at most 2763520 triples' in err.getvalue())\n"
+    )
+    assert out.splitlines() == ["2 '' True", "2 '' True"]
+
+
 def test_sweep_jobs_outside_cpu_count_is_usage_error(capsys):
     # checked by the parser, so no sweep runs and no pool starts
     for bad in (0, -3, os.cpu_count() + 1):
@@ -393,8 +409,9 @@ def test_sweep_at_dim_20():
 
 # (command, exit code, sha256 of stdout): one triple per dispatched case at
 # n = 5..8, a --fidelity run, the text and dot renderings of a Case1 and a
-# Case2 family, a full fan in all three formats, a cut and a sampled sweep.  Engine and view
-# changes must leave every certificate, cut and summary byte-identical.
+# Case2 family, a full fan in all three formats, a cut and a sampled
+# sweep.  Engine and view changes must leave every certificate, path
+# system, cut and summary byte-identical.
 # The construct digests were recorded with the fans searched from 0 in
 # the region R(d) and the Case1 connectors built from geodesics; every
 # one of those certificates passes `aqsteiner verify`.

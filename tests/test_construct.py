@@ -89,7 +89,7 @@ def test_dispatch_transform_normalises_targets(n):
         if tag.case is Case.CASE1:
             assert all(v < half for v in image) and not swap
         else:
-            assert set(image) == {r.bits for r in tag.roles}
+            assert set(image) == set(tag.roles)
         flags = {"complement": mask != 0, "hc_swap": swap == 1}
         assert tag.normalization == ("+".join(k for k, on in flags.items() if on) or "identity")
         # the pair is "complement, then swap" with the complement moved
@@ -123,7 +123,7 @@ def test_dispatch_lemma_only_trailing_pair():
 
 def _branch(tag):
     """Identify the return statement of ``_dispatch`` that made ``tag``."""
-    mirrored = tag.case is Case.CASE2_2_1A and tag.roles[0].bits > tag.roles[1].bits
+    mirrored = tag.case is Case.CASE2_2_1A and tag.roles[0] > tag.roles[1]
     return tag.case.value, tag.variant, mirrored
 
 
@@ -376,9 +376,8 @@ def test_construct_deterministic():
 # ---------------------------------------------------------------------------
 
 def _broken_recipe(g, x, y, z):
-    n = g.dim
-    a, b = Vertex(0, n), Vertex(1, n)
-    return [{tuple(sorted((a, b)))} for _ in range(target_family_size(n))]
+    # every tree is the one label edge 0-1: the trees share it
+    return [{(0, 1)} for _ in range(target_family_size(g.dim))]
 
 
 def test_broken_recipe_raises_internal_error(monkeypatch):

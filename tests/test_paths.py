@@ -5,7 +5,6 @@ import pytest
 
 from aqsteiner.paths import (
     MinCut,
-    Path,
     PathSystem,
     PinUnsatisfiable,
     connector_tree,
@@ -13,9 +12,8 @@ from aqsteiner.paths import (
     fan_region,
     geodesic,
     map_path_system,
-    neighbor_along,
+    path_edges,
     reorder_paths,
-    undirected,
 )
 from aqsteiner import paths
 from aqsteiner.construct import classify, construct
@@ -28,7 +26,6 @@ from aqsteiner.topology import (
     c_label,
     gray,
     h_label,
-    parse_vertex,
     side_view,
 )
 from aqsteiner.verify import check_path_system
@@ -43,8 +40,7 @@ from util import (
 
 
 def system(n, u, v, k, view=None):
-    g = AugmentedCube(n)
-    return disjoint_paths(view or g.view(), Vertex(u, n), Vertex(v, n), k)
+    return disjoint_paths(view or AugmentedCube(n).view(), u, v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +78,7 @@ def test_dim3_min_cut_witness_of_size_four():
     # the witness actually separates
     allowed = (1 << 8) - 1
     for w in res.separator:
-        allowed &= ~(1 << w.bits)
+        allowed &= ~(1 << w)
     from util import reachable_mask
 
     assert not reachable_mask(masks, allowed, found[0]) >> found[1] & 1
@@ -91,19 +87,21 @@ def test_dim3_min_cut_witness_of_size_four():
 def test_direct_edge_single_path_in_dim2():
     res = system(2, 0b00, 0b11, 1)
     assert isinstance(res, PathSystem)
-    assert [v.label() for v in res.paths[0].vertices] == ["00", "11"]
+    assert res.paths == ((0b00, 0b11),)
 
 
 def test_contract_errors():
     g = AugmentedCube(3)
-    v = Vertex(0, 3)
     with pytest.raises(ContractViolation):
-        disjoint_paths(g.view(), v, v, 1)
+        disjoint_paths(g.view(), 0, 0, 1)
     with pytest.raises(ContractViolation):
-        disjoint_paths(g.view(), v, Vertex(1, 3), 0)
+        disjoint_paths(g.view(), 0, 1, 0)
     lower = side_view(g, Side.ZERO)
     with pytest.raises(ContractViolation):
-        disjoint_paths(lower, v, Vertex(7, 3), 1)
+        disjoint_paths(lower, 0, 7, 1)
+    for label in (-1, 8):  # endpoints must be labels of the cube
+        with pytest.raises(ContractViolation):
+            disjoint_paths(g.view(), 0, label, 1)
 
 
 def test_menger_agreement_exhaustive_small_dims():
@@ -113,7 +111,7 @@ def test_menger_agreement_exhaustive_small_dims():
         g = AugmentedCube(n)
         masks = recursive_adjacency_masks(n)
         for u, v in itertools.combinations(range(g.order), 2):
-            res = disjoint_paths(g.view(), Vertex(u, n), Vertex(v, n), g.degree)
+            res = disjoint_paths(g.view(), u, v, g.degree)
             value = g.degree if isinstance(res, PathSystem) else res.size
             assert value == max_disjoint_paths_brute(masks, n, u, v), (n, u, v)
 
@@ -124,7 +122,7 @@ def test_flow_state_only_for_touched_vertices_at_dim_40():
         "from aqsteiner.topology import AugmentedCube\n"
         "g = AugmentedCube(40)\n"
         "for k in (1, 2, 3):\n"
-        "    res = disjoint_paths(g.view(), g.vertex(0), g.vertex(1), k)\n"
+        "    res = disjoint_paths(g.view(), 0, 1, k)\n"
         "    print([len(p) for p in res.paths])\n"
     )
     assert out.splitlines() == ["[2]", "[2, 3]", "[2, 3, 3]"]
@@ -140,39 +138,29 @@ def test_determinism_repeat_calls():
 # neighbour bookkeeping and reordering
 # ---------------------------------------------------------------------------
 
-def test_neighbor_along_trivial():
-    n = 3
-    edge = PathSystem(Vertex(0, n), Vertex(1, n), (Path((Vertex(0, n), Vertex(1, n))),))
-    assert neighbor_along(edge, Vertex(0, n), 0) == Vertex(1, n)
-    longer = PathSystem(
-        Vertex(0, n), Vertex(3, n), (Path((Vertex(0, n), Vertex(2, n), Vertex(3, n))),)
-    )
-    assert neighbor_along(longer, Vertex(3, n), 0) == Vertex(2, n)
-    with pytest.raises(ContractViolation):
-        neighbor_along(longer, Vertex(2, n), 0)
-    with pytest.raises(ContractViolation):
-        neighbor_along(longer, Vertex(0, n), 5)
-
-
 def test_endpoint_neighbours_are_distinct_across_paths():
     res = system(4, 0, 15, 7)
-    for endpoint in (res.source, res.sink):
-        nbrs = [neighbor_along(res, endpoint, i) for i in range(7)]
+    g = AugmentedCube(4)
+    # path i leaves the source through paths[i][1] and enters the sink
+    # through paths[i][-2]
+    for endpoint, nbrs in ((res.source, [p[1] for p in res.paths]), (res.sink, [p[-2] for p in res.paths])):
         assert len(set(nbrs)) == 7
-        g = AugmentedCube(4)
         for w in nbrs:
-            assert g.adjacent_labels(endpoint.bits, w.bits)
+            assert g.adjacent_labels(endpoint, w)
+    # on a direct edge the sink's neighbour is the source, and vice versa
+    edge = system(2, 0b00, 0b11, 1)
+    assert (edge.paths[0][1], edge.paths[0][-2]) == (edge.sink, edge.source)
 
 
 def test_reorder_pins_direct_edge_first():
     n = 5
     g = AugmentedCube(n)
     lower = side_view(g, Side.ZERO)
-    x, y = Vertex(0, n), Vertex(15, n)  # adjacent (all trailing bits differ)
+    x, y = 0, 15  # adjacent (all trailing bits differ)
     res = disjoint_paths(lower, x, y, 7)
     assert isinstance(res, PathSystem)
     pinned = reorder_paths(res, [(0, x)])
-    assert pinned.paths[0].vertices == (x, y)
+    assert pinned.paths[0] == (x, y)
     # stability: unpinned paths keep relative order
     rest = [p for p in res.paths if p != pinned.paths[0]]
     assert list(pinned.paths[1:]) == rest
@@ -182,50 +170,44 @@ def test_reorder_empty_and_conflicts():
     res = system(4, 0, 6, 7)  # 0000 and 0110 are not adjacent
     assert isinstance(res, PathSystem)
     assert reorder_paths(res, []) == res
-    nb0 = neighbor_along(res, res.sink, 0)
-    nb1 = neighbor_along(res, res.sink, 1)
+    nb0, nb1 = res.paths[0][-2], res.paths[1][-2]
+    assert reorder_paths(res, [(0, nb1)]).paths[:2] == (res.paths[1], res.paths[0])
     with pytest.raises(PinUnsatisfiable):
         reorder_paths(res, [(0, nb0), (0, nb1)])
     with pytest.raises(PinUnsatisfiable):
-        reorder_paths(res, [(0, Vertex(0, 4))])  # source is nobody's sink neighbour here
+        reorder_paths(res, [(0, 0)])  # source is nobody's sink neighbour here
+    with pytest.raises(PinUnsatisfiable):
+        reorder_paths(res, [(7, nb0)])
 
 
 # ---------------------------------------------------------------------------
 # mapping systems through isomorphisms
 # ---------------------------------------------------------------------------
 
-def on_vertices(label_map):
-    """Lift a label map of the topology module to a map of vertices."""
-    return lambda v: Vertex(label_map(v.bits, v.dim), v.dim)
-
-
 def test_map_path_system_examples():
     n = 3
     g = AugmentedCube(n)
-    p = PathSystem(Vertex(0, n), Vertex(1, n), (Path((Vertex(0, n), Vertex(1, n))),))
-    image = map_path_system(on_vertices(c_label), p)
-    assert image.source == parse_vertex("111")
-    assert image.sink == parse_vertex("110")
+    p = PathSystem(0b000, 0b001, ((0b000, 0b001),))
+    image = map_path_system(lambda v: c_label(v, n), p)
+    assert (image.source, image.sink) == (0b111, 0b110)
     assert check_path_system(g.view(), image) == []
     assert map_path_system(lambda v: v, p) == p
-    himg = map_path_system(on_vertices(h_label), p)
-    assert himg.source == parse_vertex("100") and himg.sink == parse_vertex("101")
+    himg = map_path_system(lambda v: h_label(v, n), p)
+    assert (himg.source, himg.sink) == (0b100, 0b101)
 
 
 # the cross matchings map the lower half onto the upper one; c_label is
 # also the complement automorphism of the whole cube
-@pytest.mark.parametrize(
-    "iso", [on_vertices(h_label), on_vertices(c_label)], ids=["h_image", "c_image"]
-)
-def test_map_preserves_system_invariants_dim4_lower_half(iso):
+@pytest.mark.parametrize("label_map", [h_label, c_label], ids=["h_image", "c_image"])
+def test_map_preserves_system_invariants_dim4_lower_half(label_map):
     g = AugmentedCube(4)
     lower = side_view(g, Side.ZERO)
     full = g.view()
     for u, v in itertools.combinations(range(8), 2):
-        res = disjoint_paths(lower, Vertex(u, 4), Vertex(v, 4), 5)
+        res = disjoint_paths(lower, u, v, 5)
         if isinstance(res, MinCut):
             continue
-        mapped = map_path_system(iso, res)
+        mapped = map_path_system(lambda w: label_map(w, 4), res)
         assert check_path_system(full, mapped) == []
 
 
@@ -239,7 +221,7 @@ def test_full_fan_in_region_every_d(m):
     # no fallback: every d needs all 2m - 1 paths there
     g = AugmentedCube(m)
     for d in range(1, 1 << m):
-        res = disjoint_paths(GraphView(g, fan_region(m, d)), Vertex(0, m), Vertex(d, m), 2 * m - 1)
+        res = disjoint_paths(GraphView(g, fan_region(m, d)), 0, d, 2 * m - 1)
         assert isinstance(res, PathSystem), format(d, f"0{m}b")
 
 
@@ -293,37 +275,42 @@ def test_geodesic_length_is_bfs_distance():
 # connector trees inside quarters
 # ---------------------------------------------------------------------------
 
+def test_path_edges():
+    assert path_edges((5,)) == []
+    assert path_edges((0b110, 0b010, 0b011)) == [(0b010, 0b110), (0b010, 0b011)]
+
+
 def test_connector_tree_examples():
     g = AugmentedCube(4)
     quarter = GraphView(g, range(0b1000, 0b1100))
-    single = connector_tree(quarter, [Vertex(0b1000, 4)])
+    single = connector_tree(quarter, [0b1000])
     assert single == frozenset()
-    pair = connector_tree(quarter, [Vertex(0b1000, 4), Vertex(0b1001, 4)])
-    assert pair == frozenset({undirected(Vertex(0b1000, 4), Vertex(0b1001, 4))})
-    three = connector_tree(quarter, [Vertex(0b1000, 4), Vertex(0b1010, 4), Vertex(0b1011, 4)])
+    pair = connector_tree(quarter, [0b1001, 0b1000])
+    assert pair == frozenset({(0b1000, 0b1001)})
+    three = connector_tree(quarter, [0b1000, 0b1010, 0b1011])
     vs = {w for e in three for w in e}
     assert len(three) <= 3 and len(three) == len(vs) - 1
-    assert all(w.bits >> 2 == 0b10 for w in vs)
+    assert all(w >> 2 == 0b10 for w in vs)
     # at n = 6 the quarter 11.. is AQ_4: 1010 walks to 0000 by the two
     # pairs of gray(1010) = 1111, lowest first (the labels 0010, 1000)
     wide = GraphView(AugmentedCube(6), range(0b110000, 0b1000000))
-    tree = connector_tree(wide, [Vertex(0b110000, 6), Vertex(0b111010, 6)])
-    assert tree == {undirected(Vertex(0b111010, 6), Vertex(0b111000, 6)),
-                    undirected(Vertex(0b111000, 6), Vertex(0b110000, 6))}
+    tree = connector_tree(wide, [0b110000, 0b111010])
+    assert tree == {(0b111000, 0b111010), (0b110000, 0b111000)}
 
 
 def test_connector_tree_errors():
     g = AugmentedCube(4)
     quarter = GraphView(g, range(0b1000, 0b1100))
-    with pytest.raises(ContractViolation):
-        connector_tree(quarter, [Vertex(0, 4)])
+    for outside in (0, 16, -1):
+        with pytest.raises(ContractViolation):
+            connector_tree(quarter, [outside])
     with pytest.raises(ContractViolation):
         connector_tree(quarter, [])
     # only 2^k-aligned label ranges: a quarter, a half, the whole cube
     for allowed in (range(0b1001, 0b1101), range(0b1000, 0b1011), frozenset(range(0b1000, 0b1100))):
         with pytest.raises(ContractViolation):
-            connector_tree(GraphView(g, allowed), [Vertex(0b1010, 4)])
-    assert connector_tree(g.view(), [Vertex(0, 4), Vertex(0b0110, 4)])
+            connector_tree(GraphView(g, allowed), [0b1010])
+    assert connector_tree(g.view(), [0, 0b0110])
 
 
 def test_constructor_connectors_are_trees_holding_every_anchor(monkeypatch):
@@ -351,16 +338,16 @@ def test_constructor_connectors_are_trees_holding_every_anchor(monkeypatch):
         n = view.dim
         quarter = view.allowed
         assert len(quarter) == 1 << (n - 2) and quarter.start % len(quarter) == 0
-        vertices = {w.bits for e in edges for w in e} | {t.bits for t in terminals}
+        vertices = {w for e in edges for w in e} | set(terminals)
         assert all(v in quarter for v in vertices)
-        assert all(frozenset((u.bits, w.bits)) in recursive_edges(n) for u, w in edges)
+        assert all(frozenset(e) in recursive_edges(n) for e in edges)
         # a connected edge set with one edge fewer than vertices is a tree
         assert len(edges) == len(vertices) - 1
-        reach, stack = {terminals[0].bits}, [terminals[0].bits]
+        reach, stack = {terminals[0]}, [terminals[0]]
         while stack:
             a = stack.pop()
             for u, w in edges:
-                for x, y in ((u.bits, w.bits), (w.bits, u.bits)):
+                for x, y in ((u, w), (w, u)):
                     if x == a and y not in reach:
                         reach.add(y)
                         stack.append(y)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case
+from aqsteiner.paths import ConnectivityResult, connectivity
 from aqsteiner.topology import AugmentedCube, ContractViolation, Vertex, parse_vertex
 from aqsteiner.verify import (
     CYCLE,
@@ -12,8 +13,6 @@ from aqsteiner.verify import (
     SHARED_VERTEX,
     TERMINAL_DEGREE,
     WRONG_TERMINALS,
-    ConnectivityResult,
-    connectivity,
     hager_upper_bound,
     oracle_tau,
     verify_family,
