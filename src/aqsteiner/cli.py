@@ -36,6 +36,7 @@ from .construct import (
     TreeFamily,
     classify,
     construct as build_family,
+    fan_memo,
     target_family_size,
 )
 from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, parse_vertex
@@ -242,19 +243,20 @@ def _sweep_batch(args: tuple[int, list[tuple[int, ...]]]) -> list[SweepRecord]:
     n, batch = args
     g = AugmentedCube(n)
     out = []
-    for labels in batch:
-        terms = [Vertex(a, n) for a in labels]
-        family = build_family(g, terms)
-        report = _verify.verify_family(g, family)
-        out.append(
-            SweepRecord(
-                labels=labels,
-                case=family.provenance[0].case.value,
-                fallback=family.fallback_used,
-                size=len(family.trees),
-                verified=report.accepted,
+    with fan_memo():
+        for labels in batch:
+            terms = [Vertex(a, n) for a in labels]
+            family = build_family(g, terms)
+            report = _verify.verify_family(g, family)
+            out.append(
+                SweepRecord(
+                    labels=labels,
+                    case=family.provenance[0].case.value,
+                    fallback=family.fallback_used,
+                    size=len(family.trees),
+                    verified=report.accepted,
+                )
             )
-        )
     return out
 
 
@@ -297,13 +299,17 @@ def all_triples(n: int) -> list[tuple[int, ...]]:
 
 
 def sample_triples(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """``count`` distinct triples drawn with a seeded generator; the count
-    must lie in 1..C(2^n, 3), which also bounds the rejection loop."""
+    """``count`` distinct triples drawn with a seeded generator, sorted;
+    the count must lie in 1..C(2^n, 3).  Above half of C(2^n, 3) a
+    rejection loop would wait long for the last unseen triples, so the
+    triples are listed and ``count`` of them sampled instead."""
     total = 1 << n
     limit = math.comb(total, 3)
     if not 1 <= count <= limit:
         raise ContractViolation(f"sample count must be in 1..{limit} at dimension {n}, got {count}")
     rng = random.Random(seed)
+    if 2 * count > limit:
+        return sorted(rng.sample(all_triples(n), count))
     seen: set[tuple[int, ...]] = set()
     while len(seen) < count:
         trio = tuple(sorted(rng.sample(range(total), 3)))

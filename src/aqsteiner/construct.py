@@ -26,6 +26,14 @@ S straddles the two half-copies:
   its half-copy; a region without a full fan is a bug
   (``InternalError``), with no retry on the whole half-copy.
 
+The fan from 0 to d depends only on (n, d), so a sweep needs at most
+2^(n-1) - 1 distinct fans.  Inside ``fan_memo()`` (the sweep enters it
+once per batch) each untranslated fan is kept under the key (n, d, k)
+and reused; the memo holds at most ``FAN_MEMO_MAX`` fans, and a miss
+past the cap is searched and not stored.  Every use, hit or miss, is
+still translated and re-checked in its half-copy, and every family
+still passes the verifier.  Outside ``fan_memo()`` nothing is kept.
+
 The dispatch is total (see the end of ``_dispatch``): every triple
 reaches a branch with a written recipe, so there is no repair path.
 Every ``construct`` call runs the independent verifier once, on its
@@ -34,6 +42,8 @@ result; a rejected recipe output is a bug and raises ``InternalError``.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -278,14 +288,46 @@ def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
 # recipe building blocks
 # ---------------------------------------------------------------------------
 
+# The fans of the active ``fan_memo()``, untranslated, by (n, d, k); None
+# outside one.  A ContextVar, so each thread sees only the memo it entered.
+_fan_memo: contextvars.ContextVar[dict[tuple[int, int, int], _paths.PathSystem] | None] = (
+    contextvars.ContextVar("fan_memo", default=None)
+)
+# A sweep at dimension n needs at most 2^(n-1) - 1 fans, so the cap covers
+# every d up to n = 13; it bounds the memo of a long sampled sweep above.
+FAN_MEMO_MAX = 4096
+
+
+@contextlib.contextmanager
+def fan_memo():
+    """Reuse each 0 -> d fan that ``_system`` searches until the block
+    exits, normally or by an exception."""
+    token = _fan_memo.set({})
+    try:
+        yield
+    finally:
+        _fan_memo.reset(token)
+
+
 def _system(g: AugmentedCube, side: Side, src: int, dst: int, k: int) -> _paths.PathSystem:
     """k disjoint src-dst paths inside a half-copy: a fan from 0 to
     d = src ^ dst in the region R(d), translated by src.  Translation by
-    src is an automorphism that maps the lower half-copy onto src's."""
+    src is an automorphism that maps the lower half-copy onto src's.
+
+    Inside ``fan_memo()`` the untranslated fan is looked up under
+    (n, d, k) and searched only on a miss; a miss is stored while the
+    memo holds fewer than ``FAN_MEMO_MAX`` fans.  The translated fan is
+    re-checked against its half-copy on every call, hit or miss."""
     n, d = g.dim, src ^ dst
-    res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), 0, d, k)
-    if isinstance(res, _paths.MinCut):
-        raise InternalError(f"region R({d:0{n - 1}b}) admits only {res.size} disjoint paths, need {k}")
+    memo = _fan_memo.get()
+    key = (n, d, k)
+    res = memo.get(key) if memo is not None else None
+    if res is None:
+        res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), 0, d, k)
+        if isinstance(res, _paths.MinCut):
+            raise InternalError(f"region R({d:0{n - 1}b}) admits only {res.size} disjoint paths, need {k}")
+        if memo is not None and len(memo) < FAN_MEMO_MAX:
+            memo[key] = res
     system = _paths.map_path_system(lambda v: v ^ src, res)
     problems = _verify.check_path_system(side_view(g, side), system)
     if problems:

@@ -320,6 +320,21 @@ def test_sample_triples_deterministic():
     assert sample_triples(6, 25, 3) != sample_triples(6, 25, 4)
 
 
+def test_dense_sampling_lists_the_triples():
+    # above half of C(2^n, 3) the triples are listed and sampled: drawing
+    # with rejection took about 15 s for every n = 7 triple
+    out = run_bounded(
+        "import math\n"
+        "from aqsteiner.cli import all_triples, sample_triples\n"
+        "assert sample_triples(7, math.comb(1 << 7, 3), 0) == all_triples(7)\n"
+        "a, b = sample_triples(6, 30000, 5), sample_triples(6, 30000, 5)\n"
+        "assert a == b == sorted(set(a)) and len(a) == 30000\n"
+        "print('ok')\n",
+        timeout=10,
+    )
+    assert out == "ok\n"
+
+
 def test_main_returns_exit_code():
     assert main(["info", "-n", "2"]) == 0
 

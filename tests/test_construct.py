@@ -9,6 +9,7 @@ import pytest
 import aqsteiner
 from aqsteiner import cli
 from aqsteiner import construct as construct_mod
+from aqsteiner import paths as paths_mod
 from aqsteiner import verify as verify_mod
 from aqsteiner.construct import (
     Case,
@@ -399,6 +400,8 @@ def test_broken_recipe_exits_1_from_cli(monkeypatch, capsys):
     assert cli.main(["sweep", "-n", "5", "--samples", "40", "--seed", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:")
+    # the sweep's fan memo ended with the error
+    assert construct_mod._fan_memo.get() is None
 
 
 @pytest.mark.parametrize(
@@ -417,6 +420,59 @@ def test_verify_runs_once_per_construct_level(monkeypatch, trio, dims):
     monkeypatch.setattr(verify_mod, "verify_family", counting)
     construct(AugmentedCube(5), vs(*trio))
     assert seen == dims
+
+
+# ---------------------------------------------------------------------------
+# the per-sweep fan memo
+# ---------------------------------------------------------------------------
+
+def _count_fans(monkeypatch) -> list:
+    calls = []
+    original = paths_mod.disjoint_paths
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(paths_mod, "disjoint_paths", counting)
+    return calls
+
+
+def test_sweep_builds_each_fan_once(monkeypatch):
+    calls = _count_fans(monkeypatch)
+    records = cli.run_sweep(5, cli.all_triples(5))
+    # one fan per d in 1..15; Case1 recurses into the n = 4 base search
+    assert 0 < len(calls) <= 15
+    # the memo ended with the sweep: the next construct searches again
+    calls.clear()
+    construct(AugmentedCube(5), vs("00000", "01111", "10000"))
+    assert len(calls) == 1
+    # past the cap a fan is searched and not stored; the records stay
+    calls.clear()
+    monkeypatch.setattr(construct_mod, "FAN_MEMO_MAX", 1)
+    assert cli.run_sweep(5, cli.all_triples(5)) == records
+    assert len(calls) > 15
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_fan_memo_leaves_certificates_unchanged(monkeypatch, n):
+    g = AugmentedCube(n)
+    triples = cli.sample_triples(n, 200, n)
+    calls = _count_fans(monkeypatch)
+
+    def certificates():
+        docs = []
+        for labels in triples:
+            family = construct(g, [Vertex(a, n) for a in labels])
+            docs.append(cli.certificate_doc(family, family.provenance[0].case.value))
+        return docs
+
+    with construct_mod.fan_memo():
+        memoised = certificates()
+    searched = len(calls)
+    assert memoised == certificates()
+    # the memoised pass came first and searched fewer fans
+    assert 0 < searched < len(calls) - searched
 
 
 def test_package_attribute_construct_is_the_submodule():
