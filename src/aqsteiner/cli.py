@@ -56,6 +56,11 @@ SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # labels at every level, so the certificate doubles per dimension: about
 # 5 MB of JSON at n = 16.
 FIDELITY_MAX_DIM = 16
+# paths runs the exact flow on the whole cube, so its cost about doubles
+# per dimension: on a 2-core VM the slowest pairs sampled took 6-12 s at
+# n = 15 and 15-19 s at n = 16, where an unsampled pair may pass 30 s,
+# and n = 30 ran out of a 1 GiB cap.
+PATHS_MAX_DIM = 15
 
 _PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02",
@@ -72,12 +77,14 @@ class CertificateFormatError(ValueError):
 # certificate documents
 # ---------------------------------------------------------------------------
 
+def _label(v: int, n: int) -> str:
+    return format(v, f"0{n}b")
+
+
 def certificate_doc(family: TreeFamily, case: str) -> dict:
     """Canonical JSON form: sorted target labels, per-tree sorted edges."""
-    trees = []
-    for tree in family.trees:
-        edges = sorted([u.label(), v.label()] for (u, v) in tree.edges)
-        trees.append({"edges": edges})
+    n = family.dim
+    trees = [{"edges": [[_label(u, n), _label(v, n)] for u, v in sorted(tree.edges)]} for tree in family.trees]
     return {
         "schema_version": SCHEMA_VERSION,
         "n": family.dim,
@@ -109,10 +116,6 @@ class ParsedCertificate:
     fallback_used: bool
     trees: tuple[SteinerTree, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
 
 def parse_certificate(doc: dict) -> ParsedCertificate:
     """Strict reader: unknown fields are rejected, labels must fit n."""
@@ -123,15 +126,15 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
     if not isinstance(n, int) or not 1 <= n <= 62:
         raise CertificateFormatError("n must be an integer in 1..62")
 
-    def read_vertex(text) -> Vertex:
+    def read_label(text) -> int:
         if not isinstance(text, str) or len(text) != n or any(ch not in "01" for ch in text):
             raise CertificateFormatError(f"bad vertex label {text!r} for n={n}")
-        return Vertex(int(text, 2), n)
+        return int(text, 2)
 
     s_field = doc["s"]
     if not isinstance(s_field, list) or len(s_field) != 3:
         raise CertificateFormatError("s must list exactly 3 vertex labels")
-    terminals = frozenset(read_vertex(t) for t in s_field)
+    terminals = frozenset(Vertex(read_label(t), n) for t in s_field)
     if len(terminals) != 3:
         raise CertificateFormatError("s must hold distinct labels")
     if not isinstance(doc["case"], str):
@@ -152,9 +155,9 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
         for pair in entry["edges"]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise CertificateFormatError(f"trees[{i}] has a malformed edge {pair!r}")
-            u, v = read_vertex(pair[0]), read_vertex(pair[1])
+            u, v = read_label(pair[0]), read_label(pair[1])
             edges.add((u, v) if u <= v else (v, u))
-        trees.append(SteinerTree(terminals, frozenset(edges)))
+        trees.append(SteinerTree(frozenset(edges)))
     return ParsedCertificate(n, terminals, doc["case"], doc["fallback_used"], tuple(trees))
 
 
@@ -165,6 +168,7 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
 def family_to_dot(family: TreeFamily, case: str) -> str:
     """One graph block per tree; targets get doubled borders, each tree one
     colour, so the output diffs visually against hand drawings."""
+    n = family.dim
     lines: list[str] = []
     terms = sorted(t.label() for t in family.terminals)
     for i, tree in enumerate(family.trees):
@@ -174,25 +178,22 @@ def family_to_dot(family: TreeFamily, case: str) -> str:
         lines.append("  node [shape=circle];")
         for t in terms:
             lines.append(f'  "{t}" [shape=doublecircle];')
-        for u, v in sorted((u.label(), v.label()) for (u, v) in tree.edges):
-            lines.append(f'  "{u}" -- "{v}" [color="{color}"];')
+        for u, v in sorted(tree.edges):
+            lines.append(f'  "{_label(u, n)}" -- "{_label(v, n)}" [color="{color}"];')
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def family_to_text(family: TreeFamily, case: str) -> str:
+    n = family.dim
     lines = [
         f"n={family.dim} targets={','.join(sorted(t.label() for t in family.terminals))} "
         f"case={case} trees={len(family.trees)} fallback={'yes' if family.fallback_used else 'no'}"
     ]
     for i, tree in enumerate(family.trees):
-        edges = " ".join(f"{u}-{v}" for u, v in sorted((u.label(), v.label()) for (u, v) in tree.edges))
+        edges = " ".join(f"{_label(u, n)}-{_label(v, n)}" for u, v in sorted(tree.edges))
         lines.append(f"  tree {i}: {edges}")
     return "\n".join(lines) + "\n"
-
-
-def _label(v: int, n: int) -> str:
-    return format(v, f"0{n}b")
 
 
 def path_system_doc(res: _paths.PathSystem, n: int) -> dict:
@@ -479,7 +480,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         targets = _parse_targets(args.targets, n, low=2, high=3)
         g = AugmentedCube(n)
-        res = _verify.oracle_tau(g, targets, budget=args.budget)
+        res = _verify.oracle_tau(g, [t.bits for t in targets], budget=args.budget)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -496,6 +497,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
+    if not 1 <= args.n <= PATHS_MAX_DIM:
+        print(f"paths needs dimension in 1..{PATHS_MAX_DIM}", file=sys.stderr)
+        return 2
     try:
         u = parse_vertex(args.u)
         v = parse_vertex(args.v)

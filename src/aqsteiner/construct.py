@@ -86,28 +86,36 @@ class Case(Enum):
 class CaseTag:
     """Which branch built a tree batch, under which normalisation.
 
-    ``normalization`` names the automorphism applied before the roles
-    were assigned ("identity", "complement", "hc_swap" or
-    "complement+hc_swap"); ``roles`` gives the labels (x, y, z) in
-    normalised coordinates for the two-one split branches; ``variant``
-    records the concrete matching/endpoint choice where a branch has
-    symmetric mirrors.
+    ``transform`` is the (swap, mask) automorphism of ``_apply_transform``
+    that moved the targets into the branch's coordinates: identity
+    (0, 0), complement (0, full), the matching swap (1, 0), or complement
+    then swap (1, half); the base search records its canonical-form
+    transform.  ``roles`` gives the labels (x, y, z) in normalised
+    coordinates for the two-one split branches; ``variant`` records the
+    concrete matching/endpoint choice where a branch has symmetric
+    mirrors.
     """
 
     case: Case
-    normalization: str = "identity"
+    transform: tuple[int, int] = (0, 0)
     roles: tuple[int, int, int] | None = None
     variant: str = ""
 
 
 @dataclass(frozen=True)
 class SteinerTree:
-    terminals: frozenset[Vertex]
-    edges: frozenset[tuple[Vertex, Vertex]]
+    """One tree of a family: its label edges (u, v) with u < v.  Its
+    terminals are the family's."""
+
+    edges: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class TreeFamily:
+    """The trees built for one target set S.  S stays a set of ``Vertex``
+    because the benchmark compares it with ``Vertex`` targets
+    (``bench/run.py``, ``FanN11.check``); every tree is label edges."""
+
     dim: int
     terminals: frozenset[Vertex]
     trees: tuple[SteinerTree, ...]
@@ -132,13 +140,6 @@ def target_family_size(dim: int) -> int:
 # and then xors mask.  These pairs are the label-translation group
 # extended by the matching swap.
 
-def _transforms(n: int):
-    """Every (swap, mask) pair at dimension n."""
-    for swap in (0, 1):
-        for mask in range(1 << n):
-            yield swap, mask
-
-
 def _apply_transform(v: int, swap: int, mask: int, n: int) -> int:
     if swap:
         v = hc_swap_label(v, n)
@@ -150,14 +151,6 @@ def _invert_transform(v: int, swap: int, mask: int, n: int) -> int:
     if swap:
         v = hc_swap_label(v, n)
     return v
-
-
-def _normalization(swap: int, mask: int) -> str:
-    """The ``CaseTag.normalization`` name of a dispatch transform.  Its
-    mask is nonzero only for the complement: ``full``, or ``half`` once
-    moved past the swap."""
-    names = (["complement"] if mask else []) + (["hc_swap"] if swap else [])
-    return "+".join(names) or "identity"
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +171,15 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
     return labels
 
 
-def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, tuple[int, int]]:
-    """Classify a target triple; returns (tag, transform).
+def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
+    """Classify a target triple.
 
-    ``transform`` is the (swap, mask) automorphism of ``_apply_transform``
-    that moves the targets into the normalised coordinates of the tag.
-    Complement is the mask ``full``.  Complement followed by the matching
-    swap is the swap followed by the mask ``half``, because hc_swap_label
-    is linear over GF(2) and sends ``full`` to ``half``.
+    The tag's ``transform`` is the (swap, mask) automorphism of
+    ``_apply_transform`` that moves the targets into its normalised
+    coordinates.  Complement is the mask ``full``.  Complement followed
+    by the matching swap is the swap followed by the mask ``half``,
+    because hc_swap_label is linear over GF(2) and sends ``full`` to
+    ``half``.
     """
     g = AugmentedCube(n)
     half = 1 << (n - 1)
@@ -197,8 +191,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, tuple[int, int]]:
     cur = [v ^ full for v in labels] if complement else list(labels)
     ones = [v for v in cur if v & half]
     if not ones:
-        transform = (0, full if complement else 0)
-        return CaseTag(Case.CASE1, _normalization(*transform)), transform
+        return CaseTag(Case.CASE1, (0, full if complement else 0))
 
     z = ones[0]
     u, v = sorted(set(cur) - {z})
@@ -224,10 +217,9 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, tuple[int, int]]:
                 break
 
     transform = (swap, (half if swap else full) if complement else 0)
-    norm = _normalization(*transform)
 
-    def mk(case: Case, xx: int, yy: int, variant: str = "") -> tuple[CaseTag, tuple[int, int]]:
-        return CaseTag(case, norm, (xx, yy, z), variant), transform
+    def mk(case: Case, xx: int, yy: int, variant: str = "") -> CaseTag:
+        return CaseTag(case, transform, (xx, yy, z), variant)
 
     if x is not None:
         # z is a cross-partner of x (after normalisation, the bit-keeping one)
@@ -279,9 +271,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> tuple[CaseTag, tuple[int, int]]:
 
 def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
     """Structural classification of a target triple (any dim >= 3)."""
-    labels = _validate_terminals(g, terminals)
-    tag, _ = _dispatch(g.dim, labels)
-    return tag
+    return _dispatch(g.dim, _validate_terminals(g, terminals))
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +463,22 @@ def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
 def _assemble(
     g: AugmentedCube,
     labels: Sequence[int],
-    transform: tuple[int, int],
     trees: Iterable[Iterable[tuple[int, int]]],
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
-    """Map normalised label edges back to the caller's labels; the
-    returned family holds them as ``Vertex`` pairs."""
+    """Map normalised label edges back to the caller's labels through the
+    inverse of ``provenance[0].transform``; only S is wrapped in
+    ``Vertex``."""
     n = g.dim
-    swap, mask = transform
+    swap, mask = provenance[0].transform
 
-    def back(a: int, b: int) -> tuple[Vertex, Vertex]:
-        a, b = _edge(_invert_transform(a, swap, mask, n), _invert_transform(b, swap, mask, n))
-        return Vertex(a, n), Vertex(b, n)
+    def back(a: int, b: int) -> tuple[int, int]:
+        return _edge(_invert_transform(a, swap, mask, n), _invert_transform(b, swap, mask, n))
 
-    terminals = frozenset(Vertex(a, n) for a in labels)
-    mapped = [SteinerTree(terminals, frozenset(back(a, b) for a, b in edges)) for edges in trees]
     return TreeFamily(
         dim=n,
-        terminals=terminals,
-        trees=tuple(mapped),
+        terminals=frozenset(Vertex(a, n) for a in labels),
+        trees=tuple(SteinerTree(frozenset(back(a, b) for a, b in edges)) for edges in trees),
         provenance=provenance,
         fallback_used=False,
     )
@@ -505,16 +492,15 @@ def _construct_case1(
     g: AugmentedCube,
     labels: Sequence[int],
     tag: CaseTag,
-    transform: tuple[int, int],
     fidelity: bool,
 ) -> TreeFamily:
     """All three targets in one half: recurse, then add one tree through
     each quarter of the other half."""
     n = g.dim
-    norm_labels = sorted(_apply_transform(a, *transform, n) for a in labels)
+    norm_labels = sorted(_apply_transform(a, *tag.transform, n) for a in labels)
     sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
     # sub's labels already name the lower half-copy (prefix bit 0)
-    trees: list[_Edges] = [{(u.bits, v.bits) for u, v in t.edges} for t in sub.trees]
+    trees: list[Iterable[tuple[int, int]]] = [t.edges for t in sub.trees]
 
     shift = n - 2
     for quarter in (0b10, 0b11):
@@ -532,7 +518,7 @@ def _construct_case1(
             conn = _paths.connector_tree(GraphView(g, q_labels), sorted({attach(s) for s in norm_labels}))
         trees.append(set(conn) | {_edge(s, attach(s)) for s in norm_labels})
 
-    return _assemble(g, labels, transform, trees, (tag,) + sub.provenance)
+    return _assemble(g, labels, trees, (tag,) + sub.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +530,13 @@ _base_lock = threading.Lock()
 
 
 def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, int]]:
-    best: tuple[int, ...] | None = None
-    best_t = (0, 0)
-    for swap, mask in _transforms(n):
-        cand = tuple(sorted(_apply_transform(v, swap, mask, n) for v in labels))
-        if best is None or cand < best:
-            best = cand
-            best_t = (swap, mask)
-    assert best is not None
-    return best, best_t
+    """The least image of the labels under every (swap, mask) pair, and the
+    least pair that gives it."""
+    return min(
+        (tuple(sorted(_apply_transform(v, swap, mask, n) for v in labels)), (swap, mask))
+        for swap in (0, 1)
+        for mask in range(1 << n)
+    )
 
 
 def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int) -> TreeFamily:
@@ -573,12 +557,12 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     if target < 1:
         raise ContractViolation("target must be positive")
 
-    canon, (swap, mask) = _canonical_triple(n, labels)
+    canon, transform = _canonical_triple(n, labels)
     key = (n, target, canon)
     with _base_lock:
         cached = _base_cache.get(key)
     if cached is None:
-        res = _verify.oracle_tau(g, [Vertex(a, n) for a in canon], stop_at=target)
+        res = _verify.oracle_tau(g, canon, stop_at=target)
         if res.lower < target:
             how = "search was exhaustive" if res.upper < target else "search budget ran out"
             raise InternalError(f"no {target}-family found for targets {list(canon)} at dim {n}; {how}")
@@ -586,8 +570,7 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
         with _base_lock:
             _base_cache.setdefault(key, cached)
 
-    tag = CaseTag(Case.BASE3 if n == 3 else Case.BASE4, "identity")
-    return _assemble(g, labels, (swap, mask), cached, (tag,))
+    return _assemble(g, labels, cached, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, transform),))
 
 
 def _spanning_edges(
@@ -636,13 +619,13 @@ def construct(
     labels = _validate_terminals(g, terminals)
     n = g.dim
     if n <= 4:
-        family = base_case_search(g, terminals, target_family_size(n))
+        family = base_case_search(g, [Vertex(a, n) for a in labels], target_family_size(n))
     else:
-        tag, transform = _dispatch(n, labels)
+        tag = _dispatch(n, labels)
         if tag.case is Case.CASE1:
-            family = _construct_case1(g, labels, tag, transform, fidelity)
+            family = _construct_case1(g, labels, tag, fidelity)
         else:
-            family = _assemble(g, labels, transform, _run_recipe(g, tag), (tag,))
+            family = _assemble(g, labels, _run_recipe(g, tag), (tag,))
     report = _verify.verify_family(g, family)
     if not report.accepted:
         raise InternalError(

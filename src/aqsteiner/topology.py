@@ -13,8 +13,10 @@ Conventions used everywhere in this package:
   matching (flip the leading bit only) and the "complement" perfect
   matching (flip every bit).
 - Inside the package a vertex is that plain int; ``Vertex`` pairs it
-  with its dimension only where a label meets the outside world:
-  certificates, the CLI, ``verify_family`` and ``oracle_tau``.
+  with its dimension only where a label meets the outside world: the
+  target set S of a family or certificate, the CLI, and the arguments
+  of ``construct``, ``classify`` and ``base_case_search``.  Tree edges,
+  path systems, the checker's work past S and the oracle are on ints.
 - The graph is never materialised.  Adjacency is O(1) on labels and
   neighbour enumeration is O(n); ``GraphView`` restricts the vertex set
   to a label collection (a ``range`` for half-copies and quarters, a

@@ -6,10 +6,14 @@ label-level adjacency so a constructor bug cannot hide behind shared
 helpers.  Only the packing search of ``oracle_tau`` is shared: the
 constructor's base case runs it with ``stop_at``, and this module
 imports nothing of the package but ``topology``.  Certificates are
-duck-typed: anything with ``terminals`` and ``edges`` verifies as a
-tree, anything with ``dim``, ``terminals`` and ``trees`` verifies as a
-family, so parsed files check exactly like freshly built objects.  Path
-systems are checked as label paths, the form ``paths`` produces.
+duck-typed: a tree is anything with ``edges``, a set of label pairs,
+and a family anything with ``terminals`` (S, as objects with ``bits``
+and ``dim``, checked once against the cube) and ``trees``, so parsed
+files check exactly like freshly built objects.  Every tree is checked
+against the family's S.  Everything past S is a plain int label, as are
+the oracle's targets and the label paths of the path systems that
+``paths`` produces; violation details write labels at the cube's
+dimension.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .topology import AugmentedCube, ContractViolation, GraphView, Vertex
+from .topology import AugmentedCube, ContractViolation, GraphView
 
 NON_EDGE = "NonEdge"
 CYCLE = "Cycle"
@@ -76,48 +80,71 @@ def _report(violations: list[Violation]) -> VerificationReport:
 # certificate checking
 # ---------------------------------------------------------------------------
 
-def _tree_violations(view: GraphView, tree, index: int) -> list[Violation]:
-    out: list[Violation] = []
-    terminals = set(tree.terminals)
-    edges = set(tree.edges)
+def _terminal_labels(cube: AugmentedCube, terminals) -> frozenset[int]:
+    """S as labels; each target must be a vertex of this cube."""
+    labels = set()
     for t in terminals:
-        view.cube.check_vertex(t)
+        cube.check_vertex(t)
+        labels.add(t.bits)
+    return frozenset(labels)
 
-    degree: dict[Vertex, int] = {}
-    ok_edges = []
-    for e in edges:
-        u, v = e
-        view.cube.check_vertex(u)
-        view.cube.check_vertex(v)
-        if u == v or not view.has_edge_labels(u.bits, v.bits):
-            out.append(Violation(NON_EDGE, (index,), f"{u.label()}-{v.label()} is not an edge"))
+
+def _tree_violations(
+    view: GraphView,
+    terminals: frozenset[int],
+    tree,
+    index: int,
+    edge_owner: dict[tuple[int, int], int],
+    vertex_owner: dict[int, int],
+) -> list[Violation]:
+    """One pass over the tree's label edges: range, adjacency, degrees,
+    components, and the edges and internal vertices that an earlier tree
+    of the family (recorded in the owner maps) already holds."""
+    width = view.dim
+    check_label = view.cube.check_label
+    out: list[Violation] = []
+    shared: list[Violation] = []
+    vertices: set[int] = set()
+    adj: dict[int, list[int]] = {}
+    ok_edges = 0
+    for u, v in tree.edges:
+        check_label(u)
+        check_label(v)
+        vertices.update((u, v))
+        key = (u, v) if u <= v else (v, u)
+        if key in edge_owner:
+            shared.append(Violation(SHARED_EDGE, (edge_owner[key], index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
+        else:
+            edge_owner[key] = index
+        if u == v or not view.has_edge_labels(u, v):
+            out.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
             continue
-        ok_edges.append((u, v))
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
+        ok_edges += 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
 
-    vertices = set(degree)
     if ok_edges:
-        adj: dict[Vertex, list[Vertex]] = {}
-        for u, v in ok_edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        components = _count_components(adj, vertices)
+        components = _count_components(adj)
         if components > 1:
             out.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
-        if len(ok_edges) > len(vertices) - components:
+        if ok_edges > len(adj) - components:
             out.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
-
     for t in sorted(terminals):
-        d = degree.get(t, 0)
+        d = len(adj.get(t, ()))
         if d != 1:
-            out.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t.label()} has degree {d}"))
+            out.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t:0{width}b} has degree {d}"))
+    out += shared
+    for w in sorted(vertices - terminals):
+        if w in vertex_owner:
+            out.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), f"internal vertex {w:0{width}b} reused"))
+        else:
+            vertex_owner[w] = index
     return out
 
 
-def _count_components(adj: dict[Vertex, list[Vertex]], vertices: set[Vertex]) -> int:
+def _count_components(adj: dict[int, list[int]]) -> int:
     count = 0
-    left = set(vertices)
+    left = set(adj)
     while left:
         start = left.pop()
         queue = deque([start])
@@ -131,48 +158,29 @@ def _count_components(adj: dict[Vertex, list[Vertex]], vertices: set[Vertex]) ->
     return count
 
 
-def verify_tree(g: AugmentedCube | GraphView, tree) -> VerificationReport:
-    """Check one tree: real edges, connected, acyclic, terminals pendant."""
-    return _report(_tree_violations(_as_view(g), tree, 0))
+def verify_tree(g: AugmentedCube | GraphView, terminals, tree) -> VerificationReport:
+    """Check one tree on the target set ``terminals``: real edges,
+    connected, acyclic, every target a leaf."""
+    view = _as_view(g)
+    return _report(_tree_violations(view, _terminal_labels(view.cube, terminals), tree, 0, {}, {}))
 
 
 def verify_family(g: AugmentedCube | GraphView, family) -> VerificationReport:
-    """Check every member tree plus pairwise internal disjointness.
+    """Check every member tree against the family's S, plus pairwise
+    internal disjointness.
 
     Runs in time linear in the total certificate size: ownership of
     vertices and edges is tracked in hash maps, never by pairwise scans.
     """
     view = _as_view(g)
+    terminals = _terminal_labels(view.cube, family.terminals)
     violations: list[Violation] = []
-    terminals = frozenset(family.terminals)
     if len(terminals) != 3:
         violations.append(Violation(WRONG_TERMINALS, (), f"expected 3 terminals, got {len(terminals)}"))
-
-    vertex_owner: dict[Vertex, int] = {}
-    edge_owner: dict[tuple[Vertex, Vertex], int] = {}
+    edge_owner: dict[tuple[int, int], int] = {}
+    vertex_owner: dict[int, int] = {}
     for i, tree in enumerate(family.trees):
-        if frozenset(tree.terminals) != terminals:
-            violations.append(Violation(WRONG_TERMINALS, (i,), "tree terminals differ from family terminals"))
-        violations.extend(_tree_violations(view, tree, i))
-        tree_vertices = set()
-        for e in set(tree.edges):
-            u, v = e
-            key = (u, v) if u <= v else (v, u)
-            if key in edge_owner:
-                violations.append(
-                    Violation(SHARED_EDGE, (edge_owner[key], i), f"edge {u.label()}-{v.label()} reused")
-                )
-            else:
-                edge_owner[key] = i
-            tree_vertices.add(u)
-            tree_vertices.add(v)
-        for w in sorted(tree_vertices - terminals):
-            if w in vertex_owner:
-                violations.append(
-                    Violation(SHARED_VERTEX, (vertex_owner[w], i), f"internal vertex {w.label()} reused")
-                )
-            else:
-                vertex_owner[w] = i
+        violations += _tree_violations(view, terminals, tree, i, edge_owner, vertex_owner)
     return _report(violations)
 
 
@@ -233,7 +241,7 @@ class OracleResult:
 
 def oracle_tau(
     g: AugmentedCube | GraphView,
-    terminals: Iterable[Vertex],
+    terminals: Iterable[int],
     budget: int = DEFAULT_ORACLE_BUDGET,
     *,
     stop_at: int | None = None,
@@ -259,15 +267,14 @@ def oracle_tau(
     if stop_at is not None and stop_at < 1:
         raise ContractViolation("stop_at must be positive")
     view = _as_view(g)
-    terms = sorted({t for t in terminals})
-    for t in terms:
-        view.cube.check_vertex(t)
-        if not view.contains_label(t.bits):
-            raise ContractViolation(f"terminal {t.label()} outside the view")
-    if len(terms) < 2:
+    term_labels = sorted(set(terminals))
+    for t in term_labels:
+        view.cube.check_label(t)
+        if not view.contains_label(t):
+            raise ContractViolation(f"terminal {t:0{view.dim}b} outside the view")
+    if len(term_labels) < 2:
         raise ContractViolation("at least two terminals required")
 
-    term_labels = [t.bits for t in terms]
     ground = [v for v in view.vertex_labels() if v not in term_labels]
     index = {v: i for i, v in enumerate(ground)}
     m = len(ground)
@@ -291,7 +298,7 @@ def oracle_tau(
         nbrs = view.neighbor_labels(t)
         in_s = sum(1 for w in nbrs if w in term_labels)
         free = len(nbrs) - in_s
-        if len(terms) == 2 and in_s:
+        if len(term_labels) == 2 and in_s:
             free += 1  # the direct edge itself is a valid two-terminal tree
         free_deg.append(free)
     ceiling = min(free_deg)
@@ -322,7 +329,7 @@ def oracle_tau(
         return False
 
     minimal: list[int] = []
-    direct_edge_tree = len(terms) == 2 and view.has_edge_labels(term_labels[0], term_labels[1])
+    direct_edge_tree = len(term_labels) == 2 and view.has_edge_labels(term_labels[0], term_labels[1])
 
     sizes = range(1, m + 1)
     enumeration_complete = True

@@ -78,7 +78,7 @@ def test_criterion_3_triangle_tightness():
     tris = triangles(masks, 3)
     assert tris
     for t in tris:
-        res = oracle_tau(g, [Vertex(a, 3) for a in t])
+        res = oracle_tau(g, t)
         assert res.exact and res.value == 3, t
     assert hager_upper_bound(g, 3) == 3
     print(
@@ -89,13 +89,12 @@ def test_criterion_3_triangle_tightness():
 
 def test_criterion_4_classic_dim3_families_reproduced():
     g = AugmentedCube(3)
-    s_star = [Vertex(b, 3) for b in (0b001, 0b010, 0b100)]
+    s_star = (0b001, 0b010, 0b100)
     res = oracle_tau(g, s_star)
     assert res.exact and res.value >= 4
-    fam4 = base_case_search(g, s_star, 4)
+    fam4 = base_case_search(g, [Vertex(b, 3) for b in s_star], 4)
     assert len(fam4.trees) == 4 and verify_family(g, fam4).accepted
-    s_adj = [Vertex(b, 3) for b in (0b000, 0b001, 0b011)]
-    res2 = oracle_tau(g, s_adj)
+    res2 = oracle_tau(g, (0b000, 0b001, 0b011))
     assert res2.exact and res2.value >= 3
     print(
         f"\nACCEPTANCE 4 PASS: oracle({{001,010,100}}) = {res.value} >= 4 with a "

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from aqsteiner.cli import (
+    PATHS_MAX_DIM,
     build_parser,
     certificate_doc,
     main,
@@ -137,6 +138,30 @@ def test_verify_rejects_malformed_files(tmp_path):
     assert code == 2 and "unknown" in err
 
 
+def test_verify_memory_stays_linear_on_a_huge_certificate(tmp_path):
+    # one counting-order path over 2^18 labels at n = 20, cut in the
+    # middle, with a pendant third target: a 13 MB file that the checker
+    # walks edge by edge under the 1 GiB cap
+    n, m = 20, 1 << 18
+    edges = [[format(v, "020b"), format(v + 1, "020b")] for v in range(m - 1) if v != m // 2 - 1]
+    edges.append([format(5, "020b"), format(m | 5, "020b")])
+    doc = {"schema_version": "1", "n": n, "s": sorted(format(a, "020b") for a in (0, m - 1, m | 5)),
+           "case": "Case1", "fallback_used": False, "trees": [{"edges": edges}],
+           "tool": {"id": "aqsteiner", "version": "0.1.0"}}
+    cert = tmp_path / "big.json"
+    cert.write_text(json.dumps(doc))
+    assert cert.stat().st_size >= 10_000_000
+    out = run_bounded(
+        "import contextlib, io, json\n"
+        "from aqsteiner.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main(['verify', {str(cert)!r}])\n"
+        "print(code, sorted({v['kind'] for v in json.loads(out.getvalue())['violations']}))\n"
+    )
+    assert out == "1 ['Disconnected']\n"
+
+
 def test_construct_duplicate_vertex_usage_error():
     code, _, err = run_cli(["construct", "-n", "3", "-S", "000,000,001"])
     assert code == 2
@@ -193,6 +218,27 @@ def test_paths_command():
     code, out, _ = run_cli(["paths", "-n", "2", "-u", "00", "-v", "11", "-k", "1"])
     assert code == 0
     assert json.loads(out)["paths"] == [["00", "11"]]
+
+
+def test_paths_above_its_dimension_cap_is_usage_error():
+    # the flow runs on the whole cube, so the dimension is checked before
+    # any work: n = 30 used to end in a MemoryError traceback under the cap
+    n = PATHS_MAX_DIM
+    commands = [
+        f"paths -n {n} -u {'0' * n} -v {'1' * n} -k 3",  # a near pair at the cap still runs
+        f"paths -n {n + 1} -u {'0' * (n + 1)} -v {('01' * n)[-(n + 1):]} -k 3",
+        f"paths -n 30 -u {'0' * 30} -v {'01' * 15} -k 3",
+    ]
+    out = run_bounded(
+        "import contextlib, io\n"
+        "from aqsteiner.cli import main\n"
+        f"for command in {commands!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(command.split())\n"
+        f"    print(code, bool(out.getvalue()), '1..{n}' in err.getvalue())\n"
+    )
+    assert out.splitlines() == ["0 True False", "2 False True", "2 False True"]
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +345,13 @@ def test_sweep_guard_and_sampling():
 
 
 def test_sweep_deterministic_across_jobs():
-    c1, out1, _ = run_cli(["sweep", "-n", "4", "--exhaustive", "--format", "json", "--jobs", "1"])
-    c2, out2, _ = run_cli(["sweep", "-n", "4", "--exhaustive", "--format", "json", "--jobs", "2"])
-    assert c1 == c2 == 0
-    assert out1 == out2
+    # n = 4 runs only the base search; n = 5 runs fans and the fan memo
+    # inside each pool worker
+    for n in ("4", "5"):
+        c1, out1, _ = run_cli(["sweep", "-n", n, "--exhaustive", "--format", "json", "--jobs", "1"])
+        c2, out2, _ = run_cli(["sweep", "-n", n, "--exhaustive", "--format", "json", "--jobs", "2"])
+        assert c1 == c2 == 0
+        assert out1 == out2
 
 
 def test_construct_byte_identical_runs():

@@ -17,6 +17,7 @@ from aqsteiner.construct import (
     SteinerTree,
     TreeFamily,
     _apply_transform,
+    _canonical_triple,
     _dispatch,
     _invert_transform,
     base_case_search,
@@ -64,12 +65,15 @@ def test_classify_cross_twin_pair():
 def test_classify_normalisation_flags():
     g = AugmentedCube(4)
     # two targets on the upper side: complement applied first
-    tag = classify(g, vs("1000", "1011", "0100"))
-    assert "complement" in tag.normalization
+    tag = classify(g, vs("1000", "1001", "0010"))
+    assert tag.transform == (0, 0b1111)
     # z is an all-bits partner: matching swap applied
     tag = classify(g, vs("0000", "0011", "1111"))
-    assert "hc_swap" in tag.normalization
+    assert tag.transform == (1, 0)
     assert tag.case in (Case.CASE2_1_1, Case.CASE2_1_2, Case.CASE2_1_3)
+    # both: the complement moved past the swap is the mask half
+    tag = classify(g, vs("1000", "1011", "0100"))
+    assert tag.transform == (1, 0b1000)
 
 
 def _triples(n):
@@ -84,18 +88,18 @@ def test_dispatch_transform_normalises_targets(n):
     # every n = 5 triple; 400 seeded samples at n = 6, 7 and 8
     half, full = 1 << (n - 1), (1 << n) - 1
     for labels in _triples(n):
-        tag, (swap, mask) = _dispatch(n, labels)
+        tag = _dispatch(n, labels)
+        swap, mask = tag.transform
         image = [_apply_transform(v, swap, mask, n) for v in labels]
         assert [_invert_transform(v, swap, mask, n) for v in image] == list(labels)
         if tag.case is Case.CASE1:
             assert all(v < half for v in image) and not swap
         else:
             assert set(image) == set(tag.roles)
-        flags = {"complement": mask != 0, "hc_swap": swap == 1}
-        assert tag.normalization == ("+".join(k for k, on in flags.items() if on) or "identity")
-        # the pair is "complement, then swap" with the complement moved
-        # past the linear swap, which sends full to half
-        moved = [v ^ full if flags["complement"] else v for v in labels]
+        # identity, complement, swap, or "complement, then swap" with the
+        # complement moved past the linear swap, which sends full to half
+        assert (swap, mask) in {(0, 0), (0, full), (1, 0), (1, half)}
+        moved = [v ^ full if mask else v for v in labels]
         moved = [hc_swap_label(v, n) if swap else v for v in moved]
         assert moved == image
 
@@ -166,14 +170,14 @@ def test_dispatch_relation_types_cover_every_branch(n):
         assert a == trail or not all(kind[2]), (a, b)
         representative.setdefault(kind, (a, b))
     branch_of = {
-        kind: _branch(_dispatch(n, (0, a, half | b))[0]) for kind, (a, b) in representative.items()
+        kind: _branch(_dispatch(n, (0, a, half | b))) for kind, (a, b) in representative.items()
     }
     if n <= 7:
         # the relation type really determines the branch
         for a, b in pairs:
             kind = _relation_type(a, b, deltas, trail)
-            assert _branch(_dispatch(n, (0, a, half | b))[0]) == branch_of[kind], (a, b)
-    case1 = _branch(_dispatch(n, (0, 1, 2))[0])
+            assert _branch(_dispatch(n, (0, a, half | b))) == branch_of[kind], (a, b)
+    case1 = _branch(_dispatch(n, (0, 1, 2)))
     assert set(branch_of.values()) | {case1} == KEPT_BRANCHES
 
 
@@ -212,6 +216,8 @@ def test_construct_dim4_samples():
         assert len(fam.trees) == 5
         assert verify_family(g, fam).accepted
         assert fam.provenance[0].case is Case.BASE4
+    # the targets may come as a one-shot iterator
+    assert construct(g, (v for v in vs("0000", "0001", "0010"))) == construct(g, vs("0000", "0001", "0010"))
 
 
 def test_count_invariant_dim6_sampled():
@@ -256,13 +262,13 @@ def test_construct_case1_partition_and_attachments():
     shift = 3
     seen_quarters = set()
     for tree in quarter_trees:
-        upper = {v for e in tree.edges for v in e if v.bits >> 4}
-        quarters = {v.bits >> shift for v in upper}
+        upper = {v for e in tree.edges for v in e if v >> 4}
+        quarters = {v >> shift for v in upper}
         assert len(quarters) == 1
         seen_quarters |= quarters
         # each target hangs by exactly one pendant cross edge
         for t in targets:
-            touching = [e for e in tree.edges if t in e]
+            touching = [e for e in tree.edges if t.bits in e]
             assert len(touching) == 1
     assert seen_quarters == {0b10, 0b11}
 
@@ -298,6 +304,16 @@ def test_base_search_cache_consistency_across_orbit():
     assert frozenset(fam_b.terminals) == frozenset(image)
 
 
+def test_base_tag_records_the_applied_transform():
+    # the base search solves the canonical triple; the tag's transform
+    # maps it back onto the caller's labels
+    g = AugmentedCube(4)
+    for labels in itertools.combinations(range(16), 3):
+        tag = base_case_search(g, [Vertex(a, 4) for a in labels], 5).provenance[0]
+        canon, _ = _canonical_triple(4, labels)
+        assert sorted(_invert_transform(a, *tag.transform, 4) for a in canon) == list(labels)
+
+
 def test_base_search_contract():
     with pytest.raises(ContractViolation):
         base_case_search(AugmentedCube(5), vs("00000", "00001", "00010"), 7)
@@ -325,7 +341,7 @@ def test_small_dimension_families_are_pinned():
         g = AugmentedCube(n)
         for t in itertools.combinations(range(1 << n), 3):
             for tree in construct(g, [Vertex(a, n) for a in t]).trees:
-                h.update(repr(sorted((a.bits, b.bits) for a, b in tree.edges)).encode())
+                h.update(repr(sorted(tree.edges)).encode())
             h.update(b";")
     assert h.hexdigest() == SMALL_DIM_FAMILIES_DIGEST
 
@@ -341,17 +357,11 @@ def test_family_images_under_automorphisms_verify(label_map):
     g = AugmentedCube(4)
     fam = construct(g, vs("0000", "0011", "1110"))
 
-    def auto(v):
-        return Vertex(label_map(v.bits, 4), 4)
-
     mapped = TreeFamily(
         dim=4,
-        terminals=frozenset(auto(t) for t in fam.terminals),
+        terminals=frozenset(Vertex(label_map(t.bits, 4), 4) for t in fam.terminals),
         trees=tuple(
-            SteinerTree(
-                frozenset(auto(t) for t in tree.terminals),
-                frozenset(tuple(sorted((auto(u), auto(v)))) for (u, v) in tree.edges),
-            )
+            SteinerTree(frozenset(tuple(sorted((label_map(u, 4), label_map(v, 4)))) for (u, v) in tree.edges))
             for tree in fam.trees
         ),
         provenance=fam.provenance,
@@ -491,8 +501,8 @@ def test_fidelity_mode_spans_the_quarters():
     assert len(fam.trees) == 7
     assert verify_family(g, fam).accepted
     for quarter, tree in zip((0b10, 0b11), fam.trees[5:]):
-        upper = {v for e in tree.edges for v in e if v.bits >> 4}
+        upper = {v for e in tree.edges for v in e if v >> 4}
         assert len(upper) == 8  # the whole quarter is visited
         # ... along its labels in counting order
-        inside = {(u.bits, v.bits) for (u, v) in tree.edges if u.bits >> 3 == v.bits >> 3 == quarter}
+        inside = {(u, v) for (u, v) in tree.edges if u >> 3 == v >> 3 == quarter}
         assert inside == {(v, v + 1) for v in range(quarter << 3, ((quarter + 1) << 3) - 1)}

@@ -1,9 +1,12 @@
-"""The import layering that keeps the verifier independent.
+"""The import layering that keeps the verifier independent, and the
+label boundary.
 
 ``verify`` may import nothing of the package but ``topology``, and
 ``topology`` nothing of the package at all, so no constructor or path
-code can reach the checks.  Imports are read from the source with
-``ast``, including those inside functions.
+code can reach the checks.  ``paths`` and ``verify`` work on plain int
+labels and never name ``Vertex``, and a ``SteinerTree`` is its label
+edges only.  Everything is read from the source with ``ast``, including
+imports inside functions.
 """
 
 import ast
@@ -59,3 +62,45 @@ def test_verify_imports_only_topology():
 def test_topology_imports_nothing_from_the_package():
     assert module_imports("topology") == set()
 
+
+
+def names_used(source: str) -> set[str]:
+    """Every identifier that the source names: variables, attributes and
+    imported aliases."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update([node.name.split(".")[-1], node.asname or ""])
+    return found
+
+
+def test_name_reader_sees_every_form():
+    source = (
+        "from .topology import Vertex as V\n"
+        "import aqsteiner.topology\n"
+        "def f(t):\n"
+        "    return topology.Vertex(t, 3).bits\n"
+    )
+    assert {"Vertex", "V", "topology", "bits"} <= names_used(source)
+    assert "Vertex" in names_used("def f(v: Vertex): pass\n")
+    # prose in a docstring is not a use
+    assert "Vertex" not in names_used("'a Vertex in a string'\n")
+
+
+def test_paths_and_verify_never_name_vertex():
+    for name in ("paths", "verify"):
+        assert "Vertex" not in names_used((PACKAGE_DIR / f"{name}.py").read_text()), name
+
+
+def test_steiner_tree_holds_only_edges():
+    tree = next(
+        node
+        for node in ast.walk(ast.parse((PACKAGE_DIR / "construct.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "SteinerTree"
+    )
+    fields = [stmt.target.id for stmt in tree.body if isinstance(stmt, ast.AnnAssign)]
+    assert fields == ["edges"]

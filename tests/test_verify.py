@@ -22,36 +22,34 @@ from aqsteiner.verify import (
 from util import max_disjoint_paths_brute, reachable_mask, recursive_adjacency_masks, triangles
 
 
-def tree(terms, edges):
-    n = len(terms[0])
-    ts = frozenset(parse_vertex(t) for t in terms)
-    es = frozenset(
-        tuple(sorted((parse_vertex(a), parse_vertex(b)))) for a, b in edges
-    )
-    return SteinerTree(ts, es)
+def tree(edges):
+    return SteinerTree(frozenset(tuple(sorted((int(a, 2), int(b, 2)))) for a, b in edges))
+
+
+def targets(terms):
+    return frozenset(parse_vertex(t) for t in terms)
 
 
 def family(n, terms, trees):
-    ts = frozenset(parse_vertex(t) for t in terms)
-    return TreeFamily(n, ts, tuple(trees), (CaseTag(Case.BASE3),), False)
+    return TreeFamily(n, targets(terms), tuple(trees), (CaseTag(Case.BASE3),), False)
 
 
 S_A = ("000", "001", "011")
 # three internally disjoint pendant trees on {000, 001, 011}: a star at
 # 010, and two four-edge trees through the upper half
 FAMILY_A = [
-    tree(S_A, [("000", "010"), ("010", "011"), ("010", "001")]),
-    tree(S_A, [("100", "110"), ("110", "001"), ("100", "011"), ("000", "100")]),
-    tree(S_A, [("101", "111"), ("000", "111"), ("001", "101"), ("011", "111")]),
+    tree([("000", "010"), ("010", "011"), ("010", "001")]),
+    tree([("100", "110"), ("110", "001"), ("100", "011"), ("000", "100")]),
+    tree([("101", "111"), ("000", "111"), ("001", "101"), ("011", "111")]),
 ]
 
 S_B = ("001", "010", "100")
 # four internally disjoint pendant trees on {001, 010, 100}
 FAMILY_B = [
-    tree(S_B, [("000", "001"), ("000", "010"), ("100", "111"), ("000", "111")]),
-    tree(S_B, [("010", "011"), ("001", "011"), ("100", "011")]),
-    tree(S_B, [("100", "101"), ("010", "101"), ("001", "101")]),
-    tree(S_B, [("100", "110"), ("001", "110"), ("010", "110")]),
+    tree([("000", "001"), ("000", "010"), ("100", "111"), ("000", "111")]),
+    tree([("010", "011"), ("001", "011"), ("100", "011")]),
+    tree([("100", "101"), ("010", "101"), ("001", "101")]),
+    tree([("100", "110"), ("001", "110"), ("010", "110")]),
 ]
 
 
@@ -61,31 +59,31 @@ FAMILY_B = [
 
 def test_star_tree_accepted():
     g = AugmentedCube(3)
-    report = verify_tree(g, FAMILY_A[0])
+    report = verify_tree(g, targets(S_A), FAMILY_A[0])
     assert report.accepted
 
 
 def test_non_edge_rejected():
     g = AugmentedCube(3)
-    bad = tree(S_A, [("000", "010"), ("010", "011"), ("010", "001"), ("001", "100")])
-    report = verify_tree(g, bad)
+    bad = tree([("000", "010"), ("010", "011"), ("010", "001"), ("001", "100")])
+    report = verify_tree(g, targets(S_A), bad)
     assert not report.accepted
     assert NON_EDGE in {v.kind for v in report.violations}
 
 
 def test_terminal_degree_two_rejected():
     g = AugmentedCube(3)
-    bad = tree(S_A, [("000", "010"), ("010", "011"), ("010", "001"), ("000", "100"), ("100", "110")])
-    report = verify_tree(g, bad)
+    bad = tree([("000", "010"), ("010", "011"), ("010", "001"), ("000", "100"), ("100", "110")])
+    report = verify_tree(g, targets(S_A), bad)
     assert not report.accepted
     assert TERMINAL_DEGREE in {v.kind for v in report.violations}
 
 
 def test_absent_terminal_is_degree_zero():
     g = AugmentedCube(3)
-    bad = tree(S_A, [("000", "001")])
+    bad = tree([("000", "001")])
     # 011 does not appear at all
-    report = verify_tree(g, bad)
+    report = verify_tree(g, targets(S_A), bad)
     kinds = {v.kind for v in report.violations}
     assert TERMINAL_DEGREE in kinds
 
@@ -113,8 +111,8 @@ def test_duplicated_tree_rejected():
 
 def test_shared_vertex_without_shared_edge():
     g = AugmentedCube(3)
-    first = tree(S_A, [("000", "010"), ("010", "011"), ("010", "001")])
-    second = tree(S_A, [("000", "100"), ("100", "010"), ("010", "111"), ("111", "011"), ("111", "001")])
+    first = tree([("000", "010"), ("010", "011"), ("010", "001")])
+    second = tree([("000", "100"), ("100", "010"), ("010", "111"), ("111", "011"), ("111", "001")])
     report = verify_family(g, family(3, S_A, [first, second]))
     kinds = {v.kind for v in report.violations}
     assert SHARED_VERTEX in kinds
@@ -125,7 +123,7 @@ def test_mutation_delete_edge_disconnects():
     g = AugmentedCube(3)
     mutated = list(FAMILY_A)
     edges = sorted(mutated[1].edges)
-    mutated[1] = SteinerTree(mutated[1].terminals, frozenset(edges[:-1]))
+    mutated[1] = SteinerTree(frozenset(edges[:-1]))
     report = verify_family(g, family(3, S_A, mutated))
     kinds = {v.kind for v in report.violations}
     assert kinds & {DISCONNECTED, TERMINAL_DEGREE}
@@ -136,8 +134,7 @@ def test_mutation_add_edge_creates_cycle():
     mutated = list(FAMILY_A)
     # tree 1 holds both 001 and 011 already; their direct edge closes a cycle
     t = mutated[1]
-    extra = tuple(sorted((parse_vertex("001"), parse_vertex("011"))))
-    mutated[1] = SteinerTree(t.terminals, t.edges | {extra})
+    mutated[1] = SteinerTree(t.edges | {(0b001, 0b011)})
     report = verify_family(g, family(3, S_A, mutated))
     assert CYCLE in {v.kind for v in report.violations}
 
@@ -145,16 +142,31 @@ def test_mutation_add_edge_creates_cycle():
 def test_disconnected_cycle_reports_both_in_order():
     # a triangle 000-001-011 plus the separate edge 100-101: two components,
     # so five vertices and four edges still hold a cycle
-    t = tree(S_A, [("000", "001"), ("001", "011"), ("000", "011"), ("100", "101")])
-    kinds = [v.kind for v in verify_tree(AugmentedCube(3), t).violations]
+    t = tree([("000", "001"), ("001", "011"), ("000", "011"), ("100", "101")])
+    kinds = [v.kind for v in verify_tree(AugmentedCube(3), targets(S_A), t).violations]
     assert kinds[:2] == [DISCONNECTED, CYCLE]
 
 
 def test_mutation_wrong_terminals():
     g = AugmentedCube(3)
-    rogue = tree(("000", "001", "010"), [("000", "011"), ("011", "001"), ("011", "010")])
-    report = verify_family(g, family(3, S_A, [FAMILY_A[0], rogue]))
-    assert WRONG_TERMINALS in {v.kind for v in report.violations}
+    # a tree pendant on {000, 001, 010} is checked against the family's S:
+    # 011 is its centre, not a leaf
+    rogue = tree([("000", "011"), ("011", "001"), ("011", "010")])
+    report = verify_family(g, family(3, S_A, [rogue]))
+    assert [(v.kind, v.trees, v.detail) for v in report.violations] == [
+        (TERMINAL_DEGREE, (0,), "terminal 011 has degree 3"),
+    ]
+    # S itself must hold three targets
+    report = verify_family(g, family(3, S_A[:2], []))
+    assert [(v.kind, v.trees) for v in report.violations] == [(WRONG_TERMINALS, ())]
+
+
+def test_labels_outside_the_cube_are_contract_violations():
+    g = AugmentedCube(3)
+    with pytest.raises(ContractViolation, match="out of range"):
+        verify_family(g, family(3, S_A, [tree([("000", "1000")])]))
+    with pytest.raises(ContractViolation, match="dimension"):
+        verify_family(g, family(3, ("0000", "0001", "0011"), []))
 
 
 def test_report_json_shape():
@@ -170,12 +182,12 @@ def test_report_json_shape():
 
 def test_oracle_examples():
     g = AugmentedCube(3)
-    res = oracle_tau(g, [parse_vertex(s) for s in S_B])
+    res = oracle_tau(g, [int(s, 2) for s in S_B])
     assert res.exact and res.value == 4
-    res = oracle_tau(g, [parse_vertex(s) for s in S_A])
+    res = oracle_tau(g, [int(s, 2) for s in S_A])
     assert res.exact and res.value == 3
     g1 = AugmentedCube(1)
-    res = oracle_tau(g1, [Vertex(0, 1), Vertex(1, 1)])
+    res = oracle_tau(g1, [0, 1])
     assert res.exact and res.value == 1
 
 
@@ -185,7 +197,7 @@ def test_oracle_triangles_all_exactly_three():
     tris = triangles(masks, 3)
     assert tris  # the cube is full of them
     for t in tris:
-        res = oracle_tau(g, [Vertex(a, 3) for a in t])
+        res = oracle_tau(g, t)
         assert res.exact and res.value == 3
 
 
@@ -193,7 +205,7 @@ def test_oracle_min_over_all_triples_is_three():
     g = AugmentedCube(3)
     values = []
     for t in itertools.combinations(range(8), 3):
-        res = oracle_tau(g, [Vertex(a, 3) for a in t])
+        res = oracle_tau(g, t)
         assert res.exact
         values.append(res.value)
     assert min(values) == 3
@@ -204,9 +216,8 @@ def test_constructor_never_exceeds_oracle_dim3():
 
     g = AugmentedCube(3)
     for t in itertools.combinations(range(8), 3):
-        terms = [Vertex(a, 3) for a in t]
-        fam = construct(g, terms)
-        res = oracle_tau(g, terms)
+        fam = construct(g, [Vertex(a, 3) for a in t])
+        res = oracle_tau(g, t)
         assert len(fam.trees) == 3 <= res.value
 
 
@@ -246,10 +257,9 @@ def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
     canon = sorted({_canonical_triple(n, t)[0] for t in itertools.combinations(range(1 << n), 3)})
     assert len(canon) == {3: 5, 4: 23}[n]
     for t in canon:
-        terms = [Vertex(a, n) for a in t]
-        full = oracle_tau(g, terms)
+        full = oracle_tau(g, t)
         assert full.exact and len(full.witness) == full.value and _is_packing(n, t, full.witness)
-        res = oracle_tau(g, terms, stop_at=stop_at)
+        res = oracle_tau(g, t, stop_at=stop_at)
         assert _is_packing(n, t, res.witness) and len(res.witness) == res.lower
         # a stop_at-family is found exactly when one exists
         assert (res.lower == stop_at) == (full.value >= stop_at), t
@@ -264,7 +274,7 @@ def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
 
 def test_oracle_budget_bracket():
     g = AugmentedCube(3)
-    res = oracle_tau(g, [parse_vertex(s) for s in S_B], budget=5)
+    res = oracle_tau(g, [int(s, 2) for s in S_B], budget=5)
     assert not res.exact
     assert res.lower <= 4 <= res.upper
 
@@ -272,11 +282,13 @@ def test_oracle_budget_bracket():
 def test_oracle_contract_errors():
     g = AugmentedCube(3)
     with pytest.raises(ContractViolation):
-        oracle_tau(g, [Vertex(0, 3)])
+        oracle_tau(g, [0])
     with pytest.raises(ContractViolation):
-        oracle_tau(g, [Vertex(0, 3), Vertex(1, 3)], budget=0)
+        oracle_tau(g, [0, 1], budget=0)
     with pytest.raises(ContractViolation):
-        oracle_tau(g, [Vertex(0, 3), Vertex(1, 3)], stop_at=0)
+        oracle_tau(g, [0, 1], stop_at=0)
+    with pytest.raises(ContractViolation, match="out of range"):
+        oracle_tau(g, [0, 8])
 
 
 # ---------------------------------------------------------------------------
