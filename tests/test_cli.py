@@ -596,6 +596,14 @@ STDOUT_DIGESTS = [
      "108d2b73ba6721957ecf6ea4fbedb38bca55ada5748103b58aee9ea6a65fabe8"),
     ("sweep -n 6 --samples 200 --seed 7 --format json", 0,
      "1f684f8ef7c23aa7137d4863ebc26419c5f78fe8d091a378b616f4e9fd740ba7"),
+    ("sweep -n 4 --exhaustive", 0,
+     "379afe24b86afc61b219a59d62d4fdce73ea6c3f82327e9abf2fc85a3f636e0a"),
+    ("oracle -n 3 -S 001,010,100", 0,
+     "494c4412bc5496e994d2319e5ed8b4740372426b2199c105157e8c5174762477"),
+    ("oracle -n 4 -S 0000,0011,1100", 0,
+     "ef864d8e1968ef046dddcedbdc844513c11374270fcb0f7421907ad80d1be68a"),
+    ("oracle -n 5 -S 00000,00001,00010 --force", 0,  # ends on the default budget
+     "b6b4db66ba84c1f3a30f3d8050f33fa129a74d2150b80702867b2c56ba70accc"),
 ]
 
 
@@ -605,3 +613,78 @@ def test_stdout_is_byte_stable():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             got = main(command.split())
         assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (code, digest), command
+
+
+def _mutants(doc):
+    """One certificate per ``Violation`` kind that a file can reach, each
+    made from the accepted ``doc`` by editing tree 0 or tree 1.
+    (``WrongTerminals`` needs |S| != 3, which the parser already rejects.)"""
+    n = doc["n"]
+    g = AugmentedCube(n)
+    terms = set(doc["s"])
+    t0, t1 = doc["trees"][0]["edges"], doc["trees"][1]["edges"]
+
+    def inner(edges):
+        return sorted({a for e in edges for a in e} - terms)
+
+    def degree(edges, a):
+        return sum(a in e for e in edges)
+
+    def adjacent(a, b):
+        return g.adjacent_labels(int(a, 2), int(b, 2))
+
+    def with_tree(i, edges):
+        out = json.loads(json.dumps(doc))
+        out["trees"][i]["edges"] = edges
+        return out
+
+    v0 = inner(t0)
+    present = {tuple(sorted(e)) for e in t0}
+    chord = next([a, b] for a in v0 for b in v0 if a < b and adjacent(a, b) and (a, b) not in present)
+    far = next([v0[0], b] for b in v0 + sorted(terms) if b != v0[0] and not adjacent(v0[0], b))
+    bridge = next(e for e in t0 if degree(t0, e[0]) > 1 and degree(t0, e[1]) > 1)
+    pendant = next(e for e in t0 if set(e) & terms)
+    touch = next(
+        [a, b]
+        for a in inner(t1)
+        for b in v0
+        if adjacent(a, b) and b not in inner(t1)
+    )
+    return {
+        "NonEdge": with_tree(0, t0 + [far]),
+        "NonEdge-loop": with_tree(0, t0 + [[v0[0], v0[0]]]),
+        "Cycle": with_tree(0, t0 + [chord]),
+        "Disconnected": with_tree(0, [e for e in t0 if e != bridge]),
+        "TerminalDegree": with_tree(0, [e for e in t0 if e != pendant]),
+        "SharedVertex": with_tree(1, t1 + [touch]),
+        "SharedEdge": with_tree(1, t1 + [t0[0]]),
+    }
+
+
+VERIFY_DIGESTS = {
+    "accepted": (0, "3434804021bd9f2c928c5465ea253a7ef3a10663e2a69ab7510b5976202b6b45"),
+    "NonEdge": (1, "315ce180465378aa5b36b0edff302d7abdfbd8d11c4438b096c76100ef3f593c"),
+    "NonEdge-loop": (1, "16585edcff30751bc292524a940e51896259318729035c55f99a8053dd406307"),
+    "Cycle": (1, "278468165c8fe70d65716b2a63e71c74a58de6b984fa4a4b20bb9e847420dc61"),
+    "Disconnected": (1, "cd9c5b99b11261beb0a38e6912545e5f7249576aa2c259ffa3ba5c6792719cfb"),
+    "TerminalDegree": (1, "0b08df5e40719514106fc817685b3988299b9f791d54d75e90cc20459d1706dc"),
+    "SharedVertex": (1, "9adc86c0774554bdbe4e8238164d22d5c7818a5906e010b4674b4f31ccfcaa24"),
+    "SharedEdge": (1, "78f9c9618dee01c64bb4fc490175905a39807d3497f2438f5e25eb60532402cd"),
+}
+
+
+def test_verify_reports_are_byte_stable(tmp_path):
+    g = AugmentedCube(6)
+    fam = construct(g, [parse_vertex(s) for s in ("001011", "011000", "100001")])
+    doc = certificate_doc(fam, fam.provenance[0].case.value)
+    docs = {"accepted": doc, **_mutants(doc)}
+    assert docs.keys() == VERIFY_DIGESTS.keys()
+    for name, cert_doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cert_doc, indent=2))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", str(path)])
+        kinds = {v["kind"] for v in json.loads(out.getvalue())["violations"]}
+        assert name == "accepted" or name.split("-")[0] in kinds, (name, kinds)
+        assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == VERIFY_DIGESTS[name], name
