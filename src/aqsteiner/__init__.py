@@ -34,7 +34,6 @@ from .topology import (
     AugmentedCube,
     ContractViolation,
     GraphView,
-    Side,
     Vertex,
     parse_vertex,
     side_view,
@@ -46,7 +45,6 @@ from .verify import (
     hager_upper_bound,
     oracle_tau,
     verify_family,
-    verify_tree,
 )
 
 __version__ = "0.1.0"

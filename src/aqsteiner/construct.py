@@ -21,6 +21,8 @@ S straddles the two half-copies:
   cross-matching edge.  Which partner anchors the upper fan, and which
   special trees are carved out, depends on whether x and y are
   cross-twins, whether they are adjacent, and which partners z touches.
+  A fan is named by its two endpoints alone: they share their leading
+  bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is searched from 0 to d = x ^ y inside the region
   ``paths.fan_region(n - 1, d)``, translated by x and re-checked inside
   its half-copy; a region without a full fan is a bug
@@ -28,7 +30,7 @@ S straddles the two half-copies:
 
 The fan from 0 to d depends only on (n, d), so a sweep needs at most
 2^(n-1) - 1 distinct fans.  Inside ``fan_memo()`` (the sweep enters it
-once per batch) each untranslated fan is kept under the key (n, d, k)
+once per batch) each untranslated fan is kept under the key (n, d)
 and reused; the memo holds at most ``FAN_MEMO_MAX`` fans, and a miss
 past the cap is searched and not stored.  Every use, hit or miss, is
 still translated and re-checked in its half-copy, and every family
@@ -56,7 +58,6 @@ from .topology import (
     AugmentedCube,
     ContractViolation,
     GraphView,
-    Side,
     Vertex,
     c_label,
     h_label,
@@ -278,9 +279,9 @@ def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
 # recipe building blocks
 # ---------------------------------------------------------------------------
 
-# The fans of the active ``fan_memo()``, untranslated, by (n, d, k); None
+# The fans of the active ``fan_memo()``, untranslated, by (n, d); None
 # outside one.  A ContextVar, so each thread sees only the memo it entered.
-_fan_memo: contextvars.ContextVar[dict[tuple[int, int, int], _paths.PathSystem] | None] = (
+_fan_memo: contextvars.ContextVar[dict[tuple[int, int], _paths.PathSystem] | None] = (
     contextvars.ContextVar("fan_memo", default=None)
 )
 # A sweep at dimension n needs at most 2^(n-1) - 1 fans, so the cap covers
@@ -299,18 +300,20 @@ def fan_memo():
         _fan_memo.reset(token)
 
 
-def _system(g: AugmentedCube, side: Side, src: int, dst: int, k: int) -> _paths.PathSystem:
-    """k disjoint src-dst paths inside a half-copy: a fan from 0 to
+def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
+    """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
+    of src and dst (they share their leading bit): a fan from 0 to
     d = src ^ dst in the region R(d), translated by src.  Translation by
     src is an automorphism that maps the lower half-copy onto src's.
 
-    Inside ``fan_memo()`` the untranslated fan is looked up under
-    (n, d, k) and searched only on a miss; a miss is stored while the
-    memo holds fewer than ``FAN_MEMO_MAX`` fans.  The translated fan is
-    re-checked against its half-copy on every call, hit or miss."""
+    Inside ``fan_memo()`` the untranslated fan is looked up under (n, d)
+    and searched only on a miss; a miss is stored while the memo holds
+    fewer than ``FAN_MEMO_MAX`` fans.  The translated fan is re-checked
+    against its half-copy on every call, hit or miss."""
     n, d = g.dim, src ^ dst
+    k = target_family_size(n)
     memo = _fan_memo.get()
-    key = (n, d, k)
+    key = (n, d)
     res = memo.get(key) if memo is not None else None
     if res is None:
         res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), 0, d, k)
@@ -319,7 +322,7 @@ def _system(g: AugmentedCube, side: Side, src: int, dst: int, k: int) -> _paths.
         if memo is not None and len(memo) < FAN_MEMO_MAX:
             memo[key] = res
     system = _paths.map_path_system(lambda v: v ^ src, res)
-    problems = _verify.check_path_system(side_view(g, side), system)
+    problems = _verify.check_path_system(side_view(g, src), system)
     if problems:
         raise InternalError(f"translated fan leaves its half-copy: {problems}")
     return system
@@ -329,7 +332,7 @@ def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
     """Reorder so that path i reaches the sink through wanted[i]; the
     remaining paths keep their relative order."""
     try:
-        return _paths.reorder_paths(ps, list(enumerate(wanted)))
+        return _paths.reorder_paths(ps, wanted)
     except _paths.PinUnsatisfiable as exc:
         raise InternalError(str(exc)) from exc
 
@@ -338,8 +341,8 @@ _Edges = set[tuple[int, int]]
 
 
 def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n, k = g.dim, target_family_size(g.dim)
-    P = _pin(_system(g, Side.ZERO, x, y, k), [x])
+    n = g.dim
+    P = _pin(_system(g, x, y), [x])
     xc = c_label(x, n)  # equals the bit-keeping partner of y; the star centre
     trees: list[_Edges] = [{_edge(x, xc), _edge(y, xc), _edge(z, xc)}]
     for p in P.paths[1:]:
@@ -350,8 +353,8 @@ def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 
 
 def _recipe_2_1_2(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n, k = g.dim, target_family_size(g.dim)
-    P = _system(g, Side.ZERO, x, y, k)
+    n = g.dim
+    P = _system(g, x, y)
     Q = _paths.map_path_system(lambda v: h_label(v, n), P)
     trees: list[_Edges] = []
     # x and y are not adjacent (else z = h(x) would touch h(y): Case2_1_3),
@@ -377,21 +380,21 @@ def _splice(
     through the matching edge nb_i-img(nb_i), and the upper path drops
     its last edge.  Returns the upper fan, for the recipe's special
     trees, and the spliced trees."""
-    n, k = g.dim, len(P.paths)
+    n = g.dim
     w_nb = [p[-2] for p in P.paths]
-    Q = _pin(_system(g, Side.ONE, z, img(w, n), k), [img(v, n) for v in w_nb])
+    Q = _pin(_system(g, z, img(w, n)), [img(v, n) for v in w_nb])
     trees = [
         {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(w_nb[i], img(w_nb[i], n))}
-        for i in range(start, k)
+        for i in range(start, len(P.paths))
     ]
     return Q, trees
 
 
 def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n, k = g.dim, target_family_size(g.dim)
+    n = g.dim
     trail = (1 << (n - 1)) - 1
     xch = x ^ trail  # the all-bits partner of z pulled below; adjacent to x
-    P = _pin(_system(g, Side.ZERO, y, x, k), [y, xch])
+    P = _pin(_system(g, y, x), [y, xch])
     Q, spliced = _splice(g, P, x, c_label, z, 2)
     return [
         {*path_edges(P.paths[1]), _edge(xch, z)},
@@ -401,8 +404,8 @@ def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 
 
 def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n, k = g.dim, target_family_size(g.dim)
-    P = _pin(_system(g, Side.ZERO, x, y, k), [x])
+    n = g.dim
+    P = _pin(_system(g, x, y), [x])
     # the upper fan ends at the bit-keeping partner of x
     Q, spliced = _splice(g, P, y, c_label, z, 1)
     return [
@@ -412,9 +415,9 @@ def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 
 
 def _recipe_2_2_1b(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n, k = g.dim, target_family_size(g.dim)
+    n = g.dim
     zc = c_label(z, n)  # below, adjacent to y because z touches y's all-bits partner
-    P = _pin(_system(g, Side.ZERO, x, y, k), [zc, x])
+    P = _pin(_system(g, x, y), [zc, x])
     Q, spliced = _splice(g, P, y, c_label, z, 2)
     return [
         {*path_edges(P.paths[0]), _edge(zc, z)},
@@ -428,13 +431,13 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
     y, fan above between z and the chosen cross-partner of the anchor,
     spliced by one matching edge per tree.  ``variant`` is
     "matching@anchor", e.g. "c@y"."""
-    n, k = g.dim, target_family_size(g.dim)
+    n = g.dim
     matching, anchor = variant.split("@")
     adjacent = g.adjacent_labels(x, y)
     img = h_label if matching == "h" else c_label
     w = x if anchor == "x" else y
     w_other = y if anchor == "x" else x
-    P = _system(g, Side.ZERO, w_other, w, k)
+    P = _system(g, w_other, w)
     if not adjacent:
         return _splice(g, P, w, img, z, 0)[1]
     Q, spliced = _splice(g, _pin(P, [w_other]), w, img, z, 1)

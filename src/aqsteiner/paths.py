@@ -49,7 +49,7 @@ CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
 class PinUnsatisfiable(ContractViolation):
-    """No path of the system has the requested endpoint neighbour."""
+    """A requested sink neighbour is pinned twice or belongs to no path."""
 
 
 @dataclass(frozen=True)
@@ -202,38 +202,27 @@ def disjoint_paths(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinC
 # system manipulation
 # ---------------------------------------------------------------------------
 
-def reorder_paths(ps: PathSystem, pinned: Sequence[tuple[int, int]]) -> PathSystem:
-    """Permute paths so prescribed sink neighbours land at prescribed
-    indices; unpinned paths keep their relative order.
+def reorder_paths(ps: PathSystem, wanted: Sequence[int]) -> PathSystem:
+    """The paths that reach the sink through wanted[0], wanted[1], ...,
+    in that order, then every other path in its order; path i's sink
+    neighbour is ``ps.paths[i][-2]``.
 
-    Each pin (index, w) asks for the path that reaches the sink through
-    the label w; path i's sink neighbour is ``ps.paths[i][-2]``.
+    Raises ``PinUnsatisfiable`` for a label pinned twice and for a label
+    that is no path's sink neighbour.  In a disjoint system each label is
+    at most one path's sink neighbour; a system that shares one takes the
+    first such path and drops the others.
     """
-    k = len(ps.paths)
-    nbrs = [p[-2] for p in ps.paths]
-    slot: dict[int, int] = {}
-    taken: set[int] = set()
-    for index, required in pinned:
-        if not 0 <= index < k:
-            raise PinUnsatisfiable(f"pin index {index} out of range")
-        matches = [j for j, nb in enumerate(nbrs) if nb == required]
-        if not matches:
-            raise PinUnsatisfiable(f"no path has sink neighbour {required}")
-        j = matches[0]
-        if index in slot and slot[index] != j:
-            raise PinUnsatisfiable(f"conflicting pins for index {index}")
-        if j in taken and slot.get(index) != j:
-            raise PinUnsatisfiable(f"path for {required} pinned twice")
-        slot[index] = j
-        taken.add(j)
-    rest = [j for j in range(k) if j not in taken]
-    order: list[int] = []
-    for i in range(k):
-        if i in slot:
-            order.append(slot[i])
-        else:
-            order.append(rest.pop(0))
-    return PathSystem(ps.source, ps.sink, tuple(ps.paths[j] for j in order))
+    pinned = set(wanted)
+    if len(pinned) != len(wanted):
+        raise PinUnsatisfiable(f"a sink neighbour is pinned twice in {list(wanted)}")
+    by_nb: dict[int, tuple[int, ...]] = {}
+    for p in ps.paths:
+        by_nb.setdefault(p[-2], p)
+    for w in wanted:
+        if w not in by_nb:
+            raise PinUnsatisfiable(f"no path has sink neighbour {w}")
+    lead = [by_nb[w] for w in wanted]
+    return PathSystem(ps.source, ps.sink, tuple(lead + [p for p in ps.paths if p[-2] not in pinned]))
 
 
 def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:

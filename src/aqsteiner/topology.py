@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Collection, NamedTuple
 
 MAX_DIM = 62
@@ -69,11 +68,6 @@ def parse_vertex(text: str) -> Vertex:
     if len(text) > MAX_DIM:
         raise ContractViolation(f"label longer than {MAX_DIM} bits: {text!r}")
     return Vertex(int(text, 2), len(text))
-
-
-class Side(Enum):
-    ZERO = 0
-    ONE = 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,11 +196,6 @@ class GraphView:
     def contains_label(self, v: int) -> bool:
         return 0 <= v < 1 << self.cube.dim and (self.allowed is None or v in self.allowed)
 
-    def vertex_labels(self) -> list[int]:
-        if self.allowed is None:
-            return list(range(self.cube.order))
-        return sorted(self.allowed)
-
     def has_edge_labels(self, u: int, v: int) -> bool:
         if u == v or not (self.contains_label(u) and self.contains_label(v)):
             return False
@@ -216,9 +205,11 @@ class GraphView:
         return [w for w in self.cube.neighbor_labels(v) if self.contains_label(w)]
 
 
-def side_view(g: AugmentedCube, side: Side) -> GraphView:
-    """The induced half-copy (isomorphic to the cube one dimension down)."""
+def side_view(g: AugmentedCube, v: int) -> GraphView:
+    """The induced half-copy that holds label v (isomorphic to the cube
+    one dimension down)."""
     if g.dim < 2:
         raise ContractViolation("no split below dimension 2")
     half = 1 << (g.dim - 1)
-    return GraphView(g, range(half, 2 * half) if side is Side.ONE else range(half))
+    lo = v & half
+    return GraphView(g, range(lo, lo + half))

@@ -1,19 +1,22 @@
 """Independent certificate checking, exact small-scale oracles, bounds.
 
-``verify_family``, ``verify_tree`` and ``check_path_system`` share no
-traversal or assembly code with the constructor; they go straight to
-label-level adjacency so a constructor bug cannot hide behind shared
-helpers.  Only the packing search of ``oracle_tau`` is shared: the
-constructor's base case runs it with ``stop_at``, and this module
-imports nothing of the package but ``topology``.  Certificates are
-duck-typed: a tree is anything with ``edges``, a set of label pairs,
-and a family anything with ``terminals`` (S, as objects with ``bits``
-and ``dim``, checked once against the cube) and ``trees``, so parsed
-files check exactly like freshly built objects.  Every tree is checked
-against the family's S.  Everything past S is a plain int label, as are
-the oracle's targets and the label paths of the path systems that
-``paths`` produces; violation details write labels at the cube's
-dimension.
+``verify_family`` and ``check_path_system`` share no traversal or
+assembly code with the constructor; they go straight to label-level
+adjacency so a constructor bug cannot hide behind shared helpers.
+``verify_family`` and ``oracle_tau`` take the cube itself;
+``check_path_system`` takes the view its paths must stay inside.  Only
+the packing search of ``oracle_tau`` is shared: the constructor's base
+case runs it with ``stop_at``, and this module imports nothing of the
+package but ``topology``.
+
+Certificates are duck-typed: a tree is anything with ``edges``, a set
+of label pairs, and a family anything with ``terminals`` (S, as objects
+with ``bits`` and ``dim``, checked once against the cube) and
+``trees``, so parsed files check exactly like freshly built objects.
+Every tree is checked against the family's S.  Everything past S is a
+plain int label, as are the oracle's targets and the label paths of the
+path systems that ``paths`` produces; violation details write labels at
+the cube's dimension.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ class VerificationReport:
         }
 
 
-def _as_view(g: AugmentedCube | GraphView) -> GraphView:
-    return g if isinstance(g, GraphView) else g.view()
-
-
 def _report(violations: list[Violation]) -> VerificationReport:
     return VerificationReport(accepted=not violations, violations=tuple(violations))
 
@@ -90,7 +89,7 @@ def _terminal_labels(cube: AugmentedCube, terminals) -> frozenset[int]:
 
 
 def _tree_violations(
-    view: GraphView,
+    g: AugmentedCube,
     terminals: frozenset[int],
     tree,
     index: int,
@@ -100,8 +99,8 @@ def _tree_violations(
     """One pass over the tree's label edges: range, adjacency, degrees,
     components, and the edges and internal vertices that an earlier tree
     of the family (recorded in the owner maps) already holds."""
-    width = view.dim
-    check_label = view.cube.check_label
+    width = g.dim
+    check_label = g.check_label
     out: list[Violation] = []
     shared: list[Violation] = []
     vertices: set[int] = set()
@@ -116,7 +115,8 @@ def _tree_violations(
             shared.append(Violation(SHARED_EDGE, (edge_owner[key], index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
         else:
             edge_owner[key] = index
-        if u == v or not view.has_edge_labels(u, v):
+        # a loop u = v is a non-edge too: 0 is not in the delta set
+        if not g.adjacent_labels(u, v):
             out.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
             continue
         ok_edges += 1
@@ -158,29 +158,22 @@ def _count_components(adj: dict[int, list[int]]) -> int:
     return count
 
 
-def verify_tree(g: AugmentedCube | GraphView, terminals, tree) -> VerificationReport:
-    """Check one tree on the target set ``terminals``: real edges,
-    connected, acyclic, every target a leaf."""
-    view = _as_view(g)
-    return _report(_tree_violations(view, _terminal_labels(view.cube, terminals), tree, 0, {}, {}))
-
-
-def verify_family(g: AugmentedCube | GraphView, family) -> VerificationReport:
-    """Check every member tree against the family's S, plus pairwise
-    internal disjointness.
+def verify_family(g: AugmentedCube, family) -> VerificationReport:
+    """Check every member tree against the family's S (real edges,
+    connected, acyclic, every target a leaf), plus pairwise internal
+    disjointness.
 
     Runs in time linear in the total certificate size: ownership of
     vertices and edges is tracked in hash maps, never by pairwise scans.
     """
-    view = _as_view(g)
-    terminals = _terminal_labels(view.cube, family.terminals)
+    terminals = _terminal_labels(g, family.terminals)
     violations: list[Violation] = []
     if len(terminals) != 3:
         violations.append(Violation(WRONG_TERMINALS, (), f"expected 3 terminals, got {len(terminals)}"))
     edge_owner: dict[tuple[int, int], int] = {}
     vertex_owner: dict[int, int] = {}
     for i, tree in enumerate(family.trees):
-        violations += _tree_violations(view, terminals, tree, i, edge_owner, vertex_owner)
+        violations += _tree_violations(g, terminals, tree, i, edge_owner, vertex_owner)
     return _report(violations)
 
 
@@ -240,7 +233,7 @@ class OracleResult:
 
 
 def oracle_tau(
-    g: AugmentedCube | GraphView,
+    g: AugmentedCube,
     terminals: Iterable[int],
     budget: int = DEFAULT_ORACLE_BUDGET,
     *,
@@ -266,27 +259,24 @@ def oracle_tau(
         raise ContractViolation("budget must be positive")
     if stop_at is not None and stop_at < 1:
         raise ContractViolation("stop_at must be positive")
-    view = _as_view(g)
     term_labels = sorted(set(terminals))
     for t in term_labels:
-        view.cube.check_label(t)
-        if not view.contains_label(t):
-            raise ContractViolation(f"terminal {t:0{view.dim}b} outside the view")
+        g.check_label(t)
     if len(term_labels) < 2:
         raise ContractViolation("at least two terminals required")
 
-    ground = [v for v in view.vertex_labels() if v not in term_labels]
+    ground = [v for v in range(g.order) if v not in term_labels]
     index = {v: i for i, v in enumerate(ground)}
     m = len(ground)
     adj_mask = [0] * m
     for v in ground:
-        for w in view.neighbor_labels(v):
+        for w in g.neighbor_labels(v):
             if w in index:
                 adj_mask[index[v]] |= 1 << index[w]
     attach_mask = []
     for t in term_labels:
         mask = 0
-        for w in view.neighbor_labels(t):
+        for w in g.neighbor_labels(t):
             if w in index:
                 mask |= 1 << index[w]
         attach_mask.append(mask)
@@ -295,7 +285,7 @@ def oracle_tau(
     # terminal, and edges between terminals are unusable for |S| >= 3
     free_deg = []
     for t in term_labels:
-        nbrs = view.neighbor_labels(t)
+        nbrs = g.neighbor_labels(t)
         in_s = sum(1 for w in nbrs if w in term_labels)
         free = len(nbrs) - in_s
         if len(term_labels) == 2 and in_s:
@@ -329,18 +319,14 @@ def oracle_tau(
         return False
 
     minimal: list[int] = []
-    direct_edge_tree = len(term_labels) == 2 and view.has_edge_labels(term_labels[0], term_labels[1])
+    direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
 
-    sizes = range(1, m + 1)
-    enumeration_complete = True
-    for size in sizes:
+    for size in range(1, m + 1):
         if exhausted:
-            enumeration_complete = False
             break
         for combo in itertools.combinations(range(m), size):
             if nodes >= budget:
                 exhausted = True
-                enumeration_complete = False
                 break
             mask = 0
             for i in combo:
@@ -387,7 +373,7 @@ def oracle_tau(
 
     dfs(0, 0, len(chosen))
     reached = stop_at is not None and best >= stop_at
-    if halted or not enumeration_complete:
+    if halted or exhausted:
         # a spent budget or an early stop bounds the value only by the ceiling
         upper = max(best, ceiling)
         exact = reached and best == ceiling

@@ -11,12 +11,15 @@ import sys
 import jsonschema
 import pytest
 
+from aqsteiner import verify as verify_mod
 from aqsteiner.cli import (
     PATHS_MAX_DIM,
+    all_triples,
     build_parser,
     certificate_doc,
     main,
     parse_certificate,
+    run_sweep,
     sample_triples,
 )
 from aqsteiner.construct import construct
@@ -352,6 +355,23 @@ def test_sweep_deterministic_across_jobs():
         c2, out2, _ = run_cli(["sweep", "-n", n, "--exhaustive", "--format", "json", "--jobs", "2"])
         assert c1 == c2 == 0
         assert out1 == out2
+
+
+def test_sweep_verifies_each_family_once(monkeypatch):
+    # one verify per construct level: the 4960 n = 5 families and the
+    # n = 4 families below the 1120 Case1 triples, none again in the sweep
+    calls = []
+    original = verify_mod.verify_family
+
+    def counting(g, family):
+        calls.append(g.dim)
+        return original(g, family)
+
+    monkeypatch.setattr(verify_mod, "verify_family", counting)
+    records = run_sweep(5, all_triples(5))
+    assert [r.labels for r in records] == all_triples(5)
+    assert all(r.verified for r in records)
+    assert (calls.count(5), calls.count(4), len(calls)) == (4960, 1120, 6080)
 
 
 def test_construct_byte_identical_runs():

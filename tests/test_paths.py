@@ -21,7 +21,6 @@ from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
     GraphView,
-    Side,
     Vertex,
     c_label,
     gray,
@@ -96,7 +95,7 @@ def test_contract_errors():
         disjoint_paths(g.view(), 0, 0, 1)
     with pytest.raises(ContractViolation):
         disjoint_paths(g.view(), 0, 1, 0)
-    lower = side_view(g, Side.ZERO)
+    lower = side_view(g, 0)
     with pytest.raises(ContractViolation):
         disjoint_paths(lower, 0, 7, 1)
     for label in (-1, 8):  # endpoints must be labels of the cube
@@ -155,11 +154,10 @@ def test_endpoint_neighbours_are_distinct_across_paths():
 def test_reorder_pins_direct_edge_first():
     n = 5
     g = AugmentedCube(n)
-    lower = side_view(g, Side.ZERO)
     x, y = 0, 15  # adjacent (all trailing bits differ)
-    res = disjoint_paths(lower, x, y, 7)
+    res = disjoint_paths(side_view(g, x), x, y, 7)
     assert isinstance(res, PathSystem)
-    pinned = reorder_paths(res, [(0, x)])
+    pinned = reorder_paths(res, [x])
     assert pinned.paths[0] == (x, y)
     # stability: unpinned paths keep relative order
     rest = [p for p in res.paths if p != pinned.paths[0]]
@@ -171,13 +169,13 @@ def test_reorder_empty_and_conflicts():
     assert isinstance(res, PathSystem)
     assert reorder_paths(res, []) == res
     nb0, nb1 = res.paths[0][-2], res.paths[1][-2]
-    assert reorder_paths(res, [(0, nb1)]).paths[:2] == (res.paths[1], res.paths[0])
-    with pytest.raises(PinUnsatisfiable):
-        reorder_paths(res, [(0, nb0), (0, nb1)])
-    with pytest.raises(PinUnsatisfiable):
-        reorder_paths(res, [(0, 0)])  # source is nobody's sink neighbour here
-    with pytest.raises(PinUnsatisfiable):
-        reorder_paths(res, [(7, nb0)])
+    # path 1 first, then every other path in its order
+    assert reorder_paths(res, [nb1]).paths == (res.paths[1], res.paths[0], *res.paths[2:])
+    assert reorder_paths(res, [nb1, nb0]).paths == (res.paths[1], res.paths[0], *res.paths[2:])
+    with pytest.raises(PinUnsatisfiable, match="pinned twice"):
+        reorder_paths(res, [nb0, nb1, nb0])
+    with pytest.raises(PinUnsatisfiable, match="no path"):
+        reorder_paths(res, [nb0, 0])  # the source is nobody's sink neighbour here
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_map_path_system_examples():
 @pytest.mark.parametrize("label_map", [h_label, c_label], ids=["h_image", "c_image"])
 def test_map_preserves_system_invariants_dim4_lower_half(label_map):
     g = AugmentedCube(4)
-    lower = side_view(g, Side.ZERO)
+    lower = side_view(g, 0)
     full = g.view()
     for u, v in itertools.combinations(range(8), 2):
         res = disjoint_paths(lower, u, v, 5)

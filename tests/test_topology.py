@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
-    Side,
     Vertex,
     adjacency_deltas,
     c_label,
@@ -118,13 +117,14 @@ def test_gray_maps_deltas_onto_generators():
 
 
 def test_split_side():
-    # the leading bit picks the half-copy
+    # the leading bit of the label picks the half-copy
     g = AugmentedCube(4)
-    assert side_view(g, Side.ZERO).contains_label(b("0110"))
-    assert side_view(g, Side.ONE).contains_label(b("1001"))
-    assert not side_view(g, Side.ZERO).contains_label(b("1001"))
+    assert side_view(g, b("0000")).contains_label(b("0110"))
+    assert side_view(g, b("1111")).contains_label(b("1001"))
+    assert not side_view(g, b("0110")).contains_label(b("1001"))
+    assert side_view(g, b("0110")) == side_view(g, b("0001"))
     with pytest.raises(ContractViolation):
-        side_view(AugmentedCube(1), Side.ZERO)
+        side_view(AugmentedCube(1), 0)
 
 
 def test_images_examples():
@@ -241,7 +241,7 @@ def test_sub_cube_vertices():
     # the labels extending a prefix are a range, and they induce a copy of
     # the cube of dimension dim - len(prefix)
     g4 = AugmentedCube(4)
-    assert side_view(g4, Side.ONE).allowed == range(0b1000, 0b10000)
+    assert side_view(g4, 0b1010).allowed == range(0b1000, 0b10000)
     for prefix, rest in ((0b1, 3), (0b10, 2), (0b011, 1)):
         base = prefix << rest
         sub = AugmentedCube(rest)
@@ -254,8 +254,8 @@ def test_sub_cube_vertices():
 
 def test_graph_view_restriction():
     g = AugmentedCube(4)
-    lower = side_view(g, Side.ZERO)
-    assert lower.vertex_labels() == list(range(8))
+    lower = side_view(g, 0b0101)
+    assert lower.allowed == range(8)
     # the induced half is a copy of the cube one dimension down
     g3 = AugmentedCube(3)
     for v in range(8):
@@ -264,11 +264,13 @@ def test_graph_view_restriction():
 
 def test_side_view_is_a_label_range_at_dim_62():
     out = run_bounded(
-        "from aqsteiner.topology import AugmentedCube, Side, side_view\n"
-        "view = side_view(AugmentedCube(62), Side.ONE)\n"
-        "print(view.contains_label(2**61), view.contains_label(5), len(view.allowed) == 2**61)\n"
+        "from aqsteiner.topology import AugmentedCube, side_view\n"
+        "g = AugmentedCube(62)\n"
+        "for v in (5, 2**61 + 5):\n"
+        "    view = side_view(g, v)\n"
+        "    print(view.contains_label(v), view.contains_label(v ^ 2**61), len(view.allowed) == 2**61)\n"
     )
-    assert out.split() == ["True", "False", "True"]
+    assert out.split() == ["True", "False", "True"] * 2
 
 
 def test_vertex_parsing_roundtrip():

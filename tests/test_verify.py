@@ -16,7 +16,6 @@ from aqsteiner.verify import (
     hager_upper_bound,
     oracle_tau,
     verify_family,
-    verify_tree,
 )
 
 from util import max_disjoint_paths_brute, reachable_mask, recursive_adjacency_masks, triangles
@@ -54,27 +53,31 @@ FAMILY_B = [
 
 
 # ---------------------------------------------------------------------------
-# single-tree checks
+# single-tree families
 # ---------------------------------------------------------------------------
 
 def test_star_tree_accepted():
     g = AugmentedCube(3)
-    report = verify_tree(g, targets(S_A), FAMILY_A[0])
+    report = verify_family(g, family(3, S_A, [FAMILY_A[0]]))
     assert report.accepted
 
 
 def test_non_edge_rejected():
     g = AugmentedCube(3)
     bad = tree([("000", "010"), ("010", "011"), ("010", "001"), ("001", "100")])
-    report = verify_tree(g, targets(S_A), bad)
+    report = verify_family(g, family(3, S_A, [bad]))
     assert not report.accepted
     assert NON_EDGE in {v.kind for v in report.violations}
+    # a loop is not an edge either
+    loop = SteinerTree(FAMILY_A[0].edges | {(0b010, 0b010)})
+    report = verify_family(g, family(3, S_A, [loop]))
+    assert [(v.kind, v.detail) for v in report.violations] == [(NON_EDGE, "010-010 is not an edge")]
 
 
 def test_terminal_degree_two_rejected():
     g = AugmentedCube(3)
     bad = tree([("000", "010"), ("010", "011"), ("010", "001"), ("000", "100"), ("100", "110")])
-    report = verify_tree(g, targets(S_A), bad)
+    report = verify_family(g, family(3, S_A, [bad]))
     assert not report.accepted
     assert TERMINAL_DEGREE in {v.kind for v in report.violations}
 
@@ -83,7 +86,7 @@ def test_absent_terminal_is_degree_zero():
     g = AugmentedCube(3)
     bad = tree([("000", "001")])
     # 011 does not appear at all
-    report = verify_tree(g, targets(S_A), bad)
+    report = verify_family(g, family(3, S_A, [bad]))
     kinds = {v.kind for v in report.violations}
     assert TERMINAL_DEGREE in kinds
 
@@ -143,7 +146,7 @@ def test_disconnected_cycle_reports_both_in_order():
     # a triangle 000-001-011 plus the separate edge 100-101: two components,
     # so five vertices and four edges still hold a cycle
     t = tree([("000", "001"), ("001", "011"), ("000", "011"), ("100", "101")])
-    kinds = [v.kind for v in verify_tree(AugmentedCube(3), targets(S_A), t).violations]
+    kinds = [v.kind for v in verify_family(AugmentedCube(3), family(3, S_A, [t])).violations]
     assert kinds[:2] == [DISCONNECTED, CYCLE]
 
 
