@@ -9,8 +9,11 @@ Commands
   paths      internally disjoint path systems / separator witnesses
 
 Exit codes: 0 success or accepted, 1 verification or feasibility failure,
-2 usage or parse errors.  All output is deterministic for fixed flags;
-wall-clock timings go to stderr so stdout stays byte-stable.
+2 usage or parse errors.  Commands raise ``ContractViolation`` for bad
+input and let ``InternalError`` propagate; ``main`` is the one place that
+turns them into a single ``error: ...`` (exit 2) or ``construction
+failed: ...`` (exit 1) line on stderr.  All output is deterministic for
+fixed flags; wall-clock timings go to stderr so stdout stays byte-stable.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise CertificateFormatError(f"unsupported schema_version {doc['schema_version']!r}")
     n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= 62:
+    if type(n) is not int or not 1 <= n <= 62:  # bool is an int subclass
         raise CertificateFormatError("n must be an integer in 1..62")
 
     def read_label(text) -> int:
@@ -326,8 +329,11 @@ def sample_triples(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
 
 def _emit(text: str, output: str | None) -> None:
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ContractViolation(f"cannot write -o {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -351,8 +357,7 @@ def _parse_targets(raw: str, n: int, low: int = 3, high: int = 3) -> list[Vertex
 def cmd_info(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= 10:
-        print("info supports dimensions 1..10", file=sys.stderr)
-        return 2
+        raise ContractViolation("info supports dimensions 1..10")
     g = AugmentedCube(n)
     conn = _paths.connectivity(g)
     doc = {
@@ -376,21 +381,11 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        targets = _parse_targets(args.targets, args.n)
-        g = AugmentedCube(args.n)
-        tag = classify(g, targets)
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.fidelity and tag.case is Case.CASE1 and args.n > FIDELITY_MAX_DIM:
-        print(f"--fidelity on a Case1 triple needs dimension at most {FIDELITY_MAX_DIM}", file=sys.stderr)
-        return 2
-    try:
-        family = build_family(g, targets, fidelity=args.fidelity)
-    except InternalError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    targets = _parse_targets(args.targets, args.n)
+    g = AugmentedCube(args.n)
+    if args.fidelity and args.n > FIDELITY_MAX_DIM and classify(g, targets).case is Case.CASE1:
+        raise ContractViolation(f"--fidelity on a Case1 triple needs dimension at most {FIDELITY_MAX_DIM}")
+    family = build_family(g, targets, fidelity=args.fidelity)
     case = family.provenance[0].case.value
     if args.format == "json":
         _emit(json.dumps(certificate_doc(family, case), indent=2) + "\n", args.output)
@@ -408,11 +403,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             with open(args.path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        doc = json.loads(raw)
-        cert = parse_certificate(doc)
-    except (OSError, json.JSONDecodeError, CertificateFormatError) as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
-        return 2
+        cert = parse_certificate(json.loads(raw))
+    except (OSError, ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, CertificateFormatError; deep nesting
+        raise ContractViolation(f"malformed certificate: {exc}") from exc
     g = AugmentedCube(cert.n)
     report = _verify.verify_family(g, cert)
     sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n")
@@ -422,32 +416,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     n = args.n
     if not 3 <= n <= MAX_DIM:
-        print(f"sweep needs dimension in 3..{MAX_DIM}", file=sys.stderr)
-        return 2
+        raise ContractViolation(f"sweep needs dimension in 3..{MAX_DIM}")
     if args.exhaustive:
         if n > 5 and not args.force:
-            print("exhaustive sweep above dimension 5 needs --force", file=sys.stderr)
-            return 2
+            raise ContractViolation("exhaustive sweep above dimension 5 needs --force")
         count = math.comb(1 << n, 3)
     elif args.samples is None:
-        print("either --exhaustive or --samples N is required", file=sys.stderr)
-        return 2
+        raise ContractViolation("either --exhaustive or --samples N is required")
     else:
         count = args.samples
     if count > SWEEP_MAX_TRIPLES:
-        print(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {count}", file=sys.stderr)
-        return 2
-    try:
-        triples = all_triples(n) if args.exhaustive else sample_triples(n, count, args.seed)
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ContractViolation(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {count}")
+    triples = all_triples(n) if args.exhaustive else sample_triples(n, count, args.seed)
     started = time.monotonic()
-    try:
-        records = run_sweep(n, triples, jobs=args.jobs)
-    except InternalError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    records = run_sweep(n, triples, jobs=args.jobs)
     elapsed = time.monotonic() - started
     summary = sweep_summary(n, records)
     if args.format == "json":
@@ -474,18 +456,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= ORACLE_MAX_DIM:
-        print(f"oracle needs dimension in 1..{ORACLE_MAX_DIM}", file=sys.stderr)
-        return 2
+        raise ContractViolation(f"oracle needs dimension in 1..{ORACLE_MAX_DIM}")
     if (1 << n) > 16 and not args.force:
-        print("oracle beyond 16 vertices needs --force (results may be a bracket)", file=sys.stderr)
-        return 2
-    try:
-        targets = _parse_targets(args.targets, n, low=2, high=3)
-        g = AugmentedCube(n)
-        res = _verify.oracle_tau(g, [t.bits for t in targets], budget=args.budget)
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ContractViolation("oracle beyond 16 vertices needs --force (results may be a bracket)")
+    targets = _parse_targets(args.targets, n, low=2, high=3)
+    res = _verify.oracle_tau(AugmentedCube(n), [t.bits for t in targets], budget=args.budget)
     doc = {
         "n": n,
         "s": sorted(t.label() for t in targets),
@@ -499,20 +474,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= PATHS_MAX_DIM:
-        print(f"paths needs dimension in 1..{PATHS_MAX_DIM}", file=sys.stderr)
-        return 2
-    try:
-        u = parse_vertex(args.u)
-        v = parse_vertex(args.v)
-        if u.dim != args.n or v.dim != args.n:
-            raise ContractViolation("endpoint labels must have length n")
-        g = AugmentedCube(args.n)
-        res = _paths.disjoint_paths(g.view(), u.bits, v.bits, args.k)
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     n = args.n
+    if not 1 <= n <= PATHS_MAX_DIM:
+        raise ContractViolation(f"paths needs dimension in 1..{PATHS_MAX_DIM}")
+    u = parse_vertex(args.u)
+    v = parse_vertex(args.v)
+    if u.dim != n or v.dim != n:
+        raise ContractViolation("endpoint labels must have length n")
+    res = _paths.disjoint_paths(AugmentedCube(n).view(), u.bits, v.bits, args.k)
     if isinstance(res, _paths.MinCut):
         sys.stdout.write(json.dumps(min_cut_doc(res, n), indent=2) + "\n")
         return 1
@@ -599,9 +568,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """The one error boundary (see the module docstring); any other
+    exception is a bug and keeps its traceback."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InternalError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return 1
+    except ContractViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,16 +36,6 @@ SHARED_VERTEX = "SharedVertex"
 SHARED_EDGE = "SharedEdge"
 WRONG_TERMINALS = "WrongTerminals"
 
-VIOLATION_KINDS = (
-    NON_EDGE,
-    CYCLE,
-    DISCONNECTED,
-    TERMINAL_DEGREE,
-    SHARED_VERTEX,
-    SHARED_EDGE,
-    WRONG_TERMINALS,
-)
-
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
 

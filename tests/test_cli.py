@@ -14,6 +14,7 @@ import pytest
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import (
     PATHS_MAX_DIM,
+    CertificateFormatError,
     all_triples,
     build_parser,
     certificate_doc,
@@ -64,11 +65,6 @@ def test_info_values():
     assert doc["degree"] == 7 and doc["connectivity"]["value"] == 7 and doc["hager_bound_k3"] == 5
     code, out, _ = run_cli(["info", "-n", "1", "--format", "json"])
     assert json.loads(out)["degree"] == 1
-
-
-def test_info_bad_dimension():
-    code, _, _ = run_cli(["info", "-n", "99"])
-    assert code == 2
 
 
 def test_info_large_dimension_reports_bound():
@@ -139,6 +135,18 @@ def test_verify_rejects_malformed_files(tmp_path):
                                "tool": {"id": "t", "version": "0"}, "extra": 1}))
     code, _, err = run_cli(["verify", str(bad)])
     assert code == 2 and "unknown" in err
+
+
+def test_parser_rejects_a_boolean_dimension_like_the_schema():
+    # bool is an int in Python, so "n": true used to parse as n = 1
+    g = AugmentedCube(3)
+    doc = certificate_doc(construct(g, [parse_vertex(s) for s in ("000", "001", "011")]), "Base3")
+    for n in (True, False):
+        bad = {**doc, "n": n}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema("certificate"))
+        with pytest.raises(CertificateFormatError, match="n must be an integer in 1..62"):
+            parse_certificate(bad)
 
 
 def test_verify_memory_stays_linear_on_a_huge_certificate(tmp_path):
@@ -406,6 +414,33 @@ def test_dense_sampling_lists_the_triples():
 
 def test_main_returns_exit_code():
     assert main(["info", "-n", "2"]) == 0
+
+
+# name: (argv, with {tmp} standing for a temporary directory; stderr
+# fragment).  The first four ended in a traceback with exit 1 before every
+# command left its errors to main; none of the cases allocates much, so
+# they run without the memory cap.
+USAGE_ERRORS = {
+    "construct-o-missing-dir": ("construct -n 4 -S 0000,0011,1100 -o {tmp}/missing/c.json", "cannot write -o"),
+    "info-o-directory": ("info -n 3 -o {tmp}", "cannot write -o"),
+    "verify-not-utf8": ("verify {tmp}/bom.json", "malformed certificate: 'utf-8' codec"),
+    "verify-deep-nesting": ("verify {tmp}/nested.json", "malformed certificate: maximum recursion depth"),
+    "info-bad-n": ("info -n 99", "1..10"),
+    "construct-bad-label": ("construct -n 3 -S 000,001,01x", "not a binary vertex label"),
+    "oracle-budget-0": ("oracle -n 3 -S 001,010,100 --budget 0", "budget must be positive"),
+    "paths-k-0": ("paths -n 4 -u 0000 -v 1111 -k 0", "at least one path"),
+    "sweep-no-samples": ("sweep -n 3", "either --exhaustive or --samples N"),
+}
+
+
+@pytest.mark.parametrize("command, fragment", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_2_with_one_line_from_main(tmp_path, command, fragment):
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "nested.json").write_text("[" * 200_000)
+    code, out, err = run_cli(command.format(tmp=tmp_path).split())
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
 
 def test_sweep_sample_count_out_of_range_is_usage_error():

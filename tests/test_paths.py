@@ -103,6 +103,27 @@ def test_contract_errors():
             disjoint_paths(g.view(), 0, label, 1)
 
 
+def test_check_path_system_names_each_problem():
+    # AQ_3 edges flip one bit (1, 2, 4) or a low block (3, 7); 5 and 6
+    # are non-edges.  One small bad system per problem the check reports.
+    g = AugmentedCube(3)
+    full, lower = g.view(), side_view(g, 0)
+    cases = [
+        (full, PathSystem(0, 0, ()), ["source equals sink"]),
+        (full, PathSystem(0, 7, ((0,),)), ["path 0 has fewer than two vertices"]),
+        (full, PathSystem(0, 7, ((0, 1),)), ["path 0 does not run source to sink"]),
+        (full, PathSystem(0, 7, ((0, 1, 0, 7),)), ["path 0 repeats a vertex"]),
+        (full, PathSystem(0, 7, ((0, 5, 7),)), ["path 0 uses non-edge 000-101"]),
+        # 000-100 is a cube edge, but 100 lies outside the lower half-copy
+        (lower, PathSystem(0, 3, ((0, 4, 3),)), ["path 0 uses non-edge 000-100", "path 0 uses non-edge 100-011"]),
+        (full, PathSystem(0, 7, ((0, 7), (0, 7))), ["edge 000-111 appears in paths 0 and 1"]),
+        (full, PathSystem(0, 7, ((0, 1, 3, 7), (0, 2, 3, 4, 7))), ["inner vertex 011 shared by paths 0 and 1"]),
+    ]
+    for view, ps, problems in cases:
+        assert check_path_system(view, ps) == problems, ps
+    assert check_path_system(full, PathSystem(0, 7, ((0, 7), (0, 1, 3, 7), (0, 2, 6, 7)))) == []
+
+
 def test_menger_agreement_exhaustive_small_dims():
     # flow value == brute-force maximum of internally disjoint paths,
     # for every pair, dimensions 2..4
