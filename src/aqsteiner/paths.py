@@ -19,9 +19,14 @@ adjacent pair.
 The residual network is implicit: arcs come from the view's neighbour
 queries when the search reaches a vertex, and flow is held only for
 vertices the search has touched, so memory follows the search, not the
-size of the view.  Augmenting paths are found by BFS with neighbours
-enumerated in ascending label order, so results are reproducible across
-runs, thread counts and platforms.
+size of the view.  The flow grows in phases (Dinic): a level BFS plus a
+blocking DFS over the arcs that climb one level, with neighbours taken
+in ascending label order, so results are reproducible across runs,
+thread counts and platforms.  A fan needs 2 to 4 phases where one BFS
+per augmenting path needed 2m - 1.  The DFS augments along the same
+paths, in the same order, as one BFS per path would, and a cut is the
+reach set of the last level BFS, which is the same for every maximum
+flow.
 
 The constructor never runs the flow on a whole half-copy.  A fan between
 x and y is x xor a fan from 0 to d = x ^ y, and ``fan_region(m, d)`` is a
@@ -38,6 +43,7 @@ module may use its ``check_path_system`` without an import cycle.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -107,52 +113,97 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
     def nbrs(v: int) -> list[int]:
         out = closed.get(v)
         if out is None:
-            out = closed[v] = sorted([v, *view.neighbor_labels(v)])
+            out = closed[v] = view.neighbor_labels(v)
+            bisect.insort(out, v)
         return out
 
+    def heads(a: int) -> list[int]:
+        """The residual arcs leaving node a, in ascending node id."""
+        v = a >> 1
+        if a & 1:
+            # out side: the split arc back when v carries a unit, and the
+            # edge arcs, none of which enters s; the direct s-t arc is the
+            # only one a unit can fill
+            return [
+                2 * w
+                for w in nbrs(v)
+                if (v in through if w == v else w != s and not (v == s and w == t and (s, t) in flow))
+            ]
+        if v not in through:
+            # in side of an idle vertex: nothing enters it, so only its
+            # split arc leaves (t's in side ends every search reaching it)
+            return [a + 1]
+        return [2 * w + 1 for w in nbrs(v) if (w, v) in flow]
+
     src, dst = 2 * s + 1, 2 * t
-    for _ in range(k):
-        parent = {src: -1}
+    found = 0
+    while found < k:
+        # One phase.  The level BFS labels nodes by residual distance from
+        # src and stops once it labels dst; every level below dst's is then
+        # complete.
+        level = {src: 0}
+        arcs: dict[int, list[int]] = {}
         queue = deque([src])
-        while queue and dst not in parent:
+        while queue and dst not in level:
             a = queue.popleft()
-            v = a >> 1
-            if a & 1:
-                # out side: the split arc back when v carries a unit, and
-                # the edge arcs, none of which enters s; the direct s-t
-                # arc is the only one a unit can fill
-                heads = [
-                    2 * w
-                    for w in nbrs(v)
-                    if (v in through if w == v else w != s and not (v == s and w == t and (s, t) in flow))
-                ]
-            elif v not in through:
-                # in side of an idle vertex: nothing enters it, so only its
-                # split arc leaves (t's in side ends every search reaching it)
-                heads = [a + 1]
-            else:
-                heads = [2 * w + 1 for w in nbrs(v) if (w, v) in flow]
-            for b in heads:
-                if b not in parent:
-                    parent[b] = a
+            arcs[a] = out = heads(a)
+            for b in out:
+                if b not in level:
+                    level[b] = level[a] + 1
                     queue.append(b)
-        if dst not in parent:
-            # in sides reached whose out side is not; neither s's in side
-            # (no arc enters it) nor t's is ever reached here
-            return None, sorted(a >> 1 for a in parent if not a & 1 and a + 1 not in parent)
-        b = dst
-        while (a := parent[b]) >= 0:
-            u, w = a >> 1, b >> 1
-            if u == w:  # split arc: forward from the in side, back from the out side
-                if a & 1:
-                    through.remove(u)
+        if dst not in level:
+            # The nodes reachable in the residual network are the same for
+            # every maximum flow, so this is the cut any augmenting order
+            # ends on: in sides reached whose out side is not (neither s's
+            # in side, which no arc enters, nor t's is ever reached)
+            return None, sorted(a >> 1 for a in level if not a & 1 and a + 1 not in level)
+        # Blocking flow: a DFS over the arcs that climb one level, taking
+        # them in ascending node id from each node's current arc.  It meets
+        # the shortest augmenting paths in the order a BFS per path would.
+        # Augmenting never adds a climbing arc and only removes arcs at the
+        # path's inner nodes, which unit capacities leave with no climbing
+        # arc, so those and every dead end are skipped for the phase.
+        sink_level = level[dst]
+        current: dict[int, int] = {}
+        dead: set[int] = set()
+        while found < k:
+            stack = [src]
+            while stack and stack[-1] != dst:
+                a = stack[-1]
+                out = arcs.get(a)
+                if out is None:
+                    out = arcs[a] = heads(a)
+                up = level[a] + 1
+                i = current.get(a, 0)
+                while i < len(out):
+                    b = out[i]
+                    if b == dst or (up < sink_level and b not in dead and level.get(b) == up):
+                        break
+                    i += 1
+                current[a] = i
+                if i < len(out):
+                    stack.append(out[i])
                 else:
-                    through.add(u)
-            elif a & 1:  # edge arc u -> w
-                flow.add((u, w))
-            else:  # back along the edge arc w -> u
-                flow.remove((w, u))
-            b = a
+                    dead.add(a)
+                    stack.pop()
+            if not stack:
+                break
+            for a, b in zip(stack, stack[1:]):
+                u, w = a >> 1, b >> 1
+                if u == w:  # split arc: forward from the in side, back from the out side
+                    if a & 1:
+                        through.remove(u)
+                    else:
+                        through.add(u)
+                elif a & 1:  # edge arc u -> w
+                    flow.add((u, w))
+                else:  # back along the edge arc w -> u
+                    flow.remove((w, u))
+            found += 1
+            dead.update(stack[1:-1])
+            # src's current arc now leads to a dead node or is the direct
+            # s-t arc, which the unit just filled
+            current[src] += 1
 
     # Decompose the flow into k source-to-sink walks, taking the first
     # flow-carrying arc in ascending order.  Unit vertex capacities mean

@@ -202,7 +202,10 @@ class GraphView:
         return self.cube.adjacent_labels(u, v)
 
     def neighbor_labels(self, v: int) -> list[int]:
-        return [w for w in self.cube.neighbor_labels(v) if self.contains_label(w)]
+        # the neighbours of a label of the cube are labels of the cube, so
+        # only the allowed collection can drop one
+        out = self.cube.neighbor_labels(v)
+        return out if self.allowed is None else [w for w in out if w in self.allowed]
 
 
 def side_view(g: AugmentedCube, v: int) -> GraphView:

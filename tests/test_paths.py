@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -34,6 +35,7 @@ from util import (
     max_disjoint_paths_brute,
     recursive_adjacency_masks,
     recursive_edges,
+    reference_flow_paths,
     run_bounded,
 )
 
@@ -146,6 +148,53 @@ def test_flow_state_only_for_touched_vertices_at_dim_40():
         "    print([len(p) for p in res.paths])\n"
     )
     assert out.splitlines() == ["[2]", "[2, 3]", "[2, 3, 3]"]
+
+
+def test_flow_matches_the_reference_on_region_fans():
+    # the phase-based core and Edmonds-Karp augment along the same paths,
+    # so path lists and cut separators are equal, not just flow values;
+    # k = 2m forces a cut, since 0 has 2m - 1 neighbours in R(d)
+    for m in range(1, 9):
+        g = AugmentedCube(m + 1)
+        for d in range(1, 1 << m):
+            view = GraphView(g, fan_region(m, d))
+            for k in (2 * m - 1, 2 * m):
+                got = paths._flow_paths(view, 0, d, k)
+                assert got == reference_flow_paths(view, 0, d, k), (m, d, k)
+                if k == 2 * m:
+                    assert got[0] is None, (m, d)
+
+
+def test_flow_matches_the_reference_on_every_pair():
+    for n in range(1, 5):
+        g = AugmentedCube(n)
+        views = [g.view()] + ([side_view(g, 0), side_view(g, g.order - 1)] if n > 1 else [])
+        for view in views:
+            labels = [v for v in range(g.order) if view.contains_label(v)]
+            for u, v in itertools.permutations(labels, 2):
+                for k in sorted({k for k in (1, n, 2 * n - 3, 2 * n - 1, 2 * n, 2 * n + 1) if k >= 1}):
+                    assert paths._flow_paths(view, u, v, k) == reference_flow_paths(view, u, v, k), (n, u, v, k)
+
+
+# sha256 of repr(paths) for the full 0 -> d fan in R(d) at the dimensions
+# the CLI serves, with d drawn by random.Random(14); recorded with the
+# Edmonds-Karp core, before the phase-based one replaced it
+LARGE_FAN_DIGESTS = {
+    (13, 0x36C): "cfe35a79476897401fc0b54d608da637ab1f5bcdb657818be33d15f5b7a431f6",
+    (13, 0x13B6): "66bdb13f52c0f7c3586b658dc4c80443eec3c5904cf5ee1efe2f6acec174ac51",
+    (13, 0x167C): "f350427024f96dacfa0dbb7fa490aa5d334a7c67e274eb6f2f81d0062e7d4e53",
+    (13, 0x182B): "f24c706bf171fc2fa77f4dab9296a2937b2bdb63ac0bbf1f2b62acae3619e996",
+    (20, 0x3F373): "4e5f270c8b965a6f18292bb4fd80f300b0ea7aeaea7957ab0387fb0941c8bc90",
+    (20, 0x86F0D): "83bbaab68fc289c5d314fe9ca06deedf9977bc4b1532bfab82fd9ecccf30be7d",
+    (20, 0xA6EC4): "6c8aa533cc1d87c838b91ca08da5f535f0d3e5b0884cfd758be0a00395ba42fb",
+    (20, 0xF0BAF): "de1ebb4a534f24e7eba5f6bb5d2914fbe71bbf5a5ab7697c47b9f4c6c3160714",
+}
+
+
+def test_large_dimension_fans_are_pinned():
+    for (m, d), digest in LARGE_FAN_DIGESTS.items():
+        res = disjoint_paths(GraphView(AugmentedCube(m), fan_region(m, d)), 0, d, 2 * m - 1)
+        assert hashlib.sha256(repr(res.paths).encode()).hexdigest() == digest, (m, hex(d))
 
 
 def test_determinism_repeat_calls():

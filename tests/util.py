@@ -6,6 +6,12 @@ and the minimum-cut search enumerates deletion sets by brute force over
 bitmask adjacency.  Anything the package computes cleverly is checked
 against these slow-but-obvious versions.
 
+``reference_flow_paths`` is the exception: it is the Edmonds-Karp flow
+that ``paths`` used before its phase-based core, one BFS per augmenting
+path over the same split-vertex residual network.  It is kept only as a
+differential oracle, since the two must return the same path lists and
+the same cuts.
+
 ``run_bounded`` runs the large-dimension tests in a child process with
 capped memory, so a view that gets materialised fails fast with
 ``MemoryError`` instead of exhausting the machine.
@@ -17,6 +23,7 @@ import itertools
 import resource
 import subprocess
 import sys
+from collections import deque
 from functools import lru_cache
 
 MEMORY_LIMIT = 1 << 30
@@ -121,3 +128,83 @@ def run_bounded(code: str, timeout: float = 30) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] | None, list[int]]:
+    """Edmonds-Karp on the implicit split-vertex network of ``view``:
+    (paths, []) with exactly k label paths, or (None, vertex_cut)."""
+    # node ids: 2*v = in side, 2*v + 1 = out side.  `through` holds the
+    # inner vertices whose split arc carries a unit, `flow` the (u, w)
+    # edge arcs (u's out side to w's in side) that carry one.  Edge arcs
+    # never hold more than one unit, so only the direct s-t arc, of
+    # capacity 1, can saturate.
+    closed: dict[int, list[int]] = {}
+    through: set[int] = set()
+    flow: set[tuple[int, int]] = set()
+
+    def nbrs(v: int) -> list[int]:
+        out = closed.get(v)
+        if out is None:
+            out = closed[v] = sorted([v, *view.neighbor_labels(v)])
+        return out
+
+    src, dst = 2 * s + 1, 2 * t
+    for _ in range(k):
+        parent = {src: -1}
+        queue = deque([src])
+        while queue and dst not in parent:
+            a = queue.popleft()
+            v = a >> 1
+            if a & 1:
+                # out side: the split arc back when v carries a unit, and
+                # the edge arcs, none of which enters s; the direct s-t
+                # arc is the only one a unit can fill
+                heads = [
+                    2 * w
+                    for w in nbrs(v)
+                    if (v in through if w == v else w != s and not (v == s and w == t and (s, t) in flow))
+                ]
+            elif v not in through:
+                # in side of an idle vertex: nothing enters it, so only its
+                # split arc leaves (t's in side ends every search reaching it)
+                heads = [a + 1]
+            else:
+                heads = [2 * w + 1 for w in nbrs(v) if (w, v) in flow]
+            for b in heads:
+                if b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if dst not in parent:
+            # in sides reached whose out side is not; neither s's in side
+            # (no arc enters it) nor t's is ever reached here
+            return None, sorted(a >> 1 for a in parent if not a & 1 and a + 1 not in parent)
+        b = dst
+        while (a := parent[b]) >= 0:
+            u, w = a >> 1, b >> 1
+            if u == w:  # split arc: forward from the in side, back from the out side
+                if a & 1:
+                    through.remove(u)
+                else:
+                    through.add(u)
+            elif a & 1:  # edge arc u -> w
+                flow.add((u, w))
+            else:  # back along the edge arc w -> u
+                flow.remove((w, u))
+            b = a
+
+    # Decompose the flow into k source-to-sink walks, taking the first
+    # flow-carrying arc in ascending order.  Unit vertex capacities mean
+    # no vertex repeats across walks; stray flow cycles (possible after
+    # residual cancellations) are simply never visited.
+    paths: list[list[int]] = []
+    for _ in range(k):
+        verts = [s]
+        while verts[-1] != t:
+            u = verts[-1]
+            w = next((w for w in nbrs(u) if (u, w) in flow), None)
+            if w is None:
+                raise AssertionError("flow conservation violated during decomposition")
+            flow.remove((u, w))
+            verts.append(w)
+        paths.append(verts)
+    return paths, []
