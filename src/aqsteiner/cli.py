@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import io
 import itertools
 import json
 import math
@@ -64,6 +65,11 @@ FIDELITY_MAX_DIM = 16
 # n = 15 and 15-19 s at n = 16, where an unsampled pair may pass 30 s,
 # and n = 30 ran out of a 1 GiB cap.
 PATHS_MAX_DIM = 15
+# verify reads at most this many bytes of a certificate, so an endless
+# input such as /dev/zero stops with a usage error.  The largest real
+# certificate, an n = 16 --fidelity one, is about 5 MB; a 300,000-edge
+# n = 20 path padded to the bound peaks at about 160 MB in verify.
+VERIFY_MAX_BYTES = 16 * 1024 * 1024
 
 _PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02",
@@ -102,8 +108,8 @@ def certificate_doc(family: TreeFamily, case: str) -> dict:
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise CertificateFormatError(f"{where} must be an object")
-    got = set(obj)
-    if got != keys:
+    if obj.keys() != keys:
+        got = set(obj)
         extra = sorted(got - keys)
         missing = sorted(keys - got)
         raise CertificateFormatError(
@@ -129,10 +135,16 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
     if type(n) is not int or not 1 <= n <= 62:  # bool is an int subclass
         raise CertificateFormatError("n must be an integer in 1..62")
 
+    ints: dict[str, int] = {}
+
     def read_label(text) -> int:
-        if not isinstance(text, str) or len(text) != n or any(ch not in "01" for ch in text):
+        # each distinct label is checked and converted once; strip leaves
+        # "" exactly when every character is 0 or 1, and the test comes
+        # before int, which would also take "_" and non-ASCII digits
+        if not isinstance(text, str) or len(text) != n or text.strip("01"):
             raise CertificateFormatError(f"bad vertex label {text!r} for n={n}")
-        return int(text, 2)
+        value = ints[text] = int(text, 2)
+        return value
 
     s_field = doc["s"]
     if not isinstance(s_field, list) or len(s_field) != 3:
@@ -158,7 +170,13 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
         for pair in entry["edges"]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise CertificateFormatError(f"trees[{i}] has a malformed edge {pair!r}")
-            u, v = read_label(pair[0]), read_label(pair[1])
+            a, b = pair
+            u = ints.get(a) if type(a) is str else None
+            if u is None:
+                u = read_label(a)
+            v = ints.get(b) if type(b) is str else None
+            if v is None:
+                v = read_label(b)
             edges.add((u, v) if u <= v else (v, u))
         trees.append(SteinerTree(frozenset(edges)))
     return ParsedCertificate(n, terminals, doc["case"], doc["fallback_used"], tuple(trees))
@@ -396,19 +414,28 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_certificate(path: str) -> str:
+    """The file, or stdin for "-", decoded as a text-mode read would
+    (UTF-8, universal newlines); reads at most ``VERIFY_MAX_BYTES`` + 1
+    bytes, so an endless or huge input stops there."""
+    if path == "-":
+        raw = sys.stdin.buffer.read(VERIFY_MAX_BYTES + 1)
+    else:
+        with open(path, "rb") as fh:
+            raw = fh.read(VERIFY_MAX_BYTES + 1)
+    if len(raw) > VERIFY_MAX_BYTES:
+        raise ContractViolation(f"certificate larger than {VERIFY_MAX_BYTES} bytes")
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        if args.path == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        cert = parse_certificate(json.loads(raw))
+        cert = parse_certificate(json.loads(_read_certificate(args.path)))
     except (OSError, ValueError, RecursionError) as exc:
         # JSONDecodeError, UnicodeDecodeError, CertificateFormatError; deep nesting
         raise ContractViolation(f"malformed certificate: {exc}") from exc
     g = AugmentedCube(cert.n)
-    report = _verify.verify_family(g, cert)
+    report = _verify.verify_family(g, cert, size=target_family_size(cert.n))
     sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n")
     return 0 if report.accepted else 1
 

@@ -22,11 +22,10 @@ the cube's dimension.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .topology import AugmentedCube, ContractViolation, GraphView
+from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas
 
 NON_EDGE = "NonEdge"
 CYCLE = "Cycle"
@@ -35,6 +34,7 @@ TERMINAL_DEGREE = "TerminalDegree"
 SHARED_VERTEX = "SharedVertex"
 SHARED_EDGE = "SharedEdge"
 WRONG_TERMINALS = "WrongTerminals"
+TREE_COUNT = "TreeCount"
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
@@ -81,33 +81,40 @@ def _terminal_labels(cube: AugmentedCube, terminals) -> frozenset[int]:
 def _tree_violations(
     g: AugmentedCube,
     terminals: frozenset[int],
+    term_order: list[int],
+    deltas: frozenset[int],
     tree,
     index: int,
-    edge_owner: dict[tuple[int, int], int],
+    edge_owner: dict[int, int],
     vertex_owner: dict[int, int],
 ) -> list[Violation]:
     """One pass over the tree's label edges: range, adjacency, degrees,
     components, and the edges and internal vertices that an earlier tree
-    of the family (recorded in the owner maps) already holds."""
+    of the family (recorded in the owner maps) already holds.  An edge
+    {u, v}, u <= v, is owned under the int key u << dim | v."""
     width = g.dim
-    check_label = g.check_label
+    order = 1 << width
     out: list[Violation] = []
     shared: list[Violation] = []
-    vertices: set[int] = set()
     adj: dict[int, list[int]] = {}
+    stray: list[int] = []  # ends of non-edges, which adj does not hold
     ok_edges = 0
     for u, v in tree.edges:
-        check_label(u)
-        check_label(v)
-        vertices.update((u, v))
-        key = (u, v) if u <= v else (v, u)
-        if key in edge_owner:
-            shared.append(Violation(SHARED_EDGE, (edge_owner[key], index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
-        else:
+        if not (0 <= u < order and 0 <= v < order):
+            g.check_label(u)
+            g.check_label(v)
+        key = u << width | v if u <= v else v << width | u
+        # a lookup, then an insert: setdefault could not tell a new key
+        # from the other orientation of an edge this tree already holds
+        owner = edge_owner.get(key)
+        if owner is None:
             edge_owner[key] = index
+        else:
+            shared.append(Violation(SHARED_EDGE, (owner, index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
         # a loop u = v is a non-edge too: 0 is not in the delta set
-        if not g.adjacent_labels(u, v):
+        if u ^ v not in deltas:
             out.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
+            stray += (u, v)
             continue
         ok_edges += 1
         adj.setdefault(u, []).append(v)
@@ -119,16 +126,19 @@ def _tree_violations(
             out.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
         if ok_edges > len(adj) - components:
             out.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
-    for t in sorted(terminals):
+    for t in term_order:
         d = len(adj.get(t, ()))
         if d != 1:
             out.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t:0{width}b} has degree {d}"))
     out += shared
-    for w in sorted(vertices - terminals):
-        if w in vertex_owner:
-            out.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), f"internal vertex {w:0{width}b} reused"))
-        else:
-            vertex_owner[w] = index
+    # no tree meets a vertex twice here, so an owner other than this
+    # tree is an earlier one; the reuses are reported in label order
+    reused = []
+    for w in set(stray).union(adj) if stray else adj:
+        if w not in terminals and vertex_owner.setdefault(w, index) != index:
+            reused.append(w)
+    for w in sorted(reused):
+        out.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), f"internal vertex {w:0{width}b} reused"))
     return out
 
 
@@ -136,22 +146,22 @@ def _count_components(adj: dict[int, list[int]]) -> int:
     count = 0
     left = set(adj)
     while left:
-        start = left.pop()
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
+        stack = [left.pop()]
+        for a in stack:  # the list grows while it is walked
             for b in adj[a]:
                 if b in left:
                     left.remove(b)
-                    queue.append(b)
+                    stack.append(b)
         count += 1
     return count
 
 
-def verify_family(g: AugmentedCube, family) -> VerificationReport:
+def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> VerificationReport:
     """Check every member tree against the family's S (real edges,
     connected, acyclic, every target a leaf), plus pairwise internal
-    disjointness.
+    disjointness.  With ``size``, a family of any other number of trees
+    also gets a ``TreeCount`` violation; without it, a partial family
+    checks like a whole one.
 
     Runs in time linear in the total certificate size: ownership of
     vertices and edges is tracked in hash maps, never by pairwise scans.
@@ -160,17 +170,26 @@ def verify_family(g: AugmentedCube, family) -> VerificationReport:
     violations: list[Violation] = []
     if len(terminals) != 3:
         violations.append(Violation(WRONG_TERMINALS, (), f"expected 3 terminals, got {len(terminals)}"))
-    edge_owner: dict[tuple[int, int], int] = {}
+    if size is not None and len(family.trees) != size:
+        violations.append(Violation(TREE_COUNT, (), f"expected {size} trees, got {len(family.trees)}"))
+    term_order = sorted(terminals)
+    deltas = frozenset(adjacency_deltas(g.dim))
+    edge_owner: dict[int, int] = {}
     vertex_owner: dict[int, int] = {}
     for i, tree in enumerate(family.trees):
-        violations += _tree_violations(g, terminals, tree, i, edge_owner, vertex_owner)
+        violations += _tree_violations(g, terminals, term_order, deltas, tree, i, edge_owner, vertex_owner)
     return _report(violations)
 
 
 def check_path_system(view: GraphView, ps) -> list[str]:
     """Invariant check for a path system of label paths; returns
-    human-readable problems, with labels written at ``view.dim`` digits."""
+    human-readable problems, with labels written at ``view.dim`` digits.
+    A step a-b is an edge of the view when both labels lie in the cube
+    and in ``view.allowed`` and a ^ b is an adjacency delta."""
     width = view.dim
+    order = 1 << width
+    allowed = view.allowed
+    deltas = frozenset(adjacency_deltas(width))
     problems: list[str] = []
     if ps.source == ps.sink:
         problems.append("source equals sink")
@@ -185,12 +204,19 @@ def check_path_system(view: GraphView, ps) -> list[str]:
         if len(set(vs)) != len(vs):
             problems.append(f"path {i} repeats a vertex")
         for a, b in zip(vs, vs[1:]):
-            if not view.has_edge_labels(a, b):
+            if not (
+                0 <= a < order
+                and 0 <= b < order
+                and (allowed is None or (a in allowed and b in allowed))
+                and a ^ b in deltas
+            ):
                 problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")
+            # a tuple key: a label outside the cube can reach this line
             key = (a, b) if a <= b else (b, a)
-            if key in seen_edges and seen_edges[key] != i:
-                problems.append(f"edge {a:0{width}b}-{b:0{width}b} appears in paths {seen_edges[key]} and {i}")
-            seen_edges[key] = i
+            owner = seen_edges.setdefault(key, i)
+            if owner != i:
+                problems.append(f"edge {a:0{width}b}-{b:0{width}b} appears in paths {owner} and {i}")
+                seen_edges[key] = i
         for w in vs[1:-1]:
             if w in seen_inner:
                 problems.append(f"inner vertex {w:0{width}b} shared by paths {seen_inner[w]} and {i}")

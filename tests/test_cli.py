@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.resources
 import io
+import itertools
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import (
     PATHS_MAX_DIM,
+    VERIFY_MAX_BYTES,
     CertificateFormatError,
     all_triples,
     build_parser,
@@ -26,7 +28,7 @@ from aqsteiner.cli import (
 from aqsteiner.construct import construct
 from aqsteiner.topology import AugmentedCube, parse_vertex
 
-from util import run_bounded
+from util import reference_verify_family, run_bounded
 
 
 def schema(name):
@@ -149,10 +151,70 @@ def test_parser_rejects_a_boolean_dimension_like_the_schema():
             parse_certificate(bad)
 
 
+# int(x, 2) alone would take the underscore, the sign, the 0b prefix,
+# the leading space and the non-ASCII digits
+BAD_LABELS = ["0102", " 0101", "01_0", "+010", "0b01", "\uff10\uff11\uff10\uff11", "\u0661\u0660\u0661\u0660",
+              "010", "01010", "", 101, None, ["0101"], True]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+def test_parser_rejects_each_bad_label_with_one_message(label):
+    doc = certificate_doc(construct(AugmentedCube(4), [parse_vertex(s) for s in ("0000", "0011", "1110")]), "Base4")
+    message = re.escape(f"bad vertex label {label!r} for n=4")
+    in_s = {**doc, "s": [label, *doc["s"][1:]]}
+    in_edge = json.loads(json.dumps(doc))
+    in_edge["trees"][2]["edges"].append([doc["s"][0], label])
+    for bad in (in_s, in_edge):
+        with pytest.raises(CertificateFormatError, match=message):
+            parse_certificate(bad)
+
+
+def test_parser_takes_exactly_the_binary_labels_of_length_n():
+    # every string of length 3..5 over a few characters that int(x, 2)
+    # accepts in some position, as the end of an added edge at n = 4
+    doc = certificate_doc(construct(AugmentedCube(4), [parse_vertex(s) for s in ("0000", "0011", "1110")]), "Base4")
+    bad = json.loads(json.dumps(doc))
+    edge = ["0000", None]
+    bad["trees"][2]["edges"].append(edge)
+    for size in (3, 4, 5):
+        for chars in itertools.product("01_ +b\uff11\u0661", repeat=size):
+            label = edge[1] = "".join(chars)
+            binary = size == 4 and set(label) <= {"0", "1"}
+            try:
+                cert = parse_certificate(bad)
+            except CertificateFormatError as exc:
+                assert not binary and str(exc) == f"bad vertex label {label!r} for n=4"
+            else:
+                assert binary and (0, int(label, 2)) in cert.trees[2].edges
+
+
+def test_verify_reports_a_wrong_tree_count(tmp_path):
+    g = AugmentedCube(5)
+    doc = certificate_doc(construct(g, [parse_vertex(s) for s in ("00000", "00011", "11110")]), "Case2_1_1")
+    cases = {
+        "none": ([], ["TreeCount"]),
+        "one short": (doc["trees"][:-1], ["TreeCount"]),
+        "one extra": (doc["trees"] + doc["trees"][:1], ["SharedEdge", "SharedVertex", "TreeCount"]),
+    }
+    for name, (trees, kinds) in cases.items():
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({**doc, "trees": trees}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", str(path)])
+        report = json.loads(out.getvalue())
+        jsonschema.validate(report, schema("report"))
+        assert code == 1 and not report["accepted"], name
+        assert sorted({v["kind"] for v in report["violations"]}) == kinds, name
+        first = report["violations"][0]
+        assert first == {"kind": "TreeCount", "trees": [], "detail": f"expected 7 trees, got {len(trees)}"}, name
+
+
 def test_verify_memory_stays_linear_on_a_huge_certificate(tmp_path):
     # one counting-order path over 2^18 labels at n = 20, cut in the
     # middle, with a pendant third target: a 13 MB file that the checker
-    # walks edge by edge under the 1 GiB cap
+    # walks edge by edge under the 1 GiB cap; one tree of the 37 that
+    # n = 20 needs
     n, m = 20, 1 << 18
     edges = [[format(v, "020b"), format(v + 1, "020b")] for v in range(m - 1) if v != m // 2 - 1]
     edges.append([format(5, "020b"), format(m | 5, "020b")])
@@ -170,7 +232,40 @@ def test_verify_memory_stays_linear_on_a_huge_certificate(tmp_path):
         f"    code = main(['verify', {str(cert)!r}])\n"
         "print(code, sorted({v['kind'] for v in json.loads(out.getvalue())['violations']}))\n"
     )
-    assert out == "1 ['Disconnected']\n"
+    assert out == "1 ['Disconnected', 'TreeCount']\n"
+
+
+def test_verify_reads_at_most_its_byte_bound(tmp_path):
+    # a certificate padded to exactly VERIFY_MAX_BYTES still verifies under
+    # the 1 GiB cap; one byte more, /dev/zero as a file and /dev/zero on
+    # stdin stop after VERIFY_MAX_BYTES + 1 bytes with one error line
+    n = 20
+    edges = [[format(v, "020b"), format(v + 1, "020b")] for v in range(300_000)]
+    doc = {"schema_version": "1", "n": n, "s": [format(a, "020b") for a in (0, 1, 3)],
+           "case": "Case1", "fallback_used": False, "trees": [{"edges": edges}],
+           "tool": {"id": "aqsteiner", "version": "0.1.0"}}
+    text = json.dumps(doc)
+    assert len(text) < VERIFY_MAX_BYTES
+    at_bound, past_bound = tmp_path / "at.json", tmp_path / "past.json"
+    at_bound.write_text(text + " " * (VERIFY_MAX_BYTES - len(text)))
+    past_bound.write_text(text + " " * (VERIFY_MAX_BYTES + 1 - len(text)))
+    out = run_bounded(
+        "import contextlib, io, json, sys\n"
+        "from aqsteiner.cli import main\n"
+        "sys.stdin = open('/dev/zero', encoding='utf-8')\n"
+        f"for path in ({str(at_bound)!r}, {str(past_bound)!r}, '/dev/zero', '-'):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(['verify', path])\n"
+        "    kinds = sorted({v['kind'] for v in json.loads(out.getvalue())['violations']}) if out.getvalue() else []\n"
+        "    print(code, kinds, err.getvalue().count('\\n'), 'larger than' in err.getvalue())\n"
+    )
+    assert out.splitlines() == [
+        "1 ['TerminalDegree', 'TreeCount'] 0 False",
+        "2 [] 1 True",
+        "2 [] 1 True",
+        "2 [] 1 True",
+    ]
 
 
 def test_construct_duplicate_vertex_usage_error():
@@ -743,3 +838,14 @@ def test_verify_reports_are_byte_stable(tmp_path):
         kinds = {v["kind"] for v in json.loads(out.getvalue())["violations"]}
         assert name == "accepted" or name.split("-")[0] in kinds, (name, kinds)
         assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == VERIFY_DIGESTS[name], name
+
+
+def test_verify_matches_the_reference_on_the_pinned_mutants():
+    # the same documents as above, checked against the tuple-keyed
+    # reference checker: equal reports, violation by violation
+    g = AugmentedCube(6)
+    fam = construct(g, [parse_vertex(s) for s in ("001011", "011000", "100001")])
+    doc = certificate_doc(fam, fam.provenance[0].case.value)
+    for name, cert_doc in {"accepted": doc, **_mutants(doc)}.items():
+        cert = parse_certificate(cert_doc)
+        assert verify_mod.verify_family(g, cert) == reference_verify_family(g, cert), name

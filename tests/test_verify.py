@@ -1,10 +1,14 @@
+import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case
-from aqsteiner.paths import ConnectivityResult, connectivity
-from aqsteiner.topology import AugmentedCube, ContractViolation, Vertex, parse_vertex
+from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct
+from aqsteiner.paths import ConnectivityResult, PathSystem, connectivity
+from aqsteiner.topology import AugmentedCube, ContractViolation, GraphView, Vertex, adjacency_deltas, parse_vertex, side_view
 from aqsteiner.verify import (
     CYCLE,
     DISCONNECTED,
@@ -12,13 +16,22 @@ from aqsteiner.verify import (
     SHARED_EDGE,
     SHARED_VERTEX,
     TERMINAL_DEGREE,
+    TREE_COUNT,
     WRONG_TERMINALS,
+    check_path_system,
     hager_upper_bound,
     oracle_tau,
     verify_family,
 )
 
-from util import max_disjoint_paths_brute, reachable_mask, recursive_adjacency_masks, triangles
+from util import (
+    max_disjoint_paths_brute,
+    reachable_mask,
+    recursive_adjacency_masks,
+    reference_check_path_system,
+    reference_verify_family,
+    triangles,
+)
 
 
 def tree(edges):
@@ -172,6 +185,18 @@ def test_labels_outside_the_cube_are_contract_violations():
         verify_family(g, family(3, ("0000", "0001", "0011"), []))
 
 
+def test_tree_count_is_checked_only_when_asked():
+    g = AugmentedCube(3)
+    assert verify_family(g, family(3, S_A, FAMILY_A), size=3).accepted
+    # a partial family checks like a whole one unless a size is given
+    partial = family(3, S_A, FAMILY_A[:2])
+    assert verify_family(g, partial).accepted
+    report = verify_family(g, partial, size=3)
+    assert [(v.kind, v.trees, v.detail) for v in report.violations] == [(TREE_COUNT, (), "expected 3 trees, got 2")]
+    report = verify_family(g, family(3, S_A, [FAMILY_A[0], FAMILY_A[0]]), size=3)
+    assert [v.kind for v in report.violations][:2] == [TREE_COUNT, SHARED_EDGE]
+
+
 def test_report_json_shape():
     g = AugmentedCube(3)
     report = verify_family(g, family(3, S_A, FAMILY_A))
@@ -322,3 +347,126 @@ def test_connectivity_against_brute_force():
             max_disjoint_paths_brute(masks, n, 0, w) for w in range(1, 1 << n)
         )
         assert connectivity(AugmentedCube(n)).value == brute
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the tuple-keyed reference checker
+# ---------------------------------------------------------------------------
+
+def outcome(check, *args):
+    """What a check returns, or the text of the ContractViolation it raises."""
+    try:
+        return "returned", check(*args)
+    except ContractViolation as exc:
+        return "raised", str(exc)
+
+
+def same_report(g, fam):
+    got = outcome(verify_family, g, fam)
+    assert got == outcome(reference_verify_family, g, fam)
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def small_families() -> tuple:
+    return tuple(
+        construct(AugmentedCube(n), [Vertex(a, n) for a in t])
+        for n in (3, 4)
+        for t in itertools.combinations(range(1 << n), 3)
+    )
+
+
+def edited(fam, i, edges, terminals=None):
+    """The family with tree i replaced by the given label edges."""
+    trees = list(fam.trees)
+    trees[i] = SimpleNamespace(edges=frozenset(edges))
+    return SimpleNamespace(terminals=fam.terminals if terminals is None else terminals, trees=tuple(trees))
+
+
+def mutants(g, fam):
+    """One edit of tree 0 or tree 1 per violation kind it can show; an
+    edit this family has no place for is left out."""
+    terms = {t.bits for t in fam.terminals}
+    t0, t1 = sorted(fam.trees[0].edges), sorted(fam.trees[1].edges)
+    v0 = sorted({a for e in t0 for a in e})
+    inner0 = [a for a in v0 if a not in terms]
+    v1 = {a for e in t1 for a in e}
+    degree = {a: sum(a in e for e in t0) for a in v0}
+    adjacent = g.adjacent_labels
+    out = [
+        edited(fam, 0, t0 + [(inner0[0], inner0[0])]),  # a loop
+        edited(fam, 0, t0 + [(t0[0][1], t0[0][0])]),  # both orientations of one edge
+        edited(fam, 1, t1 + [t0[0]]),  # an edge of tree 0 in tree 1
+        edited(fam, 0, [e for e in t0 if not set(e) & terms]),  # no pendant edges
+        edited(fam, 0, t0, frozenset(sorted(fam.terminals)[:2])),  # two targets
+    ]
+    far = next(b for b in range(g.order) if b != inner0[0] and not adjacent(inner0[0], b))
+    out.append(edited(fam, 0, t0 + [(inner0[0], far)]))
+    chords = [(a, b) for a, b in itertools.combinations(v0, 2) if adjacent(a, b) and (a, b) not in t0]
+    bridges = [e for e in t0 if degree[e[0]] > 1 and degree[e[1]] > 1]
+    touches = [(a, b) for a in v1 - terms for b in inner0 if adjacent(a, b) and b not in v1]
+    if chords:
+        out.append(edited(fam, 0, t0 + chords[:1]))
+    if bridges:
+        out.append(edited(fam, 0, [e for e in t0 if e != bridges[0]]))
+    if touches:
+        out.append(edited(fam, 1, t1 + touches[:1]))
+    return out
+
+
+def test_verify_matches_the_reference_on_small_families_and_their_mutants():
+    kinds = set()
+    for fam in small_families():
+        g = AugmentedCube(fam.dim)
+        assert same_report(g, fam) == ("returned", verify_family(g, fam)) and verify_family(g, fam).accepted
+        for bad in mutants(g, fam):
+            what, report = same_report(g, bad)
+            assert what == "returned" and not report.accepted
+            kinds.update(v.kind for v in report.violations)
+    assert len(small_families()) == 616
+    assert kinds == {NON_EDGE, CYCLE, DISCONNECTED, TERMINAL_DEGREE, SHARED_VERTEX, SHARED_EDGE, WRONG_TERMINALS}
+
+
+labels_of = functools.partial(st.integers, -2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_verify_matches_the_reference_on_random_edge_sets(n, data):
+    # loops, reversed pairs, both orientations of an edge, labels just
+    # outside the cube and target sets of the wrong size or dimension
+    g = AugmentedCube(n)
+    top = g.order + 1
+    label = st.integers(0, g.order - 1)
+    step = st.builds(lambda u, d: (u, u ^ d), label, st.sampled_from(adjacency_deltas(n)))
+    edge = st.one_of(step, step, st.tuples(label, label), st.tuples(labels_of(top), labels_of(top)))
+    trees = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        edges = data.draw(st.lists(edge, max_size=10))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        trees.append(SimpleNamespace(edges=frozenset(edges) | {(v, u) for (u, v), f in zip(edges, flips) if f}))
+    targets = data.draw(st.lists(st.tuples(label, st.sampled_from((n, n, n, n + 1))), min_size=2, max_size=4))
+    fam = SimpleNamespace(terminals=frozenset(Vertex(a, d) for a, d in targets), trees=tuple(trees))
+    same_report(g, fam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_check_path_system_matches_the_reference(n, data):
+    g = AugmentedCube(n)
+    label = labels_of(g.order + 1)
+    region = frozenset(data.draw(st.sets(st.integers(0, g.order - 1))))
+    view = data.draw(st.sampled_from((g.view(), side_view(g, 0), side_view(g, g.order - 1), GraphView(g, region))))
+    source, sink = data.draw(label), data.draw(label)
+    # walks along the deltas, with a loop (0) and a step out of the cube
+    steps = st.lists(st.sampled_from(adjacency_deltas(n) + (0, g.order)), max_size=6)
+    paths = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        walk = [data.draw(st.one_of(st.just(source), label))]
+        for d in data.draw(steps):
+            walk.append(walk[-1] ^ d)
+        if data.draw(st.booleans()):
+            walk.append(sink)
+        paths.append(tuple(walk))
+    ps = PathSystem(source, sink, tuple(paths))
+    assert check_path_system(view, ps) == reference_check_path_system(view, ps)

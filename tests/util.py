@@ -10,7 +10,10 @@ against these slow-but-obvious versions.
 that ``paths`` used before its phase-based core, one BFS per augmenting
 path over the same split-vertex residual network.  It is kept only as a
 differential oracle, since the two must return the same path lists and
-the same cuts.
+the same cuts.  ``reference_verify_family`` and
+``reference_check_path_system`` are kept the same way: the certificate
+and path-system checks as they were before ``verify`` moved to one int
+pass per tree.
 
 ``run_bounded`` runs the large-dimension tests in a child process with
 capped memory, so a view that gets materialised fails fast with
@@ -208,3 +211,131 @@ def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] 
             verts.append(w)
         paths.append(verts)
     return paths, []
+
+
+# ---------------------------------------------------------------------------
+# reference certificate checks
+# ---------------------------------------------------------------------------
+#
+# The tuple-keyed checker: one ``check_label`` pair, one
+# ``adjacent_labels`` call and two adjacency ``setdefault`` calls per
+# edge, and ``GraphView.has_edge_labels`` per path step.  ``verify``
+# must return the same violations in the same order, the same problem
+# strings and the same ``ContractViolation`` text.
+
+
+def reference_tree_violations(g, terminals, tree, index, edge_owner, vertex_owner):
+    from aqsteiner.verify import (
+        CYCLE,
+        DISCONNECTED,
+        NON_EDGE,
+        SHARED_EDGE,
+        SHARED_VERTEX,
+        TERMINAL_DEGREE,
+        Violation,
+    )
+
+    width = g.dim
+    check_label = g.check_label
+    out = []
+    shared = []
+    vertices = set()
+    adj = {}
+    ok_edges = 0
+    for u, v in tree.edges:
+        check_label(u)
+        check_label(v)
+        vertices.update((u, v))
+        key = (u, v) if u <= v else (v, u)
+        if key in edge_owner:
+            shared.append(Violation(SHARED_EDGE, (edge_owner[key], index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
+        else:
+            edge_owner[key] = index
+        if not g.adjacent_labels(u, v):
+            out.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
+            continue
+        ok_edges += 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    if ok_edges:
+        components = _reference_count_components(adj)
+        if components > 1:
+            out.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
+        if ok_edges > len(adj) - components:
+            out.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
+    for t in sorted(terminals):
+        d = len(adj.get(t, ()))
+        if d != 1:
+            out.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t:0{width}b} has degree {d}"))
+    out += shared
+    for w in sorted(vertices - terminals):
+        if w in vertex_owner:
+            out.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), f"internal vertex {w:0{width}b} reused"))
+        else:
+            vertex_owner[w] = index
+    return out
+
+
+def _reference_count_components(adj):
+    count = 0
+    left = set(adj)
+    while left:
+        start = left.pop()
+        queue = deque([start])
+        while queue:
+            a = queue.popleft()
+            for b in adj[a]:
+                if b in left:
+                    left.remove(b)
+                    queue.append(b)
+        count += 1
+    return count
+
+
+def reference_verify_family(g, family):
+    from aqsteiner.verify import WRONG_TERMINALS, VerificationReport, Violation
+
+    labels = set()
+    for t in family.terminals:
+        g.check_vertex(t)
+        labels.add(t.bits)
+    terminals = frozenset(labels)
+    violations = []
+    if len(terminals) != 3:
+        violations.append(Violation(WRONG_TERMINALS, (), f"expected 3 terminals, got {len(terminals)}"))
+    edge_owner = {}
+    vertex_owner = {}
+    for i, tree in enumerate(family.trees):
+        violations += reference_tree_violations(g, terminals, tree, i, edge_owner, vertex_owner)
+    return VerificationReport(accepted=not violations, violations=tuple(violations))
+
+
+def reference_check_path_system(view, ps):
+    width = view.dim
+    problems = []
+    if ps.source == ps.sink:
+        problems.append("source equals sink")
+    seen_inner = {}
+    seen_edges = {}
+    for i, vs in enumerate(ps.paths):
+        if len(vs) < 2:
+            problems.append(f"path {i} has fewer than two vertices")
+            continue
+        if vs[0] != ps.source or vs[-1] != ps.sink:
+            problems.append(f"path {i} does not run source to sink")
+        if len(set(vs)) != len(vs):
+            problems.append(f"path {i} repeats a vertex")
+        for a, b in zip(vs, vs[1:]):
+            if not view.has_edge_labels(a, b):
+                problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")
+            key = (a, b) if a <= b else (b, a)
+            if key in seen_edges and seen_edges[key] != i:
+                problems.append(f"edge {a:0{width}b}-{b:0{width}b} appears in paths {seen_edges[key]} and {i}")
+            seen_edges[key] = i
+        for w in vs[1:-1]:
+            if w in seen_inner:
+                problems.append(f"inner vertex {w:0{width}b} shared by paths {seen_inner[w]} and {i}")
+            else:
+                seen_inner[w] = i
+    return problems
