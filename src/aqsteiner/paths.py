@@ -17,16 +17,25 @@ that needs it reports that separately, since no vertex set separates an
 adjacent pair.
 
 The residual network is implicit: arcs come from the view's neighbour
-queries when the search reaches a vertex, and flow is held only for
-vertices the search has touched, so memory follows the search, not the
-size of the view.  The flow grows in phases (Dinic): a level BFS plus a
-blocking DFS over the arcs that climb one level, with neighbours taken
-in ascending label order, so results are reproducible across runs,
-thread counts and platforms.  A fan needs 2 to 4 phases where one BFS
-per augmenting path needed 2m - 1.  The DFS augments along the same
-paths, in the same order, as one BFS per path would, and a cut is the
-reach set of the last level BFS, which is the same for every maximum
-flow.
+queries, each vertex's closed neighbourhood built once per call when
+the search first reaches it, and the flow is held per vertex (a
+successor and a predecessor for each inner vertex that carries a unit,
+and the set of the source's successors), so memory follows the search,
+not the size of the view.  The flow grows in phases (Dinic).  A phase
+lays out levels on vertices, out sides at even levels and in sides at
+odd ones, by a BFS that stops one level below the sink's in side.  A
+backward pass from the sink then keeps, level by level, only the
+vertices from which it can still be reached.  That is exact: augmenting
+along a shortest path adds only arcs that descend a level, so a vertex
+cut off from the sink when the phase starts stays cut off, and a search
+through it could only end in a dead end.  A blocking DFS climbs the
+pruned levels, taking arcs in ascending label order, and so augments
+along the same paths, in the same order, as one BFS per path would:
+results are reproducible across runs, thread counts and platforms.  A
+fan needs 2 to 4 phases.  The paths are the walks along successors from
+each of the source's successors, in ascending order.  When a BFS does
+not reach the sink, the cut is the in sides it reached whose out side it
+did not; that reach set is the same for every maximum flow.
 
 The constructor never runs the flow on a whole half-copy.  A fan between
 x and y is x xor a fan from 0 to d = x ^ y, and ``fan_region(m, d)`` is a
@@ -44,7 +53,6 @@ module may use its ``check_path_system`` without an import cycle.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -101,125 +109,147 @@ def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
 
 def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]] | None, list[int]]:
     """Return (paths, []) with exactly k label paths, or (None, vertex_cut)."""
-    # node ids: 2*v = in side, 2*v + 1 = out side.  `through` holds the
-    # inner vertices whose split arc carries a unit, `flow` the (u, w)
-    # edge arcs (u's out side to w's in side) that carry one.  Edge arcs
-    # never hold more than one unit, so only the direct s-t arc, of
-    # capacity 1, can saturate.
-    closed: dict[int, list[int]] = {}
-    through: set[int] = set()
-    flow: set[tuple[int, int]] = set()
+    # The flow is held per vertex: `succ` and `pred` map an inner vertex
+    # carrying a unit to the vertex it passes the unit to and the one it
+    # takes it from, and `first` holds s's successors.  Unit vertex
+    # capacities make both maps single-valued; an inner vertex carries a
+    # unit exactly when it is in `pred`.
+    closed: dict[int, tuple[int, ...]] = {}
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    first: set[int] = set()
 
-    def nbrs(v: int) -> list[int]:
+    def nbrs(v: int) -> tuple[int, ...]:
         out = closed.get(v)
         if out is None:
-            out = closed[v] = view.neighbor_labels(v)
-            bisect.insort(out, v)
+            labels = view.neighbor_labels(v)
+            bisect.insort(labels, v)
+            out = closed[v] = tuple(labels)
         return out
 
-    def heads(a: int) -> list[int]:
-        """The residual arcs leaving node a, in ascending node id."""
-        v = a >> 1
-        if a & 1:
-            # out side: the split arc back when v carries a unit, and the
-            # edge arcs, none of which enters s; the direct s-t arc is the
-            # only one a unit can fill
-            return [
-                2 * w
-                for w in nbrs(v)
-                if (v in through if w == v else w != s and not (v == s and w == t and (s, t) in flow))
-            ]
-        if v not in through:
-            # in side of an idle vertex: nothing enters it, so only its
-            # split arc leaves (t's in side ends every search reaching it)
-            return [a + 1]
-        return [2 * w + 1 for w in nbrs(v) if (w, v) in flow]
-
-    src, dst = 2 * s + 1, 2 * t
     found = 0
     while found < k:
-        # One phase.  The level BFS labels nodes by residual distance from
-        # src and stops once it labels dst; every level below dst's is then
-        # complete.
-        level = {src: 0}
+        # One phase.  Level 2i holds the vertices whose out side lies at
+        # residual distance 2i from s's out side, level 2i + 1 those whose
+        # in side lies at 2i + 1.  An out side reaches the in sides of its
+        # neighbours, never s's, and not t's from s once the direct s-t arc
+        # carries a unit (`into_t`).  It also reaches its own in side when
+        # its vertex carries a unit; the in side of s or of an idle vertex
+        # is seen before its out side, so the closed neighbourhood serves
+        # both.  An in side reaches its own out side when its vertex is
+        # idle and its predecessor's otherwise.  The BFS stops at the level
+        # below t's in side.
+        into_t = [w for w in nbrs(t) if w != s or t not in first]
+        layers = [{s}]
+        seen_in, seen_out = {s, t}, {s}
+        while True:
+            frontier = layers[-1]
+            if len(layers) & 1:
+                if not frontier.isdisjoint(into_t):
+                    break
+                nxt: set[int] = set()
+                for v in frontier:
+                    nxt.update(nbrs(v))
+                nxt -= seen_in
+                seen_in |= nxt
+            else:
+                nxt = {pred.get(v, v) for v in frontier}
+                nxt -= seen_out
+                seen_out |= nxt
+            if not nxt:
+                # The nodes reachable in the residual network are the same
+                # for every maximum flow, so this is the cut any augmenting
+                # order ends on: the vertices whose in side was reached and
+                # whose out side was not (`seen_in` holds t only to keep it
+                # out of the levels)
+                return None, sorted(seen_in - seen_out - {t})
+            layers.append(nxt)
+        # t's in side is at level `top`.  Going down from it, keep only the
+        # vertices with an arc into the kept part of the level above.
+        # Augmenting along a shortest path adds only arcs that descend a
+        # level, so a vertex cut off from t now stays cut off for the whole
+        # phase, and a search through it could only end in a dead end.
+        top = len(layers)
+        layers[-1].intersection_update(into_t)
+        for j in range(top - 2, -1, -1):
+            above = layers[j + 1]
+            if j & 1:
+                # the out side x is entered from x's own in side when x is
+                # idle and from succ[x]'s when it is not
+                layers[j].intersection_update(succ.get(x, x) for x in above)
+            else:
+                # the BFS built the neighbourhoods of these levels already
+                layers[j] = {v for v in layers[j] if not above.isdisjoint(nbrs(v))}
+        layers.append({t})
+        # Blocking flow: a DFS up the pruned levels, taking each out side's
+        # arcs in ascending label order from its current arc; a vertex that
+        # leads nowhere, or that a path just used, leaves its level.  It
+        # meets the shortest augmenting paths in the order a BFS per path
+        # would.  The i-th vertex of `path` stands for its out side when i
+        # is even and for its in side when i is odd.
         arcs: dict[int, list[int]] = {}
-        queue = deque([src])
-        while queue and dst not in level:
-            a = queue.popleft()
-            arcs[a] = out = heads(a)
-            for b in out:
-                if b not in level:
-                    level[b] = level[a] + 1
-                    queue.append(b)
-        if dst not in level:
-            # The nodes reachable in the residual network are the same for
-            # every maximum flow, so this is the cut any augmenting order
-            # ends on: in sides reached whose out side is not (neither s's
-            # in side, which no arc enters, nor t's is ever reached)
-            return None, sorted(a >> 1 for a in level if not a & 1 and a + 1 not in level)
-        # Blocking flow: a DFS over the arcs that climb one level, taking
-        # them in ascending node id from each node's current arc.  It meets
-        # the shortest augmenting paths in the order a BFS per path would.
-        # Augmenting never adds a climbing arc and only removes arcs at the
-        # path's inner nodes, which unit capacities leave with no climbing
-        # arc, so those and every dead end are skipped for the phase.
-        sink_level = level[dst]
         current: dict[int, int] = {}
-        dead: set[int] = set()
         while found < k:
-            stack = [src]
-            while stack and stack[-1] != dst:
-                a = stack[-1]
-                out = arcs.get(a)
-                if out is None:
-                    out = arcs[a] = heads(a)
-                up = level[a] + 1
-                i = current.get(a, 0)
-                while i < len(out):
-                    b = out[i]
-                    if b == dst or (up < sink_level and b not in dead and level.get(b) == up):
-                        break
-                    i += 1
-                current[a] = i
-                if i < len(out):
-                    stack.append(out[i])
+            path = [s]
+            while path and len(path) <= top:
+                j = len(path) - 1
+                v = path[-1]
+                above = layers[j + 1]
+                if j & 1:
+                    w = pred.get(v, v)
+                    if w in above:
+                        path.append(w)
+                        continue
                 else:
-                    dead.add(a)
-                    stack.pop()
-            if not stack:
+                    out = arcs.get(v)
+                    if out is None:
+                        out = arcs[v] = [t] if j + 1 == top else sorted(above.intersection(nbrs(v)))
+                    i = current.get(v, 0)
+                    while i < len(out) and out[i] not in above:
+                        i += 1
+                    current[v] = i
+                    if i < len(out):
+                        path.append(out[i])
+                        continue
+                layers[j].discard(v)
+                path.pop()
+            if not path:
                 break
-            for a, b in zip(stack, stack[1:]):
-                u, w = a >> 1, b >> 1
-                if u == w:  # split arc: forward from the in side, back from the out side
-                    if a & 1:
-                        through.remove(u)
+            # Take the flow off the edge arcs the path runs back along, then
+            # put it on those it runs forward along; the split arcs follow.
+            # No step climbs into s's out side, so every arc taken off joins
+            # two inner vertices.
+            for i in range(1, top, 2):
+                w, u = path[i], path[i + 1]
+                if w != u:
+                    del succ[u], pred[w]
+            for i in range(0, top, 2):
+                u, w = path[i], path[i + 1]
+                if u != w:
+                    if u == s:
+                        first.add(w)
                     else:
-                        through.add(u)
-                elif a & 1:  # edge arc u -> w
-                    flow.add((u, w))
-                else:  # back along the edge arc w -> u
-                    flow.remove((w, u))
+                        succ[u] = w
+                    if w != t:
+                        pred[w] = u
             found += 1
-            dead.update(stack[1:-1])
-            # src's current arc now leads to a dead node or is the direct
-            # s-t arc, which the unit just filled
-            current[src] += 1
+            for j in range(1, top):
+                layers[j].discard(path[j])
+            # s's current arc now leads to a vertex the path used or is the
+            # direct s-t arc, which the unit just filled
+            current[s] += 1
 
-    # Decompose the flow into k source-to-sink walks, taking the first
-    # flow-carrying arc in ascending order.  Unit vertex capacities mean
-    # no vertex repeats across walks; stray flow cycles (possible after
-    # residual cancellations) are simply never visited.
+    # Each walk leaves s along one of its successors, in ascending order,
+    # and follows succ to t.  Unit vertex capacities keep the walks
+    # disjoint; a flow cycle left by cancellations is never entered.  Each
+    # step pops its successor, so a broken flow raises instead of looping.
     paths: list[list[int]] = []
-    for _ in range(k):
-        verts = [s]
-        while verts[-1] != t:
-            u = verts[-1]
-            w = next((w for w in nbrs(u) if (u, w) in flow), None)
-            if w is None:
-                raise AssertionError("flow conservation violated during decomposition")
-            flow.remove((u, w))
-            verts.append(w)
-        paths.append(verts)
+    for w in sorted(first):
+        walk = [s, w]
+        while w != t:
+            w = succ.pop(w)
+            walk.append(w)
+        paths.append(walk)
     return paths, []
 
 

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqsteiner.paths import (
     MinCut,
@@ -176,9 +178,41 @@ def test_flow_matches_the_reference_on_every_pair():
                     assert paths._flow_paths(view, u, v, k) == reference_flow_paths(view, u, v, k), (n, u, v, k)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(3, 7), st.floats(0.3, 1.0), st.data())
+def test_flow_matches_the_reference_on_random_views(n, density, data):
+    # sparse views reach cuts, disconnected endpoints and cancellations
+    # along edge arcs in shapes that fans, cubes and half-copies lack
+    g = AugmentedCube(n)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    s = data.draw(st.integers(0, g.order - 1))
+    others = [w for w in range(g.order) if w != s]
+    t = data.draw(st.one_of(st.sampled_from(g.neighbor_labels(s)), st.sampled_from(others)))
+    view = GraphView(g, frozenset(v for v in range(g.order) if rng.random() < density) | {s, t})
+    for k in (1, n, 2 * n - 1, 2 * n):
+        got = paths._flow_paths(view, s, t, k)
+        assert got == reference_flow_paths(view, s, t, k), (n, s, t, k, sorted(view.allowed))
+        label_paths, cut = got
+        if label_paths is None:
+            # fewer than k: the cut, plus the direct edge of an adjacent
+            # pair, which the search below leaves out; together they
+            # separate s from t
+            assert len(cut) + view.has_edge_labels(s, t) < k
+            reach, stack = {s, *cut}, [s]
+            while stack:
+                x = stack.pop()
+                for w in view.neighbor_labels(x):
+                    if w not in reach and (x, w) != (s, t):
+                        reach.add(w)
+                        stack.append(w)
+            assert t not in reach
+
+
 # sha256 of repr(paths) for the full 0 -> d fan in R(d) at the dimensions
-# the CLI serves, with d drawn by random.Random(14); recorded with the
-# Edmonds-Karp core, before the phase-based one replaced it
+# the CLI serves, with d drawn by random.Random(14): four draws at m = 13,
+# four at m = 20, then one at m = 32.  Recorded with the Edmonds-Karp core
+# before the phase-based one replaced it, and the m = 32 fan with the
+# phase-based core before its layers were pruned.
 LARGE_FAN_DIGESTS = {
     (13, 0x36C): "cfe35a79476897401fc0b54d608da637ab1f5bcdb657818be33d15f5b7a431f6",
     (13, 0x13B6): "66bdb13f52c0f7c3586b658dc4c80443eec3c5904cf5ee1efe2f6acec174ac51",
@@ -188,6 +222,7 @@ LARGE_FAN_DIGESTS = {
     (20, 0x86F0D): "83bbaab68fc289c5d314fe9ca06deedf9977bc4b1532bfab82fd9ecccf30be7d",
     (20, 0xA6EC4): "6c8aa533cc1d87c838b91ca08da5f535f0d3e5b0884cfd758be0a00395ba42fb",
     (20, 0xF0BAF): "de1ebb4a534f24e7eba5f6bb5d2914fbe71bbf5a5ab7697c47b9f4c6c3160714",
+    (32, 0x4567CEB2): "41b94e5f693ca5c2878bc2f559719623ad43e41ac227d6bb1ad818a69497070a",
 }
 
 
