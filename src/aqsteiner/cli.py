@@ -62,8 +62,8 @@ SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 FIDELITY_MAX_DIM = 16
 # paths runs the exact flow on the whole cube, so its cost about doubles
 # per dimension: on a 2-core VM the slowest of 150 sampled pairs took
-# 0.27 s at n = 15, the slowest of 40 took 0.56 s at n = 16 (k = 2n - 1),
-# and n = 30 ran out of a 1 GiB cap within seconds.
+# 0.72-0.88 s at n = 15 and the slowest of 40 1.29-1.61 s at n = 16
+# (k = 2n - 1), and n = 30 ran out of a 1 GiB cap within seconds.
 PATHS_MAX_DIM = 15
 # verify reads at most this many bytes of a certificate, so an endless
 # input such as /dev/zero stops with a usage error.  The largest real

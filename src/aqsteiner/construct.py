@@ -629,14 +629,10 @@ def construct(
             family = _construct_case1(g, labels, tag, fidelity)
         else:
             family = _assemble(g, labels, _run_recipe(g, tag), (tag,))
-    report = _verify.verify_family(g, family)
+    report = _verify.verify_family(g, family, size=target_family_size(n))
     if not report.accepted:
         raise InternalError(
             f"{family.provenance[0].case.value} family rejected for targets "
             f"{[f'{a:0{n}b}' for a in labels]}: {[v.detail for v in report.violations]}"
-        )
-    if len(family.trees) != target_family_size(n):
-        raise InternalError(
-            f"expected {target_family_size(n)} trees, built {len(family.trees)}"
         )
     return family

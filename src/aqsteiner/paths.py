@@ -16,9 +16,10 @@ exception is a direct u-v edge, whose arc keeps capacity 1; a witness
 that needs it reports that separately, since no vertex set separates an
 adjacent pair.
 
-The residual network is implicit: arcs come from the view's neighbour
-queries, each vertex's closed neighbourhood built once per call when
-the search first reaches it, and the flow is held per vertex (a
+The residual network is implicit: arcs come from the delta set, each
+vertex's closed neighbourhood (v xor 0 and every adjacency delta, kept
+where the view contains it) built once per call, unsorted, when the
+search first reaches it, and the flow is held per vertex (a
 successor and a predecessor for each inner vertex that carries a unit,
 and the set of the source's successors), so memory follows the search,
 not the size of the view.  The flow grows in phases (Dinic).  A phase
@@ -52,7 +53,6 @@ module may use its ``check_path_system`` without an import cycle.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -114,17 +114,19 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
     # takes it from, and `first` holds s's successors.  Unit vertex
     # capacities make both maps single-valued; an inner vertex carries a
     # unit exactly when it is in `pred`.
-    closed: dict[int, tuple[int, ...]] = {}
+    # Neighbourhood order is never used: the levels and the pruning take
+    # unions and disjointness tests, and the DFS sorts the arcs it climbs.
+    members = range(1 << view.dim) if view.allowed is None else view.allowed
+    offsets = (0, *adjacency_deltas(view.dim))
+    closed: dict[int, list[int]] = {}
     succ: dict[int, int] = {}
     pred: dict[int, int] = {}
     first: set[int] = set()
 
-    def nbrs(v: int) -> tuple[int, ...]:
+    def nbrs(v: int) -> list[int]:
         out = closed.get(v)
         if out is None:
-            labels = view.neighbor_labels(v)
-            bisect.insort(labels, v)
-            out = closed[v] = tuple(labels)
+            out = closed[v] = [w for d in offsets if (w := v ^ d) in members]
         return out
 
     found = 0

@@ -18,9 +18,9 @@ Conventions used everywhere in this package:
   of ``construct``, ``classify`` and ``base_case_search``.  Tree edges,
   path systems, the checker's work past S and the oracle are on ints.
 - The graph is never materialised.  Adjacency is O(1) on labels and
-  neighbour enumeration is O(n); ``GraphView`` restricts the vertex set
-  to a label collection (a ``range`` for half-copies and quarters, a
-  frozenset for the fan regions of ``paths``) without copying it.
+  neighbour enumeration is O(n); ``GraphView`` is only a membership test
+  on a label collection it never copies (a ``range`` for half-copies and
+  quarters, a frozenset for the fan regions of ``paths``).
 
 The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
@@ -178,12 +178,12 @@ def inverse_gray(g: int) -> int:
 
 @dataclass(frozen=True)
 class GraphView:
-    """A vertex-filtered slice of a cube.
+    """A vertex-filtered slice of a cube: the cube plus a membership test.
 
     allowed=None means the full vertex set; otherwise it is a collection
     of labels with O(1) membership, such as a ``range`` for a subcube.
-    Everything stays implicit; neighbour queries filter on the fly and
-    always return labels in ascending order.
+    Nothing is copied; a label's neighbours in the view are its cube
+    neighbours that ``contains_label`` accepts.
     """
 
     cube: AugmentedCube
@@ -200,12 +200,6 @@ class GraphView:
         if u == v or not (self.contains_label(u) and self.contains_label(v)):
             return False
         return self.cube.adjacent_labels(u, v)
-
-    def neighbor_labels(self, v: int) -> list[int]:
-        # the neighbours of a label of the cube are labels of the cube, so
-        # only the allowed collection can drop one
-        out = self.cube.neighbor_labels(v)
-        return out if self.allowed is None else [w for w in out if w in self.allowed]
 
 
 def side_view(g: AugmentedCube, v: int) -> GraphView:

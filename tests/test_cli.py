@@ -466,9 +466,9 @@ def test_sweep_verifies_each_family_once(monkeypatch):
     calls = []
     original = verify_mod.verify_family
 
-    def counting(g, family):
+    def counting(g, family, *, size=None):
         calls.append(g.dim)
-        return original(g, family)
+        return original(g, family, size=size)
 
     monkeypatch.setattr(verify_mod, "verify_family", counting)
     records = run_sweep(5, all_triples(5))

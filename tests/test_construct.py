@@ -400,6 +400,15 @@ def test_broken_recipe_raises_internal_error(monkeypatch):
         construct(g, twin)
 
 
+def test_short_recipe_fails_the_tree_count(monkeypatch):
+    # every tree of the short family is valid, so only the count rejects it
+    g = AugmentedCube(5)
+    real = construct_mod._RECIPES[Case.CASE2_1_1]
+    monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, lambda g, x, y, z: real(g, x, y, z)[:-1])
+    with pytest.raises(InternalError, match="expected 7 trees"):
+        construct(g, vs("00000", "01111", "10000"))
+
+
 def test_broken_recipe_exits_1_from_cli(monkeypatch, capsys):
     monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, _broken_recipe)
     assert cli.main(["construct", "-n", "5", "-S", "00000,01111,10000"]) == 1
@@ -423,9 +432,9 @@ def test_verify_runs_once_per_construct_level(monkeypatch, trio, dims):
     seen = []
     original = verify_mod.verify_family
 
-    def counting(g, family):
+    def counting(g, family, *, size=None):
         seen.append(g.dim)
-        return original(g, family)
+        return original(g, family, size=size)
 
     monkeypatch.setattr(verify_mod, "verify_family", counting)
     construct(AugmentedCube(5), vs(*trio))

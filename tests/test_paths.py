@@ -201,8 +201,8 @@ def test_flow_matches_the_reference_on_random_views(n, density, data):
             reach, stack = {s, *cut}, [s]
             while stack:
                 x = stack.pop()
-                for w in view.neighbor_labels(x):
-                    if w not in reach and (x, w) != (s, t):
+                for w in g.neighbor_labels(x):
+                    if view.contains_label(w) and w not in reach and (x, w) != (s, t):
                         reach.add(w)
                         stack.append(w)
             assert t not in reach

@@ -1,0 +1,209 @@
+"""Compare the CLI stdout of two checkouts of this repository.
+
+    python3 tools/stdout_parity.py PARENT CHANGE
+
+Each checkout runs one fixed list of ``aqsteiner`` commands in its own
+child process, in-process through ``cli.main``, against that checkout's
+``src/``.  The list:
+
+- ``construct --format json`` on seeded triples at n = 5..16, and at
+  n = 6 also ``--format text``, ``--format dot`` and ``--fidelity``;
+- ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, in all three
+  formats;
+- ``info -n 1..6`` as text and as JSON;
+- ``sweep -n 4 --exhaustive`` as text and as JSON, and
+  ``sweep -n 5 --samples 300``;
+- ``verify`` on every certificate the JSON constructs printed.
+
+A command's result is its exit code and the sha256 of its stdout;
+stderr (timings) is not compared, and a command that raises counts
+as the exception's type.  Every command whose result differs
+between the two checkouts is printed, and the exit status is 1 if any
+does, 0 if none does, and 2 for a bad argument.  The triples come from
+``random.Random`` streams on fixed seeds, built here without importing
+the package, so both checkouts get the same list.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import time
+
+CONSTRUCT_DIMS = range(5, 17)
+PATHS_DIMS = range(1, 11)
+
+
+def _label(v: int, n: int) -> str:
+    return format(v, f"0{n}b")
+
+
+def _triples(n: int, count: int) -> list[tuple[int, int, int]]:
+    """Seeded distinct target triples at dimension n.
+
+    Uniform triples nearly all dispatch alike, so each draw builds the
+    relations the case split reads: y is x's cross-twin (x ^ trail), a
+    neighbour of x or any lower label; z is in the bottom AQ_4 with x
+    and y, in the lower half-copy, next to a cross-partner of x, or
+    anywhere in the upper one.  Half of the triples are complemented,
+    which moves two targets into the upper half-copy.
+    """
+    rng = random.Random(1000 + n)
+    half = 1 << (n - 1)
+    trail = half - 1
+    deltas = [1 << i for i in range(n - 1)] + [(1 << i) - 1 for i in range(2, n)]
+    out: list[tuple[int, int, int]] = []
+    while len(out) < count:
+        kind = len(out) % 4
+        x = rng.getrandbits(4 if kind == 0 else n - 1)
+        y = rng.choice((x ^ trail, x ^ rng.choice(deltas), rng.getrandbits(n - 1)))
+        if kind == 0:
+            x, y, z = x % 16, y % 16, rng.getrandbits(4)
+        elif kind == 1:
+            z = rng.getrandbits(n - 1)
+        elif kind == 2:
+            z = (x ^ rng.choice((0, trail)) | half) ^ rng.choice([0, *deltas])
+        else:
+            z = half | rng.getrandbits(n - 1)
+        mask = rng.choice((0, (1 << n) - 1))
+        trio = tuple(sorted({x ^ mask, y ^ mask, z ^ mask}))
+        if len(trio) == 3 and trio not in out:
+            out.append(trio)
+    return out
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    if n == 1:
+        return [(0, 1), (1, 0)]
+    rng = random.Random(2000 + n)
+    full = (1 << n) - 1
+    out = [(0, 1), (0, full), (full, 1 << (n - 1))]
+    while len(out) < 5:
+        u, v = rng.getrandbits(n), rng.getrandbits(n)
+        if u != v and (u, v) not in out:
+            out.append((u, v))
+    return out
+
+
+def command_list() -> list[list[str]]:
+    """Every command, in run order.  A ``verify`` of ``cert-I.json`` reads
+    the stdout of the I-th JSON construct, which the child writes there."""
+    cmds: list[list[str]] = []
+    certs = 0
+    verifies: list[list[str]] = []
+    for n in CONSTRUCT_DIMS:
+        count = 32 if n <= 10 else 16 if n <= 13 else 8
+        for trio in _triples(n, count):
+            targets = ",".join(_label(v, n) for v in trio)
+            formats = [["--format", "json"]]
+            if n == 6:
+                formats += [["--format", "text"], ["--format", "dot"], ["--format", "json", "--fidelity"]]
+            for extra in formats:
+                cmds.append(["construct", "-n", str(n), "-S", targets, *extra])
+                if extra[1] == "json":
+                    verifies.append(["verify", f"cert-{certs}.json"])
+                    certs += 1
+    for n in PATHS_DIMS:
+        for u, v in _pairs(n):
+            for k in sorted({1, n, 2 * n - 1, 2 * n}):
+                for fmt in ("json", "dot", "text"):
+                    cmds.append(["paths", "-n", str(n), "-u", _label(u, n), "-v", _label(v, n), "-k", str(k), "--format", fmt])
+    for n in range(1, 7):
+        for fmt in ("text", "json"):
+            cmds.append(["info", "-n", str(n), "--format", fmt])
+    cmds.append(["sweep", "-n", "4", "--exhaustive"])
+    cmds.append(["sweep", "-n", "4", "--exhaustive", "--format", "json"])
+    cmds.append(["sweep", "-n", "5", "--samples", "300"])
+    return cmds + verifies
+
+
+def _run_child(checkout: str) -> None:
+    """Run every command against ``checkout/src`` and print one JSON
+    document: the module path imported and [exit code, sha256] per
+    command."""
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    from aqsteiner import cli
+
+    results = []
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        certs = 0
+        for cmd in command_list():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(cmd)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:
+                    # a traceback in one checkout is a difference to report,
+                    # not a reason to stop comparing
+                    code = f"raised {type(exc).__name__}"
+            text = out.getvalue()
+            if cmd[0] == "construct" and "json" in cmd:
+                with open(f"cert-{certs}.json", "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                certs += 1
+            results.append([code, hashlib.sha256(text.encode()).hexdigest()])
+    json.dump({"module": cli.__file__, "results": results}, sys.stdout)
+
+
+def _collect(checkout: str) -> tuple[list, float]:
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", checkout],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+    )
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: child failed with exit {proc.returncode}\n{proc.stderr}")
+    doc = json.loads(proc.stdout)
+    if not os.path.realpath(doc["module"]).startswith(os.path.realpath(checkout) + os.sep):
+        sys.exit(f"{checkout}: imported {doc['module']}, not the checkout's own src/")
+    return doc["results"], elapsed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", nargs="?", help="checkout of the change")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        _run_child(os.path.abspath(args.parent))
+        return 0
+    if args.change is None:
+        parser.error("two checkouts are needed: PARENT CHANGE")
+    for checkout in (args.parent, args.change):
+        if not os.path.isfile(os.path.join(checkout, "src", "aqsteiner", "cli.py")):
+            parser.error(f"{checkout} has no src/aqsteiner/cli.py")
+    cmds = command_list()
+    runs = []
+    for checkout in (args.parent, args.change):
+        results, elapsed = _collect(os.path.abspath(checkout))
+        print(f"{checkout}: {len(results)} commands in {elapsed:.1f} s", file=sys.stderr)
+        runs.append(results)
+    differ = 0
+    for cmd, a, b in zip(cmds, *runs):
+        if a != b:
+            differ += 1
+            print(f"differs: aqsteiner {' '.join(cmd)} (exit {a[0]} -> {b[0]}, stdout {a[1][:12]} -> {b[1][:12]})")
+    codes = collections.Counter(code for code, _ in runs[0])
+    exits = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items(), key=str))
+    print(f"{differ} of {len(cmds)} commands differ ({exits} at the parent)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
