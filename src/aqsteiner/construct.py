@@ -24,9 +24,9 @@ S straddles the two half-copies:
   A fan is named by its two endpoints alone: they share their leading
   bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is searched from 0 to d = x ^ y inside the region
-  ``paths.fan_region(n - 1, d)``, translated by x and re-checked inside
-  its half-copy; a region without a full fan is a bug
-  (``InternalError``), with no retry on the whole half-copy.
+  ``paths.fan_region(n - 1, d)`` of AQ_(n-1) (AQ_n's deltas below
+  2^(n-1)), translated by x and re-checked inside its half-copy; a
+  region without a full fan is a bug (``InternalError``), with no retry.
 
 The fan from 0 to d depends only on (n, d), so a sweep needs at most
 2^(n-1) - 1 distinct fans.  Inside ``fan_memo()`` (the sweep enters it
@@ -303,8 +303,8 @@ def fan_memo():
 def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
     of src and dst (they share their leading bit): a fan from 0 to
-    d = src ^ dst in the region R(d), translated by src.  Translation by
-    src is an automorphism that maps the lower half-copy onto src's.
+    d = src ^ dst in the region R(d) of AQ_(n-1), translated by src, an
+    automorphism that maps the lower half-copy onto src's.
 
     Inside ``fan_memo()`` the untranslated fan is looked up under (n, d)
     and searched only on a miss; a miss is stored while the memo holds
@@ -316,7 +316,7 @@ def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     key = (n, d)
     res = memo.get(key) if memo is not None else None
     if res is None:
-        res = _paths.disjoint_paths(GraphView(g, _paths.fan_region(n - 1, d)), 0, d, k)
+        res = _paths.disjoint_paths(GraphView(AugmentedCube(n - 1), _paths.fan_region(n - 1, d)), 0, d, k)
         if isinstance(res, _paths.MinCut):
             raise InternalError(f"region R({d:0{n - 1}b}) admits only {res.size} disjoint paths, need {k}")
         if memo is not None and len(memo) < FAN_MEMO_MAX:

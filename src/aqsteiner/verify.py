@@ -17,13 +17,16 @@ Every tree is checked against the family's S.  Everything past S is a
 plain int label, as are the oracle's targets and the label paths of the
 path systems that ``paths`` produces; violation details write labels at
 the cube's dimension.
+
+``verify_family`` is one loop over the trees.  A ``Violation`` is a
+named tuple: a file of many small bad trees holds one per defect.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas
 
@@ -39,8 +42,7 @@ TREE_COUNT = "TreeCount"
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     trees: tuple[int, ...]
     detail: str
@@ -55,92 +57,12 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
     def to_json(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "violations": [v.to_json() for v in self.violations],
-        }
-
-
-def _report(violations: list[Violation]) -> VerificationReport:
-    return VerificationReport(accepted=not violations, violations=tuple(violations))
+        return {"accepted": self.accepted, "violations": [v.to_json() for v in self.violations]}
 
 
 # ---------------------------------------------------------------------------
 # certificate checking
 # ---------------------------------------------------------------------------
-
-def _terminal_labels(cube: AugmentedCube, terminals) -> frozenset[int]:
-    """S as labels; each target must be a vertex of this cube."""
-    labels = set()
-    for t in terminals:
-        cube.check_vertex(t)
-        labels.add(t.bits)
-    return frozenset(labels)
-
-
-def _tree_violations(
-    g: AugmentedCube,
-    terminals: frozenset[int],
-    term_order: list[int],
-    deltas: frozenset[int],
-    tree,
-    index: int,
-    edge_owner: dict[int, int],
-    vertex_owner: dict[int, int],
-) -> list[Violation]:
-    """One pass over the tree's label edges: range, adjacency, degrees,
-    components, and the edges and internal vertices that an earlier tree
-    of the family (recorded in the owner maps) already holds.  An edge
-    {u, v}, u <= v, is owned under the int key u << dim | v."""
-    width = g.dim
-    order = 1 << width
-    out: list[Violation] = []
-    shared: list[Violation] = []
-    adj: dict[int, list[int]] = {}
-    stray: list[int] = []  # ends of non-edges, which adj does not hold
-    ok_edges = 0
-    for u, v in tree.edges:
-        if not (0 <= u < order and 0 <= v < order):
-            g.check_label(u)
-            g.check_label(v)
-        key = u << width | v if u <= v else v << width | u
-        # a lookup, then an insert: setdefault could not tell a new key
-        # from the other orientation of an edge this tree already holds
-        owner = edge_owner.get(key)
-        if owner is None:
-            edge_owner[key] = index
-        else:
-            shared.append(Violation(SHARED_EDGE, (owner, index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
-        # a loop u = v is a non-edge too: 0 is not in the delta set
-        if u ^ v not in deltas:
-            out.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
-            stray += (u, v)
-            continue
-        ok_edges += 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    if ok_edges:
-        components = _count_components(adj)
-        if components > 1:
-            out.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
-        if ok_edges > len(adj) - components:
-            out.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
-    for t in term_order:
-        d = len(adj.get(t, ()))
-        if d != 1:
-            out.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t:0{width}b} has degree {d}"))
-    out += shared
-    # no tree meets a vertex twice here, so an owner other than this
-    # tree is an earlier one; the reuses are reported in label order
-    reused = []
-    for w in set(stray).union(adj) if stray else adj:
-        if w not in terminals and vertex_owner.setdefault(w, index) != index:
-            reused.append(w)
-    for w in sorted(reused):
-        out.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), f"internal vertex {w:0{width}b} reused"))
-    return out
-
 
 def _count_components(adj: dict[int, list[int]]) -> int:
     count = 0
@@ -163,22 +85,72 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
     also gets a ``TreeCount`` violation; without it, a partial family
     checks like a whole one.
 
-    Runs in time linear in the total certificate size: ownership of
-    vertices and edges is tracked in hash maps, never by pairwise scans.
+    One loop walks each tree's edges once; owner maps, with an edge
+    {u, v}, u <= v, under the int key u << dim | v, find what an earlier
+    tree holds, so time is linear in the total certificate size.
     """
-    terminals = _terminal_labels(g, family.terminals)
+    width = g.dim
+    order = 1 << width
+    terminals = set()
+    for t in family.terminals:
+        g.check_vertex(t)
+        terminals.add(t.bits)
     violations: list[Violation] = []
     if len(terminals) != 3:
         violations.append(Violation(WRONG_TERMINALS, (), f"expected 3 terminals, got {len(terminals)}"))
     if size is not None and len(family.trees) != size:
         violations.append(Violation(TREE_COUNT, (), f"expected {size} trees, got {len(family.trees)}"))
     term_order = sorted(terminals)
-    deltas = frozenset(adjacency_deltas(g.dim))
+    deltas = frozenset(adjacency_deltas(width))
     edge_owner: dict[int, int] = {}
     vertex_owner: dict[int, int] = {}
-    for i, tree in enumerate(family.trees):
-        violations += _tree_violations(g, terminals, term_order, deltas, tree, i, edge_owner, vertex_owner)
-    return _report(violations)
+    for index, tree in enumerate(family.trees):
+        shared: list[Violation] = []
+        adj: dict[int, list[int]] = {}
+        stray: list[int] = []  # ends of non-edges, which adj does not hold
+        ok_edges = 0
+        for u, v in tree.edges:
+            if not (0 <= u < order and 0 <= v < order):
+                g.check_label(u)
+                g.check_label(v)
+            key = u << width | v if u <= v else v << width | u
+            # a lookup, then an insert: setdefault could not tell a new key
+            # from the other orientation of an edge this tree already holds
+            owner = edge_owner.get(key)
+            if owner is None:
+                edge_owner[key] = index
+            else:
+                shared.append(Violation(SHARED_EDGE, (owner, index), f"edge {u:0{width}b}-{v:0{width}b} reused"))
+            # a loop u = v is a non-edge too: 0 is not in the delta set
+            if u ^ v not in deltas:
+                violations.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
+                stray += (u, v)
+                continue
+            ok_edges += 1
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+
+        if ok_edges:
+            components = _count_components(adj)
+            if components > 1:
+                violations.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
+            if ok_edges > len(adj) - components:
+                violations.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
+        for t in term_order:
+            d = len(adj.get(t, ()))
+            if d != 1:
+                violations.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t:0{width}b} has degree {d}"))
+        violations += shared
+        # no tree meets a vertex twice here, so an owner other than this
+        # tree is an earlier one; the reuses are reported in label order
+        reused = []
+        for w in set(stray).union(adj) if stray else adj:
+            if w not in terminals and vertex_owner.setdefault(w, index) != index:
+                reused.append(w)
+        for w in sorted(reused):
+            detail = f"internal vertex {w:0{width}b} reused"
+            violations.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), detail))
+    return VerificationReport(accepted=not violations, violations=tuple(violations))
 
 
 def check_path_system(view: GraphView, ps) -> list[str]:
@@ -310,7 +282,6 @@ def oracle_tau(
     ceiling = min(free_deg)
 
     nodes = 0
-    exhausted = False
 
     def feasible(mask: int) -> bool:
         nonlocal nodes
@@ -337,24 +308,21 @@ def oracle_tau(
     minimal: list[int] = []
     direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
 
-    for size in range(1, m + 1):
-        if exhausted:
+    smallest_first = itertools.chain.from_iterable(itertools.combinations(range(m), size) for size in range(1, m + 1))
+    for combo in smallest_first:
+        if nodes >= budget:
             break
-        for combo in itertools.combinations(range(m), size):
-            if nodes >= budget:
-                exhausted = True
+        mask = 0
+        for i in combo:
+            mask |= 1 << i
+        # the minimality scan costs one node per comparison
+        for prev in minimal:
+            nodes += 1
+            if prev & mask == prev:
                 break
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            # the minimality scan costs one node per comparison
-            for prev in minimal:
-                nodes += 1
-                if prev & mask == prev:
-                    break
-            else:
-                if feasible(mask):
-                    minimal.append(mask)
+        else:
+            if feasible(mask):
+                minimal.append(mask)
 
     # pack pairwise disjoint minimal sets, largest count wins; below
     # stop_at, a branch is worth searching only if it can reach stop_at
@@ -389,8 +357,9 @@ def oracle_tau(
 
     dfs(0, 0, len(chosen))
     reached = stop_at is not None and best >= stop_at
-    if halted or exhausted:
-        # a spent budget or an early stop bounds the value only by the ceiling
+    if halted:
+        # a spent budget (the packing halts on entry) or an early stop
+        # bounds the value only by the ceiling
         upper = max(best, ceiling)
         exact = reached and best == ceiling
     else:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -233,6 +234,36 @@ def test_verify_memory_stays_linear_on_a_huge_certificate(tmp_path):
         "print(code, sorted({v['kind'] for v in json.loads(out.getvalue())['violations']}))\n"
     )
     assert out == "1 ['Disconnected', 'TreeCount']\n"
+
+
+# a well-formed n = 3 certificate that verify rejects (one tree, two
+# targets off it)
+SMALL_CERT = {"schema_version": "1", "n": 3, "s": ["000", "011", "101"], "case": "Base3", "fallback_used": False,
+              "trees": [{"edges": [["000", "001"]]}], "tool": {"id": "aqsteiner", "version": "0.1.0"}}
+
+
+def test_verify_streams_a_report_of_many_violations(tmp_path):
+    # 10,000 one-edge trees at n = 3 whose edges cycle through the 28
+    # label pairs: 49,962 violations.  A dataclass per violation and the
+    # indented report held as one string peaked at about 70 MB of Python
+    # allocations; named tuples and a streamed report take about 28 MB
+    pairs = list(itertools.combinations([format(v, "03b") for v in range(8)], 2))
+    trees = [{"edges": [list(pairs[i % len(pairs)])]} for i in range(10_000)]
+    doc = {**SMALL_CERT, "trees": trees}
+    cert, out = tmp_path / "many.json", tmp_path / "report.json"
+    cert.write_text(json.dumps(doc))
+    # stdout goes to a file, whose bytes tracemalloc does not count
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["verify", str(cert)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    report = verify_mod.verify_family(AugmentedCube(3), parse_certificate(doc), size=3)
+    assert code == 1 and len(report.violations) == 49_962
+    assert peak < 45_000_000, peak
+    assert out.read_text(encoding="utf-8") == json.dumps(report.to_json(), indent=2) + "\n"
 
 
 def test_verify_reads_at_most_its_byte_bound(tmp_path):
@@ -525,13 +556,41 @@ USAGE_ERRORS = {
     "oracle-budget-0": ("oracle -n 3 -S 001,010,100 --budget 0", "budget must be positive"),
     "paths-k-0": ("paths -n 4 -u 0000 -v 1111 -k 0", "at least one path"),
     "sweep-no-samples": ("sweep -n 3", "either --exhaustive or --samples N"),
+    "construct-label-length": ("construct -n 3 -S 000,001,0110", "label '0110' does not have length 3"),
+    "construct-label-over-62-bits": (f"construct -n 3 -S 000,001,{'0' * 63}", "label longer than 62 bits"),
+    "paths-u-length": ("paths -n 4 -u 000 -v 1111 -k 1", "endpoint labels must have length n"),
+    "paths-v-length": ("paths -n 4 -u 0000 -v 11111 -k 1", "endpoint labels must have length n"),
 }
+
+# certificates that parse_certificate rejects past its label and key
+# checks, each a one-field edit of SMALL_CERT
+BAD_CERTIFICATES = {
+    "not-an-object": ([], "certificate must be an object"),
+    "schema-version": ({**SMALL_CERT, "schema_version": "2"}, "unsupported schema_version '2'"),
+    "s-two-labels": ({**SMALL_CERT, "s": ["000", "011"]}, "s must list exactly 3 vertex labels"),
+    "s-repeated": ({**SMALL_CERT, "s": ["000", "011", "000"]}, "s must hold distinct labels"),
+    "case-not-a-string": ({**SMALL_CERT, "case": 1}, "case must be a string"),
+    "fallback-not-a-bool": ({**SMALL_CERT, "fallback_used": 0}, "fallback_used must be a boolean"),
+    "tool-not-an-object": ({**SMALL_CERT, "tool": "aqsteiner"}, "tool must be an object"),
+    "tool-id-not-a-string": ({**SMALL_CERT, "tool": {"id": 1, "version": "0.1.0"}}, "tool id and version must be"),
+    "tool-version-not-a-string": ({**SMALL_CERT, "tool": {"id": "aqsteiner", "version": None}}, "tool id and version"),
+    "trees-not-a-list": ({**SMALL_CERT, "trees": {}}, "trees must be a list"),
+    "tree-not-an-object": ({**SMALL_CERT, "trees": [["000", "001"]]}, "trees[0] must be an object"),
+    "edges-not-a-list": ({**SMALL_CERT, "trees": [{"edges": "000-001"}]}, "trees[0].edges must be a list"),
+    "edge-malformed": ({**SMALL_CERT, "trees": [{"edges": [["000"]]}]}, "trees[0] has a malformed edge ['000']"),
+}
+USAGE_ERRORS.update(
+    (f"verify-{name}", (f"verify {{tmp}}/{name}.json", f"malformed certificate: {fragment}"))
+    for name, (_, fragment) in BAD_CERTIFICATES.items()
+)
 
 
 @pytest.mark.parametrize("command, fragment", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_errors_exit_2_with_one_line_from_main(tmp_path, command, fragment):
     (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
     (tmp_path / "nested.json").write_text("[" * 200_000)
+    for name, (doc, _) in BAD_CERTIFICATES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     code, out, err = run_cli(command.format(tmp=tmp_path).split())
     assert (code, out) == (2, "")
     assert "Traceback" not in err
@@ -586,6 +645,9 @@ def test_sweep_jobs_outside_cpu_count_is_usage_error(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"1..{os.cpu_count()}" in err and str(bad) in err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep", "-n", "3", "--samples", "1", "--jobs", "x"])
+    assert exc.value.code == 2 and "not an integer: 'x'" in capsys.readouterr().err
     assert build_parser().parse_args(["sweep", "-n", "3", "--samples", "1", "--jobs", "1"]).jobs == 1
 
 

@@ -317,6 +317,8 @@ def test_base_tag_records_the_applied_transform():
 def test_base_search_contract():
     with pytest.raises(ContractViolation):
         base_case_search(AugmentedCube(5), vs("00000", "00001", "00010"), 7)
+    with pytest.raises(ContractViolation, match="target must be positive"):
+        base_case_search(AugmentedCube(3), vs("000", "001", "011"), 0)
 
 
 def test_base_search_short_packing_raises_internal_error(monkeypatch):

@@ -305,6 +305,8 @@ def test_oracle_budget_bracket():
     res = oracle_tau(g, [int(s, 2) for s in S_B], budget=5)
     assert not res.exact
     assert res.lower <= 4 <= res.upper
+    with pytest.raises(ContractViolation, match="bracket, not an exact value"):
+        res.value
 
 
 def test_oracle_contract_errors():

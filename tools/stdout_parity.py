@@ -13,7 +13,13 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``info -n 1..6`` as text and as JSON;
 - ``sweep -n 4 --exhaustive`` as text and as JSON, and
   ``sweep -n 5 --samples 300``;
-- ``verify`` on every certificate the JSON constructs printed.
+- ``oracle`` on every triple at n = 3 and 4, on a few of them with
+  budgets small enough to run out, and ``oracle -n 5 --force
+  --budget 20000``;
+- ``verify`` on every certificate the JSON constructs printed, and on
+  six mutants of the first certificate at each n = 5..8: a dropped
+  edge, a non-edge, a reused internal vertex, a terminal of degree 2, a
+  duplicated tree and one tree too few.
 
 A command's result is its exit code and the sha256 of its stdout;
 stderr (timings) is not compared, and a command that raises counts
@@ -31,6 +37,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -41,10 +48,17 @@ import time
 
 CONSTRUCT_DIMS = range(5, 17)
 PATHS_DIMS = range(1, 11)
+MUTATED_DIMS = range(5, 9)
+MUTANTS = ("dropped-edge", "non-edge", "reused-vertex", "terminal-degree-2", "duplicated-tree", "short-tree-count")
 
 
 def _label(v: int, n: int) -> str:
     return format(v, f"0{n}b")
+
+
+def _deltas(n: int) -> list[int]:
+    """The xor set of AQ_n: u and v are adjacent iff u ^ v is in it."""
+    return [1 << i for i in range(n)] + [(1 << i) - 1 for i in range(2, n + 1)]
 
 
 def _triples(n: int, count: int) -> list[tuple[int, int, int]]:
@@ -60,7 +74,7 @@ def _triples(n: int, count: int) -> list[tuple[int, int, int]]:
     rng = random.Random(1000 + n)
     half = 1 << (n - 1)
     trail = half - 1
-    deltas = [1 << i for i in range(n - 1)] + [(1 << i) - 1 for i in range(2, n)]
+    deltas = _deltas(n - 1)
     out: list[tuple[int, int, int]] = []
     while len(out) < count:
         kind = len(out) % 4
@@ -94,15 +108,61 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _mutant(doc: dict, kind: str) -> dict:
+    """The certificate with one defect of the given kind, placed at the
+    first spot in label order; unchanged if it has no such spot."""
+    n = doc["n"]
+    deltas = set(_deltas(n))
+    terms = {int(a, 2) for a in doc["s"]}
+    trees = [sorted((int(u, 2), int(v, 2)) for u, v in tree["edges"]) for tree in doc["trees"]]
+    used = {a for tree in trees for e in tree for a in e}
+    inner0 = sorted({a for e in trees[0] for a in e} - terms)
+    if kind == "dropped-edge":
+        trees[0] = trees[0][1:]
+    elif kind == "non-edge":
+        gap = next(d for d in range(1, 1 << n) if d not in deltas)
+        trees[0].append((inner0[0], inner0[0] ^ gap))
+    elif kind == "reused-vertex":
+        # an edge from the first later tree that can reach an inner vertex of tree 0
+        for tree in trees[1:]:
+            ends = {a for e in tree for a in e}
+            extra = [(a, b) for a in sorted(ends - terms) for b in inner0 if a ^ b in deltas and b not in ends]
+            if extra:
+                tree.append(extra[0])
+                break
+    elif kind == "terminal-degree-2":
+        # a second edge at the first target in the last tree, to an unused
+        # label if there is one, else to one an earlier tree already holds
+        t = min(terms)
+        ends = {t ^ d for d in deltas} - terms - {a for e in trees[-1] if t in e for a in e}
+        trees[-1].append((t, min(ends - used or ends)))
+    elif kind == "duplicated-tree":
+        trees.append(trees[0])
+    else:
+        trees.pop()
+    edges = [[[_label(u, n), _label(v, n)] for u, v in tree] for tree in trees]
+    return {**doc, "trees": [{"edges": e} for e in edges]}
+
+
+def _write_mutant(path: str) -> None:
+    """Write ``cert-I-KIND.json`` from ``cert-I.json``."""
+    index, kind = path.removesuffix(".json").split("-", 2)[1:]
+    with open(f"cert-{index}.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_mutant(doc, kind), fh, indent=2)
+
+
 def command_list() -> list[list[str]]:
     """Every command, in run order.  A ``verify`` of ``cert-I.json`` reads
-    the stdout of the I-th JSON construct, which the child writes there."""
+    the stdout of the I-th JSON construct, which the child writes there,
+    and one of ``cert-I-KIND.json`` reads a mutant of it."""
     cmds: list[list[str]] = []
     certs = 0
     verifies: list[list[str]] = []
     for n in CONSTRUCT_DIMS:
         count = 32 if n <= 10 else 16 if n <= 13 else 8
-        for trio in _triples(n, count):
+        for j, trio in enumerate(_triples(n, count)):
             targets = ",".join(_label(v, n) for v in trio)
             formats = [["--format", "json"]]
             if n == 6:
@@ -111,6 +171,8 @@ def command_list() -> list[list[str]]:
                 cmds.append(["construct", "-n", str(n), "-S", targets, *extra])
                 if extra[1] == "json":
                     verifies.append(["verify", f"cert-{certs}.json"])
+                    if n in MUTATED_DIMS and j == 0 and not extra[2:]:
+                        verifies += [["verify", f"cert-{certs}-{kind}.json"] for kind in MUTANTS]
                     certs += 1
     for n in PATHS_DIMS:
         for u, v in _pairs(n):
@@ -123,6 +185,12 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "4", "--exhaustive"])
     cmds.append(["sweep", "-n", "4", "--exhaustive", "--format", "json"])
     cmds.append(["sweep", "-n", "5", "--samples", "300"])
+    for n in (3, 4):
+        for trio in itertools.combinations(range(1 << n), 3):
+            cmds.append(["oracle", "-n", str(n), "-S", ",".join(_label(v, n) for v in trio)])
+    for budget in ("1", "1000", "28000", "31000"):
+        cmds.append(["oracle", "-n", "4", "-S", "0000,0011,1110", "--budget", budget])
+    cmds.append(["oracle", "-n", "5", "-S", "00000,00001,00010", "--force", "--budget", "20000"])
     return cmds + verifies
 
 
@@ -141,6 +209,8 @@ def _run_child(checkout: str) -> None:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
+                    if cmd[0] == "verify" and not os.path.exists(cmd[1]):
+                        _write_mutant(cmd[1])
                     code = cli.main(cmd)
                 except SystemExit as exc:
                     code = exc.code
