@@ -20,7 +20,6 @@ from .paths import (
     ConnectivityResult,
     MinCut,
     PathSystem,
-    PinUnsatisfiable,
     connectivity,
     connector_tree,
     disjoint_paths,

@@ -78,10 +78,6 @@ _PALETTE = (
 )
 
 
-class CertificateFormatError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # certificate documents
 # ---------------------------------------------------------------------------
@@ -107,14 +103,12 @@ def certificate_doc(family: TreeFamily, case: str) -> dict:
 
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
     if not isinstance(obj, dict):
-        raise CertificateFormatError(f"{where} must be an object")
+        raise ContractViolation(f"{where} must be an object")
     if obj.keys() != keys:
         got = set(obj)
         extra = sorted(got - keys)
         missing = sorted(keys - got)
-        raise CertificateFormatError(
-            f"{where} has wrong fields (unknown: {extra}, missing: {missing})"
-        )
+        raise ContractViolation(f"{where} has wrong fields (unknown: {extra}, missing: {missing})")
 
 
 @dataclass(frozen=True)
@@ -122,18 +116,18 @@ class ParsedCertificate:
     n: int
     terminals: frozenset[Vertex]
     case: str
-    fallback_used: bool
     trees: tuple[SteinerTree, ...]
 
 
 def parse_certificate(doc: dict) -> ParsedCertificate:
-    """Strict reader: unknown fields are rejected, labels must fit n."""
+    """Strict reader: unknown fields are rejected, labels must fit n;
+    ``fallback_used`` must be a boolean and is not kept."""
     _require_keys(doc, {"schema_version", "n", "s", "case", "fallback_used", "trees", "tool"}, "certificate")
     if doc["schema_version"] != SCHEMA_VERSION:
-        raise CertificateFormatError(f"unsupported schema_version {doc['schema_version']!r}")
+        raise ContractViolation(f"unsupported schema_version {doc['schema_version']!r}")
     n = doc["n"]
-    if type(n) is not int or not 1 <= n <= 62:  # bool is an int subclass
-        raise CertificateFormatError("n must be an integer in 1..62")
+    if type(n) is not int or not 1 <= n <= MAX_DIM:  # bool is an int subclass
+        raise ContractViolation(f"n must be an integer in 1..{MAX_DIM}")
 
     ints: dict[str, int] = {}
 
@@ -142,34 +136,34 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
         # "" exactly when every character is 0 or 1, and the test comes
         # before int, which would also take "_" and non-ASCII digits
         if not isinstance(text, str) or len(text) != n or text.strip("01"):
-            raise CertificateFormatError(f"bad vertex label {text!r} for n={n}")
+            raise ContractViolation(f"bad vertex label {text!r} for n={n}")
         value = ints[text] = int(text, 2)
         return value
 
     s_field = doc["s"]
     if not isinstance(s_field, list) or len(s_field) != 3:
-        raise CertificateFormatError("s must list exactly 3 vertex labels")
+        raise ContractViolation("s must list exactly 3 vertex labels")
     terminals = frozenset(Vertex(read_label(t), n) for t in s_field)
     if len(terminals) != 3:
-        raise CertificateFormatError("s must hold distinct labels")
+        raise ContractViolation("s must hold distinct labels")
     if not isinstance(doc["case"], str):
-        raise CertificateFormatError("case must be a string")
+        raise ContractViolation("case must be a string")
     if not isinstance(doc["fallback_used"], bool):
-        raise CertificateFormatError("fallback_used must be a boolean")
+        raise ContractViolation("fallback_used must be a boolean")
     _require_keys(doc["tool"], {"id", "version"}, "tool")
     if not all(isinstance(doc["tool"][k], str) for k in ("id", "version")):
-        raise CertificateFormatError("tool id and version must be strings")
+        raise ContractViolation("tool id and version must be strings")
     if not isinstance(doc["trees"], list):
-        raise CertificateFormatError("trees must be a list")
+        raise ContractViolation("trees must be a list")
     trees = []
     for i, entry in enumerate(doc["trees"]):
         _require_keys(entry, {"edges"}, f"trees[{i}]")
         if not isinstance(entry["edges"], list):
-            raise CertificateFormatError(f"trees[{i}].edges must be a list")
+            raise ContractViolation(f"trees[{i}].edges must be a list")
         edges = set()
         for pair in entry["edges"]:
             if not isinstance(pair, list) or len(pair) != 2:
-                raise CertificateFormatError(f"trees[{i}] has a malformed edge {pair!r}")
+                raise ContractViolation(f"trees[{i}] has a malformed edge {pair!r}")
             a, b = pair
             u = ints.get(a) if type(a) is str else None
             if u is None:
@@ -179,7 +173,7 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
                 v = read_label(b)
             edges.add((u, v) if u <= v else (v, u))
         trees.append(SteinerTree(frozenset(edges)))
-    return ParsedCertificate(n, terminals, doc["case"], doc["fallback_used"], tuple(trees))
+    return ParsedCertificate(n, terminals, doc["case"], tuple(trees))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         cert = parse_certificate(json.loads(_read_certificate(args.path)))
     except (OSError, ValueError, RecursionError) as exc:
-        # JSONDecodeError, UnicodeDecodeError, CertificateFormatError; deep nesting
+        # JSONDecodeError, UnicodeDecodeError, ContractViolation; deep nesting
         raise ContractViolation(f"malformed certificate: {exc}") from exc
     g = AugmentedCube(cert.n)
     report = _verify.verify_family(g, cert, size=target_family_size(cert.n))

@@ -113,9 +113,10 @@ class SteinerTree:
 
 @dataclass(frozen=True)
 class TreeFamily:
-    """The trees built for one target set S.  S stays a set of ``Vertex``
-    because the benchmark compares it with ``Vertex`` targets
-    (``bench/run.py``, ``FanN11.check``); every tree is label edges."""
+    """The trees built for one target set S.  S is a set of ``Vertex``,
+    as in a parsed certificate: ``verify.verify_family`` reads S as
+    objects with ``bits`` and ``dim`` and so checks both kinds of family
+    alike.  Every tree is label edges."""
 
     dim: int
     terminals: frozenset[Vertex]
@@ -185,7 +186,6 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     g = AugmentedCube(n)
     half = 1 << (n - 1)
     full = (1 << n) - 1
-    trail = half - 1
     adj = g.adjacent_labels
 
     complement = sum(1 for v in labels if v & half) >= 2
@@ -197,24 +197,18 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     z = ones[0]
     u, v = sorted(set(cur) - {z})
 
-    def h(a: int) -> int:
-        return a | half
-
-    def c(a: int) -> int:
-        return (a ^ trail) | half
-
     swap = 0
     x = y = None
     for cx, cy in ((u, v), (v, u)):
-        if z == h(cx):
+        if z == h_label(cx, n):
             x, y = cx, cy
             break
     else:
         for cx, cy in ((u, v), (v, u)):
-            if z == c(cx):
+            if z == c_label(cx, n):
                 x, y = cx, cy
                 swap = 1
-                z = h(cx)
+                z = h_label(cx, n)
                 break
 
     transform = (swap, (half if swap else full) if complement else 0)
@@ -224,15 +218,15 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
 
     if x is not None:
         # z is a cross-partner of x (after normalisation, the bit-keeping one)
-        if {h(x), c(x)} == {h(y), c(y)}:
+        if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
             return mk(Case.CASE2_1_1, x, y)
-        if adj(z, h(y)):
+        if adj(z, h_label(y, n)):
             return mk(Case.CASE2_1_3, x, y)
         return mk(Case.CASE2_1_2, x, y)
 
     x, y = u, v
-    if {h(x), c(x)} == {h(y), c(y)}:
-        zxh, zxc = adj(z, h(x)), adj(z, c(x))
+    if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
+        zxh, zxc = adj(z, h_label(x, n)), adj(z, c_label(x, n))
         if zxh and zxc:
             return mk(Case.CASE2_2_1B, x, y)
         if zxh and not zxc:
@@ -240,7 +234,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
             return mk(Case.CASE2_2_1A, y, x)
         return mk(Case.CASE2_2_1A, x, y)
 
-    pattern = (adj(z, h(x)), adj(z, c(x)), adj(z, h(y)), adj(z, c(y)))
+    pattern = (adj(z, h_label(x, n)), adj(z, c_label(x, n)), adj(z, h_label(y, n)), adj(z, c_label(y, n)))
     xh, xc, yh, yc = pattern
     xside, yside = xh or xc, yh or yc
     suffix = "3" if adj(x, y) else "2"
@@ -261,12 +255,12 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
         return mk(cc, x, y, "c@x")
     if yc and not yh:
         return mk(cc, x, y, "h@y")
-    # What is left has z adjacent to h(y), c(y) and c(x), and never to
-    # h(x) as well: with primes for the low n-1 bits, touching all four
-    # needs z'^x' and z'^y' each in a pair {d, d ^ trail} of the
-    # half-copy's delta set.  The only such pair is {leading bit, longest
-    # proper trailing block}, so x != y forces x'^y' = trail: the twins,
-    # dispatched above.
+    # What is left has z adjacent to h_label(y), c_label(y) and
+    # c_label(x), and never to h_label(x) as well: with primes for the
+    # low n-1 bits and trail = half - 1, touching all four needs z'^x'
+    # and z'^y' each in a pair {d, d ^ trail} of the half-copy's delta
+    # set.  The only such pair is {leading bit, longest proper trailing
+    # block}, so x != y forces x'^y' = trail: the twins, dispatched above.
     return mk(cc, x, y, "h@x")
 
 
@@ -333,7 +327,7 @@ def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
     remaining paths keep their relative order."""
     try:
         return _paths.reorder_paths(ps, wanted)
-    except _paths.PinUnsatisfiable as exc:
+    except ContractViolation as exc:
         raise InternalError(str(exc)) from exc
 
 
@@ -392,8 +386,7 @@ def _splice(
 
 def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n = g.dim
-    trail = (1 << (n - 1)) - 1
-    xch = x ^ trail  # the all-bits partner of z pulled below; adjacent to x
+    xch = c_label(z, n)  # below, adjacent to x because z is x's bit-keeping partner
     P = _pin(_system(g, y, x), [y, xch])
     Q, spliced = _splice(g, P, x, c_label, z, 2)
     return [

@@ -62,10 +62,6 @@ from .verify import check_path_system
 CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
-class PinUnsatisfiable(ContractViolation):
-    """A requested sink neighbour is pinned twice or belongs to no path."""
-
-
 @dataclass(frozen=True)
 class PathSystem:
     """Internally disjoint label paths sharing exactly their two endpoints."""
@@ -116,7 +112,7 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
     # unit exactly when it is in `pred`.
     # Neighbourhood order is never used: the levels and the pruning take
     # unions and disjointness tests, and the DFS sorts the arcs it climbs.
-    members = range(1 << view.dim) if view.allowed is None else view.allowed
+    members = view.allowed
     offsets = (0, *adjacency_deltas(view.dim))
     closed: dict[int, list[int]] = {}
     succ: dict[int, int] = {}
@@ -290,20 +286,20 @@ def reorder_paths(ps: PathSystem, wanted: Sequence[int]) -> PathSystem:
     in that order, then every other path in its order; path i's sink
     neighbour is ``ps.paths[i][-2]``.
 
-    Raises ``PinUnsatisfiable`` for a label pinned twice and for a label
+    Raises ``ContractViolation`` for a label pinned twice and for a label
     that is no path's sink neighbour.  In a disjoint system each label is
     at most one path's sink neighbour; a system that shares one takes the
     first such path and drops the others.
     """
     pinned = set(wanted)
     if len(pinned) != len(wanted):
-        raise PinUnsatisfiable(f"a sink neighbour is pinned twice in {list(wanted)}")
+        raise ContractViolation(f"a sink neighbour is pinned twice in {list(wanted)}")
     by_nb: dict[int, tuple[int, ...]] = {}
     for p in ps.paths:
         by_nb.setdefault(p[-2], p)
     for w in wanted:
         if w not in by_nb:
-            raise PinUnsatisfiable(f"no path has sink neighbour {w}")
+            raise ContractViolation(f"no path has sink neighbour {w}")
     lead = [by_nb[w] for w in wanted]
     return PathSystem(ps.source, ps.sink, tuple(lead + [p for p in ps.paths if p[-2] not in pinned]))
 
@@ -420,7 +416,7 @@ def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple
     terms = sorted(set(terminals))
     if not terms:
         raise ContractViolation("at least one terminal required")
-    block = range(view.cube.order) if view.allowed is None else view.allowed
+    block = view.allowed
     size = len(block)
     if not (isinstance(block, range) and block.step == 1 and size and not size & (size - 1) and not block.start % size):
         raise ContractViolation("connector trees need a 2^k-aligned label range")

@@ -19,8 +19,8 @@ Conventions used everywhere in this package:
   path systems, the checker's work past S and the oracle are on ints.
 - The graph is never materialised.  Adjacency is O(1) on labels and
   neighbour enumeration is O(n); ``GraphView`` is only a membership test
-  on a label collection it never copies (a ``range`` for half-copies and
-  quarters, a frozenset for the fan regions of ``paths``).
+  on a label collection it never copies (a ``range`` for the whole cube,
+  half-copies and quarters, a frozenset for the fan regions of ``paths``).
 
 The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
@@ -83,7 +83,8 @@ def adjacency_deltas(dim: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _delta_set(dim: int) -> frozenset[int]:
+def delta_set(dim: int) -> frozenset[int]:
+    """``adjacency_deltas(dim)`` as a set, for O(1) adjacency tests."""
     return frozenset(adjacency_deltas(dim))
 
 
@@ -115,13 +116,13 @@ class AugmentedCube:
         self.check_label(v.bits)
 
     def adjacent_labels(self, u: int, v: int) -> bool:
-        return (u ^ v) in _delta_set(self.dim)
+        return (u ^ v) in delta_set(self.dim)
 
     def neighbor_labels(self, v: int) -> list[int]:
         return sorted(v ^ d for d in adjacency_deltas(self.dim))
 
     def view(self) -> "GraphView":
-        return GraphView(self)
+        return GraphView(self, range(self.order))
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +181,22 @@ def inverse_gray(g: int) -> int:
 class GraphView:
     """A vertex-filtered slice of a cube: the cube plus a membership test.
 
-    allowed=None means the full vertex set; otherwise it is a collection
-    of labels with O(1) membership, such as a ``range`` for a subcube.
-    Nothing is copied; a label's neighbours in the view are its cube
-    neighbours that ``contains_label`` accepts.
+    ``allowed`` is a collection of labels with O(1) membership: a
+    ``range`` for the whole cube (``range(2^n)``, ``AugmentedCube.view``)
+    or a subcube, a frozenset for a fan region.  Nothing is copied; a
+    label's neighbours in the view are its cube neighbours that
+    ``contains_label`` accepts.
     """
 
     cube: AugmentedCube
-    allowed: Collection[int] | None = None
+    allowed: Collection[int]
 
     @property
     def dim(self) -> int:
         return self.cube.dim
 
     def contains_label(self, v: int) -> bool:
-        return 0 <= v < 1 << self.cube.dim and (self.allowed is None or v in self.allowed)
+        return 0 <= v < 1 << self.cube.dim and v in self.allowed
 
     def has_edge_labels(self, u: int, v: int) -> bool:
         if u == v or not (self.contains_label(u) and self.contains_label(v)):

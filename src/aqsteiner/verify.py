@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas
+from .topology import AugmentedCube, ContractViolation, GraphView, delta_set
 
 NON_EDGE = "NonEdge"
 CYCLE = "Cycle"
@@ -101,7 +101,7 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
     if size is not None and len(family.trees) != size:
         violations.append(Violation(TREE_COUNT, (), f"expected {size} trees, got {len(family.trees)}"))
     term_order = sorted(terminals)
-    deltas = frozenset(adjacency_deltas(width))
+    deltas = delta_set(width)
     edge_owner: dict[int, int] = {}
     vertex_owner: dict[int, int] = {}
     for index, tree in enumerate(family.trees):
@@ -161,7 +161,7 @@ def check_path_system(view: GraphView, ps) -> list[str]:
     width = view.dim
     order = 1 << width
     allowed = view.allowed
-    deltas = frozenset(adjacency_deltas(width))
+    deltas = delta_set(width)
     problems: list[str] = []
     if ps.source == ps.sink:
         problems.append("source equals sink")
@@ -179,7 +179,7 @@ def check_path_system(view: GraphView, ps) -> list[str]:
             if not (
                 0 <= a < order
                 and 0 <= b < order
-                and (allowed is None or (a in allowed and b in allowed))
+                and a in allowed and b in allowed
                 and a ^ b in deltas
             ):
                 problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")

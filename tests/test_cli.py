@@ -17,7 +17,6 @@ from aqsteiner import verify as verify_mod
 from aqsteiner.cli import (
     PATHS_MAX_DIM,
     VERIFY_MAX_BYTES,
-    CertificateFormatError,
     all_triples,
     build_parser,
     certificate_doc,
@@ -27,7 +26,7 @@ from aqsteiner.cli import (
     sample_triples,
 )
 from aqsteiner.construct import construct
-from aqsteiner.topology import AugmentedCube, parse_vertex
+from aqsteiner.topology import AugmentedCube, ContractViolation, parse_vertex
 
 from util import reference_verify_family, run_bounded
 
@@ -109,7 +108,7 @@ def test_certificate_roundtrip_is_lossless():
         terminals=parsed.terminals,
         trees=parsed.trees,
         provenance=fam.provenance,
-        fallback_used=parsed.fallback_used,
+        fallback_used=False,
     )
     assert certificate_doc(refam, parsed.case) == doc
 
@@ -148,7 +147,7 @@ def test_parser_rejects_a_boolean_dimension_like_the_schema():
         bad = {**doc, "n": n}
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema("certificate"))
-        with pytest.raises(CertificateFormatError, match="n must be an integer in 1..62"):
+        with pytest.raises(ContractViolation, match="n must be an integer in 1..62"):
             parse_certificate(bad)
 
 
@@ -166,7 +165,7 @@ def test_parser_rejects_each_bad_label_with_one_message(label):
     in_edge = json.loads(json.dumps(doc))
     in_edge["trees"][2]["edges"].append([doc["s"][0], label])
     for bad in (in_s, in_edge):
-        with pytest.raises(CertificateFormatError, match=message):
+        with pytest.raises(ContractViolation, match=message):
             parse_certificate(bad)
 
 
@@ -183,7 +182,7 @@ def test_parser_takes_exactly_the_binary_labels_of_length_n():
             binary = size == 4 and set(label) <= {"0", "1"}
             try:
                 cert = parse_certificate(bad)
-            except CertificateFormatError as exc:
+            except ContractViolation as exc:
                 assert not binary and str(exc) == f"bad vertex label {label!r} for n=4"
             else:
                 assert binary and (0, int(label, 2)) in cert.trees[2].edges

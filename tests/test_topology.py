@@ -260,6 +260,11 @@ def test_graph_view_restriction():
     g3 = AugmentedCube(3)
     for v in range(8):
         assert [w for w in g.neighbor_labels(v) if lower.contains_label(w)] == g3.neighbor_labels(v)
+    # the whole cube is the view of every label, a range even at n = 62
+    assert g.view().allowed == range(g.order)
+    full = AugmentedCube(62).view()
+    assert full.allowed == range(2**62)
+    assert [full.contains_label(v) for v in (0, 2**62 - 1, 2**62)] == [True, True, False]
 
 
 def test_side_view_is_a_label_range_at_dim_62():

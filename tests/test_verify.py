@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct
-from aqsteiner.paths import ConnectivityResult, PathSystem, connectivity
+from aqsteiner.paths import ConnectivityResult, PathSystem, adjacency_candidates, connectivity
 from aqsteiner.topology import AugmentedCube, ContractViolation, GraphView, Vertex, adjacency_deltas, parse_vertex, side_view
 from aqsteiner.verify import (
     CYCLE,
@@ -339,6 +339,10 @@ def test_connectivity_values():
     assert connectivity(AugmentedCube(3)) == ConnectivityResult(4, True)
     assert connectivity(AugmentedCube(4)) == ConnectivityResult(7, True)
     assert connectivity(AugmentedCube(5)) == ConnectivityResult(9, True)
+    # above n = 5 the flow runs from 0 to a sample of labels on the whole
+    # cube, and the value is a bound
+    assert adjacency_candidates(6) == {*adjacency_deltas(6), 63, *range(1, 24)}
+    assert connectivity(AugmentedCube(6)) == ConnectivityResult(11, False)
 
 
 def test_connectivity_against_brute_force():

@@ -1,4 +1,4 @@
-"""Compare the CLI stdout of two checkouts of this repository.
+"""Compare the CLI output of two checkouts of this repository.
 
     python3 tools/stdout_parity.py PARENT CHANGE
 
@@ -10,7 +10,8 @@ child process, in-process through ``cli.main``, against that checkout's
   n = 6 also ``--format text``, ``--format dot`` and ``--fidelity``;
 - ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, in all three
   formats;
-- ``info -n 1..6`` as text and as JSON;
+- ``info -n 1..10`` as text and as JSON (above n = 5 the connectivity
+  is a sampled bound);
 - ``sweep -n 4 --exhaustive`` as text and as JSON, and
   ``sweep -n 5 --samples 300``;
 - ``oracle`` on every triple at n = 3 and 4, on a few of them with
@@ -19,13 +20,18 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``verify`` on every certificate the JSON constructs printed, and on
   six mutants of the first certificate at each n = 5..8: a dropped
   edge, a non-edge, a reused internal vertex, a terminal of degree 2, a
-  duplicated tree and one tree too few.
+  duplicated tree and one tree too few;
+- bad input that exits 2 with one ``error: ...`` line: ``verify`` on
+  certificates whose ``n`` is true, 0 or 63, with a bad label, a
+  missing or an extra key, ``trees`` not a list or a malformed edge;
+  ``construct`` and ``paths`` with labels of the wrong length, and
+  ``paths`` with u = v.
 
-A command's result is its exit code and the sha256 of its stdout;
-stderr (timings) is not compared, and a command that raises counts
-as the exception's type.  Every command whose result differs
-between the two checkouts is printed, and the exit status is 1 if any
-does, 0 if none does, and 2 for a bad argument.  The triples come from
+A command's result is its exit code and the sha256 of its stdout and of
+its stderr, less the ``sweep completed in ...`` timing line, and a
+command that raises counts as the exception's type.  Every command
+whose result differs between the two checkouts is printed, and the exit
+status is 1 if any does, 0 if none does, and 2 for a bad argument.  The triples come from
 ``random.Random`` streams on fixed seeds, built here without importing
 the package, so both checkouts get the same list.
 """
@@ -50,6 +56,30 @@ CONSTRUCT_DIMS = range(5, 17)
 PATHS_DIMS = range(1, 11)
 MUTATED_DIMS = range(5, 9)
 MUTANTS = ("dropped-edge", "non-edge", "reused-vertex", "terminal-degree-2", "duplicated-tree", "short-tree-count")
+# A valid n = 3 certificate, and the fields that break it for each bad
+# certificate (None deletes the field)
+SMALL_CERT = {
+    "schema_version": "1", "n": 3, "s": ["000", "011", "101"], "case": "Base3", "fallback_used": False,
+    "trees": [{"edges": [["000", "001"], ["001", "011"], ["001", "101"]]}],
+    "tool": {"id": "aqsteiner", "version": "0.1.0"},
+}
+BAD_CERTIFICATES = {
+    "n-true": {"n": True},
+    "n-0": {"n": 0},
+    "n-63": {"n": 63},
+    "bad-label": {"s": ["000", "011", "1O1"]},
+    "missing-key": {"case": None},
+    "extra-key": {"extra": 1},
+    "trees-not-list": {"trees": {"edges": []}},
+    "malformed-edge": {"trees": [{"edges": [["000", "001", "011"]]}]},
+}
+BAD_COMMANDS = [
+    ["construct", "-n", "5", "-S", "0000,00011,11110"],
+    ["construct", "-n", "5", "-S", "00000,00011,111101"],
+    ["paths", "-n", "5", "-u", "0000", "-v", "00011", "-k", "3"],
+    ["paths", "-n", "5", "-u", "00000", "-v", "000110", "-k", "3"],
+    ["paths", "-n", "4", "-u", "0101", "-v", "0101", "-k", "2"],
+]
 
 
 def _label(v: int, n: int) -> str:
@@ -144,19 +174,26 @@ def _mutant(doc: dict, kind: str) -> dict:
     return {**doc, "trees": [{"edges": e} for e in edges]}
 
 
-def _write_mutant(path: str) -> None:
-    """Write ``cert-I-KIND.json`` from ``cert-I.json``."""
-    index, kind = path.removesuffix(".json").split("-", 2)[1:]
-    with open(f"cert-{index}.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _write_certificate(path: str) -> None:
+    """Write ``bad-KIND.json`` from ``SMALL_CERT`` or ``cert-I-KIND.json``
+    from ``cert-I.json``."""
+    name = path.removesuffix(".json")
+    if name.startswith("bad-"):
+        doc = {**SMALL_CERT, **BAD_CERTIFICATES[name[4:]]}
+        doc = {key: value for key, value in doc.items() if value is not None}
+    else:
+        index, kind = name.split("-", 2)[1:]
+        with open(f"cert-{index}.json", encoding="utf-8") as fh:
+            doc = _mutant(json.load(fh), kind)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_mutant(doc, kind), fh, indent=2)
+        json.dump(doc, fh, indent=2)
 
 
 def command_list() -> list[list[str]]:
     """Every command, in run order.  A ``verify`` of ``cert-I.json`` reads
     the stdout of the I-th JSON construct, which the child writes there,
-    and one of ``cert-I-KIND.json`` reads a mutant of it."""
+    one of ``cert-I-KIND.json`` reads a mutant of it, and one of
+    ``bad-KIND.json`` a bad certificate."""
     cmds: list[list[str]] = []
     certs = 0
     verifies: list[list[str]] = []
@@ -179,7 +216,7 @@ def command_list() -> list[list[str]]:
             for k in sorted({1, n, 2 * n - 1, 2 * n}):
                 for fmt in ("json", "dot", "text"):
                     cmds.append(["paths", "-n", str(n), "-u", _label(u, n), "-v", _label(v, n), "-k", str(k), "--format", fmt])
-    for n in range(1, 7):
+    for n in range(1, 11):
         for fmt in ("text", "json"):
             cmds.append(["info", "-n", str(n), "--format", fmt])
     cmds.append(["sweep", "-n", "4", "--exhaustive"])
@@ -191,13 +228,15 @@ def command_list() -> list[list[str]]:
     for budget in ("1", "1000", "28000", "31000"):
         cmds.append(["oracle", "-n", "4", "-S", "0000,0011,1110", "--budget", budget])
     cmds.append(["oracle", "-n", "5", "-S", "00000,00001,00010", "--force", "--budget", "20000"])
+    cmds += BAD_COMMANDS
+    cmds += [["verify", f"bad-{kind}.json"] for kind in BAD_CERTIFICATES]
     return cmds + verifies
 
 
 def _run_child(checkout: str) -> None:
     """Run every command against ``checkout/src`` and print one JSON
-    document: the module path imported and [exit code, sha256] per
-    command."""
+    document: the module path imported and [exit code, stdout sha256,
+    stderr sha256] per command."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     from aqsteiner import cli
 
@@ -210,7 +249,7 @@ def _run_child(checkout: str) -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     if cmd[0] == "verify" and not os.path.exists(cmd[1]):
-                        _write_mutant(cmd[1])
+                        _write_certificate(cmd[1])
                     code = cli.main(cmd)
                 except SystemExit as exc:
                     code = exc.code
@@ -223,7 +262,11 @@ def _run_child(checkout: str) -> None:
                 with open(f"cert-{certs}.json", "w", encoding="utf-8") as fh:
                     fh.write(text)
                 certs += 1
-            results.append([code, hashlib.sha256(text.encode()).hexdigest()])
+            # the sweep's wall-clock time is the one line that may differ
+            errors = "".join(
+                line for line in err.getvalue().splitlines(keepends=True) if not line.startswith("sweep completed in ")
+            )
+            results.append([code, *(hashlib.sha256(t.encode()).hexdigest() for t in (text, errors))])
     json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 
 
@@ -268,8 +311,11 @@ def main() -> int:
     for cmd, a, b in zip(cmds, *runs):
         if a != b:
             differ += 1
-            print(f"differs: aqsteiner {' '.join(cmd)} (exit {a[0]} -> {b[0]}, stdout {a[1][:12]} -> {b[1][:12]})")
-    codes = collections.Counter(code for code, _ in runs[0])
+            print(
+                f"differs: aqsteiner {' '.join(cmd)} (exit {a[0]} -> {b[0]}, "
+                f"stdout {a[1][:12]} -> {b[1][:12]}, stderr {a[2][:12]} -> {b[2][:12]})"
+            )
+    codes = collections.Counter(code for code, *_ in runs[0])
     exits = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items(), key=str))
     print(f"{differ} of {len(cmds)} commands differ ({exits} at the parent)")
     return 1 if differ else 0
