@@ -28,13 +28,15 @@ S straddles the two half-copies:
   2^(n-1)), translated by x and re-checked inside its half-copy; a
   region without a full fan is a bug (``InternalError``), with no retry.
 
-The fan from 0 to d depends only on (n, d), so a sweep needs at most
-2^(n-1) - 1 distinct fans.  Inside ``fan_memo()`` (the sweep enters it
-once per batch) each untranslated fan is kept under the key (n, d)
-and reused; the memo holds at most ``FAN_MEMO_MAX`` fans, and a miss
-past the cap is searched and not stored.  Every use, hit or miss, is
+The fan from 0 to d is the pure function ``_fan(n - 1, d)``, so a
+sweep needs at most 2^(n-1) - 1 distinct fans.  Inside ``fan_memo()``
+(the sweep enters it once per batch) ``_fan`` is an LRU cache of at
+most ``FAN_MEMO_MAX`` untranslated fans, keyed by (m, d); past the cap
+the least recently used fan is dropped.  Every use, hit or miss, is
 still translated and re-checked in its half-copy, and every family
 still passes the verifier.  Outside ``fan_memo()`` nothing is kept.
+The base families are likewise the pure function ``_base_trees`` of
+the canonical triple, cached for the life of the process.
 
 The dispatch is total (see the end of ``_dispatch``): every triple
 reaches a branch with a written recipe, so there is no repair path.
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import threading
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -273,9 +275,9 @@ def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
 # recipe building blocks
 # ---------------------------------------------------------------------------
 
-# The fans of the active ``fan_memo()``, untranslated, by (n, d); None
-# outside one.  A ContextVar, so each thread sees only the memo it entered.
-_fan_memo: contextvars.ContextVar[dict[tuple[int, int], _paths.PathSystem] | None] = (
+# The memoised ``_fan`` of the active ``fan_memo()``; None outside one.  A
+# ContextVar, so each thread sees only the memo it entered.
+_fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None] = (
     contextvars.ContextVar("fan_memo", default=None)
 )
 # A sweep at dimension n needs at most 2^(n-1) - 1 fans, so the cap covers
@@ -283,11 +285,21 @@ _fan_memo: contextvars.ContextVar[dict[tuple[int, int], _paths.PathSystem] | Non
 FAN_MEMO_MAX = 4096
 
 
+def _fan(m: int, d: int) -> _paths.PathSystem:
+    """The full fan of 2m - 1 disjoint paths from 0 to d in the region
+    R(d) of AQ_m."""
+    k = 2 * m - 1
+    res = _paths.disjoint_paths(GraphView(AugmentedCube(m), _paths.fan_region(m, d)), 0, d, k)
+    if isinstance(res, _paths.MinCut):
+        raise InternalError(f"region R({d:0{m}b}) admits only {res.size} disjoint paths, need {k}")
+    return res
+
+
 @contextlib.contextmanager
 def fan_memo():
-    """Reuse each 0 -> d fan that ``_system`` searches until the block
-    exits, normally or by an exception."""
-    token = _fan_memo.set({})
+    """Reuse each fan ``_fan(m, d)`` until the block exits, normally or by
+    an exception: an LRU cache of at most ``FAN_MEMO_MAX`` fans."""
+    token = _fan_memo.set(functools.lru_cache(maxsize=FAN_MEMO_MAX)(_fan))
     try:
         yield
     finally:
@@ -296,25 +308,11 @@ def fan_memo():
 
 def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
-    of src and dst (they share their leading bit): a fan from 0 to
-    d = src ^ dst in the region R(d) of AQ_(n-1), translated by src, an
-    automorphism that maps the lower half-copy onto src's.
-
-    Inside ``fan_memo()`` the untranslated fan is looked up under (n, d)
-    and searched only on a miss; a miss is stored while the memo holds
-    fewer than ``FAN_MEMO_MAX`` fans.  The translated fan is re-checked
-    against its half-copy on every call, hit or miss."""
-    n, d = g.dim, src ^ dst
-    k = target_family_size(n)
-    memo = _fan_memo.get()
-    key = (n, d)
-    res = memo.get(key) if memo is not None else None
-    if res is None:
-        res = _paths.disjoint_paths(GraphView(AugmentedCube(n - 1), _paths.fan_region(n - 1, d)), 0, d, k)
-        if isinstance(res, _paths.MinCut):
-            raise InternalError(f"region R({d:0{n - 1}b}) admits only {res.size} disjoint paths, need {k}")
-        if memo is not None and len(memo) < FAN_MEMO_MAX:
-            memo[key] = res
+    of src and dst (they share their leading bit): ``_fan(n - 1, src ^ dst)``,
+    memoised inside ``fan_memo()``, translated by src, an automorphism
+    that maps the lower half-copy onto src's, and re-checked against that
+    half-copy on every call."""
+    res = (_fan_memo.get() or _fan)(g.dim - 1, src ^ dst)
     system = _paths.map_path_system(lambda v: v ^ src, res)
     problems = _verify.check_path_system(side_view(g, src), system)
     if problems:
@@ -521,10 +519,6 @@ def _construct_case1(
 # exhaustive base search with canonical-form caching
 # ---------------------------------------------------------------------------
 
-_base_cache: dict[tuple[int, int, tuple[int, ...]], tuple[tuple[tuple[int, int], ...], ...]] = {}
-_base_lock = threading.Lock()
-
-
 def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, int]]:
     """The least image of the labels under every (swap, mask) pair, and the
     least pair that gives it."""
@@ -542,9 +536,9 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     internal sets (connected, touching the neighbourhood of every target)
     and stops there; each set becomes a tree through a spanning tree of
     the set, smallest labels first, plus one pendant edge per target.
-    Results are cached per canonical form of the targets under the
-    (swap, mask) label automorphisms.  A packing short of ``target``
-    raises ``InternalError``.
+    The trees are those of ``_base_trees`` for the canonical form of the
+    targets under the (swap, mask) label automorphisms, mapped back.  A
+    packing short of ``target`` raises ``InternalError``.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim
@@ -554,19 +548,21 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
         raise ContractViolation("target must be positive")
 
     canon, transform = _canonical_triple(n, labels)
-    key = (n, target, canon)
-    with _base_lock:
-        cached = _base_cache.get(key)
-    if cached is None:
-        res = _verify.oracle_tau(g, canon, stop_at=target)
-        if res.lower < target:
-            how = "search was exhaustive" if res.upper < target else "search budget ran out"
-            raise InternalError(f"no {target}-family found for targets {list(canon)} at dim {n}; {how}")
-        cached = tuple(_spanning_edges(g, canon, internal) for internal in res.witness)
-        with _base_lock:
-            _base_cache.setdefault(key, cached)
+    trees = _base_trees(n, target, canon)
+    return _assemble(g, labels, trees, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, transform),))
 
-    return _assemble(g, labels, cached, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, transform),))
+
+@functools.lru_cache(maxsize=None)
+def _base_trees(n: int, target: int, canon: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The label edges of ``target`` trees for the canonical triple, from
+    a packing of ``verify.oracle_tau``; a short packing raises
+    ``InternalError`` and is not cached."""
+    g = AugmentedCube(n)
+    res = _verify.oracle_tau(g, canon, stop_at=target)
+    if res.lower < target:
+        how = "search was exhaustive" if res.upper < target else "search budget ran out"
+        raise InternalError(f"no {target}-family found for targets {list(canon)} at dim {n}; {how}")
+    return tuple(_spanning_edges(g, canon, internal) for internal in res.witness)
 
 
 def _spanning_edges(

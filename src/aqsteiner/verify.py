@@ -270,16 +270,10 @@ def oracle_tau(
         attach_mask.append(mask)
 
     # hard ceiling: each packed tree consumes a distinct edge at every
-    # terminal, and edges between terminals are unusable for |S| >= 3
-    free_deg = []
-    for t in term_labels:
-        nbrs = g.neighbor_labels(t)
-        in_s = sum(1 for w in nbrs if w in term_labels)
-        free = len(nbrs) - in_s
-        if len(term_labels) == 2 and in_s:
-            free += 1  # the direct edge itself is a valid two-terminal tree
-        free_deg.append(free)
-    ceiling = min(free_deg)
+    # terminal, and edges between terminals are unusable for |S| >= 3;
+    # for |S| = 2 the direct edge itself is a valid tree
+    direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
+    ceiling = min(am.bit_count() for am in attach_mask) + direct_edge_tree
 
     nodes = 0
 
@@ -306,7 +300,6 @@ def oracle_tau(
         return False
 
     minimal: list[int] = []
-    direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
 
     smallest_first = itertools.chain.from_iterable(itertools.combinations(range(m), size) for size in range(1, m + 1))
     for combo in smallest_first:

@@ -323,7 +323,7 @@ def test_base_search_contract():
 
 def test_base_search_short_packing_raises_internal_error(monkeypatch):
     # a triangle in AQ_3 packs only 3 trees; a tiny budget stops short of 3
-    monkeypatch.setattr(construct_mod, "_base_cache", {})
+    construct_mod._base_trees.cache_clear()
     with pytest.raises(InternalError, match="search was exhaustive"):
         base_case_search(AugmentedCube(3), vs("000", "001", "011"), 4)
     tiny = functools.partial(verify_mod.oracle_tau, budget=5)
@@ -335,6 +335,18 @@ def test_base_search_short_packing_raises_internal_error(monkeypatch):
 # sha256 over the label edge lists of every tree that construct returns,
 # in tree order, for all 56 + 560 triples at n = 3 and 4
 SMALL_DIM_FAMILIES_DIGEST = "9040a472d03f99ed4ded254f297c1f44262aa45bc866922d7a4d671941282f77"
+
+
+def test_base_cache_searches_once_per_canonical_class():
+    # 5 classes of the 56 triples at n = 3 and 23 of the 560 at n = 4
+    # under the (swap, mask) group
+    construct_mod._base_trees.cache_clear()
+    for n in (3, 4):
+        g = AugmentedCube(n)
+        for t in itertools.combinations(range(1 << n), 3):
+            construct(g, [Vertex(a, n) for a in t])
+    info = construct_mod._base_trees.cache_info()
+    assert (info.hits, info.misses) == (588, 28)
 
 
 def test_small_dimension_families_are_pinned():

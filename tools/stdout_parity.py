@@ -13,7 +13,8 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``info -n 1..10`` as text and as JSON (above n = 5 the connectivity
   is a sampled bound);
 - ``sweep -n 4 --exhaustive`` as text and as JSON, and
-  ``sweep -n 5 --samples 300``;
+  ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
+  batch enters its own fan memo; a 1-CPU host exits 2 on the latter);
 - ``oracle`` on every triple at n = 3 and 4, on a few of them with
   budgets small enough to run out, and ``oracle -n 5 --force
   --budget 20000``;
@@ -222,6 +223,7 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "4", "--exhaustive"])
     cmds.append(["sweep", "-n", "4", "--exhaustive", "--format", "json"])
     cmds.append(["sweep", "-n", "5", "--samples", "300"])
+    cmds.append(["sweep", "-n", "5", "--samples", "300", "--jobs", "2"])
     for n in (3, 4):
         for trio in itertools.combinations(range(1 << n), 3):
             cmds.append(["oracle", "-n", str(n), "-S", ",".join(_label(v, n) for v in trio)])
