@@ -23,7 +23,6 @@ from .paths import (
     connectivity,
     connector_tree,
     disjoint_paths,
-    fan_region,
     geodesic,
     map_path_system,
     path_edges,

@@ -1,4 +1,4 @@
-"""Internally disjoint path systems, fan regions, connector trees and
+"""Internally disjoint path systems, geodesics, connector trees and
 vertex connectivity.
 
 Everything here works on plain int labels (see ``topology``): a path is
@@ -38,13 +38,11 @@ each of the source's successors, in ascending order.  When a BFS does
 not reach the sink, the cut is the in sides it reached whose out side it
 did not; that reach set is the same for every maximum flow.
 
-The constructor never runs the flow on a whole half-copy.  A fan between
-x and y is x xor a fan from 0 to d = x ^ y, and ``fan_region(m, d)`` is a
-region of O(m r^2) labels, built from generator words for gray(d), in
-which a full fan of 2m - 1 paths exists for every d checked (all d at
-m = 4..13).  Connector trees need no search at all: ``geodesic`` spells
-a shortest word for gray(u ^ v) by a DP over its bits, and
-``connector_tree`` grafts one geodesic per terminal inside a quarter.
+The constructor runs the flow only on AQ_4, the base of the fans it
+builds by induction (``construct._fan``).  Connector trees need no
+search at all: ``geodesic`` spells a shortest word for gray(u ^ v) by a
+DP over its bits, and ``connector_tree`` grafts one geodesic per
+terminal inside a quarter.
 
 ``connectivity`` runs the same flow from 0 to every label (translations
 are automorphisms).  ``verify`` imports only ``topology``, so this
@@ -56,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .topology import MAX_DIM, AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
+from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
 from .verify import check_path_system
 
 CONNECTIVITY_EXACT_MAX_DIM = 5
@@ -314,58 +312,8 @@ def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:
 
 
 # ---------------------------------------------------------------------------
-# generator words in Gray coordinates
+# shortest paths in Gray coordinates
 # ---------------------------------------------------------------------------
-#
-# A word is a list of Gray generators (single bits e_i and adjacent pairs
-# e_i + e_(i+1)); its label form xors inverse_gray of each in turn.
-
-def _pair_cover_word(dg: int) -> list[int]:
-    """Cover the bits of dg by pairs: a run 11 is one pair, a gap 101 the
-    two pairs around the gap, any other bit a single."""
-    word: list[int] = []
-    i = 0
-    while dg >> i:
-        if not dg >> i & 1:
-            i += 1
-        elif dg >> (i + 1) & 1:
-            word.append(3 << i)
-            i += 2
-        elif dg >> (i + 2) & 1:
-            word += [3 << i, 3 << (i + 1)]
-            i += 3
-        else:
-            word.append(1 << i)
-            i += 1
-    return word
-
-
-def fan_region(m: int, d: int) -> frozenset[int]:
-    """The region R(d) of AQ_m in which a full 0-d fan is searched.
-
-    Two words for gray(d), its single bits and its pair cover, give the
-    prefix sums of each of their cyclic rotations; R(d) is those sums
-    offset by 0 and by every generator, mapped back to labels.  It holds
-    the closed neighbourhoods of 0 and d and O(m r^2) labels, where r is
-    the number of bits of gray(d).
-    """
-    if not 1 <= m <= MAX_DIM:
-        raise ContractViolation(f"dimension must be in 1..{MAX_DIM}, got {m}")
-    if not 0 < d < 1 << m:
-        raise ContractViolation(f"fan target {d} out of range for dimension {m}")
-    dg = gray(d)
-    sums = {0}
-    for word in ([1 << i for i in range(dg.bit_length()) if dg >> i & 1], _pair_cover_word(dg)):
-        # inverse_gray is linear, so the sums are taken on labels
-        letters = [inverse_gray(gen) for gen in word]
-        for r in range(len(letters)):
-            s = 0
-            for delta in letters[r:] + letters[:r]:
-                s ^= delta
-                sums.add(s)
-    offsets = (0, *adjacency_deltas(m))
-    return frozenset(s ^ delta for s in sums for delta in offsets)
-
 
 def geodesic(u: int, v: int) -> list[int]:
     """A shortest u-v path, as labels, in any augmented cube holding both.

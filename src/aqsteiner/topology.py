@@ -20,7 +20,7 @@ Conventions used everywhere in this package:
 - The graph is never materialised.  Adjacency is O(1) on labels and
   neighbour enumeration is O(n); ``GraphView`` is only a membership test
   on a label collection it never copies (a ``range`` for the whole cube,
-  half-copies and quarters, a frozenset for the fan regions of ``paths``).
+  half-copies and quarters).
 
 The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
@@ -32,7 +32,7 @@ to normalise instances and to key the base-case cache.
 In Gray coordinates (``gray``/``inverse_gray``) the delta set becomes the
 single bits e_i and the adjacent pairs e_i + e_(i+1), so the cube is a
 Cayley graph of Z_2^n: distances and disjoint-path fans depend only on
-u ^ v, and the path searches work from 0 and translate.
+u ^ v, and the fans are built from 0 and translated.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ def inverse_gray(g: int) -> int:
 class GraphView:
     """A vertex-filtered slice of a cube: the cube plus a membership test.
 
-    ``allowed`` is a collection of labels with O(1) membership: a
+    ``allowed`` is a collection of labels with O(1) membership, such as a
     ``range`` for the whole cube (``range(2^n)``, ``AugmentedCube.view``)
-    or a subcube, a frozenset for a fan region.  Nothing is copied; a
+    or a subcube.  Nothing is copied; a
     label's neighbours in the view are its cube neighbours that
     ``contains_label`` accepts.
     """

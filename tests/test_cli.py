@@ -653,8 +653,8 @@ def test_sweep_jobs_outside_cpu_count_is_usage_error(capsys):
 
 
 def test_construct_and_verify_at_dim_20():
-    # one Case1 and one Case2 triple; the fans search R(d), not the
-    # half-copy of 2^19 labels
+    # one Case1 and one Case2 triple; the fans are built by induction,
+    # with no search of the half-copy of 2^19 labels
     out = run_bounded(
         "import contextlib, io, json\n"
         "from aqsteiner.cli import main, parse_certificate\n"
@@ -689,8 +689,9 @@ def test_sweep_at_dim_20():
 # Case2 family, a full fan in all three formats, a cut and a sampled
 # sweep.  Engine and view changes must leave every certificate, path
 # system, cut and summary byte-identical.
-# The construct digests were recorded with the fans searched from 0 in
-# the region R(d) and the Case1 connectors built from geodesics; every
+# The construct digests were recorded with the Case1 connectors built
+# from geodesics and the fans built from 0 by induction on the dimension
+# from flow fans of AQ_4 (at n = 5 the AQ_4 flow fans themselves); every
 # one of those certificates passes `aqsteiner verify`.
 STDOUT_DIGESTS = [
     ("construct -n 5 -S 00000,00110,01111 --format json", 0,  # Case1
@@ -720,75 +721,75 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 000000,000100,010010 --format json", 0,  # Case1
      "5d5afa597e7f815c70ea9af44aea4f30837bc9c226a79610be35a27e17da0c7a"),
     ("construct -n 6 -S 000000,011111,111111 --format json", 0,  # Case2_1_1
-     "2009dc66882c57f6339053064d1efbb69bfaec7aed79815e203a898bfd888a2f"),
+     "f224f86c127a7fde0649cd1e603e5370afe7f921151e98497f6803d6c828377f"),
     ("construct -n 6 -S 000010,100010,111110 --format json", 0,  # Case2_1_2
      "6638b3aa5f9e56c959722548b83d4fb9933ec1357730d1a083de6e8518700842"),
     ("construct -n 6 -S 000001,110110,111110 --format json", 0,  # Case2_1_3
-     "301ecff7438c98a2337348ab8f6a2b485cf22dbfdec4650699c16560d443f67e"),
+     "0354e868fd12402b157d3e6f9a7e4af30205e62d58859fe6a397a5efc0b16de1"),
     ("construct -n 6 -S 001010,100001,111110 --format json", 0,  # Case2_2_1a
-     "bc6fa8438f613fdd29d26c980d5705b050fadf458108a23e3536515ab2044cb1"),
+     "71c6e1853657758595177472ed0b45d1cf077f7d605414bbd40a2961ae50c31d"),
     ("construct -n 6 -S 001010,010101,111010 --format json", 0,  # Case2_2_1b
-     "f69db13579178078814ca5387ccd6212fbb18183358014066bf47ce0f7a8fa41"),
+     "b16cf9456b8719d1d3abde7e32994a682fc932e41e1339489b09f9145c4d374b"),
     ("construct -n 6 -S 001011,011000,100001 --format json", 0,  # Case2_2_2a
-     "be62791319ad6268f121c153e2fd845671bac334479249d5c9745e38cf81f64c"),
+     "5554f2d27c47f86b531b17c17ea3fc800fb0e2ad64c44648d2630d09b500f715"),
     ("construct -n 6 -S 001100,011001,110100 --format json", 0,  # Case2_2_2b
-     "376020eb16563ecee637dca7bea791c12cd8f1d39451c3c70c10e86261d0f5bd"),
+     "7f14ad1732abc8e84a368f8c98407c42f24e8d3b460414fee9a444c1d107f16e"),
     ("construct -n 6 -S 001011,101010,110110 --format json", 0,  # Case2_2_2c
-     "4f41a3c25447d787c52a461f68fc57dc4e96eb8a352b4d049872f671812225b1"),
+     "15c15e7b38f7e4f800298912713df4b09369a7876ce338ea8c023d1c350d4507"),
     ("construct -n 6 -S 000100,000110,101111 --format json", 0,  # Case2_2_3a
-     "cbc0020dc783241f79aa3f91616853b2b2e999994382d86b7f2028c074c2ef12"),
+     "fe1715dc395ac2c602b84ee51c1886a9623df841153bcbb7f17ea0ad41e988f0"),
     ("construct -n 6 -S 001011,001111,101101 --format json", 0,  # Case2_2_3b
-     "aacc56cd6695d5fe3bbd40909423ccce49a30fcd2ebf50afbfbffc4887cf09a9"),
+     "0fd57f6ba73e8add0090c36a77a943ddb922c6fc8766f316310e6661ced78c3f"),
     ("construct -n 6 -S 011001,101110,111110 --format json", 0,  # Case2_2_3c
-     "ecd97c373c7173f4f1873c59a9c28efa71e8e834fd9fee8963d93fc8fbb67f24"),
+     "7a63569b6019e54b760692c94ce101bbd94a49a84ea8dc40fb141a3b77f824c2"),
     ("construct -n 7 -S 0001100,0010010,0011000 --format json", 0,  # Case1
      "a88598d3e013cdb823e0e0ad24d8b38c63ec4538545359b7cc004e944ab15b1f"),
     ("construct -n 7 -S 0000111,1000111,1111000 --format json", 0,  # Case2_1_1
-     "11e8138c97b60c7cea9fe32f48c6d640f3a1eb830b20ddaaab1e74dc184296b0"),
+     "63a29d86b032552d7dcb21417e4a2974af78f58fc0ea75d18a253da0b51eda40"),
     ("construct -n 7 -S 0001111,1001111,1110010 --format json", 0,  # Case2_1_2
-     "3684b212fe24ffaf85e0121fafd40d7bf1ef44dfa0032834d0b381317faba616"),
+     "03d47071a4acfc596f6667c5cf50047378cabb12ffacde769e2e9f72284898ac"),
     ("construct -n 7 -S 0010100,1010100,1011100 --format json", 0,  # Case2_1_3
-     "6027c8bcf98418336b049078d2c6469adbe584efcd749facf266f6014bd1eede"),
+     "cd5b0388a565dda022db49f5f0aec2667f6af3ac27f5f60808fc73d0bfbe3a29"),
     ("construct -n 7 -S 0000100,1001010,1110101 --format json", 0,  # Case2_2_1a
-     "8cd5f89a8362ece54727f2d0c301403e589028ab8f290b5bc58d601f5a48f9a5"),
+     "5b392409a781ebc0175a82872586ffff71dd9adaa5e4140f96a20ebb605c09bb"),
     ("construct -n 7 -S 0110000,1010000,1101111 --format json", 0,  # Case2_2_1b
-     "38eb19f221336a89d8a29e8f34e0f7c45776318022d1a3a98553ed38fb59de58"),
+     "c8061d8108476a826b599a072ab24676944f9ae982aecbbc58940472fbf8a2e9"),
     ("construct -n 7 -S 0001110,0110110,1011101 --format json", 0,  # Case2_2_2a
-     "ede96bd373fcd5ef5db3d4e90f6b90dbffb1cfd0fafaf99b6fd1c2a427ac7402"),
+     "52c478f82e6912b8422fca6bf2867fba89daa870263c969250b7bb1fb023b942"),
     ("construct -n 7 -S 0100110,1010010,1100101 --format json", 0,  # Case2_2_2b
-     "d8b45f7d69d264552ac650ae3e5b033a72071f4ede3c6dd2aa76865b7ec86937"),
+     "aaebb0dc0cf936fce52da4ac8767c8339c50917022dd1ba7778ee1c8ae8a461c"),
     ("construct -n 7 -S 0011000,0110000,1011111 --format json", 0,  # Case2_2_2c
-     "a2c91f9aaabd2999b04eedbc416f88549add737a7626da967554626a5c974b7d"),
+     "4abd0650c06207e17eadea38081092d6be49400cd2f153f60214b6fb1d2fcd7b"),
     ("construct -n 7 -S 0001001,0010110,1101111 --format json", 0,  # Case2_2_3a
-     "1465eb60a4437f8d3f6ce7aec88302fc7ff784261962fd4f1385d884a511dd65"),
+     "c6f9f84a20689d619fd1b1d189f4b417767f4fcdb05417cecaf82c1943de6763"),
     ("construct -n 7 -S 0100000,1010001,1011110 --format json", 0,  # Case2_2_3b
-     "7db0cbd40104aeae0a252a88ab537aba3ba43c41ef8142f0d3e676a9726f4595"),
+     "10c69a67ca6f6e0ffd4b9b281a638f06f90f01ea19b1caca82ddb58bb14eacc1"),
     ("construct -n 7 -S 0011000,0111000,1110111 --format json", 0,  # Case2_2_3c
-     "f806d84364c49547c8c604fef5b69fdaeb668ef2625e7333631a8c7d2c8f5195"),
+     "e93f93267efeff7d9253a3d08f61efc58118d68d389a475cbe45df5aca67c4db"),
     ("construct -n 8 -S 00010110,01000000,01100010 --format json", 0,  # Case1
-     "5ac453fc0963a3bc3aba3184fdd1a014fff5aa5f559f7da62a9875f104c1c2ce"),
+     "ad6b190d14ce0db33cf8d9ee7551c9d7398a906705cc926c55c5e6b0a52a2ed1"),
     ("construct -n 8 -S 00101001,01010110,10101001 --format json", 0,  # Case2_1_1
-     "599a40eb5b4995baa1a3b1f58edc1d9c46fb4d0f1fb382561655588434a2234a"),
+     "fe589f4fae039fc3baf34befa9c59f57de26ecec4845f0b99e00e4866cf3111a"),
     ("construct -n 8 -S 00001010,01110111,10001000 --format json", 0,  # Case2_1_2
-     "c45dbdb50e19475846a2ca0f44f24e241f191fb4c3ea91f7606d59810175b264"),
+     "c1e6833a8cd1fbd9186944dfd741894d2174ca43055bcc404c17f3e5e95bca7a"),
     ("construct -n 8 -S 00110110,00111001,11000110 --format json", 0,  # Case2_1_3
-     "00426a736ea6a797b5ee6af2abb8101cce32a2948c0349dfa58eb39e8a7f168e"),
+     "e544d89fcb2def5328c069b9a36de8118940f75a7cb7cce19c6f9ec5f46df85d"),
     ("construct -n 8 -S 00001010,01110101,11010000 --format json", 0,  # Case2_2_1a
-     "a1b3cbbab98adba9c6c51b83c100b2b2e1254dc6517b03b1fb89e9ea119c3418"),
+     "e4dcba45bb2c815740bf5fe7480f6a718aa5fe81029aa1a4e8858673ac4d8d40"),
     ("construct -n 8 -S 01100110,10100110,11011001 --format json", 0,  # Case2_2_1b
-     "12f96d87b03aa88c825bac4b7625c32f55c2166731ff6ec86b001d540a385e21"),
+     "c370b66150ba3c337c8fb8ca6b30522d7f3496fdcb0333457f709869102ffcde"),
     ("construct -n 8 -S 01110100,10111101,11000000 --format json", 0,  # Case2_2_2a
-     "1c03dfeb92547e712e9a4e93ebe5965f94c553e8330ac0d949fec87ddae99864"),
+     "6cb7fbc218482532b8402585e48353cbd3884eff72cd9f11bf0c7b40ad5362df"),
     ("construct -n 8 -S 01100010,11000111,11111101 --format json", 0,  # Case2_2_2b
-     "991f1382b9167cd09eb6c5014ba34f4d969f3eac868676772bc41f4d74090238"),
+     "5a777fc40caeafbe2305f6f7b5fbdd6143206989c54de4bd8a2cc52be32a6045"),
     ("construct -n 8 -S 00100001,00110011,11011100 --format json", 0,  # Case2_2_2c
-     "317b9f7e7ffb21b4c6fccc99881e9676a9eb239a7cb445bc40ca2d0843ef58fb"),
+     "ca4f5eb0ba31f636460c3993fd75821e529383ea78bd2ea16a5cc5f87da1ead2"),
     ("construct -n 8 -S 00100000,11000001,11000101 --format json", 0,  # Case2_2_3a
-     "cfb6cb920941ad66966d3cf78062545831039f89073ef6c6f17d7cd6fdd1d76f"),
+     "f526d8bc6ab59cf2e67413864f264ccbfc88dc5d217244329e41b9584ddf7601"),
     ("construct -n 8 -S 00101110,11100001,11110001 --format json", 0,  # Case2_2_3b
-     "eec638ba0988e8a194ebd1fe6b7c4d737063539da62af0db36eb448e24e8918d"),
+     "7922aaf4c30a05817f3489535acd624ba1265bef292df4da0cd01b0067c3631c"),
     ("construct -n 8 -S 01000000,01000011,10111011 --format json", 0,  # Case2_2_3c
-     "9bfe210e4873ee67d9b29502e486a5010eb2bf1fdea96e688a5a3781e6852817"),
+     "aff7bf435d599f4ada76662f91ca1f23e6f80f3b180917f8de9e6dfda4bd9cfd"),
     ("construct -n 6 -S 000000,000100,010010 --fidelity", 0,  # Case1
      "cbc7bbdf2150926feb813513377338cbbd904905cf58693a18088f41476301e8"),
     ("construct -n 6 -S 000000,000100,010010 --format text", 0,  # Case1
@@ -796,9 +797,9 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 000000,000100,010010 --format dot", 0,  # Case1
      "ab8d7bfd69ea1ea6162ed48840d93467081721c4a11a7df8f59853c168e40005"),
     ("construct -n 6 -S 011001,101110,111110 --format text", 0,  # Case2_2_3c
-     "f5c1a2f3c598e5cc99e111ec8aaa50cd000d5a9c3047040ae00be3318d147be0"),
+     "e537b23aad3fcdd8775683179f24183ac5bcbaeaa78b2fb0f22c30e56090f06f"),
     ("construct -n 6 -S 011001,101110,111110 --format dot", 0,  # Case2_2_3c
-     "e949fb9ee9c3db67c1056f517d9f55b23236a56b13b6f440ecdaf1f6f5affaae"),
+     "848d7642f261518eaa924d2e4885780f18092fc027cc672a026eb368121c9b16"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format json", 0,  # a full fan
      "77c0235436c63e10dd39ff036dc841827e061d1604d508e35de890f0bde0a67f"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format text", 0,
@@ -876,13 +877,13 @@ def _mutants(doc):
 
 VERIFY_DIGESTS = {
     "accepted": (0, "3434804021bd9f2c928c5465ea253a7ef3a10663e2a69ab7510b5976202b6b45"),
-    "NonEdge": (1, "315ce180465378aa5b36b0edff302d7abdfbd8d11c4438b096c76100ef3f593c"),
-    "NonEdge-loop": (1, "16585edcff30751bc292524a940e51896259318729035c55f99a8053dd406307"),
+    "NonEdge": (1, "03ca792b1072d89ab55d3e838bcdfb02fa2c54331ea08a5deab801506c45630a"),
+    "NonEdge-loop": (1, "f54bb8eec28140638a917ba70269673442b7dac84fcfe090edc07a609ca0e2f3"),
     "Cycle": (1, "278468165c8fe70d65716b2a63e71c74a58de6b984fa4a4b20bb9e847420dc61"),
     "Disconnected": (1, "cd9c5b99b11261beb0a38e6912545e5f7249576aa2c259ffa3ba5c6792719cfb"),
     "TerminalDegree": (1, "0b08df5e40719514106fc817685b3988299b9f791d54d75e90cc20459d1706dc"),
-    "SharedVertex": (1, "9adc86c0774554bdbe4e8238164d22d5c7818a5906e010b4674b4f31ccfcaa24"),
-    "SharedEdge": (1, "78f9c9618dee01c64bb4fc490175905a39807d3497f2438f5e25eb60532402cd"),
+    "SharedVertex": (1, "43213922cc72730d443d54c7daea572ff36a20fab16d6e0bff4525e4b8c255ac"),
+    "SharedEdge": (1, "352cf0cd8be099df45f9626589580ebc4ee2d44fe0f28914f1789c19a33f01e1"),
 }
 
 

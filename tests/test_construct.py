@@ -36,6 +36,8 @@ from aqsteiner.topology import (
 )
 from aqsteiner.verify import verify_family
 
+from util import run_bounded
+
 
 def vs(*labels):
     return [parse_vertex(s) for s in labels]
@@ -179,6 +181,55 @@ def test_dispatch_relation_types_cover_every_branch(n):
             assert _branch(_dispatch(n, (0, a, half | b))) == branch_of[kind], (a, b)
     case1 = _branch(_dispatch(n, (0, 1, 2)))
     assert set(branch_of.values()) | {case1} == KEPT_BRANCHES
+
+
+def _branch_triples(n):
+    """One triple per kept branch: Case1's (0, 1, 2) and (0, a, half | b)
+    for the first (a, b) of each relation type, as in the test above.
+    Enumerating every pair is out of reach at large n, so a runs over 0b101,
+    trail, the deltas and the deltas xor trail, and b over those values and
+    their xors with a."""
+    half = 1 << (n - 1)
+    trail = half - 1
+    deltas = frozenset(adjacency_deltas(n - 1))
+    near = sorted({0, trail, 0b101, *deltas, *(d ^ trail for d in deltas)})
+    representative = {}
+    for a in near[1:]:
+        for b in sorted({v ^ w for v in near for w in (0, a)}):
+            representative.setdefault(_relation_type(a, b, deltas, trail), (a, b))
+    triples = {_branch(_dispatch(n, (0, 1, 2))): (0, 1, 2)}
+    for a, b in representative.values():
+        triples.setdefault(_branch(_dispatch(n, (0, a, half | b))), (0, a, half | b))
+    assert triples.keys() == KEPT_BRANCHES, n
+    return triples
+
+
+@pytest.mark.parametrize("n", [33, 62])
+def test_every_branch_builds_and_verifies_at_large_dimension(n):
+    triples = _branch_triples(n)
+    out = run_bounded(
+        "from aqsteiner.construct import construct\n"
+        "from aqsteiner.topology import AugmentedCube, Vertex\n"
+        "from aqsteiner.verify import verify_family\n"
+        f"g = AugmentedCube({n})\n"
+        f"for labels in {list(triples.values())!r}:\n"
+        f"    fam = construct(g, [Vertex(a, {n}) for a in labels])\n"
+        f"    print(fam.provenance[0].case.value, len(fam.trees), verify_family(g, fam, size={2 * n - 3}).accepted)\n"
+    )
+    assert out.splitlines() == [f"{case} {2 * n - 3} True" for case, _, _ in triples]
+
+
+def test_sampled_sweep_at_dim_62():
+    out = run_bounded(
+        "import contextlib, io, json\n"
+        "from aqsteiner.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(['sweep', '-n', '62', '--samples', '20', '--seed', '1', '--format', 'json'])\n"
+        "doc = json.loads(out.getvalue())\n"
+        "print(code, doc['triples'], doc['min_size'], doc['all_verified'])\n"
+    )
+    assert out.split() == ["0", "20", "121", "True"]
 
 
 def test_classify_contract_errors():

@@ -11,22 +11,21 @@ from aqsteiner.paths import (
     PathSystem,
     connector_tree,
     disjoint_paths,
-    fan_region,
     geodesic,
     map_path_system,
     path_edges,
     reorder_paths,
 )
 from aqsteiner import paths
-from aqsteiner.construct import classify, construct
+from aqsteiner.construct import _fan, classify, construct
 from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
     GraphView,
     Vertex,
     c_label,
-    gray,
     h_label,
+    inverse_gray,
     side_view,
 )
 from aqsteiner.verify import check_path_system
@@ -151,14 +150,13 @@ def test_flow_state_only_for_touched_vertices_at_dim_40():
     assert out.splitlines() == ["[2]", "[2, 3]", "[2, 3, 3]"]
 
 
-def test_flow_matches_the_reference_on_region_fans():
+def test_flow_matches_the_reference_on_whole_cube_fans():
     # the phase-based core and Edmonds-Karp augment along the same paths,
     # so path lists and cut separators are equal, not just flow values;
-    # k = 2m forces a cut, since 0 has 2m - 1 neighbours in R(d)
-    for m in range(1, 9):
-        g = AugmentedCube(m + 1)
+    # k = 2m forces a cut, since 0 has 2m - 1 neighbours
+    for m in range(1, 8):
+        view = AugmentedCube(m).view()
         for d in range(1, 1 << m):
-            view = GraphView(g, fan_region(m, d))
             for k in (2 * m - 1, 2 * m):
                 got = paths._flow_paths(view, 0, d, k)
                 assert got == reference_flow_paths(view, 0, d, k), (m, d, k)
@@ -207,28 +205,26 @@ def test_flow_matches_the_reference_on_random_views(n, density, data):
             assert t not in reach
 
 
-# sha256 of repr(paths) for the full 0 -> d fan in R(d) at the dimensions
-# the CLI serves, with d drawn by random.Random(14): four draws at m = 13,
-# four at m = 20, then one at m = 32.  Recorded with the Edmonds-Karp core
-# before the phase-based one replaced it, and the m = 32 fan with the
-# phase-based core before its layers were pruned.
+# sha256 of repr(paths) for the full 0 -> d fan ``_fan(m, d)`` at the
+# dimensions the CLI serves, with d drawn by random.Random(14): four draws
+# at m = 13, four at m = 20, then one at m = 32.  Recorded with the fans
+# built by induction from AQ_4.
 LARGE_FAN_DIGESTS = {
-    (13, 0x36C): "cfe35a79476897401fc0b54d608da637ab1f5bcdb657818be33d15f5b7a431f6",
-    (13, 0x13B6): "66bdb13f52c0f7c3586b658dc4c80443eec3c5904cf5ee1efe2f6acec174ac51",
-    (13, 0x167C): "f350427024f96dacfa0dbb7fa490aa5d334a7c67e274eb6f2f81d0062e7d4e53",
-    (13, 0x182B): "f24c706bf171fc2fa77f4dab9296a2937b2bdb63ac0bbf1f2b62acae3619e996",
-    (20, 0x3F373): "4e5f270c8b965a6f18292bb4fd80f300b0ea7aeaea7957ab0387fb0941c8bc90",
-    (20, 0x86F0D): "83bbaab68fc289c5d314fe9ca06deedf9977bc4b1532bfab82fd9ecccf30be7d",
-    (20, 0xA6EC4): "6c8aa533cc1d87c838b91ca08da5f535f0d3e5b0884cfd758be0a00395ba42fb",
-    (20, 0xF0BAF): "de1ebb4a534f24e7eba5f6bb5d2914fbe71bbf5a5ab7697c47b9f4c6c3160714",
-    (32, 0x4567CEB2): "41b94e5f693ca5c2878bc2f559719623ad43e41ac227d6bb1ad818a69497070a",
+    (13, 0x36C): "63945810b8dbb463caeb9a878376e2a982b1ba3324ab162b7a88c6c0ba4dff1b",
+    (13, 0x13B6): "5dddc025e3bd15373ba7b46c48a83ae7535dbf20d14988b7d848cf3adc569555",
+    (13, 0x167C): "c2063ab24d2cc262f34099c435a61120aea8eb517dc7470fd65fee807b302d6b",
+    (13, 0x182B): "7e829070c1f7b7b1cfecf77f0ddadff6930675a9e9d14d07c50f113358e5ec11",
+    (20, 0x3F373): "ee84b08deebc11a49bf3fd6914b324cc6e9f64d43a55fcef924d5d8d86759087",
+    (20, 0x86F0D): "118cae02c7cdc3f122c92c75d6e43734308258ede43487d7fa44e13d5a9216af",
+    (20, 0xA6EC4): "cb3255724f8db87afa3ce6aede894fdad518a53e97cfd9275dedcf28b9ac71b3",
+    (20, 0xF0BAF): "261ead66d757eb38919d7cc3666d5872e91991ae5c0088a9f7c64ba26ad89e0c",
+    (32, 0x4567CEB2): "7456fdfe52e51b46715f26a6bf235f51172576c06a33cc67f7286393fc5e2c59",
 }
 
 
 def test_large_dimension_fans_are_pinned():
     for (m, d), digest in LARGE_FAN_DIGESTS.items():
-        res = disjoint_paths(GraphView(AugmentedCube(m), fan_region(m, d)), 0, d, 2 * m - 1)
-        assert hashlib.sha256(repr(res.paths).encode()).hexdigest() == digest, (m, hex(d))
+        assert hashlib.sha256(repr(_fan(m, d).paths).encode()).hexdigest() == digest, (m, hex(d))
 
 
 def test_determinism_repeat_calls():
@@ -314,36 +310,32 @@ def test_map_preserves_system_invariants_dim4_lower_half(label_map):
 
 
 # ---------------------------------------------------------------------------
-# fans inside the region R(d)
+# fans built by induction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("m", range(4, 10))
-def test_full_fan_in_region_every_d(m):
-    # the constructor searches its half-copy fans only inside R(d), with
-    # no fallback: every d needs all 2m - 1 paths there
-    g = AugmentedCube(m)
+def assert_full_fan(m, d):
+    fan = _fan(m, d)
+    assert (fan.source, fan.sink, len(fan.paths)) == (0, d, 2 * m - 1), (m, d)
+    assert check_path_system(AugmentedCube(m).view(), fan) == [], (m, d)
+
+
+@pytest.mark.parametrize("m", range(4, 12))
+def test_full_fan_every_d(m):
+    # the constructor splices these fans with no fallback: every d needs
+    # all 2m - 1 disjoint paths in the whole cube
     for d in range(1, 1 << m):
-        res = disjoint_paths(GraphView(g, fan_region(m, d)), 0, d, 2 * m - 1)
-        assert isinstance(res, PathSystem), format(d, f"0{m}b")
+        assert_full_fan(m, d)
 
 
-def test_fan_region_holds_both_closed_neighbourhoods():
-    rng = random.Random(5)
-    for m in range(1, 63):
-        g = AugmentedCube(m)
-        ds = range(1, 1 << m) if m <= 7 else [rng.randrange(1, 1 << m), (1 << m) - 1, 0b101 << (m - 3)]
-        for d in ds:
-            region = fan_region(m, d)
-            r = bin(gray(d)).count("1")
-            # 1 + 2 r^2 prefix sums (each word has at most r letters), each
-            # offset by 0 and the 2m - 1 generators
-            assert len(region) <= (1 + 2 * r * r) * 2 * m
-            assert all(0 <= v < 1 << m for v in region)
-            assert {0, d, *g.neighbor_labels(0), *g.neighbor_labels(d)} <= region
-    assert fan_region(4, 0b0101) == frozenset(range(16))
-    for m, d in ((4, 0), (4, 16), (0, 1), (63, 1)):
-        with pytest.raises(ContractViolation):
-            fan_region(m, d)
+def test_full_fan_sampled_d_up_to_dim_62():
+    # per m, seeded draws and the four d that the top level reflects:
+    # gray(d) = top + {0, e2} + {0, e3}
+    rng = random.Random(21)
+    for m in range(14, 63):
+        top = 1 << (m - 1)
+        reflected = [inverse_gray(top | e2 | e3) for e2 in (0, top >> 1) for e3 in (0, top >> 2)]
+        for d in reflected + [rng.randrange(1, 1 << m) for _ in range(4)]:
+            assert_full_fan(m, d)
 
 
 def bfs_distances(masks, source):
