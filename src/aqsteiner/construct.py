@@ -25,16 +25,20 @@ S straddles the two half-copies:
   bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
   below 2^(n-1)), built by induction on the dimension down to a flow
-  search of AQ_4, then translated by x and re-checked inside its
-  half-copy.
+  search of AQ_4, checked once inside the lower half-copy, then
+  translated by x into x's half-copy.
 
 The fan from 0 to d is the pure function ``_fan(n - 1, d)``, so a
-sweep needs at most 2^(n-1) - 1 distinct fans.  Inside ``fan_memo()``
-(the sweep enters it once per batch) ``_fan`` is an LRU cache of at
-most ``FAN_MEMO_MAX`` untranslated fans, keyed by (m, d); past the cap
-the least recently used fan is dropped.  Every use, hit or miss, is
-still translated and re-checked in its half-copy, and every family
-still passes the verifier.  Outside ``fan_memo()`` nothing is kept.
+sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
+builds it and checks it against the lower half-copy of AQ_n, where it
+lives.  Translation by a label x is an automorphism of the Cayley
+graph AQ_n that maps the lower half-copy onto x's, so the one check
+covers every translate, and translates are not checked again.  Inside ``fan_memo()`` (the sweep enters it once per
+batch) ``_checked_fan`` is an LRU cache of at most ``FAN_MEMO_MAX``
+untranslated fans, keyed by (n, d), so each fan is checked once per
+memo miss; past the cap the least recently used fan is dropped.
+Outside ``fan_memo()`` nothing is kept and each use is built and
+checked afresh.  Every family still passes the verifier.
 The base families are likewise the pure function ``_base_trees`` of
 the canonical triple, cached for the life of the process.
 
@@ -150,13 +154,6 @@ def _apply_transform(v: int, swap: int, mask: int, n: int) -> int:
     if swap:
         v = hc_swap_label(v, n)
     return v ^ mask
-
-
-def _invert_transform(v: int, swap: int, mask: int, n: int) -> int:
-    v ^= mask
-    if swap:
-        v = hc_swap_label(v, n)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +274,8 @@ def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
 # recipe building blocks
 # ---------------------------------------------------------------------------
 
-# The memoised ``_fan`` of the active ``fan_memo()``; None outside one.  A
-# ContextVar, so each thread sees only the memo it entered.
+# The memoised ``_checked_fan`` of the active ``fan_memo()``; None outside
+# one.  A ContextVar, so each thread sees only the memo it entered.
 _fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None] = (
     contextvars.ContextVar("fan_memo", default=None)
 )
@@ -344,11 +341,22 @@ def _gray_fan(m: int, dg: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _checked_fan(n: int, d: int) -> _paths.PathSystem:
+    """``_fan(n - 1, d)``, checked against the lower half-copy of AQ_n,
+    the copy it lives in; a problem raises ``InternalError``."""
+    fan = _fan(n - 1, d)
+    problems = _verify.check_path_system(side_view(AugmentedCube(n), 0), fan)
+    if problems:
+        raise InternalError(f"fan to {d:0{n}b} leaves the lower half-copy: {problems}")
+    return fan
+
+
 @contextlib.contextmanager
 def fan_memo():
-    """Reuse each fan ``_fan(m, d)`` until the block exits, normally or by
-    an exception: an LRU cache of at most ``FAN_MEMO_MAX`` fans."""
-    token = _fan_memo.set(functools.lru_cache(maxsize=FAN_MEMO_MAX)(_fan))
+    """Reuse each checked fan ``_checked_fan(n, d)`` until the block exits,
+    normally or by an exception: an LRU cache of at most ``FAN_MEMO_MAX``
+    fans."""
+    token = _fan_memo.set(functools.lru_cache(maxsize=FAN_MEMO_MAX)(_checked_fan))
     try:
         yield
     finally:
@@ -357,16 +365,12 @@ def fan_memo():
 
 def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
-    of src and dst (they share their leading bit): ``_fan(n - 1, src ^ dst)``,
-    memoised inside ``fan_memo()``, translated by src, an automorphism
-    that maps the lower half-copy onto src's, and re-checked against that
-    half-copy on every call."""
-    res = (_fan_memo.get() or _fan)(g.dim - 1, src ^ dst)
-    system = _paths.map_path_system(lambda v: v ^ src, res)
-    problems = _verify.check_path_system(side_view(g, src), system)
-    if problems:
-        raise InternalError(f"translated fan leaves its half-copy: {problems}")
-    return system
+    of src and dst (they share their leading bit): ``_checked_fan(n,
+    src ^ dst)``, memoised inside ``fan_memo()``, translated by src.  The
+    translation is an automorphism that maps the lower half-copy onto
+    src's, so the fan's one check covers it."""
+    res = (_fan_memo.get() or _checked_fan)(g.dim, src ^ dst)
+    return _paths.map_path_system(lambda v: v ^ src, res)
 
 
 def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
@@ -509,19 +513,26 @@ def _assemble(
     trees: Iterable[Iterable[tuple[int, int]]],
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
-    """Map normalised label edges back to the caller's labels through the
-    inverse of ``provenance[0].transform``; only S is wrapped in
-    ``Vertex``."""
+    """Map normalised label edges, each with its smaller label first, back
+    to the caller's labels through the inverse of
+    ``provenance[0].transform``: xor the mask, then swap.  Only S is
+    wrapped in ``Vertex``."""
     n = g.dim
     swap, mask = provenance[0].transform
 
-    def back(a: int, b: int) -> tuple[int, int]:
-        return _edge(_invert_transform(a, swap, mask, n), _invert_transform(b, swap, mask, n))
+    def back(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+        if swap:
+            pairs = ((hc_swap_label(a ^ mask, n), hc_swap_label(b ^ mask, n)) for a, b in edges)
+        elif mask:
+            pairs = ((a ^ mask, b ^ mask) for a, b in edges)
+        else:
+            return frozenset(edges)
+        return frozenset((a, b) if a < b else (b, a) for a, b in pairs)
 
     return TreeFamily(
         dim=n,
         terminals=frozenset(Vertex(a, n) for a in labels),
-        trees=tuple(SteinerTree(frozenset(back(a, b) for a, b in edges)) for edges in trees),
+        trees=tuple(SteinerTree(back(edges)) for edges in trees),
         provenance=provenance,
         fallback_used=False,
     )
@@ -570,11 +581,13 @@ def _construct_case1(
 
 def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, int]]:
     """The least image of the labels under every (swap, mask) pair, and the
-    least pair that gives it."""
+    least pair that gives it.  Some pair sends a label to 0, so the least
+    image starts with 0 and every pair that gives it has the mask that
+    sends one of the three labels to 0: six candidates, not 2^(n+1)."""
     return min(
         (tuple(sorted(_apply_transform(v, swap, mask, n) for v in labels)), (swap, mask))
         for swap in (0, 1)
-        for mask in range(1 << n)
+        for mask in (_apply_transform(v, swap, 0, n) for v in labels)
     )
 
 

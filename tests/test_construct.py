@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import inspect
@@ -5,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqsteiner
 from aqsteiner import cli
@@ -13,18 +16,20 @@ from aqsteiner import paths as paths_mod
 from aqsteiner import verify as verify_mod
 from aqsteiner.construct import (
     Case,
+    CaseTag,
     InternalError,
     SteinerTree,
     TreeFamily,
     _apply_transform,
+    _assemble,
     _canonical_triple,
     _dispatch,
-    _invert_transform,
     base_case_search,
     classify,
     construct,
     target_family_size,
 )
+from aqsteiner.paths import PathSystem, undirected
 from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
@@ -36,7 +41,7 @@ from aqsteiner.topology import (
 )
 from aqsteiner.verify import verify_family
 
-from util import run_bounded
+from util import reference_canonical_triple, reference_invert_transform, run_bounded
 
 
 def vs(*labels):
@@ -93,7 +98,7 @@ def test_dispatch_transform_normalises_targets(n):
         tag = _dispatch(n, labels)
         swap, mask = tag.transform
         image = [_apply_transform(v, swap, mask, n) for v in labels]
-        assert [_invert_transform(v, swap, mask, n) for v in image] == list(labels)
+        assert [reference_invert_transform(v, swap, mask, n) for v in image] == list(labels)
         if tag.case is Case.CASE1:
             assert all(v < half for v in image) and not swap
         else:
@@ -104,6 +109,22 @@ def test_dispatch_transform_normalises_targets(n):
         moved = [v ^ full if mask else v for v in labels]
         moved = [hc_swap_label(v, n) if swap else v for v in moved]
         assert moved == image
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 8), st.sampled_from(("identity", "mask", "swap", "swap+mask")), st.data())
+def test_assemble_maps_edges_back_like_the_per_label_inverse(n, kind, data):
+    # random cube edges, each with its smaller label first, in a few trees
+    edge = st.builds(lambda u, d: undirected(u, u ^ d), st.integers(0, (1 << n) - 1), st.sampled_from(adjacency_deltas(n)))
+    trees = data.draw(st.lists(st.sets(edge, max_size=30), min_size=1, max_size=4))
+    swap = int(kind.startswith("swap"))
+    mask = data.draw(st.integers(1, (1 << n) - 1)) if kind.endswith("mask") else 0
+    family = _assemble(AugmentedCube(n), (0, 1, 2), trees, (CaseTag(Case.CASE1, (swap, mask)),))
+
+    def back(v):
+        return reference_invert_transform(v, swap, mask, n)
+
+    assert [t.edges for t in family.trees] == [frozenset(undirected(back(a), back(b)) for a, b in e) for e in trees]
 
 
 def test_swap_sends_full_to_half():
@@ -362,7 +383,19 @@ def test_base_tag_records_the_applied_transform():
     for labels in itertools.combinations(range(16), 3):
         tag = base_case_search(g, [Vertex(a, 4) for a in labels], 5).provenance[0]
         canon, _ = _canonical_triple(4, labels)
-        assert sorted(_invert_transform(a, *tag.transform, 4) for a in canon) == list(labels)
+        assert sorted(reference_invert_transform(a, *tag.transform, 4) for a in canon) == list(labels)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_canonical_triple_matches_the_search_over_every_pair(n):
+    # every triple at n = 3, 4 and 5; 300 seeded ones at n = 6..10
+    if n <= 5:
+        triples = itertools.combinations(range(1 << n), 3)
+    else:
+        rng = random.Random(n)
+        triples = (sorted(rng.sample(range(1 << n), 3)) for _ in range(300))
+    for labels in triples:
+        assert _canonical_triple(n, labels) == reference_canonical_triple(n, labels), labels
 
 
 def test_base_search_contract():
@@ -524,9 +557,20 @@ def _count_fans(monkeypatch) -> list:
 
 def test_sweep_builds_each_fan_once(monkeypatch):
     calls = _count_fans(monkeypatch)
+    checks = []
+    original = verify_mod.check_path_system
+
+    def counting(view, ps):
+        checks.append(ps.sink)
+        return original(view, ps)
+
+    monkeypatch.setattr(verify_mod, "check_path_system", counting)
     records = cli.run_sweep(5, cli.all_triples(5))
     # one fan per d in 1..15; Case1 recurses into the n = 4 base search
     assert 0 < len(calls) <= 15
+    # construct checks each fan once, where it is built, and never the
+    # 7,136 translates the sweep uses
+    assert len(checks) == len(set(checks)) == len(calls)
     # the memo ended with the sweep: the next construct searches again
     calls.clear()
     construct(AugmentedCube(5), vs("00000", "01111", "10000"))
@@ -536,6 +580,26 @@ def test_sweep_builds_each_fan_once(monkeypatch):
     monkeypatch.setattr(construct_mod, "FAN_MEMO_MAX", 1)
     assert cli.run_sweep(5, cli.all_triples(5)) == records
     assert len(calls) > 15
+
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_a_broken_fan_raises_where_it_is_built(monkeypatch, memo):
+    # x = 00000 and y = 00101 are below, and 0101 is no delta of AQ_4, so
+    # the direct step 0-d of the broken fan is a non-edge; the lower
+    # half-copy check catches it before any tree is assembled
+    real = construct_mod._fan
+    asked = []
+
+    def broken(m, d):
+        asked.append(d)
+        fan = real(m, d)
+        return PathSystem(0, d, ((0, d),) + fan.paths[1:])
+
+    monkeypatch.setattr(construct_mod, "_fan", broken)
+    with construct_mod.fan_memo() if memo else contextlib.nullcontext():
+        with pytest.raises(InternalError, match="leaves the lower half-copy"):
+            construct(AugmentedCube(5), vs("00000", "00101", "10000"))
+    assert asked and all(d not in adjacency_deltas(4) for d in asked)
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -13,7 +13,10 @@ differential oracle, since the two must return the same path lists and
 the same cuts.  ``reference_verify_family`` and
 ``reference_check_path_system`` are kept the same way: the certificate
 and path-system checks as they were before ``verify`` moved to one int
-pass per tree.
+pass per tree.  ``reference_invert_transform`` and
+``reference_canonical_triple`` are the per-label inverse that
+``construct._assemble`` applied to both ends of every edge, and the
+canonical base triple as a search over all 2^(n+1) (swap, mask) pairs.
 
 ``run_bounded`` runs the large-dimension tests in a child process with
 capped memory, so a view that gets materialised fails fast with
@@ -339,3 +342,25 @@ def reference_check_path_system(view, ps):
             else:
                 seen_inner[w] = i
     return problems
+
+
+def _reference_swap(v: int, n: int) -> int:
+    # complement the trailing n - 1 bits of an upper-copy label
+    half = 1 << (n - 1)
+    return v ^ (half - 1) if v & half else v
+
+
+def reference_invert_transform(v: int, swap: int, mask: int, n: int) -> int:
+    """The inverse of the label map "swap if ``swap``, then xor ``mask``"."""
+    v ^= mask
+    return _reference_swap(v, n) if swap else v
+
+
+def reference_canonical_triple(n: int, labels) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The least sorted image of the labels under every (swap, mask) pair,
+    and the least pair that gives it."""
+    return min(
+        (tuple(sorted((_reference_swap(v, n) if swap else v) ^ mask for v in labels)), (swap, mask))
+        for swap in (0, 1)
+        for mask in range(1 << n)
+    )

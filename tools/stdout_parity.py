@@ -12,9 +12,12 @@ child process, in-process through ``cli.main``, against that checkout's
   formats;
 - ``info -n 1..10`` as text and as JSON (above n = 5 the connectivity
   is a sampled bound);
-- ``sweep -n 4 --exhaustive`` as text and as JSON, and
+- ``sweep -n 4 --exhaustive`` as text and as JSON,
   ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
-  batch enters its own fan memo; a 1-CPU host exits 2 on the latter);
+  batch enters its own fan memo; a 1-CPU host exits 2 on the latter),
+  and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7 --samples
+  100 --seed 2 --format json``, where Case1 recursion puts fans of two
+  dimensions into one batch's memo;
 - ``oracle`` on every triple at n = 3 and 4, on a few of them with
   budgets small enough to run out, and ``oracle -n 5 --force
   --budget 20000``;
@@ -224,6 +227,8 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "4", "--exhaustive", "--format", "json"])
     cmds.append(["sweep", "-n", "5", "--samples", "300"])
     cmds.append(["sweep", "-n", "5", "--samples", "300", "--jobs", "2"])
+    cmds.append(["sweep", "-n", "6", "--samples", "200", "--seed", "2"])
+    cmds.append(["sweep", "-n", "7", "--samples", "100", "--seed", "2", "--format", "json"])
     for n in (3, 4):
         for trio in itertools.combinations(range(1 << n), 3):
             cmds.append(["oracle", "-n", str(n), "-S", ",".join(_label(v, n) for v in trio)])
