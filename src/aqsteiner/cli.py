@@ -19,7 +19,6 @@ fixed flags; wall-clock timings go to stderr so stdout stays byte-stable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import itertools
 import json
@@ -28,8 +27,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import paths as _paths
 from . import verify as _verify
@@ -86,10 +84,17 @@ def _label(v: int, n: int) -> str:
     return format(v, f"0{n}b")
 
 
+# The renderers write a family's edge labels inline as bin(v | top)[3:]
+# with top = 1 << n: for 0 <= v < 2^n that is "0b1" and then the n digits
+# of _label(v, n), in one C call and with no format spec to parse.
+
+
 def certificate_doc(family: TreeFamily, case: str) -> dict:
     """Canonical JSON form: sorted target labels, per-tree sorted edges."""
-    n = family.dim
-    trees = [{"edges": [[_label(u, n), _label(v, n)] for u, v in sorted(tree.edges)]} for tree in family.trees]
+    top = 1 << family.dim
+    trees = [
+        {"edges": [[bin(u | top)[3:], bin(v | top)[3:]] for u, v in sorted(tree.edges)]} for tree in family.trees
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "n": family.dim,
@@ -111,8 +116,7 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
         raise ContractViolation(f"{where} has wrong fields (unknown: {extra}, missing: {missing})")
 
 
-@dataclass(frozen=True)
-class ParsedCertificate:
+class ParsedCertificate(NamedTuple):
     n: int
     terminals: frozenset[Vertex]
     case: str
@@ -183,7 +187,7 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
 def family_to_dot(family: TreeFamily, case: str) -> str:
     """One graph block per tree; targets get doubled borders, each tree one
     colour, so the output diffs visually against hand drawings."""
-    n = family.dim
+    top = 1 << family.dim
     lines: list[str] = []
     terms = sorted(t.label() for t in family.terminals)
     for i, tree in enumerate(family.trees):
@@ -194,19 +198,19 @@ def family_to_dot(family: TreeFamily, case: str) -> str:
         for t in terms:
             lines.append(f'  "{t}" [shape=doublecircle];')
         for u, v in sorted(tree.edges):
-            lines.append(f'  "{_label(u, n)}" -- "{_label(v, n)}" [color="{color}"];')
+            lines.append(f'  "{bin(u | top)[3:]}" -- "{bin(v | top)[3:]}" [color="{color}"];')
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def family_to_text(family: TreeFamily, case: str) -> str:
-    n = family.dim
+    top = 1 << family.dim
     lines = [
         f"n={family.dim} targets={','.join(sorted(t.label() for t in family.terminals))} "
         f"case={case} trees={len(family.trees)} fallback={'yes' if family.fallback_used else 'no'}"
     ]
     for i, tree in enumerate(family.trees):
-        edges = " ".join(f"{_label(u, n)}-{_label(v, n)}" for u, v in sorted(tree.edges))
+        edges = " ".join(f"{bin(u | top)[3:]}-{bin(v | top)[3:]}" for u, v in sorted(tree.edges))
         lines.append(f"  tree {i}: {edges}")
     return "\n".join(lines) + "\n"
 
@@ -246,8 +250,7 @@ def path_system_to_dot(res: _paths.PathSystem, n: int) -> str:
 # sweep harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     labels: tuple[int, ...]
     case: str
     fallback: bool
@@ -285,6 +288,10 @@ def run_sweep(n: int, triples: Sequence[tuple[int, ...]], jobs: int = 1) -> list
     if jobs <= 1 or len(triples) < 4:
         records = _sweep_batch((n, list(triples)))
     else:
+        # imported here: the pool and the logging it pulls in cost every
+        # other command start-up time for nothing
+        import concurrent.futures
+
         chunk = max(1, (len(triples) + 4 * jobs - 1) // (4 * jobs))
         batches = [triples[i : i + chunk] for i in range(0, len(triples), chunk)]
         records = []

@@ -53,9 +53,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import paths as _paths
 from . import verify as _verify
@@ -91,8 +90,7 @@ class Case(Enum):
     CASE2_2_3C = "Case2_2_3c"
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(NamedTuple):
     """Which branch built a tree batch, under which normalisation.
 
     ``transform`` is the (swap, mask) automorphism of ``_apply_transform``
@@ -111,16 +109,14 @@ class CaseTag:
     variant: str = ""
 
 
-@dataclass(frozen=True)
-class SteinerTree:
+class SteinerTree(NamedTuple):
     """One tree of a family: its label edges (u, v) with u < v.  Its
     terminals are the family's."""
 
     edges: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(NamedTuple):
     """The trees built for one target set S.  S is a set of ``Vertex``,
     as in a parsed certificate: ``verify.verify_family`` reads S as
     objects with ``bits`` and ``dim`` and so checks both kinds of family
@@ -370,7 +366,8 @@ def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     translation is an automorphism that maps the lower half-copy onto
     src's, so the fan's one check covers it."""
     res = (_fan_memo.get() or _checked_fan)(g.dim, src ^ dst)
-    return _paths.map_path_system(lambda v: v ^ src, res)
+    # int.__xor__ translates in C, with no Python frame per vertex
+    return _paths.map_path_system(src.__xor__, res)
 
 
 def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
@@ -400,7 +397,7 @@ def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 def _recipe_2_1_2(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     n = g.dim
     P = _system(g, x, y)
-    Q = _paths.map_path_system(lambda v: h_label(v, n), P)
+    Q = _paths.map_path_system((1 << (n - 1)).__xor__, P)  # h_label, in C
     trees: list[_Edges] = []
     # x and y are not adjacent (else z = h(x) would touch h(y): Case2_1_3),
     # so every path has an interior vertex to join through

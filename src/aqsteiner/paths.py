@@ -51,8 +51,7 @@ module may use its ``check_path_system`` without an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
 from .verify import check_path_system
@@ -60,8 +59,7 @@ from .verify import check_path_system
 CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(NamedTuple):
     """Internally disjoint label paths sharing exactly their two endpoints."""
 
     source: int
@@ -69,8 +67,7 @@ class PathSystem:
     paths: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class MinCut:
+class MinCut(NamedTuple):
     """Separator witness returned when k disjoint paths do not exist.
 
     Removing ``separator`` (plus the direct source-sink edge when
@@ -307,7 +304,7 @@ def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:
     return PathSystem(
         source=iso(ps.source),
         sink=iso(ps.sink),
-        paths=tuple(tuple(iso(v) for v in p) for p in ps.paths),
+        paths=tuple(tuple(map(iso, p)) for p in ps.paths),
     )
 
 
@@ -387,8 +384,7 @@ def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple
 # vertex connectivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConnectivityResult:
+class ConnectivityResult(NamedTuple):
     value: int
     exact: bool
 

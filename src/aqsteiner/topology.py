@@ -37,8 +37,8 @@ u ^ v, and the fans are built from 0 and translated.
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
 MAX_DIM = 62
@@ -88,15 +88,18 @@ def delta_set(dim: int) -> frozenset[int]:
     return frozenset(adjacency_deltas(dim))
 
 
-@dataclass(frozen=True)
-class AugmentedCube:
-    """The implicit augmented cube of a given dimension (1 <= dim <= 62)."""
+class AugmentedCube(collections.namedtuple("AugmentedCube", "dim")):
+    """The implicit augmented cube of a given dimension (1 <= dim <= 62).
 
-    dim: int
+    A plain ``namedtuple`` base, since ``typing.NamedTuple`` forbids the
+    ``__new__`` that checks the range."""
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ContractViolation(f"dimension must be in 1..{MAX_DIM}, got {self.dim}")
+    __slots__ = ()
+
+    def __new__(cls, dim: int) -> AugmentedCube:
+        if not 1 <= dim <= MAX_DIM:
+            raise ContractViolation(f"dimension must be in 1..{MAX_DIM}, got {dim}")
+        return super().__new__(cls, dim)
 
     @property
     def order(self) -> int:
@@ -177,8 +180,7 @@ def inverse_gray(g: int) -> int:
 # restricted views
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphView:
+class GraphView(NamedTuple):
     """A vertex-filtered slice of a cube: the cube plus a membership test.
 
     ``allowed`` is a collection of labels with O(1) membership, such as a

@@ -25,7 +25,6 @@ named tuple: a file of many small bad trees holds one per defect.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .topology import AugmentedCube, ContractViolation, GraphView, delta_set
@@ -51,8 +50,7 @@ class Violation(NamedTuple):
         return {"kind": self.kind, "trees": list(self.trees), "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     accepted: bool
     violations: tuple[Violation, ...]
 
@@ -201,8 +199,7 @@ def check_path_system(view: GraphView, ps) -> list[str]:
 # exact oracle for small hosts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Exact value when lower == upper and exact is set; else a bracket.
     ``witness`` holds the internal label sets of the best packing found
     (a direct edge between two terminals is the empty set)."""

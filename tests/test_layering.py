@@ -7,9 +7,17 @@ code can reach the checks.  ``paths`` and ``verify`` work on plain int
 labels and never name ``Vertex``, and a ``SteinerTree`` is its label
 edges only.  Everything is read from the source with ``ast``, including
 imports inside functions.
+
+Importing the CLI, and then running a serial sweep, loads none of the
+modules that only some commands need.  That is checked in a fresh
+interpreter, since pytest itself has long since loaded ``dataclasses``
+and ``logging``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import aqsteiner
@@ -104,3 +112,28 @@ def test_steiner_tree_holds_only_edges():
     )
     fields = [stmt.target.id for stmt in tree.body if isinstance(stmt, ast.AnnAssign)]
     assert fields == ["edges"]
+
+
+# dataclasses drags in inspect, dis and tokenize; the process pool drags
+# in logging, and only ``sweep --jobs`` above 1 uses it
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "concurrent.futures", "logging")
+
+
+def test_cli_import_and_serial_sweep_stay_lean():
+    code = (
+        "import contextlib, io, sys\n"
+        "import aqsteiner.cli as cli\n"
+        "print(cli.__file__)\n"
+        f"unused = {UNUSED_AT_IMPORT!r}\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(['sweep', '-n', '4', '--samples', '5'])\n"
+        "print(code, sorted(m for m in unused if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    module, at_import, after_sweep = proc.stdout.splitlines()
+    assert Path(module).parent == PACKAGE_DIR
+    assert at_import == "[]"
+    assert after_sweep == "0 []"

@@ -38,6 +38,14 @@ whose result differs between the two checkouts is printed, and the exit
 status is 1 if any does, 0 if none does, and 2 for a bad argument.  The triples come from
 ``random.Random`` streams on fixed seeds, built here without importing
 the package, so both checkouts get the same list.
+
+Next to each checkout's "N commands in T s" line the tool prints its
+cold import: the median, over five fresh ``python -c`` children, of the
+time ``import aqsteiner.cli`` takes inside the child.  The children
+import a copy of the package without its ``__pycache__`` and write no
+bytecode (``PYTHONDONTWRITEBYTECODE=1``), so each compiles the package
+afresh, as every process does where no bytecode is cached.  A start-up
+regression shows on every parity run.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ import itertools
 import json
 import os
 import random
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -294,6 +304,27 @@ def _collect(checkout: str) -> tuple[list, float]:
     return doc["results"], elapsed
 
 
+IMPORT_RUNS = 5
+
+
+def _cold_import_s(checkout: str) -> float:
+    """Median seconds of ``import aqsteiner.cli`` in fresh children that
+    compile the checkout's package (see the module docstring)."""
+    code = "import time; t = time.perf_counter(); import aqsteiner.cli; print(time.perf_counter() - t)"
+    times = []
+    with tempfile.TemporaryDirectory() as root:
+        shutil.copytree(
+            os.path.join(checkout, "src", "aqsteiner"),
+            os.path.join(root, "aqsteiner"),
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = {**os.environ, "PYTHONPATH": root, "PYTHONDONTWRITEBYTECODE": "1"}
+        for _ in range(IMPORT_RUNS):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+            times.append(float(proc.stdout))
+    return statistics.median(times)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -312,7 +343,8 @@ def main() -> int:
     runs = []
     for checkout in (args.parent, args.change):
         results, elapsed = _collect(os.path.abspath(checkout))
-        print(f"{checkout}: {len(results)} commands in {elapsed:.1f} s", file=sys.stderr)
+        cold = _cold_import_s(os.path.abspath(checkout))
+        print(f"{checkout}: {len(results)} commands in {elapsed:.1f} s, cold import {cold * 1e3:.1f} ms", file=sys.stderr)
         runs.append(results)
     differ = 0
     for cmd, a, b in zip(cmds, *runs):
