@@ -58,11 +58,6 @@ SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # labels at every level, so the certificate doubles per dimension: about
 # 5 MB of JSON at n = 16.
 FIDELITY_MAX_DIM = 16
-# paths runs the exact flow on the whole cube, so its cost about doubles
-# per dimension: on a 2-core VM the slowest of 150 sampled pairs took
-# 0.72-0.88 s at n = 15 and the slowest of 40 1.29-1.61 s at n = 16
-# (k = 2n - 1), and n = 30 ran out of a 1 GiB cap within seconds.
-PATHS_MAX_DIM = 15
 # verify reads at most this many bytes of a certificate, so an endless
 # input such as /dev/zero stops with a usage error.  The largest real
 # certificate, an n = 16 --fidelity one, is about 5 MB; a 300,000-edge
@@ -508,13 +503,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_paths(args: argparse.Namespace) -> int:
     n = args.n
-    if not 1 <= n <= PATHS_MAX_DIM:
-        raise ContractViolation(f"paths needs dimension in 1..{PATHS_MAX_DIM}")
+    if not 1 <= n <= MAX_DIM:
+        raise ContractViolation(f"paths needs dimension in 1..{MAX_DIM}")
     u = parse_vertex(args.u)
     v = parse_vertex(args.v)
     if u.dim != n or v.dim != n:
         raise ContractViolation("endpoint labels must have length n")
-    res = _paths.disjoint_paths(AugmentedCube(n).view(), u.bits, v.bits, args.k)
+    res = _paths.cube_paths(AugmentedCube(n), u.bits, v.bits, args.k)
     if isinstance(res, _paths.MinCut):
         sys.stdout.write(json.dumps(min_cut_doc(res, n), indent=2) + "\n")
         return 1

@@ -28,7 +28,7 @@ S straddles the two half-copies:
   search of AQ_4, checked once inside the lower half-copy, then
   translated by x into x's half-copy.
 
-The fan from 0 to d is the pure function ``_fan(n - 1, d)``, so a
+The fan from 0 to d is the pure function ``paths.fan(n - 1, d)``, so a
 sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
 builds it and checks it against the lower half-copy of AQ_n, where it
 lives.  Translation by a label x is an automorphism of the Cayley
@@ -65,10 +65,8 @@ from .topology import (
     GraphView,
     Vertex,
     c_label,
-    gray,
     h_label,
     hc_swap_label,
-    inverse_gray,
     side_view,
 )
 
@@ -280,67 +278,10 @@ _fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None
 FAN_MEMO_MAX = 4096
 
 
-def _fan(m: int, d: int) -> _paths.PathSystem:
-    """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4):
-    ``_gray_fan`` mapped back to labels, sorted as the flow returns them."""
-    fan = _gray_fan(m, gray(d))
-    return _paths.PathSystem(0, d, tuple(sorted(tuple(map(inverse_gray, p)) for p in fan)))
-
-
-def _gray_fan(m: int, dg: int) -> list[tuple[int, ...]]:
-    """The full fan from 0 to dg in Gray coordinates, where AQ_m is the
-    Cayley graph on e_i and e_i + e_(i+1), by induction on m: bit m - 1
-    splits AQ_m into two copies of AQ_(m-1), and a fan of the lower copy
-    gains two paths through the upper one (README, "Why every fan is
-    full").  AQ_4 is searched by the flow."""
-    if m <= 4:
-        res = _paths.disjoint_paths(AugmentedCube(m).view(), 0, inverse_gray(dg), 2 * m - 1)
-        if isinstance(res, _paths.MinCut):
-            raise InternalError(f"AQ_{m} admits only {res.size} disjoint paths to {inverse_gray(dg):0{m}b}")
-        return [tuple(map(gray, p)) for p in res.paths]
-    top, e2, e3 = 1 << (m - 1), 1 << (m - 2), 1 << (m - 3)
-    lo = dg & ~top
-    t = lo & ~e2
-    if dg & top and t in (0, e3):
-        # reversing the m bits is an automorphism that fixes 0 and puts dg
-        # among e_0 + {0, e_1} + {0, e_2}, below top
-        def rev(v: int) -> int:
-            return int(format(v, f"0{m}b")[::-1], 2)
-
-        return [tuple(map(rev, p)) for p in _gray_fan(m, rev(dg))]
-    # A shortest walk from 0 to t, whose last step s is t's lowest
-    # generator, stays below bit m - 2, so its lifts into the two quarters
-    # of the upper copy are disjoint.  When dg lies in the upper copy, the
-    # lift into dg's quarter stops a step short, and the lower fan to lo, which
-    # enters lo once by each generator of AQ_(m-1), goes on to dg: by
-    # top + e2 from lo ^ e2, by top from lo after the step s, and by any
-    # other step g through dg ^ g.  Of t's neighbours the walk holds only
-    # t ^ s, so dg ^ g lies off both lifts; g = e3 + e2 would meet
-    # t ^ e3 = t ^ s only for t = e3, reflected above.
-    walk = [gray(v) for v in reversed(_paths.geodesic(inverse_gray(t), 0))]
-    quarter = top ^ (lo & e2)
-    out = [
-        (0, *(v ^ quarter for v in (walk[:-1] if dg & top else walk)), dg),
-        (0, *(v ^ quarter ^ e2 for v in walk), dg),
-    ]
-    if not dg & top:
-        return _gray_fan(m - 1, dg) + out
-    s = walk[-1] ^ walk[-2]
-    for p in _gray_fan(m - 1, lo):
-        step = p[-2] ^ lo
-        if step == e2:
-            out.append(p[:-1] + (dg,))
-        elif step == s:
-            out.append(p + (dg,))
-        else:
-            out.append(p[:-1] + (p[-2] ^ top, dg))
-    return out
-
-
 def _checked_fan(n: int, d: int) -> _paths.PathSystem:
-    """``_fan(n - 1, d)``, checked against the lower half-copy of AQ_n,
-    the copy it lives in; a problem raises ``InternalError``."""
-    fan = _fan(n - 1, d)
+    """``paths.fan(n - 1, d)``, checked against the lower half-copy of
+    AQ_n, the copy it lives in; a problem raises ``InternalError``."""
+    fan = _paths.fan(n - 1, d)
     problems = _verify.check_path_system(side_view(AugmentedCube(n), 0), fan)
     if problems:
         raise InternalError(f"fan to {d:0{n}b} leaves the lower half-copy: {problems}")

@@ -1,16 +1,16 @@
-"""Internally disjoint path systems, geodesics, connector trees and
-vertex connectivity.
+"""Internally disjoint path systems, full fans, geodesics, connector
+trees and vertex connectivity.
 
 Everything here works on plain int labels (see ``topology``): a path is
 a tuple of labels, a ``PathSystem`` holds label paths between two
 labels, and a connector tree is a set of label pairs.  Callers already
 know the dimension, so no label is wrapped in a ``Vertex``.
 
-The central operation is ``disjoint_paths``: k internally disjoint u-v
-paths computed by unit-vertex-capacity max flow (the standard Menger
-reduction).  Every inner vertex is split into an in/out pair joined by a
-capacity-1 arc; edge arcs get capacity 2 so they can never be saturated
-(each endpoint passes at most one unit), which keeps minimum cuts on the
+``disjoint_paths`` finds k internally disjoint u-v paths inside a view
+by unit-vertex-capacity max flow (the standard Menger reduction).
+Every inner vertex is split into an in/out pair joined by a capacity-1
+arc; edge arcs get capacity 2 so they can never be saturated (each
+endpoint passes at most one unit), which keeps minimum cuts on the
 split arcs and makes the cut witness a plain vertex set.  The one
 exception is a direct u-v edge, whose arc keeps capacity 1; a witness
 that needs it reports that separately, since no vertex set separates an
@@ -18,39 +18,37 @@ adjacent pair.
 
 The residual network is implicit: arcs come from the delta set, each
 vertex's closed neighbourhood (v xor 0 and every adjacency delta, kept
-where the view contains it) built once per call, unsorted, when the
-search first reaches it, and the flow is held per vertex (a
-successor and a predecessor for each inner vertex that carries a unit,
-and the set of the source's successors), so memory follows the search,
-not the size of the view.  The flow grows in phases (Dinic).  A phase
-lays out levels on vertices, out sides at even levels and in sides at
-odd ones, by a BFS that stops one level below the sink's in side.  A
-backward pass from the sink then keeps, level by level, only the
-vertices from which it can still be reached.  That is exact: augmenting
-along a shortest path adds only arcs that descend a level, so a vertex
-cut off from the sink when the phase starts stays cut off, and a search
-through it could only end in a dead end.  A blocking DFS climbs the
-pruned levels, taking arcs in ascending label order, and so augments
-along the same paths, in the same order, as one BFS per path would:
-results are reproducible across runs, thread counts and platforms.  A
-fan needs 2 to 4 phases.  The paths are the walks along successors from
-each of the source's successors, in ascending order.  When a BFS does
-not reach the sink, the cut is the in sides it reached whose out side it
-did not; that reach set is the same for every maximum flow.
+where the view contains it) built once per call, sorted, when the
+search first reaches it, and the flow is held per vertex (a successor
+and a predecessor for each inner vertex that carries a unit, and the
+set of the source's successors), so memory follows the search, not the
+size of the view.  The flow grows by Edmonds-Karp: one FIFO BFS per
+augmenting path, taking arcs in ascending label order, so results are
+reproducible across runs, thread counts and platforms.  The paths are
+the walks along successors from each of the source's successors, in
+ascending order.  When a BFS does not reach the sink, the cut is the in
+sides it reached whose out side it did not; that reach set is the same
+for every maximum flow.
 
-The constructor runs the flow only on AQ_4, the base of the fans it
-builds by induction (``construct._fan``).  Connector trees need no
-search at all: ``geodesic`` spells a shortest word for gray(u ^ v) by a
-DP over its bits, and ``connector_tree`` grafts one geodesic per
-terminal inside a quarter.
+The flow runs only on cubes of at most 16 vertices.  ``fan(m, d)``, the
+full fan of 2m - 1 paths from 0 to d in AQ_m, is built by induction on
+m in Gray coordinates from the flow fans of AQ_4 (README, "Why every
+fan is full"); the constructor and ``cube_paths`` use it.
+``cube_paths`` answers whole-cube requests: by the flow up to
+dimension 4, and above it by the fan to u ^ v translated by u, or by
+u's neighbourhood as the cut.  Connector trees need no search either:
+``geodesic`` spells the shortest word for gray(u ^ v) by a scan from its
+lowest bit, and ``connector_tree`` grafts one geodesic per terminal
+inside a quarter.
 
-``connectivity`` runs the same flow from 0 to every label (translations
+``connectivity`` runs ``cube_paths`` from 0 to every label (translations
 are automorphisms).  ``verify`` imports only ``topology``, so this
 module may use its ``check_path_system`` without an import cycle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
@@ -104,9 +102,8 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
     # carrying a unit to the vertex it passes the unit to and the one it
     # takes it from, and `first` holds s's successors.  Unit vertex
     # capacities make both maps single-valued; an inner vertex carries a
-    # unit exactly when it is in `pred`.
-    # Neighbourhood order is never used: the levels and the pruning take
-    # unions and disjointness tests, and the DFS sorts the arcs it climbs.
+    # unit exactly when it is in `pred`.  Node 2v is v's in side and
+    # 2v + 1 its out side.
     members = view.allowed
     offsets = (0, *adjacency_deltas(view.dim))
     closed: dict[int, list[int]] = {}
@@ -117,120 +114,64 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
     def nbrs(v: int) -> list[int]:
         out = closed.get(v)
         if out is None:
-            out = closed[v] = [w for d in offsets if (w := v ^ d) in members]
+            out = closed[v] = sorted(w for d in offsets if (w := v ^ d) in members)
         return out
 
-    found = 0
-    while found < k:
-        # One phase.  Level 2i holds the vertices whose out side lies at
-        # residual distance 2i from s's out side, level 2i + 1 those whose
-        # in side lies at 2i + 1.  An out side reaches the in sides of its
-        # neighbours, never s's, and not t's from s once the direct s-t arc
-        # carries a unit (`into_t`).  It also reaches its own in side when
-        # its vertex carries a unit; the in side of s or of an idle vertex
-        # is seen before its out side, so the closed neighbourhood serves
-        # both.  An in side reaches its own out side when its vertex is
-        # idle and its predecessor's otherwise.  The BFS stops at the level
-        # below t's in side.
-        into_t = [w for w in nbrs(t) if w != s or t not in first]
-        layers = [{s}]
-        seen_in, seen_out = {s, t}, {s}
-        while True:
-            frontier = layers[-1]
-            if len(layers) & 1:
-                if not frontier.isdisjoint(into_t):
-                    break
-                nxt: set[int] = set()
-                for v in frontier:
-                    nxt.update(nbrs(v))
-                nxt -= seen_in
-                seen_in |= nxt
-            else:
-                nxt = {pred.get(v, v) for v in frontier}
-                nxt -= seen_out
-                seen_out |= nxt
-            if not nxt:
+    src, dst = 2 * s + 1, 2 * t
+    for _ in range(k):
+        # One BFS per augmenting path, FIFO, arcs in ascending label order.
+        # An out side v reaches the in sides of its neighbours, never s's,
+        # and not t's from s once the direct s-t arc carries a unit; it
+        # reaches its own in side only when v carries a unit.  An in side
+        # reaches its own out side when its vertex is idle and its
+        # predecessor's otherwise; t's in side ends the search.
+        parent = {src: src}
+        queue = deque([src])
+        while dst not in parent:
+            if not queue:
                 # The nodes reachable in the residual network are the same
                 # for every maximum flow, so this is the cut any augmenting
-                # order ends on: the vertices whose in side was reached and
-                # whose out side was not (`seen_in` holds t only to keep it
-                # out of the levels)
-                return None, sorted(seen_in - seen_out - {t})
-            layers.append(nxt)
-        # t's in side is at level `top`.  Going down from it, keep only the
-        # vertices with an arc into the kept part of the level above.
-        # Augmenting along a shortest path adds only arcs that descend a
-        # level, so a vertex cut off from t now stays cut off for the whole
-        # phase, and a search through it could only end in a dead end.
-        top = len(layers)
-        layers[-1].intersection_update(into_t)
-        for j in range(top - 2, -1, -1):
-            above = layers[j + 1]
-            if j & 1:
-                # the out side x is entered from x's own in side when x is
-                # idle and from succ[x]'s when it is not
-                layers[j].intersection_update(succ.get(x, x) for x in above)
+                # order ends on: the in sides reached whose out side is not
+                return None, sorted(a >> 1 for a in parent if not a & 1 and a + 1 not in parent)
+            a = queue.popleft()
+            v = a >> 1
+            if a & 1:
+                heads = [
+                    2 * w
+                    for w in nbrs(v)
+                    if (v in pred if w == v else w != s and not (v == s and w == t and t in first))
+                ]
             else:
-                # the BFS built the neighbourhoods of these levels already
-                layers[j] = {v for v in layers[j] if not above.isdisjoint(nbrs(v))}
-        layers.append({t})
-        # Blocking flow: a DFS up the pruned levels, taking each out side's
-        # arcs in ascending label order from its current arc; a vertex that
-        # leads nowhere, or that a path just used, leaves its level.  It
-        # meets the shortest augmenting paths in the order a BFS per path
-        # would.  The i-th vertex of `path` stands for its out side when i
-        # is even and for its in side when i is odd.
-        arcs: dict[int, list[int]] = {}
-        current: dict[int, int] = {}
-        while found < k:
-            path = [s]
-            while path and len(path) <= top:
-                j = len(path) - 1
-                v = path[-1]
-                above = layers[j + 1]
-                if j & 1:
-                    w = pred.get(v, v)
-                    if w in above:
-                        path.append(w)
-                        continue
+                heads = [2 * pred.get(v, v) + 1]
+            for b in heads:
+                if b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        # The path alternates out sides (even positions) and in sides (odd
+        # ones).  Take the flow off the edge arcs it runs back along, then
+        # put it on those it runs forward along, since a vertex may lose
+        # one successor and gain another; the split arcs follow.  No step
+        # enters s's out side, so every arc taken off joins two inner
+        # vertices.
+        path = [t]
+        b = dst
+        while b != src:
+            b = parent[b]
+            path.append(b >> 1)
+        path.reverse()
+        for i in range(1, len(path) - 1, 2):
+            w, u = path[i], path[i + 1]
+            if w != u:
+                del succ[u], pred[w]
+        for i in range(0, len(path) - 1, 2):
+            u, w = path[i], path[i + 1]
+            if u != w:
+                if u == s:
+                    first.add(w)
                 else:
-                    out = arcs.get(v)
-                    if out is None:
-                        out = arcs[v] = [t] if j + 1 == top else sorted(above.intersection(nbrs(v)))
-                    i = current.get(v, 0)
-                    while i < len(out) and out[i] not in above:
-                        i += 1
-                    current[v] = i
-                    if i < len(out):
-                        path.append(out[i])
-                        continue
-                layers[j].discard(v)
-                path.pop()
-            if not path:
-                break
-            # Take the flow off the edge arcs the path runs back along, then
-            # put it on those it runs forward along; the split arcs follow.
-            # No step climbs into s's out side, so every arc taken off joins
-            # two inner vertices.
-            for i in range(1, top, 2):
-                w, u = path[i], path[i + 1]
-                if w != u:
-                    del succ[u], pred[w]
-            for i in range(0, top, 2):
-                u, w = path[i], path[i + 1]
-                if u != w:
-                    if u == s:
-                        first.add(w)
-                    else:
-                        succ[u] = w
-                    if w != t:
-                        pred[w] = u
-            found += 1
-            for j in range(1, top):
-                layers[j].discard(path[j])
-            # s's current arc now leads to a vertex the path used or is the
-            # direct s-t arc, which the unit just filled
-            current[s] += 1
+                    succ[u] = w
+                if w != t:
+                    pred[w] = u
 
     # Each walk leaves s along one of its successors, in ascending order,
     # and follows succ to t.  Unit vertex capacities keep the walks
@@ -252,6 +193,15 @@ def disjoint_paths(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinC
     Deterministic for fixed inputs.  Raises on u == v, k < 1, or
     endpoints outside the view.
     """
+    _check_request(view, u, v, k)
+    label_paths, cut = _flow_paths(view, u, v, k)
+    if label_paths is None:
+        return MinCut(source=u, sink=v, separator=tuple(cut), uses_direct_edge=view.has_edge_labels(u, v))
+    # independent of the flow bookkeeping: checks the finished object only
+    return _checked(view, PathSystem(source=u, sink=v, paths=tuple(tuple(p) for p in label_paths)))
+
+
+def _check_request(view: GraphView, u: int, v: int, k: int) -> None:
     view.cube.check_label(u)
     view.cube.check_label(v)
     if u == v:
@@ -261,15 +211,33 @@ def disjoint_paths(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinC
     if not (view.contains_label(u) and view.contains_label(v)):
         raise ContractViolation("endpoints must lie inside the view")
 
-    label_paths, cut = _flow_paths(view, u, v, k)
-    if label_paths is None:
-        return MinCut(source=u, sink=v, separator=tuple(cut), uses_direct_edge=view.has_edge_labels(u, v))
-    system = PathSystem(source=u, sink=v, paths=tuple(tuple(p) for p in label_paths))
-    # independent of the flow bookkeeping: checks the finished object only
+
+def _checked(view: GraphView, system: PathSystem) -> PathSystem:
     problems = check_path_system(view, system)
     if problems:
-        raise AssertionError(f"flow produced an invalid path system: {problems}")
+        raise AssertionError(f"invalid path system: {problems}")
     return system
+
+
+def cube_paths(g: AugmentedCube, u: int, v: int, k: int) -> PathSystem | MinCut:
+    """k internally disjoint u-v paths in the whole cube, or a cut witness.
+
+    Up to dimension 4 this is ``disjoint_paths``.  Above it AQ_n is
+    (2n - 1)-connected, so the first k paths of the full fan
+    ``fan(n, u ^ v)`` translated by u (translations are automorphisms),
+    sorted, answer every k up to the degree, and past it the cut is u's
+    neighbourhood less v, plus the direct edge when u and v are adjacent:
+    the cut the flow reports.  Raises as ``disjoint_paths`` does.
+    """
+    view = g.view()
+    if g.dim <= 4:
+        return disjoint_paths(view, u, v, k)
+    _check_request(view, u, v, k)
+    if k > g.degree:
+        separator = tuple(sorted(w for d in adjacency_deltas(g.dim) if (w := u ^ d) != v))
+        return MinCut(source=u, sink=v, separator=separator, uses_direct_edge=g.adjacent_labels(u, v))
+    paths = sorted(map_path_system(u.__xor__, fan(g.dim, u ^ v)).paths)
+    return _checked(view, PathSystem(source=u, sink=v, paths=tuple(paths[:k])))
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +280,90 @@ def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:
 # shortest paths in Gray coordinates
 # ---------------------------------------------------------------------------
 
-def geodesic(u: int, v: int) -> list[int]:
-    """A shortest u-v path, as labels, in any augmented cube holding both.
+def _gray_word(dg: int) -> list[int]:
+    """The fewest generators e_i and e_i + e_(i+1) summing to dg, in
+    ascending bit order: from the lowest set bit i, the pair when bit
+    i + 1 is set too and the single e_i otherwise.  No generator touches
+    a bit above the top one of dg."""
+    word = []
+    while dg:
+        low = dg & -dg
+        gen = 3 * low if dg & low << 1 else low
+        word.append(gen)
+        dg ^= gen
+    return word
 
-    The fewest generators summing to gray(u ^ v) come from a DP over its
-    bits whose state is whether a pair reaches up from the bit below; no
-    shortest word touches a bit above the top one of gray(u ^ v).  The
-    generators are applied in ascending bit order.
-    """
-    dg = gray(u ^ v)
-    top = dg.bit_length()
-    # best[c]: (length, word) over the bits below i, with c the pair
-    # e_(i-1) + e_i still to be counted at bit i
-    best: list[tuple[int, list[int]] | None] = [(0, []), None]
-    for i in range(top):
-        nxt: list[tuple[int, list[int]] | None] = [None, None]
-        for carry, entry in enumerate(best):
-            if entry is None:
-                continue
-            for pair in (0, 1) if i + 1 < top else (0,):
-                single = (dg >> i & 1) ^ carry ^ pair
-                word = entry[1] + [1 << i] * single + [3 << i] * pair
-                cand = (entry[0] + single + pair, word)
-                if nxt[pair] is None or cand[0] < nxt[pair][0]:
-                    nxt[pair] = cand
-        best = nxt
+
+def geodesic(u: int, v: int) -> list[int]:
+    """A shortest u-v path, as labels, in any augmented cube holding both:
+    the generators of ``_gray_word(gray(u ^ v))`` applied in order."""
     verts = [u]
-    for gen in best[0][1]:
+    for gen in _gray_word(gray(u ^ v)):
         verts.append(verts[-1] ^ inverse_gray(gen))
     return verts
+
+
+# ---------------------------------------------------------------------------
+# full fans, by induction in Gray coordinates
+# ---------------------------------------------------------------------------
+
+def fan(m: int, d: int) -> PathSystem:
+    """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4):
+    ``_gray_fan`` mapped back to labels, with the paths sorted."""
+    return PathSystem(0, d, tuple(sorted(tuple(map(inverse_gray, p)) for p in _gray_fan(m, gray(d)))))
+
+
+def _gray_fan(m: int, dg: int) -> list[tuple[int, ...]]:
+    """The full fan from 0 to dg in Gray coordinates, where AQ_m is the
+    Cayley graph on e_i and e_i + e_(i+1), by induction on m: bit m - 1
+    splits AQ_m into two copies of AQ_(m-1), and a fan of the lower copy
+    gains two paths through the upper one (README, "Why every fan is
+    full").  AQ_4 is searched by the flow."""
+    if m <= 4:
+        res = disjoint_paths(AugmentedCube(m).view(), 0, inverse_gray(dg), 2 * m - 1)
+        if isinstance(res, MinCut):
+            raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {inverse_gray(dg):0{m}b}")
+        return [tuple(map(gray, p)) for p in res.paths]
+    top, e2, e3 = 1 << (m - 1), 1 << (m - 2), 1 << (m - 3)
+    lo = dg & ~top
+    t = lo & ~e2
+    if dg & top and t in (0, e3):
+        # reversing the m bits is an automorphism that fixes 0 and puts dg
+        # among e_0 + {0, e_1} + {0, e_2}, below top
+        def rev(v: int) -> int:
+            return int(format(v, f"0{m}b")[::-1], 2)
+
+        return [tuple(map(rev, p)) for p in _gray_fan(m, rev(dg))]
+    # A shortest walk from 0 to t, whose last step s is t's lowest
+    # generator, stays below bit m - 2, so its lifts into the two quarters
+    # of the upper copy are disjoint.  When dg lies in the upper copy, the
+    # lift into dg's quarter stops a step short, and the lower fan to lo, which
+    # enters lo once by each generator of AQ_(m-1), goes on to dg: by
+    # top + e2 from lo ^ e2, by top from lo after the step s, and by any
+    # other step g through dg ^ g.  Of t's neighbours the walk holds only
+    # t ^ s, so dg ^ g lies off both lifts; g = e3 + e2 would meet
+    # t ^ e3 = t ^ s only for t = e3, reflected above.
+    walk = [t]
+    for gen in _gray_word(t):
+        walk.append(walk[-1] ^ gen)
+    walk.reverse()
+    quarter = top ^ (lo & e2)
+    out = [
+        (0, *(v ^ quarter for v in (walk[:-1] if dg & top else walk)), dg),
+        (0, *(v ^ quarter ^ e2 for v in walk), dg),
+    ]
+    if not dg & top:
+        return _gray_fan(m - 1, dg) + out
+    s = walk[-1] ^ walk[-2]
+    for p in _gray_fan(m - 1, lo):
+        step = p[-2] ^ lo
+        if step == e2:
+            out.append(p[:-1] + (dg,))
+        elif step == s:
+            out.append(p + (dg,))
+        else:
+            out.append(p[:-1] + (p[-2] ^ top, dg))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +413,7 @@ class ConnectivityResult(NamedTuple):
 
 
 def connectivity(g: AugmentedCube) -> ConnectivityResult:
-    """Vertex connectivity via the path engine.
+    """Vertex connectivity from ``cube_paths``.
 
     Label translations are automorphisms, so the pair minimum over all
     (u, v) equals the minimum over pairs (0, w).  Exact for dim up to
@@ -398,7 +421,6 @@ def connectivity(g: AugmentedCube) -> ConnectivityResult:
     values gives an upper estimate flagged as inexact.
     """
     n = g.dim
-    view = g.view()
     if n <= CONNECTIVITY_EXACT_MAX_DIM:
         candidates = range(1, g.order)
         exact = True
@@ -407,7 +429,7 @@ def connectivity(g: AugmentedCube) -> ConnectivityResult:
         exact = False
     best = g.degree
     for w in candidates:
-        res = disjoint_paths(view, 0, w, g.degree)
+        res = cube_paths(g, 0, w, g.degree)
         local = g.degree if isinstance(res, PathSystem) else res.size
         best = min(best, local)
     return ConnectivityResult(value=best, exact=exact)

@@ -15,7 +15,6 @@ import pytest
 
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import (
-    PATHS_MAX_DIM,
     VERIFY_MAX_BYTES,
     all_triples,
     build_parser,
@@ -26,7 +25,9 @@ from aqsteiner.cli import (
     sample_triples,
 )
 from aqsteiner.construct import construct
+from aqsteiner.paths import PathSystem
 from aqsteiner.topology import AugmentedCube, ContractViolation, parse_vertex
+from aqsteiner.verify import check_path_system
 
 from util import reference_verify_family, run_bounded
 
@@ -356,25 +357,35 @@ def test_paths_command():
     assert json.loads(out)["paths"] == [["00", "11"]]
 
 
-def test_paths_above_its_dimension_cap_is_usage_error():
-    # the flow runs on the whole cube, so the dimension is checked before
-    # any work: n = 30 used to end in a MemoryError traceback under the cap
-    n = PATHS_MAX_DIM
-    commands = [
-        f"paths -n {n} -u {'0' * n} -v {'1' * n} -k 3",  # a near pair at the cap still runs
-        f"paths -n {n + 1} -u {'0' * (n + 1)} -v {('01' * n)[-(n + 1):]} -k 3",
-        f"paths -n 30 -u {'0' * 30} -v {'01' * 15} -k 3",
-    ]
+def test_paths_at_dimension_62():
+    # above n = 4 the paths come from the fan and the cut is u's
+    # neighbourhood, so no whole cube is searched; 0...0 and 1...1 are
+    # adjacent, so the cut past 2n - 1 = 123 holds 122 labels and the
+    # direct edge
+    ends = {n: f"-u {'0' * n} -v {'1' * n}" for n in (62, 63)}
+    commands = [f"paths -n 62 {ends[62]} -k 123", f"paths -n 62 {ends[62]} -k 124", f"paths -n 63 {ends[63]} -k 3"]
     out = run_bounded(
-        "import contextlib, io\n"
+        "import contextlib, io, json\n"
         "from aqsteiner.cli import main\n"
         f"for command in {commands!r}:\n"
         "    out, err = io.StringIO(), io.StringIO()\n"
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "        code = main(command.split())\n"
-        f"    print(code, bool(out.getvalue()), '1..{n}' in err.getvalue())\n"
+        "    doc = json.loads(out.getvalue() or '{}')\n"
+        "    print(code, doc.get('count'), len(doc.get('separator', ())), doc.get('uses_direct_edge'), '1..62' in err.getvalue())\n"
     )
-    assert out.splitlines() == ["0 True False", "2 False True", "2 False True"]
+    assert out.splitlines() == ["0 123 0 None False", "1 None 122 True False", "2 None 0 None True"]
+
+
+def test_pinned_paths_command_prints_a_full_fan():
+    # the paths of STDOUT_DIGESTS' full fan at n = 6
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main("paths -n 6 -u 000000 -v 101101 -k 11 --format json".split()) == 0
+    doc = json.loads(out.getvalue())
+    jsonschema.validate(doc, schema("paths"))
+    ps = PathSystem(0, 0b101101, tuple(tuple(int(a, 2) for a in p) for p in doc["paths"]))
+    assert doc["count"] == 11 and check_path_system(AugmentedCube(6).view(), ps) == []
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +703,10 @@ def test_sweep_at_dim_20():
 # The construct digests were recorded with the Case1 connectors built
 # from geodesics and the fans built from 0 by induction on the dimension
 # from flow fans of AQ_4 (at n = 5 the AQ_4 flow fans themselves); every
-# one of those certificates passes `aqsteiner verify`.
+# one of those certificates passes `aqsteiner verify`.  The full fan's
+# three digests were recorded with `paths` printing the translated fan
+# `paths.fan(6, 101101)`, which `test_pinned_paths_command_prints_a_full_fan`
+# checks; the cut is the one the flow reports.
 STDOUT_DIGESTS = [
     ("construct -n 5 -S 00000,00110,01111 --format json", 0,  # Case1
      "650f08d0ace9723293a20e54a0b8044f36f7e0d807637c4b02ab4e0fd9563ec1"),
@@ -801,11 +815,11 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 011001,101110,111110 --format dot", 0,  # Case2_2_3c
      "848d7642f261518eaa924d2e4885780f18092fc027cc672a026eb368121c9b16"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format json", 0,  # a full fan
-     "77c0235436c63e10dd39ff036dc841827e061d1604d508e35de890f0bde0a67f"),
+     "618d17f7e80edb7552362257da3e68f791e24eb798aa3ca76da5f58f3507c1b0"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format text", 0,
-     "47ea5674fd3d22bcdf50d853df4d9daee2e160dbae1a6b91b73d1a9b9a4d0d1e"),
+     "1da9224508fdfb8d6f48c21677fd646fcde78f5dc4d6a3bf5906ae07eb321e31"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format dot", 0,
-     "769adf991df14a6dbccf7610ea3b71b8f307cc64b333b369b7f146914eaf9050"),
+     "298d857606d85593ae5d8629a33e424d829b27ec2148d88fa3a58a9f79165232"),
     ("paths -n 6 -u 000000 -v 101101 -k 12", 1,  # k above the connectivity: a cut
      "108d2b73ba6721957ecf6ea4fbedb38bca55ada5748103b58aee9ea6a65fabe8"),
     ("sweep -n 6 --samples 200 --seed 7 --format json", 0,

@@ -587,7 +587,7 @@ def test_a_broken_fan_raises_where_it_is_built(monkeypatch, memo):
     # x = 00000 and y = 00101 are below, and 0101 is no delta of AQ_4, so
     # the direct step 0-d of the broken fan is a non-edge; the lower
     # half-copy check catches it before any tree is assembled
-    real = construct_mod._fan
+    real = paths_mod.fan
     asked = []
 
     def broken(m, d):
@@ -595,7 +595,7 @@ def test_a_broken_fan_raises_where_it_is_built(monkeypatch, memo):
         fan = real(m, d)
         return PathSystem(0, d, ((0, d),) + fan.paths[1:])
 
-    monkeypatch.setattr(construct_mod, "_fan", broken)
+    monkeypatch.setattr(paths_mod, "fan", broken)
     with construct_mod.fan_memo() if memo else contextlib.nullcontext():
         with pytest.raises(InternalError, match="leaves the lower half-copy"):
             construct(AugmentedCube(5), vs("00000", "00101", "10000"))

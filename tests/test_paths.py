@@ -10,14 +10,16 @@ from aqsteiner.paths import (
     MinCut,
     PathSystem,
     connector_tree,
+    cube_paths,
     disjoint_paths,
+    fan,
     geodesic,
     map_path_system,
     path_edges,
     reorder_paths,
 )
 from aqsteiner import paths
-from aqsteiner.construct import _fan, classify, construct
+from aqsteiner.construct import classify, construct
 from aqsteiner.topology import (
     AugmentedCube,
     ContractViolation,
@@ -151,9 +153,9 @@ def test_flow_state_only_for_touched_vertices_at_dim_40():
 
 
 def test_flow_matches_the_reference_on_whole_cube_fans():
-    # the phase-based core and Edmonds-Karp augment along the same paths,
-    # so path lists and cut separators are equal, not just flow values;
-    # k = 2m forces a cut, since 0 has 2m - 1 neighbours
+    # the flow and the reference augment along the same paths, so path
+    # lists and cut separators are equal, not just flow values; k = 2m
+    # forces a cut, since 0 has 2m - 1 neighbours
     for m in range(1, 8):
         view = AugmentedCube(m).view()
         for d in range(1, 1 << m):
@@ -205,7 +207,7 @@ def test_flow_matches_the_reference_on_random_views(n, density, data):
             assert t not in reach
 
 
-# sha256 of repr(paths) for the full 0 -> d fan ``_fan(m, d)`` at the
+# sha256 of repr(paths) for the full 0 -> d fan ``fan(m, d)`` at the
 # dimensions the CLI serves, with d drawn by random.Random(14): four draws
 # at m = 13, four at m = 20, then one at m = 32.  Recorded with the fans
 # built by induction from AQ_4.
@@ -224,7 +226,7 @@ LARGE_FAN_DIGESTS = {
 
 def test_large_dimension_fans_are_pinned():
     for (m, d), digest in LARGE_FAN_DIGESTS.items():
-        assert hashlib.sha256(repr(_fan(m, d).paths).encode()).hexdigest() == digest, (m, hex(d))
+        assert hashlib.sha256(repr(fan(m, d).paths).encode()).hexdigest() == digest, (m, hex(d))
 
 
 def test_determinism_repeat_calls():
@@ -314,9 +316,9 @@ def test_map_preserves_system_invariants_dim4_lower_half(label_map):
 # ---------------------------------------------------------------------------
 
 def assert_full_fan(m, d):
-    fan = _fan(m, d)
-    assert (fan.source, fan.sink, len(fan.paths)) == (0, d, 2 * m - 1), (m, d)
-    assert check_path_system(AugmentedCube(m).view(), fan) == [], (m, d)
+    ps = fan(m, d)
+    assert (ps.source, ps.sink, len(ps.paths)) == (0, d, 2 * m - 1), (m, d)
+    assert check_path_system(AugmentedCube(m).view(), ps) == [], (m, d)
 
 
 @pytest.mark.parametrize("m", range(4, 12))
@@ -336,6 +338,65 @@ def test_full_fan_sampled_d_up_to_dim_62():
         reflected = [inverse_gray(top | e2 | e3) for e2 in (0, top >> 1) for e3 in (0, top >> 2)]
         for d in reflected + [rng.randrange(1, 1 << m) for _ in range(4)]:
             assert_full_fan(m, d)
+
+
+# ---------------------------------------------------------------------------
+# whole-cube path systems
+# ---------------------------------------------------------------------------
+
+def assert_cube_paths_match_the_flow(g, u, v):
+    # AQ_n is (2n - 1)-connected above n = 4: the flow finds 2n - 1 paths,
+    # and past that its cut is u's neighbourhood less v
+    view, k = g.view(), g.degree
+    ps = cube_paths(g, u, v, k)
+    assert isinstance(ps, PathSystem) and (ps.source, ps.sink) == (u, v)
+    assert len(ps.paths) == len(disjoint_paths(view, u, v, k).paths) == k, (g.dim, u, v)
+    assert list(ps.paths) == sorted(ps.paths) and check_path_system(view, ps) == [], (g.dim, u, v)
+    assert cube_paths(g, u, v, 3).paths == ps.paths[:3]
+    for extra in (1, 4):
+        cut = cube_paths(g, u, v, k + extra)
+        assert isinstance(cut, MinCut) and cut == disjoint_paths(view, u, v, k + extra), (g.dim, u, v, k + extra)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cube_paths_match_the_flow_from_0(n):
+    g = AugmentedCube(n)
+    for w in range(1, g.order):
+        assert_cube_paths_match_the_flow(g, 0, w)
+
+
+def test_cube_paths_match_the_flow_on_sampled_pairs():
+    rng = random.Random(24)
+    for n in range(7, 10):
+        g = AugmentedCube(n)
+        pairs = [(0, 1), (0, g.order - 1)] + [tuple(rng.sample(range(g.order), 2)) for _ in range(6)]
+        for u, v in pairs:
+            assert_cube_paths_match_the_flow(g, u, v)
+
+
+def test_cube_paths_never_search_a_cube_above_dim_4(monkeypatch):
+    # only the AQ_4 base of the fans runs the flow
+    searched = []
+    real = paths._flow_paths
+
+    def recording(view, s, t, k):
+        searched.append(view.dim)
+        return real(view, s, t, k)
+
+    monkeypatch.setattr(paths, "_flow_paths", recording)
+    for n in (5, 8, 13):
+        g = AugmentedCube(n)
+        for k in (1, g.degree, g.degree + 1):
+            cube_paths(g, 3, g.order - 2, k)
+    paths.connectivity(AugmentedCube(7))
+    assert searched and set(searched) == {4}
+
+
+def test_cube_paths_contract_errors():
+    g = AugmentedCube(6)
+    for u, v, k in ((5, 5, 1), (0, 1, 0), (0, 64, 1), (-1, 3, 1)):
+        with pytest.raises(ContractViolation):
+            cube_paths(g, u, v, k)
 
 
 def bfs_distances(masks, source):

@@ -6,11 +6,12 @@ and the minimum-cut search enumerates deletion sets by brute force over
 bitmask adjacency.  Anything the package computes cleverly is checked
 against these slow-but-obvious versions.
 
-``reference_flow_paths`` is the exception: it is the Edmonds-Karp flow
-that ``paths`` used before its phase-based core, one BFS per augmenting
-path over the same split-vertex residual network.  It is kept only as a
-differential oracle, since the two must return the same path lists and
-the same cuts.  ``reference_verify_family`` and
+``reference_flow_paths`` is the exception: it is Edmonds-Karp, one BFS
+per augmenting path over the same split-vertex residual network as
+``paths._flow_paths``, but with its own bookkeeping (node ids, a parent
+map and a set of flow-carrying arcs instead of successor and
+predecessor maps).  It is kept as a differential oracle, since the two
+must return the same path lists and the same cuts.  ``reference_verify_family`` and
 ``reference_check_path_system`` are kept the same way: the certificate
 and path-system checks as they were before ``verify`` moved to one int
 pass per tree.  ``reference_invert_transform`` and

@@ -8,8 +8,10 @@ child process, in-process through ``cli.main``, against that checkout's
 
 - ``construct --format json`` on seeded triples at n = 5..16, and at
   n = 6 also ``--format text``, ``--format dot`` and ``--fidelity``;
-- ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, in all three
-  formats;
+- ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, and at n = 16,
+  33 and 62 with k in {2n - 1, 2n}, in all three formats (above n = 4
+  the paths are fan paths and the cut is explicit, so no dimension up
+  to 62 is costly);
 - ``info -n 1..10`` as text and as JSON (above n = 5 the connectivity
   is a sampled bound);
 - ``sweep -n 4 --exhaustive`` as text and as JSON,
@@ -68,6 +70,7 @@ import time
 
 CONSTRUCT_DIMS = range(5, 17)
 PATHS_DIMS = range(1, 11)
+LARGE_PATHS_DIMS = (16, 33, 62)
 MUTATED_DIMS = range(5, 9)
 MUTANTS = ("dropped-edge", "non-edge", "reused-vertex", "terminal-degree-2", "duplicated-tree", "short-tree-count")
 # A valid n = 3 certificate, and the fields that break it for each bad
@@ -225,9 +228,10 @@ def command_list() -> list[list[str]]:
                     if n in MUTATED_DIMS and j == 0 and not extra[2:]:
                         verifies += [["verify", f"cert-{certs}-{kind}.json"] for kind in MUTANTS]
                     certs += 1
-    for n in PATHS_DIMS:
+    for n in (*PATHS_DIMS, *LARGE_PATHS_DIMS):
+        ks = {1, n, 2 * n - 1, 2 * n} if n in PATHS_DIMS else {2 * n - 1, 2 * n}
         for u, v in _pairs(n):
-            for k in sorted({1, n, 2 * n - 1, 2 * n}):
+            for k in sorted(ks):
                 for fmt in ("json", "dot", "text"):
                     cmds.append(["paths", "-n", str(n), "-u", _label(u, n), "-v", _label(v, n), "-k", str(k), "--format", fmt])
     for n in range(1, 11):
