@@ -17,7 +17,6 @@ from .construct import (
     target_family_size,
 )
 from .paths import (
-    ConnectivityResult,
     MinCut,
     PathSystem,
     connectivity,

@@ -378,7 +378,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         "n": n,
         "vertices": g.order,
         "degree": g.degree,
-        "connectivity": {"value": conn.value, "exact": conn.exact},
+        "connectivity": {"value": conn, "exact": True},
         "hager_bound_k3": _verify.hager_upper_bound(g, 3) if n >= 2 else None,
     }
     if args.format == "json":
@@ -387,7 +387,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         hager = doc["hager_bound_k3"]
         _emit(
             f"n={n} vertices={g.order} degree={g.degree} "
-            f"connectivity={conn.value}{'' if conn.exact else ' (sampled bound)'} "
+            f"connectivity={conn} "
             f"hager3={hager if hager is not None else 'n/a'}\n",
             args.output,
         )

@@ -21,6 +21,9 @@ S straddles the two half-copies:
   cross-matching edge.  Which partner anchors the upper fan, and which
   special trees are carved out, depends on whether x and y are
   cross-twins, whether they are adjacent, and which partners z touches.
+  When z is the bit-keeping partner of x and touches neither partner of
+  y (Case2_1_2), this is the plain grid splice with the upper fan from
+  z to the bit-keeping partner of y.
   A fan is named by its two endpoints alone: they share their leading
   bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
@@ -33,10 +36,11 @@ sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
 builds it and checks it against the lower half-copy of AQ_n, where it
 lives.  Translation by a label x is an automorphism of the Cayley
 graph AQ_n that maps the lower half-copy onto x's, so the one check
-covers every translate, and translates are not checked again.  Inside ``fan_memo()`` (the sweep enters it once per
-batch) ``_checked_fan`` is an LRU cache of at most ``FAN_MEMO_MAX``
-untranslated fans, keyed by (n, d), so each fan is checked once per
-memo miss; past the cap the least recently used fan is dropped.
+covers every translate, and translates are not checked again.  Inside
+``fan_memo()`` (the sweep enters it once per batch) ``_checked_fan`` is
+an LRU cache of at most ``FAN_MEMO_MAX`` untranslated fans, keyed by
+(n, d), so each fan is checked once per memo miss; past the cap the
+least recently used fan is dropped.
 Outside ``fan_memo()`` nothing is kept and each use is built and
 checked afresh.  Every family still passes the verifier.
 The base families are likewise the pure function ``_base_trees`` of
@@ -217,7 +221,10 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
             return mk(Case.CASE2_1_1, x, y)
         if adj(z, h_label(y, n)):
             return mk(Case.CASE2_1_3, x, y)
-        return mk(Case.CASE2_1_2, x, y)
+        # x and y are not adjacent (else z = h(x) would touch h(y):
+        # Case2_1_3), so the grid splice joins every path through an
+        # interior vertex
+        return mk(Case.CASE2_1_2, x, y, "h@y")
 
     x, y = u, v
     if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
@@ -274,7 +281,10 @@ _fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None
     contextvars.ContextVar("fan_memo", default=None)
 )
 # A sweep at dimension n needs at most 2^(n-1) - 1 fans, so the cap covers
-# every d up to n = 13; it bounds the memo of a long sampled sweep above.
+# every d up to n = 13 (the exhaustive n = 5 sweep holds 15); it bounds the
+# memo of a long sampled sweep above.  One n = 62 fan holds a median of
+# 142 KiB (119-194 KiB by tracemalloc over 20 seeded d), so a full memo
+# at n = 62 holds about 567 MiB, and at most about 775 MiB.
 FAN_MEMO_MAX = 4096
 
 
@@ -332,19 +342,6 @@ def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
         yi = p[-2]
         yic = c_label(yi, n)
         trees.append({*path_edges(p), _edge(yi, yic), _edge(yic, z)})
-    return trees
-
-
-def _recipe_2_1_2(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n = g.dim
-    P = _system(g, x, y)
-    Q = _paths.map_path_system((1 << (n - 1)).__xor__, P)  # h_label, in C
-    trees: list[_Edges] = []
-    # x and y are not adjacent (else z = h(x) would touch h(y): Case2_1_3),
-    # so every path has an interior vertex to join through
-    for p, q in zip(P.paths, Q.paths):
-        join = p[-2]
-        trees.append({*path_edges(p), *path_edges(q[:-1]), _edge(join, h_label(join, n))})
     return trees
 
 
@@ -431,7 +428,6 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
 
 _RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
     Case.CASE2_1_1: _recipe_2_1_1,
-    Case.CASE2_1_2: _recipe_2_1_2,
     Case.CASE2_1_3: _recipe_2_1_3,
     Case.CASE2_2_1A: _recipe_2_2_1a,
     Case.CASE2_2_1B: _recipe_2_2_1b,

@@ -41,9 +41,11 @@ u's neighbourhood as the cut.  Connector trees need no search either:
 lowest bit, and ``connector_tree`` grafts one geodesic per terminal
 inside a quarter.
 
-``connectivity`` runs ``cube_paths`` from 0 to every label (translations
-are automorphisms).  ``verify`` imports only ``topology``, so this
-module may use its ``check_path_system`` without an import cycle.
+``connectivity`` runs ``cube_paths`` from 0 to every label and is exact
+at every dimension, since translations are automorphisms; above
+dimension 4 every answer is a full fan, so it reads 2n - 1.  ``verify``
+imports only ``topology``, so this module may use its
+``check_path_system`` without an import cycle.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
 from .verify import check_path_system
-
-CONNECTIVITY_EXACT_MAX_DIM = 5
 
 
 class PathSystem(NamedTuple):
@@ -407,37 +407,13 @@ def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple
 # vertex connectivity
 # ---------------------------------------------------------------------------
 
-class ConnectivityResult(NamedTuple):
-    value: int
-    exact: bool
-
-
-def connectivity(g: AugmentedCube) -> ConnectivityResult:
-    """Vertex connectivity from ``cube_paths``.
-
-    Label translations are automorphisms, so the pair minimum over all
-    (u, v) equals the minimum over pairs (0, w).  Exact for dim up to
-    CONNECTIVITY_EXACT_MAX_DIM; beyond that a deterministic sample of w
-    values gives an upper estimate flagged as inexact.
-    """
-    n = g.dim
-    if n <= CONNECTIVITY_EXACT_MAX_DIM:
-        candidates = range(1, g.order)
-        exact = True
-    else:
-        candidates = sorted(adjacency_candidates(n))
-        exact = False
-    best = g.degree
-    for w in candidates:
-        res = cube_paths(g, 0, w, g.degree)
-        local = g.degree if isinstance(res, PathSystem) else res.size
-        best = min(best, local)
-    return ConnectivityResult(value=best, exact=exact)
-
-
-def adjacency_candidates(n: int) -> set[int]:
-    """Deterministic w sample for large-dimension connectivity estimates."""
-    out = set(adjacency_deltas(n))
-    out.add((1 << n) - 1)
-    out.update(range(1, min(1 << n, 24)))
-    return out
+def connectivity(g: AugmentedCube) -> int:
+    """The vertex connectivity of AQ_n: the least ``cube_paths`` answer
+    from 0 to any label, the degree for a path system and the cut size
+    otherwise.  Label translations are automorphisms, so the minimum
+    over pairs (0, w) is the minimum over all pairs, and the value is
+    exact at every dimension."""
+    return min(
+        g.degree if isinstance(res, PathSystem) else res.size
+        for res in (cube_paths(g, 0, w, g.degree) for w in range(1, g.order))
+    )

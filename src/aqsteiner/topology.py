@@ -57,9 +57,6 @@ class Vertex(NamedTuple):
     def label(self) -> str:
         return format(self.bits, f"0{self.dim}b")
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.label()
-
 
 def parse_vertex(text: str) -> Vertex:
     """Parse a binary string such as "0101" into a Vertex."""

@@ -70,14 +70,18 @@ def test_info_values():
     assert json.loads(out)["degree"] == 1
 
 
-def test_info_large_dimension_reports_bound():
-    code, out, _ = run_cli(["info", "-n", "6", "--format", "json"])
+@pytest.mark.parametrize("n", range(6, 11))
+def test_info_connectivity_is_exact(n):
+    # every fan above n = 4 is full, so the scan over all labels is exact
+    # and reads 2n - 1
+    code, out, _ = run_cli(["info", "-n", str(n), "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["connectivity"]["exact"] is False
-    assert doc["connectivity"]["value"] >= 11  # a sampled estimate of 2n-1
-    code, out, _ = run_cli(["info", "-n", "6"])
-    assert "sampled bound" in out
+    jsonschema.validate(doc, schema("info"))
+    assert doc["connectivity"] == {"value": 2 * n - 1, "exact": True}
+    code, out, _ = run_cli(["info", "-n", str(n)])
+    assert code == 0
+    assert f" connectivity={2 * n - 1} " in out and "sampled bound" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +808,12 @@ STDOUT_DIGESTS = [
      "7922aaf4c30a05817f3489535acd624ba1265bef292df4da0cd01b0067c3631c"),
     ("construct -n 8 -S 01000000,01000011,10111011 --format json", 0,  # Case2_2_3c
      "aff7bf435d599f4ada76662f91ca1f23e6f80f3b180917f8de9e6dfda4bd9cfd"),
+    # Case2_1_2 far above the fan base, recorded with its own recipe
+    # before it became the grid splice h@y
+    ("construct -n 12 -S 000000000000,000000000101,100000000000 --format json", 0,  # Case2_1_2
+     "791a55d214326b806ad85cc3402462b0d5dc00f26bcbf95108da7df0374c4157"),
+    ("construct -n 33 -S " + ",".join(format(v, "033b") for v in (0, 5, 1 << 32)) + " --format json", 0,  # Case2_1_2
+     "e91a96a8ee2a36024f964ed2714075d115d2e3930c26ead7d599251575f5b17a"),
     ("construct -n 6 -S 000000,000100,010010 --fidelity", 0,  # Case1
      "cbc7bbdf2150926feb813513377338cbbd904905cf58693a18088f41476301e8"),
     ("construct -n 6 -S 000000,000100,010010 --format text", 0,  # Case1

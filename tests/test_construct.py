@@ -158,7 +158,7 @@ def _branch(tag):
 KEPT_BRANCHES = {
     ("Case1", "", False),
     ("Case2_1_1", "", False),
-    ("Case2_1_2", "", False),
+    ("Case2_1_2", "h@y", False),
     ("Case2_1_3", "", False),
     ("Case2_2_1a", "", False),
     ("Case2_2_1a", "", True),

@@ -9,14 +9,13 @@ import pytest
 
 from aqsteiner.cli import certificate_doc, parse_certificate, run_sweep
 from aqsteiner.construct import Case, CaseTag, SteinerTree, TreeFamily, construct
-from aqsteiner.paths import ConnectivityResult, MinCut, PathSystem, connectivity, disjoint_paths
+from aqsteiner.paths import MinCut, PathSystem, disjoint_paths
 from aqsteiner.topology import AugmentedCube, ContractViolation, GraphView, Vertex
 from aqsteiner.verify import OracleResult, VerificationReport, oracle_tau, verify_family
 
 
 RECORDS = (
-    "CaseTag", "SteinerTree", "TreeFamily", "PathSystem", "MinCut", "ConnectivityResult",
-    "AugmentedCube", "GraphView", "VerificationReport", "OracleResult", "ParsedCertificate", "SweepRecord",
+    "CaseTag", "SteinerTree", "TreeFamily", "PathSystem", "MinCut", "AugmentedCube", "GraphView", "VerificationReport", "OracleResult", "ParsedCertificate", "SweepRecord",
 )
 
 
@@ -29,7 +28,6 @@ def records() -> dict[str, object]:
         "TreeFamily": family,
         "PathSystem": disjoint_paths(g.view(), 0, 3, 7),
         "MinCut": disjoint_paths(g.view(), 0, 3, 8),
-        "ConnectivityResult": connectivity(AugmentedCube(3)),
         "AugmentedCube": g,
         "GraphView": g.view(),
         "VerificationReport": verify_family(g, family),
@@ -73,7 +71,6 @@ def test_equality_and_hash_follow_the_values():
 def test_repr_names_every_field():
     assert repr(PathSystem(source=0, sink=3, paths=((0, 1, 3),))) == "PathSystem(source=0, sink=3, paths=((0, 1, 3),))"
     assert repr(AugmentedCube(dim=5)) == "AugmentedCube(dim=5)"
-    assert repr(ConnectivityResult(4, True)) == "ConnectivityResult(value=4, exact=True)"
 
 
 def test_defaults_and_properties_are_kept():

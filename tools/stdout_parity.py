@@ -12,8 +12,7 @@ child process, in-process through ``cli.main``, against that checkout's
   33 and 62 with k in {2n - 1, 2n}, in all three formats (above n = 4
   the paths are fan paths and the cut is explicit, so no dimension up
   to 62 is costly);
-- ``info -n 1..10`` as text and as JSON (above n = 5 the connectivity
-  is a sampled bound);
+- ``info -n 1..10`` as text and as JSON;
 - ``sweep -n 4 --exhaustive`` as text and as JSON,
   ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
   batch enters its own fan memo; a 1-CPU host exits 2 on the latter),
