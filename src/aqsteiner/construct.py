@@ -13,17 +13,18 @@ S straddles the two half-copies:
   two extra trees through the quarter-cubes of the other half, using the
   fact that each target has exactly one cross-partner in each quarter,
   and joining those partners by geodesics inside the quarter;
-- two targets x, y below and one target z above: take a full fan of
-  2n - 3 disjoint x-y paths below (their endpoint neighbours exhaust the
-  whole neighbourhood, so any required neighbour can be pinned by
-  reordering), a matching fan above ending at a chosen cross-partner of
-  x or y, and splice each below-path to an above-path through one
-  cross-matching edge.  Which partner anchors the upper fan, and which
-  special trees are carved out, depends on whether x and y are
-  cross-twins, whether they are adjacent, and which partners z touches.
-  When z is the bit-keeping partner of x and touches neither partner of
-  y (Case2_1_2), this is the plain grid splice with the upper fan from
-  z to the bit-keeping partner of y.
+- two targets x, y below and one target z above: the grid splice.  A
+  full fan of 2n - 3 disjoint x-y paths below ends at the anchor w
+  through every neighbour of w, and a full fan above runs from z to
+  img(w), the image of w under the h or c matching, which maps w's
+  neighbours onto img(w)'s; so the upper fan can be pinned to end path
+  i through the image of lower path i's last inner vertex, and each
+  lower path joins its upper path through that matching edge.  The
+  dispatch's variant "matching@anchor" (e.g. "c@y") names img and w;
+  adjacent x, y trade the first pair for one tree through the two
+  partner edges.  The one exception is Case2_1_1: cross-twins x, y
+  with z the bit-keeping partner of x get a star through c(x) = h(y)
+  and 2n - 4 trees that climb to z from y's other lower neighbours.
   A fan is named by its two endpoints alone: they share their leading
   bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
@@ -100,9 +101,9 @@ class CaseTag(NamedTuple):
     (0, 0), complement (0, full), the matching swap (1, 0), or complement
     then swap (1, half); the base search records its canonical-form
     transform.  ``roles`` gives the labels (x, y, z) in normalised
-    coordinates for the two-one split branches; ``variant`` records the
-    concrete matching/endpoint choice where a branch has symmetric
-    mirrors.
+    coordinates for the two-one split branches; ``variant`` names the
+    grid splice's "matching@anchor" (e.g. "c@y"), and is empty for Case1,
+    the Case2_1_1 star and the base search.
     """
 
     case: Case
@@ -220,7 +221,9 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
         if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
             return mk(Case.CASE2_1_1, x, y)
         if adj(z, h_label(y, n)):
-            return mk(Case.CASE2_1_3, x, y)
+            # the upper fan runs from z = h(x) to c(y), which is not
+            # h(x): that would make x and y cross-twins
+            return mk(Case.CASE2_1_3, x, y, "c@y")
         # x and y are not adjacent (else z = h(x) would touch h(y):
         # Case2_1_3), so the grid splice joins every path through an
         # interior vertex
@@ -228,13 +231,11 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
 
     x, y = u, v
     if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
+        # cross-twins share both partners and z is neither (else it would
+        # be a partner of x, above), so the upper fan from z to c(y) has
+        # two distinct ends whichever partners z touches
         zxh, zxc = adj(z, h_label(x, n)), adj(z, c_label(x, n))
-        if zxh and zxc:
-            return mk(Case.CASE2_2_1B, x, y)
-        if zxh and not zxc:
-            # mirror roles so z touches the all-bits partner of x
-            return mk(Case.CASE2_2_1A, y, x)
-        return mk(Case.CASE2_2_1A, x, y)
+        return mk(Case.CASE2_2_1B if zxh and zxc else Case.CASE2_2_1A, x, y, "c@y")
 
     pattern = (adj(z, h_label(x, n)), adj(z, c_label(x, n)), adj(z, h_label(y, n)), adj(z, c_label(y, n)))
     xh, xc, yh, yc = pattern
@@ -345,99 +346,40 @@ def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     return trees
 
 
-def _splice(
-    g: AugmentedCube,
-    P: _paths.PathSystem,
-    w: int,
-    img: Callable[[int, int], int],
-    z: int,
-    start: int,
-) -> tuple[_paths.PathSystem, list[_Edges]]:
-    """Splice the lower fan P (sink w) to an upper fan from z to img(w).
+def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list[_Edges]:
+    """The grid splice, the recipe of every Case2 branch but the star:
+    the lower fan P from the other target to the anchor w, and the upper
+    fan Q from z to img(w), for ``variant`` "matching@anchor" (e.g.
+    "c@y": img is c_label and w is y).
 
-    The upper fan is pinned so that its path i ends through the image of
-    P's sink neighbour nb_i; for i >= start, path i of both fans joins
-    through the matching edge nb_i-img(nb_i), and the upper path drops
-    its last edge.  Returns the upper fan, for the recipe's special
-    trees, and the spliced trees."""
+    Q is pinned so that its path i ends through img(nb_i), the image of
+    P's sink neighbour nb_i; tree i is P_i, the matching edge
+    nb_i-img(nb_i) and Q_i less its last edge.  When x and y are
+    adjacent, P is pinned so that P_0 is the edge between them, and pair
+    0 gives way to the first tree: Q_0 and the two partner edges."""
     n = g.dim
+    matching, anchor = variant.split("@")
+    img = h_label if matching == "h" else c_label
+    w, w_other = (x, y) if anchor == "x" else (y, x)
+    adjacent = int(g.adjacent_labels(x, y))
+    P = _system(g, w_other, w)
+    if adjacent:
+        P = _pin(P, [w_other])
     w_nb = [p[-2] for p in P.paths]
     Q = _pin(_system(g, z, img(w, n)), [img(v, n) for v in w_nb])
     trees = [
         {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(w_nb[i], img(w_nb[i], n))}
-        for i in range(start, len(P.paths))
+        for i in range(adjacent, len(P.paths))
     ]
-    return Q, trees
-
-
-def _recipe_2_1_3(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n = g.dim
-    xch = c_label(z, n)  # below, adjacent to x because z is x's bit-keeping partner
-    P = _pin(_system(g, y, x), [y, xch])
-    Q, spliced = _splice(g, P, x, c_label, z, 2)
-    return [
-        {*path_edges(P.paths[1]), _edge(xch, z)},
-        {*path_edges(Q.paths[0]), _edge(x, c_label(x, n)), _edge(y, c_label(y, n))},
-        *spliced,
-    ]
-
-
-def _recipe_2_2_1a(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n = g.dim
-    P = _pin(_system(g, x, y), [x])
-    # the upper fan ends at the bit-keeping partner of x
-    Q, spliced = _splice(g, P, y, c_label, z, 1)
-    return [
-        {*path_edges(Q.paths[0][:-1]), _edge(x, c_label(x, n)), _edge(y, h_label(y, n))},
-        *spliced,
-    ]
-
-
-def _recipe_2_2_1b(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n = g.dim
-    zc = c_label(z, n)  # below, adjacent to y because z touches y's all-bits partner
-    P = _pin(_system(g, x, y), [zc, x])
-    Q, spliced = _splice(g, P, y, c_label, z, 2)
-    return [
-        {*path_edges(P.paths[0]), _edge(zc, z)},
-        {*path_edges(Q.paths[1]), _edge(x, h_label(x, n)), _edge(y, h_label(y, n))},
-        *spliced,
-    ]
-
-
-def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list[_Edges]:
-    """Shared recipe for the non-partner branches: fan below between x and
-    y, fan above between z and the chosen cross-partner of the anchor,
-    spliced by one matching edge per tree.  ``variant`` is
-    "matching@anchor", e.g. "c@y"."""
-    n = g.dim
-    matching, anchor = variant.split("@")
-    adjacent = g.adjacent_labels(x, y)
-    img = h_label if matching == "h" else c_label
-    w = x if anchor == "x" else y
-    w_other = y if anchor == "x" else x
-    P = _system(g, w_other, w)
-    if not adjacent:
-        return _splice(g, P, w, img, z, 0)[1]
-    Q, spliced = _splice(g, _pin(P, [w_other]), w, img, z, 1)
-    return [
-        {*path_edges(Q.paths[0]), _edge(w_other, img(w_other, n)), _edge(w, img(w, n))},
-        *spliced,
-    ]
-
-
-_RECIPES: dict[Case, Callable[..., list[_Edges]]] = {
-    Case.CASE2_1_1: _recipe_2_1_1,
-    Case.CASE2_1_3: _recipe_2_1_3,
-    Case.CASE2_2_1A: _recipe_2_2_1a,
-    Case.CASE2_2_1B: _recipe_2_2_1b,
-}
+    if adjacent:
+        trees.insert(0, {*path_edges(Q.paths[0]), _edge(w_other, img(w_other, n)), _edge(w, img(w, n))})
+    return trees
 
 
 def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
     x, y, z = tag.roles
-    if tag.case in _RECIPES:
-        return _RECIPES[tag.case](g, x, y, z)
+    if tag.case is Case.CASE2_1_1:
+        return _recipe_2_1_1(g, x, y, z)
     return _recipe_grid(g, x, y, z, tag.variant)
 
 

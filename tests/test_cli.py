@@ -706,7 +706,8 @@ def test_sweep_at_dim_20():
 # system, cut and summary byte-identical.
 # The construct digests were recorded with the Case1 connectors built
 # from geodesics and the fans built from 0 by induction on the dimension
-# from flow fans of AQ_4 (at n = 5 the AQ_4 flow fans themselves); every
+# from flow fans of AQ_4 (at n = 5 the AQ_4 flow fans themselves), and
+# Case2_1_3, Case2_2_1a and Case2_2_1b built by the grid splice c@y; every
 # one of those certificates passes `aqsteiner verify`.  The full fan's
 # three digests were recorded with `paths` printing the translated fan
 # `paths.fan(6, 101101)`, which `test_pinned_paths_command_prints_a_full_fan`
@@ -719,11 +720,11 @@ STDOUT_DIGESTS = [
     ("construct -n 5 -S 00111,01010,10111 --format json", 0,  # Case2_1_2
      "21a923d332293eba82fcdea42343d2c720cf7614b49dc724cb8a3ffa167826f7"),
     ("construct -n 5 -S 01010,01101,10010 --format json", 0,  # Case2_1_3
-     "379bc70040343743c3097629010a5ef26e90f9eff435e46fc623d6a59d048369"),
+     "cd2d7b220bf002d7cc069e8efe22fbabd1107c8ae5eecab033f4f9d5bc195e16"),
     ("construct -n 5 -S 01001,10010,11101 --format json", 0,  # Case2_2_1a
-     "4329d0da71a8d15aab19ff5ad1d7edc7c96a0e1235417d3d41ef343e211b79a0"),
+     "44e56e2d2aff3ca3439bb54b8e119f24dd28739c8c9897bc54ff69e250720622"),
     ("construct -n 5 -S 00000,10111,11000 --format json", 0,  # Case2_2_1b
-     "fe0a810f3b3f97c24b029a83f2fcbd8789899ef5e067e6dbe96cc139538209ac"),
+     "813ca9583b4bd4b50ea657d49c6e9370d05118820437315b69afe6e4bf060567"),
     ("construct -n 5 -S 00101,01001,10011 --format json", 0,  # Case2_2_2a
      "21fa672837abd357ec1b7842d9306ddf3ff472ae3c70c14d17faaddc090e8b7c"),
     ("construct -n 5 -S 00000,10011,10101 --format json", 0,  # Case2_2_2b
@@ -743,11 +744,11 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 000010,100010,111110 --format json", 0,  # Case2_1_2
      "6638b3aa5f9e56c959722548b83d4fb9933ec1357730d1a083de6e8518700842"),
     ("construct -n 6 -S 000001,110110,111110 --format json", 0,  # Case2_1_3
-     "0354e868fd12402b157d3e6f9a7e4af30205e62d58859fe6a397a5efc0b16de1"),
+     "e8de6685941ff105169a899ea6864b6c3334b174bbbdb1af4798ee0dc51e0eb3"),
     ("construct -n 6 -S 001010,100001,111110 --format json", 0,  # Case2_2_1a
-     "71c6e1853657758595177472ed0b45d1cf077f7d605414bbd40a2961ae50c31d"),
+     "11cb524e6e64220cbc16f2c4377771ddab548296a49a2a85222cffdf40a0bd63"),
     ("construct -n 6 -S 001010,010101,111010 --format json", 0,  # Case2_2_1b
-     "b16cf9456b8719d1d3abde7e32994a682fc932e41e1339489b09f9145c4d374b"),
+     "4d3fc3837348cbf8bce76d660b8578fca31399e1b51c99d25231a4756a1b3a13"),
     ("construct -n 6 -S 001011,011000,100001 --format json", 0,  # Case2_2_2a
      "5554f2d27c47f86b531b17c17ea3fc800fb0e2ad64c44648d2630d09b500f715"),
     ("construct -n 6 -S 001100,011001,110100 --format json", 0,  # Case2_2_2b
@@ -767,11 +768,11 @@ STDOUT_DIGESTS = [
     ("construct -n 7 -S 0001111,1001111,1110010 --format json", 0,  # Case2_1_2
      "03d47071a4acfc596f6667c5cf50047378cabb12ffacde769e2e9f72284898ac"),
     ("construct -n 7 -S 0010100,1010100,1011100 --format json", 0,  # Case2_1_3
-     "cd5b0388a565dda022db49f5f0aec2667f6af3ac27f5f60808fc73d0bfbe3a29"),
+     "6a82c4580eb2977ed326fb7e0328ffad5cab8e6c4103730a9c856e6c5479377d"),
     ("construct -n 7 -S 0000100,1001010,1110101 --format json", 0,  # Case2_2_1a
-     "5b392409a781ebc0175a82872586ffff71dd9adaa5e4140f96a20ebb605c09bb"),
+     "5272ddcedfba2e9e184dc8b09671868663c2c20fcbfe14500548522d820652ce"),
     ("construct -n 7 -S 0110000,1010000,1101111 --format json", 0,  # Case2_2_1b
-     "c8061d8108476a826b599a072ab24676944f9ae982aecbbc58940472fbf8a2e9"),
+     "65006af8519ac253d8e11eca4d473959ea68f5022d1bc9bc8106afe7f0ba28f9"),
     ("construct -n 7 -S 0001110,0110110,1011101 --format json", 0,  # Case2_2_2a
      "52c478f82e6912b8422fca6bf2867fba89daa870263c969250b7bb1fb023b942"),
     ("construct -n 7 -S 0100110,1010010,1100101 --format json", 0,  # Case2_2_2b
@@ -791,11 +792,11 @@ STDOUT_DIGESTS = [
     ("construct -n 8 -S 00001010,01110111,10001000 --format json", 0,  # Case2_1_2
      "c1e6833a8cd1fbd9186944dfd741894d2174ca43055bcc404c17f3e5e95bca7a"),
     ("construct -n 8 -S 00110110,00111001,11000110 --format json", 0,  # Case2_1_3
-     "e544d89fcb2def5328c069b9a36de8118940f75a7cb7cce19c6f9ec5f46df85d"),
+     "1822f4156fc24b7c91b1b8ad54d90ef4ac128386b0b865edfe2e5a17c3eeee87"),
     ("construct -n 8 -S 00001010,01110101,11010000 --format json", 0,  # Case2_2_1a
-     "e4dcba45bb2c815740bf5fe7480f6a718aa5fe81029aa1a4e8858673ac4d8d40"),
+     "aefddc268701417c0729aab52d3051ad1ca9a0d62210cf0c343f294116ff06fa"),
     ("construct -n 8 -S 01100110,10100110,11011001 --format json", 0,  # Case2_2_1b
-     "c370b66150ba3c337c8fb8ca6b30522d7f3496fdcb0333457f709869102ffcde"),
+     "597466dcfe02ea327b79fa31ca836588375842ba2129c748667d72327435abb9"),
     ("construct -n 8 -S 01110100,10111101,11000000 --format json", 0,  # Case2_2_2a
      "6cb7fbc218482532b8402585e48353cbd3884eff72cd9f11bf0c7b40ad5362df"),
     ("construct -n 8 -S 01100010,11000111,11111101 --format json", 0,  # Case2_2_2b

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import hashlib
@@ -150,21 +151,19 @@ def test_dispatch_lemma_only_trailing_pair():
 
 
 def _branch(tag):
-    """Identify the return statement of ``_dispatch`` that made ``tag``."""
-    mirrored = tag.case is Case.CASE2_2_1A and tag.roles[0] > tag.roles[1]
-    return tag.case.value, tag.variant, mirrored
+    """Identify the branch of ``_dispatch`` that made ``tag``."""
+    return tag.case.value, tag.variant
 
 
 KEPT_BRANCHES = {
-    ("Case1", "", False),
-    ("Case2_1_1", "", False),
-    ("Case2_1_2", "h@y", False),
-    ("Case2_1_3", "", False),
-    ("Case2_2_1a", "", False),
-    ("Case2_2_1a", "", True),
-    ("Case2_2_1b", "", False),
+    ("Case1", ""),
+    ("Case2_1_1", ""),
+    ("Case2_1_2", "h@y"),
+    ("Case2_1_3", "c@y"),
+    ("Case2_2_1a", "c@y"),
+    ("Case2_2_1b", "c@y"),
 } | {
-    (f"Case2_2_{k}{branch}", variant, False)
+    (f"Case2_2_{k}{branch}", variant)
     for k in "23"
     for branch, variant in (("a", "h@y"), ("b", "h@x"), ("b", "h@y"),
                             ("c", "c@y"), ("c", "c@x"), ("c", "h@y"), ("c", "h@x"))
@@ -204,6 +203,22 @@ def test_dispatch_relation_types_cover_every_branch(n):
     assert set(branch_of.values()) | {case1} == KEPT_BRANCHES
 
 
+def test_every_twin_and_case2_1_3_triple_builds_at_dim_6():
+    # the three branches that became the grid splice c@y, on every triple:
+    # n = 6 is the first dimension whose fans come from the induction and
+    # not from the AQ_4 flow (construct raises on a rejected family)
+    g = AugmentedCube(6)
+    built = collections.Counter()
+    with construct_mod.fan_memo():
+        for labels in itertools.combinations(range(64), 3):
+            tag = _dispatch(6, labels)
+            if tag.case in (Case.CASE2_1_3, Case.CASE2_2_1A, Case.CASE2_2_1B):
+                fam = construct(g, [Vertex(a, 6) for a in labels])
+                assert len(fam.trees) == 9 and fam.provenance == (tag,)
+                built[tag.case.value] += 1
+    assert built == {"Case2_1_3": 1024, "Case2_2_1a": 896, "Case2_2_1b": 64}
+
+
 def _branch_triples(n):
     """One triple per kept branch: Case1's (0, 1, 2) and (0, a, half | b)
     for the first (a, b) of each relation type, as in the test above.
@@ -237,7 +252,7 @@ def test_every_branch_builds_and_verifies_at_large_dimension(n):
         f"    fam = construct(g, [Vertex(a, {n}) for a in labels])\n"
         f"    print(fam.provenance[0].case.value, len(fam.trees), verify_family(g, fam, size={2 * n - 3}).accepted)\n"
     )
-    assert out.splitlines() == [f"{case} {2 * n - 3} True" for case, _, _ in triples]
+    assert out.splitlines() == [f"{case} {2 * n - 3} True" for case, _ in triples]
 
 
 def test_sampled_sweep_at_dim_62():
@@ -493,7 +508,7 @@ def test_broken_recipe_raises_internal_error(monkeypatch):
     g = AugmentedCube(5)
     twin = vs("00000", "01111", "10000")
     assert classify(g, twin).case is Case.CASE2_1_1
-    monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, _broken_recipe)
+    monkeypatch.setattr(construct_mod, "_recipe_2_1_1", _broken_recipe)
     with pytest.raises(InternalError, match="Case2_1_1"):
         construct(g, twin)
 
@@ -501,14 +516,14 @@ def test_broken_recipe_raises_internal_error(monkeypatch):
 def test_short_recipe_fails_the_tree_count(monkeypatch):
     # every tree of the short family is valid, so only the count rejects it
     g = AugmentedCube(5)
-    real = construct_mod._RECIPES[Case.CASE2_1_1]
-    monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, lambda g, x, y, z: real(g, x, y, z)[:-1])
+    real = construct_mod._recipe_2_1_1
+    monkeypatch.setattr(construct_mod, "_recipe_2_1_1", lambda g, x, y, z: real(g, x, y, z)[:-1])
     with pytest.raises(InternalError, match="expected 7 trees"):
         construct(g, vs("00000", "01111", "10000"))
 
 
 def test_broken_recipe_exits_1_from_cli(monkeypatch, capsys):
-    monkeypatch.setitem(construct_mod._RECIPES, Case.CASE2_1_1, _broken_recipe)
+    monkeypatch.setattr(construct_mod, "_recipe_2_1_1", _broken_recipe)
     assert cli.main(["construct", "-n", "5", "-S", "00000,01111,10000"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:")

@@ -36,9 +36,15 @@ A command's result is its exit code and the sha256 of its stdout and of
 its stderr, less the ``sweep completed in ...`` timing line, and a
 command that raises counts as the exception's type.  Every command
 whose result differs between the two checkouts is printed, and the exit
-status is 1 if any does, 0 if none does, and 2 for a bad argument.  The triples come from
-``random.Random`` streams on fixed seeds, built here without importing
-the package, so both checkouts get the same list.
+status is 1 if any does, 0 if none does, and 2 for a bad argument.  The
+triples come from ``random.Random`` streams on fixed seeds, built here
+without importing the package, so both checkouts get the same list.
+
+Results are compared on those three values alone.  To audit a declared
+change, each differing ``construct`` command is tagged with its
+triple's provenance chain (e.g. "Case1 > Case2_1_3"), taken from the
+``construct`` result in the change's checkout, and a tally counts the
+differing commands per chain, or per command name for other commands.
 
 Next to each checkout's "N commands in T s" line the tool prints its
 cold import: the median, over five fresh ``python -c`` children, of the
@@ -253,14 +259,28 @@ def command_list() -> list[list[str]]:
     return cmds + verifies
 
 
+def _chain(cmd: list[str]) -> str:
+    """The provenance chain of a ``construct`` command's family, its case
+    tags from the top level down, from the package ``_run_child`` put on
+    the path."""
+    from aqsteiner import construct, topology
+
+    n = int(cmd[cmd.index("-n") + 1])
+    labels = cmd[cmd.index("-S") + 1].split(",")
+    family = construct.construct(topology.AugmentedCube(n), [topology.parse_vertex(a) for a in labels])
+    return " > ".join(tag.case.value for tag in family.provenance)
+
+
 def _run_child(checkout: str) -> None:
     """Run every command against ``checkout/src`` and print one JSON
-    document: the module path imported and [exit code, stdout sha256,
-    stderr sha256] per command."""
+    document: the module path imported, [exit code, stdout sha256,
+    stderr sha256] per command, and per command the provenance chain of
+    a ``construct`` that exits 0, else None."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     from aqsteiner import cli
 
     results = []
+    chains = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         certs = 0
@@ -287,10 +307,11 @@ def _run_child(checkout: str) -> None:
                 line for line in err.getvalue().splitlines(keepends=True) if not line.startswith("sweep completed in ")
             )
             results.append([code, *(hashlib.sha256(t.encode()).hexdigest() for t in (text, errors))])
-    json.dump({"module": cli.__file__, "results": results}, sys.stdout)
+            chains.append(_chain(cmd) if cmd[0] == "construct" and code == 0 else None)
+    json.dump({"module": cli.__file__, "results": results, "chains": chains}, sys.stdout)
 
 
-def _collect(checkout: str) -> tuple[list, float]:
+def _collect(checkout: str) -> tuple[list, list, float]:
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", checkout],
@@ -304,7 +325,7 @@ def _collect(checkout: str) -> tuple[list, float]:
     doc = json.loads(proc.stdout)
     if not os.path.realpath(doc["module"]).startswith(os.path.realpath(checkout) + os.sep):
         sys.exit(f"{checkout}: imported {doc['module']}, not the checkout's own src/")
-    return doc["results"], elapsed
+    return doc["results"], doc["chains"], elapsed
 
 
 IMPORT_RUNS = 5
@@ -345,18 +366,23 @@ def main() -> int:
     cmds = command_list()
     runs = []
     for checkout in (args.parent, args.change):
-        results, elapsed = _collect(os.path.abspath(checkout))
+        results, chains, elapsed = _collect(os.path.abspath(checkout))
         cold = _cold_import_s(os.path.abspath(checkout))
         print(f"{checkout}: {len(results)} commands in {elapsed:.1f} s, cold import {cold * 1e3:.1f} ms", file=sys.stderr)
         runs.append(results)
-    differ = 0
-    for cmd, a, b in zip(cmds, *runs):
+    # the chains kept are the change's, the second checkout's
+    tally: collections.Counter[str] = collections.Counter()
+    for cmd, a, b, chain in zip(cmds, *runs, chains):
         if a != b:
-            differ += 1
+            tally[chain or cmd[0]] += 1
+            tag = f" [{chain}]" if chain else ""
             print(
-                f"differs: aqsteiner {' '.join(cmd)} (exit {a[0]} -> {b[0]}, "
+                f"differs: aqsteiner {' '.join(cmd)}{tag} (exit {a[0]} -> {b[0]}, "
                 f"stdout {a[1][:12]} -> {b[1][:12]}, stderr {a[2][:12]} -> {b[2][:12]})"
             )
+    for key, count in sorted(tally.items()):
+        print(f"tally: {count} differ: {key}")
+    differ = sum(tally.values())
     codes = collections.Counter(code for code, *_ in runs[0])
     exits = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items(), key=str))
     print(f"{differ} of {len(cmds)} commands differ ({exits} at the parent)")
