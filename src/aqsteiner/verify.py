@@ -7,7 +7,8 @@ adjacency so a constructor bug cannot hide behind shared helpers.
 ``check_path_system`` takes the view its paths must stay inside.  Only
 the packing search of ``oracle_tau`` is shared: the constructor's base
 case runs it with ``stop_at``, and this module imports nothing of the
-package but ``topology``.
+package but ``topology``.  The oracle grows its minimal internal sets
+as connected vertex sets on bitmasks (``_minimal_sets``).
 
 Certificates are duck-typed: a tree is anything with ``edges``, a set
 of label pairs, and a family anything with ``terminals`` (S, as objects
@@ -24,7 +25,6 @@ named tuple: a file of many small bad trees holds one per defect.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple
 
 from .topology import AugmentedCube, ContractViolation, GraphView, delta_set
@@ -217,6 +217,100 @@ class OracleResult(NamedTuple):
         return self.lower
 
 
+def _minimal_sets(adj_mask: list[int], attach_mask: list[int], budget: int) -> tuple[list[int], int]:
+    """The minimal internal sets over a ground of bit-indexed vertices,
+    and the budget nodes spent finding them.
+
+    A set is feasible when it is connected and meets every attach mask
+    (a target's neighbourhood in the ground), and minimal when removing
+    no single vertex leaves a feasible set.  That suffices: if a feasible
+    K lies inside C, a spanning tree of C that contains one of K has a
+    leaf outside K.  Connected sets are grown as ESU does (Wernicke,
+    "Efficient detection of network motifs", 2006), each once: rooted at
+    their lowest index and extended by exclusive neighbours above the
+    root, on an explicit stack.  A feasible set is not extended, and
+    neither is a set with a dead vertex v: no attach mask meets the set
+    only in v, the set stays connected without v, and every neighbour
+    of v that the branch may still add has another neighbour in the set.
+    Then every set of the branch stays connected and meets the same
+    attach masks without v, so none is minimal.
+
+    Each grown set costs one node, and so does every vertex that a
+    removal test tries or visits.  Once ``budget`` nodes are spent the
+    search stops with the sets found so far.
+    """
+    touch = [sum(1 << k for k, am in enumerate(attach_mask) if am >> i & 1) for i in range(len(adj_mask))]
+    every = (1 << len(attach_mask)) - 1
+    found: list[int] = []
+    nodes = 0
+    for root, near in enumerate(adj_mask):
+        # a set rooted here lies at or above the root, so once an attach
+        # mask lies wholly below it no later root has a feasible set
+        if nodes >= budget or not all(am >> root for am in attach_mask):
+            break
+        nodes += 1
+        if touch[root] == every:
+            found.append(1 << root)
+            continue
+        above = -1 << root + 1
+        # a frame: the set, its extension, the vertices with at least one
+        # and with at least two neighbours in it, and the targets it meets
+        stack = [(1 << root, near & above, near, 0, touch[root])] if near & above else []
+        while stack and nodes < budget:
+            sub, ext, once, twice, met = stack.pop()
+            w = ext & -ext
+            ext ^= w
+            if ext:
+                stack.append((sub, ext, once, twice, met))
+            i = w.bit_length() - 1
+            grown = sub | w
+            near = adj_mask[i]
+            ext |= near & above & ~(once | sub)  # w's exclusive neighbours
+            twice |= once & near
+            once |= near
+            met |= touch[i]
+            feasible = met == every
+            nodes += 1
+            # try each vertex that is no attach mask's only vertex in the
+            # set; below feasibility, also no neighbour in the extension
+            # may have it as its only neighbour in the set
+            rest = grown
+            for am in attach_mask:
+                only = am & grown
+                if not only & (only - 1):
+                    rest &= ~only
+            pinned = 0 if feasible else ext & ~twice
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                nodes += 1
+                near = adj_mask[v.bit_length() - 1]
+                if near & pinned:
+                    continue
+                # the set stays connected without v once one search from a
+                # neighbour of v reaches all of them
+                less = grown ^ v
+                near &= less
+                comp = frontier = near & -near
+                while frontier and near & ~comp:
+                    nodes += frontier.bit_count()
+                    grow = 0
+                    while frontier:
+                        b = frontier & -frontier
+                        frontier ^= b
+                        grow |= adj_mask[b.bit_length() - 1]
+                    frontier = grow & less & ~comp
+                    comp |= frontier
+                if not near & ~comp:
+                    break
+            else:
+                if feasible:
+                    found.append(grown)
+                elif ext:
+                    stack.append((grown, ext, once, twice, met))
+    return found, nodes
+
+
 def oracle_tau(
     g: AugmentedCube,
     terminals: Iterable[int],
@@ -229,11 +323,12 @@ def oracle_tau(
 
     Every pendant tree prunes to one whose internal vertex set is minimal
     (connected, with every terminal attached and no removable vertex), so
-    the search enumerates exactly those internal sets, smallest first,
-    then packs pairwise disjoint ones by branch and bound.  Intended for
-    hosts of at most 16 vertices; the budget counts feasibility tests,
-    minimality comparisons and packing nodes, and an exhausted budget
-    yields a bracket instead of an exact value.
+    the search grows exactly those internal sets as connected sets (see
+    ``_minimal_sets``), then packs pairwise disjoint ones, smallest first,
+    by branch and bound.  Intended for hosts of at most 16 vertices; the
+    budget counts grown sets, the vertices their removal tests try or
+    visit, and the sets the packing tries, and an exhausted budget yields
+    a bracket instead of an exact value.
 
     With ``stop_at`` the packing returns once it holds ``stop_at`` trees
     and prunes the branches that cannot reach that many: an early stop is
@@ -272,47 +367,7 @@ def oracle_tau(
     direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
     ceiling = min(am.bit_count() for am in attach_mask) + direct_edge_tree
 
-    nodes = 0
-
-    def feasible(mask: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            comp = low
-            frontier = low
-            while frontier:
-                grow = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    grow |= adj_mask[b.bit_length() - 1]
-                frontier = grow & mask & ~comp
-                comp |= frontier
-            if all(am & comp for am in attach_mask):
-                return True
-            rest &= ~comp
-        return False
-
-    minimal: list[int] = []
-
-    smallest_first = itertools.chain.from_iterable(itertools.combinations(range(m), size) for size in range(1, m + 1))
-    for combo in smallest_first:
-        if nodes >= budget:
-            break
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        # the minimality scan costs one node per comparison
-        for prev in minimal:
-            nodes += 1
-            if prev & mask == prev:
-                break
-        else:
-            if feasible(mask):
-                minimal.append(mask)
+    minimal, nodes = _minimal_sets(adj_mask, attach_mask, budget)
 
     # pack pairwise disjoint minimal sets, largest count wins; below
     # stop_at, a branch is worth searching only if it can reach stop_at
@@ -336,9 +391,9 @@ def oracle_tau(
         if count + slots_left(used) <= max(best, floor):
             return
         for j in range(start, len(minimal)):
+            nodes += 1  # every set tried costs a node, taken or not
             if minimal[j] & used:
                 continue
-            nodes += 1
             chosen.append(minimal[j])
             dfs(j + 1, used | minimal[j], count + 1)
             chosen.pop()

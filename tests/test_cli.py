@@ -435,14 +435,16 @@ def test_oracle_dimension_out_of_range_is_usage_error():
 
 
 def test_forced_oracle_spends_its_default_budget():
-    # the budget charges every comparison of the minimality scan, so a
-    # forced n = 5 run ends in a bracket instead of running for minutes
+    # the budget charges every grown set, every vertex its removal tests
+    # try or visit and every set the packing tries, so a forced run ends
+    # in a bracket instead of running for minutes; the same triple is
+    # exact at n = 5, so this runs at n = 8
     out = run_bounded(
         "import contextlib, io\n"
         "from aqsteiner.cli import main\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    code = main(['oracle', '-n', '5', '-S', '00000,00001,00010', '--force'])\n"
+        "    code = main(['oracle', '-n', '8', '-S', '00000000,00000001,00000010', '--force'])\n"
         "print(code)\n"
         "print(out.getvalue())\n",
         timeout=30,
@@ -451,6 +453,30 @@ def test_forced_oracle_spends_its_default_budget():
     doc = json.loads(doc)
     jsonschema.validate(doc, schema("oracle"))
     assert code == "0" and doc["exact"] is False and doc["lower"] <= doc["upper"]
+    assert doc["nodes_used"] >= verify_mod.DEFAULT_ORACLE_BUDGET
+
+
+def test_deep_forced_oracle_ends_in_a_bracket():
+    # the connected sets grow on an explicit stack: within this budget the
+    # n = 12 search grows sets of about a thousand vertices, past Python's
+    # default recursion limit, and still ends on the budget
+    out = run_bounded(
+        "import contextlib, io\n"
+        "from aqsteiner.cli import main\n"
+        "for n in (10, 12):\n"
+        "    out = io.StringIO()\n"
+        "    targets = ','.join(format(v, f'0{n}b') for v in (0, 1, 2))\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['oracle', '-n', str(n), '-S', targets, '--force', '--budget', '1000000'])\n"
+        "    print(code, out.getvalue().replace('\\n', ' '))\n",
+        timeout=60,
+    )
+    assert len(out.splitlines()) == 2
+    for line in out.splitlines():
+        code, doc = line.split(" ", 1)
+        doc = json.loads(doc)
+        jsonschema.validate(doc, schema("oracle"))
+        assert code == "0" and doc["exact"] is False and doc["lower"] <= doc["upper"], line
 
 
 def test_fidelity_case1_runs_to_its_bound():
@@ -838,11 +864,11 @@ STDOUT_DIGESTS = [
     ("sweep -n 4 --exhaustive", 0,
      "379afe24b86afc61b219a59d62d4fdce73ea6c3f82327e9abf2fc85a3f636e0a"),
     ("oracle -n 3 -S 001,010,100", 0,
-     "494c4412bc5496e994d2319e5ed8b4740372426b2199c105157e8c5174762477"),
+     "2f8be0e2bb92a7872dcae24e98ba5a0f7c137c1625ba33a98885eff904821539"),
     ("oracle -n 4 -S 0000,0011,1100", 0,
-     "ef864d8e1968ef046dddcedbdc844513c11374270fcb0f7421907ad80d1be68a"),
-    ("oracle -n 5 -S 00000,00001,00010 --force", 0,  # ends on the default budget
-     "b6b4db66ba84c1f3a30f3d8050f33fa129a74d2150b80702867b2c56ba70accc"),
+     "0ada5677573d2b4ea45ee6ea5b6ac81e055b20d8a54780fa394271cab282b6a4"),
+    ("oracle -n 5 -S 00000,00001,00010 --force", 0,  # exact: 7, well inside the default budget
+     "576c01fdd8a3529e355056e6036a2a1ef9269356c4bc33b9a8b6c1a86f59025f"),
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from aqsteiner.verify import (
     TERMINAL_DEGREE,
     TREE_COUNT,
     WRONG_TERMINALS,
+    _minimal_sets,
     check_path_system,
     hager_upper_bound,
     oracle_tau,
@@ -29,6 +31,7 @@ from util import (
     reachable_mask,
     recursive_adjacency_masks,
     reference_check_path_system,
+    reference_minimal_sets,
     reference_verify_family,
     triangles,
 )
@@ -276,17 +279,55 @@ def _is_packing(n, terms, sets):
     return True
 
 
+def _ground_masks(n, terms):
+    """Adjacency masks over the non-target labels, indexed in label
+    order, and each target's attach mask, from the recursive edge set."""
+    masks = recursive_adjacency_masks(n)
+    ground = [v for v in range(1 << n) if v not in terms]
+
+    def pick(mask):
+        return sum(1 << i for i, v in enumerate(ground) if mask >> v & 1)
+
+    return [pick(masks[v]) for v in ground], [pick(masks[t]) for t in terms]
+
+
+def test_minimal_sets_match_the_subset_scan():
+    from aqsteiner.construct import _canonical_triple
+
+    cases = [(n, t) for n in (1, 2, 3) for k in (2, 3) for t in itertools.combinations(range(1 << n), k)]
+    cases += [(4, t) for t in sorted({_canonical_triple(4, t)[0] for t in itertools.combinations(range(16), 3)})]
+    cases += [(4, (0, w)) for w in range(1, 16)]
+    by_size = lambda mask: (mask.bit_count(), mask)
+    for n, terms in cases:
+        adj_mask, attach_mask = _ground_masks(n, terms)
+        found, _ = _minimal_sets(adj_mask, attach_mask, 10**9)
+        assert len(set(found)) == len(found), (n, terms)
+        assert sorted(found, key=by_size) == sorted(reference_minimal_sets(adj_mask, attach_mask), key=by_size), (n, terms)
+
+
+def test_minimal_sets_stop_on_the_budget():
+    adj_mask, attach_mask = _ground_masks(4, (0, 5, 10))
+    everything, spent = _minimal_sets(adj_mask, attach_mask, 10**9)
+    for budget in (1, 50, spent // 2):
+        found, nodes = _minimal_sets(adj_mask, attach_mask, budget)
+        assert budget <= nodes < spent and set(found) < set(everything)
+
+
 @pytest.mark.parametrize("n, stop_at", [(3, 3), (3, 4), (4, 5)])
 def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
     from aqsteiner.construct import _canonical_triple
 
     g = AugmentedCube(n)
     masks = recursive_adjacency_masks(n)
-    canon = sorted({_canonical_triple(n, t)[0] for t in itertools.combinations(range(1 << n), 3)})
+    classes = collections.Counter(_canonical_triple(n, t)[0] for t in itertools.combinations(range(1 << n), 3))
+    canon = sorted(classes)
     assert len(canon) == {3: 5, 4: 23}[n]
+    # the exact value over every triple, each class weighted by its size
+    values = collections.Counter()
     for t in canon:
         full = oracle_tau(g, t)
         assert full.exact and len(full.witness) == full.value and _is_packing(n, t, full.witness)
+        values[full.value] += classes[t]
         res = oracle_tau(g, t, stop_at=stop_at)
         assert _is_packing(n, t, res.witness) and len(res.witness) == res.lower
         # a stop_at-family is found exactly when one exists
@@ -298,6 +339,7 @@ def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
             assert res.exact == (stop_at == ceiling) and res.upper == ceiling, t
         elif res.exact:
             assert res.lower == full.value
+    assert values == {3: {3: 48, 4: 8}, 4: {5: 272, 6: 288}}[n]
 
 
 def test_oracle_budget_bracket():

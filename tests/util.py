@@ -18,6 +18,9 @@ pass per tree.  ``reference_invert_transform`` and
 ``reference_canonical_triple`` are the per-label inverse that
 ``construct._assemble`` applied to both ends of every edge, and the
 canonical base triple as a search over all 2^(n+1) (swap, mask) pairs.
+``reference_minimal_sets`` is the oracle's first phase as a subset
+scan: every subset of the ground, smallest first, kept when it holds no
+set kept before and one of its components meets every attach mask.
 
 ``run_bounded`` runs the large-dimension tests in a child process with
 capped memory, so a view that gets materialised fails fast with
@@ -365,3 +368,26 @@ def reference_canonical_triple(n: int, labels) -> tuple[tuple[int, ...], tuple[i
         for swap in (0, 1)
         for mask in range(1 << n)
     )
+
+
+def reference_minimal_sets(adj_mask: list[int], attach_mask: list[int]) -> list[int]:
+    """The minimal internal sets over a ground of bit-indexed vertices,
+    in scan order: by size, then lexicographically by index."""
+
+    def feasible(mask: int) -> bool:
+        rest = mask
+        while rest:
+            comp = reachable_mask(adj_mask, mask, (rest & -rest).bit_length() - 1)
+            if all(am & comp for am in attach_mask):
+                return True
+            rest &= ~comp
+        return False
+
+    minimal: list[int] = []
+    m = len(adj_mask)
+    for size in range(1, m + 1):
+        for combo in itertools.combinations(range(m), size):
+            mask = sum(1 << i for i in combo)
+            if not any(prev & mask == prev for prev in minimal) and feasible(mask):
+                minimal.append(mask)
+    return minimal

@@ -19,9 +19,10 @@ child process, in-process through ``cli.main``, against that checkout's
   and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7 --samples
   100 --seed 2 --format json``, where Case1 recursion puts fans of two
   dimensions into one batch's memo;
-- ``oracle`` on every triple at n = 3 and 4, on a few of them with
-  budgets small enough to run out, and ``oracle -n 5 --force
-  --budget 20000``;
+- ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
+  under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the
+  enumeration or in the packing), and ``oracle -n 5 --force --budget
+  20000``;
 - ``verify`` on every certificate the JSON constructs printed, and on
   six mutants of the first certificate at each n = 5..8: a dropped
   edge, a non-edge, a reused internal vertex, a terminal of degree 2, a
@@ -43,8 +44,11 @@ without importing the package, so both checkouts get the same list.
 Results are compared on those three values alone.  To audit a declared
 change, each differing ``construct`` command is tagged with its
 triple's provenance chain (e.g. "Case1 > Case2_1_3"), taken from the
-``construct`` result in the change's checkout, and a tally counts the
-differing commands per chain, or per command name for other commands.
+``construct`` result in the change's checkout.  A differing command
+whose stdout parses as a JSON object on both sides is also tagged with
+the top-level keys whose values differ (e.g. "keys nodes_used").  A
+tally counts the differing commands per chain, or per command name for
+other commands, together with that key set.
 
 Next to each checkout's "N commands in T s" line the tool prints its
 cold import: the median, over five fresh ``python -c`` children, of the
@@ -251,7 +255,7 @@ def command_list() -> list[list[str]]:
     for n in (3, 4):
         for trio in itertools.combinations(range(1 << n), 3):
             cmds.append(["oracle", "-n", str(n), "-S", ",".join(_label(v, n) for v in trio)])
-    for budget in ("1", "1000", "28000", "31000"):
+    for budget in ("1", "100", "300", "1000", "28000", "31000"):
         cmds.append(["oracle", "-n", "4", "-S", "0000,0011,1110", "--budget", budget])
     cmds.append(["oracle", "-n", "5", "-S", "00000,00001,00010", "--force", "--budget", "20000"])
     cmds += BAD_COMMANDS
@@ -271,16 +275,39 @@ def _chain(cmd: list[str]) -> str:
     return " > ".join(tag.case.value for tag in family.provenance)
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _key_digests(text: str) -> dict[str, str] | None:
+    """The sha256 of each top-level value when ``text`` is a JSON object."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    return {key: _digest(json.dumps(value, sort_keys=True)) for key, value in doc.items()}
+
+
+def _differing_keys(a: dict[str, str] | None, b: dict[str, str] | None) -> list[str] | None:
+    if a is None or b is None:
+        return None
+    return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+
+
 def _run_child(checkout: str) -> None:
     """Run every command against ``checkout/src`` and print one JSON
     document: the module path imported, [exit code, stdout sha256,
     stderr sha256] per command, and per command the provenance chain of
-    a ``construct`` that exits 0, else None."""
+    a ``construct`` that exits 0, else None, and the digests of
+    ``_key_digests`` of its stdout."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     from aqsteiner import cli
 
     results = []
     chains = []
+    keys = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         certs = 0
@@ -306,12 +333,13 @@ def _run_child(checkout: str) -> None:
             errors = "".join(
                 line for line in err.getvalue().splitlines(keepends=True) if not line.startswith("sweep completed in ")
             )
-            results.append([code, *(hashlib.sha256(t.encode()).hexdigest() for t in (text, errors))])
+            results.append([code, _digest(text), _digest(errors)])
             chains.append(_chain(cmd) if cmd[0] == "construct" and code == 0 else None)
-    json.dump({"module": cli.__file__, "results": results, "chains": chains}, sys.stdout)
+            keys.append(_key_digests(text))
+    json.dump({"module": cli.__file__, "results": results, "chains": chains, "keys": keys}, sys.stdout)
 
 
-def _collect(checkout: str) -> tuple[list, list, float]:
+def _collect(checkout: str) -> tuple[list, list, list, float]:
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", checkout],
@@ -325,7 +353,7 @@ def _collect(checkout: str) -> tuple[list, list, float]:
     doc = json.loads(proc.stdout)
     if not os.path.realpath(doc["module"]).startswith(os.path.realpath(checkout) + os.sep):
         sys.exit(f"{checkout}: imported {doc['module']}, not the checkout's own src/")
-    return doc["results"], doc["chains"], elapsed
+    return doc["results"], doc["chains"], doc["keys"], elapsed
 
 
 IMPORT_RUNS = 5
@@ -365,17 +393,23 @@ def main() -> int:
             parser.error(f"{checkout} has no src/aqsteiner/cli.py")
     cmds = command_list()
     runs = []
+    key_runs = []
     for checkout in (args.parent, args.change):
-        results, chains, elapsed = _collect(os.path.abspath(checkout))
+        results, chains, keys, elapsed = _collect(os.path.abspath(checkout))
         cold = _cold_import_s(os.path.abspath(checkout))
         print(f"{checkout}: {len(results)} commands in {elapsed:.1f} s, cold import {cold * 1e3:.1f} ms", file=sys.stderr)
         runs.append(results)
+        key_runs.append(keys)
     # the chains kept are the change's, the second checkout's
     tally: collections.Counter[str] = collections.Counter()
-    for cmd, a, b, chain in zip(cmds, *runs, chains):
+    for cmd, a, b, chain, *keys in zip(cmds, *runs, chains, *key_runs):
         if a != b:
-            tally[chain or cmd[0]] += 1
-            tag = f" [{chain}]" if chain else ""
+            differing = _differing_keys(*keys)
+            notes = [chain] if chain else []
+            if differing is not None:
+                notes.append(f"keys {' '.join(differing) or '(none)'}")
+            tally[", ".join(notes) if chain else ", ".join([cmd[0], *notes])] += 1
+            tag = "".join(f" [{note}]" for note in notes)
             print(
                 f"differs: aqsteiner {' '.join(cmd)}{tag} (exit {a[0]} -> {b[0]}, "
                 f"stdout {a[1][:12]} -> {b[1][:12]}, stderr {a[2][:12]} -> {b[2][:12]})"
