@@ -42,8 +42,9 @@ covers every translate, and translates are not checked again.  Inside
 an LRU cache of at most ``FAN_MEMO_MAX`` untranslated fans, keyed by
 (n, d), so each fan is checked once per memo miss; past the cap the
 least recently used fan is dropped.
-Outside ``fan_memo()`` nothing is kept and each use is built and
-checked afresh.  Every family still passes the verifier.
+Outside ``fan_memo()`` nothing is kept and each fan a construct uses
+is built and checked afresh; Case2_1_2, whose two fans share d, builds
+and checks its one fan once.  Every family still passes the verifier.
 The base families are likewise the pure function ``_base_trees`` of
 the canonical triple, cached for the life of the process.
 
@@ -356,17 +357,25 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
     P's sink neighbour nb_i; tree i is P_i, the matching edge
     nb_i-img(nb_i) and Q_i less its last edge.  When x and y are
     adjacent, P is pinned so that P_0 is the edge between them, and pair
-    0 gives way to the first tree: Q_0 and the two partner edges."""
+    0 gives way to the first tree: Q_0 and the two partner edges.  When
+    both fans have the same difference d (Case2_1_2), Q is P translated,
+    so the fan is built and checked once."""
     n = g.dim
     matching, anchor = variant.split("@")
     img = h_label if matching == "h" else c_label
     w, w_other = (x, y) if anchor == "x" else (y, x)
     adjacent = int(g.adjacent_labels(x, y))
     P = _system(g, w_other, w)
+    if z ^ img(w, n) == w_other ^ w:
+        # Case2_1_2 ("h@y", z = h(x)): both fans are the fan to x ^ y, so
+        # the upper one is the lower one translated on to z
+        Q = _paths.map_path_system((z ^ w_other).__xor__, P)
+    else:
+        Q = _system(g, z, img(w, n))
     if adjacent:
         P = _pin(P, [w_other])
     w_nb = [p[-2] for p in P.paths]
-    Q = _pin(_system(g, z, img(w, n)), [img(v, n) for v in w_nb])
+    Q = _pin(Q, [img(v, n) for v in w_nb])
     trees = [
         {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(w_nb[i], img(w_nb[i], n))}
         for i in range(adjacent, len(P.paths))
@@ -540,9 +549,11 @@ def construct(
 
     Dimensions 3 and 4 are searched exhaustively; higher dimensions go
     through the case dispatch and its written recipe (Case1 recurses
-    through this function, one call per dimension).  The result passes
-    the independent verifier exactly once, here; a rejected or short
-    family raises ``InternalError``.  ``fidelity`` lays each Case1
+    through this function, one call per dimension).  Each fan a recipe
+    uses is built and checked once, so a lone Case2_1_2 construct, whose
+    lower and upper fans are both the fan to x ^ y, builds one fan.
+    The result passes the independent verifier exactly once, here; a
+    rejected or short family raises ``InternalError``.  ``fidelity`` lays each Case1
     quarter tree along the quarter's labels in counting order, a spanning
     path of 2^(dim-2) vertices.
     """

@@ -36,8 +36,16 @@ m in Gray coordinates from the flow fans of AQ_4 (README, "Why every
 fan is full"); the constructor and ``cube_paths`` use it.
 ``cube_paths`` answers whole-cube requests: by the flow up to
 dimension 4, and above it by the fan to u ^ v translated by u, or by
-u's neighbourhood as the cut.  Connector trees need no search either:
-``geodesic`` spells the shortest word for gray(u ^ v) by a scan from its
+u's neighbourhood as the cut.  The fan base and ``cube_paths`` up to
+dimension 4 are the only flows the package runs, so ``disjoint_paths``
+answers a request on a whole AQ_m with m <= 4 and k <= 2m - 1 from
+``_cube_system``, an unbounded ``functools.lru_cache`` of (m, u, v, k)
+with at most 1,998 keys: each such system is solved and checked once
+per process, where it is built, and a repeat returns the same immutable
+object.  The request itself is still checked on every call, and any
+other view or a larger k runs the flow afresh.
+
+Connector trees need no search either: ``geodesic`` spells the shortest word for gray(u ^ v) by a scan from its
 lowest bit, and ``connector_tree`` grafts one geodesic per terminal
 inside a quarter.
 
@@ -50,6 +58,7 @@ imports only ``topology``, so this module may use its
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -191,9 +200,30 @@ def disjoint_paths(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinC
     """k internally disjoint u-v paths inside the view, or a cut witness.
 
     Deterministic for fixed inputs.  Raises on u == v, k < 1, or
-    endpoints outside the view.
+    endpoints outside the view.  A request on a whole cube of dimension
+    at most 4 with k up to its degree is answered by ``_cube_system``,
+    which solves and checks it once per process; any other runs the
+    flow.
     """
     _check_request(view, u, v, k)
+    m = view.dim
+    if m <= 4 and k <= view.cube.degree and view.allowed == range(1 << m):
+        return _cube_system(m, u, v, k)
+    return _solve(view, u, v, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_system(m: int, u: int, v: int, k: int) -> PathSystem | MinCut:
+    """``_solve`` on the whole of AQ_m, kept for the life of the process.
+    Its callers ask for m <= 4 and k <= 2m - 1 only, so it holds at most
+    2 + 36 + 280 + 1,680 = 1,998 answers; both kinds are immutable, and
+    a solve that raises is not kept."""
+    return _solve(AugmentedCube(m).view(), u, v, k)
+
+
+def _solve(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinCut:
+    """The flow's answer to a checked request, with a path system
+    checked against the view."""
     label_paths, cut = _flow_paths(view, u, v, k)
     if label_paths is None:
         return MinCut(source=u, sink=v, separator=tuple(cut), uses_direct_edge=view.has_edge_labels(u, v))

@@ -617,6 +617,25 @@ def test_a_broken_fan_raises_where_it_is_built(monkeypatch, memo):
     assert asked and all(d not in adjacency_deltas(4) for d in asked)
 
 
+def test_a_lone_case2_1_2_construct_builds_its_one_fan_once(monkeypatch):
+    # z = h(x), so the upper fan from z to h(y) has the lower fan's
+    # difference x ^ y and is that fan translated
+    g = AugmentedCube(5)
+    targets = vs("00111", "01010", "10111")
+    assert classify(g, targets).case is Case.CASE2_1_2
+    built = []
+    real = construct_mod._checked_fan
+    monkeypatch.setattr(construct_mod, "_checked_fan", lambda n, d: built.append(d) or real(n, d))
+    assert verify_family(g, construct(g, targets), size=7).accepted
+    assert built == [0b00111 ^ 0b01010]
+
+
+def test_pinning_a_label_that_no_path_ends_through_raises(cold_cube_memo):
+    # 0000 and 0110 are not adjacent, so the source ends no path
+    with pytest.raises(InternalError, match="no path has sink neighbour 0"):
+        construct_mod._pin(paths_mod.fan(4, 0b0110), [0])
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_fan_memo_leaves_certificates_unchanged(monkeypatch, n):
     g = AugmentedCube(n)

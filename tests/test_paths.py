@@ -236,6 +236,66 @@ def test_determinism_repeat_calls():
 
 
 # ---------------------------------------------------------------------------
+# the memo of whole small-cube systems
+# ---------------------------------------------------------------------------
+
+def test_whole_small_cube_requests_come_from_the_memo(cold_cube_memo):
+    # every key the memo admits, first on a cleared memo, then on a warm
+    # one: each answer is the unmemoised solve, and a repeat is the same
+    # object
+    for _ in ("cold", "warm"):
+        for m in range(1, 5):
+            g = AugmentedCube(m)
+            for u, v in itertools.permutations(range(g.order), 2):
+                for k in range(1, g.degree + 1):
+                    got = disjoint_paths(g.view(), u, v, k)
+                    assert got == cold_cube_memo.__wrapped__(m, u, v, k), (m, u, v, k)
+                    assert disjoint_paths(g.view(), u, v, k) is got
+    # 2 + 36 + 280 + 1,680 keys
+    assert cold_cube_memo.cache_info().currsize == 1998
+
+
+def test_other_requests_run_the_flow_and_leave_the_memo_alone(cold_cube_memo, monkeypatch):
+    searched = []
+    real = paths._flow_paths
+
+    def recording(view, s, t, k):
+        searched.append(k)
+        return real(view, s, t, k)
+
+    monkeypatch.setattr(paths, "_flow_paths", recording)
+    g = AugmentedCube(4)
+    system(4, 0, 15, 7)
+    assert cold_cube_memo.cache_info().currsize == 1 and searched == [7]
+    requests = [
+        (side_view(g, 0), 0, 5, 3),
+        (GraphView(g, frozenset({0, 1, 3, 7, 15})), 0, 15, 2),
+        (GraphView(g, frozenset(range(16))), 0, 15, 7),  # whole, but not a range
+        (g.view(), 0, 15, 8),  # k = 2m
+        (AugmentedCube(5).view(), 0, 31, 3),
+    ]
+    for _ in range(2):
+        for view, u, v, k in requests:
+            assert disjoint_paths(view, u, v, k) == paths._solve(view, u, v, k)
+    assert cold_cube_memo.cache_info().currsize == 1
+    assert searched == [7] + [k for k in (3, 2, 7, 8, 3) for _ in range(2)] * 2
+
+
+def test_a_path_system_that_fails_its_check_raises_and_is_not_kept(cold_cube_memo, monkeypatch):
+    # 0110 is no delta of AQ_4, so 0000-0110 is a non-edge
+    monkeypatch.setattr(paths, "_flow_paths", lambda view, s, t, k: ([[s, t]], []))
+    with pytest.raises(AssertionError, match="invalid path system.*non-edge 0000-0110"):
+        system(4, 0, 6, 1)
+    assert cold_cube_memo.cache_info().currsize == 0
+
+
+def test_a_base_fan_short_of_full_raises(cold_cube_memo, monkeypatch):
+    monkeypatch.setattr(paths, "_flow_paths", lambda view, s, t, k: (None, [1, 2, 3]))
+    with pytest.raises(AssertionError, match="AQ_4 admits only 3 disjoint paths to 0101"):
+        fan(4, 5)
+
+
+# ---------------------------------------------------------------------------
 # neighbour bookkeeping and reordering
 # ---------------------------------------------------------------------------
 
@@ -375,7 +435,9 @@ def test_cube_paths_match_the_flow_on_sampled_pairs():
 
 
 def test_cube_paths_never_search_a_cube_above_dim_4(monkeypatch):
-    # only the AQ_4 base of the fans runs the flow
+    # only the AQ_4 base of the fans runs the flow; a warm memo would
+    # answer every base request without one
+    paths._cube_system.cache_clear()
     searched = []
     real = paths._flow_paths
 

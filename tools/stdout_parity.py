@@ -36,8 +36,16 @@ child process, in-process through ``cli.main``, against that checkout's
 A command's result is its exit code and the sha256 of its stdout and of
 its stderr, less the ``sweep completed in ...`` timing line, and a
 command that raises counts as the exception's type.  Every command
-whose result differs between the two checkouts is printed, and the exit
-status is 1 if any does, 0 if none does, and 2 for a bad argument.  The
+whose result differs between the two checkouts is printed.
+
+Each child runs the whole list twice in its one process, and every
+command whose second result differs from its first is printed as a
+"warm pass" difference of that checkout.  The second pass meets every
+process-level cache full (the small-cube path systems of
+``paths.disjoint_paths``, the base families of ``construct``), so it
+checks that no cache changes what a command prints.  The exit status
+is 1 if any command differs between the checkouts or between the two
+passes of either, 0 if none does, and 2 for a bad argument.  The
 triples come from ``random.Random`` streams on fixed seeds, built here
 without importing the package, so both checkouts get the same list.
 
@@ -46,9 +54,9 @@ change, each differing ``construct`` command is tagged with its
 triple's provenance chain (e.g. "Case1 > Case2_1_3"), taken from the
 ``construct`` result in the change's checkout.  A differing command
 whose stdout parses as a JSON object on both sides is also tagged with
-the top-level keys whose values differ (e.g. "keys nodes_used").  A
-tally counts the differing commands per chain, or per command name for
-other commands, together with that key set.
+the top-level keys whose values differ (e.g. "keys nodes_used"), from
+the first pass.  A tally counts the differing commands per chain, or
+per command name for other commands, together with that key set.
 
 Next to each checkout's "N commands in T s" line the tool prints its
 cold import: the median, over five fresh ``python -c`` children, of the
@@ -296,50 +304,59 @@ def _differing_keys(a: dict[str, str] | None, b: dict[str, str] | None) -> list[
     return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
 
 
-def _run_child(checkout: str) -> None:
-    """Run every command against ``checkout/src`` and print one JSON
-    document: the module path imported, [exit code, stdout sha256,
-    stderr sha256] per command, and per command the provenance chain of
-    a ``construct`` that exits 0, else None, and the digests of
+def _run_pass(cli, cmds: list[list[str]]) -> tuple[list, list]:
+    """Run every command once in the current directory: per command
+    [exit code, stdout sha256, stderr sha256] and the digests of
     ``_key_digests`` of its stdout."""
+    results = []
+    keys = []
+    certs = 0
+    for cmd in cmds:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                if cmd[0] == "verify" and not os.path.exists(cmd[1]):
+                    _write_certificate(cmd[1])
+                code = cli.main(cmd)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                # a traceback in one checkout is a difference to report,
+                # not a reason to stop comparing
+                code = f"raised {type(exc).__name__}"
+        text = out.getvalue()
+        if cmd[0] == "construct" and "json" in cmd:
+            with open(f"cert-{certs}.json", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            certs += 1
+        # the sweep's wall-clock time is the one line that may differ
+        errors = "".join(
+            line for line in err.getvalue().splitlines(keepends=True) if not line.startswith("sweep completed in ")
+        )
+        results.append([code, _digest(text), _digest(errors)])
+        keys.append(_key_digests(text))
+    return results, keys
+
+
+def _run_child(checkout: str) -> None:
+    """Run every command twice in this process against
+    ``checkout/src`` and print one JSON document: the module path
+    imported, the results of each pass (see ``_run_pass``), and per
+    command the provenance chain of a ``construct`` that exits 0 in the
+    first pass, else None, and the key digests of the first pass."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     from aqsteiner import cli
 
-    results = []
-    chains = []
-    keys = []
+    cmds = command_list()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        certs = 0
-        for cmd in command_list():
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    if cmd[0] == "verify" and not os.path.exists(cmd[1]):
-                        _write_certificate(cmd[1])
-                    code = cli.main(cmd)
-                except SystemExit as exc:
-                    code = exc.code
-                except Exception as exc:
-                    # a traceback in one checkout is a difference to report,
-                    # not a reason to stop comparing
-                    code = f"raised {type(exc).__name__}"
-            text = out.getvalue()
-            if cmd[0] == "construct" and "json" in cmd:
-                with open(f"cert-{certs}.json", "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                certs += 1
-            # the sweep's wall-clock time is the one line that may differ
-            errors = "".join(
-                line for line in err.getvalue().splitlines(keepends=True) if not line.startswith("sweep completed in ")
-            )
-            results.append([code, _digest(text), _digest(errors)])
-            chains.append(_chain(cmd) if cmd[0] == "construct" and code == 0 else None)
-            keys.append(_key_digests(text))
-    json.dump({"module": cli.__file__, "results": results, "chains": chains, "keys": keys}, sys.stdout)
+        results, keys = _run_pass(cli, cmds)
+        warm, _ = _run_pass(cli, cmds)
+    chains = [_chain(cmd) if cmd[0] == "construct" and res[0] == 0 else None for cmd, res in zip(cmds, results)]
+    json.dump({"module": cli.__file__, "results": results, "warm": warm, "chains": chains, "keys": keys}, sys.stdout)
 
 
-def _collect(checkout: str) -> tuple[list, list, list, float]:
+def _collect(checkout: str) -> tuple[list, list, list, list, float]:
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", checkout],
@@ -353,7 +370,7 @@ def _collect(checkout: str) -> tuple[list, list, list, float]:
     doc = json.loads(proc.stdout)
     if not os.path.realpath(doc["module"]).startswith(os.path.realpath(checkout) + os.sep):
         sys.exit(f"{checkout}: imported {doc['module']}, not the checkout's own src/")
-    return doc["results"], doc["chains"], doc["keys"], elapsed
+    return doc["results"], doc["warm"], doc["chains"], doc["keys"], elapsed
 
 
 IMPORT_RUNS = 5
@@ -394,10 +411,22 @@ def main() -> int:
     cmds = command_list()
     runs = []
     key_runs = []
+    warm_differ = 0
     for checkout in (args.parent, args.change):
-        results, chains, keys, elapsed = _collect(os.path.abspath(checkout))
+        results, warm, chains, keys, elapsed = _collect(os.path.abspath(checkout))
         cold = _cold_import_s(os.path.abspath(checkout))
-        print(f"{checkout}: {len(results)} commands in {elapsed:.1f} s, cold import {cold * 1e3:.1f} ms", file=sys.stderr)
+        print(
+            f"{checkout}: {len(results)} commands twice in {elapsed:.1f} s, cold import {cold * 1e3:.1f} ms",
+            file=sys.stderr,
+        )
+        # a process-level cache must not change what a command prints
+        for cmd, a, b in zip(cmds, results, warm):
+            if a != b:
+                warm_differ += 1
+                print(
+                    f"warm pass differs: {checkout}: aqsteiner {' '.join(cmd)} (exit {a[0]} -> {b[0]}, "
+                    f"stdout {a[1][:12]} -> {b[1][:12]}, stderr {a[2][:12]} -> {b[2][:12]})"
+                )
         runs.append(results)
         key_runs.append(keys)
     # the chains kept are the change's, the second checkout's
@@ -420,7 +449,8 @@ def main() -> int:
     codes = collections.Counter(code for code, *_ in runs[0])
     exits = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items(), key=str))
     print(f"{differ} of {len(cmds)} commands differ ({exits} at the parent)")
-    return 1 if differ else 0
+    print(f"{warm_differ} commands differ between the two passes of a checkout")
+    return 1 if differ or warm_differ else 0
 
 
 if __name__ == "__main__":
