@@ -6,8 +6,9 @@ a tuple of labels, a ``PathSystem`` holds label paths between two
 labels, and a connector tree is a set of label pairs.  Callers already
 know the dimension, so no label is wrapped in a ``Vertex``.
 
-``disjoint_paths`` finds k internally disjoint u-v paths inside a view
-by unit-vertex-capacity max flow (the standard Menger reduction).
+``disjoint_paths`` is the small-cube solver: it finds k internally
+disjoint u-v paths in the whole of AQ_m, m <= 4, by unit-vertex-capacity
+max flow (the standard Menger reduction), and refuses every other view.
 Every inner vertex is split into an in/out pair joined by a capacity-1
 arc; edge arcs get capacity 2 so they can never be saturated (each
 endpoint passes at most one unit), which keeps minimum cuts on the
@@ -17,12 +18,10 @@ that needs it reports that separately, since no vertex set separates an
 adjacent pair.
 
 The residual network is implicit: arcs come from the delta set, each
-vertex's closed neighbourhood (v xor 0 and every adjacency delta, kept
-where the view contains it) built once per call, sorted, when the
-search first reaches it, and the flow is held per vertex (a successor
-and a predecessor for each inner vertex that carries a unit, and the
-set of the source's successors), so memory follows the search, not the
-size of the view.  The flow grows by Edmonds-Karp: one FIFO BFS per
+vertex's closed neighbourhood being v xor 0 and every adjacency delta,
+sorted, and the flow is held per vertex (a successor and a predecessor
+for each inner vertex that carries a unit, and the set of the source's
+successors).  The flow grows by Edmonds-Karp: one FIFO BFS per
 augmenting path, taking arcs in ascending label order, so results are
 reproducible across runs, thread counts and platforms.  The paths are
 the walks along successors from each of the source's successors, in
@@ -30,20 +29,19 @@ ascending order.  When a BFS does not reach the sink, the cut is the in
 sides it reached whose out side it did not; that reach set is the same
 for every maximum flow.
 
-The flow runs only on cubes of at most 16 vertices.  ``fan(m, d)``, the
-full fan of 2m - 1 paths from 0 to d in AQ_m, is built by induction on
-m in Gray coordinates from the flow fans of AQ_4 (README, "Why every
-fan is full"); the constructor and ``cube_paths`` use it.
-``cube_paths`` answers whole-cube requests: by the flow up to
-dimension 4, and above it by the fan to u ^ v translated by u, or by
-u's neighbourhood as the cut.  The fan base and ``cube_paths`` up to
-dimension 4 are the only flows the package runs, so ``disjoint_paths``
-answers a request on a whole AQ_m with m <= 4 and k <= 2m - 1 from
-``_cube_system``, an unbounded ``functools.lru_cache`` of (m, u, v, k)
-with at most 1,998 keys: each such system is solved and checked once
-per process, where it is built, and a repeat returns the same immutable
-object.  The request itself is still checked on every call, and any
-other view or a larger k runs the flow afresh.
+``fan(m, d)``, the full fan of 2m - 1 paths from 0 to d in AQ_m, is
+built by induction on m in Gray coordinates from the flow fans of AQ_4
+(README, "Why every fan is full"); the constructor and ``cube_paths``
+use it.  ``cube_paths`` answers whole-cube requests: by
+``disjoint_paths`` up to dimension 4, and above it by the fan to u ^ v
+translated by u, or by u's neighbourhood as the cut.  So the fan base
+and ``cube_paths`` up to dimension 4 are the only requests
+``disjoint_paths`` meets, and it answers each from ``_cube_system``, an
+unbounded ``functools.lru_cache`` of (m, u, v, min(k, 2m)): no path
+system has more than 2m - 1 paths, so every k >= 2m ends on the same
+cut, and the memo holds at most 2,308 keys.  Each system is solved and
+checked once per process, where it is built, and a repeat returns the
+same immutable object; the request itself is checked on every call.
 
 Connector trees need no search either: ``geodesic`` spells the shortest word for gray(u ^ v) by a scan from its
 lowest bit, and ``connector_tree`` grafts one geodesic per terminal
@@ -105,26 +103,19 @@ def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
 # max-flow core (labels only)
 # ---------------------------------------------------------------------------
 
-def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]] | None, list[int]]:
-    """Return (paths, []) with exactly k label paths, or (None, vertex_cut)."""
+def _flow_paths(m: int, s: int, t: int, k: int) -> tuple[list[list[int]] | None, list[int]]:
+    """Return (paths, []) with exactly k label paths in the whole of
+    AQ_m, or (None, vertex_cut)."""
     # The flow is held per vertex: `succ` and `pred` map an inner vertex
     # carrying a unit to the vertex it passes the unit to and the one it
     # takes it from, and `first` holds s's successors.  Unit vertex
     # capacities make both maps single-valued; an inner vertex carries a
     # unit exactly when it is in `pred`.  Node 2v is v's in side and
     # 2v + 1 its out side.
-    members = view.allowed
-    offsets = (0, *adjacency_deltas(view.dim))
-    closed: dict[int, list[int]] = {}
+    offsets = (0, *adjacency_deltas(m))
     succ: dict[int, int] = {}
     pred: dict[int, int] = {}
     first: set[int] = set()
-
-    def nbrs(v: int) -> list[int]:
-        out = closed.get(v)
-        if out is None:
-            out = closed[v] = sorted(w for d in offsets if (w := v ^ d) in members)
-        return out
 
     src, dst = 2 * s + 1, 2 * t
     for _ in range(k):
@@ -147,7 +138,7 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
             if a & 1:
                 heads = [
                     2 * w
-                    for w in nbrs(v)
+                    for w in sorted(v ^ d for d in offsets)
                     if (v in pred if w == v else w != s and not (v == s and w == t and t in first))
                 ]
             else:
@@ -197,49 +188,43 @@ def _flow_paths(view: GraphView, s: int, t: int, k: int) -> tuple[list[list[int]
 
 
 def disjoint_paths(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinCut:
-    """k internally disjoint u-v paths inside the view, or a cut witness.
+    """k internally disjoint u-v paths in a whole small cube, or a cut
+    witness.
 
-    Deterministic for fixed inputs.  Raises on u == v, k < 1, or
-    endpoints outside the view.  A request on a whole cube of dimension
-    at most 4 with k up to its degree is answered by ``_cube_system``,
-    which solves and checks it once per process; any other runs the
-    flow.
+    The view must be ``AugmentedCube(m).view()`` with m <= 4.  Raises on
+    any other view, on u == v, on k < 1 and on labels outside the cube.
+    Every answer comes from ``_cube_system``, which solves and checks it
+    once per process.
     """
-    _check_request(view, u, v, k)
     m = view.dim
-    if m <= 4 and k <= view.cube.degree and view.allowed == range(1 << m):
-        return _cube_system(m, u, v, k)
-    return _solve(view, u, v, k)
+    if m > 4 or view != view.cube.view():
+        raise ContractViolation("disjoint paths are solved only on a whole AQ_m with m <= 4")
+    _check_request(view.cube, u, v, k)
+    return _cube_system(m, u, v, min(k, 2 * m))
 
 
 @functools.lru_cache(maxsize=None)
 def _cube_system(m: int, u: int, v: int, k: int) -> PathSystem | MinCut:
-    """``_solve`` on the whole of AQ_m, kept for the life of the process.
-    Its callers ask for m <= 4 and k <= 2m - 1 only, so it holds at most
-    2 + 36 + 280 + 1,680 = 1,998 answers; both kinds are immutable, and
+    """The flow's answer on the whole of AQ_m, with a path system checked
+    against the cube, kept for the life of the process.  Its callers ask
+    for m <= 4 and k <= 2m only, so it holds at most
+    4 + 48 + 336 + 1,920 = 2,308 answers; both kinds are immutable, and
     a solve that raises is not kept."""
-    return _solve(AugmentedCube(m).view(), u, v, k)
-
-
-def _solve(view: GraphView, u: int, v: int, k: int) -> PathSystem | MinCut:
-    """The flow's answer to a checked request, with a path system
-    checked against the view."""
-    label_paths, cut = _flow_paths(view, u, v, k)
+    g = AugmentedCube(m)
+    label_paths, cut = _flow_paths(m, u, v, k)
     if label_paths is None:
-        return MinCut(source=u, sink=v, separator=tuple(cut), uses_direct_edge=view.has_edge_labels(u, v))
+        return MinCut(source=u, sink=v, separator=tuple(cut), uses_direct_edge=g.adjacent_labels(u, v))
     # independent of the flow bookkeeping: checks the finished object only
-    return _checked(view, PathSystem(source=u, sink=v, paths=tuple(tuple(p) for p in label_paths)))
+    return _checked(g.view(), PathSystem(source=u, sink=v, paths=tuple(tuple(p) for p in label_paths)))
 
 
-def _check_request(view: GraphView, u: int, v: int, k: int) -> None:
-    view.cube.check_label(u)
-    view.cube.check_label(v)
+def _check_request(g: AugmentedCube, u: int, v: int, k: int) -> None:
+    g.check_label(u)
+    g.check_label(v)
     if u == v:
         raise ContractViolation("path system endpoints must differ")
     if k < 1:
         raise ContractViolation("at least one path must be requested")
-    if not (view.contains_label(u) and view.contains_label(v)):
-        raise ContractViolation("endpoints must lie inside the view")
 
 
 def _checked(view: GraphView, system: PathSystem) -> PathSystem:
@@ -252,22 +237,22 @@ def _checked(view: GraphView, system: PathSystem) -> PathSystem:
 def cube_paths(g: AugmentedCube, u: int, v: int, k: int) -> PathSystem | MinCut:
     """k internally disjoint u-v paths in the whole cube, or a cut witness.
 
-    Up to dimension 4 this is ``disjoint_paths``.  Above it AQ_n is
-    (2n - 1)-connected, so the first k paths of the full fan
-    ``fan(n, u ^ v)`` translated by u (translations are automorphisms),
-    sorted, answer every k up to the degree, and past it the cut is u's
-    neighbourhood less v, plus the direct edge when u and v are adjacent:
-    the cut the flow reports.  Raises as ``disjoint_paths`` does.
+    Up to dimension 4 this is ``disjoint_paths`` on ``g.view()``, the
+    small-cube memo.  Above it AQ_n is (2n - 1)-connected, so the first
+    k paths of the full fan ``fan(n, u ^ v)`` translated by u
+    (translations are automorphisms), sorted, answer every k up to the
+    degree, and past it the cut is u's neighbourhood less v, plus the
+    direct edge when u and v are adjacent: the cut the flow reports.
+    Raises on u == v, k < 1 and labels outside the cube.
     """
-    view = g.view()
     if g.dim <= 4:
-        return disjoint_paths(view, u, v, k)
-    _check_request(view, u, v, k)
+        return disjoint_paths(g.view(), u, v, k)
+    _check_request(g, u, v, k)
     if k > g.degree:
         separator = tuple(sorted(w for d in adjacency_deltas(g.dim) if (w := u ^ d) != v))
         return MinCut(source=u, sink=v, separator=separator, uses_direct_edge=g.adjacent_labels(u, v))
     paths = sorted(map_path_system(u.__xor__, fan(g.dim, u ^ v)).paths)
-    return _checked(view, PathSystem(source=u, sink=v, paths=tuple(paths[:k])))
+    return _checked(g.view(), PathSystem(source=u, sink=v, paths=tuple(paths[:k])))
 
 
 # ---------------------------------------------------------------------------

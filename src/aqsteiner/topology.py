@@ -180,11 +180,12 @@ def inverse_gray(g: int) -> int:
 class GraphView(NamedTuple):
     """A vertex-filtered slice of a cube: the cube plus a membership test.
 
-    ``allowed`` is a collection of labels with O(1) membership, such as a
-    ``range`` for the whole cube (``range(2^n)``, ``AugmentedCube.view``)
-    or a subcube.  Nothing is copied; a
-    label's neighbours in the view are its cube neighbours that
-    ``contains_label`` accepts.
+    ``allowed`` is a collection of labels with O(1) membership: a
+    ``range`` for the whole cube (``range(2^n)``, ``AugmentedCube.view``),
+    a half-copy (``side_view``) or a quarter.  Nothing is copied.  The
+    whole-cube view names a small cube to ``paths.disjoint_paths``, and
+    the others bound what ``verify.check_path_system`` and
+    ``paths.connector_tree`` accept.
     """
 
     cube: AugmentedCube
@@ -196,11 +197,6 @@ class GraphView(NamedTuple):
 
     def contains_label(self, v: int) -> bool:
         return 0 <= v < 1 << self.cube.dim and v in self.allowed
-
-    def has_edge_labels(self, u: int, v: int) -> bool:
-        if u == v or not (self.contains_label(u) and self.contains_label(v)):
-            return False
-        return self.cube.adjacent_labels(u, v)
 
 
 def side_view(g: AugmentedCube, v: int) -> GraphView:

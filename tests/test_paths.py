@@ -3,8 +3,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aqsteiner.paths import (
     MinCut,
@@ -38,12 +36,11 @@ from util import (
     recursive_adjacency_masks,
     recursive_edges,
     reference_flow_paths,
-    run_bounded,
 )
 
 
-def system(n, u, v, k, view=None):
-    return disjoint_paths(view or AugmentedCube(n).view(), u, v, k)
+def system(n, u, v, k):
+    return disjoint_paths(AugmentedCube(n).view(), u, v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +96,6 @@ def test_contract_errors():
         disjoint_paths(g.view(), 0, 0, 1)
     with pytest.raises(ContractViolation):
         disjoint_paths(g.view(), 0, 1, 0)
-    lower = side_view(g, 0)
-    with pytest.raises(ContractViolation):
-        disjoint_paths(lower, 0, 7, 1)
     for label in (-1, 8):  # endpoints must be labels of the cube
         with pytest.raises(ContractViolation):
             disjoint_paths(g.view(), 0, label, 1)
@@ -140,16 +134,11 @@ def test_menger_agreement_exhaustive_small_dims():
             assert value == max_disjoint_paths_brute(masks, n, u, v), (n, u, v)
 
 
-def test_flow_state_only_for_touched_vertices_at_dim_40():
-    out = run_bounded(
-        "from aqsteiner.paths import disjoint_paths\n"
-        "from aqsteiner.topology import AugmentedCube\n"
-        "g = AugmentedCube(40)\n"
-        "for k in (1, 2, 3):\n"
-        "    res = disjoint_paths(g.view(), 0, 1, k)\n"
-        "    print([len(p) for p in res.paths])\n"
-    )
-    assert out.splitlines() == ["[2]", "[2, 3]", "[2, 3, 3]"]
+def test_disjoint_paths_refuses_whole_cubes_above_dim_4():
+    # the refusal comes before any search, so AQ_40 costs nothing
+    for n in (5, 40):
+        with pytest.raises(ContractViolation, match="only on a whole AQ_m with m <= 4"):
+            disjoint_paths(AugmentedCube(n).view(), 0, 1, 3)
 
 
 def test_flow_matches_the_reference_on_whole_cube_fans():
@@ -160,51 +149,56 @@ def test_flow_matches_the_reference_on_whole_cube_fans():
         view = AugmentedCube(m).view()
         for d in range(1, 1 << m):
             for k in (2 * m - 1, 2 * m):
-                got = paths._flow_paths(view, 0, d, k)
+                got = paths._flow_paths(m, 0, d, k)
                 assert got == reference_flow_paths(view, 0, d, k), (m, d, k)
                 if k == 2 * m:
                     assert got[0] is None, (m, d)
 
 
 def test_flow_matches_the_reference_on_every_pair():
-    for n in range(1, 5):
+    # each half-copy of AQ_n is AQ_(n-1) on the low bits, so the
+    # reference on the half-copy, with the top bit cleared, is the flow
+    # on the smaller whole cube
+    for n in range(2, 6):
         g = AugmentedCube(n)
-        views = [g.view()] + ([side_view(g, 0), side_view(g, g.order - 1)] if n > 1 else [])
-        for view in views:
-            labels = [v for v in range(g.order) if view.contains_label(v)]
-            for u, v in itertools.permutations(labels, 2):
-                for k in sorted({k for k in (1, n, 2 * n - 3, 2 * n - 1, 2 * n, 2 * n + 1) if k >= 1}):
-                    assert paths._flow_paths(view, u, v, k) == reference_flow_paths(view, u, v, k), (n, u, v, k)
+        m = n - 1
+        for base in (0, 1 << m):
+            view = side_view(g, base)
+            for u, v in itertools.permutations(range(1 << m), 2):
+                for k in sorted({k for k in (1, m, 2 * m - 3, 2 * m - 1, 2 * m, 2 * m + 1) if k >= 1}):
+                    label_paths, cut = reference_flow_paths(view, u | base, v | base, k)
+                    if label_paths is not None:
+                        label_paths = [[w ^ base for w in p] for p in label_paths]
+                    want = (label_paths, [w ^ base for w in cut])
+                    assert paths._flow_paths(m, u, v, k) == want, (n, base, u, v, k)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(3, 7), st.floats(0.3, 1.0), st.data())
-def test_flow_matches_the_reference_on_random_views(n, density, data):
-    # sparse views reach cuts, disconnected endpoints and cancellations
-    # along edge arcs in shapes that fans, cubes and half-copies lack
-    g = AugmentedCube(n)
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    s = data.draw(st.integers(0, g.order - 1))
-    others = [w for w in range(g.order) if w != s]
-    t = data.draw(st.one_of(st.sampled_from(g.neighbor_labels(s)), st.sampled_from(others)))
-    view = GraphView(g, frozenset(v for v in range(g.order) if rng.random() < density) | {s, t})
-    for k in (1, n, 2 * n - 1, 2 * n):
-        got = paths._flow_paths(view, s, t, k)
-        assert got == reference_flow_paths(view, s, t, k), (n, s, t, k, sorted(view.allowed))
-        label_paths, cut = got
-        if label_paths is None:
-            # fewer than k: the cut, plus the direct edge of an adjacent
-            # pair, which the search below leaves out; together they
-            # separate s from t
-            assert len(cut) + view.has_edge_labels(s, t) < k
-            reach, stack = {s, *cut}, [s]
-            while stack:
-                x = stack.pop()
-                for w in g.neighbor_labels(x):
-                    if view.contains_label(w) and w not in reach and (x, w) != (s, t):
-                        reach.add(w)
-                        stack.append(w)
-            assert t not in reach
+def test_flow_matches_the_reference_on_every_whole_cube_request():
+    # every ordered pair and every k up to 2m + 1 of the cubes the flow
+    # serves, which reach cuts, adjacent pairs and cancellations along
+    # edge arcs
+    for m in range(1, 5):
+        g = AugmentedCube(m)
+        view = g.view()
+        edges = recursive_edges(m)
+        for s, t in itertools.permutations(range(g.order), 2):
+            for k in range(1, 2 * m + 2):
+                got = paths._flow_paths(m, s, t, k)
+                assert got == reference_flow_paths(view, s, t, k), (m, s, t, k)
+                label_paths, cut = got
+                if label_paths is None:
+                    # fewer than k: the cut, plus the direct edge of an
+                    # adjacent pair, which the search below leaves out;
+                    # together they separate s from t
+                    assert len(cut) + (frozenset({s, t}) in edges) < k
+                    reach, stack = {s, *cut}, [s]
+                    while stack:
+                        x = stack.pop()
+                        for w in range(g.order):
+                            if frozenset({x, w}) in edges and w not in reach and (x, w) != (s, t):
+                                reach.add(w)
+                                stack.append(w)
+                    assert t not in reach
 
 
 # sha256 of repr(paths) for the full 0 -> d fan ``fan(m, d)`` at the
@@ -240,28 +234,31 @@ def test_determinism_repeat_calls():
 # ---------------------------------------------------------------------------
 
 def test_whole_small_cube_requests_come_from_the_memo(cold_cube_memo):
-    # every key the memo admits, first on a cleared memo, then on a warm
-    # one: each answer is the unmemoised solve, and a repeat is the same
-    # object
+    # every request on a whole cube the solver serves, up to k = 2m + 3,
+    # first on a cleared memo, then on a warm one: each answer is the
+    # unmemoised solve, a repeat is the same object, and every k >= 2m
+    # shares the answer to k = 2m, the first that no path system meets
     for _ in ("cold", "warm"):
         for m in range(1, 5):
             g = AugmentedCube(m)
             for u, v in itertools.permutations(range(g.order), 2):
-                for k in range(1, g.degree + 1):
+                for k in range(1, 2 * m + 4):
                     got = disjoint_paths(g.view(), u, v, k)
                     assert got == cold_cube_memo.__wrapped__(m, u, v, k), (m, u, v, k)
                     assert disjoint_paths(g.view(), u, v, k) is got
-    # 2 + 36 + 280 + 1,680 keys
-    assert cold_cube_memo.cache_info().currsize == 1998
+                    if k >= 2 * m:
+                        assert isinstance(got, MinCut) and got is disjoint_paths(g.view(), u, v, 2 * m), (m, u, v, k)
+    # 4 + 48 + 336 + 1,920 keys: k = 1..2m on each ordered pair
+    assert cold_cube_memo.cache_info().currsize == 2308
 
 
-def test_other_requests_run_the_flow_and_leave_the_memo_alone(cold_cube_memo, monkeypatch):
+def test_other_views_raise_and_leave_the_memo_alone(cold_cube_memo, monkeypatch):
     searched = []
     real = paths._flow_paths
 
-    def recording(view, s, t, k):
+    def recording(m, s, t, k):
         searched.append(k)
-        return real(view, s, t, k)
+        return real(m, s, t, k)
 
     monkeypatch.setattr(paths, "_flow_paths", recording)
     g = AugmentedCube(4)
@@ -271,26 +268,25 @@ def test_other_requests_run_the_flow_and_leave_the_memo_alone(cold_cube_memo, mo
         (side_view(g, 0), 0, 5, 3),
         (GraphView(g, frozenset({0, 1, 3, 7, 15})), 0, 15, 2),
         (GraphView(g, frozenset(range(16))), 0, 15, 7),  # whole, but not a range
-        (g.view(), 0, 15, 8),  # k = 2m
         (AugmentedCube(5).view(), 0, 31, 3),
     ]
-    for _ in range(2):
-        for view, u, v, k in requests:
-            assert disjoint_paths(view, u, v, k) == paths._solve(view, u, v, k)
+    for view, u, v, k in requests:
+        with pytest.raises(ContractViolation, match="only on a whole AQ_m with m <= 4"):
+            disjoint_paths(view, u, v, k)
     assert cold_cube_memo.cache_info().currsize == 1
-    assert searched == [7] + [k for k in (3, 2, 7, 8, 3) for _ in range(2)] * 2
+    assert searched == [7]
 
 
 def test_a_path_system_that_fails_its_check_raises_and_is_not_kept(cold_cube_memo, monkeypatch):
     # 0110 is no delta of AQ_4, so 0000-0110 is a non-edge
-    monkeypatch.setattr(paths, "_flow_paths", lambda view, s, t, k: ([[s, t]], []))
+    monkeypatch.setattr(paths, "_flow_paths", lambda m, s, t, k: ([[s, t]], []))
     with pytest.raises(AssertionError, match="invalid path system.*non-edge 0000-0110"):
         system(4, 0, 6, 1)
     assert cold_cube_memo.cache_info().currsize == 0
 
 
 def test_a_base_fan_short_of_full_raises(cold_cube_memo, monkeypatch):
-    monkeypatch.setattr(paths, "_flow_paths", lambda view, s, t, k: (None, [1, 2, 3]))
+    monkeypatch.setattr(paths, "_flow_paths", lambda m, s, t, k: (None, [1, 2, 3]))
     with pytest.raises(AssertionError, match="AQ_4 admits only 3 disjoint paths to 0101"):
         fan(4, 5)
 
@@ -314,10 +310,8 @@ def test_endpoint_neighbours_are_distinct_across_paths():
 
 
 def test_reorder_pins_direct_edge_first():
-    n = 5
-    g = AugmentedCube(n)
-    x, y = 0, 15  # adjacent (all trailing bits differ)
-    res = disjoint_paths(side_view(g, x), x, y, 7)
+    x, y = 0, 15  # adjacent (all bits differ)
+    res = system(4, x, y, 7)
     assert isinstance(res, PathSystem)
     pinned = reorder_paths(res, [x])
     assert pinned.paths[0] == (x, y)
@@ -360,11 +354,10 @@ def test_map_path_system_examples():
 # also the complement automorphism of the whole cube
 @pytest.mark.parametrize("label_map", [h_label, c_label], ids=["h_image", "c_image"])
 def test_map_preserves_system_invariants_dim4_lower_half(label_map):
-    g = AugmentedCube(4)
-    lower = side_view(g, 0)
-    full = g.view()
+    # the lower half of AQ_4 is AQ_3 on the same labels
+    full = AugmentedCube(4).view()
     for u, v in itertools.combinations(range(8), 2):
-        res = disjoint_paths(lower, u, v, 5)
+        res = system(3, u, v, 5)
         if isinstance(res, MinCut):
             continue
         mapped = map_path_system(lambda w: label_map(w, 4), res)
@@ -405,17 +398,19 @@ def test_full_fan_sampled_d_up_to_dim_62():
 # ---------------------------------------------------------------------------
 
 def assert_cube_paths_match_the_flow(g, u, v):
-    # AQ_n is (2n - 1)-connected above n = 4: the flow finds 2n - 1 paths,
-    # and past that its cut is u's neighbourhood less v
+    # AQ_n is (2n - 1)-connected above n = 4: the reference flow finds
+    # 2n - 1 paths, and past that its cut is u's neighbourhood less v
     view, k = g.view(), g.degree
     ps = cube_paths(g, u, v, k)
     assert isinstance(ps, PathSystem) and (ps.source, ps.sink) == (u, v)
-    assert len(ps.paths) == len(disjoint_paths(view, u, v, k).paths) == k, (g.dim, u, v)
+    assert len(ps.paths) == len(reference_flow_paths(view, u, v, k)[0]) == k, (g.dim, u, v)
     assert list(ps.paths) == sorted(ps.paths) and check_path_system(view, ps) == [], (g.dim, u, v)
     assert cube_paths(g, u, v, 3).paths == ps.paths[:3]
+    adjacent = frozenset({u, v}) in recursive_edges(g.dim)
     for extra in (1, 4):
-        cut = cube_paths(g, u, v, k + extra)
-        assert isinstance(cut, MinCut) and cut == disjoint_paths(view, u, v, k + extra), (g.dim, u, v, k + extra)
+        label_paths, separator = reference_flow_paths(view, u, v, k + extra)
+        assert label_paths is None, (g.dim, u, v, k + extra)
+        assert cube_paths(g, u, v, k + extra) == MinCut(u, v, tuple(separator), adjacent), (g.dim, u, v, k + extra)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -441,9 +436,9 @@ def test_cube_paths_never_search_a_cube_above_dim_4(monkeypatch):
     searched = []
     real = paths._flow_paths
 
-    def recording(view, s, t, k):
-        searched.append(view.dim)
-        return real(view, s, t, k)
+    def recording(m, s, t, k):
+        searched.append(m)
+        return real(m, s, t, k)
 
     monkeypatch.setattr(paths, "_flow_paths", recording)
     for n in (5, 8, 13):

@@ -10,8 +10,9 @@ against these slow-but-obvious versions.
 per augmenting path over the same split-vertex residual network as
 ``paths._flow_paths``, but with its own bookkeeping (node ids, a parent
 map and a set of flow-carrying arcs instead of successor and
-predecessor maps).  It is kept as a differential oracle, since the two
-must return the same path lists and the same cuts.  ``reference_verify_family`` and
+predecessor maps), and it runs on any view, where the package's flow
+runs only on a whole cube.  It is kept as a differential oracle, since
+the two must return the same path lists and the same cuts.  ``reference_verify_family`` and
 ``reference_check_path_system`` are kept the same way: the certificate
 and path-system checks as they were before ``verify`` moved to one int
 pass per tree.  ``reference_invert_transform`` and
@@ -226,9 +227,10 @@ def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] 
 #
 # The tuple-keyed checker: one ``check_label`` pair, one
 # ``adjacent_labels`` call and two adjacency ``setdefault`` calls per
-# edge, and ``GraphView.has_edge_labels`` per path step.  ``verify``
-# must return the same violations in the same order, the same problem
-# strings and the same ``ContractViolation`` text.
+# edge.  The path-system check tests each path step against the view's
+# labels and ``recursive_edges``, and calls nothing of the package.
+# ``verify`` must return the same violations in the same order, the same
+# problem strings and the same ``ContractViolation`` text.
 
 
 def reference_tree_violations(g, terminals, tree, index, edge_owner, vertex_owner):
@@ -334,7 +336,9 @@ def reference_check_path_system(view, ps):
         if len(set(vs)) != len(vs):
             problems.append(f"path {i} repeats a vertex")
         for a, b in zip(vs, vs[1:]):
-            if not view.has_edge_labels(a, b):
+            # an edge of the view: both ends in it, and an edge of the
+            # literal recursive cube (which holds no label outside it)
+            if not (a in view.allowed and b in view.allowed and frozenset({a, b}) in recursive_edges(width)):
                 problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")
             key = (a, b) if a <= b else (b, a)
             if key in seen_edges and seen_edges[key] != i:

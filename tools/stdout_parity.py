@@ -8,10 +8,12 @@ child process, in-process through ``cli.main``, against that checkout's
 
 - ``construct --format json`` on seeded triples at n = 5..16, and at
   n = 6 also ``--format text``, ``--format dot`` and ``--fidelity``;
-- ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, and at n = 16,
-  33 and 62 with k in {2n - 1, 2n}, in all three formats (above n = 4
-  the paths are fan paths and the cut is explicit, so no dimension up
-  to 62 is costly);
+- ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, at n = 1..4
+  also with k = 2n + 5, and at n = 16, 33 and 62 with k in
+  {2n - 1, 2n}, in all three formats (above n = 4 the paths are fan
+  paths and the cut is explicit, so no dimension up to 62 is costly).
+  The small-cube memo of ``paths.disjoint_paths`` keys every k >= 2n as
+  2n, so k = 2n + 5 pins the capped key byte for byte against PARENT;
 - ``info -n 1..10`` as text and as JSON;
 - ``sweep -n 4 --exhaustive`` as text and as JSON,
   ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
@@ -247,6 +249,8 @@ def command_list() -> list[list[str]]:
                     certs += 1
     for n in (*PATHS_DIMS, *LARGE_PATHS_DIMS):
         ks = {1, n, 2 * n - 1, 2 * n} if n in PATHS_DIMS else {2 * n - 1, 2 * n}
+        if n <= 4:
+            ks.add(2 * n + 5)
         for u, v in _pairs(n):
             for k in sorted(ks):
                 for fmt in ("json", "dot", "text"):
