@@ -37,16 +37,16 @@ sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
 builds it and checks it against the lower half-copy of AQ_n, where it
 lives.  Translation by a label x is an automorphism of the Cayley
 graph AQ_n that maps the lower half-copy onto x's, so the one check
-covers every translate, and translates are not checked again.  Inside
-``fan_memo()`` (the sweep enters it once per batch) ``_checked_fan`` is
-an LRU cache of at most ``FAN_MEMO_MAX`` untranslated fans, keyed by
-(n, d), so each fan is checked once per memo miss; past the cap the
-least recently used fan is dropped.
-Outside ``fan_memo()`` nothing is kept and each fan a construct uses
-is built and checked afresh; Case2_1_2, whose two fans share d, builds
-and checks its one fan once.  Every family still passes the verifier.
-The base families are likewise the pure function ``_base_trees`` of
-the canonical triple, cached for the life of the process.
+covers every translate, and translates are not checked again.  Every
+fan a recipe uses comes from the active ``fan_memo()``, an LRU cache
+of at most ``FAN_MEMO_MAX`` checked, untranslated fans keyed by
+(n, d): a sweep batch enters one for all its constructs, and a lone
+construct's recipe opens its own, which ends with the recipe.  So each
+fan is checked once per memo miss, and Case2_1_2, whose two fans share
+d, builds and checks its one fan once.  Every family still passes the
+verifier.  The base families are likewise the pure function
+``_base_trees`` of the canonical triple, cached for the life of the
+process.
 
 The dispatch is total (see the end of ``_dispatch``): every triple
 reaches a branch with a written recipe, so there is no repair path.
@@ -302,9 +302,12 @@ def _checked_fan(n: int, d: int) -> _paths.PathSystem:
 
 @contextlib.contextmanager
 def fan_memo():
-    """Reuse each checked fan ``_checked_fan(n, d)`` until the block exits,
-    normally or by an exception: an LRU cache of at most ``FAN_MEMO_MAX``
-    fans."""
+    """Join the active memo of checked fans ``_checked_fan(n, d)``, or open
+    one, an LRU cache of at most ``FAN_MEMO_MAX`` fans, that ends when
+    the block that opened it exits, normally or by an exception."""
+    if _fan_memo.get() is not None:
+        yield
+        return
     token = _fan_memo.set(functools.lru_cache(maxsize=FAN_MEMO_MAX)(_checked_fan))
     try:
         yield
@@ -315,10 +318,10 @@ def fan_memo():
 def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
     of src and dst (they share their leading bit): ``_checked_fan(n,
-    src ^ dst)``, memoised inside ``fan_memo()``, translated by src.  The
+    src ^ dst)`` from the active ``fan_memo()``, translated by src.  The
     translation is an automorphism that maps the lower half-copy onto
     src's, so the fan's one check covers it."""
-    res = (_fan_memo.get() or _checked_fan)(g.dim, src ^ dst)
+    res = _fan_memo.get()(g.dim, src ^ dst)
     # int.__xor__ translates in C, with no Python frame per vertex
     return _paths.map_path_system(src.__xor__, res)
 
@@ -357,21 +360,16 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
     P's sink neighbour nb_i; tree i is P_i, the matching edge
     nb_i-img(nb_i) and Q_i less its last edge.  When x and y are
     adjacent, P is pinned so that P_0 is the edge between them, and pair
-    0 gives way to the first tree: Q_0 and the two partner edges.  When
-    both fans have the same difference d (Case2_1_2), Q is P translated,
-    so the fan is built and checked once."""
+    0 gives way to the first tree: Q_0 and the two partner edges.  In
+    Case2_1_2 both fans have the difference x ^ y, so Q's fan is a memo
+    hit."""
     n = g.dim
     matching, anchor = variant.split("@")
     img = h_label if matching == "h" else c_label
     w, w_other = (x, y) if anchor == "x" else (y, x)
     adjacent = int(g.adjacent_labels(x, y))
     P = _system(g, w_other, w)
-    if z ^ img(w, n) == w_other ^ w:
-        # Case2_1_2 ("h@y", z = h(x)): both fans are the fan to x ^ y, so
-        # the upper one is the lower one translated on to z
-        Q = _paths.map_path_system((z ^ w_other).__xor__, P)
-    else:
-        Q = _system(g, z, img(w, n))
+    Q = _system(g, z, img(w, n))
     if adjacent:
         P = _pin(P, [w_other])
     w_nb = [p[-2] for p in P.paths]
@@ -387,9 +385,10 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
 
 def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
     x, y, z = tag.roles
-    if tag.case is Case.CASE2_1_1:
-        return _recipe_2_1_1(g, x, y, z)
-    return _recipe_grid(g, x, y, z, tag.variant)
+    with fan_memo():
+        if tag.case is Case.CASE2_1_1:
+            return _recipe_2_1_1(g, x, y, z)
+        return _recipe_grid(g, x, y, z, tag.variant)
 
 
 def _assemble(
@@ -549,9 +548,10 @@ def construct(
 
     Dimensions 3 and 4 are searched exhaustively; higher dimensions go
     through the case dispatch and its written recipe (Case1 recurses
-    through this function, one call per dimension).  Each fan a recipe
-    uses is built and checked once, so a lone Case2_1_2 construct, whose
-    lower and upper fans are both the fan to x ^ y, builds one fan.
+    through this function, one call per dimension).  The recipe takes
+    its fans from the active ``fan_memo()``, or from its own when none
+    is active, so a lone Case2_1_2 construct, whose lower and upper fans
+    are both the fan to x ^ y, builds one fan.
     The result passes the independent verifier exactly once, here; a
     rejected or short family raises ``InternalError``.  ``fidelity`` lays each Case1
     quarter tree along the quarter's labels in counting order, a spanning

@@ -405,7 +405,7 @@ def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple
         raise ContractViolation("connector trees need a 2^k-aligned label range")
     for t in terms:
         view.cube.check_label(t)
-        if not view.contains_label(t):
+        if t not in block:
             raise ContractViolation(f"terminal {t:0{view.dim}b} outside the view")
     tree_vertices = {terms[0]}
     edges: set[tuple[int, int]] = set()

@@ -195,9 +195,6 @@ class GraphView(NamedTuple):
     def dim(self) -> int:
         return self.cube.dim
 
-    def contains_label(self, v: int) -> bool:
-        return 0 <= v < 1 << self.cube.dim and v in self.allowed
-
 
 def side_view(g: AugmentedCube, v: int) -> GraphView:
     """The induced half-copy that holds label v (isomorphic to the cube

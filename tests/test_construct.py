@@ -597,8 +597,8 @@ def test_sweep_builds_each_fan_once(monkeypatch):
     assert len(calls) > 15
 
 
-@pytest.mark.parametrize("memo", [False, True])
-def test_a_broken_fan_raises_where_it_is_built(monkeypatch, memo):
+@pytest.mark.parametrize("joined", [False, True], ids=["own memo", "joined memo"])
+def test_a_broken_fan_raises_where_it_is_built(monkeypatch, joined):
     # x = 00000 and y = 00101 are below, and 0101 is no delta of AQ_4, so
     # the direct step 0-d of the broken fan is a non-edge; the lower
     # half-copy check catches it before any tree is assembled
@@ -611,10 +611,47 @@ def test_a_broken_fan_raises_where_it_is_built(monkeypatch, memo):
         return PathSystem(0, d, ((0, d),) + fan.paths[1:])
 
     monkeypatch.setattr(paths_mod, "fan", broken)
-    with construct_mod.fan_memo() if memo else contextlib.nullcontext():
+    with construct_mod.fan_memo() if joined else contextlib.nullcontext():
+        outer = construct_mod._fan_memo.get()
         with pytest.raises(InternalError, match="leaves the lower half-copy"):
             construct(AugmentedCube(5), vs("00000", "00101", "10000"))
+        # the recipe's own memo ended with the raise; a joined one stays
+        assert construct_mod._fan_memo.get() is outer
     assert asked and all(d not in adjacency_deltas(4) for d in asked)
+    assert construct_mod._fan_memo.get() is None
+
+
+def test_a_lone_construct_opens_a_memo_for_its_recipe_alone(monkeypatch):
+    memos = []
+    real = construct_mod._system
+
+    def recording(g, src, dst):
+        memos.append(construct_mod._fan_memo.get())
+        return real(g, src, dst)
+
+    monkeypatch.setattr(construct_mod, "_system", recording)
+    construct(AugmentedCube(5), vs("00111", "01010", "10111"))
+    # both fans of the Case2_1_2 recipe come from one memo, which ends
+    # with the recipe
+    assert len(memos) == 2 and memos[0] is memos[1] is not None
+    assert memos[0].cache_info()[:2] == (1, 1)
+    assert construct_mod._fan_memo.get() is None
+
+
+def test_a_construct_inside_fan_memo_joins_it():
+    # the second triple is the first translated by 00110: the same
+    # Case2_1_1 branch with the same lower fan to d = 01111
+    g = AugmentedCube(5)
+    first, second = vs("00000", "01111", "10000"), vs("00110", "01001", "10110")
+    assert classify(g, first).case is classify(g, second).case is Case.CASE2_1_1
+    with construct_mod.fan_memo():
+        memo = construct_mod._fan_memo.get()
+        construct(g, first)
+        assert memo.cache_info()[:2] == (0, 1)
+        construct(g, second)
+        assert memo.cache_info()[:2] == (1, 1)
+        assert construct_mod._fan_memo.get() is memo
+    assert construct_mod._fan_memo.get() is None
 
 
 def test_a_lone_case2_1_2_construct_builds_its_one_fan_once(monkeypatch):
@@ -649,11 +686,12 @@ def test_fan_memo_leaves_certificates_unchanged(monkeypatch, n):
             docs.append(cli.certificate_doc(family, family.provenance[0].case.value))
         return docs
 
+    # one batch memo for every construct, then a memo per recipe
     with construct_mod.fan_memo():
         memoised = certificates()
     searched = len(calls)
     assert memoised == certificates()
-    # the memoised pass came first and searched fewer fans
+    # the batch pass came first and searched fewer fans
     assert 0 < searched < len(calls) - searched
 
 

@@ -156,7 +156,7 @@ def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] 
     def nbrs(v: int) -> list[int]:
         out = closed.get(v)
         if out is None:
-            out = closed[v] = sorted([v, *(w for w in view.cube.neighbor_labels(v) if view.contains_label(w))])
+            out = closed[v] = sorted([v, *(w for w in view.cube.neighbor_labels(v) if w in view.allowed)])
         return out
 
     src, dst = 2 * s + 1, 2 * t

@@ -59,6 +59,10 @@ whose stdout parses as a JSON object on both sides is also tagged with
 the top-level keys whose values differ (e.g. "keys nodes_used"), from
 the first pass.  A tally counts the differing commands per chain, or
 per command name for other commands, together with that key set.
+Every run, also one where nothing differs, then prints per chain how
+many ``construct`` commands were compared (those that exit 0 in the
+change's first pass), so a clean run shows which branches it covered,
+lone Case2_1_2 constructs among them.
 
 Next to each checkout's "N commands in T s" line the tool prints its
 cold import: the median, over five fresh ``python -c`` children, of the
@@ -449,6 +453,8 @@ def main() -> int:
             )
     for key, count in sorted(tally.items()):
         print(f"tally: {count} differ: {key}")
+    for chain, count in sorted(collections.Counter(filter(None, chains)).items()):
+        print(f"compared: {count} construct: {chain}")
     differ = sum(tally.values())
     codes = collections.Counter(code for code, *_ in runs[0])
     exits = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items(), key=str))
