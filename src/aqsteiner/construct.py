@@ -14,17 +14,17 @@ S straddles the two half-copies:
   fact that each target has exactly one cross-partner in each quarter,
   and joining those partners by geodesics inside the quarter;
 - two targets x, y below and one target z above: the grid splice.  A
-  full fan of 2n - 3 disjoint x-y paths below ends at the anchor w
-  through every neighbour of w, and a full fan above runs from z to
-  img(w), the image of w under the h or c matching, which maps w's
-  neighbours onto img(w)'s; so the upper fan can be pinned to end path
-  i through the image of lower path i's last inner vertex, and each
-  lower path joins its upper path through that matching edge.  The
-  dispatch's variant "matching@anchor" (e.g. "c@y") names img and w;
-  adjacent x, y trade the first pair for one tree through the two
-  partner edges.  The one exception is Case2_1_1: cross-twins x, y
-  with z the bit-keeping partner of x get a star through c(x) = h(y)
-  and 2n - 4 trees that climb to z from y's other lower neighbours.
+  full fan of 2n - 3 disjoint x-y paths below ends at y through every
+  neighbour of y, and a full fan above runs from z to img(y), the image
+  of y under the h or c matching, which maps y's neighbours onto
+  img(y)'s; so the upper fan can be pinned to end path i through the
+  image of lower path i's last inner vertex, and each lower path joins
+  its upper path through that matching edge.  img is c when x ~ y and
+  z = h(x), and h otherwise; adjacent x, y trade the first pair for one
+  tree through the two partner edges.  The one exception is Case2_1_1:
+  cross-twins x, y with z the bit-keeping partner of x get a star
+  through c(x) = h(y) and 2n - 4 trees that climb to z from y's other
+  lower neighbours.
   A fan is named by its two endpoints alone: they share their leading
   bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
@@ -48,8 +48,8 @@ verifier.  The base families are likewise the pure function
 ``_base_trees`` of the canonical triple, cached for the life of the
 process.
 
-The dispatch is total (see the end of ``_dispatch``): every triple
-reaches a branch with a written recipe, so there is no repair path.
+The dispatch is total: it names a case for every triple, and every
+case has a written recipe, so there is no repair path.
 Every ``construct`` call runs the independent verifier once, on its
 result; a rejected recipe output is a bug and raises ``InternalError``.
 """
@@ -102,15 +102,14 @@ class CaseTag(NamedTuple):
     (0, 0), complement (0, full), the matching swap (1, 0), or complement
     then swap (1, half); the base search records its canonical-form
     transform.  ``roles`` gives the labels (x, y, z) in normalised
-    coordinates for the two-one split branches; ``variant`` names the
-    grid splice's "matching@anchor" (e.g. "c@y"), and is empty for Case1,
-    the Case2_1_1 star and the base search.
+    coordinates for the two-one split branches, and is None for Case1
+    and the base search.  The grid splice picks its matching from the
+    roles alone (``_splice_image``).
     """
 
     case: Case
     transform: tuple[int, int] = (0, 0)
     roles: tuple[int, int, int] | None = None
-    variant: str = ""
 
 
 class SteinerTree(NamedTuple):
@@ -183,6 +182,12 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     by the matching swap is the swap followed by the mask ``half``,
     because hc_swap_label is linear over GF(2) and sends ``full`` to
     ``half``.
+
+    Normalisation hands a target z that is a cross-partner of another
+    target to x, as z = h(x).  Past that, which partners of x and y the
+    target z touches only names the case, for the certificate's ``case``
+    field and the sweep histogram: every Case2 branch but the Case2_1_1
+    star runs the one grid splice, which reads only the roles.
     """
     g = AugmentedCube(n)
     half = 1 << (n - 1)
@@ -214,58 +219,30 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
 
     transform = (swap, (half if swap else full) if complement else 0)
 
-    def mk(case: Case, xx: int, yy: int, variant: str = "") -> CaseTag:
-        return CaseTag(case, transform, (xx, yy, z), variant)
+    def mk(case: Case) -> CaseTag:
+        return CaseTag(case, transform, (x, y, z))
 
     if x is not None:
         # z is a cross-partner of x (after normalisation, the bit-keeping one)
         if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
-            return mk(Case.CASE2_1_1, x, y)
-        if adj(z, h_label(y, n)):
-            # the upper fan runs from z = h(x) to c(y), which is not
-            # h(x): that would make x and y cross-twins
-            return mk(Case.CASE2_1_3, x, y, "c@y")
-        # x and y are not adjacent (else z = h(x) would touch h(y):
-        # Case2_1_3), so the grid splice joins every path through an
-        # interior vertex
-        return mk(Case.CASE2_1_2, x, y, "h@y")
+            return mk(Case.CASE2_1_1)
+        # h is a translation, so z = h(x) touches h(y) exactly when x ~ y
+        return mk(Case.CASE2_1_3 if adj(x, y) else Case.CASE2_1_2)
 
     x, y = u, v
     if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
-        # cross-twins share both partners and z is neither (else it would
-        # be a partner of x, above), so the upper fan from z to c(y) has
-        # two distinct ends whichever partners z touches
+        # cross-twins share both partners, and z is neither (else it
+        # would be a partner of x, above)
         zxh, zxc = adj(z, h_label(x, n)), adj(z, c_label(x, n))
-        return mk(Case.CASE2_2_1B if zxh and zxc else Case.CASE2_2_1A, x, y, "c@y")
+        return mk(Case.CASE2_2_1B if zxh and zxc else Case.CASE2_2_1A)
 
-    pattern = (adj(z, h_label(x, n)), adj(z, c_label(x, n)), adj(z, h_label(y, n)), adj(z, c_label(y, n)))
-    xh, xc, yh, yc = pattern
-    xside, yside = xh or xc, yh or yc
-    suffix = "3" if adj(x, y) else "2"
-    cases = {
-        "2": (Case.CASE2_2_2A, Case.CASE2_2_2B, Case.CASE2_2_2C),
-        "3": (Case.CASE2_2_3A, Case.CASE2_2_3B, Case.CASE2_2_3C),
-    }[suffix]
-    ca, cb, cc = cases
-    if not (xside or yside):
-        return mk(ca, x, y, "h@y")
-    if yside and not xside:
-        return mk(cb, x, y, "h@x")
-    if xside and not yside:
-        return mk(cb, x, y, "h@y")
-    if yh and not yc:
-        return mk(cc, x, y, "c@y")
-    if xh and not xc:
-        return mk(cc, x, y, "c@x")
-    if yc and not yh:
-        return mk(cc, x, y, "h@y")
-    # What is left has z adjacent to h_label(y), c_label(y) and
-    # c_label(x), and never to h_label(x) as well: with primes for the
-    # low n-1 bits and trail = half - 1, touching all four needs z'^x'
-    # and z'^y' each in a pair {d, d ^ trail} of the half-copy's delta
-    # set.  The only such pair is {leading bit, longest proper trailing
-    # block}, so x != y forces x'^y' = trail: the twins, dispatched above.
-    return mk(cc, x, y, "h@x")
+    xside = adj(z, h_label(x, n)) or adj(z, c_label(x, n))
+    yside = adj(z, h_label(y, n)) or adj(z, c_label(y, n))
+    if adj(x, y):
+        cases = (Case.CASE2_2_3A, Case.CASE2_2_3B, Case.CASE2_2_3C)
+    else:
+        cases = (Case.CASE2_2_2A, Case.CASE2_2_2B, Case.CASE2_2_2C)
+    return mk(cases[xside + yside])
 
 
 def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
@@ -350,11 +327,22 @@ def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     return trees
 
 
-def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list[_Edges]:
+def _splice_image(g: AugmentedCube, x: int, y: int, z: int) -> Callable[[int, int], int]:
+    """The matching img of the grid splice, whose anchor is y: ``c_label``
+    when x ~ y and z = h(x), and ``h_label`` otherwise.
+
+    It meets the splice's two premises.  img(y) != z: the dispatch hands
+    any partner target to x, so z is not h(y), and c(y) = h(x) would make
+    x and y cross-twins.  img(x) != z when x ~ y: z = h(x) is exactly
+    when h would fail, and c(x) != h(x)."""
+    n = g.dim
+    return c_label if z == h_label(x, n) and g.adjacent_labels(x, y) else h_label
+
+
+def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     """The grid splice, the recipe of every Case2 branch but the star:
-    the lower fan P from the other target to the anchor w, and the upper
-    fan Q from z to img(w), for ``variant`` "matching@anchor" (e.g.
-    "c@y": img is c_label and w is y).
+    the lower fan P from x to the anchor y, and the upper fan Q from z to
+    img(y), for the matching img of ``_splice_image``.
 
     Q is pinned so that its path i ends through img(nb_i), the image of
     P's sink neighbour nb_i; tree i is P_i, the matching edge
@@ -364,22 +352,20 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int, variant: str) -> list
     Case2_1_2 both fans have the difference x ^ y, so Q's fan is a memo
     hit."""
     n = g.dim
-    matching, anchor = variant.split("@")
-    img = h_label if matching == "h" else c_label
-    w, w_other = (x, y) if anchor == "x" else (y, x)
+    img = _splice_image(g, x, y, z)
     adjacent = int(g.adjacent_labels(x, y))
-    P = _system(g, w_other, w)
-    Q = _system(g, z, img(w, n))
+    P = _system(g, x, y)
+    Q = _system(g, z, img(y, n))
     if adjacent:
-        P = _pin(P, [w_other])
-    w_nb = [p[-2] for p in P.paths]
-    Q = _pin(Q, [img(v, n) for v in w_nb])
+        P = _pin(P, [x])
+    y_nb = [p[-2] for p in P.paths]
+    Q = _pin(Q, [img(v, n) for v in y_nb])
     trees = [
-        {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(w_nb[i], img(w_nb[i], n))}
+        {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(y_nb[i], img(y_nb[i], n))}
         for i in range(adjacent, len(P.paths))
     ]
     if adjacent:
-        trees.insert(0, {*path_edges(Q.paths[0]), _edge(w_other, img(w_other, n)), _edge(w, img(w, n))})
+        trees.insert(0, {*path_edges(Q.paths[0]), _edge(x, img(x, n)), _edge(y, img(y, n))})
     return trees
 
 
@@ -388,7 +374,7 @@ def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
     with fan_memo():
         if tag.case is Case.CASE2_1_1:
             return _recipe_2_1_1(g, x, y, z)
-        return _recipe_grid(g, x, y, z, tag.variant)
+        return _recipe_grid(g, x, y, z)
 
 
 def _assemble(

@@ -733,8 +733,9 @@ def test_sweep_at_dim_20():
 # The construct digests were recorded with the Case1 connectors built
 # from geodesics and the fans built from 0 by induction on the dimension
 # from flow fans of AQ_4 (at n = 5 the AQ_4 flow fans themselves), and
-# Case2_1_3, Case2_2_1a and Case2_2_1b built by the grid splice c@y; every
-# one of those certificates passes `aqsteiner verify`.  The full fan's
+# every grid splice anchored at y, through the c matching on Case2_1_3
+# and the h matching elsewhere; every one of those certificates passes
+# `aqsteiner verify`.  The full fan's
 # three digests were recorded with `paths` printing the translated fan
 # `paths.fan(6, 101101)`, which `test_pinned_paths_command_prints_a_full_fan`
 # checks; the cut is the one the flow reports.
@@ -748,21 +749,21 @@ STDOUT_DIGESTS = [
     ("construct -n 5 -S 01010,01101,10010 --format json", 0,  # Case2_1_3
      "cd2d7b220bf002d7cc069e8efe22fbabd1107c8ae5eecab033f4f9d5bc195e16"),
     ("construct -n 5 -S 01001,10010,11101 --format json", 0,  # Case2_2_1a
-     "44e56e2d2aff3ca3439bb54b8e119f24dd28739c8c9897bc54ff69e250720622"),
+     "f36255fd8e9a807b499e68107876a0fde6b019b065a93d3b32bb7f1c1de872c7"),
     ("construct -n 5 -S 00000,10111,11000 --format json", 0,  # Case2_2_1b
-     "813ca9583b4bd4b50ea657d49c6e9370d05118820437315b69afe6e4bf060567"),
+     "11914d44450d5a3e315cd25ffc659958dd0a1547fa89510524321e87e1424dcd"),
     ("construct -n 5 -S 00101,01001,10011 --format json", 0,  # Case2_2_2a
      "21fa672837abd357ec1b7842d9306ddf3ff472ae3c70c14d17faaddc090e8b7c"),
     ("construct -n 5 -S 00000,10011,10101 --format json", 0,  # Case2_2_2b
-     "9aa5ed3d1a7448133bd2cf5931519d28188a226edb83f22e4b22b503691334c4"),
+     "dd0060c2e1d32071ad502e7f3c80c8fb9669116a8fa36229483cfed0fec24f9a"),
     ("construct -n 5 -S 00001,10000,10110 --format json", 0,  # Case2_2_2c
-     "7ed3cdd70c0834972000a4740945970adfc9a627f8fcb5c6220106d2704878ed"),
+     "73845056e6f7746cfe3f2b1fcd67f2ae0be0c84f20fc889c35ec44081e169d07"),
     ("construct -n 5 -S 01001,01010,10011 --format json", 0,  # Case2_2_3a
      "4bbc945f2202f0d6eb1d086e8f42595dc1c6fea05cb3695671d9e9defe388f3b"),
     ("construct -n 5 -S 01100,01101,10100 --format json", 0,  # Case2_2_3b
      "d46140564bf9d5276b77e22a02294bda87c4c0d181044e91f314dcae33031a3e"),
     ("construct -n 5 -S 01010,01011,11000 --format json", 0,  # Case2_2_3c
-     "a71ff2d3de9ea49bc99cb07d4a5370b9893932f86d660e019e7fc7e96f994781"),
+     "b7ef21b63b8c562993fcd0815e8294a550c50e4aa8699bbb269e5eae7742122d"),
     ("construct -n 6 -S 000000,000100,010010 --format json", 0,  # Case1
      "5d5afa597e7f815c70ea9af44aea4f30837bc9c226a79610be35a27e17da0c7a"),
     ("construct -n 6 -S 000000,011111,111111 --format json", 0,  # Case2_1_1
@@ -772,23 +773,23 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 000001,110110,111110 --format json", 0,  # Case2_1_3
      "e8de6685941ff105169a899ea6864b6c3334b174bbbdb1af4798ee0dc51e0eb3"),
     ("construct -n 6 -S 001010,100001,111110 --format json", 0,  # Case2_2_1a
-     "11cb524e6e64220cbc16f2c4377771ddab548296a49a2a85222cffdf40a0bd63"),
+     "aaba0b7d36ad6e4db29b5e0735eeb5f12904e288e865222e190be2d60d68efb8"),
     ("construct -n 6 -S 001010,010101,111010 --format json", 0,  # Case2_2_1b
-     "4d3fc3837348cbf8bce76d660b8578fca31399e1b51c99d25231a4756a1b3a13"),
+     "a0fecdef42ad4a65d7eecdc5562e06340a61368abef570d1c2cd545c2ea8f818"),
     ("construct -n 6 -S 001011,011000,100001 --format json", 0,  # Case2_2_2a
      "5554f2d27c47f86b531b17c17ea3fc800fb0e2ad64c44648d2630d09b500f715"),
     ("construct -n 6 -S 001100,011001,110100 --format json", 0,  # Case2_2_2b
      "7f14ad1732abc8e84a368f8c98407c42f24e8d3b460414fee9a444c1d107f16e"),
     ("construct -n 6 -S 001011,101010,110110 --format json", 0,  # Case2_2_2c
-     "15c15e7b38f7e4f800298912713df4b09369a7876ce338ea8c023d1c350d4507"),
+     "e1a35c986b369135764f7827d052911c444063a399c02b7548548010c0830347"),
     ("construct -n 6 -S 000100,000110,101111 --format json", 0,  # Case2_2_3a
      "fe1715dc395ac2c602b84ee51c1886a9623df841153bcbb7f17ea0ad41e988f0"),
     ("construct -n 6 -S 001011,001111,101101 --format json", 0,  # Case2_2_3b
-     "0fd57f6ba73e8add0090c36a77a943ddb922c6fc8766f316310e6661ced78c3f"),
+     "53d33885fbbdf56263721e10dc137990b6d413daf4a4cceadef60a432cc7dc4c"),
     ("construct -n 6 -S 011001,101110,111110 --format json", 0,  # Case2_2_3c
-     "7a63569b6019e54b760692c94ce101bbd94a49a84ea8dc40fb141a3b77f824c2"),
+     "45318bab89c2ce616566527360c710340d93b16fdc5e2a24eae6c8601485d38d"),
     ("construct -n 7 -S 0001100,0010010,0011000 --format json", 0,  # Case1
-     "a88598d3e013cdb823e0e0ad24d8b38c63ec4538545359b7cc004e944ab15b1f"),
+     "5c2746e9750e53c121ead623aff9c09a24652972b985b7a467a9a79905cbbb52"),
     ("construct -n 7 -S 0000111,1000111,1111000 --format json", 0,  # Case2_1_1
      "63a29d86b032552d7dcb21417e4a2974af78f58fc0ea75d18a253da0b51eda40"),
     ("construct -n 7 -S 0001111,1001111,1110010 --format json", 0,  # Case2_1_2
@@ -796,21 +797,21 @@ STDOUT_DIGESTS = [
     ("construct -n 7 -S 0010100,1010100,1011100 --format json", 0,  # Case2_1_3
      "6a82c4580eb2977ed326fb7e0328ffad5cab8e6c4103730a9c856e6c5479377d"),
     ("construct -n 7 -S 0000100,1001010,1110101 --format json", 0,  # Case2_2_1a
-     "5272ddcedfba2e9e184dc8b09671868663c2c20fcbfe14500548522d820652ce"),
+     "1bbefa64eec33cc9e93b2d19b263a4cfea2fe2d4eed55798caa1ec3063158146"),
     ("construct -n 7 -S 0110000,1010000,1101111 --format json", 0,  # Case2_2_1b
-     "65006af8519ac253d8e11eca4d473959ea68f5022d1bc9bc8106afe7f0ba28f9"),
+     "6b7c67d72a6a2ae2627329b5a900f3928e80b67093bd31edf2ac7da2805af0a5"),
     ("construct -n 7 -S 0001110,0110110,1011101 --format json", 0,  # Case2_2_2a
      "52c478f82e6912b8422fca6bf2867fba89daa870263c969250b7bb1fb023b942"),
     ("construct -n 7 -S 0100110,1010010,1100101 --format json", 0,  # Case2_2_2b
      "aaebb0dc0cf936fce52da4ac8767c8339c50917022dd1ba7778ee1c8ae8a461c"),
     ("construct -n 7 -S 0011000,0110000,1011111 --format json", 0,  # Case2_2_2c
-     "4abd0650c06207e17eadea38081092d6be49400cd2f153f60214b6fb1d2fcd7b"),
+     "b9921f01efea43e7becf06ee4410031fe531f0e451b63ef307da42f570f0e14c"),
     ("construct -n 7 -S 0001001,0010110,1101111 --format json", 0,  # Case2_2_3a
      "c6f9f84a20689d619fd1b1d189f4b417767f4fcdb05417cecaf82c1943de6763"),
     ("construct -n 7 -S 0100000,1010001,1011110 --format json", 0,  # Case2_2_3b
      "10c69a67ca6f6e0ffd4b9b281a638f06f90f01ea19b1caca82ddb58bb14eacc1"),
     ("construct -n 7 -S 0011000,0111000,1110111 --format json", 0,  # Case2_2_3c
-     "e93f93267efeff7d9253a3d08f61efc58118d68d389a475cbe45df5aca67c4db"),
+     "70914e26b0bb9b0fd71f99670e0d875dd20b378a9565db4037f25841b0d642f7"),
     ("construct -n 8 -S 00010110,01000000,01100010 --format json", 0,  # Case1
      "ad6b190d14ce0db33cf8d9ee7551c9d7398a906705cc926c55c5e6b0a52a2ed1"),
     ("construct -n 8 -S 00101001,01010110,10101001 --format json", 0,  # Case2_1_1
@@ -820,9 +821,9 @@ STDOUT_DIGESTS = [
     ("construct -n 8 -S 00110110,00111001,11000110 --format json", 0,  # Case2_1_3
      "1822f4156fc24b7c91b1b8ad54d90ef4ac128386b0b865edfe2e5a17c3eeee87"),
     ("construct -n 8 -S 00001010,01110101,11010000 --format json", 0,  # Case2_2_1a
-     "aefddc268701417c0729aab52d3051ad1ca9a0d62210cf0c343f294116ff06fa"),
+     "c893ad2aa4dc134dd4238a1bfe3a5d19555d92d6d61893aff83f1986ff6332b8"),
     ("construct -n 8 -S 01100110,10100110,11011001 --format json", 0,  # Case2_2_1b
-     "597466dcfe02ea327b79fa31ca836588375842ba2129c748667d72327435abb9"),
+     "3b45c765d4f7cbd4f413d3f19fdb02da28e64863c31128320a09385a1ada69fc"),
     ("construct -n 8 -S 01110100,10111101,11000000 --format json", 0,  # Case2_2_2a
      "6cb7fbc218482532b8402585e48353cbd3884eff72cd9f11bf0c7b40ad5362df"),
     ("construct -n 8 -S 01100010,11000111,11111101 --format json", 0,  # Case2_2_2b
@@ -848,9 +849,9 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 000000,000100,010010 --format dot", 0,  # Case1
      "ab8d7bfd69ea1ea6162ed48840d93467081721c4a11a7df8f59853c168e40005"),
     ("construct -n 6 -S 011001,101110,111110 --format text", 0,  # Case2_2_3c
-     "e537b23aad3fcdd8775683179f24183ac5bcbaeaa78b2fb0f22c30e56090f06f"),
+     "1992a1af10aaed36f1da1dd6a391832f55c0950b18d9342aa961844dcfa57abc"),
     ("construct -n 6 -S 011001,101110,111110 --format dot", 0,  # Case2_2_3c
-     "848d7642f261518eaa924d2e4885780f18092fc027cc672a026eb368121c9b16"),
+     "bf9ed2f9679ddf92df6e2b50c7bff8a4710ed740e82e92e341bde0e845c57a02"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format json", 0,  # a full fan
      "618d17f7e80edb7552362257da3e68f791e24eb798aa3ca76da5f58f3507c1b0"),
     ("paths -n 6 -u 000000 -v 101101 -k 11 --format text", 0,

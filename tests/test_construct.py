@@ -25,6 +25,7 @@ from aqsteiner.construct import (
     _assemble,
     _canonical_triple,
     _dispatch,
+    _splice_image,
     base_case_search,
     classify,
     construct,
@@ -37,6 +38,7 @@ from aqsteiner.topology import (
     Vertex,
     adjacency_deltas,
     c_label,
+    h_label,
     hc_swap_label,
     parse_vertex,
 )
@@ -150,24 +152,8 @@ def test_dispatch_lemma_only_trailing_pair():
         assert pairs == {frozenset((1 << (n - 2), (1 << (n - 2)) - 1))}, n
 
 
-def _branch(tag):
-    """Identify the branch of ``_dispatch`` that made ``tag``."""
-    return tag.case.value, tag.variant
-
-
-KEPT_BRANCHES = {
-    ("Case1", ""),
-    ("Case2_1_1", ""),
-    ("Case2_1_2", "h@y"),
-    ("Case2_1_3", "c@y"),
-    ("Case2_2_1a", "c@y"),
-    ("Case2_2_1b", "c@y"),
-} | {
-    (f"Case2_2_{k}{branch}", variant)
-    for k in "23"
-    for branch, variant in (("a", "h@y"), ("b", "h@x"), ("b", "h@y"),
-                            ("c", "c@y"), ("c", "c@x"), ("c", "h@y"), ("c", "h@x"))
-}
+# every case name that ``_dispatch`` can give above dimension 4
+KEPT_CASES = {case.value for case in Case} - {"Base3", "Base4"}
 
 
 def _relation_type(a, b, deltas, trail):
@@ -180,7 +166,8 @@ def _relation_type(a, b, deltas, trail):
 @pytest.mark.parametrize("n", range(5, 11))
 def test_dispatch_relation_types_cover_every_branch(n):
     # Translating by x leaves x = 0, y = a, z = half | b with a = x'^y' and
-    # b = z'^x'.  Enumerate every (a, b), dispatch one pair per type.
+    # b = z'^x'.  Enumerate every (a, b), dispatch one pair per type: the
+    # type names the case.
     half = 1 << (n - 1)
     trail = half - 1
     deltas = frozenset(adjacency_deltas(n - 1))
@@ -191,22 +178,23 @@ def test_dispatch_relation_types_cover_every_branch(n):
         # z adjacent to h(x), c(x), h(y) and c(y) needs cross-twins
         assert a == trail or not all(kind[2]), (a, b)
         representative.setdefault(kind, (a, b))
-    branch_of = {
-        kind: _branch(_dispatch(n, (0, a, half | b))) for kind, (a, b) in representative.items()
+    case_of = {
+        kind: _dispatch(n, (0, a, half | b)).case.value for kind, (a, b) in representative.items()
     }
     if n <= 7:
-        # the relation type really determines the branch
+        # the relation type really determines the case
         for a, b in pairs:
             kind = _relation_type(a, b, deltas, trail)
-            assert _branch(_dispatch(n, (0, a, half | b))) == branch_of[kind], (a, b)
-    case1 = _branch(_dispatch(n, (0, 1, 2)))
-    assert set(branch_of.values()) | {case1} == KEPT_BRANCHES
+            assert _dispatch(n, (0, a, half | b)).case.value == case_of[kind], (a, b)
+    case1 = _dispatch(n, (0, 1, 2)).case.value
+    assert set(case_of.values()) | {case1} == KEPT_CASES
 
 
 def test_every_twin_and_case2_1_3_triple_builds_at_dim_6():
-    # the three branches that became the grid splice c@y, on every triple:
-    # n = 6 is the first dimension whose fans come from the induction and
-    # not from the AQ_4 flow (construct raises on a rejected family)
+    # the twins of Case2_2_1, whose splice takes h, and Case2_1_3, the one
+    # case whose splice takes c, on every triple: n = 6 is the first
+    # dimension whose fans come from the induction and not from the AQ_4
+    # flow (construct raises on a rejected family)
     g = AugmentedCube(6)
     built = collections.Counter()
     with construct_mod.fan_memo():
@@ -220,11 +208,12 @@ def test_every_twin_and_case2_1_3_triple_builds_at_dim_6():
 
 
 def _branch_triples(n):
-    """One triple per kept branch: Case1's (0, 1, 2) and (0, a, half | b)
-    for the first (a, b) of each relation type, as in the test above.
-    Enumerating every pair is out of reach at large n, so a runs over 0b101,
-    trail, the deltas and the deltas xor trail, and b over those values and
-    their xors with a."""
+    """Case1's (0, 1, 2) and (0, a, half | b) for the first (a, b) of each
+    relation type, as in the test above, so every case, both matchings
+    of the grid splice and both adjacencies of x and y are built.
+    Enumerating every pair is out of reach at large n, so a runs over
+    0b101, trail, the deltas and the deltas xor trail, and b over those
+    values and their xors with a."""
     half = 1 << (n - 1)
     trail = half - 1
     deltas = frozenset(adjacency_deltas(n - 1))
@@ -233,10 +222,8 @@ def _branch_triples(n):
     for a in near[1:]:
         for b in sorted({v ^ w for v in near for w in (0, a)}):
             representative.setdefault(_relation_type(a, b, deltas, trail), (a, b))
-    triples = {_branch(_dispatch(n, (0, 1, 2))): (0, 1, 2)}
-    for a, b in representative.values():
-        triples.setdefault(_branch(_dispatch(n, (0, a, half | b))), (0, a, half | b))
-    assert triples.keys() == KEPT_BRANCHES, n
+    triples = [(0, 1, 2)] + [(0, a, half | b) for a, b in representative.values()]
+    assert {_dispatch(n, t).case.value for t in triples} == KEPT_CASES, n
     return triples
 
 
@@ -248,11 +235,54 @@ def test_every_branch_builds_and_verifies_at_large_dimension(n):
         "from aqsteiner.topology import AugmentedCube, Vertex\n"
         "from aqsteiner.verify import verify_family\n"
         f"g = AugmentedCube({n})\n"
-        f"for labels in {list(triples.values())!r}:\n"
+        f"for labels in {triples!r}:\n"
         f"    fam = construct(g, [Vertex(a, {n}) for a in labels])\n"
         f"    print(fam.provenance[0].case.value, len(fam.trees), verify_family(g, fam, size={2 * n - 3}).accepted)\n"
     )
-    assert out.splitlines() == [f"{case} {2 * n - 3} True" for case, _ in triples]
+    assert out.splitlines() == [f"{_dispatch(n, t).case.value} {2 * n - 3} True" for t in triples]
+
+
+def _splice_roles(n, labels):
+    """The grid splice's roles (x, y, z) and matching for a triple, or None
+    when the dispatch runs no grid splice (Case1, the Case2_1_1 star)."""
+    tag = _dispatch(n, labels)
+    if tag.case in (Case.CASE1, Case.CASE2_1_1):
+        return None
+    return tag, _splice_image(AugmentedCube(n), *tag.roles)
+
+
+@pytest.mark.parametrize("n", range(5, 63))
+def test_splice_image_meets_both_premises(n):
+    # img(y) != z, and img(x) != z when x ~ y: the two facts about labels
+    # that README's grid-splice argument needs, on one triple per
+    # relation type and on seeded samples
+    adj = AugmentedCube(n).adjacent_labels
+    checked = 0
+    for labels in _branch_triples(n) + list(cli.sample_triples(n, 40, n)):
+        found = _splice_roles(n, labels)
+        if found is None:
+            continue
+        tag, img = found
+        x, y, z = tag.roles
+        assert img(y, n) != z, (labels, tag)
+        assert not adj(x, y) or img(x, n) != z, (labels, tag)
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_splice_takes_c_exactly_on_case2_1_3(n):
+    # every (a, b) of x = 0, y = a, z = half | b, so every relation type
+    half = 1 << (n - 1)
+    taken = set()
+    for a in range(1, half):
+        for b in range(half):
+            found = _splice_roles(n, (0, a, half | b))
+            if found is not None:
+                tag, img = found
+                assert (img is c_label) == (tag.case is Case.CASE2_1_3), (a, b, tag)
+                taken.add(img)
+    assert taken == {c_label, h_label}
 
 
 def test_sampled_sweep_at_dim_62():
