@@ -97,14 +97,14 @@ class Case(Enum):
 class CaseTag(NamedTuple):
     """Which branch built a tree batch, under which normalisation.
 
-    ``transform`` is the (swap, mask) automorphism of ``_apply_transform``
-    that moved the targets into the branch's coordinates: identity
-    (0, 0), complement (0, full), the matching swap (1, 0), or complement
-    then swap (1, half); the base search records its canonical-form
-    transform.  ``roles`` gives the labels (x, y, z) in normalised
-    coordinates for the two-one split branches, and is None for Case1
-    and the base search.  The grid splice picks its matching from the
-    roles alone (``_splice_image``).
+    ``transform`` is the (swap, mask) automorphism v -> (hc_swap_label(v)
+    if swap else v) ^ mask that moved the targets into the branch's
+    coordinates: identity (0, 0), complement (0, full), the matching swap
+    (1, 0), or complement then swap (1, half); the base search records
+    its canonical-form transform.  ``roles`` gives the labels (x, y, z)
+    in normalised coordinates for the two-one split branches, and is None
+    for Case1 and the base search.  The grid splice picks its matching
+    from the roles alone (``_splice_image``).
     """
 
     case: Case
@@ -141,21 +141,6 @@ def target_family_size(dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# label automorphisms
-# ---------------------------------------------------------------------------
-#
-# One form serves the dispatch normalisation and the base-case cache: the
-# pair (swap, mask) maps v to hc_swap_label(v) when swap is set, else to v,
-# and then xors mask.  These pairs are the label-translation group
-# extended by the matching swap.
-
-def _apply_transform(v: int, swap: int, mask: int, n: int) -> int:
-    if swap:
-        v = hc_swap_label(v, n)
-    return v ^ mask
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
@@ -176,12 +161,11 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
 def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     """Classify a target triple.
 
-    The tag's ``transform`` is the (swap, mask) automorphism of
-    ``_apply_transform`` that moves the targets into its normalised
-    coordinates.  Complement is the mask ``full``.  Complement followed
-    by the matching swap is the swap followed by the mask ``half``,
-    because hc_swap_label is linear over GF(2) and sends ``full`` to
-    ``half``.
+    The tag's ``transform`` is the (swap, mask) automorphism that moves
+    the targets into its normalised coordinates.  Complement is the mask
+    ``full``.  Complement followed by the matching swap is the swap
+    followed by the mask ``half``, because hc_swap_label is linear over
+    GF(2) and sends ``full`` to ``half``.
 
     Normalisation hands a target z that is a cross-partner of another
     target to x, as z = h(x).  Past that, which partners of x and y the
@@ -260,11 +244,15 @@ _fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None
     contextvars.ContextVar("fan_memo", default=None)
 )
 # A sweep at dimension n needs at most 2^(n-1) - 1 fans, so the cap covers
-# every d up to n = 13 (the exhaustive n = 5 sweep holds 15); it bounds the
-# memo of a long sampled sweep above.  One n = 62 fan holds a median of
-# 142 KiB (119-194 KiB by tracemalloc over 20 seeded d), so a full memo
-# at n = 62 holds about 567 MiB, and at most about 775 MiB.
-FAN_MEMO_MAX = 4096
+# every d up to n = 11 (the exhaustive n = 5 sweep holds 15).  One n = 62
+# fan holds a median of 140 KiB (98-313 KiB by tracemalloc over 20 seeded
+# d), so a full memo at n = 62 holds about 140 MiB, at most about 313 MiB.
+# Caps 512 / 1024 / 4096, measured on a 2-core VM: `sweep -n 62 --samples
+# 1200 --seed 1` peaks at 89 / 153 / 320 MB RSS in 32-33 s each, and
+# `sweep -n 13 --samples 4000 --seed 1` (up to 4,095 fans) takes a median
+# 4.08 / 3.79 / 3.34 s over 8 runs; 1024 is the least cap within the
+# 3.34-3.85 s interquartile range of the Gray-coordinate fans at 4096.
+FAN_MEMO_MAX = 1024
 
 
 def _checked_fan(n: int, d: int) -> _paths.PathSystem:
@@ -385,19 +373,22 @@ def _assemble(
 ) -> TreeFamily:
     """Map normalised label edges, each with its smaller label first, back
     to the caller's labels through the inverse of
-    ``provenance[0].transform``: xor the mask, then swap.  Only S is
-    wrapped in ``Vertex``."""
+    ``provenance[0].transform``: xor the mask, then swap (complement the
+    trailing bits ``low`` of upper labels).  Only S is in ``Vertex``."""
     n = g.dim
     swap, mask = provenance[0].transform
+    half = 1 << (n - 1)
+    low = half - 1 if swap else 0
 
     def back(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        if swap:
-            pairs = ((hc_swap_label(a ^ mask, n), hc_swap_label(b ^ mask, n)) for a, b in edges)
-        elif mask:
-            pairs = ((a ^ mask, b ^ mask) for a, b in edges)
-        else:
+        if not (swap or mask):
             return frozenset(edges)
-        return frozenset((a, b) if a < b else (b, a) for a, b in pairs)
+        out = set()
+        for a, b in edges:
+            a, b = a ^ mask, b ^ mask
+            a, b = a ^ low if a & half else a, b ^ low if b & half else b
+            out.add((a, b) if a < b else (b, a))
+        return frozenset(out)
 
     return TreeFamily(
         dim=n,
@@ -421,7 +412,8 @@ def _construct_case1(
     """All three targets in one half: recurse, then add one tree through
     each quarter of the other half."""
     n = g.dim
-    norm_labels = sorted(_apply_transform(a, *tag.transform, n) for a in labels)
+    # the dispatch normalises Case1 by the mask alone: its swap is 0
+    norm_labels = sorted(a ^ tag.transform[1] for a in labels)
     sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
     # sub's labels already name the lower half-copy (prefix bit 0)
     trees: list[Iterable[tuple[int, int]]] = [t.edges for t in sub.trees]
@@ -455,9 +447,9 @@ def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], t
     image starts with 0 and every pair that gives it has the mask that
     sends one of the three labels to 0: six candidates, not 2^(n+1)."""
     return min(
-        (tuple(sorted(_apply_transform(v, swap, mask, n) for v in labels)), (swap, mask))
-        for swap in (0, 1)
-        for mask in (_apply_transform(v, swap, 0, n) for v in labels)
+        (tuple(sorted(v ^ mask for v in image)), (swap, mask))
+        for swap, image in ((0, labels), (1, [hc_swap_label(v, n) for v in labels]))
+        for mask in image
     )
 
 

@@ -30,8 +30,8 @@ sides it reached whose out side it did not; that reach set is the same
 for every maximum flow.
 
 ``fan(m, d)``, the full fan of 2m - 1 paths from 0 to d in AQ_m, is
-built by induction on m in Gray coordinates from the flow fans of AQ_4
-(README, "Why every fan is full"); the constructor and ``cube_paths``
+built on labels by induction on m from the flow fans of AQ_4 (README,
+"Why every fan is full"); the constructor and ``cube_paths``
 use it.  ``cube_paths`` answers whole-cube requests: by
 ``disjoint_paths`` up to dimension 4, and above it by the fan to u ^ v
 translated by u, or by u's neighbourhood as the cut.  So the fan base
@@ -43,9 +43,10 @@ cut, and the memo holds at most 2,308 keys.  Each system is solved and
 checked once per process, where it is built, and a repeat returns the
 same immutable object; the request itself is checked on every call.
 
-Connector trees need no search either: ``geodesic`` spells the shortest word for gray(u ^ v) by a scan from its
-lowest bit, and ``connector_tree`` grafts one geodesic per terminal
-inside a quarter.
+Connector trees need no search either: ``geodesic`` steps by the label
+deltas of the shortest word for gray(u ^ v), scanned from its lowest
+bit, and ``connector_tree`` grafts one geodesic per terminal inside a
+quarter.
 
 ``connectivity`` runs ``cube_paths`` from 0 to every label and is exact
 at every dimension, since translations are automorphisms; above
@@ -57,6 +58,8 @@ imports only ``topology``, so this module may use its
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -292,92 +295,97 @@ def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:
 
 
 # ---------------------------------------------------------------------------
-# shortest paths in Gray coordinates
+# shortest paths
 # ---------------------------------------------------------------------------
 
-def _gray_word(dg: int) -> list[int]:
-    """The fewest generators e_i and e_i + e_(i+1) summing to dg, in
-    ascending bit order: from the lowest set bit i, the pair when bit
+def _word(d: int) -> list[int]:
+    """The fewest adjacency deltas xoring to d, in ascending bit order of
+    gray(d): from its lowest set bit i, the pair e_i + e_(i+1) when bit
     i + 1 is set too and the single e_i otherwise.  No generator touches
-    a bit above the top one of dg."""
+    a bit above the top one of gray(d), so every delta lies in the delta
+    set of AQ_(d.bit_length()).
+
+    ``gray`` is linear, so each Gray vector is one label constant, here
+    and in ``_fan_paths`` at level m: e_i is 2^(i+1) - 1, e_i + e_(i+1)
+    is 2^(i+1), top = e_(m-1) is 2^m - 1, e2 = e_(m-2) is 2^(m-1) - 1 and
+    e3 = e_(m-3) is 2^(m-2) - 1.  So lo = gray(d) + top is d ^ top when d
+    has its top bit set, t = lo + e2 is lo ^ e2 when lo has bit m - 2
+    set, and reversing the Gray bits is v -> inverse_gray(rev(gray(v))).
+    """
     word = []
+    dg = gray(d)
     while dg:
         low = dg & -dg
         gen = 3 * low if dg & low << 1 else low
-        word.append(gen)
+        word.append((low << 1) - (gen == low))  # gen's label constant
         dg ^= gen
     return word
 
 
 def geodesic(u: int, v: int) -> list[int]:
     """A shortest u-v path, as labels, in any augmented cube holding both:
-    the generators of ``_gray_word(gray(u ^ v))`` applied in order."""
-    verts = [u]
-    for gen in _gray_word(gray(u ^ v)):
-        verts.append(verts[-1] ^ inverse_gray(gen))
-    return verts
+    the deltas of ``_word(u ^ v)`` applied in order."""
+    return list(itertools.accumulate(_word(u ^ v), operator.xor, initial=u))
 
 
 # ---------------------------------------------------------------------------
-# full fans, by induction in Gray coordinates
+# full fans, by induction on the dimension
 # ---------------------------------------------------------------------------
 
 def fan(m: int, d: int) -> PathSystem:
     """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4):
-    ``_gray_fan`` mapped back to labels, with the paths sorted."""
-    return PathSystem(0, d, tuple(sorted(tuple(map(inverse_gray, p)) for p in _gray_fan(m, gray(d)))))
+    the paths of ``_fan_paths``, sorted."""
+    return PathSystem(0, d, tuple(sorted(_fan_paths(m, d))))
 
 
-def _gray_fan(m: int, dg: int) -> list[tuple[int, ...]]:
-    """The full fan from 0 to dg in Gray coordinates, where AQ_m is the
-    Cayley graph on e_i and e_i + e_(i+1), by induction on m: bit m - 1
+def _fan_paths(m: int, d: int) -> list[tuple[int, ...]]:
+    """The full fan from 0 to d as label paths, by induction on m: bit m - 1
     splits AQ_m into two copies of AQ_(m-1), and a fan of the lower copy
     gains two paths through the upper one (README, "Why every fan is
-    full").  AQ_4 is searched by the flow."""
+    full").  AQ_4 is searched by the flow.  Gray coordinates decide only
+    the branch tests and the reflection (``_word`` has the dictionary)."""
     if m <= 4:
-        res = disjoint_paths(AugmentedCube(m).view(), 0, inverse_gray(dg), 2 * m - 1)
+        res = disjoint_paths(AugmentedCube(m).view(), 0, d, 2 * m - 1)
         if isinstance(res, MinCut):
-            raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {inverse_gray(dg):0{m}b}")
-        return [tuple(map(gray, p)) for p in res.paths]
-    top, e2, e3 = 1 << (m - 1), 1 << (m - 2), 1 << (m - 3)
-    lo = dg & ~top
-    t = lo & ~e2
-    if dg & top and t in (0, e3):
-        # reversing the m bits is an automorphism that fixes 0 and puts dg
-        # among e_0 + {0, e_1} + {0, e_2}, below top
+            raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {d:0{m}b}")
+        return list(res.paths)
+    top, e2, e3 = (1 << m) - 1, (1 << (m - 1)) - 1, (1 << (m - 2)) - 1
+    upper = d >> (m - 1)
+    lo = d ^ top if upper else d
+    t = lo ^ e2 if lo >> (m - 2) else lo
+    if upper and t in (0, e3):
+        # reversing the m Gray bits is an automorphism that fixes 0 and puts
+        # gray(d) among e_0 + {0, e_1} + {0, e_2}, below top
         def rev(v: int) -> int:
-            return int(format(v, f"0{m}b")[::-1], 2)
+            return inverse_gray(int(format(gray(v), f"0{m}b")[::-1], 2))
 
-        return [tuple(map(rev, p)) for p in _gray_fan(m, rev(dg))]
+        return [tuple(map(rev, p)) for p in _fan_paths(m, rev(d))]
     # A shortest walk from 0 to t, whose last step s is t's lowest
     # generator, stays below bit m - 2, so its lifts into the two quarters
-    # of the upper copy are disjoint.  When dg lies in the upper copy, the
-    # lift into dg's quarter stops a step short, and the lower fan to lo, which
-    # enters lo once by each generator of AQ_(m-1), goes on to dg: by
+    # of the upper copy are disjoint.  When d lies in the upper copy, the
+    # lift into d's quarter stops a step short, and the lower fan to lo, which
+    # enters lo once by each generator of AQ_(m-1), goes on to d: by
     # top + e2 from lo ^ e2, by top from lo after the step s, and by any
-    # other step g through dg ^ g.  Of t's neighbours the walk holds only
-    # t ^ s, so dg ^ g lies off both lifts; g = e3 + e2 would meet
+    # other step g through d ^ g.  Of t's neighbours the walk holds only
+    # t ^ s, so d ^ g lies off both lifts; g = e3 + e2 would meet
     # t ^ e3 = t ^ s only for t = e3, reflected above.
-    walk = [t]
-    for gen in _gray_word(t):
-        walk.append(walk[-1] ^ gen)
-    walk.reverse()
-    quarter = top ^ (lo & e2)
+    walk = geodesic(t, 0)[::-1]
+    quarter = top ^ lo ^ t
     out = [
-        (0, *(v ^ quarter for v in (walk[:-1] if dg & top else walk)), dg),
-        (0, *(v ^ quarter ^ e2 for v in walk), dg),
+        (0, *(v ^ quarter for v in (walk[:-1] if upper else walk)), d),
+        (0, *(v ^ quarter ^ e2 for v in walk), d),
     ]
-    if not dg & top:
-        return _gray_fan(m - 1, dg) + out
+    if not upper:
+        return _fan_paths(m - 1, d) + out
     s = walk[-1] ^ walk[-2]
-    for p in _gray_fan(m - 1, lo):
+    for p in _fan_paths(m - 1, lo):
         step = p[-2] ^ lo
         if step == e2:
-            out.append(p[:-1] + (dg,))
+            out.append(p[:-1] + (d,))
         elif step == s:
-            out.append(p + (dg,))
+            out.append(p + (d,))
         else:
-            out.append(p[:-1] + (p[-2] ^ top, dg))
+            out.append(p[:-1] + (p[-2] ^ top, d))
     return out
 
 

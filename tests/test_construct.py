@@ -21,7 +21,6 @@ from aqsteiner.construct import (
     InternalError,
     SteinerTree,
     TreeFamily,
-    _apply_transform,
     _assemble,
     _canonical_triple,
     _dispatch,
@@ -100,7 +99,7 @@ def test_dispatch_transform_normalises_targets(n):
     for labels in _triples(n):
         tag = _dispatch(n, labels)
         swap, mask = tag.transform
-        image = [_apply_transform(v, swap, mask, n) for v in labels]
+        image = [(hc_swap_label(v, n) if swap else v) ^ mask for v in labels]
         assert [reference_invert_transform(v, swap, mask, n) for v in image] == list(labels)
         if tag.case is Case.CASE1:
             assert all(v < half for v in image) and not swap

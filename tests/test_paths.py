@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from aqsteiner.topology import (
     ContractViolation,
     GraphView,
     Vertex,
+    adjacency_deltas,
     c_label,
     h_label,
     inverse_gray,
@@ -203,8 +206,10 @@ def test_flow_matches_the_reference_on_every_whole_cube_request():
 
 # sha256 of repr(paths) for the full 0 -> d fan ``fan(m, d)`` at the
 # dimensions the CLI serves, with d drawn by random.Random(14): four draws
-# at m = 13, four at m = 20, then one at m = 32.  Recorded with the fans
-# built by induction from AQ_4.
+# at m = 13, four at m = 20, then one each at m = 32, 45 and 62; and the
+# four d that the top level reflects at m = 33 and 62 (gray(d) = top +
+# {0, e2} + {0, e3}).  Recorded with the fans built by induction from AQ_4
+# in Gray coordinates, before the induction moved onto labels.
 LARGE_FAN_DIGESTS = {
     (13, 0x36C): "63945810b8dbb463caeb9a878376e2a982b1ba3324ab162b7a88c6c0ba4dff1b",
     (13, 0x13B6): "5dddc025e3bd15373ba7b46c48a83ae7535dbf20d14988b7d848cf3adc569555",
@@ -215,6 +220,29 @@ LARGE_FAN_DIGESTS = {
     (20, 0xA6EC4): "cb3255724f8db87afa3ce6aede894fdad518a53e97cfd9275dedcf28b9ac71b3",
     (20, 0xF0BAF): "261ead66d757eb38919d7cc3666d5872e91991ae5c0088a9f7c64ba26ad89e0c",
     (32, 0x4567CEB2): "7456fdfe52e51b46715f26a6bf235f51172576c06a33cc67f7286393fc5e2c59",
+    (45, 0x82FBC319995): "c6ef30db2f89ca9ea1a41bb1a30b1d97596bca9531af72163eb15e3d349d2711",
+    (62, 0x2EFAD4234A800647): "d5c6ac4fdd5166bc493505e49dc19fa1926ba836554206e100dd5fb661ae9b29",
+    (33, 0x100000000): "260b428fc84a7b0f508bea36593b4a7008b6a5a6d6a6e4eaf0784f1d250d49ec",
+    (33, 0x17FFFFFFF): "9f143977468bc073ff9908f6f9174c1984e8821981a3a2e7bee378a19b129e2c",
+    (33, 0x180000000): "a34d40b3c0ba2e9200919d9d396d6b833dca875d0e3f410faa126332b511a8f4",
+    (33, 0x1FFFFFFFF): "7dd035ee6d745a8df80a5da9a061170e9b812bd2a27b20a0a3c00cd865b92533",
+    (62, 0x2000000000000000): "2b7ed5cfa35d9eff64998e5cdd775bf2ed0e4aaa858f23bd44aaf3ef8f8fd285",
+    (62, 0x2FFFFFFFFFFFFFFF): "91c5a2bf3587e67cbe339834f9bc66dd84b197de11d203b6ee7b231654186d8f",
+    (62, 0x3000000000000000): "b2c8f3b58aaeae67dbdf661b8e5b56a3ab0baaf43dc22e480b3023596efed325",
+    (62, 0x3FFFFFFFFFFFFFFF): "547c96d0a25a141c07e60d7f0d522eba6fa4b807da4b32bc55479319f5ab50ee",
+}
+
+# One sha256 per m over repr(paths) of every fan(m, d), d = 1 .. 2^m - 1 in
+# ascending order, recorded with the same Gray-coordinate fans.
+FAN_DIGESTS_BY_DIM = {
+    4: "e4aeb81e5c106d2c9f8371786b06c561dc6e1b257f576f7e54023cd6567f708c",
+    5: "c6969738037cf709aba529a029b7886b01a71088a8be1454765cec39739afc4e",
+    6: "b88e3d6b09f1ff1ba01666441baa7704af125de9771c0cda752641b7b0375c07",
+    7: "c2a4793121970de76cf1804c34dc1de1388c83dfbc7492b2043c15c5ac45e4f5",
+    8: "95abb41bc5bda7a96554323f09d65b1d11a6543dc90bd227d8d6d860f0e5b1e6",
+    9: "ff354ebea3d4f7d46983c16b7d7d7a0dabb49130f174f290f73d07c0f4e845b8",
+    10: "75047faba516fdc4ce4b932348f69d6c3b8c4355dabae07547ff185db3e67021",
+    11: "7d2a026721b532cc9bbe745b50f3a57b553040c09478bfa11bc323d8da7e72c1",
 }
 
 
@@ -372,14 +400,17 @@ def assert_full_fan(m, d):
     ps = fan(m, d)
     assert (ps.source, ps.sink, len(ps.paths)) == (0, d, 2 * m - 1), (m, d)
     assert check_path_system(AugmentedCube(m).view(), ps) == [], (m, d)
+    return ps
 
 
 @pytest.mark.parametrize("m", range(4, 12))
 def test_full_fan_every_d(m):
     # the constructor splices these fans with no fallback: every d needs
-    # all 2m - 1 disjoint paths in the whole cube
+    # all 2m - 1 disjoint paths in the whole cube; and every fan is pinned
+    digest = hashlib.sha256()
     for d in range(1, 1 << m):
-        assert_full_fan(m, d)
+        digest.update(repr(assert_full_fan(m, d).paths).encode())
+    assert digest.hexdigest() == FAN_DIGESTS_BY_DIM[m]
 
 
 def test_full_fan_sampled_d_up_to_dim_62():
@@ -481,6 +512,15 @@ def test_geodesic_length_is_bfs_distance():
                 assert walk[0] == u and walk[-1] == v
                 assert len(walk) - 1 == dist[v], (m, u, v)
                 assert all(frozenset(e) in edges for e in zip(walk, walk[1:]))
+    # the word behind the walk from 0: every d < 2^10, and seeded d at every
+    # m up to 62, step by deltas of the smallest cube holding d, which xor
+    # to d
+    rng = random.Random(31)
+    for d in [*range(1 << 10), *(rng.randrange(1 << (m - 1), 1 << m) for m in range(11, 63) for _ in range(8))]:
+        walk = geodesic(0, d)
+        steps = [a ^ b for a, b in zip(walk, walk[1:])]
+        assert set(steps) <= set(adjacency_deltas(d.bit_length())), d
+        assert functools.reduce(operator.xor, steps, 0) == d
 
 
 # ---------------------------------------------------------------------------

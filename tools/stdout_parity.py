@@ -6,8 +6,10 @@ Each checkout runs one fixed list of ``aqsteiner`` commands in its own
 child process, in-process through ``cli.main``, against that checkout's
 ``src/``.  The list:
 
-- ``construct --format json`` on seeded triples at n = 5..16, and at
-  n = 6 also ``--format text``, ``--format dot`` and ``--fidelity``;
+- ``construct --format json`` on seeded triples at n = 5..16, and on
+  eight each at n = 20, 33 and 62, whose fans take many levels of
+  induction above AQ_4; at n = 6 also ``--format text``, ``--format
+  dot`` and ``--fidelity``;
 - ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, at n = 1..4
   also with k = 2n + 5, and at n = 16, 33 and 62 with k in
   {2n - 1, 2n}, in all three formats (above n = 4 the paths are fan
@@ -92,6 +94,7 @@ import tempfile
 import time
 
 CONSTRUCT_DIMS = range(5, 17)
+LARGE_CONSTRUCT_DIMS = (20, 33, 62)
 PATHS_DIMS = range(1, 11)
 LARGE_PATHS_DIMS = (16, 33, 62)
 MUTATED_DIMS = range(5, 9)
@@ -237,7 +240,7 @@ def command_list() -> list[list[str]]:
     cmds: list[list[str]] = []
     certs = 0
     verifies: list[list[str]] = []
-    for n in CONSTRUCT_DIMS:
+    for n in (*CONSTRUCT_DIMS, *LARGE_CONSTRUCT_DIMS):
         count = 32 if n <= 10 else 16 if n <= 13 else 8
         for j, trio in enumerate(_triples(n, count)):
             targets = ",".join(_label(v, n) for v in trio)
