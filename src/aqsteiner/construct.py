@@ -3,11 +3,13 @@ Steiner trees on three targets in an augmented cube.
 
 For dimension n >= 3 and any three distinct targets S the constructor
 returns 2n - 3 trees in which every target is a leaf, pairwise sharing
-no edge and no vertex beyond S.  Dimensions 3 and 4 are solved by the
-exhaustive packing search of ``verify.oracle_tau``, stopped at 2n - 3
-trees (cached under the label-translation and matching-swap
-automorphisms); higher dimensions run a recursive case analysis on how
-S straddles the two half-copies:
+no edge and no vertex beyond S.  Every triple is first moved to its
+least translate S ^ a (``_least_translate``), built there and moved
+back, so construct(S ^ b) is construct(S) translated by b.
+Dimensions 3 and 4 are solved by the exhaustive packing search of
+``verify.oracle_tau``, stopped at 2n - 3 trees (cached per least
+translate); higher dimensions run a recursive case analysis on how
+the least translate straddles the two half-copies:
 
 - all three targets in one half: recurse inside that half, then route
   two extra trees through the quarter-cubes of the other half, using the
@@ -22,9 +24,9 @@ S straddles the two half-copies:
   its upper path through that matching edge.  img is c when x ~ y and
   z = h(x), and h otherwise; adjacent x, y trade the first pair for one
   tree through the two partner edges.  The one exception is Case2_1_1:
-  cross-twins x, y with z the bit-keeping partner of x get a star
-  through c(x) = h(y) and 2n - 4 trees that climb to z from y's other
-  lower neighbours.
+  cross-twins x, y with z a partner of x get a star through x's other
+  partner x ^ y ^ z, which is a partner of y, and 2n - 4 trees that
+  climb to z from y's other lower neighbours.
   A fan is named by its two endpoints alone: they share their leading
   bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
   Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
@@ -42,10 +44,10 @@ fan a recipe uses comes from the active ``fan_memo()``, an LRU cache
 of at most ``FAN_MEMO_MAX`` checked, untranslated fans keyed by
 (n, d): a sweep batch enters one for all its constructs, and a lone
 construct's recipe opens its own, which ends with the recipe.  So each
-fan is checked once per memo miss, and Case2_1_2, whose two fans share
-d, builds and checks its one fan once.  Every family still passes the
-verifier.  The base families are likewise the pure function
-``_base_trees`` of the canonical triple, cached for the life of the
+fan is checked once per memo miss, and Case2_1_2 with z = h(x), whose
+two fans share d, builds and checks its one fan once.  Every family
+still passes the verifier.  The base families are likewise the pure function
+``_base_trees`` of the least translate, cached for the life of the
 process.
 
 The dispatch is total: it names a case for every triple, and every
@@ -72,7 +74,6 @@ from .topology import (
     Vertex,
     c_label,
     h_label,
-    hc_swap_label,
     side_view,
 )
 
@@ -95,20 +96,18 @@ class Case(Enum):
 
 
 class CaseTag(NamedTuple):
-    """Which branch built a tree batch, under which normalisation.
+    """Which branch built a tree batch, and from which translate.
 
-    ``transform`` is the (swap, mask) automorphism v -> (hc_swap_label(v)
-    if swap else v) ^ mask that moved the targets into the branch's
-    coordinates: identity (0, 0), complement (0, full), the matching swap
-    (1, 0), or complement then swap (1, half); the base search records
-    its canonical-form transform.  ``roles`` gives the labels (x, y, z)
-    in normalised coordinates for the two-one split branches, and is None
-    for Case1 and the base search.  The grid splice picks its matching
-    from the roles alone (``_splice_image``).
+    ``transform`` is the label a of the translation v -> v ^ a that
+    moved the targets to their least translate (``_least_translate``),
+    the coordinates the branch built in.  ``roles`` gives the labels
+    (x, y, z) in those coordinates for the two-one split branches, and
+    is None for Case1 and the base search.  The grid splice picks its
+    matching from the roles alone (``_splice_image``).
     """
 
     case: Case
-    transform: tuple[int, int] = (0, 0)
+    transform: int = 0
     roles: tuple[int, int, int] | None = None
 
 
@@ -158,63 +157,49 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
     return labels
 
 
+def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The least sorted translate S ^ a of the targets, and that a.
+
+    The least translate holds 0, so a is one of the targets: three
+    candidates, not 2^n.  The a is unique, since S ^ a = S ^ b makes
+    S ^ (a ^ b) = S, and no a ^ b != 0 fixes a set of odd size.  So S and
+    every translate of S share one least translate.  A target of the
+    half-copy that holds two or three targets gives a translate with at
+    least two lower labels, which beats any with two upper ones: at most
+    one label of the least translate is upper, and it is the last."""
+    return min((tuple(sorted(v ^ a for v in labels)), a) for a in labels)
+
+
 def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
-    """Classify a target triple.
+    """Classify a target triple by its least translate (0, p, z).
 
-    The tag's ``transform`` is the (swap, mask) automorphism that moves
-    the targets into its normalised coordinates.  Complement is the mask
-    ``full``.  Complement followed by the matching swap is the swap
-    followed by the mask ``half``, because hc_swap_label is linear over
-    GF(2) and sends ``full`` to ``half``.
-
-    Normalisation hands a target z that is a cross-partner of another
-    target to x, as z = h(x).  Past that, which partners of x and y the
-    target z touches only names the case, for the certificate's ``case``
-    field and the sweep histogram: every Case2 branch but the Case2_1_1
-    star runs the one grid splice, which reads only the roles.
+    The tag's ``transform`` is the a of ``_least_translate``.  Case1 is
+    a lower z.  Otherwise z is handed to x, the one of 0 and p whose
+    cross-partner it is (0 when it partners neither), and y is the
+    other.  Past that, which partners of x and y the target z touches
+    only names the case, for the certificate's ``case`` field and the
+    sweep histogram: every Case2 branch but the Case2_1_1 star runs the
+    one grid splice, which reads only the roles.
     """
-    g = AugmentedCube(n)
+    (_, p, z), a = _least_translate(labels)
     half = 1 << (n - 1)
-    full = (1 << n) - 1
-    adj = g.adjacent_labels
-
-    complement = sum(1 for v in labels if v & half) >= 2
-    cur = [v ^ full for v in labels] if complement else list(labels)
-    ones = [v for v in cur if v & half]
-    if not ones:
-        return CaseTag(Case.CASE1, (0, full if complement else 0))
-
-    z = ones[0]
-    u, v = sorted(set(cur) - {z})
-
-    swap = 0
-    x = y = None
-    for cx, cy in ((u, v), (v, u)):
-        if z == h_label(cx, n):
-            x, y = cx, cy
-            break
-    else:
-        for cx, cy in ((u, v), (v, u)):
-            if z == c_label(cx, n):
-                x, y = cx, cy
-                swap = 1
-                z = h_label(cx, n)
-                break
-
-    transform = (swap, (half if swap else full) if complement else 0)
+    if z < half:
+        return CaseTag(Case.CASE1, a)
+    adj = AugmentedCube(n).adjacent_labels
+    x, y = (p, 0) if z in (h_label(p, n), c_label(p, n)) else (0, p)
 
     def mk(case: Case) -> CaseTag:
-        return CaseTag(case, transform, (x, y, z))
+        return CaseTag(case, a, (x, y, z))
 
-    if x is not None:
-        # z is a cross-partner of x (after normalisation, the bit-keeping one)
-        if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
+    twins = {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}
+    if z in (h_label(x, n), c_label(x, n)):
+        if twins:
             return mk(Case.CASE2_1_1)
-        # h is a translation, so z = h(x) touches h(y) exactly when x ~ y
+        # h and c are translations, so z touches y's same-kind partner
+        # exactly when x ~ y
         return mk(Case.CASE2_1_3 if adj(x, y) else Case.CASE2_1_2)
 
-    x, y = u, v
-    if {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}:
+    if twins:
         # cross-twins share both partners, and z is neither (else it
         # would be a partner of x, above)
         zxh, zxc = adj(z, h_label(x, n)), adj(z, c_label(x, n))
@@ -304,14 +289,17 @@ _Edges = set[tuple[int, int]]
 
 
 def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
-    n = g.dim
+    """The Case2_1_1 star, for cross-twins x, y (x ^ y = 2^(n-1) - 1)
+    and z a cross-partner of x.  Tree 0 is the star on x's other partner
+    x ^ y ^ z, which is a partner of y too; each other path of the fan
+    from x to y climbs to z from its last inner vertex yi through
+    yi ^ lift, with lift = y ^ z, a cross-matching mask."""
     P = _pin(_system(g, x, y), [x])
-    xc = c_label(x, n)  # equals the bit-keeping partner of y; the star centre
-    trees: list[_Edges] = [{_edge(x, xc), _edge(y, xc), _edge(z, xc)}]
+    centre, lift = x ^ y ^ z, y ^ z
+    trees: list[_Edges] = [{_edge(x, centre), _edge(y, centre), _edge(z, centre)}]
     for p in P.paths[1:]:
         yi = p[-2]
-        yic = c_label(yi, n)
-        trees.append({*path_edges(p), _edge(yi, yic), _edge(yic, z)})
+        trees.append({*path_edges(p), _edge(yi, yi ^ lift), _edge(yi ^ lift, z)})
     return trees
 
 
@@ -320,9 +308,10 @@ def _splice_image(g: AugmentedCube, x: int, y: int, z: int) -> Callable[[int, in
     when x ~ y and z = h(x), and ``h_label`` otherwise.
 
     It meets the splice's two premises.  img(y) != z: the dispatch hands
-    any partner target to x, so z is not h(y), and c(y) = h(x) would make
-    x and y cross-twins.  img(x) != z when x ~ y: z = h(x) is exactly
-    when h would fail, and c(x) != h(x)."""
+    any partner target to x, so z partners y only when x and y are the
+    cross-twins of the star, and c(y) = h(x) would make them cross-twins
+    too.  img(x) != z when x ~ y: z = h(x) is exactly when h would fail,
+    and c(x) != h(x)."""
     n = g.dim
     return c_label if z == h_label(x, n) and g.adjacent_labels(x, y) else h_label
 
@@ -337,8 +326,8 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     nb_i-img(nb_i) and Q_i less its last edge.  When x and y are
     adjacent, P is pinned so that P_0 is the edge between them, and pair
     0 gives way to the first tree: Q_0 and the two partner edges.  In
-    Case2_1_2 both fans have the difference x ^ y, so Q's fan is a memo
-    hit."""
+    Case2_1_2 with z = h(x) both fans have the difference x ^ y, so Q's
+    fan is a memo hit."""
     n = g.dim
     img = _splice_image(g, x, y, z)
     adjacent = int(g.adjacent_labels(x, y))
@@ -371,28 +360,24 @@ def _assemble(
     trees: Iterable[Iterable[tuple[int, int]]],
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
-    """Map normalised label edges, each with its smaller label first, back
-    to the caller's labels through the inverse of
-    ``provenance[0].transform``: xor the mask, then swap (complement the
-    trailing bits ``low`` of upper labels).  Only S is in ``Vertex``."""
+    """Translate label edges built on the least translate back to the
+    caller's labels by ``provenance[0].transform``, each with its smaller
+    label first.  Only S is in ``Vertex``."""
     n = g.dim
-    swap, mask = provenance[0].transform
-    half = 1 << (n - 1)
-    low = half - 1 if swap else 0
+    a = provenance[0].transform
 
     def back(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        if not (swap or mask):
+        if not a:
             return frozenset(edges)
         out = set()
-        for a, b in edges:
-            a, b = a ^ mask, b ^ mask
-            a, b = a ^ low if a & half else a, b ^ low if b & half else b
-            out.add((a, b) if a < b else (b, a))
+        for u, v in edges:
+            u, v = u ^ a, v ^ a
+            out.add((u, v) if u < v else (v, u))
         return frozenset(out)
 
     return TreeFamily(
         dim=n,
-        terminals=frozenset(Vertex(a, n) for a in labels),
+        terminals=frozenset(Vertex(v, n) for v in labels),
         trees=tuple(SteinerTree(back(edges)) for edges in trees),
         provenance=provenance,
         fallback_used=False,
@@ -412,8 +397,9 @@ def _construct_case1(
     """All three targets in one half: recurse, then add one tree through
     each quarter of the other half."""
     n = g.dim
-    # the dispatch normalises Case1 by the mask alone: its swap is 0
-    norm_labels = sorted(a ^ tag.transform[1] for a in labels)
+    # the least translate; its own least translate is itself, so the
+    # recursive construct builds in place (transform 0)
+    norm_labels = sorted(v ^ tag.transform for v in labels)
     sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
     # sub's labels already name the lower half-copy (prefix bit 0)
     trees: list[Iterable[tuple[int, int]]] = [t.edges for t in sub.trees]
@@ -438,20 +424,8 @@ def _construct_case1(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive base search with canonical-form caching
+# exhaustive base search, cached per least translate
 # ---------------------------------------------------------------------------
-
-def _canonical_triple(n: int, labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """The least image of the labels under every (swap, mask) pair, and the
-    least pair that gives it.  Some pair sends a label to 0, so the least
-    image starts with 0 and every pair that gives it has the mask that
-    sends one of the three labels to 0: six candidates, not 2^(n+1)."""
-    return min(
-        (tuple(sorted(v ^ mask for v in image)), (swap, mask))
-        for swap, image in ((0, labels), (1, [hc_swap_label(v, n) for v in labels]))
-        for mask in image
-    )
-
 
 def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int) -> TreeFamily:
     """Exhaustive family search for dimensions 3 and 4.
@@ -460,9 +434,9 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     internal sets (connected, touching the neighbourhood of every target)
     and stops there; each set becomes a tree through a spanning tree of
     the set, smallest labels first, plus one pendant edge per target.
-    The trees are those of ``_base_trees`` for the canonical form of the
-    targets under the (swap, mask) label automorphisms, mapped back.  A
-    packing short of ``target`` raises ``InternalError``.
+    The trees are those of ``_base_trees`` for the least translate of
+    the targets (``_least_translate``), translated back.  A packing
+    short of ``target`` raises ``InternalError``.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim
@@ -471,14 +445,14 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     if target < 1:
         raise ContractViolation("target must be positive")
 
-    canon, transform = _canonical_triple(n, labels)
+    canon, a = _least_translate(labels)
     trees = _base_trees(n, target, canon)
-    return _assemble(g, labels, trees, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, transform),))
+    return _assemble(g, labels, trees, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, a),))
 
 
 @functools.lru_cache(maxsize=None)
 def _base_trees(n: int, target: int, canon: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The label edges of ``target`` trees for the canonical triple, from
+    """The label edges of ``target`` trees for the least translate, from
     a packing of ``verify.oracle_tau``; a short packing raises
     ``InternalError`` and is not cached."""
     g = AugmentedCube(n)
@@ -524,12 +498,15 @@ def construct(
     """Build and verify a family of 2*dim - 3 internally disjoint pendant
     Steiner trees for the target triple.
 
+    Every branch builds on the least translate S ^ a of the targets and
+    translates its trees back by a, so construct(S ^ b) is construct(S)
+    with every edge translated by b, and the case names agree.
     Dimensions 3 and 4 are searched exhaustively; higher dimensions go
     through the case dispatch and its written recipe (Case1 recurses
     through this function, one call per dimension).  The recipe takes
     its fans from the active ``fan_memo()``, or from its own when none
-    is active, so a lone Case2_1_2 construct, whose lower and upper fans
-    are both the fan to x ^ y, builds one fan.
+    is active, so a lone Case2_1_2 construct with z = h(x), whose lower
+    and upper fans are both the fan to x ^ y, builds one fan.
     The result passes the independent verifier exactly once, here; a
     rejected or short family raises ``InternalError``.  ``fidelity`` lays each Case1
     quarter tree along the quarter's labels in counting order, a spanning

@@ -26,8 +26,9 @@ The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
 the complement), as is ``hc_swap_label``, which complements the trailing
 bits of the upper copy only and so exchanges the two cross matchings.
-All of them are label maps on plain ints; the constructor composes them
-to normalise instances and to key the base-case cache.
+All of them are label maps on plain ints.  The constructor normalises
+every triple by a translation alone, to its least translate, which
+also keys the base-case cache.
 
 In Gray coordinates (``gray``/``inverse_gray``) the delta set becomes the
 single bits e_i and the adjacent pairs e_i + e_(i+1), so the cube is a

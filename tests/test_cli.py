@@ -733,17 +733,18 @@ def test_sweep_at_dim_20():
 # The construct digests were recorded with the Case1 connectors built
 # from geodesics and the fans built from 0 by induction on the dimension
 # from flow fans of AQ_4 (at n = 5 the AQ_4 flow fans themselves), and
-# every grid splice anchored at y, through the c matching on Case2_1_3
-# and the h matching elsewhere; every one of those certificates passes
+# every grid splice anchored at y, through the c matching when x ~ y and
+# z = h(x) and the h matching elsewhere, each triple built on its least
+# translate and translated back; every one of those certificates passes
 # `aqsteiner verify`.  The full fan's
 # three digests were recorded with `paths` printing the translated fan
 # `paths.fan(6, 101101)`, which `test_pinned_paths_command_prints_a_full_fan`
 # checks; the cut is the one the flow reports.
 STDOUT_DIGESTS = [
     ("construct -n 5 -S 00000,00110,01111 --format json", 0,  # Case1
-     "650f08d0ace9723293a20e54a0b8044f36f7e0d807637c4b02ab4e0fd9563ec1"),
+     "0cf50195f280f941eba3da5d18a70d8f3328ebe4a375676aee623d1599803fb6"),
     ("construct -n 5 -S 00001,10001,11110 --format json", 0,  # Case2_1_1
-     "1ded2a12f4bddf7e7827997c0fcecd7ed81b04793239445b2047b394fa55ce2a"),
+     "72292568fefbc11fed54bf2618f46ecc44995382ea14a80ca4f32c4539e87a3f"),
     ("construct -n 5 -S 00111,01010,10111 --format json", 0,  # Case2_1_2
      "21a923d332293eba82fcdea42343d2c720cf7614b49dc724cb8a3ffa167826f7"),
     ("construct -n 5 -S 01010,01101,10010 --format json", 0,  # Case2_1_3
@@ -751,15 +752,15 @@ STDOUT_DIGESTS = [
     ("construct -n 5 -S 01001,10010,11101 --format json", 0,  # Case2_2_1a
      "f36255fd8e9a807b499e68107876a0fde6b019b065a93d3b32bb7f1c1de872c7"),
     ("construct -n 5 -S 00000,10111,11000 --format json", 0,  # Case2_2_1b
-     "11914d44450d5a3e315cd25ffc659958dd0a1547fa89510524321e87e1424dcd"),
+     "f1aeb07b116de587f5d09ff465dd85742cd56ef4daffb99abffa40b5d6fe4a4e"),
     ("construct -n 5 -S 00101,01001,10011 --format json", 0,  # Case2_2_2a
      "21fa672837abd357ec1b7842d9306ddf3ff472ae3c70c14d17faaddc090e8b7c"),
     ("construct -n 5 -S 00000,10011,10101 --format json", 0,  # Case2_2_2b
-     "dd0060c2e1d32071ad502e7f3c80c8fb9669116a8fa36229483cfed0fec24f9a"),
+     "9aa5ed3d1a7448133bd2cf5931519d28188a226edb83f22e4b22b503691334c4"),
     ("construct -n 5 -S 00001,10000,10110 --format json", 0,  # Case2_2_2c
-     "73845056e6f7746cfe3f2b1fcd67f2ae0be0c84f20fc889c35ec44081e169d07"),
+     "b1f9eb89d111532bf0ba5953c25d2533c8b1edfbaa3ca1dca8ed721bad0db1bc"),
     ("construct -n 5 -S 01001,01010,10011 --format json", 0,  # Case2_2_3a
-     "4bbc945f2202f0d6eb1d086e8f42595dc1c6fea05cb3695671d9e9defe388f3b"),
+     "15af7341468a42e0778a4e94928feeeeaf0ade71c6563968b0ef1e6f054e6f52"),
     ("construct -n 5 -S 01100,01101,10100 --format json", 0,  # Case2_2_3b
      "d46140564bf9d5276b77e22a02294bda87c4c0d181044e91f314dcae33031a3e"),
     ("construct -n 5 -S 01010,01011,11000 --format json", 0,  # Case2_2_3c
@@ -767,37 +768,37 @@ STDOUT_DIGESTS = [
     ("construct -n 6 -S 000000,000100,010010 --format json", 0,  # Case1
      "5d5afa597e7f815c70ea9af44aea4f30837bc9c226a79610be35a27e17da0c7a"),
     ("construct -n 6 -S 000000,011111,111111 --format json", 0,  # Case2_1_1
-     "f224f86c127a7fde0649cd1e603e5370afe7f921151e98497f6803d6c828377f"),
+     "321c326cb1318bba82be34d6e97a70d715d2f9c89543869b1585e11e450d75e8"),
     ("construct -n 6 -S 000010,100010,111110 --format json", 0,  # Case2_1_2
      "6638b3aa5f9e56c959722548b83d4fb9933ec1357730d1a083de6e8518700842"),
     ("construct -n 6 -S 000001,110110,111110 --format json", 0,  # Case2_1_3
      "e8de6685941ff105169a899ea6864b6c3334b174bbbdb1af4798ee0dc51e0eb3"),
     ("construct -n 6 -S 001010,100001,111110 --format json", 0,  # Case2_2_1a
-     "aaba0b7d36ad6e4db29b5e0735eeb5f12904e288e865222e190be2d60d68efb8"),
+     "3dba004eeeaee1a7c51b99abee3136a5de5c0b54e955e5340aa38e1d88c8f01b"),
     ("construct -n 6 -S 001010,010101,111010 --format json", 0,  # Case2_2_1b
-     "a0fecdef42ad4a65d7eecdc5562e06340a61368abef570d1c2cd545c2ea8f818"),
+     "44d647e31ca78bc977dd2a574a241d71fe3340cc51a62df3a66afc0d706a20d6"),
     ("construct -n 6 -S 001011,011000,100001 --format json", 0,  # Case2_2_2a
      "5554f2d27c47f86b531b17c17ea3fc800fb0e2ad64c44648d2630d09b500f715"),
     ("construct -n 6 -S 001100,011001,110100 --format json", 0,  # Case2_2_2b
-     "7f14ad1732abc8e84a368f8c98407c42f24e8d3b460414fee9a444c1d107f16e"),
+     "6409a845ea627b0cb099030d4f7d56cc37ac45b3c35b89604e83fe81cd869da7"),
     ("construct -n 6 -S 001011,101010,110110 --format json", 0,  # Case2_2_2c
-     "e1a35c986b369135764f7827d052911c444063a399c02b7548548010c0830347"),
+     "16e1d525a6ceb42587f4f0cfcde9a82d9ae4f1ff36462895ab77af8a112f50b4"),
     ("construct -n 6 -S 000100,000110,101111 --format json", 0,  # Case2_2_3a
-     "fe1715dc395ac2c602b84ee51c1886a9623df841153bcbb7f17ea0ad41e988f0"),
+     "59b7ca869a1c1ec1c2d09c8ec0866555bcd0c19b32a037407e3e01c4181479e7"),
     ("construct -n 6 -S 001011,001111,101101 --format json", 0,  # Case2_2_3b
-     "53d33885fbbdf56263721e10dc137990b6d413daf4a4cceadef60a432cc7dc4c"),
+     "0fd57f6ba73e8add0090c36a77a943ddb922c6fc8766f316310e6661ced78c3f"),
     ("construct -n 6 -S 011001,101110,111110 --format json", 0,  # Case2_2_3c
      "45318bab89c2ce616566527360c710340d93b16fdc5e2a24eae6c8601485d38d"),
     ("construct -n 7 -S 0001100,0010010,0011000 --format json", 0,  # Case1
-     "5c2746e9750e53c121ead623aff9c09a24652972b985b7a467a9a79905cbbb52"),
+     "e90c7bb3ba5ebece9ae7f30e0f38f4e065e56dca6b844c712c37a8386bf6d224"),
     ("construct -n 7 -S 0000111,1000111,1111000 --format json", 0,  # Case2_1_1
-     "63a29d86b032552d7dcb21417e4a2974af78f58fc0ea75d18a253da0b51eda40"),
+     "38ea61c2a0540e3d87253d4be8c27d46a90edb4d91a7eb4741fdfb4faf83f2d5"),
     ("construct -n 7 -S 0001111,1001111,1110010 --format json", 0,  # Case2_1_2
      "03d47071a4acfc596f6667c5cf50047378cabb12ffacde769e2e9f72284898ac"),
     ("construct -n 7 -S 0010100,1010100,1011100 --format json", 0,  # Case2_1_3
      "6a82c4580eb2977ed326fb7e0328ffad5cab8e6c4103730a9c856e6c5479377d"),
     ("construct -n 7 -S 0000100,1001010,1110101 --format json", 0,  # Case2_2_1a
-     "1bbefa64eec33cc9e93b2d19b263a4cfea2fe2d4eed55798caa1ec3063158146"),
+     "bf1fe90828d0d8cfc0ee05736afe91935a68850ac0f6d219dd7090631c567537"),
     ("construct -n 7 -S 0110000,1010000,1101111 --format json", 0,  # Case2_2_1b
      "6b7c67d72a6a2ae2627329b5a900f3928e80b67093bd31edf2ac7da2805af0a5"),
     ("construct -n 7 -S 0001110,0110110,1011101 --format json", 0,  # Case2_2_2a
@@ -809,19 +810,19 @@ STDOUT_DIGESTS = [
     ("construct -n 7 -S 0001001,0010110,1101111 --format json", 0,  # Case2_2_3a
      "c6f9f84a20689d619fd1b1d189f4b417767f4fcdb05417cecaf82c1943de6763"),
     ("construct -n 7 -S 0100000,1010001,1011110 --format json", 0,  # Case2_2_3b
-     "10c69a67ca6f6e0ffd4b9b281a638f06f90f01ea19b1caca82ddb58bb14eacc1"),
+     "d6dd9a4d2bd0912459e7fea2939f3683e96c6ece065daedc7ecd8910d4dbefa3"),
     ("construct -n 7 -S 0011000,0111000,1110111 --format json", 0,  # Case2_2_3c
-     "70914e26b0bb9b0fd71f99670e0d875dd20b378a9565db4037f25841b0d642f7"),
+     "b8f3035988acd7d6f44d52c88234b4076b3e5df5b67bc394692c1d9758497eb4"),
     ("construct -n 8 -S 00010110,01000000,01100010 --format json", 0,  # Case1
-     "ad6b190d14ce0db33cf8d9ee7551c9d7398a906705cc926c55c5e6b0a52a2ed1"),
+     "2313ee1fd52bdff41fa7723621a0543e6631a12e3b4b8356995b3f746062ea04"),
     ("construct -n 8 -S 00101001,01010110,10101001 --format json", 0,  # Case2_1_1
-     "fe589f4fae039fc3baf34befa9c59f57de26ecec4845f0b99e00e4866cf3111a"),
+     "4ca2da3b671ee7baabc48a82662d256aa23a73eecb7b9eca83c180f10ade544a"),
     ("construct -n 8 -S 00001010,01110111,10001000 --format json", 0,  # Case2_1_2
-     "c1e6833a8cd1fbd9186944dfd741894d2174ca43055bcc404c17f3e5e95bca7a"),
+     "037057660a1982c6dd1d0374ebb4ccc746f8cd1dc0ade57821f152aeb6e32224"),
     ("construct -n 8 -S 00110110,00111001,11000110 --format json", 0,  # Case2_1_3
      "1822f4156fc24b7c91b1b8ad54d90ef4ac128386b0b865edfe2e5a17c3eeee87"),
     ("construct -n 8 -S 00001010,01110101,11010000 --format json", 0,  # Case2_2_1a
-     "c893ad2aa4dc134dd4238a1bfe3a5d19555d92d6d61893aff83f1986ff6332b8"),
+     "55fb73dcca7132decd2ead2c42d38686664e2b4f30ee1febba4ae6b04094cd7d"),
     ("construct -n 8 -S 01100110,10100110,11011001 --format json", 0,  # Case2_2_1b
      "3b45c765d4f7cbd4f413d3f19fdb02da28e64863c31128320a09385a1ada69fc"),
     ("construct -n 8 -S 01110100,10111101,11000000 --format json", 0,  # Case2_2_2a
@@ -829,13 +830,13 @@ STDOUT_DIGESTS = [
     ("construct -n 8 -S 01100010,11000111,11111101 --format json", 0,  # Case2_2_2b
      "5a777fc40caeafbe2305f6f7b5fbdd6143206989c54de4bd8a2cc52be32a6045"),
     ("construct -n 8 -S 00100001,00110011,11011100 --format json", 0,  # Case2_2_2c
-     "ca4f5eb0ba31f636460c3993fd75821e529383ea78bd2ea16a5cc5f87da1ead2"),
+     "ce30e08f0443a4866e94dd827107877f97e48a50f5ba8a051e3c4ee24b56f942"),
     ("construct -n 8 -S 00100000,11000001,11000101 --format json", 0,  # Case2_2_3a
-     "f526d8bc6ab59cf2e67413864f264ccbfc88dc5d217244329e41b9584ddf7601"),
+     "2059f303e1c0f4ca41b7e8a7f20cee48d3c35a8dad7bc8abe70fdcc80f371b31"),
     ("construct -n 8 -S 00101110,11100001,11110001 --format json", 0,  # Case2_2_3b
-     "7922aaf4c30a05817f3489535acd624ba1265bef292df4da0cd01b0067c3631c"),
+     "d728cf3ba00476a887f60b2f3e6b11bd34c2226383b9d37236cdbd698ff6ccb8"),
     ("construct -n 8 -S 01000000,01000011,10111011 --format json", 0,  # Case2_2_3c
-     "aff7bf435d599f4ada76662f91ca1f23e6f80f3b180917f8de9e6dfda4bd9cfd"),
+     "7af5402b04f889ae4c031dff9cdfea68f1d24c6cbdd55cf1a116e8b5fc533eaa"),
     # Case2_1_2 far above the fan base, recorded with its own recipe
     # before it became the grid splice h@y
     ("construct -n 12 -S 000000000000,000000000101,100000000000 --format json", 0,  # Case2_1_2

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import math
 import random
 
 import pytest
@@ -22,8 +23,8 @@ from aqsteiner.construct import (
     SteinerTree,
     TreeFamily,
     _assemble,
-    _canonical_triple,
     _dispatch,
+    _least_translate,
     _splice_image,
     base_case_search,
     classify,
@@ -43,7 +44,7 @@ from aqsteiner.topology import (
 )
 from aqsteiner.verify import verify_family
 
-from util import reference_canonical_triple, reference_invert_transform, run_bounded
+from util import run_bounded
 
 
 def vs(*labels):
@@ -73,16 +74,17 @@ def test_classify_cross_twin_pair():
 
 def test_classify_normalisation_flags():
     g = AugmentedCube(4)
-    # two targets on the upper side: complement applied first
+    # two targets on the upper side: the translation by the upper target
+    # 1000 gives the least translate (0000, 0001, 1010)
     tag = classify(g, vs("1000", "1001", "0010"))
-    assert tag.transform == (0, 0b1111)
-    # z is an all-bits partner: matching swap applied
+    assert tag.transform == 0b1000 and tag.roles == (0b0000, 0b0001, 0b1010)
+    # z = 1100 is the all-bits partner of 0011, so it is handed to x = 0011
     tag = classify(g, vs("0000", "0011", "1111"))
-    assert tag.transform == (1, 0)
-    assert tag.case in (Case.CASE2_1_1, Case.CASE2_1_2, Case.CASE2_1_3)
-    # both: the complement moved past the swap is the mask half
-    tag = classify(g, vs("1000", "1011", "0100"))
-    assert tag.transform == (1, 0b1000)
+    assert tag.transform == 0b0011 and tag.roles == (0b0011, 0b0000, 0b1100)
+    assert tag.case is Case.CASE2_1_3
+    # a triple that is its own least translate is not moved
+    tag = classify(g, vs("0000", "0001", "0010"))
+    assert tag.transform == 0 and tag.case is Case.CASE1
 
 
 def _triples(n):
@@ -94,47 +96,38 @@ def _triples(n):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_dispatch_transform_normalises_targets(n):
-    # every n = 5 triple; 400 seeded samples at n = 6, 7 and 8
-    half, full = 1 << (n - 1), (1 << n) - 1
+    # every n = 5 triple; 400 seeded samples at n = 6, 7 and 8: the
+    # transform is a target, and it gives the least sorted translate
+    # over all 2^n translations
+    half = 1 << (n - 1)
     for labels in _triples(n):
         tag = _dispatch(n, labels)
-        swap, mask = tag.transform
-        image = [(hc_swap_label(v, n) if swap else v) ^ mask for v in labels]
-        assert [reference_invert_transform(v, swap, mask, n) for v in image] == list(labels)
+        image = tuple(sorted(v ^ tag.transform for v in labels))
+        assert tag.transform in labels
+        assert (image, tag.transform) == _least_translate(labels)
+        assert image == min(tuple(sorted(v ^ a for v in labels)) for a in range(1 << n))
+        # 0 and p below; z, the last, is the only label that may be upper
+        assert image[0] == 0 and image[1] < half
         if tag.case is Case.CASE1:
-            assert all(v < half for v in image) and not swap
+            assert image[2] < half and tag.roles is None
         else:
-            assert set(image) == set(tag.roles)
-        # identity, complement, swap, or "complement, then swap" with the
-        # complement moved past the linear swap, which sends full to half
-        assert (swap, mask) in {(0, 0), (0, full), (1, 0), (1, half)}
-        moved = [v ^ full if mask else v for v in labels]
-        moved = [hc_swap_label(v, n) if swap else v for v in moved]
-        assert moved == image
+            x, y, z = tag.roles
+            assert {x, y} == set(image[:2]) and z == image[2] >= half
+            # a partner target is handed to x; only cross-twins share it
+            assert z not in (h_label(y, n), c_label(y, n)) or tag.case is Case.CASE2_1_1
+            assert (z in (h_label(x, n), c_label(x, n))) == tag.case.value.startswith("Case2_1")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(5, 8), st.sampled_from(("identity", "mask", "swap", "swap+mask")), st.data())
-def test_assemble_maps_edges_back_like_the_per_label_inverse(n, kind, data):
-    # random cube edges, each with its smaller label first, in a few trees
+@given(st.integers(5, 8), st.data())
+def test_assemble_maps_edges_back_like_the_per_label_inverse(n, data):
+    # random cube edges, each with its smaller label first, in a few
+    # trees, translated back label by label
     edge = st.builds(lambda u, d: undirected(u, u ^ d), st.integers(0, (1 << n) - 1), st.sampled_from(adjacency_deltas(n)))
     trees = data.draw(st.lists(st.sets(edge, max_size=30), min_size=1, max_size=4))
-    swap = int(kind.startswith("swap"))
-    mask = data.draw(st.integers(1, (1 << n) - 1)) if kind.endswith("mask") else 0
-    family = _assemble(AugmentedCube(n), (0, 1, 2), trees, (CaseTag(Case.CASE1, (swap, mask)),))
-
-    def back(v):
-        return reference_invert_transform(v, swap, mask, n)
-
-    assert [t.edges for t in family.trees] == [frozenset(undirected(back(a), back(b)) for a, b in e) for e in trees]
-
-
-def test_swap_sends_full_to_half():
-    for n in range(3, 12):
-        half, full = 1 << (n - 1), (1 << n) - 1
-        assert hc_swap_label(full, n) == half
-        for v in range(1 << n):
-            assert hc_swap_label(v ^ full, n) == hc_swap_label(v, n) ^ half
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    family = _assemble(AugmentedCube(n), (0, 1, 2), trees, (CaseTag(Case.CASE1, a),))
+    assert [t.edges for t in family.trees] == [frozenset(undirected(u ^ a, v ^ a) for u, v in e) for e in trees]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +184,9 @@ def test_dispatch_relation_types_cover_every_branch(n):
 
 def test_every_twin_and_case2_1_3_triple_builds_at_dim_6():
     # the twins of Case2_2_1, whose splice takes h, and Case2_1_3, the one
-    # case whose splice takes c, on every triple: n = 6 is the first
-    # dimension whose fans come from the induction and not from the AQ_4
-    # flow (construct raises on a rejected family)
+    # case whose splice takes c (when z = h(x)), on every triple: n = 6 is
+    # the first dimension whose fans come from the induction and not from
+    # the AQ_4 flow (construct raises on a rejected family)
     g = AugmentedCube(6)
     built = collections.Counter()
     with construct_mod.fan_memo():
@@ -271,17 +264,22 @@ def test_splice_image_meets_both_premises(n):
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_splice_takes_c_exactly_on_case2_1_3(n):
-    # every (a, b) of x = 0, y = a, z = half | b, so every relation type
+    # every (a, b) of x = 0, y = a, z = half | b, so every relation type:
+    # c exactly when z = h(x) and x ~ y, the Case2_1_3 triples whose z is
+    # x's bit-keeping partner; Case2_1_3 with z = c(x) takes h
     half = 1 << (n - 1)
-    taken = set()
+    taken = collections.Counter()
     for a in range(1, half):
         for b in range(half):
             found = _splice_roles(n, (0, a, half | b))
             if found is not None:
                 tag, img = found
-                assert (img is c_label) == (tag.case is Case.CASE2_1_3), (a, b, tag)
-                taken.add(img)
-    assert taken == {c_label, h_label}
+                x, y, z = tag.roles
+                c_wanted = z == h_label(x, n) and AugmentedCube(n).adjacent_labels(x, y)
+                assert (img is c_label) == c_wanted, (a, b, tag)
+                assert img is h_label or tag.case is Case.CASE2_1_3, (a, b, tag)
+                taken[img.__name__, tag.case is Case.CASE2_1_3] += 1
+    assert set(taken) == {("c_label", True), ("h_label", True), ("h_label", False)}
 
 
 def test_sampled_sweep_at_dim_62():
@@ -421,25 +419,13 @@ def test_base_search_cache_consistency_across_orbit():
 
 
 def test_base_tag_records_the_applied_transform():
-    # the base search solves the canonical triple; the tag's transform
-    # maps it back onto the caller's labels
+    # the base search solves the least translate; the tag's transform
+    # translates it back onto the caller's labels
     g = AugmentedCube(4)
     for labels in itertools.combinations(range(16), 3):
         tag = base_case_search(g, [Vertex(a, 4) for a in labels], 5).provenance[0]
-        canon, _ = _canonical_triple(4, labels)
-        assert sorted(reference_invert_transform(a, *tag.transform, 4) for a in canon) == list(labels)
-
-
-@pytest.mark.parametrize("n", range(3, 11))
-def test_canonical_triple_matches_the_search_over_every_pair(n):
-    # every triple at n = 3, 4 and 5; 300 seeded ones at n = 6..10
-    if n <= 5:
-        triples = itertools.combinations(range(1 << n), 3)
-    else:
-        rng = random.Random(n)
-        triples = (sorted(rng.sample(range(1 << n), 3)) for _ in range(300))
-    for labels in triples:
-        assert _canonical_triple(n, labels) == reference_canonical_triple(n, labels), labels
+        canon = min(tuple(sorted(v ^ a for v in labels)) for a in range(16))
+        assert tuple(sorted(v ^ tag.transform for v in canon)) == labels
 
 
 def test_base_search_contract():
@@ -462,19 +448,19 @@ def test_base_search_short_packing_raises_internal_error(monkeypatch):
 
 # sha256 over the label edge lists of every tree that construct returns,
 # in tree order, for all 56 + 560 triples at n = 3 and 4
-SMALL_DIM_FAMILIES_DIGEST = "9040a472d03f99ed4ded254f297c1f44262aa45bc866922d7a4d671941282f77"
+SMALL_DIM_FAMILIES_DIGEST = "3a5a3ae9d24c250326726590f88e3bda2e9c0be7e99f6e96423bc5f42b83da88"
 
 
 def test_base_cache_searches_once_per_canonical_class():
-    # 5 classes of the 56 triples at n = 3 and 23 of the 560 at n = 4
-    # under the (swap, mask) group
+    # one search per translation class: 56 / 8 = 7 classes at n = 3 and
+    # 560 / 16 = 35 at n = 4
     construct_mod._base_trees.cache_clear()
     for n in (3, 4):
         g = AugmentedCube(n)
         for t in itertools.combinations(range(1 << n), 3):
             construct(g, [Vertex(a, n) for a in t])
     info = construct_mod._base_trees.cache_info()
-    assert (info.hits, info.misses) == (588, 28)
+    assert (info.hits, info.misses) == (574, 42)
 
 
 def test_small_dimension_families_are_pinned():
@@ -491,6 +477,73 @@ def test_small_dimension_families_are_pinned():
 # ---------------------------------------------------------------------------
 # equivariance
 # ---------------------------------------------------------------------------
+
+def _translated(family, a):
+    return tuple(frozenset(undirected(u ^ a, v ^ a) for u, v in tree.edges) for tree in family.trees)
+
+
+def _equivariance_pairs(n):
+    """(S, a) pairs: every n = 5 triple with one seeded a, and 20 seeded
+    pairs at larger n."""
+    rng = random.Random(n)
+    triples = itertools.combinations(range(32), 3) if n == 5 else cli.sample_triples(n, 20, n)
+    return [(labels, rng.randrange(1, 1 << n)) for labels in triples]
+
+
+@pytest.mark.parametrize("n", [5, *range(6, 21), 33, 45, 62])
+def test_construct_commutes_with_translations(n):
+    # construct(S ^ a) is construct(S) with every edge translated by a,
+    # tree for tree, and classify names the same case
+    g = AugmentedCube(n)
+    with construct_mod.fan_memo():
+        for labels, a in _equivariance_pairs(n):
+            family = construct(g, [Vertex(v, n) for v in labels])
+            moved = [Vertex(v ^ a, n) for v in labels]
+            assert tuple(t.edges for t in construct(g, moved).trees) == _translated(family, a), (labels, a)
+            assert classify(g, moved).case is classify(g, [Vertex(v, n) for v in labels]).case
+
+
+def _least_translates(n):
+    """One triple per translation class: the (0, p, q) that are their own
+    least translate, C(2^n, 3) / 2^n of them."""
+    return [
+        (0, p, q)
+        for p, q in itertools.combinations(range(1, 1 << n), 2)
+        if (0, p, q) < tuple(sorted((p, 0, p ^ q))) and (0, p, q) < tuple(sorted((q, q ^ p, 0)))
+    ]
+
+
+# the case histograms of `sweep -n 6 --exhaustive` and `sweep -n 7
+# --exhaustive`, and of the exhaustive n = 8 sweep (`--jobs 2`)
+EXHAUSTIVE_CASES = {
+    6: {"Case1": 9920, "Case2_1_1": 64, "Case2_1_2": 2816, "Case2_1_3": 1024, "Case2_2_1a": 896,
+        "Case2_2_1b": 64, "Case2_2_2a": 4864, "Case2_2_2b": 10752, "Case2_2_2c": 4096,
+        "Case2_2_3a": 2304, "Case2_2_3b": 3584, "Case2_2_3c": 1280},
+    7: {"Case1": 83328, "Case2_1_1": 128, "Case2_1_2": 13312, "Case2_1_3": 2560, "Case2_2_1a": 3840,
+        "Case2_2_1b": 128, "Case2_2_2a": 97024, "Case2_2_2b": 87552, "Case2_2_2c": 15104,
+        "Case2_2_3a": 21248, "Case2_2_3b": 13824, "Case2_2_3c": 3328},
+    8: {"Case1": 682752, "Case2_1_1": 256, "Case2_1_2": 58368, "Case2_1_3": 6144, "Case2_2_1a": 15872,
+        "Case2_2_1b": 256, "Case2_2_2a": 1220608, "Case2_2_2b": 540672, "Case2_2_2c": 48128,
+        "Case2_2_3a": 137216, "Case2_2_3b": 45056, "Case2_2_3c": 8192},
+}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_one_construct_per_translation_class_covers_every_triple(n):
+    # construct commutes with translations and every class holds 2^n
+    # triples, so one verified construct per class covers them all:
+    # 651, 2,667 and 10,795 constructs
+    g = AugmentedCube(n)
+    reps = _least_translates(n)
+    assert len(reps) * (1 << n) == math.comb(1 << n, 3)
+    cases = collections.Counter()
+    with construct_mod.fan_memo():
+        for labels in reps:
+            family = construct(g, [Vertex(v, n) for v in labels])
+            assert family.provenance[0].transform == 0
+            cases[family.provenance[0].case.value] += 1 << n
+    assert cases == EXHAUSTIVE_CASES[n]
+
 
 @pytest.mark.parametrize(
     "label_map", [c_label, hc_swap_label], ids=["complement_automorphism", "hc_swap_automorphism"]
@@ -613,7 +666,7 @@ def test_sweep_builds_each_fan_once(monkeypatch):
     # one fan per d in 1..15; Case1 recurses into the n = 4 base search
     assert 0 < len(calls) <= 15
     # construct checks each fan once, where it is built, and never the
-    # 7,136 translates the sweep uses
+    # 7,648 translates the sweep uses
     assert len(checks) == len(set(checks)) == len(calls)
     # the memo ended with the sweep: the next construct searches again
     calls.clear()
@@ -684,8 +737,9 @@ def test_a_construct_inside_fan_memo_joins_it():
 
 
 def test_a_lone_case2_1_2_construct_builds_its_one_fan_once(monkeypatch):
-    # z = h(x), so the upper fan from z to h(y) has the lower fan's
-    # difference x ^ y and is that fan translated
+    # the least translate is (0, 01101, 10000) with x = 0 and z = h(x),
+    # so the upper fan from z to h(y) has the lower fan's difference
+    # x ^ y and is that fan translated
     g = AugmentedCube(5)
     targets = vs("00111", "01010", "10111")
     assert classify(g, targets).case is Case.CASE2_1_2

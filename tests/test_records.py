@@ -64,7 +64,7 @@ def test_equality_and_hash_follow_the_values():
     b = PathSystem(0, 3, ((0, 1, 3),))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != PathSystem(0, 3, ((0, 2, 3),))
-    assert CaseTag(Case.CASE1) == CaseTag(Case.CASE1, (0, 0), None)
+    assert CaseTag(Case.CASE1) == CaseTag(Case.CASE1, 0, None)
     assert SteinerTree(frozenset({(0, 1)})) == SteinerTree(edges=frozenset({(0, 1)}))
 
 
@@ -74,7 +74,7 @@ def test_repr_names_every_field():
 
 
 def test_defaults_and_properties_are_kept():
-    assert CaseTag(Case.BASE3).transform == (0, 0)
+    assert CaseTag(Case.BASE3).transform == 0
     assert CaseTag(Case.BASE3).roles is None and CaseTag._fields == ("case", "transform", "roles")
     assert OracleResult(2, 2, True, 10).witness == ()
     assert OracleResult(2, 2, True, 10).value == 2

@@ -30,6 +30,7 @@ from util import (
     max_disjoint_paths_brute,
     reachable_mask,
     recursive_adjacency_masks,
+    reference_canonical_triple,
     reference_check_path_system,
     reference_minimal_sets,
     reference_verify_family,
@@ -292,10 +293,8 @@ def _ground_masks(n, terms):
 
 
 def test_minimal_sets_match_the_subset_scan():
-    from aqsteiner.construct import _canonical_triple
-
     cases = [(n, t) for n in (1, 2, 3) for k in (2, 3) for t in itertools.combinations(range(1 << n), k)]
-    cases += [(4, t) for t in sorted({_canonical_triple(4, t)[0] for t in itertools.combinations(range(16), 3)})]
+    cases += [(4, t) for t in sorted({reference_canonical_triple(4, t)[0] for t in itertools.combinations(range(16), 3)})]
     cases += [(4, (0, w)) for w in range(1, 16)]
     by_size = lambda mask: (mask.bit_count(), mask)
     for n, terms in cases:
@@ -315,11 +314,9 @@ def test_minimal_sets_stop_on_the_budget():
 
 @pytest.mark.parametrize("n, stop_at", [(3, 3), (3, 4), (4, 5)])
 def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
-    from aqsteiner.construct import _canonical_triple
-
     g = AugmentedCube(n)
     masks = recursive_adjacency_masks(n)
-    classes = collections.Counter(_canonical_triple(n, t)[0] for t in itertools.combinations(range(1 << n), 3))
+    classes = collections.Counter(reference_canonical_triple(n, t)[0] for t in itertools.combinations(range(1 << n), 3))
     canon = sorted(classes)
     assert len(canon) == {3: 5, 4: 23}[n]
     # the exact value over every triple, each class weighted by its size

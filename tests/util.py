@@ -15,10 +15,9 @@ runs only on a whole cube.  It is kept as a differential oracle, since
 the two must return the same path lists and the same cuts.  ``reference_verify_family`` and
 ``reference_check_path_system`` are kept the same way: the certificate
 and path-system checks as they were before ``verify`` moved to one int
-pass per tree.  ``reference_invert_transform`` and
-``reference_canonical_triple`` are the per-label inverse that
-``construct._assemble`` applied to both ends of every edge, and the
-canonical base triple as a search over all 2^(n+1) (swap, mask) pairs.
+pass per tree.  ``reference_canonical_triple`` is the least triple
+under every (swap, mask) automorphism, a search over all 2^(n+1)
+pairs, which names the orbit classes of the oracle tests.
 ``reference_minimal_sets`` is the oracle's first phase as a subset
 scan: every subset of the ground, smallest first, kept when it holds no
 set kept before and one of its components meets every attach mask.
@@ -356,12 +355,6 @@ def _reference_swap(v: int, n: int) -> int:
     # complement the trailing n - 1 bits of an upper-copy label
     half = 1 << (n - 1)
     return v ^ (half - 1) if v & half else v
-
-
-def reference_invert_transform(v: int, swap: int, mask: int, n: int) -> int:
-    """The inverse of the label map "swap if ``swap``, then xor ``mask``"."""
-    v ^= mask
-    return _reference_swap(v, n) if swap else v
 
 
 def reference_canonical_triple(n: int, labels) -> tuple[tuple[int, ...], tuple[int, int]]:
