@@ -237,6 +237,9 @@ _fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None
 # `sweep -n 13 --samples 4000 --seed 1` (up to 4,095 fans) takes a median
 # 4.08 / 3.79 / 3.34 s over 8 runs; 1024 is the least cap within the
 # 3.34-3.85 s interquartile range of the Gray-coordinate fans at 4096.
+# With the closed-form reflection and the one-pass fan check, caps 1024 /
+# 4096 peak at 150 / 318 MB and take a median 3.83 / 3.37 s (quartiles
+# 3.37-4.27 / 3.04-3.65 s, 8 alternating runs), so 1024 stands.
 FAN_MEMO_MAX = 1024
 
 
@@ -369,11 +372,7 @@ def _assemble(
     def back(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
         if not a:
             return frozenset(edges)
-        out = set()
-        for u, v in edges:
-            u, v = u ^ a, v ^ a
-            out.add((u, v) if u < v else (v, u))
-        return frozenset(out)
+        return frozenset([(u, v) if (u := p ^ a) < (v := q ^ a) else (v, u) for p, q in edges])
 
     return TreeFamily(
         dim=n,

@@ -63,7 +63,7 @@ import operator
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray, inverse_gray
+from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, gray
 from .verify import check_path_system
 
 
@@ -99,7 +99,7 @@ def undirected(u: int, v: int) -> tuple[int, int]:
 
 def path_edges(path: Sequence[int]) -> list[tuple[int, int]]:
     """The edges of a label path, each with its smaller label first."""
-    return [undirected(a, b) for a, b in zip(path, path[1:])]
+    return [(a, b) if a <= b else (b, a) for a, b in zip(path, path[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,8 @@ def _word(d: int) -> list[int]:
     is 2^(i+1), top = e_(m-1) is 2^m - 1, e2 = e_(m-2) is 2^(m-1) - 1 and
     e3 = e_(m-3) is 2^(m-2) - 1.  So lo = gray(d) + top is d ^ top when d
     has its top bit set, t = lo + e2 is lo ^ e2 when lo has bit m - 2
-    set, and reversing the Gray bits is v -> inverse_gray(rev(gray(v))).
+    set, and reversing the m Gray bits is the linear map ``_reflect``,
+    v -> ((rev_m(v) << 1) & top) ^ (top if v is odd).
     """
     word = []
     dg = gray(d)
@@ -331,6 +332,15 @@ def geodesic(u: int, v: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # full fans, by induction on the dimension
 # ---------------------------------------------------------------------------
+
+def _reflect(m: int, v: int) -> int:
+    """The label whose Gray coordinates are those of v with their m bits
+    reversed.  Bit j of that label is the xor of the reversed Gray bits
+    j .. m - 1, which telescopes to v_0 ^ v_(m-j): the reversed label
+    shifted up a bit, below 2^m, xor top when v is odd."""
+    top = (1 << m) - 1
+    return ((int(f"{v:0{m}b}"[::-1], 2) << 1) & top) ^ (top if v & 1 else 0)
+
 
 def fan(m: int, d: int) -> PathSystem:
     """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4):
@@ -355,11 +365,13 @@ def _fan_paths(m: int, d: int) -> list[tuple[int, ...]]:
     t = lo ^ e2 if lo >> (m - 2) else lo
     if upper and t in (0, e3):
         # reversing the m Gray bits is an automorphism that fixes 0 and puts
-        # gray(d) among e_0 + {0, e_1} + {0, e_2}, below top
-        def rev(v: int) -> int:
-            return inverse_gray(int(format(gray(v), f"0{m}b")[::-1], 2))
-
-        return [tuple(map(rev, p)) for p in _fan_paths(m, rev(d))]
+        # gray(d) among e_0 + {0, e_1} + {0, e_2}, below top; it is linear,
+        # so each path from 0 is the prefix xor of its steps' images
+        image = {g: _reflect(m, g) for g in adjacency_deltas(m)}.__getitem__
+        return [
+            tuple(itertools.accumulate(map(image, map(operator.xor, p, p[1:])), operator.xor, initial=0))
+            for p in _fan_paths(m, _reflect(m, d))
+        ]
     # A shortest walk from 0 to t, whose last step s is t's lowest
     # generator, stays below bit m - 2, so its lifts into the two quarters
     # of the upper copy are disjoint.  When d lies in the upper copy, the

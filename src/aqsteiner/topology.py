@@ -30,10 +30,10 @@ All of them are label maps on plain ints.  The constructor normalises
 every triple by a translation alone, to its least translate, which
 also keys the base-case cache.
 
-In Gray coordinates (``gray``/``inverse_gray``) the delta set becomes the
-single bits e_i and the adjacent pairs e_i + e_(i+1), so the cube is a
-Cayley graph of Z_2^n: distances and disjoint-path fans depend only on
-u ^ v, and the fans are built from 0 and translated.
+In Gray coordinates (``gray``) the delta set becomes the single bits
+e_i and the adjacent pairs e_i + e_(i+1), so the cube is a Cayley graph
+of Z_2^n: distances and disjoint-path fans depend only on u ^ v, and
+the fans are built from 0 and translated.
 """
 
 from __future__ import annotations
@@ -163,15 +163,6 @@ def hc_swap_label(v: int, dim: int) -> int:
 def gray(v: int) -> int:
     """Gray coordinates of a label: v ^ (v >> 1)."""
     return v ^ (v >> 1)
-
-
-def inverse_gray(g: int) -> int:
-    """The label with Gray coordinates g: the prefix xor of g's bits."""
-    shift = 1
-    while g >> shift:
-        g ^= g >> shift
-        shift <<= 1
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ named tuple: a file of many small bad trees holds one per defect.
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Iterable, NamedTuple
 
 from .topology import AugmentedCube, ContractViolation, GraphView, delta_set
@@ -155,13 +156,47 @@ def check_path_system(view: GraphView, ps) -> list[str]:
     """Invariant check for a path system of label paths; returns
     human-readable problems, with labels written at ``view.dim`` digits.
     A step a-b is an edge of the view when both labels lie in the cube
-    and in ``view.allowed`` and a ^ b is an adjacency delta."""
+    and in ``view.allowed`` and a ^ b is an adjacency delta.
+
+    One pass of set operations accepts a valid system first: every path
+    runs from source to sink in at least one step and every step is a
+    delta; the system holds 2 + its inner vertex count distinct labels,
+    so source != sink and no inner vertex repeats or meets an end; at
+    most one path is the direct edge; and every label lies in the cube
+    and the view.  Two paths that share an edge share an inner vertex
+    or are both direct, so the pass accepts exactly the systems with no
+    problem.  The per-step loop runs only when it rejects, and writes
+    the report."""
     width = view.dim
     order = 1 << width
     allowed = view.allowed
     deltas = delta_set(width)
+    source, sink = ps.source, ps.sink
+    labels = {source, sink}
+    inner = direct = 0
+    for vs in ps.paths:
+        if len(vs) < 2 or vs[0] != source or vs[-1] != sink or not deltas.issuperset(map(xor, vs, vs[1:])):
+            break
+        labels.update(vs)
+        inner += len(vs) - 2
+        direct += len(vs) == 2
+    else:
+        lo, hi = min(labels), max(labels)
+        if (
+            len(labels) == 2 + inner
+            and direct <= 1
+            and 0 <= lo
+            and hi < order
+            # a step-1 range holds every label between two it holds
+            and (
+                lo in allowed and hi in allowed
+                if isinstance(allowed, range) and allowed.step == 1
+                else all(map(allowed.__contains__, labels))
+            )
+        ):
+            return []
     problems: list[str] = []
-    if ps.source == ps.sink:
+    if source == sink:
         problems.append("source equals sink")
     seen_inner: dict[int, int] = {}
     seen_edges: dict[tuple[int, int], int] = {}
@@ -169,7 +204,7 @@ def check_path_system(view: GraphView, ps) -> list[str]:
         if len(vs) < 2:
             problems.append(f"path {i} has fewer than two vertices")
             continue
-        if vs[0] != ps.source or vs[-1] != ps.sink:
+        if vs[0] != source or vs[-1] != sink:
             problems.append(f"path {i} does not run source to sink")
         if len(set(vs)) != len(vs):
             problems.append(f"path {i} repeats a vertex")

@@ -27,17 +27,19 @@ from aqsteiner.topology import (
     Vertex,
     adjacency_deltas,
     c_label,
+    gray,
     h_label,
-    inverse_gray,
     side_view,
 )
 from aqsteiner.verify import check_path_system
 
 from util import (
     brute_min_vertex_cut,
+    inverse_gray,
     max_disjoint_paths_brute,
     recursive_adjacency_masks,
     recursive_edges,
+    reference_check_path_system,
     reference_flow_paths,
 )
 
@@ -121,8 +123,57 @@ def test_check_path_system_names_each_problem():
         (full, PathSystem(0, 7, ((0, 1, 3, 7), (0, 2, 3, 4, 7))), ["inner vertex 011 shared by paths 0 and 1"]),
     ]
     for view, ps, problems in cases:
-        assert check_path_system(view, ps) == problems, ps
+        assert check_path_system(view, ps) == problems == reference_check_path_system(view, ps), ps
     assert check_path_system(full, PathSystem(0, 7, ((0, 7), (0, 1, 3, 7), (0, 2, 6, 7)))) == []
+
+    # The one-pass accept against the reference: whole fans, which it
+    # accepts, and fans broken one way each, which go on to the report.
+    def same(view, ps, valid):
+        problems = check_path_system(view, ps)
+        assert problems == reference_check_path_system(view, ps), (view.dim, ps)
+        assert (problems == []) == valid, (view.dim, ps, problems)
+
+    rng = random.Random(3)
+    whole = [(m, d) for m in range(4, 9) for d in range(1, 1 << m)]
+    for m, d in whole + [(m, rng.randrange(1, 1 << m)) for m in range(9, 63)]:
+        same(AugmentedCube(m).view(), fan(m, d), True)
+    for m, d in [(6, 0b101101), (6, 0b000011), (9, 0b100000001), (20, rng.randrange(1 << 19))]:
+        g = AugmentedCube(m)
+        ps = fan(m, d)
+        p, q = sorted(ps.paths, key=len)[-2:]  # two paths with inner vertices
+        direct = next((x for x in ps.paths if len(x) == 2), (0, d))
+
+        def swap(path, new):
+            return PathSystem(0, d, tuple(new if x == path else x for x in ps.paths))
+
+        for bad in (
+            swap(q, q[:3] + q[1:]),  # a repeated inner vertex
+            swap(q, (0, q[1], 0) + q[1:]),  # an inner vertex equal to an end
+            swap(q, q[:1] + (q[1] ^ (1 << m - 1) ^ 1,) + q[1:]),  # a non-edge step
+            swap(q, p),  # a shared inner vertex
+            PathSystem(0, d, ps.paths + (direct,)),  # a second direct path
+            swap(q, q[:-1]),  # a wrong end
+            PathSystem(0, d, ps.paths + ((0,),)),  # a one-vertex path
+            PathSystem(d, d, ((d,),)),  # the same, from a sink to itself
+            map_path_system((1 << m).__xor__, ps),  # every label >= 2^dim
+        ):
+            same(g.view(), bad, False)
+        # steps along the deltas, on labels past either end of the cube
+        for outside in (map_path_system((1 << m).__xor__, ps), map_path_system(operator.invert, ps)):
+            same(GraphView(g, range(-g.order, 2 * g.order)), outside, False)
+        if direct in ps.paths:
+            # a wrong end offset by a path one vertex longer, so that the
+            # label count still matches
+            rest = tuple(x for x in ps.paths if x not in (q, direct))
+            same(g.view(), PathSystem(0, d, (q[:-1], (0, d, p[-2])) + rest), False)
+            same(g.view(), PathSystem(0, d, (q[1:], (p[1], 0, d)) + rest), False)
+        if d < 1 << m - 1:
+            # the fan runs through the upper half-copy
+            same(side_view(g, 0), ps, False)
+        if m <= 9:
+            everything = frozenset(range(g.order))
+            same(GraphView(g, everything), ps, True)
+            same(GraphView(g, everything - {q[1]}), ps, False)
 
 
 def test_menger_agreement_exhaustive_small_dims():
@@ -411,6 +462,15 @@ def test_full_fan_every_d(m):
     for d in range(1, 1 << m):
         digest.update(repr(assert_full_fan(m, d).paths).encode())
     assert digest.hexdigest() == FAN_DIGESTS_BY_DIM[m]
+
+
+def test_reflect_reverses_the_gray_bits():
+    # the closed form against the Gray definition: every v up to m = 12,
+    # then seeded draws
+    rng = random.Random(5)
+    for m in range(2, 63):
+        for v in range(1 << m) if m <= 12 else [rng.randrange(1 << m) for _ in range(1000)]:
+            assert paths._reflect(m, v) == inverse_gray(int(f"{gray(v):0{m}b}"[::-1], 2)), (m, v)
 
 
 def test_full_fan_sampled_d_up_to_dim_62():

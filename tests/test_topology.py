@@ -13,12 +13,11 @@ from aqsteiner.topology import (
     gray,
     h_label,
     hc_swap_label,
-    inverse_gray,
     parse_vertex,
     side_view,
 )
 
-from util import recursive_edges, run_bounded
+from util import inverse_gray, recursive_adjacent, recursive_edges, run_bounded
 
 
 def labels(g, vs):
@@ -77,6 +76,12 @@ def test_closed_form_matches_recursive_definition_dims_1_to_8():
             for w in g.neighbor_labels(u)
         }
         assert closed == set(recursive_edges(n))
+        if n <= 6:
+            # the leading-bit recursion of the reference checks agrees
+            edges = recursive_edges(n)
+            for u in range(-1, g.order + 1):
+                for w in range(-1, g.order + 1):
+                    assert recursive_adjacent(n, u, w) == (frozenset({u, w}) in edges), (n, u, w)
 
 
 def test_adjacency_symmetry_sampled():

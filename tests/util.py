@@ -21,6 +21,11 @@ pairs, which names the orbit classes of the oracle tests.
 ``reference_minimal_sets`` is the oracle's first phase as a subset
 scan: every subset of the ground, smallest first, kept when it holds no
 set kept before and one of its components meets every attach mask.
+``recursive_adjacent`` is the recursive definition one leading bit at
+a time, so ``reference_check_path_system`` runs at every dimension.
+``inverse_gray`` is the prefix xor that undoes ``topology.gray``: the
+Gray definition that the closed form of ``paths._reflect`` is tested
+against.
 
 ``run_bounded`` runs the large-dimension tests in a child process with
 capped memory, so a view that gets materialised fails fast with
@@ -37,6 +42,15 @@ from collections import deque
 from functools import lru_cache
 
 MEMORY_LIMIT = 1 << 30
+
+
+def inverse_gray(g: int) -> int:
+    """The label with Gray coordinates g: the prefix xor of g's bits."""
+    shift = 1
+    while g >> shift:
+        g ^= g >> shift
+        shift <<= 1
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +72,22 @@ def recursive_edges(n: int) -> frozenset[frozenset[int]]:
         edges.add(frozenset({x, x | half}))
         edges.add(frozenset({x, (x ^ mask) | half}))
     return frozenset(edges)
+
+
+def recursive_adjacent(n: int, a: int, b: int) -> bool:
+    """Adjacency in AQ_n by the same recursive definition, one leading bit
+    at a time, for dimensions too large to list the edges: labels with
+    the same leading bit are adjacent when they are in the copy one
+    dimension down, and labels with different ones when their trailing
+    bits are equal or complementary."""
+    if not (0 <= a < 1 << n and 0 <= b < 1 << n):
+        return False
+    for k in range(n - 1, 0, -1):
+        low = (1 << k) - 1
+        if (a ^ b) >> k & 1:
+            return a & low == b & low or a & low == ~b & low
+        a, b = a & low, b & low
+    return a != b
 
 
 def recursive_adjacency_masks(n: int) -> list[int]:
@@ -227,7 +257,7 @@ def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] 
 # The tuple-keyed checker: one ``check_label`` pair, one
 # ``adjacent_labels`` call and two adjacency ``setdefault`` calls per
 # edge.  The path-system check tests each path step against the view's
-# labels and ``recursive_edges``, and calls nothing of the package.
+# labels and ``recursive_adjacent``, and calls nothing of the package.
 # ``verify`` must return the same violations in the same order, the same
 # problem strings and the same ``ContractViolation`` text.
 
@@ -337,7 +367,7 @@ def reference_check_path_system(view, ps):
         for a, b in zip(vs, vs[1:]):
             # an edge of the view: both ends in it, and an edge of the
             # literal recursive cube (which holds no label outside it)
-            if not (a in view.allowed and b in view.allowed and frozenset({a, b}) in recursive_edges(width)):
+            if not (a in view.allowed and b in view.allowed and recursive_adjacent(width, a, b)):
                 problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")
             key = (a, b) if a <= b else (b, a)
             if key in seen_edges and seen_edges[key] != i:
