@@ -38,6 +38,7 @@ from .construct import (
     TreeFamily,
     classify,
     construct as build_family,
+    construct_batch,
     fan_memo,
     target_family_size,
 )
@@ -52,7 +53,8 @@ SCHEMA_VERSION = "1"
 # bracket.
 ORACLE_MAX_DIM = 12
 # sweep lists and sorts every triple before the first construct: the
-# n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB.
+# n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB, and
+# the class index of ``construct_batch`` takes it to about 260 MB.
 SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
 # labels at every level, so the certificate doubles per dimension: about
@@ -254,31 +256,29 @@ class SweepRecord(NamedTuple):
 
 
 def _sweep_batch(args: tuple[int, list[tuple[int, ...]]]) -> list[SweepRecord]:
+    """The records of one batch, in its order.  ``construct_batch`` builds
+    one family per translation class and moves it to every other member;
+    each family has passed the verifier once there, and a rejected one
+    raises ``InternalError``."""
     n, batch = args
-    g = AugmentedCube(n)
-    out = []
+    out: list[SweepRecord | None] = [None] * len(batch)
     with fan_memo():
-        for labels in batch:
-            terms = [Vertex(a, n) for a in labels]
-            family = build_family(g, terms)
-            out.append(
-                SweepRecord(
-                    labels=labels,
-                    case=family.provenance[0].case.value,
-                    fallback=family.fallback_used,
-                    size=len(family.trees),
-                    # construct has verified the family and raises
-                    # InternalError on a rejected one
-                    verified=True,
-                )
+        for i, family in construct_batch(AugmentedCube(n), batch):
+            out[i] = SweepRecord(
+                labels=batch[i],
+                case=family.provenance[0].case.value,
+                fallback=family.fallback_used,
+                size=len(family.trees),
+                verified=True,
             )
     return out
 
 
 def run_sweep(n: int, triples: Sequence[tuple[int, ...]], jobs: int = 1) -> list[SweepRecord]:
-    """Construct every triple, verified once inside ``construct``; the
-    records follow the sorted triples, since the batches are contiguous
-    slices of them and ``pool.map`` keeps their order."""
+    """Build and verify a family for every triple, one construct per
+    translation class of each batch (``_sweep_batch``); the records
+    follow the sorted triples, since the batches are contiguous slices of
+    them and ``pool.map`` keeps their order."""
     triples = sorted(triples)
     if jobs <= 1 or len(triples) < 4:
         records = _sweep_batch((n, list(triples)))

@@ -48,21 +48,25 @@ fan is checked once per memo miss, and Case2_1_2 with z = h(x), whose
 two fans share d, builds and checks its one fan once.  Every family
 still passes the verifier.  The base families are likewise the pure function
 ``_base_trees`` of the least translate, cached for the life of the
-process.
+process.  A sweep builds one family per translation class:
+``construct_batch`` calls ``construct`` on the first member of each
+class in its batch and translates that family to every other member.
 
 The dispatch is total: it names a case for every triple, and every
 case has a written recipe, so there is no repair path.
 Every ``construct`` call runs the independent verifier once, on its
-result; a rejected recipe output is a bug and raises ``InternalError``.
+result, and ``construct_batch`` runs it once on each family it moves;
+a rejected family is a bug and raises ``InternalError``.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import contextvars
 import functools
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import paths as _paths
 from . import verify as _verify
@@ -168,6 +172,40 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     least two lower labels, which beats any with two upper ones: at most
     one label of the least translate is upper, and it is the last."""
     return min((tuple(sorted(v ^ a for v in labels)), a) for a in labels)
+
+
+def construct_batch(g: AugmentedCube, batch: Sequence[Sequence[int]]) -> Iterator[tuple[int, TreeFamily]]:
+    """Yield (i, family) for every label triple batch[i], class by class.
+
+    The triples are grouped by least translate.  The first member of each
+    class is built by ``construct``.  Every other member gets that
+    family's trees, moved to the least translate and back by the
+    member's own a through ``_assemble``, with the provenance
+    ``construct`` would give it: construct(S ^ b) is construct(S)
+    translated by b.  Each moved family passes the verifier once, a
+    rejection raising ``InternalError`` as ``construct`` does.  Only one
+    class's family is alive at a time."""
+    n = g.dim
+    # member indices as machine words: a list of int objects would add
+    # about 36 bytes per triple to a sweep's peak
+    classes: dict[tuple[int, ...], array.array] = {}
+    for i, labels in enumerate(batch):
+        members = classes.get(key := _least_translate(labels)[0])
+        if members is None:
+            members = classes[key] = array.array("q")
+        members.append(i)
+    for members in classes.values():
+        first = members[0]
+        family = construct(g, [Vertex(v, n) for v in batch[first]])
+        yield first, family
+        tag, rest = family.provenance[0], family.provenance[1:]
+        # the trees on the least translate: a translation is its own inverse
+        trees = [_translate(t.edges, tag.transform) for t in family.trees]
+        for i in members[1:]:
+            labels = sorted(batch[i])
+            moved = _assemble(g, labels, trees, (tag._replace(transform=_least_translate(labels)[1]),) + rest)
+            _check(g, labels, moved)
+            yield i, moved
 
 
 def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
@@ -364,23 +402,24 @@ def _assemble(
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
     """Translate label edges built on the least translate back to the
-    caller's labels by ``provenance[0].transform``, each with its smaller
-    label first.  Only S is in ``Vertex``."""
+    caller's labels by ``provenance[0].transform``.  Only S is in
+    ``Vertex``."""
     n = g.dim
     a = provenance[0].transform
-
-    def back(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        if not a:
-            return frozenset(edges)
-        return frozenset([(u, v) if (u := p ^ a) < (v := q ^ a) else (v, u) for p, q in edges])
-
     return TreeFamily(
         dim=n,
         terminals=frozenset(Vertex(v, n) for v in labels),
-        trees=tuple(SteinerTree(back(edges)) for edges in trees),
+        trees=tuple(SteinerTree(_translate(edges, a)) for edges in trees),
         provenance=provenance,
         fallback_used=False,
     )
+
+
+def _translate(edges: Iterable[tuple[int, int]], a: int) -> frozenset[tuple[int, int]]:
+    """The label edges translated by a, each with its smaller label first."""
+    if not a:
+        return frozenset(edges)
+    return frozenset([(u, v) if (u := p ^ a) < (v := q ^ a) else (v, u) for p, q in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +560,17 @@ def construct(
             family = _construct_case1(g, labels, tag, fidelity)
         else:
             family = _assemble(g, labels, _run_recipe(g, tag), (tag,))
+    _check(g, labels, family)
+    return family
+
+
+def _check(g: AugmentedCube, labels: Sequence[int], family: TreeFamily) -> None:
+    """Run the independent verifier on the family of the sorted labels; a
+    rejected or short family raises ``InternalError``."""
+    n = g.dim
     report = _verify.verify_family(g, family, size=target_family_size(n))
     if not report.accepted:
         raise InternalError(
             f"{family.provenance[0].case.value} family rejected for targets "
             f"{[f'{a:0{n}b}' for a in labels]}: {[v.detail for v in report.violations]}"
         )
-    return family

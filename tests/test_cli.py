@@ -532,8 +532,9 @@ def test_sweep_deterministic_across_jobs():
 
 
 def test_sweep_verifies_each_family_once(monkeypatch):
-    # one verify per construct level: the 4960 n = 5 families and the
-    # n = 4 families below the 1120 Case1 triples, none again in the sweep
+    # every n = 5 family is verified once, a class's construct or a moved
+    # member alike, and each of the 35 Case1 classes builds and verifies
+    # one n = 4 family below it
     calls = []
     original = verify_mod.verify_family
 
@@ -545,7 +546,7 @@ def test_sweep_verifies_each_family_once(monkeypatch):
     records = run_sweep(5, all_triples(5))
     assert [r.labels for r in records] == all_triples(5)
     assert all(r.verified for r in records)
-    assert (calls.count(5), calls.count(4), len(calls)) == (4960, 1120, 6080)
+    assert (calls.count(5), calls.count(4), len(calls)) == (4960, 35, 4995)
 
 
 def test_construct_byte_identical_runs():

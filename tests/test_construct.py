@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -543,6 +544,59 @@ def test_one_construct_per_translation_class_covers_every_triple(n):
             assert family.provenance[0].transform == 0
             cases[family.provenance[0].case.value] += 1 << n
     assert cases == EXHAUSTIVE_CASES[n]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exhaustive_sweep_at_dim_6(jobs):
+    # the sweep itself, one construct per class moved to every member,
+    # against the pinned histogram
+    records = cli.run_sweep(6, cli.all_triples(6), jobs=jobs)
+    assert [r.labels for r in records] == cli.all_triples(6)
+    assert collections.Counter(r.case for r in records) == EXHAUSTIVE_CASES[6]
+    assert all(r.size == 9 and r.verified and not r.fallback for r in records)
+
+
+def _batch_cases():
+    """(n, batch): every triple at n = 3, 4 and 5, and 3,000 seeded n = 6
+    triples, which repeat most of the 651 classes."""
+    return [(n, cli.all_triples(n)) for n in (3, 4, 5)] + [(6, cli.sample_triples(6, 3000, 7))]
+
+
+@pytest.mark.parametrize("n, batch", _batch_cases(), ids=["n3", "n4", "n5", "n6-sampled"])
+def test_construct_batch_equals_construct(n, batch):
+    # every moved family is the family construct builds for its triple,
+    # trees, terminals and provenance alike
+    g = AugmentedCube(n)
+    assert len({_least_translate(labels)[0] for labels in batch}) < len(batch)
+    with construct_mod.fan_memo():
+        got = dict(construct_mod.construct_batch(g, batch))
+        assert sorted(got) == list(range(len(batch)))
+        for i, labels in enumerate(batch):
+            assert got[i] == construct(g, [Vertex(v, n) for v in labels]), labels
+
+
+def test_a_rejected_translate_raises(monkeypatch, capsys):
+    # the verifier rejects, by the tree count, the moved family of the
+    # second member of the first class
+    batch = cli.all_triples(5)
+    key = _least_translate(batch[0])[0]
+    second = [t for t in batch if _least_translate(t)[0] == key][1]
+    original = verify_mod.verify_family
+
+    def rejecting(g, family, *, size=None):
+        if sorted(t.bits for t in family.terminals) == list(second):
+            family = family._replace(trees=family.trees[:-1])
+        return original(g, family, size=size)
+
+    monkeypatch.setattr(verify_mod, "verify_family", rejecting)
+    targets = str([f"{v:05b}" for v in second])
+    with pytest.raises(InternalError, match=f"family rejected for targets {re.escape(targets)}: .*expected 7 trees"):
+        dict(construct_mod.construct_batch(AugmentedCube(5), batch))
+    with pytest.raises(InternalError, match=re.escape(targets)):
+        cli.run_sweep(5, batch)
+    assert cli.main(["sweep", "-n", "5", "--exhaustive"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("construction failed:") and targets in err
 
 
 @pytest.mark.parametrize(
