@@ -19,6 +19,7 @@ fixed flags; wall-clock timings go to stderr so stdout stays byte-stable.
 from __future__ import annotations
 
 import argparse
+import array
 import io
 import itertools
 import json
@@ -41,6 +42,7 @@ from .construct import (
     construct_batch,
     fan_memo,
     target_family_size,
+    translation_classes,
 )
 from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, parse_vertex
 
@@ -54,7 +56,8 @@ SCHEMA_VERSION = "1"
 ORACLE_MAX_DIM = 12
 # sweep lists and sorts every triple before the first construct: the
 # n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB, and
-# the class index of ``construct_batch`` takes it to about 260 MB.
+# the class index of ``construct_batch`` takes it to about 240 MB; with
+# --jobs above 1, the whole-class batches take it to about 270 MB.
 SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
 # labels at every level, so the certificate doubles per dimension: about
@@ -274,25 +277,40 @@ def _sweep_batch(args: tuple[int, list[tuple[int, ...]]]) -> list[SweepRecord]:
     return out
 
 
+def _class_batches(triples: Sequence[tuple[int, ...]], count: int) -> list[array.array]:
+    """The indices of the triples cut into about ``count`` batches of
+    whole translation classes (``translation_classes``), in class order:
+    each batch is closed once it holds len(triples) / count of them."""
+    chunk = max(1, (len(triples) + count - 1) // count)
+    batches: list[array.array] = []
+    for members in translation_classes(triples)[0].values():
+        if not batches or len(batches[-1]) >= chunk:
+            batches.append(array.array("q"))
+        batches[-1].extend(members)
+    return batches
+
+
 def run_sweep(n: int, triples: Sequence[tuple[int, ...]], jobs: int = 1) -> list[SweepRecord]:
     """Build and verify a family for every triple, one construct per
     translation class of each batch (``_sweep_batch``); the records
-    follow the sorted triples, since the batches are contiguous slices of
-    them and ``pool.map`` keeps their order."""
+    follow the sorted triples.  With ``jobs`` above 1 the pool gets
+    about 4 * jobs batches of whole classes (``_class_batches``), so no
+    class is built twice, and each record goes back to its triple's
+    place."""
     triples = sorted(triples)
     if jobs <= 1 or len(triples) < 4:
-        records = _sweep_batch((n, list(triples)))
-    else:
-        # imported here: the pool and the logging it pulls in cost every
-        # other command start-up time for nothing
-        import concurrent.futures
+        return _sweep_batch((n, triples))
+    # imported here: the pool and the logging it pulls in cost every
+    # other command start-up time for nothing
+    import concurrent.futures
 
-        chunk = max(1, (len(triples) + 4 * jobs - 1) // (4 * jobs))
-        batches = [triples[i : i + chunk] for i in range(0, len(triples), chunk)]
-        records = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_sweep_batch, [(n, list(b)) for b in batches]):
-                records.extend(part)
+    batches = _class_batches(triples, 4 * jobs)
+    records: list[SweepRecord | None] = [None] * len(triples)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = pool.map(_sweep_batch, [(n, [triples[i] for i in b]) for b in batches])
+        for b, part in zip(batches, parts):
+            for i, record in zip(b, part):
+                records[i] = record
     return records
 
 

@@ -50,7 +50,9 @@ still passes the verifier.  The base families are likewise the pure function
 ``_base_trees`` of the least translate, cached for the life of the
 process.  A sweep builds one family per translation class:
 ``construct_batch`` calls ``construct`` on the first member of each
-class in its batch and translates that family to every other member.
+class in its batch (``translation_classes``) and moves that family,
+taken back to the least translate once, to every other member by the
+member's own a, recorded while the classes are indexed.
 
 The dispatch is total: it names a case for every triple, and every
 case has a written recipe, so there is no repair path.
@@ -174,26 +176,42 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return min((tuple(sorted(v ^ a for v in labels)), a) for a in labels)
 
 
+def translation_classes(
+    batch: Sequence[Sequence[int]],
+) -> tuple[dict[tuple[int, ...], array.array], array.array]:
+    """Group the label triples of ``batch`` by least translate, in one
+    pass: the indices of each class's members in batch order, keyed by
+    the least translate, and for every triple batch[i] which of its
+    labels is its a, as one byte, the position of a in batch[i].
+
+    Both are arrays of machine words: a list of int objects would add
+    about 36 bytes per triple to a sweep's peak."""
+    classes: dict[tuple[int, ...], array.array] = {}
+    which = array.array("B", bytes(len(batch)))
+    for i, labels in enumerate(batch):
+        key, a = _least_translate(labels)
+        which[i] = labels.index(a)
+        members = classes.get(key)
+        if members is None:
+            members = classes[key] = array.array("q")
+        members.append(i)
+    return classes, which
+
+
 def construct_batch(g: AugmentedCube, batch: Sequence[Sequence[int]]) -> Iterator[tuple[int, TreeFamily]]:
     """Yield (i, family) for every label triple batch[i], class by class.
 
-    The triples are grouped by least translate.  The first member of each
-    class is built by ``construct``.  Every other member gets that
-    family's trees, moved to the least translate and back by the
-    member's own a through ``_assemble``, with the provenance
+    The triples are grouped by ``translation_classes``, which also
+    records each member's a.  The first member of each class is built by
+    ``construct``.  Every other member gets that family's trees, taken
+    back to the least translate once per class and moved from there by
+    the member's own a through ``_assemble``, with the provenance
     ``construct`` would give it: construct(S ^ b) is construct(S)
     translated by b.  Each moved family passes the verifier once, a
     rejection raising ``InternalError`` as ``construct`` does.  Only one
     class's family is alive at a time."""
     n = g.dim
-    # member indices as machine words: a list of int objects would add
-    # about 36 bytes per triple to a sweep's peak
-    classes: dict[tuple[int, ...], array.array] = {}
-    for i, labels in enumerate(batch):
-        members = classes.get(key := _least_translate(labels)[0])
-        if members is None:
-            members = classes[key] = array.array("q")
-        members.append(i)
+    classes, which = translation_classes(batch)
     for members in classes.values():
         first = members[0]
         family = construct(g, [Vertex(v, n) for v in batch[first]])
@@ -202,8 +220,8 @@ def construct_batch(g: AugmentedCube, batch: Sequence[Sequence[int]]) -> Iterato
         # the trees on the least translate: a translation is its own inverse
         trees = [_translate(t.edges, tag.transform) for t in family.trees]
         for i in members[1:]:
-            labels = sorted(batch[i])
-            moved = _assemble(g, labels, trees, (tag._replace(transform=_least_translate(labels)[1]),) + rest)
+            labels = batch[i]
+            moved = _assemble(g, labels, trees, (CaseTag(tag.case, labels[which[i]], tag.roles),) + rest)
             _check(g, labels, moved)
             yield i, moved
 
@@ -565,12 +583,12 @@ def construct(
 
 
 def _check(g: AugmentedCube, labels: Sequence[int], family: TreeFamily) -> None:
-    """Run the independent verifier on the family of the sorted labels; a
+    """Run the independent verifier on the family of the labels; a
     rejected or short family raises ``InternalError``."""
     n = g.dim
     report = _verify.verify_family(g, family, size=target_family_size(n))
     if not report.accepted:
         raise InternalError(
             f"{family.provenance[0].case.value} family rejected for targets "
-            f"{[f'{a:0{n}b}' for a in labels]}: {[v.detail for v in report.violations]}"
+            f"{[f'{a:0{n}b}' for a in sorted(labels)]}: {[v.detail for v in report.violations]}"
         )

@@ -19,13 +19,17 @@ plain int label, as are the oracle's targets and the label paths of the
 path systems that ``paths`` produces; violation details write labels at
 the cube's dimension.
 
-``verify_family`` is one loop over the trees.  A ``Violation`` is a
-named tuple: a file of many small bad trees holds one per defect.
+``verify_family`` first runs an accept pass (``_accepts``): counts
+over all edges at C level, then one union-find per tree.  Only a family
+that it does not accept goes through the reporting loop (``_report``),
+one loop over the trees.  A ``Violation`` is a named tuple: a file of
+many small bad trees holds one per defect.
 """
 
 from __future__ import annotations
 
-from operator import xor
+from itertools import chain
+from operator import lt, xor
 from typing import Iterable, NamedTuple
 
 from .topology import AugmentedCube, ContractViolation, GraphView, delta_set
@@ -63,18 +67,57 @@ class VerificationReport(NamedTuple):
 # certificate checking
 # ---------------------------------------------------------------------------
 
-def _count_components(adj: dict[int, list[int]]) -> int:
-    count = 0
-    left = set(adj)
-    while left:
-        stack = [left.pop()]
-        for a in stack:  # the list grows while it is walked
-            for b in adj[a]:
-                if b in left:
-                    left.remove(b)
-                    stack.append(b)
-        count += 1
-    return count
+def _accepts(trees, terminals: set[int], order: int, deltas: frozenset[int]) -> bool:
+    """Whether a family of T trees on three distinct targets S has no
+    violation, by counts over its E edges and one union-find per tree.
+
+    The pass asks that (a) the edges hold exactly E - 2T + 3 distinct
+    labels; (b) each target is an end of exactly T edges; (c) every edge
+    has u < v, both labels in the cube and u ^ v in the delta set; and
+    (d) each tree's union-find closes no cycle, and the tree holds
+    |E_i| + 1 labels, all three targets among them.  Then (c) and (d)
+    make each tree a tree of real edges that holds S.  Every target is
+    an end in every tree, so by (b) it is a leaf of each.  A tree then
+    holds |E_i| - 2 inner labels, and these sum to E - 2T, which by (a)
+    is the size of their union: the inner label sets are pairwise
+    disjoint.  So an edge in two trees joins two targets, and a tree
+    whose targets are leaves holds no such edge, since it also holds
+    the third target.  Without "all three targets" in (d), a tree that
+    misses a target and an inner label in two trees would cancel in (a).
+    """
+    count = len(trees)
+    edges = list(chain.from_iterable(tree.edges for tree in trees))
+    if not edges:
+        return False
+    us, vs = zip(*edges)
+    # a rejected family pays for the checks before the one that fails it:
+    # (a) fails a dropped edge or a reused vertex, the delta test a
+    # non-edge, and (b) a target of the wrong degree
+    if (
+        len({*us, *vs}) != len(edges) - 2 * count + 3
+        or not deltas.issuperset(map(xor, us, vs))
+        or any(us.count(t) + vs.count(t) != count for t in terminals)
+        or min(us) < 0
+        or max(vs) >= order
+        or not all(map(lt, us, vs))
+    ):
+        return False
+    for tree in trees:
+        # each find halves the path it walks: without that, a tree whose
+        # edges link every root under a fresh label makes the finds
+        # quadratic (a breadth-first tree of AQ_16 took about 45 s)
+        parent: dict[int, int] = {}
+        for u, v in tree.edges:
+            while (w := parent.setdefault(u, u)) != u:
+                parent[u] = u = parent[w]
+            while (w := parent.setdefault(v, v)) != v:
+                parent[v] = v = parent[w]
+            if u == v:
+                return False
+            parent[u] = v
+        if len(parent) != len(tree.edges) + 1 or not parent.keys() >= terminals:
+            return False
+    return True
 
 
 def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> VerificationReport:
@@ -84,35 +127,53 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
     also gets a ``TreeCount`` violation; without it, a partial family
     checks like a whole one.
 
-    One loop walks each tree's edges once; owner maps, with an edge
-    {u, v}, u <= v, under the int key u << dim | v, find what an earlier
-    tree holds, so time is linear in the total certificate size.
+    A family on three distinct targets with the right tree count first
+    goes through ``_accepts``, which accepts exactly the families with
+    no violation; ``_report`` writes the violations only when it fails.
     """
-    width = g.dim
-    order = 1 << width
     terminals = set()
     for t in family.terminals:
         g.check_vertex(t)
         terminals.add(t.bits)
+    trees = family.trees
+    if (
+        len(terminals) == 3
+        and (size is None or len(trees) == size)
+        and _accepts(trees, terminals, g.order, delta_set(g.dim))
+    ):
+        return VerificationReport(accepted=True, violations=())
+    return _report(g, terminals, trees, size)
+
+
+def _report(g: AugmentedCube, terminals: set[int], trees, size: int | None) -> VerificationReport:
+    """The violations of the family, in one loop over the trees that
+    walks each tree's edges once: a union-find over its real edges
+    counts components and cycles, and owner maps keyed by the edge
+    (u, v), u <= v, find what an earlier tree holds, so time is near
+    linear in the total certificate size."""
+    width = g.dim
+    order = 1 << width
+    deltas = delta_set(width)
     violations: list[Violation] = []
     if len(terminals) != 3:
         violations.append(Violation(WRONG_TERMINALS, (), f"expected 3 terminals, got {len(terminals)}"))
-    if size is not None and len(family.trees) != size:
-        violations.append(Violation(TREE_COUNT, (), f"expected {size} trees, got {len(family.trees)}"))
+    if size is not None and len(trees) != size:
+        violations.append(Violation(TREE_COUNT, (), f"expected {size} trees, got {len(trees)}"))
     term_order = sorted(terminals)
-    deltas = delta_set(width)
-    edge_owner: dict[int, int] = {}
+    edge_owner: dict[tuple[int, int], int] = {}
     vertex_owner: dict[int, int] = {}
-    for index, tree in enumerate(family.trees):
+    for index, tree in enumerate(trees):
         shared: list[Violation] = []
-        adj: dict[int, list[int]] = {}
-        stray: list[int] = []  # ends of non-edges, which adj does not hold
-        ok_edges = 0
-        for u, v in tree.edges:
+        parent: dict[int, int] = {}  # the union-find over the real edges
+        ends: list[int] = []
+        stray: list[int] = []  # ends of non-edges, which parent does not hold
+        ok_edges = unions = 0
+        for edge in tree.edges:
+            u, v = edge
             if not (0 <= u < order and 0 <= v < order):
                 g.check_label(u)
                 g.check_label(v)
-            key = u << width | v if u <= v else v << width | u
+            key = edge if u <= v else (v, u)
             # a lookup, then an insert: setdefault could not tell a new key
             # from the other orientation of an edge this tree already holds
             owner = edge_owner.get(key)
@@ -123,27 +184,33 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
             # a loop u = v is a non-edge too: 0 is not in the delta set
             if u ^ v not in deltas:
                 violations.append(Violation(NON_EDGE, (index,), f"{u:0{width}b}-{v:0{width}b} is not an edge"))
-                stray += (u, v)
+                stray += edge
                 continue
             ok_edges += 1
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+            ends += edge
+            while (w := parent.setdefault(u, u)) != u:
+                parent[u] = u = parent[w]
+            while (w := parent.setdefault(v, v)) != v:
+                parent[v] = v = parent[w]
+            if u != v:
+                parent[u] = v
+                unions += 1
 
         if ok_edges:
-            components = _count_components(adj)
-            if components > 1:
+            # each union joins two components of the labels in parent
+            if len(parent) - unions > 1:
                 violations.append(Violation(DISCONNECTED, (index,), "edge set is not connected"))
-            if ok_edges > len(adj) - components:
+            if ok_edges > unions:
                 violations.append(Violation(CYCLE, (index,), "edge set contains a cycle"))
         for t in term_order:
-            d = len(adj.get(t, ()))
+            d = ends.count(t)
             if d != 1:
                 violations.append(Violation(TERMINAL_DEGREE, (index,), f"terminal {t:0{width}b} has degree {d}"))
         violations += shared
         # no tree meets a vertex twice here, so an owner other than this
         # tree is an earlier one; the reuses are reported in label order
         reused = []
-        for w in set(stray).union(adj) if stray else adj:
+        for w in set(stray).union(parent) if stray else parent:
             if w not in terminals and vertex_owner.setdefault(w, index) != index:
                 reused.append(w)
         for w in sorted(reused):

@@ -557,12 +557,17 @@ def test_exhaustive_sweep_at_dim_6(jobs):
 
 
 def _batch_cases():
-    """(n, batch): every triple at n = 3, 4 and 5, and 3,000 seeded n = 6
-    triples, which repeat most of the 651 classes."""
-    return [(n, cli.all_triples(n)) for n in (3, 4, 5)] + [(6, cli.sample_triples(6, 3000, 7))]
+    """(n, batch): every triple at n = 3, 4 and 5, the n = 5 triples in
+    descending label order, and 3,000 seeded n = 6 triples, which repeat
+    most of the 651 classes."""
+    return (
+        [(n, cli.all_triples(n)) for n in (3, 4, 5)]
+        + [(5, [t[::-1] for t in cli.all_triples(5)])]
+        + [(6, cli.sample_triples(6, 3000, 7))]
+    )
 
 
-@pytest.mark.parametrize("n, batch", _batch_cases(), ids=["n3", "n4", "n5", "n6-sampled"])
+@pytest.mark.parametrize("n, batch", _batch_cases(), ids=["n3", "n4", "n5", "n5-descending", "n6-sampled"])
 def test_construct_batch_equals_construct(n, batch):
     # every moved family is the family construct builds for its triple,
     # trees, terminals and provenance alike
@@ -573,6 +578,21 @@ def test_construct_batch_equals_construct(n, batch):
         assert sorted(got) == list(range(len(batch)))
         for i, labels in enumerate(batch):
             assert got[i] == construct(g, [Vertex(v, n) for v in labels]), labels
+
+
+@pytest.mark.parametrize("n, count", [(5, 8), (6, 8), (6, 12)])
+def test_sweep_batches_hold_whole_translation_classes(n, count):
+    # every triple in exactly one batch, every class in one batch, and
+    # about count batches
+    triples = cli.all_triples(n)
+    batches = cli._class_batches(triples, count)
+    assert sorted(i for b in batches for i in b) == list(range(len(triples)))
+    owner = {}
+    for j, b in enumerate(batches):
+        for i in b:
+            assert owner.setdefault(_least_translate(triples[i])[0], j) == j
+    assert len(owner) == len(triples) >> n
+    assert count - 1 <= len(batches) <= count
 
 
 def test_a_rejected_translate_raises(monkeypatch, capsys):

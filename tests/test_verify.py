@@ -1,15 +1,28 @@
 import collections
 import functools
 import itertools
+import random
+import time
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct
+from aqsteiner import verify as verify_mod
+from aqsteiner.cli import all_triples, sample_triples
+from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, construct_batch, fan_memo
 from aqsteiner.paths import PathSystem, connectivity
-from aqsteiner.topology import AugmentedCube, ContractViolation, GraphView, Vertex, adjacency_deltas, parse_vertex, side_view
+from aqsteiner.topology import (
+    AugmentedCube,
+    ContractViolation,
+    GraphView,
+    Vertex,
+    adjacency_deltas,
+    delta_set,
+    parse_vertex,
+    side_view,
+)
 from aqsteiner.verify import (
     CYCLE,
     DISCONNECTED,
@@ -19,6 +32,7 @@ from aqsteiner.verify import (
     TERMINAL_DEGREE,
     TREE_COUNT,
     WRONG_TERMINALS,
+    _accepts,
     _minimal_sets,
     check_path_system,
     hager_upper_bound,
@@ -508,3 +522,132 @@ def test_check_path_system_matches_the_reference(n, data):
         paths.append(tuple(walk))
     ps = PathSystem(source, sink, tuple(paths))
     assert check_path_system(view, ps) == reference_check_path_system(view, ps)
+
+
+# ---------------------------------------------------------------------------
+# the accept pass
+# ---------------------------------------------------------------------------
+
+def accepts(g, fam):
+    return _accepts(fam.trees, {t.bits for t in fam.terminals}, g.order, delta_set(g.dim))
+
+
+def pendant_edge(fam, i, t):
+    """The one edge of tree i at target t."""
+    (edge,) = [e for e in fam.trees[i].edges if t in e]
+    return edge
+
+
+def cancelling(fam):
+    """Families whose defects cancel in the counts of the accept pass: a
+    target's pendant edge leaves tree i, so tree i misses the target, and
+    tree j gets the target's pendant edge of tree k, so the target has
+    degree 2 there and the inner vertex of tree k is reused.  The labels,
+    the edge count and each target's count over the ends do not move,
+    and both trees stay trees."""
+    count = len(fam.trees)
+    for t in sorted(a.bits for a in fam.terminals):
+        for i, j, k in itertools.product(range(count), repeat=3):
+            if i != j != k:
+                trees = [set(tr.edges) for tr in fam.trees]
+                trees[i].remove(pendant_edge(fam, i, t))
+                trees[j].add(pendant_edge(fam, k, t))
+                yield SimpleNamespace(terminals=fam.terminals, trees=tuple(SimpleNamespace(edges=frozenset(e)) for e in trees))
+
+
+def test_defects_that_cancel_in_the_counts_are_rejected():
+    seen = 0
+    for fam in small_families()[::29]:
+        g = AugmentedCube(fam.dim)
+        for bad in cancelling(fam):
+            assert not accepts(g, bad)
+            what, report = same_report(g, bad)
+            assert what == "returned" and not report.accepted
+            kinds = {v.kind for v in report.violations}
+            assert TERMINAL_DEGREE in kinds and SHARED_VERTEX in kinds
+            seen += 1
+    assert seen > 1500
+
+
+def fuzzed(rng, g, fam):
+    """The family after two or three random edits: drop, add or reverse
+    an edge of a tree, empty a tree, duplicate one, or remove one."""
+    trees = [set(t.edges) for t in fam.trees]
+    labels = sorted({a for t in trees for e in t for a in e})
+    deltas = adjacency_deltas(g.dim)
+    for _ in range(rng.randint(2, 3)):
+        edit = rng.choice(("drop", "add", "reverse", "empty", "duplicate", "remove"))
+        if not trees:
+            break
+        i = rng.randrange(len(trees))
+        if edit == "drop" and trees[i]:
+            trees[i].discard(rng.choice(sorted(trees[i])))
+        elif edit == "add":
+            u = rng.choice(labels)
+            v = u ^ rng.choice(deltas) if rng.random() < 0.8 else rng.choice(labels)
+            trees[i].add((min(u, v), max(u, v)))
+        elif edit == "reverse" and trees[i]:
+            u, v = rng.choice(sorted(trees[i]))
+            trees[i].discard((u, v))
+            trees[i].add((v, u))
+        elif edit == "empty":
+            trees[i] = set()
+        elif edit == "duplicate":
+            trees.insert(rng.randrange(len(trees) + 1), set(trees[i]))
+        elif edit == "remove":
+            del trees[i]
+    return SimpleNamespace(terminals=fam.terminals, trees=tuple(SimpleNamespace(edges=frozenset(t)) for t in trees))
+
+
+def test_verify_matches_the_reference_on_fuzzed_families():
+    rng = random.Random(2108)
+    outcomes = collections.Counter()
+    for n in (5, 6, 7):
+        g = AugmentedCube(n)
+        with fan_memo():
+            families = [construct(g, [Vertex(a, n) for a in t]) for t in sample_triples(n, 12, n)]
+        for fam in families:
+            for _ in range(50):
+                bad = fuzzed(rng, g, fam)
+                what, report = same_report(g, bad)
+                assert what == "returned"
+                # the pass accepts exactly the valid families whose edges
+                # all run upwards, and so never a rejected one
+                upward = all(u < v for t in bad.trees for u, v in t.edges)
+                assert accepts(g, bad) == (report.accepted and upward)
+                outcomes[report.accepted] += 1
+    assert outcomes[False] > 1000 and outcomes[True] > 0
+
+
+def test_every_n5_sweep_family_passes_the_accept_pass_alone(monkeypatch):
+    def failing(*args):
+        raise AssertionError("the report loop ran on a valid family")
+
+    monkeypatch.setattr(verify_mod, "_report", failing)
+    g = AugmentedCube(5)
+    with fan_memo():
+        assert sum(1 for _ in construct_batch(g, all_triples(5))) == 4960
+    with pytest.raises(AssertionError, match="report loop ran"):
+        verify_family(AugmentedCube(3), family(3, S_A, FAMILY_A[:1]), size=3)
+
+
+def test_union_find_stays_near_linear_on_a_deep_linking_order():
+    # a breadth-first spanning tree of AQ_16 whose edges, listed in that
+    # order, link each root under a fresh label: without path halving
+    # every find walks the whole chain, about 45 s against 0.1 s
+    n = 16
+    g = AugmentedCube(n)
+    seen, edges = {0}, []
+    for u in itertools.chain([0], (v for _, v in edges)):
+        for d in adjacency_deltas(n):
+            if (v := u ^ d) > u and v not in seen:
+                seen.add(v)
+                edges.append((u, v))
+    ends = collections.Counter(a for e in edges for a in e)
+    leaves = [a for a, k in ends.items() if k == 1][:3]
+    fam = SimpleNamespace(terminals=frozenset(Vertex(a, n) for a in leaves), trees=(SimpleNamespace(edges=edges),))
+    start = time.perf_counter()
+    assert verify_family(g, fam).accepted
+    looped = SimpleNamespace(terminals=fam.terminals, trees=(SimpleNamespace(edges=edges + [edges[0]]),))
+    assert [v.kind for v in verify_family(g, looped).violations] == [CYCLE, SHARED_EDGE]
+    assert time.perf_counter() - start < 10
