@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import array
+import contextlib
 import io
 import itertools
 import json
@@ -28,7 +29,7 @@ import os
 import random
 import sys
 import time
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import paths as _paths
 from . import verify as _verify
@@ -39,7 +40,7 @@ from .construct import (
     TreeFamily,
     classify,
     construct as build_family,
-    construct_batch,
+    construct_class,
     fan_memo,
     target_family_size,
     translation_classes,
@@ -55,9 +56,10 @@ SCHEMA_VERSION = "1"
 # bracket.
 ORACLE_MAX_DIM = 12
 # sweep lists and sorts every triple before the first construct: the
-# n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB, and
-# the class index of ``construct_batch`` takes it to about 240 MB; with
-# --jobs above 1, the whole-class batches take it to about 270 MB.
+# n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB, the
+# class index of ``run_sweep`` takes it to about 240 MB, and with --jobs
+# above 1 the listed pool batches to about 260 MB.  With its records the
+# whole sweep peaks at about 530 MB serial and 800 MB with --jobs 2.
 SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
 # labels at every level, so the certificate doubles per dimension: about
@@ -258,58 +260,53 @@ class SweepRecord(NamedTuple):
     verified: bool
 
 
-def _sweep_batch(args: tuple[int, list[tuple[int, ...]]]) -> list[SweepRecord]:
-    """The records of one batch, in its order.  ``construct_batch`` builds
-    one family per translation class and moves it to every other member;
-    each family has passed the verifier once there, and a rejected one
-    raises ``InternalError``."""
-    n, batch = args
-    out: list[SweepRecord | None] = [None] * len(batch)
+def _sweep_records(n: int, classes: Iterable[Sequence[tuple[int, ...]]]) -> Iterator[SweepRecord]:
+    """The records of a batch of whole translation classes, in their
+    order, built inside one ``fan_memo()`` by ``construct_class``, which
+    raises ``InternalError`` on a family the verifier rejects."""
+    g = AugmentedCube(n)
     with fan_memo():
-        for i, family in construct_batch(AugmentedCube(n), batch):
-            out[i] = SweepRecord(
-                labels=batch[i],
-                case=family.provenance[0].case.value,
-                fallback=family.fallback_used,
-                size=len(family.trees),
-                verified=True,
-            )
-    return out
+        for members in classes:
+            for labels, family in zip(members, construct_class(g, members)):
+                case = family.provenance[0].case.value
+                yield SweepRecord(labels, case, family.fallback_used, len(family.trees), True)
 
 
-def _class_batches(triples: Sequence[tuple[int, ...]], count: int) -> list[array.array]:
-    """The indices of the triples cut into about ``count`` batches of
-    whole translation classes (``translation_classes``), in class order:
-    each batch is closed once it holds len(triples) / count of them."""
-    chunk = max(1, (len(triples) + count - 1) // count)
-    batches: list[array.array] = []
-    for members in translation_classes(triples)[0].values():
-        if not batches or len(batches[-1]) >= chunk:
-            batches.append(array.array("q"))
-        batches[-1].extend(members)
-    return batches
+def _sweep_batch(args: tuple[int, list[list[tuple[int, ...]]]]) -> list[SweepRecord]:
+    """``_sweep_records`` of one pool batch, as a list."""
+    return list(_sweep_records(*args))
 
 
 def run_sweep(n: int, triples: Sequence[tuple[int, ...]], jobs: int = 1) -> list[SweepRecord]:
     """Build and verify a family for every triple, one construct per
-    translation class of each batch (``_sweep_batch``); the records
-    follow the sorted triples.  With ``jobs`` above 1 the pool gets
-    about 4 * jobs batches of whole classes (``_class_batches``), so no
-    class is built twice, and each record goes back to its triple's
-    place."""
+    translation class; the records follow the sorted triples.  The
+    classes are found once, and cut into one batch, or with ``jobs``
+    above 1 into about 4 * jobs, each closed once it holds
+    len(triples) / (4 * jobs) triples.  A pool runs more than one batch;
+    a serial batch lists each class's members only as it reaches it."""
     triples = sorted(triples)
-    if jobs <= 1 or len(triples) < 4:
-        return _sweep_batch((n, triples))
-    # imported here: the pool and the logging it pulls in cost every
-    # other command start-up time for nothing
-    import concurrent.futures
-
-    batches = _class_batches(triples, 4 * jobs)
+    chunk = -(-len(triples) // (4 * jobs if jobs > 1 else 1))
+    batches: list[list[array.array]] = []
+    held = chunk  # as if a batch were full, so the first class opens one
+    for members in translation_classes(triples):
+        if held >= chunk:
+            batches.append([])
+            held = 0
+        batches[-1].append(members)
+        held += len(members)
     records: list[SweepRecord | None] = [None] * len(triples)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_sweep_batch, [(n, [triples[i] for i in b]) for b in batches])
-        for b, part in zip(batches, parts):
-            for i, record in zip(b, part):
+    with contextlib.ExitStack() as stack:
+        if len(batches) > 1:
+            # imported here: the pool and the logging it pulls in cost every
+            # other command start-up time for nothing
+            import concurrent.futures
+
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            parts = pool.map(_sweep_batch, [(n, [[triples[i] for i in m] for m in b]) for b in batches])
+        else:
+            parts = (_sweep_records(n, ([triples[i] for i in m] for m in b)) for b in batches)
+        for batch, part in zip(batches, parts):
+            for i, record in zip(itertools.chain.from_iterable(batch), part):
                 records[i] = record
     return records
 

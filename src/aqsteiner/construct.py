@@ -48,22 +48,23 @@ fan is checked once per memo miss, and Case2_1_2 with z = h(x), whose
 two fans share d, builds and checks its one fan once.  Every family
 still passes the verifier.  The base families are likewise the pure function
 ``_base_trees`` of the least translate, cached for the life of the
-process.  A sweep builds one family per translation class:
-``construct_batch`` calls ``construct`` on the first member of each
-class in its batch (``translation_classes``) and moves that family,
-taken back to the least translate once, to every other member by the
-member's own a, recorded while the classes are indexed.
+process.  A sweep builds one family per translation class: the sweep
+groups its triples once (``translation_classes``), and
+``construct_class`` calls ``construct`` on the first member of a class
+and moves that family, taken back to the least translate once, to
+every other member by the member's own a (``_translation``).
 
 The dispatch is total: it names a case for every triple, and every
 case has a written recipe, so there is no repair path.
 Every ``construct`` call runs the independent verifier once, on its
-result, and ``construct_batch`` runs it once on each family it moves;
+result, and ``construct_class`` runs it once on each family it moves;
 a rejected family is a bug and raises ``InternalError``.
 """
 
 from __future__ import annotations
 
 import array
+import collections
 import contextlib
 import contextvars
 import functools
@@ -166,71 +167,68 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
 def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The least sorted translate S ^ a of the targets, and that a.
 
-    The least translate holds 0, so a is one of the targets: three
-    candidates, not 2^n.  The a is unique, since S ^ a = S ^ b makes
-    S ^ (a ^ b) = S, and no a ^ b != 0 fixes a set of odd size.  So S and
-    every translate of S share one least translate.  A target of the
-    half-copy that holds two or three targets gives a translate with at
-    least two lower labels, which beats any with two upper ones: at most
-    one label of the least translate is upper, and it is the last."""
-    return min((tuple(sorted(v ^ a for v in labels)), a) for a in labels)
+    A translate S ^ a holds 0 only when a is a target, and its other two
+    labels are then a's differences with the other two targets.  The
+    three pairwise differences are distinct (u ^ v = u ^ w makes v = w);
+    call them d1 < d2 < d3.  So (0, d1, d2) is the least translate, and a
+    is the target opposite the largest difference d3 (``_translation``);
+    translates keep their differences, so they share their least
+    translate.  The differences xor to 0, so d3 = d1 ^ d2: a least translate
+    (0, p, z) has p < z < p ^ z, and every such triple is one.  Hence an
+    upper z forces a lower p, since an upper p would make p ^ z lower
+    than z: at most one label of the least translate is upper, the last."""
+    a = _translation(labels)
+    return tuple(sorted(v ^ a for v in labels)), a
 
 
-def translation_classes(
-    batch: Sequence[Sequence[int]],
-) -> tuple[dict[tuple[int, ...], array.array], array.array]:
-    """Group the label triples of ``batch`` by least translate, in one
-    pass: the indices of each class's members in batch order, keyed by
-    the least translate, and for every triple batch[i] which of its
-    labels is its a, as one byte, the position of a in batch[i].
+def _translation(labels: Sequence[int]) -> int:
+    """The a of ``_least_translate``: the target opposite the largest
+    pairwise difference."""
+    u, v, w = labels
+    vw, uw, uv = v ^ w, u ^ w, u ^ v
+    return u if vw > uw and vw > uv else v if uw > uv else w
 
-    Both are arrays of machine words: a list of int objects would add
-    about 36 bytes per triple to a sweep's peak."""
-    classes: dict[tuple[int, ...], array.array] = {}
-    which = array.array("B", bytes(len(batch)))
+
+def translation_classes(batch: Sequence[Sequence[int]]) -> list[array.array]:
+    """The indices of the label triples of ``batch`` grouped by least
+    translate in one pass, in batch order; each class is an array of
+    machine words, since a list of int objects would add about 36 bytes
+    per triple to a sweep's peak."""
+    classes: dict[tuple[int, ...], array.array] = collections.defaultdict(lambda: array.array("q"))
     for i, labels in enumerate(batch):
-        key, a = _least_translate(labels)
-        which[i] = labels.index(a)
-        members = classes.get(key)
-        if members is None:
-            members = classes[key] = array.array("q")
-        members.append(i)
-    return classes, which
+        classes[_least_translate(labels)[0]].append(i)
+    return list(classes.values())
 
 
-def construct_batch(g: AugmentedCube, batch: Sequence[Sequence[int]]) -> Iterator[tuple[int, TreeFamily]]:
-    """Yield (i, family) for every label triple batch[i], class by class.
+def construct_class(g: AugmentedCube, members: Sequence[Sequence[int]]) -> Iterator[TreeFamily]:
+    """Yield the family of every label triple of one translation class,
+    in the order of ``members``.
 
-    The triples are grouped by ``translation_classes``, which also
-    records each member's a.  The first member of each class is built by
-    ``construct``.  Every other member gets that family's trees, taken
-    back to the least translate once per class and moved from there by
-    the member's own a through ``_assemble``, with the provenance
-    ``construct`` would give it: construct(S ^ b) is construct(S)
-    translated by b.  Each moved family passes the verifier once, a
-    rejection raising ``InternalError`` as ``construct`` does.  Only one
-    class's family is alive at a time."""
+    The first member is built by ``construct``.  Every other member gets
+    that family's trees, taken back to the least translate once and
+    moved from there by the member's own ``_translation`` through
+    ``_assemble``, with the provenance ``construct`` would give it:
+    construct(S ^ b) is construct(S) translated by b.  Each moved family
+    passes the verifier once, a rejection raising ``InternalError`` as
+    ``construct`` does."""
     n = g.dim
-    classes, which = translation_classes(batch)
-    for members in classes.values():
-        first = members[0]
-        family = construct(g, [Vertex(v, n) for v in batch[first]])
-        yield first, family
-        tag, rest = family.provenance[0], family.provenance[1:]
-        # the trees on the least translate: a translation is its own inverse
-        trees = [_translate(t.edges, tag.transform) for t in family.trees]
-        for i in members[1:]:
-            labels = batch[i]
-            moved = _assemble(g, labels, trees, (CaseTag(tag.case, labels[which[i]], tag.roles),) + rest)
-            _check(g, labels, moved)
-            yield i, moved
+    family = construct(g, [Vertex(v, n) for v in members[0]])
+    yield family
+    tag, rest = family.provenance[0], family.provenance[1:]
+    # the trees on the least translate: a translation is its own inverse
+    trees = [_translate(t.edges, tag.transform) for t in family.trees]
+    for labels in members[1:]:
+        moved = _assemble(g, labels, trees, (tag._replace(transform=_translation(labels)),) + rest)
+        _check(g, labels, moved)
+        yield moved
 
 
 def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     """Classify a target triple by its least translate (0, p, z).
 
     The tag's ``transform`` is the a of ``_least_translate``.  Case1 is
-    a lower z.  Otherwise z is handed to x, the one of 0 and p whose
+    a lower z.  An upper z forces a lower p (``_least_translate``), so
+    then 0 and p are below: z is handed to x, the one of 0 and p whose
     cross-partner it is (0 when it partners neither), and y is the
     other.  Past that, which partners of x and y the target z touches
     only names the case, for the certificate's ``case`` field and the

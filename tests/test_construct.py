@@ -45,7 +45,7 @@ from aqsteiner.topology import (
 )
 from aqsteiner.verify import verify_family
 
-from util import run_bounded
+from util import reference_least_translate, run_bounded
 
 
 def vs(*labels):
@@ -505,13 +505,33 @@ def test_construct_commutes_with_translations(n):
 
 
 def _least_translates(n):
-    """One triple per translation class: the (0, p, q) that are their own
-    least translate, C(2^n, 3) / 2^n of them."""
-    return [
-        (0, p, q)
-        for p, q in itertools.combinations(range(1, 1 << n), 2)
-        if (0, p, q) < tuple(sorted((p, 0, p ^ q))) and (0, p, q) < tuple(sorted((q, q ^ p, 0)))
-    ]
+    """One triple per translation class: the least translates (0, p, z),
+    exactly those with 0 < p < z < p ^ z (``_least_translate``),
+    C(2^n, 3) / 2^n of them."""
+    return [(0, p, z) for p, z in itertools.combinations(range(1, 1 << n), 2) if z < p ^ z]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_least_translate_closed_form_on_every_triple(n):
+    # the closed form is the minimum over the three targets, and the
+    # least translates are exactly the (0, p, z) with p < z < p ^ z
+    seen = set()
+    for labels in itertools.combinations(range(1 << n), 3):
+        least = _least_translate(labels)
+        assert least == reference_least_translate(labels), labels
+        assert construct_mod._translation(labels) == least[1]
+        seen.add(least[0])
+    assert seen == set(_least_translates(n))
+    assert len(seen) == {3: 7, 4: 35, 5: 155, 6: 651, 7: 2667}[n]
+
+
+def test_least_translate_closed_form_on_seeded_triples():
+    # unsorted triples at every n = 8..62
+    rng = random.Random(2108)
+    for n in range(8, 63):
+        for _ in range(200):
+            labels = rng.sample(range(1 << n), 3)
+            assert _least_translate(labels) == reference_least_translate(labels), (n, labels)
 
 
 # the case histograms of `sweep -n 6 --exhaustive` and `sweep -n 7
@@ -569,30 +589,78 @@ def _batch_cases():
 
 @pytest.mark.parametrize("n, batch", _batch_cases(), ids=["n3", "n4", "n5", "n5-descending", "n6-sampled"])
 def test_construct_batch_equals_construct(n, batch):
-    # every moved family is the family construct builds for its triple,
-    # trees, terminals and provenance alike
+    # the batch split into translation classes, each built by
+    # construct_class: every moved family is the family construct builds
+    # for its triple, trees, terminals and provenance alike
     g = AugmentedCube(n)
-    assert len({_least_translate(labels)[0] for labels in batch}) < len(batch)
+    classes = construct_mod.translation_classes(batch)
+    assert sorted(i for index in classes for i in index) == list(range(len(batch)))
+    keys = [{_least_translate(batch[i])[0] for i in index} for index in classes]
+    assert all(len(key) == 1 for key in keys) and len(set().union(*keys)) == len(classes) < len(batch)
     with construct_mod.fan_memo():
-        got = dict(construct_mod.construct_batch(g, batch))
-        assert sorted(got) == list(range(len(batch)))
-        for i, labels in enumerate(batch):
-            assert got[i] == construct(g, [Vertex(v, n) for v in labels]), labels
+        for index in classes:
+            members = [batch[i] for i in index]
+            for labels, got in zip(members, construct_mod.construct_class(g, members), strict=True):
+                assert got == construct(g, [Vertex(v, n) for v in labels]), labels
+
+
+def _inline_pool(monkeypatch) -> list:
+    """Replace the process pool of ``run_sweep`` with one that runs each
+    batch in this process, and return the list of batches it is handed."""
+    import concurrent.futures
+
+    handed = []
+
+    class InlinePool(contextlib.AbstractContextManager):
+        def __init__(self, max_workers):
+            pass
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, batches):
+            handed.extend(batches)
+            return map(fn, batches)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return handed
 
 
 @pytest.mark.parametrize("n, count", [(5, 8), (6, 8), (6, 12)])
-def test_sweep_batches_hold_whole_translation_classes(n, count):
-    # every triple in exactly one batch, every class in one batch, and
-    # about count batches
+def test_sweep_batches_hold_whole_translation_classes(monkeypatch, n, count):
+    # every triple in exactly one batch, every class whole in one batch,
+    # and about count = 4 * jobs batches; each stand-in record, its
+    # labels, lands at its triple's place
+    jobs = count // 4
+    handed = _inline_pool(monkeypatch)
+    monkeypatch.setattr(cli, "_sweep_batch", lambda args: [t for members in args[1] for t in members])
     triples = cli.all_triples(n)
-    batches = cli._class_batches(triples, count)
-    assert sorted(i for b in batches for i in b) == list(range(len(triples)))
-    owner = {}
-    for j, b in enumerate(batches):
-        for i in b:
-            assert owner.setdefault(_least_translate(triples[i])[0], j) == j
-    assert len(owner) == len(triples) >> n
-    assert count - 1 <= len(batches) <= count
+    assert cli.run_sweep(n, triples[::-1], jobs=jobs) == triples
+    classes = [members for _, batch in handed for members in batch]
+    assert sorted(t for members in classes for t in members) == triples
+    keys = [{_least_translate(t)[0] for t in members} for members in classes]
+    assert all(len(key) == 1 for key in keys) and len(set().union(*keys)) == len(classes) == len(triples) >> n
+    assert count - 1 <= len(handed) <= count
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_indexes_its_classes_once(monkeypatch, jobs):
+    # the pool's batches run here, so a worker that grouped its batch
+    # again, or built a class twice, would count: one index and 155
+    # constructs at n = 5, serial or pooled
+    handed = _inline_pool(monkeypatch)
+    indexed, built = [], []
+    index, build = cli.translation_classes, construct_mod.construct
+    monkeypatch.setattr(cli, "translation_classes", lambda batch: indexed.append(len(batch)) or index(batch))
+    monkeypatch.setattr(construct_mod, "construct", lambda g, s, **kw: built.append(g.dim) or build(g, s, **kw))
+    records = cli.run_sweep(5, cli.all_triples(5), jobs=jobs)
+    assert [r.labels for r in records] == cli.all_triples(5) and all(r.size == 7 for r in records)
+    assert indexed == [4960]
+    assert built.count(5) == 155
+    assert len(handed) == (8 if jobs == 2 else 0)
+    # a sweep of one class is one batch, which needs no pool
+    handed.clear()
+    assert len(cli.run_sweep(5, [(0, 1, 2), (0, 1, 3)], jobs=jobs)) == 2 and handed == []
 
 
 def test_a_rejected_translate_raises(monkeypatch, capsys):
@@ -600,7 +668,8 @@ def test_a_rejected_translate_raises(monkeypatch, capsys):
     # second member of the first class
     batch = cli.all_triples(5)
     key = _least_translate(batch[0])[0]
-    second = [t for t in batch if _least_translate(t)[0] == key][1]
+    members = [t for t in batch if _least_translate(t)[0] == key]
+    second = members[1]
     original = verify_mod.verify_family
 
     def rejecting(g, family, *, size=None):
@@ -611,7 +680,7 @@ def test_a_rejected_translate_raises(monkeypatch, capsys):
     monkeypatch.setattr(verify_mod, "verify_family", rejecting)
     targets = str([f"{v:05b}" for v in second])
     with pytest.raises(InternalError, match=f"family rejected for targets {re.escape(targets)}: .*expected 7 trees"):
-        dict(construct_mod.construct_batch(AugmentedCube(5), batch))
+        list(construct_mod.construct_class(AugmentedCube(5), members))
     with pytest.raises(InternalError, match=re.escape(targets)):
         cli.run_sweep(5, batch)
     assert cli.main(["sweep", "-n", "5", "--exhaustive"]) == 1

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqsteiner import verify as verify_mod
-from aqsteiner.cli import all_triples, sample_triples
-from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, construct_batch, fan_memo
+from aqsteiner.cli import all_triples, run_sweep, sample_triples
+from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, fan_memo
 from aqsteiner.paths import PathSystem, connectivity
 from aqsteiner.topology import (
     AugmentedCube,
@@ -624,11 +624,27 @@ def test_every_n5_sweep_family_passes_the_accept_pass_alone(monkeypatch):
         raise AssertionError("the report loop ran on a valid family")
 
     monkeypatch.setattr(verify_mod, "_report", failing)
-    g = AugmentedCube(5)
-    with fan_memo():
-        assert sum(1 for _ in construct_batch(g, all_triples(5))) == 4960
+    assert len(run_sweep(5, all_triples(5))) == 4960
     with pytest.raises(AssertionError, match="report loop ran"):
         verify_family(AugmentedCube(3), family(3, S_A, FAMILY_A[:1]), size=3)
+
+
+def test_a_triangle_on_unused_labels_fails_only_the_cycle_test():
+    # the triangle v, v ^ 1, v ^ 3 on labels the family does not use
+    # adds three edges and three labels to tree 0: counts (a)-(c) and
+    # its |E_i| + 1 labels still hold, so only the union-find's cycle
+    # test rejects the family
+    n = 5
+    g = AugmentedCube(n)
+    # a Case1 family, which leaves the labels 10100..11011 unused
+    fam = construct(g, [Vertex(a, n) for a in (0b00000, 0b00001, 0b00010)])
+    used = {a for t in fam.trees for e in t.edges for a in e}
+    v = next(v for v in range(0, 1 << n, 4) if used.isdisjoint({v, v ^ 1, v ^ 3}))
+    bad = edited(fam, 0, fam.trees[0].edges | {(v, v ^ 1), (v, v ^ 3), (v ^ 1, v ^ 3)})
+    assert len({a for e in bad.trees[0].edges for a in e}) == len(bad.trees[0].edges) + 1
+    assert not accepts(g, bad)
+    what, report = same_report(g, bad)
+    assert what == "returned" and [(x.kind, x.trees) for x in report.violations] == [(DISCONNECTED, (0,)), (CYCLE, (0,))]
 
 
 def test_union_find_stays_near_linear_on_a_deep_linking_order():

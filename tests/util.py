@@ -18,6 +18,9 @@ and path-system checks as they were before ``verify`` moved to one int
 pass per tree.  ``reference_canonical_triple`` is the least triple
 under every (swap, mask) automorphism, a search over all 2^(n+1)
 pairs, which names the orbit classes of the oracle tests.
+``reference_least_translate`` is the least sorted translate S ^ a as
+the minimum over the three targets a, the search that the closed form
+of ``construct._least_translate`` replaced.
 ``reference_minimal_sets`` is the oracle's first phase as a subset
 scan: every subset of the ground, smallest first, kept when it holds no
 set kept before and one of its components meets every attach mask.
@@ -395,6 +398,11 @@ def reference_canonical_triple(n: int, labels) -> tuple[tuple[int, ...], tuple[i
         for swap in (0, 1)
         for mask in range(1 << n)
     )
+
+
+def reference_least_translate(labels) -> tuple[tuple[int, ...], int]:
+    """The least sorted translate S ^ a over the three targets a, and that a."""
+    return min((tuple(sorted(v ^ a for v in labels)), a) for a in labels)
 
 
 def reference_minimal_sets(adj_mask: list[int], attach_mask: list[int]) -> list[int]:

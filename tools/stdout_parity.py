@@ -20,7 +20,8 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``sweep -n 4 --exhaustive`` as text and as JSON,
   ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
   batch enters its own fan memo; a 1-CPU host exits 2 on the latter),
-  and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7 --samples
+  ``sweep -n 5 --exhaustive --jobs 2``, whose pool batches hold whole
+  translation classes, and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7 --samples
   100 --seed 2 --format json``, where Case1 recursion puts fans of two
   dimensions into one batch's memo;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
@@ -269,6 +270,7 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "4", "--exhaustive", "--format", "json"])
     cmds.append(["sweep", "-n", "5", "--samples", "300"])
     cmds.append(["sweep", "-n", "5", "--samples", "300", "--jobs", "2"])
+    cmds.append(["sweep", "-n", "5", "--exhaustive", "--jobs", "2"])
     cmds.append(["sweep", "-n", "6", "--samples", "200", "--seed", "2"])
     cmds.append(["sweep", "-n", "7", "--samples", "100", "--seed", "2", "--format", "json"])
     for n in (3, 4):
