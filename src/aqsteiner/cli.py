@@ -19,8 +19,6 @@ fixed flags; wall-clock timings go to stderr so stdout stays byte-stable.
 from __future__ import annotations
 
 import argparse
-import array
-import contextlib
 import io
 import itertools
 import json
@@ -42,6 +40,7 @@ from .construct import (
     construct as build_family,
     construct_class,
     fan_memo,
+    least_translates,
     target_family_size,
     translation_classes,
 )
@@ -55,11 +54,11 @@ SCHEMA_VERSION = "1"
 # than 1 GiB).  At n = 12 a forced run still ends in a budget-bounded
 # bracket.
 ORACLE_MAX_DIM = 12
-# sweep lists and sorts every triple before the first construct: the
-# n = 8 exhaustive set, C(2^8, 3) triples, peaks at about 230 MB, the
-# class index of ``run_sweep`` takes it to about 240 MB, and with --jobs
-# above 1 the listed pool batches to about 260 MB.  With its records the
-# whole sweep peaks at about 530 MB serial and 800 MB with --jobs 2.
+# --samples lists the triples it draws, all C(2^n, 3) for a dense draw,
+# so the cap bounds that listing.  --exhaustive lists none and keeps no
+# record, so there it bounds the time: verifying all C(2^8, 3) members
+# took 348 s serial and 195 s with --jobs 2 on a 2-core VM, at a peak RSS
+# of 20 MB per process (530 / 800 MB when triples and records were kept).
 SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
 # labels at every level, so the certificate doubles per dimension: about
@@ -260,71 +259,68 @@ class SweepRecord(NamedTuple):
     verified: bool
 
 
-def _sweep_records(n: int, classes: Iterable[Sequence[tuple[int, ...]]]) -> Iterator[SweepRecord]:
-    """The records of a batch of whole translation classes, in their
-    order, built inside one ``fan_memo()`` by ``construct_class``, which
-    raises ``InternalError`` on a family the verifier rejects."""
+def _sweep_classes(args: tuple[int, Sequence[tuple[Sequence[int], Sequence[int]]]]) -> list[tuple[str, int]]:
+    """The (case, family size) of each class (canon, masks) of one batch,
+    built inside one ``fan_memo()`` by ``construct_class``, which verifies
+    every member and raises ``InternalError`` on a rejected family."""
+    n, classes = args
     g = AugmentedCube(n)
+    results = []
     with fan_memo():
-        for members in classes:
-            for labels, family in zip(members, construct_class(g, members)):
-                case = family.provenance[0].case.value
-                yield SweepRecord(labels, case, family.fallback_used, len(family.trees), True)
+        for canon, masks in classes:
+            for family in construct_class(g, canon, masks):
+                pass
+            results.append((family.provenance[0].case.value, len(family.trees)))
+    return results
 
 
-def _sweep_batch(args: tuple[int, list[list[tuple[int, ...]]]]) -> list[SweepRecord]:
-    """``_sweep_records`` of one pool batch, as a list."""
-    return list(_sweep_records(*args))
+def _sweep(n: int, classes: Sequence[tuple[Sequence[int], Sequence[int]]], jobs: int = 1) -> Iterator[SweepRecord]:
+    """One record per member of each class, one construct per class.
+    With ``jobs`` above 1 the classes are dealt round-robin into 4 * jobs
+    pool batches; a batch returns one (case, size) per class, so no
+    record crosses a process."""
+    slices = 4 * jobs if jobs > 1 else 1
+    tasks = [(n, classes[i::slices]) for i in range(min(slices, len(classes)))]
+    parts = map(_sweep_classes, tasks)
+    if len(tasks) > 1:
+        # imported here: the pool and the logging it pulls in cost every
+        # other command start-up time for nothing
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_sweep_classes, tasks))
+    for (_, batch), part in zip(tasks, parts):
+        for (canon, masks), (case, size) in zip(batch, part):
+            for a in masks:
+                yield SweepRecord(tuple(sorted(v ^ a for v in canon)), case, False, size, True)
 
 
-def run_sweep(n: int, triples: Sequence[tuple[int, ...]], jobs: int = 1) -> list[SweepRecord]:
+def run_sweep(n: int, triples: Iterable[Sequence[int]], jobs: int = 1) -> list[SweepRecord]:
     """Build and verify a family for every triple, one construct per
-    translation class; the records follow the sorted triples.  The
-    classes are found once, and cut into one batch, or with ``jobs``
-    above 1 into about 4 * jobs, each closed once it holds
-    len(triples) / (4 * jobs) triples.  A pool runs more than one batch;
-    a serial batch lists each class's members only as it reaches it."""
-    triples = sorted(triples)
-    chunk = -(-len(triples) // (4 * jobs if jobs > 1 else 1))
-    batches: list[list[array.array]] = []
-    held = chunk  # as if a batch were full, so the first class opens one
-    for members in translation_classes(triples):
-        if held >= chunk:
-            batches.append([])
-            held = 0
-        batches[-1].append(members)
-        held += len(members)
-    records: list[SweepRecord | None] = [None] * len(triples)
-    with contextlib.ExitStack() as stack:
-        if len(batches) > 1:
-            # imported here: the pool and the logging it pulls in cost every
-            # other command start-up time for nothing
-            import concurrent.futures
-
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            parts = pool.map(_sweep_batch, [(n, [[triples[i] for i in m] for m in b]) for b in batches])
-        else:
-            parts = (_sweep_records(n, ([triples[i] for i in m] for m in b)) for b in batches)
-        for batch, part in zip(batches, parts):
-            for i, record in zip(itertools.chain.from_iterable(batch), part):
-                records[i] = record
-    return records
+    translation class; the records carry sorted labels and follow them."""
+    return sorted(_sweep(n, translation_classes(triples), jobs))
 
 
-def sweep_summary(n: int, records: Sequence[SweepRecord]) -> dict:
+def sweep_summary(n: int, records: Iterable[SweepRecord]) -> dict:
+    """The summary of any iterable of records, folded in one pass."""
     cases: dict[str, int] = {}
+    sizes: set[int] = set()
+    count = fallbacks = unverified = 0
     for r in records:
+        count += 1
         cases[r.case] = cases.get(r.case, 0) + 1
-    fallbacks = sum(1 for r in records if r.fallback)
+        sizes.add(r.size)
+        fallbacks += r.fallback
+        unverified += not r.verified
     return {
         "n": n,
-        "triples": len(records),
+        "triples": count,
         "expected_size": target_family_size(n),
-        "min_size": min((r.size for r in records), default=0),
-        "max_size": max((r.size for r in records), default=0),
-        "all_verified": all(r.verified for r in records),
+        "min_size": min(sizes, default=0),
+        "max_size": max(sizes, default=0),
+        "all_verified": not unverified,
         "fallback_count": fallbacks,
-        "fallback_fraction": (fallbacks / len(records)) if records else 0.0,
+        "fallback_fraction": (fallbacks / count) if count else 0.0,
         "cases": dict(sorted(cases.items())),
     }
 
@@ -470,11 +466,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         count = args.samples
     if count > SWEEP_MAX_TRIPLES:
         raise ContractViolation(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {count}")
-    triples = all_triples(n) if args.exhaustive else sample_triples(n, count, args.seed)
+    if args.exhaustive:
+        classes = [(canon, range(1 << n)) for canon in least_translates(n)]
+    else:
+        classes = translation_classes(sample_triples(n, count, args.seed))
     started = time.monotonic()
-    records = run_sweep(n, triples, jobs=args.jobs)
+    summary = sweep_summary(n, _sweep(n, classes, args.jobs))
     elapsed = time.monotonic() - started
-    summary = sweep_summary(n, records)
     if args.format == "json":
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     else:

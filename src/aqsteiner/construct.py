@@ -48,11 +48,13 @@ fan is checked once per memo miss, and Case2_1_2 with z = h(x), whose
 two fans share d, builds and checks its one fan once.  Every family
 still passes the verifier.  The base families are likewise the pure function
 ``_base_trees`` of the least translate, cached for the life of the
-process.  A sweep builds one family per translation class: the sweep
-groups its triples once (``translation_classes``), and
+process.  A sweep builds one family per translation class, given as
+its least translate and the masks a of its members canon ^ a: every
+least translate with all 2^n masks (``least_translates``), or the
+triples of a sample grouped once (``translation_classes``).
 ``construct_class`` calls ``construct`` on the first member of a class
 and moves that family, taken back to the least translate once, to
-every other member by the member's own a (``_translation``).
+every other member by the member's own a.
 
 The dispatch is total: it names a case for every triple, and every
 case has a written recipe, so there is no repair path.
@@ -63,8 +65,6 @@ a rejected family is a bug and raises ``InternalError``.
 
 from __future__ import annotations
 
-import array
-import collections
 import contextlib
 import contextvars
 import functools
@@ -171,55 +171,56 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     labels are then a's differences with the other two targets.  The
     three pairwise differences are distinct (u ^ v = u ^ w makes v = w);
     call them d1 < d2 < d3.  So (0, d1, d2) is the least translate, and a
-    is the target opposite the largest difference d3 (``_translation``);
-    translates keep their differences, so they share their least
-    translate.  The differences xor to 0, so d3 = d1 ^ d2: a least translate
-    (0, p, z) has p < z < p ^ z, and every such triple is one.  Hence an
-    upper z forces a lower p, since an upper p would make p ^ z lower
-    than z: at most one label of the least translate is upper, the last."""
-    a = _translation(labels)
-    return tuple(sorted(v ^ a for v in labels)), a
-
-
-def _translation(labels: Sequence[int]) -> int:
-    """The a of ``_least_translate``: the target opposite the largest
-    pairwise difference."""
+    is the target opposite the largest difference d3; translates keep
+    their differences, so they share their least translate.  The
+    differences xor to 0, so d3 = d1 ^ d2: a least translate (0, p, z)
+    has p < z < p ^ z, and every such triple is one.  Hence an upper z
+    forces a lower p, since an upper p would make p ^ z lower than z: at
+    most one label of the least translate is upper, the last."""
     u, v, w = labels
     vw, uw, uv = v ^ w, u ^ w, u ^ v
-    return u if vw > uw and vw > uv else v if uw > uv else w
+    a = u if vw > uw and vw > uv else v if uw > uv else w
+    return tuple(sorted(t ^ a for t in labels)), a
 
 
-def translation_classes(batch: Sequence[Sequence[int]]) -> list[array.array]:
-    """The indices of the label triples of ``batch`` grouped by least
-    translate in one pass, in batch order; each class is an array of
-    machine words, since a list of int objects would add about 36 bytes
-    per triple to a sweep's peak."""
-    classes: dict[tuple[int, ...], array.array] = collections.defaultdict(lambda: array.array("q"))
-    for i, labels in enumerate(batch):
-        classes[_least_translate(labels)[0]].append(i)
-    return list(classes.values())
+def least_translates(n: int) -> Iterator[tuple[int, int, int]]:
+    """The least translates of AQ_n in ascending order, one per
+    translation class: the (0, p, z) with 0 < p < z < p ^ z
+    (``_least_translate``).  Every class holds 2^n members, the
+    sorted(v ^ a for v in canon) for each label a."""
+    return ((0, p, z) for p in range(1, 1 << n) for z in range(p + 1, 1 << n) if z < p ^ z)
 
 
-def construct_class(g: AugmentedCube, members: Sequence[Sequence[int]]) -> Iterator[TreeFamily]:
-    """Yield the family of every label triple of one translation class,
-    in the order of ``members``.
+def translation_classes(triples: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The label triples grouped by least translate in one pass, in order
+    of first appearance: (canon, masks), each triple being
+    sorted(v ^ a for v in canon) for its a in masks."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for labels in triples:
+        canon, a = _least_translate(labels)
+        classes.setdefault(canon, []).append(a)
+    return list(classes.items())
+
+
+def construct_class(g: AugmentedCube, canon: Sequence[int], masks: Sequence[int]) -> Iterator[TreeFamily]:
+    """Yield the family of every member canon ^ a of one translation
+    class, a in the order of ``masks``.
 
     The first member is built by ``construct``.  Every other member gets
     that family's trees, taken back to the least translate once and
-    moved from there by the member's own ``_translation`` through
-    ``_assemble``, with the provenance ``construct`` would give it:
-    construct(S ^ b) is construct(S) translated by b.  Each moved family
-    passes the verifier once, a rejection raising ``InternalError`` as
-    ``construct`` does."""
+    moved from there by its own a through ``_assemble``, with the
+    provenance ``construct`` would give it: construct(S ^ b) is
+    construct(S) translated by b.  Each moved family passes the verifier
+    once, a rejection raising ``InternalError`` as ``construct`` does."""
     n = g.dim
-    family = construct(g, [Vertex(v, n) for v in members[0]])
+    family = construct(g, [Vertex(v ^ masks[0], n) for v in canon])
     yield family
     tag, rest = family.provenance[0], family.provenance[1:]
     # the trees on the least translate: a translation is its own inverse
     trees = [_translate(t.edges, tag.transform) for t in family.trees]
-    for labels in members[1:]:
-        moved = _assemble(g, labels, trees, (tag._replace(transform=_translation(labels)),) + rest)
-        _check(g, labels, moved)
+    for a in masks[1:]:
+        moved = _assemble(g, [v ^ a for v in canon], trees, (tag._replace(transform=a),) + rest)
+        _check(g, moved)
         yield moved
 
 
@@ -576,17 +577,17 @@ def construct(
             family = _construct_case1(g, labels, tag, fidelity)
         else:
             family = _assemble(g, labels, _run_recipe(g, tag), (tag,))
-    _check(g, labels, family)
+    _check(g, family)
     return family
 
 
-def _check(g: AugmentedCube, labels: Sequence[int], family: TreeFamily) -> None:
-    """Run the independent verifier on the family of the labels; a
-    rejected or short family raises ``InternalError``."""
+def _check(g: AugmentedCube, family: TreeFamily) -> None:
+    """Run the independent verifier on the family; a rejected or short
+    family raises ``InternalError``."""
     n = g.dim
     report = _verify.verify_family(g, family, size=target_family_size(n))
     if not report.accepted:
         raise InternalError(
             f"{family.provenance[0].case.value} family rejected for targets "
-            f"{[f'{a:0{n}b}' for a in sorted(labels)]}: {[v.detail for v in report.violations]}"
+            f"{sorted(t.label() for t in family.terminals)}: {[v.detail for v in report.violations]}"
         )

@@ -597,6 +597,10 @@ USAGE_ERRORS = {
     "oracle-budget-0": ("oracle -n 3 -S 001,010,100 --budget 0", "budget must be positive"),
     "paths-k-0": ("paths -n 4 -u 0000 -v 1111 -k 0", "at least one path"),
     "sweep-no-samples": ("sweep -n 3", "either --exhaustive or --samples N"),
+    "sweep-dim-2": ("sweep -n 2 --samples 1", "sweep needs dimension in 3..62"),
+    "sweep-exhaustive-unforced": ("sweep -n 6 --exhaustive", "exhaustive sweep above dimension 5 needs --force"),
+    "sweep-exhaustive-over-cap": ("sweep -n 9 --exhaustive --force", "sweep lists at most 2763520 triples"),
+    "sweep-samples-0": ("sweep -n 5 --samples 0", "sample count must be in 1..4960"),
     "construct-label-length": ("construct -n 3 -S 000,001,0110", "label '0110' does not have length 3"),
     "construct-label-over-62-bits": (f"construct -n 3 -S 000,001,{'0' * 63}", "label longer than 62 bits"),
     "paths-u-length": ("paths -n 4 -u 000 -v 1111 -k 1", "endpoint labels must have length n"),

@@ -4,7 +4,9 @@ import functools
 import hashlib
 import inspect
 import itertools
+import json
 import math
+import os
 import random
 import re
 
@@ -519,9 +521,9 @@ def test_least_translate_closed_form_on_every_triple(n):
     for labels in itertools.combinations(range(1 << n), 3):
         least = _least_translate(labels)
         assert least == reference_least_translate(labels), labels
-        assert construct_mod._translation(labels) == least[1]
         seen.add(least[0])
     assert seen == set(_least_translates(n))
+    assert list(construct_mod.least_translates(n)) == sorted(seen)
     assert len(seen) == {3: 7, 4: 35, 5: 155, 6: 651, 7: 2667}[n]
 
 
@@ -594,13 +596,13 @@ def test_construct_batch_equals_construct(n, batch):
     # for its triple, trees, terminals and provenance alike
     g = AugmentedCube(n)
     classes = construct_mod.translation_classes(batch)
-    assert sorted(i for index in classes for i in index) == list(range(len(batch)))
-    keys = [{_least_translate(batch[i])[0] for i in index} for index in classes]
-    assert all(len(key) == 1 for key in keys) and len(set().union(*keys)) == len(classes) < len(batch)
+    members = [[tuple(sorted(v ^ a for v in canon)) for a in masks] for canon, masks in classes]
+    assert sorted(t for m in members for t in m) == sorted(tuple(sorted(t)) for t in batch)
+    assert all(_least_translate(canon)[0] == canon for canon, _ in classes)
+    assert len({canon for canon, _ in classes}) == len(classes) < len(batch)
     with construct_mod.fan_memo():
-        for index in classes:
-            members = [batch[i] for i in index]
-            for labels, got in zip(members, construct_mod.construct_class(g, members), strict=True):
+        for (canon, masks), triples in zip(classes, members):
+            for labels, got in zip(triples, construct_mod.construct_class(g, canon, masks), strict=True):
                 assert got == construct(g, [Vertex(v, n) for v in labels]), labels
 
 
@@ -629,18 +631,20 @@ def _inline_pool(monkeypatch) -> list:
 @pytest.mark.parametrize("n, count", [(5, 8), (6, 8), (6, 12)])
 def test_sweep_batches_hold_whole_translation_classes(monkeypatch, n, count):
     # every triple in exactly one batch, every class whole in one batch,
-    # and about count = 4 * jobs batches; each stand-in record, its
-    # labels, lands at its triple's place
+    # and count = 4 * jobs batches; each stand-in result, the class's
+    # least translate and member count, lands on every member's record
     jobs = count // 4
     handed = _inline_pool(monkeypatch)
-    monkeypatch.setattr(cli, "_sweep_batch", lambda args: [t for members in args[1] for t in members])
+    monkeypatch.setattr(cli, "_sweep_classes", lambda args: [(canon, len(masks)) for canon, masks in args[1]])
     triples = cli.all_triples(n)
-    assert cli.run_sweep(n, triples[::-1], jobs=jobs) == triples
-    classes = [members for _, batch in handed for members in batch]
-    assert sorted(t for members in classes for t in members) == triples
-    keys = [{_least_translate(t)[0] for t in members} for members in classes]
-    assert all(len(key) == 1 for key in keys) and len(set().union(*keys)) == len(classes) == len(triples) >> n
-    assert count - 1 <= len(handed) <= count
+    records = cli.run_sweep(n, triples[::-1], jobs=jobs)
+    assert [r.labels for r in records] == triples
+    assert all(r.case == _least_translate(r.labels)[0] and r.size == 1 << n for r in records)
+    classes = [c for _, batch in handed for c in batch]
+    members = [tuple(sorted(v ^ a for v in canon)) for canon, masks in classes for a in masks]
+    assert sorted(members) == triples
+    assert len({canon for canon, _ in classes}) == len(classes) == len(triples) >> n
+    assert len(handed) == count
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -663,13 +667,41 @@ def test_a_sweep_indexes_its_classes_once(monkeypatch, jobs):
     assert len(cli.run_sweep(5, [(0, 1, 2), (0, 1, 3)], jobs=jobs)) == 2 and handed == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_exhaustive_sweep_lists_no_triples(monkeypatch, capsys, jobs):
+    # the classes are the least translates, each with every mask, so no
+    # triple is listed, sampled or grouped; the summary folds the records
+    # as they stream
+    def unreachable(*args):
+        raise AssertionError("the exhaustive sweep listed its triples")
+
+    for module, name in [(cli, "all_triples"), (cli, "sample_triples"), (cli, "translation_classes"),
+                         (construct_mod, "translation_classes")]:
+        monkeypatch.setattr(module, name, unreachable)
+    handed = _inline_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["sweep", "-n", "6", "--exhaustive", "--force", "--jobs", str(jobs), "--format", "json"]
+    assert cli.main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["cases"] == EXHAUSTIVE_CASES[6] and summary["triples"] == math.comb(64, 3)
+    assert len(handed) == (8 if jobs == 2 else 0)
+    # sweep_summary reads each record once, so a one-shot generator gives
+    # the summary of the list
+    records = list(cli._sweep(4, [(canon, range(16)) for canon in construct_mod.least_translates(4)]))
+    records.append(cli.SweepRecord((0, 1, 2), "Base4", True, 4, False))
+    assert cli.sweep_summary(4, iter(records)) == cli.sweep_summary(4, records)
+    assert cli.sweep_summary(4, []) == {
+        "n": 4, "triples": 0, "expected_size": 5, "min_size": 0, "max_size": 0, "all_verified": True,
+        "fallback_count": 0, "fallback_fraction": 0.0, "cases": {},
+    }
+
+
 def test_a_rejected_translate_raises(monkeypatch, capsys):
     # the verifier rejects, by the tree count, the moved family of the
     # second member of the first class
     batch = cli.all_triples(5)
-    key = _least_translate(batch[0])[0]
-    members = [t for t in batch if _least_translate(t)[0] == key]
-    second = members[1]
+    canon, masks = construct_mod.translation_classes(batch)[0]
+    second = tuple(sorted(v ^ masks[1] for v in canon))
     original = verify_mod.verify_family
 
     def rejecting(g, family, *, size=None):
@@ -680,7 +712,7 @@ def test_a_rejected_translate_raises(monkeypatch, capsys):
     monkeypatch.setattr(verify_mod, "verify_family", rejecting)
     targets = str([f"{v:05b}" for v in second])
     with pytest.raises(InternalError, match=f"family rejected for targets {re.escape(targets)}: .*expected 7 trees"):
-        list(construct_mod.construct_class(AugmentedCube(5), members))
+        list(construct_mod.construct_class(AugmentedCube(5), canon, masks))
     with pytest.raises(InternalError, match=re.escape(targets)):
         cli.run_sweep(5, batch)
     assert cli.main(["sweep", "-n", "5", "--exhaustive"]) == 1

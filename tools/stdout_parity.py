@@ -19,11 +19,14 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``info -n 1..10`` as text and as JSON;
 - ``sweep -n 4 --exhaustive`` as text and as JSON,
   ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
-  batch enters its own fan memo; a 1-CPU host exits 2 on the latter),
-  ``sweep -n 5 --exhaustive --jobs 2``, whose pool batches hold whole
-  translation classes, and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7 --samples
-  100 --seed 2 --format json``, where Case1 recursion puts fans of two
-  dimensions into one batch's memo;
+  batch enters its own fan memo; a 1-CPU host exits 2 on the ``--jobs
+  2`` commands), ``sweep -n 5 --exhaustive``, serial and with ``--jobs
+  2``, whose pool batches hold whole translation classes, ``sweep -n 3
+  --exhaustive --jobs 2``, whose 7 classes are fewer than the 8 batches
+  asked for, ``sweep -n 6 --exhaustive --force``, and ``sweep -n 6
+  --samples 200 --seed 2`` and ``sweep -n 7 --samples 100 --seed 2
+  --format json``, where Case1 recursion puts fans of two dimensions
+  into one batch's memo;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
   under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the
   enumeration or in the packing), and ``oracle -n 5 --force --budget
@@ -270,7 +273,10 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "4", "--exhaustive", "--format", "json"])
     cmds.append(["sweep", "-n", "5", "--samples", "300"])
     cmds.append(["sweep", "-n", "5", "--samples", "300", "--jobs", "2"])
+    cmds.append(["sweep", "-n", "5", "--exhaustive"])
     cmds.append(["sweep", "-n", "5", "--exhaustive", "--jobs", "2"])
+    cmds.append(["sweep", "-n", "3", "--exhaustive", "--jobs", "2"])
+    cmds.append(["sweep", "-n", "6", "--exhaustive", "--force"])
     cmds.append(["sweep", "-n", "6", "--samples", "200", "--seed", "2"])
     cmds.append(["sweep", "-n", "7", "--samples", "100", "--seed", "2", "--format", "json"])
     for n in (3, 4):
