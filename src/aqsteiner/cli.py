@@ -459,17 +459,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.exhaustive:
         if n > 5 and not args.force:
             raise ContractViolation("exhaustive sweep above dimension 5 needs --force")
-        count = math.comb(1 << n, 3)
+        if (members := math.comb(1 << n, 3)) > SWEEP_MAX_TRIPLES:
+            raise ContractViolation(f"exhaustive sweep verifies at most {SWEEP_MAX_TRIPLES} triples, AQ_{n} has {members}")
+        classes = [(canon, range(1 << n)) for canon in least_translates(n)]
     elif args.samples is None:
         raise ContractViolation("either --exhaustive or --samples N is required")
+    elif args.samples > SWEEP_MAX_TRIPLES:
+        raise ContractViolation(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {args.samples}")
     else:
-        count = args.samples
-    if count > SWEEP_MAX_TRIPLES:
-        raise ContractViolation(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {count}")
-    if args.exhaustive:
-        classes = [(canon, range(1 << n)) for canon in least_translates(n)]
-    else:
-        classes = translation_classes(sample_triples(n, count, args.seed))
+        classes = translation_classes(sample_triples(n, args.samples, args.seed))
     started = time.monotonic()
     summary = sweep_summary(n, _sweep(n, classes, args.jobs))
     elapsed = time.monotonic() - started

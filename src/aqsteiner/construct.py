@@ -287,14 +287,11 @@ _fan_memo: contextvars.ContextVar[Callable[[int, int], _paths.PathSystem] | None
 # every d up to n = 11 (the exhaustive n = 5 sweep holds 15).  One n = 62
 # fan holds a median of 140 KiB (98-313 KiB by tracemalloc over 20 seeded
 # d), so a full memo at n = 62 holds about 140 MiB, at most about 313 MiB.
-# Caps 512 / 1024 / 4096, measured on a 2-core VM: `sweep -n 62 --samples
-# 1200 --seed 1` peaks at 89 / 153 / 320 MB RSS in 32-33 s each, and
-# `sweep -n 13 --samples 4000 --seed 1` (up to 4,095 fans) takes a median
-# 4.08 / 3.79 / 3.34 s over 8 runs; 1024 is the least cap within the
-# 3.34-3.85 s interquartile range of the Gray-coordinate fans at 4096.
-# With the closed-form reflection and the one-pass fan check, caps 1024 /
-# 4096 peak at 150 / 318 MB and take a median 3.83 / 3.37 s (quartiles
-# 3.37-4.27 / 3.04-3.65 s, 8 alternating runs), so 1024 stands.
+# Caps 1024 / 4096, measured on a 2-core VM with fans built as step
+# words: `sweep -n 62 --samples 1200 --seed 1` peaks at 150 / 318 MB RSS
+# in 29-36 / 31 s, and `sweep -n 13 --samples 4000 --seed 1` (up to 4,095
+# fans) takes a median 4.33 / 4.12 s (quartiles 4.25-4.47 / 3.97-4.25 s,
+# 8 alternating runs): 5 % apart, so 1024 stands, at under half the RSS.
 FAN_MEMO_MAX = 1024
 
 

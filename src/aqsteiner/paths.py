@@ -30,12 +30,12 @@ sides it reached whose out side it did not; that reach set is the same
 for every maximum flow.
 
 ``fan(m, d)``, the full fan of 2m - 1 paths from 0 to d in AQ_m, is
-built on labels by induction on m from the flow fans of AQ_4 (README,
-"Why every fan is full"); the constructor and ``cube_paths``
-use it.  ``cube_paths`` answers whole-cube requests: by
-``disjoint_paths`` up to dimension 4, and above it by the fan to u ^ v
-translated by u, or by u's neighbourhood as the cut.  So the fan base
-and ``cube_paths`` up to dimension 4 are the only requests
+built by induction on m from the flow fans of AQ_4 (README, "Why every
+fan is full"), each path a word of label deltas that is walked to labels
+once, from 0.  ``cube_paths`` answers whole-cube requests: by
+``disjoint_paths`` up to dimension 4, and above it by the fan's words to
+u ^ v walked from u, or by u's neighbourhood as the cut.  So the fan
+base and ``cube_paths`` up to dimension 4 are the only requests
 ``disjoint_paths`` meets, and it answers each from ``_cube_system``, an
 unbounded ``functools.lru_cache`` of (m, u, v, min(k, 2m)): no path
 system has more than 2m - 1 paths, so every k >= 2m ends on the same
@@ -242,7 +242,7 @@ def cube_paths(g: AugmentedCube, u: int, v: int, k: int) -> PathSystem | MinCut:
 
     Up to dimension 4 this is ``disjoint_paths`` on ``g.view()``, the
     small-cube memo.  Above it AQ_n is (2n - 1)-connected, so the first
-    k paths of the full fan ``fan(n, u ^ v)`` translated by u
+    k paths of the full fan to u ^ v, its words walked from u
     (translations are automorphisms), sorted, answer every k up to the
     degree, and past it the cut is u's neighbourhood less v, plus the
     direct edge when u and v are adjacent: the cut the flow reports.
@@ -254,7 +254,7 @@ def cube_paths(g: AugmentedCube, u: int, v: int, k: int) -> PathSystem | MinCut:
     if k > g.degree:
         separator = tuple(sorted(w for d in adjacency_deltas(g.dim) if (w := u ^ d) != v))
         return MinCut(source=u, sink=v, separator=separator, uses_direct_edge=g.adjacent_labels(u, v))
-    paths = sorted(map_path_system(u.__xor__, fan(g.dim, u ^ v)).paths)
+    paths = sorted(tuple(itertools.accumulate(w, operator.xor, initial=u)) for w in _fan_words(g.dim, u ^ v))
     return _checked(g.view(), PathSystem(source=u, sink=v, paths=tuple(paths[:k])))
 
 
@@ -306,7 +306,7 @@ def _word(d: int) -> list[int]:
     set of AQ_(d.bit_length()).
 
     ``gray`` is linear, so each Gray vector is one label constant, here
-    and in ``_fan_paths`` at level m: e_i is 2^(i+1) - 1, e_i + e_(i+1)
+    and in ``_fan_words`` at level m: e_i is 2^(i+1) - 1, e_i + e_(i+1)
     is 2^(i+1), top = e_(m-1) is 2^m - 1, e2 = e_(m-2) is 2^(m-1) - 1 and
     e3 = e_(m-3) is 2^(m-2) - 1.  So lo = gray(d) + top is d ^ top when d
     has its top bit set, t = lo + e2 is lo ^ e2 when lo has bit m - 2
@@ -344,21 +344,24 @@ def _reflect(m: int, v: int) -> int:
 
 def fan(m: int, d: int) -> PathSystem:
     """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4):
-    the paths of ``_fan_paths``, sorted."""
-    return PathSystem(0, d, tuple(sorted(_fan_paths(m, d))))
+    the words of ``_fan_words`` walked from 0, sorted."""
+    # every path ends in the one int d: about 4 KiB less per m = 61 fan
+    paths = sorted((*itertools.accumulate(w[:-1], operator.xor, initial=0), d) for w in _fan_words(m, d))
+    return PathSystem(0, d, tuple(paths))
 
 
-def _fan_paths(m: int, d: int) -> list[tuple[int, ...]]:
-    """The full fan from 0 to d as label paths, by induction on m: bit m - 1
-    splits AQ_m into two copies of AQ_(m-1), and a fan of the lower copy
-    gains two paths through the upper one (README, "Why every fan is
-    full").  AQ_4 is searched by the flow.  Gray coordinates decide only
-    the branch tests and the reflection (``_word`` has the dictionary)."""
+def _fan_words(m: int, d: int) -> list[list[int]]:
+    """The full fan from 0 to d as fresh lists of label deltas, by induction
+    on m: bit m - 1 splits AQ_m into two copies of AQ_(m-1), and each level
+    edits the lower fan's words in place and adds two through the upper
+    copy (README, "Why every fan is full").  AQ_4 is searched by the flow.
+    Gray coordinates decide only the branch tests and the reflection
+    (``_word`` has the dictionary)."""
     if m <= 4:
         res = disjoint_paths(AugmentedCube(m).view(), 0, d, 2 * m - 1)
         if isinstance(res, MinCut):
             raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {d:0{m}b}")
-        return list(res.paths)
+        return [list(map(operator.xor, p, p[1:])) for p in res.paths]
     top, e2, e3 = (1 << m) - 1, (1 << (m - 1)) - 1, (1 << (m - 2)) - 1
     upper = d >> (m - 1)
     lo = d ^ top if upper else d
@@ -366,39 +369,33 @@ def _fan_paths(m: int, d: int) -> list[tuple[int, ...]]:
     if upper and t in (0, e3):
         # reversing the m Gray bits is an automorphism that fixes 0 and puts
         # gray(d) among e_0 + {0, e_1} + {0, e_2}, below top; it is linear,
-        # so each path from 0 is the prefix xor of its steps' images
+        # so it maps each step of a word to a step
         image = {g: _reflect(m, g) for g in adjacency_deltas(m)}.__getitem__
-        return [
-            tuple(itertools.accumulate(map(image, map(operator.xor, p, p[1:])), operator.xor, initial=0))
-            for p in _fan_paths(m, _reflect(m, d))
-        ]
-    # A shortest walk from 0 to t, whose last step s is t's lowest
+        words = _fan_words(m, _reflect(m, d))
+        for w in words:
+            w[:] = map(image, w)
+        return words
+    # The shortest word to t, reversed so that its last step s is t's lowest
     # generator, stays below bit m - 2, so its lifts into the two quarters
-    # of the upper copy are disjoint.  When d lies in the upper copy, the
-    # lift into d's quarter stops a step short, and the lower fan to lo, which
-    # enters lo once by each generator of AQ_(m-1), goes on to d: by
+    # of the upper copy, entered by q and q ^ e2, are disjoint.  When d lies
+    # in the upper copy, the lift by q ends at d, and the lower fan to lo,
+    # which enters lo once by each generator of AQ_(m-1), goes on to d: by
     # top + e2 from lo ^ e2, by top from lo after the step s, and by any
-    # other step g through d ^ g.  Of t's neighbours the walk holds only
-    # t ^ s, so d ^ g lies off both lifts; g = e3 + e2 would meet
+    # other step g through d ^ g.  Of t's neighbours the lifted walk holds
+    # only t ^ s, so d ^ g lies off both lifts; g = e3 + e2 would meet
     # t ^ e3 = t ^ s only for t = e3, reflected above.
-    walk = geodesic(t, 0)[::-1]
-    quarter = top ^ lo ^ t
-    out = [
-        (0, *(v ^ quarter for v in (walk[:-1] if upper else walk)), d),
-        (0, *(v ^ quarter ^ e2 for v in walk), d),
-    ]
+    word, q = _word(t)[::-1], top ^ lo ^ t
     if not upper:
-        return _fan_paths(m - 1, d) + out
-    s = walk[-1] ^ walk[-2]
-    for p in _fan_paths(m - 1, lo):
-        step = p[-2] ^ lo
-        if step == e2:
-            out.append(p[:-1] + (d,))
-        elif step == s:
-            out.append(p + (d,))
+        return [*_fan_words(m - 1, d), [q, *word, top], [q ^ e2, *word, top ^ e2]]
+    words = _fan_words(m - 1, lo)
+    for w in words:
+        if w[-1] == e2:
+            w[-1] = top ^ e2
+        elif w[-1] == word[-1]:
+            w.append(top)
         else:
-            out.append(p[:-1] + (p[-2] ^ top, d))
-    return out
+            w.insert(-1, top)
+    return [[q, *word], [q ^ e2, *word, e2], *words]
 
 
 # ---------------------------------------------------------------------------

@@ -599,18 +599,31 @@ USAGE_ERRORS = {
     "sweep-no-samples": ("sweep -n 3", "either --exhaustive or --samples N"),
     "sweep-dim-2": ("sweep -n 2 --samples 1", "sweep needs dimension in 3..62"),
     "sweep-exhaustive-unforced": ("sweep -n 6 --exhaustive", "exhaustive sweep above dimension 5 needs --force"),
-    "sweep-exhaustive-over-cap": ("sweep -n 9 --exhaustive --force", "sweep lists at most 2763520 triples"),
+    "sweep-exhaustive-over-cap": ("sweep -n 9 --exhaustive --force", "exhaustive sweep verifies at most 2763520 triples"),
     "sweep-samples-0": ("sweep -n 5 --samples 0", "sample count must be in 1..4960"),
     "construct-label-length": ("construct -n 3 -S 000,001,0110", "label '0110' does not have length 3"),
     "construct-label-over-62-bits": (f"construct -n 3 -S 000,001,{'0' * 63}", "label longer than 62 bits"),
     "paths-u-length": ("paths -n 4 -u 000 -v 1111 -k 1", "endpoint labels must have length n"),
     "paths-v-length": ("paths -n 4 -u 0000 -v 11111 -k 1", "endpoint labels must have length n"),
+    "construct-two-labels": ("construct -n 3 -S 000,001", "expected 3 comma-separated labels, got 2"),
+    "construct-repeated-label": ("construct -n 3 -S 000,001,000", "duplicate vertex in target set"),
+    "construct-fidelity-over-16": (
+        f"construct -n 17 -S {0:017b},{1:017b},{2:017b} --fidelity",
+        "--fidelity on a Case1 triple needs dimension at most 16",
+    ),
+    "oracle-dim-13": ("oracle -n 13 -S 0,1,10", "oracle needs dimension in 1..12"),
+    "paths-dim-63": ("paths -n 63 -u 0 -v 1 -k 1", "paths needs dimension in 1..62"),
 }
 
-# certificates that parse_certificate rejects past its label and key
-# checks, each a one-field edit of SMALL_CERT
+# certificates that parse_certificate rejects past its label checks, each
+# a one-field edit of SMALL_CERT
 BAD_CERTIFICATES = {
     "not-an-object": ([], "certificate must be an object"),
+    "extra-key": ({**SMALL_CERT, "extra": 1}, "certificate has wrong fields (unknown: ['extra'], missing: [])"),
+    "missing-tool": (
+        {key: value for key, value in SMALL_CERT.items() if key != "tool"},
+        "certificate has wrong fields (unknown: [], missing: ['tool'])",
+    ),
     "schema-version": ({**SMALL_CERT, "schema_version": "2"}, "unsupported schema_version '2'"),
     "s-two-labels": ({**SMALL_CERT, "s": ["000", "011"]}, "s must list exactly 3 vertex labels"),
     "s-repeated": ({**SMALL_CERT, "s": ["000", "011", "000"]}, "s must hold distinct labels"),

@@ -13,7 +13,11 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, at n = 1..4
   also with k = 2n + 5, and at n = 16, 33 and 62 with k in
   {2n - 1, 2n}, in all three formats (above n = 4 the paths are fan
-  paths and the cut is explicit, so no dimension up to 62 is costly).
+  paths and the cut is explicit, so no dimension up to 62 is costly),
+  and at n = 33 and 62 from 0 to each of the four d whose fan the top
+  level reflects (gray(d) = top + {0, e2} + {0, e3}) with k = 2n - 1,
+  in the default JSON, so the fan's words are walked through that
+  reflection.
   The small-cube memo of ``paths.disjoint_paths`` keys every k >= 2n as
   2n, so k = 2n + 5 pins the capped key byte for byte against PARENT;
 - ``info -n 1..10`` as text and as JSON;
@@ -266,6 +270,11 @@ def command_list() -> list[list[str]]:
             for k in sorted(ks):
                 for fmt in ("json", "dot", "text"):
                     cmds.append(["paths", "-n", str(n), "-u", _label(u, n), "-v", _label(v, n), "-k", str(k), "--format", fmt])
+    for n in (33, 62):
+        # the labels of the Gray vectors top, e2 and e3 (see paths._word)
+        top, e2, e3 = (1 << n) - 1, (1 << n - 1) - 1, (1 << n - 2) - 1
+        for d in sorted(top ^ a ^ b for a in (0, e2) for b in (0, e3)):
+            cmds.append(["paths", "-n", str(n), "-u", _label(0, n), "-v", _label(d, n), "-k", str(2 * n - 1)])
     for n in range(1, 11):
         for fmt in ("text", "json"):
             cmds.append(["info", "-n", str(n), "--format", fmt])
