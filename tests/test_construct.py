@@ -449,6 +449,14 @@ def test_base_search_short_packing_raises_internal_error(monkeypatch):
         base_case_search(AugmentedCube(3), vs("000", "001", "011"), 3)
 
 
+def _hash_family(h, family) -> None:
+    """Feed one family to a sha256: each tree's sorted edge list, in tree
+    order, then a separator."""
+    for tree in family.trees:
+        h.update(repr(sorted(tree.edges)).encode())
+    h.update(b";")
+
+
 # sha256 over the label edge lists of every tree that construct returns,
 # in tree order, for all 56 + 560 triples at n = 3 and 4
 SMALL_DIM_FAMILIES_DIGEST = "3a5a3ae9d24c250326726590f88e3bda2e9c0be7e99f6e96423bc5f42b83da88"
@@ -471,9 +479,7 @@ def test_small_dimension_families_are_pinned():
     for n in (3, 4):
         g = AugmentedCube(n)
         for t in itertools.combinations(range(1 << n), 3):
-            for tree in construct(g, [Vertex(a, n) for a in t]).trees:
-                h.update(repr(sorted(tree.edges)).encode())
-            h.update(b";")
+            _hash_family(h, construct(g, [Vertex(a, n) for a in t]))
     assert h.hexdigest() == SMALL_DIM_FAMILIES_DIGEST
 
 
@@ -493,17 +499,45 @@ def _equivariance_pairs(n):
     return [(labels, rng.randrange(1, 1 << n)) for labels in triples]
 
 
+# sha256 over the families of S in ``_equivariance_pairs(n)``, in order
+EQUIVARIANCE_DIGESTS = {
+    5: "7b614cc96a4c4f83da1815f20a983b012f0db0cadb429c88d8ddfd3b0bd55e22",
+    6: "69dd6b585ae8a40ce45eb7c5aa73b0c9d1472aef3a5ebee67537f0267e60fb96",
+    7: "fa6d060181288299b5a1a8fa1b21b9a46b920a955b95eb3d18f6362d0e6e70a3",
+    8: "8c08e8c0bdfc92552d70084811a343eca1571c751157b2d52be88cbcd93fbadc",
+    9: "002932b94606af3f6ddbb361df9c3ffdb600ab16bef5a8676d41fd29ec65ca04",
+    10: "70841a080479503a3e35643d742ab68988cf77dedc6e9905ee3a927a29aaa8b4",
+    11: "352f32872ed568af5a3162e3ee7a0da7bdd7309c6e0c3e030ed44e8a76b96fb4",
+    12: "7ee96803270c6c25b9ff118db2b5471a0f08357355ddf89ea5f26ca2ff996f61",
+    13: "c42179035f8d108cb10e657de6617673a1f7be87d37ac0e218f042131a3fedc6",
+    14: "055cfd3afe67659d484f450d102e79fbce73ae2b2d7c7c5cca70030a4802d2c6",
+    15: "7d8f271a3c52f6b121073a2e55928aa26ea259cb26b0d26c350abedad00314d0",
+    16: "04abd9b2d816f20697e0f50b772fa13e27150fa86a16c72214942ec80549d7f6",
+    17: "6c9ccd4f8ccfcd655086c1bce1ced0c7dd03429a0eb9a60212f0944d054ccc57",
+    18: "4debb5b9360c0946c4620e922dcca2a9e8f97b8ff7b6b37aa2fb4195beb37f00",
+    19: "9e1b6ab6944320a4a9649af6dcc7873ab6c2ec2fc370538da2d214c0ffce1f69",
+    20: "6344a3be74f78b3c6ac6f789829f29e6a7a10a42869ba2880f28f59ec2a98c9c",
+    33: "3529c9dd168c6cdfddac5b9848038ea06408f01231fe701ea133bb02a8b7aaee",
+    45: "f384af8c804ecacc85a5c36768c8d4f3444fb4b223ab7b2010d1aeeb1147932b",
+    62: "62f09ec6f43cff2a1eadee1db0acbae45a638dc5e39ae39507da3304e1a73dc3",
+}
+
+
 @pytest.mark.parametrize("n", [5, *range(6, 21), 33, 45, 62])
 def test_construct_commutes_with_translations(n):
     # construct(S ^ a) is construct(S) with every edge translated by a,
-    # tree for tree, and classify names the same case
+    # tree for tree, and classify names the same case; the families of S
+    # are pinned
     g = AugmentedCube(n)
+    h = hashlib.sha256()
     with construct_mod.fan_memo():
         for labels, a in _equivariance_pairs(n):
             family = construct(g, [Vertex(v, n) for v in labels])
+            _hash_family(h, family)
             moved = [Vertex(v ^ a, n) for v in labels]
             assert tuple(t.edges for t in construct(g, moved).trees) == _translated(family, a), (labels, a)
             assert classify(g, moved).case is classify(g, [Vertex(v, n) for v in labels]).case
+    assert h.hexdigest() == EQUIVARIANCE_DIGESTS[n]
 
 
 def _least_translates(n):
@@ -536,9 +570,13 @@ def test_least_translate_closed_form_on_seeded_triples():
             assert _least_translate(labels) == reference_least_translate(labels), (n, labels)
 
 
-# the case histograms of `sweep -n 6 --exhaustive` and `sweep -n 7
-# --exhaustive`, and of the exhaustive n = 8 sweep (`--jobs 2`)
+# the case histograms of `sweep -n 5 --exhaustive`, `sweep -n 6
+# --exhaustive` and `sweep -n 7 --exhaustive`, and of the exhaustive
+# n = 8 sweep (`--jobs 2`)
 EXHAUSTIVE_CASES = {
+    5: {"Case1": 1120, "Case2_1_1": 32, "Case2_1_2": 512, "Case2_1_3": 384, "Case2_2_1a": 192,
+        "Case2_2_1b": 32, "Case2_2_2a": 64, "Case2_2_2b": 640, "Case2_2_2c": 832,
+        "Case2_2_3a": 64, "Case2_2_3b": 640, "Case2_2_3c": 448},
     6: {"Case1": 9920, "Case2_1_1": 64, "Case2_1_2": 2816, "Case2_1_3": 1024, "Case2_2_1a": 896,
         "Case2_2_1b": 64, "Case2_2_2a": 4864, "Case2_2_2b": 10752, "Case2_2_2c": 4096,
         "Case2_2_3a": 2304, "Case2_2_3b": 3584, "Case2_2_3c": 1280},
@@ -551,27 +589,41 @@ EXHAUSTIVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+# sha256 over every class family at n = 5..8, in ``least_translates``
+# order, hashed by ``_hash_family``
+CLASS_FAMILY_DIGESTS = {
+    5: "fe458a474468afd1dc0fff4e2c19b100d24c53a6614671cf07b3a3082856df21",
+    6: "4d61c229b20714cdc88c23c0014f65b338864b43c0857a095c6894baff9dda8f",
+    7: "3110c0c4a40b3227cec2df3d82c45ea236ad33456de559eec7a2009e59ecf91a",
+    8: "6cc533c43c5c9f4beeb2fe2cb75ed5e447e99acf7c4db39cc9e0ad7a9c75762d",
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_one_construct_per_translation_class_covers_every_triple(n):
     # construct commutes with translations and every class holds 2^n
     # triples, so one verified construct per class covers them all:
-    # 651, 2,667 and 10,795 constructs
+    # 155, 651, 2,667 and 10,795 constructs, whose families are pinned
     g = AugmentedCube(n)
     reps = _least_translates(n)
     assert len(reps) * (1 << n) == math.comb(1 << n, 3)
+    assert list(construct_mod.least_translates(n)) == reps
     cases = collections.Counter()
+    h = hashlib.sha256()
     with construct_mod.fan_memo():
         for labels in reps:
             family = construct(g, [Vertex(v, n) for v in labels])
             assert family.provenance[0].transform == 0
             cases[family.provenance[0].case.value] += 1 << n
+            _hash_family(h, family)
     assert cases == EXHAUSTIVE_CASES[n]
+    assert h.hexdigest() == CLASS_FAMILY_DIGESTS[n]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_exhaustive_sweep_at_dim_6(jobs):
-    # the sweep itself, one construct per class moved to every member,
-    # against the pinned histogram
+    # the sweep itself, one construct per class whose case and size go
+    # to every member's record, against the pinned histogram
     records = cli.run_sweep(6, cli.all_triples(6), jobs=jobs)
     assert [r.labels for r in records] == cli.all_triples(6)
     assert collections.Counter(r.case for r in records) == EXHAUSTIVE_CASES[6]
@@ -591,19 +643,15 @@ def _batch_cases():
 
 @pytest.mark.parametrize("n, batch", _batch_cases(), ids=["n3", "n4", "n5", "n5-descending", "n6-sampled"])
 def test_construct_batch_equals_construct(n, batch):
-    # the batch split into translation classes, each built by
-    # construct_class: every moved family is the family construct builds
-    # for its triple, trees, terminals and provenance alike
-    g = AugmentedCube(n)
+    # the batch split into translation classes: each triple is the
+    # translate canon ^ a of exactly one class, named by its least
+    # translate; construct(canon ^ a) = construct(canon) ^ a is checked
+    # by test_construct_commutes_with_translations
     classes = construct_mod.translation_classes(batch)
-    members = [[tuple(sorted(v ^ a for v in canon)) for a in masks] for canon, masks in classes]
-    assert sorted(t for m in members for t in m) == sorted(tuple(sorted(t)) for t in batch)
+    members = [tuple(sorted(v ^ a for v in canon)) for canon, masks in classes for a in masks]
+    assert sorted(members) == sorted(tuple(sorted(t)) for t in batch)
     assert all(_least_translate(canon)[0] == canon for canon, _ in classes)
     assert len({canon for canon, _ in classes}) == len(classes) < len(batch)
-    with construct_mod.fan_memo():
-        for (canon, masks), triples in zip(classes, members):
-            for labels, got in zip(triples, construct_mod.construct_class(g, canon, masks), strict=True):
-                assert got == construct(g, [Vertex(v, n) for v in labels]), labels
 
 
 def _inline_pool(monkeypatch) -> list:
@@ -630,20 +678,19 @@ def _inline_pool(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n, count", [(5, 8), (6, 8), (6, 12)])
 def test_sweep_batches_hold_whole_translation_classes(monkeypatch, n, count):
-    # every triple in exactly one batch, every class whole in one batch,
-    # and count = 4 * jobs batches; each stand-in result, the class's
-    # least translate and member count, lands on every member's record
+    # the batches hold least translates alone, each class's once, and
+    # count = 4 * jobs of them; each stand-in result, the least translate
+    # itself, lands on the record of every member of its class
     jobs = count // 4
     handed = _inline_pool(monkeypatch)
-    monkeypatch.setattr(cli, "_sweep_classes", lambda args: [(canon, len(masks)) for canon, masks in args[1]])
+    monkeypatch.setattr(cli, "_sweep_classes", lambda args: [(canon, args[0]) for canon in args[1]])
     triples = cli.all_triples(n)
     records = cli.run_sweep(n, triples[::-1], jobs=jobs)
     assert [r.labels for r in records] == triples
-    assert all(r.case == _least_translate(r.labels)[0] and r.size == 1 << n for r in records)
-    classes = [c for _, batch in handed for c in batch]
-    members = [tuple(sorted(v ^ a for v in canon)) for canon, masks in classes for a in masks]
-    assert sorted(members) == triples
-    assert len({canon for canon, _ in classes}) == len(classes) == len(triples) >> n
+    assert all(r.case == _least_translate(r.labels)[0] and r.size == n for r in records)
+    canons = [canon for _, batch in handed for canon in batch]
+    assert sorted(canons) == _least_translates(n)
+    assert len(canons) == len(triples) >> n
     assert len(handed) == count
 
 
@@ -654,13 +701,15 @@ def test_a_sweep_indexes_its_classes_once(monkeypatch, jobs):
     # constructs at n = 5, serial or pooled
     handed = _inline_pool(monkeypatch)
     indexed, built = [], []
-    index, build = cli.translation_classes, construct_mod.construct
+    index, build = cli.translation_classes, cli.build_family
     monkeypatch.setattr(cli, "translation_classes", lambda batch: indexed.append(len(batch)) or index(batch))
-    monkeypatch.setattr(construct_mod, "construct", lambda g, s, **kw: built.append(g.dim) or build(g, s, **kw))
+    monkeypatch.setattr(
+        cli, "build_family", lambda g, s, **kw: built.append(tuple(sorted(v.bits for v in s))) or build(g, s, **kw)
+    )
     records = cli.run_sweep(5, cli.all_triples(5), jobs=jobs)
     assert [r.labels for r in records] == cli.all_triples(5) and all(r.size == 7 for r in records)
     assert indexed == [4960]
-    assert built.count(5) == 155
+    assert sorted(built) == _least_translates(5)
     assert len(handed) == (8 if jobs == 2 else 0)
     # a sweep of one class is one batch, which needs no pool
     handed.clear()
@@ -687,9 +736,11 @@ def test_an_exhaustive_sweep_lists_no_triples(monkeypatch, capsys, jobs):
     assert len(handed) == (8 if jobs == 2 else 0)
     # sweep_summary reads each record once, so a one-shot generator gives
     # the summary of the list
-    records = list(cli._sweep(4, [(canon, range(16)) for canon in construct_mod.least_translates(4)]))
-    records.append(cli.SweepRecord((0, 1, 2), "Base4", True, 4, False))
-    assert cli.sweep_summary(4, iter(records)) == cli.sweep_summary(4, records)
+    records = [cli.SweepRecord(t, "Base4", False, 5, True) for t in itertools.combinations(range(16), 3)]
+    records.append(cli.SweepRecord((0, 1, 2), "Base4", False, 4, True))
+    summary = cli.sweep_summary(4, records)
+    assert cli.sweep_summary(4, iter(records)) == summary
+    assert (summary["triples"], summary["min_size"], summary["max_size"]) == (561, 4, 5)
     assert cli.sweep_summary(4, []) == {
         "n": 4, "triples": 0, "expected_size": 5, "min_size": 0, "max_size": 0, "all_verified": True,
         "fallback_count": 0, "fallback_fraction": 0.0, "cases": {},
@@ -697,27 +748,36 @@ def test_an_exhaustive_sweep_lists_no_triples(monkeypatch, capsys, jobs):
 
 
 def test_a_rejected_translate_raises(monkeypatch, capsys):
-    # the verifier rejects, by the tree count, the moved family of the
-    # second member of the first class
-    batch = cli.all_triples(5)
-    canon, masks = construct_mod.translation_classes(batch)[0]
-    second = tuple(sorted(v ^ masks[1] for v in canon))
+    # the verifier rejects, by the tree count, the family of the least
+    # translate (0, 1, 2) at n = 5, the one family its class builds
     original = verify_mod.verify_family
 
     def rejecting(g, family, *, size=None):
-        if sorted(t.bits for t in family.terminals) == list(second):
+        if g.dim == 5 and sorted(t.bits for t in family.terminals) == [0, 1, 2]:
             family = family._replace(trees=family.trees[:-1])
         return original(g, family, size=size)
 
     monkeypatch.setattr(verify_mod, "verify_family", rejecting)
-    targets = str([f"{v:05b}" for v in second])
+    targets = str(["00000", "00001", "00010"])
     with pytest.raises(InternalError, match=f"family rejected for targets {re.escape(targets)}: .*expected 7 trees"):
-        list(construct_mod.construct_class(AugmentedCube(5), canon, masks))
-    with pytest.raises(InternalError, match=re.escape(targets)):
-        cli.run_sweep(5, batch)
+        cli.run_sweep(5, [(4, 5, 6)])
     assert cli.main(["sweep", "-n", "5", "--exhaustive"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:") and targets in err
+
+
+def test_an_exhaustive_sweep_makes_no_records(monkeypatch, capsys):
+    # the summary folds one entry per class, so no member record is made
+    def unreachable(*args):
+        raise AssertionError("the sweep made a member record")
+
+    monkeypatch.setattr(cli, "SweepRecord", unreachable)
+    assert cli.main(["sweep", "-n", "6", "--exhaustive", "--force"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["n=6 triples=41664 expected_size=9 min=9 max=9", "all_verified=yes fallbacks=0 (0.0000)"]
+    assert dict(line.strip().split(": ") for line in lines[2:]) == {
+        case: str(count) for case, count in EXHAUSTIVE_CASES[6].items()
+    }
 
 
 @pytest.mark.parametrize(

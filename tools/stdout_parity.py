@@ -24,13 +24,13 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``sweep -n 4 --exhaustive`` as text and as JSON,
   ``sweep -n 5 --samples 300``, serial and with ``--jobs 2`` (each pool
   batch enters its own fan memo; a 1-CPU host exits 2 on the ``--jobs
-  2`` commands), ``sweep -n 5 --exhaustive``, serial and with ``--jobs
-  2``, whose pool batches hold whole translation classes, ``sweep -n 3
+  2`` commands), ``sweep -n 5 --exhaustive`` and ``sweep -n 6
+  --exhaustive --force``, each serial and with ``--jobs 2``, whose pool
+  batches hold least translates alone, one per class, ``sweep -n 3
   --exhaustive --jobs 2``, whose 7 classes are fewer than the 8 batches
-  asked for, ``sweep -n 6 --exhaustive --force``, and ``sweep -n 6
-  --samples 200 --seed 2`` and ``sweep -n 7 --samples 100 --seed 2
-  --format json``, where Case1 recursion puts fans of two dimensions
-  into one batch's memo;
+  asked for, and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7
+  --samples 100 --seed 2 --format json``, where Case1 recursion puts
+  fans of two dimensions into one batch's memo;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
   under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the
   enumeration or in the packing), and ``oracle -n 5 --force --budget
@@ -79,8 +79,12 @@ cold import: the median, over five fresh ``python -c`` children, of the
 time ``import aqsteiner.cli`` takes inside the child.  The children
 import a copy of the package without its ``__pycache__`` and write no
 bytecode (``PYTHONDONTWRITEBYTECODE=1``), so each compiles the package
-afresh, as every process does where no bytecode is cached.  A start-up
-regression shows on every parity run.
+afresh, as every process does where no bytecode is cached.  The imports
+run after both checkouts' command children, one child per checkout per
+round, with the order of the two swapped every round, so the two
+medians differ by the code and not by which checkout ran first or
+nearer to the heavy children.  A start-up regression shows on every
+parity run.
 """
 
 from __future__ import annotations
@@ -286,6 +290,7 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "5", "--exhaustive", "--jobs", "2"])
     cmds.append(["sweep", "-n", "3", "--exhaustive", "--jobs", "2"])
     cmds.append(["sweep", "-n", "6", "--exhaustive", "--force"])
+    cmds.append(["sweep", "-n", "6", "--exhaustive", "--force", "--jobs", "2"])
     cmds.append(["sweep", "-n", "6", "--samples", "200", "--seed", "2"])
     cmds.append(["sweep", "-n", "7", "--samples", "100", "--seed", "2", "--format", "json"])
     for n in (3, 4):
@@ -404,22 +409,31 @@ def _collect(checkout: str) -> tuple[list, list, list, list, float]:
 IMPORT_RUNS = 5
 
 
-def _cold_import_s(checkout: str) -> float:
-    """Median seconds of ``import aqsteiner.cli`` in fresh children that
-    compile the checkout's package (see the module docstring)."""
+def _cold_imports_s(checkouts: list[str]) -> list[float]:
+    """Per checkout, the median seconds of ``import aqsteiner.cli`` in
+    fresh children that compile the checkout's package, the checkouts
+    taking turns in an order swapped every round (see the module
+    docstring)."""
     code = "import time; t = time.perf_counter(); import aqsteiner.cli; print(time.perf_counter() - t)"
-    times = []
+    times: list[list[float]] = [[] for _ in checkouts]
     with tempfile.TemporaryDirectory() as root:
-        shutil.copytree(
-            os.path.join(checkout, "src", "aqsteiner"),
-            os.path.join(root, "aqsteiner"),
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        env = {**os.environ, "PYTHONPATH": root, "PYTHONDONTWRITEBYTECODE": "1"}
+        envs = []
+        for i, checkout in enumerate(checkouts):
+            shutil.copytree(
+                os.path.join(checkout, "src", "aqsteiner"),
+                os.path.join(root, str(i), "aqsteiner"),
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            envs.append({**os.environ, "PYTHONPATH": os.path.join(root, str(i)), "PYTHONDONTWRITEBYTECODE": "1"})
+        order = list(range(len(checkouts)))
         for _ in range(IMPORT_RUNS):
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-            times.append(float(proc.stdout))
-    return statistics.median(times)
+            for i in order:
+                proc = subprocess.run(
+                    [sys.executable, "-c", code], capture_output=True, text=True, env=envs[i], check=True
+                )
+                times[i].append(float(proc.stdout))
+            order.reverse()
+    return [statistics.median(t) for t in times]
 
 
 def main() -> int:
@@ -433,16 +447,17 @@ def main() -> int:
         return 0
     if args.change is None:
         parser.error("two checkouts are needed: PARENT CHANGE")
-    for checkout in (args.parent, args.change):
+    checkouts = [args.parent, args.change]
+    for checkout in checkouts:
         if not os.path.isfile(os.path.join(checkout, "src", "aqsteiner", "cli.py")):
             parser.error(f"{checkout} has no src/aqsteiner/cli.py")
     cmds = command_list()
+    collected = [_collect(os.path.abspath(checkout)) for checkout in checkouts]
+    colds = _cold_imports_s([os.path.abspath(checkout) for checkout in checkouts])
     runs = []
     key_runs = []
     warm_differ = 0
-    for checkout in (args.parent, args.change):
-        results, warm, chains, keys, elapsed = _collect(os.path.abspath(checkout))
-        cold = _cold_import_s(os.path.abspath(checkout))
+    for checkout, (results, warm, chains, keys, elapsed), cold in zip(checkouts, collected, colds):
         print(
             f"{checkout}: {len(results)} commands twice in {elapsed:.1f} s, cold import {cold * 1e3:.1f} ms",
             file=sys.stderr,
