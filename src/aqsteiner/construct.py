@@ -175,11 +175,17 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     differences xor to 0, so d3 = d1 ^ d2: a least translate (0, p, z)
     has p < z < p ^ z, and every such triple is one.  Hence an upper z
     forces a lower p, since an upper p would make p ^ z lower than z: at
-    most one label of the least translate is upper, the last."""
+    most one label of the least translate is upper, the last.
+
+    So the result is written down, not searched or sorted: a's two
+    differences are d1 and d2, in order by one comparison."""
     u, v, w = labels
     vw, uw, uv = v ^ w, u ^ w, u ^ v
-    a = u if vw > uw and vw > uv else v if uw > uv else w
-    return tuple(sorted(t ^ a for t in labels)), a
+    if vw > uw and vw > uv:
+        return ((0, uv, uw) if uv < uw else (0, uw, uv)), u
+    if uw > uv:
+        return ((0, uv, vw) if uv < vw else (0, vw, uv)), v
+    return ((0, uw, vw) if uw < vw else (0, vw, uw)), w
 
 
 def least_translates(n: int) -> Iterator[tuple[int, int, int]]:

@@ -734,17 +734,6 @@ def test_an_exhaustive_sweep_lists_no_triples(monkeypatch, capsys, jobs):
     summary = json.loads(capsys.readouterr().out)
     assert summary["cases"] == EXHAUSTIVE_CASES[6] and summary["triples"] == math.comb(64, 3)
     assert len(handed) == (8 if jobs == 2 else 0)
-    # sweep_summary reads each record once, so a one-shot generator gives
-    # the summary of the list
-    records = [cli.SweepRecord(t, "Base4", False, 5, True) for t in itertools.combinations(range(16), 3)]
-    records.append(cli.SweepRecord((0, 1, 2), "Base4", False, 4, True))
-    summary = cli.sweep_summary(4, records)
-    assert cli.sweep_summary(4, iter(records)) == summary
-    assert (summary["triples"], summary["min_size"], summary["max_size"]) == (561, 4, 5)
-    assert cli.sweep_summary(4, []) == {
-        "n": 4, "triples": 0, "expected_size": 5, "min_size": 0, "max_size": 0, "all_verified": True,
-        "fallback_count": 0, "fallback_fraction": 0.0, "cases": {},
-    }
 
 
 def test_a_rejected_translate_raises(monkeypatch, capsys):
@@ -779,6 +768,68 @@ def test_an_exhaustive_sweep_makes_no_records(monkeypatch, capsys):
         case: str(count) for case, count in EXHAUSTIVE_CASES[6].items()
     }
 
+
+
+def _member_record_inputs():
+    """(n, triples): every triple at n = 3..6 shuffled; at n = 5 also
+    every triple in a shuffled label order, and 1,000 seeded triples,
+    unsorted, with 300 of them repeated."""
+    rng = random.Random(4205)
+    cases = []
+    for n in (3, 4, 5, 6):
+        triples = cli.all_triples(n)
+        rng.shuffle(triples)
+        cases.append((n, triples))
+    cases.append((5, [tuple(rng.sample(t, 3)) for t in cli.all_triples(5)]))
+    drawn = [tuple(rng.sample(range(32), 3)) for _ in range(1000)]
+    cases.append((5, drawn + rng.sample(drawn, 300)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "n, triples", _member_record_inputs(), ids=["n3", "n4", "n5", "n6", "n5-unsorted", "n5-duplicated"]
+)
+def test_run_sweep_equals_the_per_member_records(n, triples):
+    # each member's labels, sorted((a, p ^ a, z ^ a)), and the one sort on
+    # labels give the records and the order of sorting whole records built
+    # as sorted(v ^ a for v in canon); repeated triples keep their records
+    expected = sorted(
+        cli.SweepRecord(tuple(sorted(v ^ a for v in canon)), case, False, size, True)
+        for canon, masks, case, size in cli._sweep(n, construct_mod.translation_classes(triples))
+        for a in masks
+    )
+    records = cli.run_sweep(n, triples)
+    assert records == expected
+    assert all(type(r) is cli.SweepRecord for r in records)
+    assert len(records) == len(triples)
+
+
+def test_sweep_summary_equals_the_per_record_fold():
+    # counting (case, size) pairs once folds to the summary of one
+    # (case, size, 1) entry per record, in any record order; the records
+    # are read once, so a one-shot generator gives the summary of the list
+    def fold(n, records):
+        return cli._summary(n, ((r.case, r.size, 1) for r in records))
+
+    rng = random.Random(4206)
+    records = cli.run_sweep(5, cli.all_triples(5))
+    rng.shuffle(records)
+    assert cli.sweep_summary(5, records) == fold(5, records)
+    assert cli.sweep_summary(5, iter(records)) == fold(5, records)
+    records = [cli.SweepRecord(t, "Base4", False, 5, True) for t in itertools.combinations(range(16), 3)]
+    records.append(cli.SweepRecord((0, 1, 2), "Base4", False, 4, True))
+    rng.shuffle(records)
+    summary = cli.sweep_summary(4, records)
+    assert summary == fold(4, records)
+    assert cli.sweep_summary(4, iter(records)) == summary
+    assert (summary["triples"], summary["min_size"], summary["max_size"]) == (561, 4, 5)
+    records.append(cli.SweepRecord((0, 1, 3), "Case1", False, 5, True))
+    assert cli.sweep_summary(4, iter(records)) == fold(4, records)
+    assert cli.sweep_summary(4, iter(records))["cases"] == {"Base4": 561, "Case1": 1}
+    assert cli.sweep_summary(4, []) == fold(4, []) == {
+        "n": 4, "triples": 0, "expected_size": 5, "min_size": 0, "max_size": 0, "all_verified": True,
+        "fallback_count": 0, "fallback_fraction": 0.0, "cases": {},
+    }
 
 @pytest.mark.parametrize(
     "label_map", [c_label, hc_swap_label], ids=["complement_automorphism", "hc_swap_automorphism"]

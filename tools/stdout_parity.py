@@ -30,7 +30,10 @@ child process, in-process through ``cli.main``, against that checkout's
   --exhaustive --jobs 2``, whose 7 classes are fewer than the 8 batches
   asked for, and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7
   --samples 100 --seed 2 --format json``, where Case1 recursion puts
-  fans of two dimensions into one batch's memo;
+  fans of two dimensions into one batch's memo, ``sweep -n 5 --samples
+  4000 --seed 3``, a dense draw that lists every triple and then groups
+  the draw by class, and ``sweep -n 7 --samples 3000 --seed 2``, whose
+  draw falls into thousands of small classes;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
   under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the
   enumeration or in the packing), and ``oracle -n 5 --force --budget
@@ -293,6 +296,8 @@ def command_list() -> list[list[str]]:
     cmds.append(["sweep", "-n", "6", "--exhaustive", "--force", "--jobs", "2"])
     cmds.append(["sweep", "-n", "6", "--samples", "200", "--seed", "2"])
     cmds.append(["sweep", "-n", "7", "--samples", "100", "--seed", "2", "--format", "json"])
+    cmds.append(["sweep", "-n", "5", "--samples", "4000", "--seed", "3"])
+    cmds.append(["sweep", "-n", "7", "--samples", "3000", "--seed", "2"])
     for n in (3, 4):
         for trio in itertools.combinations(range(1 << n), 3):
             cmds.append(["oracle", "-n", str(n), "-S", ",".join(_label(v, n) for v in trio)])
