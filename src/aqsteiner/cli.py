@@ -307,9 +307,11 @@ def run_sweep(n: int, triples: Iterable[Sequence[int]], jobs: int = 1) -> list[S
     member, whose labels are sorted((a, p ^ a, z ^ a)) for its mask a.
     The list is sorted once, on the labels alone: records with equal
     labels are of one triple, so they are equal, and the order is that
-    of sorting whole records."""
+    of sorting whole records.  Each record is made by ``tuple.__new__``,
+    which skips the named tuple's Python-level ``__new__``."""
+    new = tuple.__new__
     records = [
-        SweepRecord(tuple(sorted((a, p ^ a, z ^ a))), case, False, size, True)
+        new(SweepRecord, (tuple(sorted((a, p ^ a, z ^ a))), case, False, size, True))
         for (_, p, z), masks, case, size in _sweep(n, translation_classes(triples), jobs)
         for a in masks
     ]

@@ -79,6 +79,7 @@ from .topology import (
     GraphView,
     Vertex,
     c_label,
+    delta_set,
     h_label,
     side_view,
 )
@@ -218,34 +219,42 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     only names the case, for the certificate's ``case`` field and the
     sweep histogram: every Case2 branch but the Case2_1_1 star runs the
     one grid splice, which reads only the roles.
+
+    Every relation is an xor mask: the partners are h(v) = v ^ half and
+    c(v) = v ^ full, u ~ v is u ^ v in the delta set, and x, y are
+    cross-twins, {h(x), c(x)} = {h(y), c(y)}, exactly when x ^ y =
+    half ^ full = half - 1.
     """
     (_, p, z), a = _least_translate(labels)
     half = 1 << (n - 1)
     if z < half:
         return CaseTag(Case.CASE1, a)
-    adj = AugmentedCube(n).adjacent_labels
-    x, y = (p, 0) if z in (h_label(p, n), c_label(p, n)) else (0, p)
+    full = (1 << n) - 1
+    deltas = delta_set(n)
+    x, y = (p, 0) if z ^ p in (half, full) else (0, p)
+    twins = x ^ y == half - 1
+    # z ^ v ^ half and z ^ v ^ full test z against h(v) and c(v)
+    zx, zy = z ^ x, z ^ y
 
     def mk(case: Case) -> CaseTag:
         return CaseTag(case, a, (x, y, z))
 
-    twins = {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}
-    if z in (h_label(x, n), c_label(x, n)):
+    if zx == half or zx == full:
         if twins:
             return mk(Case.CASE2_1_1)
         # h and c are translations, so z touches y's same-kind partner
         # exactly when x ~ y
-        return mk(Case.CASE2_1_3 if adj(x, y) else Case.CASE2_1_2)
+        return mk(Case.CASE2_1_3 if x ^ y in deltas else Case.CASE2_1_2)
 
     if twins:
         # cross-twins share both partners, and z is neither (else it
         # would be a partner of x, above)
-        zxh, zxc = adj(z, h_label(x, n)), adj(z, c_label(x, n))
-        return mk(Case.CASE2_2_1B if zxh and zxc else Case.CASE2_2_1A)
+        both = zx ^ half in deltas and zx ^ full in deltas
+        return mk(Case.CASE2_2_1B if both else Case.CASE2_2_1A)
 
-    xside = adj(z, h_label(x, n)) or adj(z, c_label(x, n))
-    yside = adj(z, h_label(y, n)) or adj(z, c_label(y, n))
-    if adj(x, y):
+    xside = zx ^ half in deltas or zx ^ full in deltas
+    yside = zy ^ half in deltas or zy ^ full in deltas
+    if x ^ y in deltas:
         cases = (Case.CASE2_2_3A, Case.CASE2_2_3B, Case.CASE2_2_3C)
     else:
         cases = (Case.CASE2_2_2A, Case.CASE2_2_2B, Case.CASE2_2_2C)
@@ -308,8 +317,12 @@ def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     of src and dst (they share their leading bit): ``_checked_fan(n,
     src ^ dst)`` from the active ``fan_memo()``, translated by src.  The
     translation is an automorphism that maps the lower half-copy onto
-    src's, so the fan's one check covers it."""
+    src's, so the fan's one check covers it.  For src = 0 it is the
+    identity, and the memo's fan itself is returned: a ``PathSystem``
+    holds only tuples, and ``_pin`` builds a new one."""
     res = _fan_memo.get()(g.dim, src ^ dst)
+    if not src:
+        return res
     # int.__xor__ translates in C, with no Python frame per vertex
     return _paths.map_path_system(src.__xor__, res)
 
@@ -385,11 +398,15 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
 
 
 def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
+    """Run the recipe of a Case2 tag in the active ``fan_memo()``; a lone
+    construct, outside any memo, opens one for its recipe alone."""
+    if _fan_memo.get() is None:
+        with fan_memo():
+            return _run_recipe(g, tag)
     x, y, z = tag.roles
-    with fan_memo():
-        if tag.case is Case.CASE2_1_1:
-            return _recipe_2_1_1(g, x, y, z)
-        return _recipe_grid(g, x, y, z)
+    if tag.case is Case.CASE2_1_1:
+        return _recipe_2_1_1(g, x, y, z)
+    return _recipe_grid(g, x, y, z)
 
 
 def _assemble(
@@ -404,11 +421,11 @@ def _assemble(
     n = g.dim
     a = provenance[0].transform
     return TreeFamily(
-        dim=n,
-        terminals=frozenset(Vertex(v, n) for v in labels),
-        trees=tuple(SteinerTree(_translate(edges, a)) for edges in trees),
-        provenance=provenance,
-        fallback_used=False,
+        n,
+        frozenset([Vertex(v, n) for v in labels]),
+        tuple([SteinerTree(_translate(edges, a)) for edges in trees]),
+        provenance,
+        False,
     )
 
 

@@ -32,16 +32,18 @@ for every maximum flow.
 ``fan(m, d)``, the full fan of 2m - 1 paths from 0 to d in AQ_m, is
 built by induction on m from the flow fans of AQ_4 (README, "Why every
 fan is full"), each path a word of label deltas that is walked to labels
-once, from 0.  ``cube_paths`` answers whole-cube requests: by
-``disjoint_paths`` up to dimension 4, and above it by the fan's words to
-u ^ v walked from u, or by u's neighbourhood as the cut.  So the fan
-base and ``cube_paths`` up to dimension 4 are the only requests
-``disjoint_paths`` meets, and it answers each from ``_cube_system``, an
-unbounded ``functools.lru_cache`` of (m, u, v, min(k, 2m)): no path
-system has more than 2m - 1 paths, so every k >= 2m ends on the same
-cut, and the memo holds at most 2,308 keys.  Each system is solved and
-checked once per process, where it is built, and a repeat returns the
-same immutable object; the request itself is checked on every call.
+once, from 0; the fan base, ``fan(4, d)``, is the flow's own checked
+system, never turned into words and back.  ``cube_paths`` answers
+whole-cube requests: by ``disjoint_paths`` up to dimension 4, and above
+it by the fan's words to u ^ v walked from u, or by u's neighbourhood
+as the cut.  So the fan base and ``cube_paths`` up to dimension 4 are
+the only requests ``disjoint_paths`` meets, and it answers each from
+``_cube_system``, an unbounded ``functools.lru_cache`` of (m, u, v,
+min(k, 2m)): no path system has more than 2m - 1 paths, so every
+k >= 2m ends on the same cut, and the memo holds at most 2,308 keys.
+Each system is solved and checked once per process, where it is built,
+and a repeat returns the same immutable object; the request itself is
+checked on every call.
 
 Connector trees need no search either: ``geodesic`` steps by the label
 deltas of the shortest word for gray(u ^ v), scanned from its lowest
@@ -343,25 +345,35 @@ def _reflect(m: int, v: int) -> int:
 
 
 def fan(m: int, d: int) -> PathSystem:
-    """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4):
-    the words of ``_fan_words`` walked from 0, sorted."""
+    """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4).
+    At m = 4 it is the flow's checked system from ``disjoint_paths``
+    itself, whose paths already run in ascending order; above it, the
+    words of ``_fan_words`` walked from 0, sorted."""
+    if m <= 4:
+        return _base_fan(m, d)
     # every path ends in the one int d: about 4 KiB less per m = 61 fan
     paths = sorted((*itertools.accumulate(w[:-1], operator.xor, initial=0), d) for w in _fan_words(m, d))
     return PathSystem(0, d, tuple(paths))
+
+
+def _base_fan(m: int, d: int) -> PathSystem:
+    """The flow's full fan from 0 to d in the whole of AQ_m, m <= 4."""
+    res = disjoint_paths(AugmentedCube(m).view(), 0, d, 2 * m - 1)
+    if isinstance(res, MinCut):
+        raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {d:0{m}b}")
+    return res
 
 
 def _fan_words(m: int, d: int) -> list[list[int]]:
     """The full fan from 0 to d as fresh lists of label deltas, by induction
     on m: bit m - 1 splits AQ_m into two copies of AQ_(m-1), and each level
     edits the lower fan's words in place and adds two through the upper
-    copy (README, "Why every fan is full").  AQ_4 is searched by the flow.
-    Gray coordinates decide only the branch tests and the reflection
-    (``_word`` has the dictionary)."""
+    copy (README, "Why every fan is full").  AQ_4 is searched by the flow
+    (``_base_fan``), the base of the induction.  Gray coordinates decide
+    only the branch tests and the reflection (``_word`` has the
+    dictionary)."""
     if m <= 4:
-        res = disjoint_paths(AugmentedCube(m).view(), 0, d, 2 * m - 1)
-        if isinstance(res, MinCut):
-            raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {d:0{m}b}")
-        return [list(map(operator.xor, p, p[1:])) for p in res.paths]
+        return [list(map(operator.xor, p, p[1:])) for p in _base_fan(m, d).paths]
     top, e2, e3 = (1 << m) - 1, (1 << (m - 1)) - 1, (1 << (m - 2)) - 1
     upper = d >> (m - 1)
     lo = d ^ top if upper else d
@@ -408,10 +420,11 @@ def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple
     The view must be a 2^k-aligned label range, such as a quarter: that
     block is AQ_k on the low bits and holds every geodesic between its
     members.  The tree starts at the smallest terminal; each further
-    terminal walks a geodesic to the nearest vertex of the partial tree
-    (the smallest label among the nearest) and is grafted on there, so
-    no cycle can form.  Returns the edge set; a single terminal yields
-    the empty set.
+    terminal picks the nearest vertex w of the partial tree (the
+    smallest label among the nearest), by the length of ``_word(t ^ w)``
+    alone, walks one geodesic to it and is grafted on there, so no
+    cycle can form.  Returns the edge set; a single terminal yields the
+    empty set.
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -427,7 +440,9 @@ def connector_tree(view: GraphView, terminals: Iterable[int]) -> frozenset[tuple
     tree_vertices = {terms[0]}
     edges: set[tuple[int, int]] = set()
     for t in terms[1:]:
-        walk = min((geodesic(t, w) for w in tree_vertices), key=lambda p: (len(p), p[-1]))
+        # a geodesic to w takes len(_word(t ^ w)) steps
+        w = min(tree_vertices, key=lambda w: (len(_word(t ^ w)), w))
+        walk = geodesic(t, w)
         # no vertex before the end of a walk to the nearest tree vertex
         # lies in the tree
         tree_vertices.update(walk)

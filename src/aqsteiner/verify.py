@@ -63,6 +63,10 @@ class VerificationReport(NamedTuple):
         return {"accepted": self.accepted, "violations": [v.to_json() for v in self.violations]}
 
 
+# the one report of every accepted family: immutable, so it is shared
+_ACCEPTED = VerificationReport(accepted=True, violations=())
+
+
 # ---------------------------------------------------------------------------
 # certificate checking
 # ---------------------------------------------------------------------------
@@ -129,7 +133,8 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
 
     A family on three distinct targets with the right tree count first
     goes through ``_accepts``, which accepts exactly the families with
-    no violation; ``_report`` writes the violations only when it fails.
+    no violation, and gets the one shared accepted report; ``_report``
+    writes the violations only when it fails.
     """
     terminals = set()
     for t in family.terminals:
@@ -141,7 +146,7 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
         and (size is None or len(trees) == size)
         and _accepts(trees, terminals, g.order, delta_set(g.dim))
     ):
-        return VerificationReport(accepted=True, violations=())
+        return _ACCEPTED
     return _report(g, terminals, trees, size)
 
 

@@ -222,6 +222,73 @@ def _branch_triples(n):
     return triples
 
 
+def _reference_dispatch(n, labels):
+    """The dispatch written with the partner maps ``h_label`` and
+    ``c_label`` and the cube's ``adjacent_labels``."""
+    (_, p, z), a = _least_translate(labels)
+    half = 1 << (n - 1)
+    if z < half:
+        return CaseTag(Case.CASE1, a)
+    adj = AugmentedCube(n).adjacent_labels
+    x, y = (p, 0) if z in (h_label(p, n), c_label(p, n)) else (0, p)
+
+    def mk(case):
+        return CaseTag(case, a, (x, y, z))
+
+    twins = {h_label(x, n), c_label(x, n)} == {h_label(y, n), c_label(y, n)}
+    if z in (h_label(x, n), c_label(x, n)):
+        if twins:
+            return mk(Case.CASE2_1_1)
+        return mk(Case.CASE2_1_3 if adj(x, y) else Case.CASE2_1_2)
+    if twins:
+        zxh, zxc = adj(z, h_label(x, n)), adj(z, c_label(x, n))
+        return mk(Case.CASE2_2_1B if zxh and zxc else Case.CASE2_2_1A)
+    xside = adj(z, h_label(x, n)) or adj(z, c_label(x, n))
+    yside = adj(z, h_label(y, n)) or adj(z, c_label(y, n))
+    if adj(x, y):
+        cases = (Case.CASE2_2_3A, Case.CASE2_2_3B, Case.CASE2_2_3C)
+    else:
+        cases = (Case.CASE2_2_2A, Case.CASE2_2_2B, Case.CASE2_2_2C)
+    return mk(cases[xside + yside])
+
+
+def _related_triples(n, count):
+    """Seeded triples whose targets are related as the dispatch reads
+    them: x below, y its cross-twin, a neighbour or any lower label, z
+    a cross-partner of x or y, moved by no delta or a lower one, or any
+    label; the whole triple then translated by a random mask."""
+    rng = random.Random(4300 + n)
+    half, full = 1 << (n - 1), (1 << n) - 1
+    lower = adjacency_deltas(n - 1)
+    out = []
+    while len(out) < count:
+        x = rng.getrandbits(n - 1)
+        y = rng.choice((x ^ (half - 1), x ^ rng.choice(lower), rng.getrandbits(n - 1)))
+        if rng.random() < 0.75:
+            z = rng.choice((x, y)) ^ rng.choice((half, full)) ^ rng.choice((0, 0, *lower))
+        else:
+            z = rng.getrandbits(n)
+        a = rng.getrandbits(n)
+        trio = sorted({x ^ a, y ^ a, z ^ a})
+        if len(trio) == 3:
+            out.append(trio)
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 20, 33, 45, 62])
+def test_dispatch_equals_the_partner_map_formulation(n):
+    # every n = 5 triple; above it 400 seeded related triples and one
+    # triple of each relation type, so every case is compared: the xor
+    # mask dispatch names the same case, transform and roles
+    if n == 5:
+        triples = list(itertools.combinations(range(32), 3))
+    else:
+        triples = _related_triples(n, 400) + _branch_triples(n)
+    tags = [_dispatch(n, labels) for labels in triples]
+    assert tags == [_reference_dispatch(n, labels) for labels in triples]
+    assert {tag.case.value for tag in tags} == KEPT_CASES
+
+
 @pytest.mark.parametrize("n", [33, 62])
 def test_every_branch_builds_and_verifies_at_large_dimension(n):
     triples = _branch_triples(n)

@@ -614,6 +614,35 @@ def test_connector_tree_examples():
     assert tree == {(0b111000, 0b111010), (0b110000, 0b111000)}
 
 
+def _reference_connector_tree(terminals):
+    """Each further terminal walks a geodesic to every tree vertex and
+    keeps the least walk by (length, end label)."""
+    terms = sorted(set(terminals))
+    tree_vertices = {terms[0]}
+    edges = set()
+    for t in terms[1:]:
+        walk = min((geodesic(t, w) for w in tree_vertices), key=lambda p: (len(p), p[-1]))
+        tree_vertices.update(walk)
+        edges.update(path_edges(walk))
+    return frozenset(edges)
+
+
+def test_connector_tree_picks_the_nearest_vertex_like_every_walk():
+    # every set of 1-3 terminals in aligned blocks of 4, 8 and 16 labels,
+    # then 200 seeded sets in a block of 2^k labels for k = 5..60, each
+    # block the top quarter of AQ_(k+2)
+    for k in range(2, 61):
+        block = range(0b11 << k, 0b100 << k)
+        view = GraphView(AugmentedCube(k + 2), block)
+        if k <= 4:
+            sets = [c for r in (1, 2, 3) for c in itertools.combinations(block, r)]
+        else:
+            rng = random.Random(7000 + k)
+            sets = [[rng.choice(block) for _ in range(rng.randint(1, 3))] for _ in range(200)]
+        for terminals in sets:
+            assert connector_tree(view, terminals) == _reference_connector_tree(terminals), (k, terminals)
+
+
 def test_connector_tree_errors():
     g = AugmentedCube(4)
     quarter = GraphView(g, range(0b1000, 0b1100))

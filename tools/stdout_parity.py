@@ -10,6 +10,10 @@ child process, in-process through ``cli.main``, against that checkout's
   eight each at n = 20, 33 and 62, whose fans take many levels of
   induction above AQ_4; at n = 6 also ``--format text``, ``--format
   dot`` and ``--fidelity``;
+- ``construct -n 5`` on each of the 155 least translates (0, p, z),
+  0 < p < z < p ^ z, of ``construct.least_translates(5)``: exactly the
+  triples whose translation to their least translate is the identity,
+  so the recipe meets the memo's own untranslated fan;
 - ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, at n = 1..4
   also with k = 2n + 5, and at n = 16, 33 and 62 with k in
   {2n - 1, 2n}, in all three formats (above n = 4 the paths are fan
@@ -269,6 +273,9 @@ def command_list() -> list[list[str]]:
                     if n in MUTATED_DIMS and j == 0 and not extra[2:]:
                         verifies += [["verify", f"cert-{certs}-{kind}.json"] for kind in MUTANTS]
                     certs += 1
+    for p, z in itertools.combinations(range(1, 32), 2):
+        if z < p ^ z:
+            cmds.append(["construct", "-n", "5", "-S", ",".join(_label(v, 5) for v in (0, p, z))])
     for n in (*PATHS_DIMS, *LARGE_PATHS_DIMS):
         ks = {1, n, 2 * n - 1, 2 * n} if n in PATHS_DIMS else {2 * n - 1, 2 * n}
         if n <= 4:
