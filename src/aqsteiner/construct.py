@@ -220,19 +220,20 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     sweep histogram: every Case2 branch but the Case2_1_1 star runs the
     one grid splice, which reads only the roles.
 
-    Every relation is an xor mask: the partners are h(v) = v ^ half and
-    c(v) = v ^ full, u ~ v is u ^ v in the delta set, and x, y are
-    cross-twins, {h(x), c(x)} = {h(y), c(y)}, exactly when x ^ y =
-    half ^ full = half - 1.
+    Every relation is an xor mask.  ``h_label`` and ``c_label`` are
+    translations, so h(v) = v ^ half and c(v) = v ^ full with half =
+    h(0) and full = c(0); u ~ v is u ^ v in the delta set, as in
+    ``AugmentedCube.adjacent_labels``; and x, y are cross-twins,
+    {h(x), c(x)} = {h(y), c(y)}, exactly when x ^ y = half ^ full.
     """
     (_, p, z), a = _least_translate(labels)
-    half = 1 << (n - 1)
+    half = h_label(0, n)
     if z < half:
         return CaseTag(Case.CASE1, a)
-    full = (1 << n) - 1
+    full = c_label(0, n)
     deltas = delta_set(n)
     x, y = (p, 0) if z ^ p in (half, full) else (0, p)
-    twins = x ^ y == half - 1
+    twins = x ^ y == half ^ full
     # z ^ v ^ half and z ^ v ^ full test z against h(v) and c(v)
     zx, zy = z ^ x, z ^ y
 
@@ -299,12 +300,11 @@ def _checked_fan(n: int, d: int) -> _paths.PathSystem:
 
 @contextlib.contextmanager
 def fan_memo():
-    """Join the active memo of checked fans ``_checked_fan(n, d)``, or open
-    one, an LRU cache of at most ``FAN_MEMO_MAX`` fans, that ends when
-    the block that opened it exits, normally or by an exception."""
-    if _fan_memo.get() is not None:
-        yield
-        return
+    """Open a memo of checked fans ``_checked_fan(n, d)``, an LRU cache of
+    at most ``FAN_MEMO_MAX`` fans, that ends when the block exits,
+    normally or by an exception.  A nested block opens a memo of its own
+    and restores the outer one on exit; only ``_run_recipe`` joins an
+    active memo."""
     token = _fan_memo.set(functools.lru_cache(maxsize=FAN_MEMO_MAX)(_checked_fan))
     try:
         yield

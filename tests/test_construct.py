@@ -1089,6 +1089,16 @@ def test_a_construct_inside_fan_memo_joins_it():
     assert construct_mod._fan_memo.get() is None
 
 
+def test_a_nested_fan_memo_opens_its_own_and_restores_the_outer():
+    with construct_mod.fan_memo():
+        outer = construct_mod._fan_memo.get()
+        with construct_mod.fan_memo():
+            inner = construct_mod._fan_memo.get()
+            assert inner is not None and inner is not outer
+        assert construct_mod._fan_memo.get() is outer
+    assert construct_mod._fan_memo.get() is None
+
+
 def test_a_lone_case2_1_2_construct_builds_its_one_fan_once(monkeypatch):
     # the least translate is (0, 01101, 10000) with x = 0 and z = h(x),
     # so the upper fan from z to h(y) has the lower fan's difference
