@@ -268,10 +268,11 @@ def _sweep_classes(args: tuple[int, Sequence[Sequence[int]]]) -> list[tuple[str,
     time."""
     n, canons = args
     g = AugmentedCube(n)
+    new = tuple.__new__
     results = []
     with fan_memo():
         for canon in canons:
-            family = build_family(g, [Vertex(v, n) for v in canon])
+            family = build_family(g, [new(Vertex, (v, n)) for v in canon])
             results.append((family.provenance[0].case.value, len(family.trees)))
     return results
 
@@ -304,17 +305,37 @@ def run_sweep(n: int, triples: Iterable[Sequence[int]], jobs: int = 1) -> list[S
     """A record for every triple, sorted by labels, which are sorted.
     Each translation class is built and verified once, on its least
     translate (0, p, z), and its case and size go to the record of every
-    member, whose labels are sorted((a, p ^ a, z ^ a)) for its mask a.
+    member, whose labels are sorted((a, a ^ p, a ^ z)) for its mask a.
+
+    That order is read off two bits of a, not sorted.  The top bit hz of
+    z lies above the top bit hp of p (``_least_translate``), so a ^ p
+    agrees with a on hz, and a ^ p, a ^ z differ first at hz: a ^ z is
+    the least of the three when a holds hz and the greatest otherwise.
+    Likewise a ^ p is below a exactly when a holds hp.
+
     The list is sorted once, on the labels alone: records with equal
     labels are of one triple, so they are equal, and the order is that
     of sorting whole records.  Each record is made by ``tuple.__new__``,
     which skips the named tuple's Python-level ``__new__``."""
     new = tuple.__new__
-    records = [
-        new(SweepRecord, (tuple(sorted((a, p ^ a, z ^ a))), case, False, size, True))
-        for (_, p, z), masks, case, size in _sweep(n, translation_classes(triples), jobs)
-        for a in masks
-    ]
+    records = []
+    for (_, p, z), masks, case, size in _sweep(n, translation_classes(triples), jobs):
+        hp, hz = 1 << p.bit_length() >> 1, 1 << z.bit_length() >> 1
+        records += [
+            new(
+                SweepRecord,
+                (
+                    ((a ^ z, a ^ p, a) if a & hp else (a ^ z, a, a ^ p))
+                    if a & hz
+                    else ((a ^ p, a, a ^ z) if a & hp else (a, a ^ p, a ^ z)),
+                    case,
+                    False,
+                    size,
+                    True,
+                ),
+            )
+            for a in masks
+        ]
     records.sort(key=itemgetter(0))
     return records
 
@@ -483,6 +504,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not 3 <= n <= MAX_DIM:
         raise ContractViolation(f"sweep needs dimension in 3..{MAX_DIM}")
     if args.exhaustive:
+        # an argparse group would print its usage text, not one error line
+        if args.samples is not None:
+            raise ContractViolation("give either --exhaustive or --samples N, not both")
         if n > 5 and not args.force:
             raise ContractViolation("exhaustive sweep above dimension 5 needs --force")
         if (members := math.comb(1 << n, 3)) > SWEEP_MAX_TRIPLES:

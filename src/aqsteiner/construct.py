@@ -32,7 +32,8 @@ the least translate straddles the two half-copies:
   Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
   below 2^(n-1)), built by induction on the dimension down to a flow
   search of AQ_4, checked once inside the lower half-copy, then
-  translated by x into x's half-copy.
+  translated by x into x's half-copy; the splice's upper fan is moved
+  by z only along the part of each path that a tree takes.
 
 The fan from 0 to d is the pure function ``paths.fan(n - 1, d)``, so a
 sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
@@ -64,6 +65,7 @@ result; a rejected family is a bug and raises ``InternalError``.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import functools
@@ -154,8 +156,12 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
     terms = list(terminals)
     if len(terms) != 3:
         raise ContractViolation(f"exactly 3 targets required, got {len(terms)}")
+    n, order = g.dim, 1 << g.dim
     for t in terms:
-        g.check_vertex(t)
+        # only a target that fails the range test calls the check that
+        # names its fault
+        if t.dim != n or not 0 <= t.bits < order:
+            g.check_vertex(t)
     labels = tuple(sorted(t.bits for t in terms))
     if len(set(labels)) != 3:
         raise ContractViolation("targets must be distinct")
@@ -176,7 +182,11 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     differences xor to 0, so d3 = d1 ^ d2: a least translate (0, p, z)
     has p < z < p ^ z, and every such triple is one.  Hence an upper z
     forces a lower p, since an upper p would make p ^ z lower than z: at
-    most one label of the least translate is upper, the last.
+    most one label of the least translate is upper, the last.  More
+    generally hb(p) < hb(z), for hb the highest set bit: z < p ^ z says
+    that z lacks hb(p), and then p < z needs a bit of z above hb(p).  So
+    a member (a, a ^ p, a ^ z) of the class is sorted by the two bits
+    a & hb(z) and a & hb(p) alone (``cli.run_sweep``).
 
     So the result is written down, not searched or sorted: a's two
     differences are d1 and d2, in order by one comparison."""
@@ -201,10 +211,10 @@ def translation_classes(triples: Iterable[Sequence[int]]) -> list[tuple[tuple[in
     """The label triples grouped by least translate in one pass, in order
     of first appearance: (canon, masks), each triple being
     sorted(v ^ a for v in canon) for its a in masks."""
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: collections.defaultdict[tuple[int, ...], list[int]] = collections.defaultdict(list)
     for labels in triples:
         canon, a = _least_translate(labels)
-        classes.setdefault(canon, []).append(a)
+        classes[canon].append(a)
     return list(classes.items())
 
 
@@ -229,7 +239,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     (_, p, z), a = _least_translate(labels)
     half = h_label(0, n)
     if z < half:
-        return CaseTag(Case.CASE1, a)
+        return tuple.__new__(CaseTag, (Case.CASE1, a, None))
     full = c_label(0, n)
     deltas = delta_set(n)
     x, y = (p, 0) if z ^ p in (half, full) else (0, p)
@@ -238,7 +248,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     zx, zy = z ^ x, z ^ y
 
     def mk(case: Case) -> CaseTag:
-        return CaseTag(case, a, (x, y, z))
+        return tuple.__new__(CaseTag, (case, a, (x, y, z)))
 
     if zx == half or zx == full:
         if twins:
@@ -336,7 +346,9 @@ def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
         raise InternalError(str(exc)) from exc
 
 
-_Edges = set[tuple[int, int]]
+# a recipe's tree: the frozenset that ``_assemble`` keeps as it is when
+# the targets were their own least translate
+_Edges = frozenset[tuple[int, int]]
 
 
 def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
@@ -347,16 +359,17 @@ def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     yi ^ lift, with lift = y ^ z, a cross-matching mask."""
     P = _pin(_system(g, x, y), [x])
     centre, lift = x ^ y ^ z, y ^ z
-    trees: list[_Edges] = [{_edge(x, centre), _edge(y, centre), _edge(z, centre)}]
+    trees = [frozenset([_edge(x, centre), _edge(y, centre), _edge(z, centre)])]
     for p in P.paths[1:]:
         yi = p[-2]
-        trees.append({*path_edges(p), _edge(yi, yi ^ lift), _edge(yi ^ lift, z)})
+        trees.append(frozenset([*path_edges(p), _edge(yi, yi ^ lift), _edge(yi ^ lift, z)]))
     return trees
 
 
-def _splice_image(g: AugmentedCube, x: int, y: int, z: int) -> Callable[[int, int], int]:
-    """The matching img of the grid splice, whose anchor is y: ``c_label``
-    when x ~ y and z = h(x), and ``h_label`` otherwise.
+def _splice_image(g: AugmentedCube, x: int, y: int, z: int) -> int:
+    """The xor mask of the matching img of the grid splice, whose anchor
+    is y: full = c(0), the ``c_label`` mask, when x ~ y and z = h(x), and
+    half = h(0), the ``h_label`` mask, otherwise; img(v) is v ^ mask.
 
     It meets the splice's two premises.  img(y) != z: the dispatch hands
     any partner target to x, so z partners y only when x and y are the
@@ -364,36 +377,42 @@ def _splice_image(g: AugmentedCube, x: int, y: int, z: int) -> Callable[[int, in
     too.  img(x) != z when x ~ y: z = h(x) is exactly when h would fail,
     and c(x) != h(x)."""
     n = g.dim
-    return c_label if z == h_label(x, n) and g.adjacent_labels(x, y) else h_label
+    half = h_label(0, n)
+    return c_label(0, n) if z == x ^ half and x ^ y in delta_set(n) else half
 
 
 def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     """The grid splice, the recipe of every Case2 branch but the star:
     the lower fan P from x to the anchor y, and the upper fan Q from z to
-    img(y), for the matching img of ``_splice_image``.
+    img(y) = y ^ mask, for the mask of ``_splice_image``.
 
     Q is pinned so that its path i ends through img(nb_i), the image of
-    P's sink neighbour nb_i; tree i is P_i, the matching edge
-    nb_i-img(nb_i) and Q_i less its last edge.  When x and y are
-    adjacent, P is pinned so that P_0 is the edge between them, and pair
-    0 gives way to the first tree: Q_0 and the two partner edges.  In
-    Case2_1_2 with z = h(x) both fans have the difference x ^ y, so Q's
-    fan is a memo hit."""
-    n = g.dim
-    img = _splice_image(g, x, y, z)
-    adjacent = int(g.adjacent_labels(x, y))
+    P's sink neighbour nb_i; tree i is the walk x ... nb_i, img(nb_i) ...
+    z, that is P_i less y and then Q_i less img(y), backwards, plus the
+    edge nb_i-y.  Q is the memo's own fan from 0 to z ^ img(y), left
+    unmoved: it is pinned by nb_i ^ z ^ mask, and only the part of each
+    path that the walk takes is moved by z.  When x and y are adjacent,
+    P is pinned so that P_0 is the edge between them, and tree 0 is the
+    walk y, img(y), img(x) ... z, Q_0 backwards, plus the partner edge
+    x-img(x).  In Case2_1_2 with z = h(x) both fans have the difference
+    x ^ y, so Q's fan is a memo hit."""
+    mask = _splice_image(g, x, y, z)
+    zm = z ^ mask
     P = _system(g, x, y)
-    Q = _system(g, z, img(y, n))
+    adjacent = int(x ^ y in delta_set(g.dim))
     if adjacent:
         P = _pin(P, [x])
-    y_nb = [p[-2] for p in P.paths]
-    Q = _pin(Q, [img(v, n) for v in y_nb])
-    trees = [
-        {*path_edges(P.paths[i]), *path_edges(Q.paths[i][:-1]), _edge(y_nb[i], img(y_nb[i], n))}
-        for i in range(adjacent, len(P.paths))
-    ]
+    Q = _pin(_system(g, 0, y ^ zm), [p[-2] ^ zm for p in P.paths])
+    move = z.__xor__
+    trees = []
     if adjacent:
-        trees.insert(0, {*path_edges(Q.paths[0]), _edge(x, img(x, n)), _edge(y, img(y, n))})
+        edges = path_edges((y, *map(move, Q.paths[0][::-1])))
+        edges.append(_edge(x, x ^ mask))
+        trees.append(frozenset(edges))
+    for p, q in zip(P.paths[adjacent:], Q.paths[adjacent:]):
+        edges = path_edges((*p[:-1], *map(move, q[-2::-1])))
+        edges.append(_edge(p[-2], y))
+        trees.append(frozenset(edges))
     return trees
 
 
@@ -417,15 +436,20 @@ def _assemble(
 ) -> TreeFamily:
     """Translate label edges built on the least translate back to the
     caller's labels by ``provenance[0].transform``.  Only S is in
-    ``Vertex``."""
+    ``Vertex``.  The named tuples are made by ``tuple.__new__``, which
+    skips their Python-level ``__new__``."""
     n = g.dim
     a = provenance[0].transform
-    return TreeFamily(
-        n,
-        frozenset([Vertex(v, n) for v in labels]),
-        tuple([SteinerTree(_translate(edges, a)) for edges in trees]),
-        provenance,
-        False,
+    new = tuple.__new__
+    return new(
+        TreeFamily,
+        (
+            n,
+            frozenset([new(Vertex, (v, n)) for v in labels]),
+            tuple([new(SteinerTree, (_translate(edges, a),)) for edges in trees]),
+            provenance,
+            False,
+        ),
     )
 
 

@@ -136,15 +136,19 @@ def verify_family(g: AugmentedCube, family, *, size: int | None = None) -> Verif
     no violation, and gets the one shared accepted report; ``_report``
     writes the violations only when it fails.
     """
+    n, order = g.dim, g.order
     terminals = set()
     for t in family.terminals:
-        g.check_vertex(t)
+        # only a target that fails the range test calls the check that
+        # names its fault
+        if t.dim != n or not 0 <= t.bits < order:
+            g.check_vertex(t)
         terminals.add(t.bits)
     trees = family.trees
     if (
         len(terminals) == 3
         and (size is None or len(trees) == size)
-        and _accepts(trees, terminals, g.order, delta_set(g.dim))
+        and _accepts(trees, terminals, order, delta_set(n))
     ):
         return _ACCEPTED
     return _report(g, terminals, trees, size)

@@ -597,6 +597,10 @@ USAGE_ERRORS = {
     "oracle-budget-0": ("oracle -n 3 -S 001,010,100 --budget 0", "budget must be positive"),
     "paths-k-0": ("paths -n 4 -u 0000 -v 1111 -k 0", "at least one path"),
     "sweep-no-samples": ("sweep -n 3", "either --exhaustive or --samples N"),
+    "sweep-exhaustive-and-samples": (
+        "sweep -n 5 --exhaustive --samples 3",
+        "give either --exhaustive or --samples N, not both",
+    ),
     "sweep-dim-2": ("sweep -n 2 --samples 1", "sweep needs dimension in 3..62"),
     "sweep-exhaustive-unforced": ("sweep -n 6 --exhaustive", "exhaustive sweep above dimension 5 needs --force"),
     "sweep-exhaustive-over-cap": ("sweep -n 9 --exhaustive --force", "exhaustive sweep verifies at most 2763520 triples"),

@@ -305,8 +305,8 @@ def test_every_branch_builds_and_verifies_at_large_dimension(n):
 
 
 def _splice_roles(n, labels):
-    """The grid splice's roles (x, y, z) and matching for a triple, or None
-    when the dispatch runs no grid splice (Case1, the Case2_1_1 star)."""
+    """The grid splice's roles (x, y, z) and matching mask for a triple, or
+    None when the dispatch runs no grid splice (Case1, the Case2_1_1 star)."""
     tag = _dispatch(n, labels)
     if tag.case in (Case.CASE1, Case.CASE2_1_1):
         return None
@@ -324,10 +324,10 @@ def test_splice_image_meets_both_premises(n):
         found = _splice_roles(n, labels)
         if found is None:
             continue
-        tag, img = found
+        tag, mask = found
         x, y, z = tag.roles
-        assert img(y, n) != z, (labels, tag)
-        assert not adj(x, y) or img(x, n) != z, (labels, tag)
+        assert y ^ mask != z, (labels, tag)
+        assert not adj(x, y) or x ^ mask != z, (labels, tag)
         checked += 1
     assert checked >= 40
 
@@ -337,19 +337,80 @@ def test_splice_takes_c_exactly_on_case2_1_3(n):
     # every (a, b) of x = 0, y = a, z = half | b, so every relation type:
     # c exactly when z = h(x) and x ~ y, the Case2_1_3 triples whose z is
     # x's bit-keeping partner; Case2_1_3 with z = c(x) takes h
-    half = 1 << (n - 1)
+    half, full = 1 << (n - 1), (1 << n) - 1
     taken = collections.Counter()
     for a in range(1, half):
         for b in range(half):
             found = _splice_roles(n, (0, a, half | b))
             if found is not None:
-                tag, img = found
+                tag, mask = found
                 x, y, z = tag.roles
                 c_wanted = z == h_label(x, n) and AugmentedCube(n).adjacent_labels(x, y)
-                assert (img is c_label) == c_wanted, (a, b, tag)
-                assert img is h_label or tag.case is Case.CASE2_1_3, (a, b, tag)
-                taken[img.__name__, tag.case is Case.CASE2_1_3] += 1
-    assert set(taken) == {("c_label", True), ("h_label", True), ("h_label", False)}
+                assert mask in (half, full), (a, b, tag)
+                assert (mask == full) == c_wanted, (a, b, tag)
+                assert mask == half or tag.case is Case.CASE2_1_3, (a, b, tag)
+                taken[mask == full, tag.case is Case.CASE2_1_3] += 1
+    assert set(taken) == {(True, True), (False, True), (False, False)}
+
+
+def _reference_grid(fan, n, x, y, z):
+    """The grid splice's trees built in three pieces from ``fan(m, d)``:
+    the fans from x to y and from z to img(y), both moved by their
+    source, img the partner map ``c_label`` when x ~ y and z = h(x) and
+    ``h_label`` otherwise; tree i is P_i, Q_i less its last edge and the
+    matching edge nb_i-img(nb_i), and for adjacent x and y the tree
+    Q_0 + x-img(x) + y-img(y) comes first."""
+    edges = paths_mod.path_edges
+    adjacent = AugmentedCube(n).adjacent_labels(x, y)
+    img = c_label if z == h_label(x, n) and adjacent else h_label
+    P = paths_mod.map_path_system(lambda v: v ^ x, fan(n - 1, x ^ y))
+    Q = paths_mod.map_path_system(lambda v: v ^ z, fan(n - 1, z ^ img(y, n)))
+    if adjacent:
+        P = paths_mod.reorder_paths(P, [x])
+    nbs = [p[-2] for p in P.paths]
+    Q = paths_mod.reorder_paths(Q, [img(v, n) for v in nbs])
+    trees = [
+        {*edges(P.paths[i]), *edges(Q.paths[i][:-1]), undirected(nbs[i], img(nbs[i], n))}
+        for i in range(int(adjacent), len(P.paths))
+    ]
+    if adjacent:
+        trees.insert(0, {*edges(Q.paths[0]), undirected(x, img(x, n)), undirected(y, img(y, n))})
+    return [frozenset(t) for t in trees]
+
+
+def _grid_roles(n, triples):
+    tags = [_dispatch(n, labels) for labels in triples]
+    return [tag.roles for tag in tags if tag.case not in (Case.CASE1, Case.CASE2_1_1)]
+
+
+def _seeded_grid_roles(n, count, rng):
+    roles = []
+    while len(roles) < count:
+        roles += _grid_roles(n, [rng.sample(range(1 << n), 3)])
+    return roles
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, "8..62"])
+def test_grid_splice_walks_equal_the_three_piece_trees(n):
+    # tree by tree, in order: every grid class at n = 5..7, where both
+    # adjacencies of x and y and both matchings occur, and three seeded
+    # grid triples at each n = 8..62
+    if n == "8..62":
+        rng = random.Random(4407)
+        cases = [(m, _seeded_grid_roles(m, 3, rng)) for m in range(8, 63)]
+    else:
+        cases = [(n, _grid_roles(n, construct_mod.least_translates(n)))]
+    fan = functools.lru_cache(maxsize=None)(paths_mod.fan)
+    adjacent = matchings = 0
+    for m, roles in cases:
+        g = AugmentedCube(m)
+        with construct_mod.fan_memo():
+            for x, y, z in roles:
+                assert construct_mod._recipe_grid(g, x, y, z) == _reference_grid(fan, m, x, y, z), (m, x, y, z)
+                adjacent += g.adjacent_labels(x, y)
+                matchings += _splice_image(g, x, y, z) == (1 << m) - 1
+    if n != "8..62":
+        assert 0 < matchings < adjacent < len(cases[0][1])
 
 
 def test_sampled_sweep_at_dim_62():
@@ -463,6 +524,26 @@ def test_construct_rejects_bad_inputs():
         construct(g, vs("000", "000", "001"))
     with pytest.raises(ContractViolation):
         construct(AugmentedCube(2), vs("00", "01", "11"))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Vertex(1, 4), "vertex dimension 4 does not match cube dimension 3"),
+        (Vertex(8, 3), "label 8 out of range for dimension 3"),
+        (Vertex(-1, 3), "label -1 out of range for dimension 3"),
+    ],
+)
+def test_a_target_outside_the_cube_names_its_fault(bad, message):
+    # construct, classify and the verifier test the range inline and call
+    # AugmentedCube.check_vertex only for a target that fails it
+    def verify(g, targets):
+        return verify_family(g, TreeFamily(3, frozenset(targets), (), (), False))
+
+    g = AugmentedCube(3)
+    for check in (construct, classify, verify):
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            check(g, [Vertex(0, 3), Vertex(1, 3), bad])
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +950,38 @@ def test_run_sweep_equals_the_per_member_records(n, triples):
     assert records == expected
     assert all(type(r) is cli.SweepRecord for r in records)
     assert len(records) == len(triples)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_least_translates_put_the_top_bit_of_z_above_that_of_p(n):
+    # hb(p) < hb(z), on which run_sweep orders a member's labels
+    assert all(p.bit_length() < z.bit_length() for _, p, z in construct_mod.least_translates(n))
+
+
+def _member_label_inputs():
+    """(n, triples): every triple at n = 3..6, so every (class, mask),
+    and at each n = 7..62 the members (a, a ^ p, a ^ z), unsorted, of
+    2,000 seeded (class, mask) pairs."""
+    rng = random.Random(4411)
+    cases = [(n, cli.all_triples(n)) for n in range(3, 7)]
+    for n in range(7, 63):
+        members = []
+        for _ in range(2000):
+            (_, p, z), _ = _least_translate(rng.sample(range(1 << n), 3))
+            a = rng.randrange(1 << n)
+            members.append((a, a ^ p, a ^ z))
+        cases.append((n, members))
+    return cases
+
+
+def test_run_sweep_orders_member_labels_by_two_mask_bits(monkeypatch):
+    # the classes' constructs are stood in for, so only the grouping and
+    # the member labels are run: each record's labels are its triple's,
+    # sorted, as tuple(sorted((a, a ^ p, a ^ z))) gives them
+    monkeypatch.setattr(cli, "_sweep_classes", lambda args: [("stand-in", 0)] * len(args[1]))
+    for n, triples in _member_label_inputs():
+        records = cli.run_sweep(n, triples)
+        assert [r.labels for r in records] == sorted(tuple(sorted(t)) for t in triples), n
 
 
 def test_sweep_summary_equals_the_per_record_fold():

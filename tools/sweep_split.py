@@ -1,0 +1,141 @@
+"""Time the phases of an exhaustive n = 5 sweep in two checkouts.
+
+    python3 tools/sweep_split.py PARENT CHANGE
+
+Each checkout times one pass of ``cli.run_sweep(5, triples)`` over every
+n = 5 triple, shuffled by a fixed seed, in a child process that imports
+that checkout's ``src/``.  The pass is split into its four phases, each
+run on the output of the one before:
+
+- ``classes``: ``construct.translation_classes(triples)``;
+- ``constructs``: ``cli._sweep_classes``, one verified construct per
+  least translate inside one fan memo;
+- ``records``: ``cli.run_sweep`` with ``translation_classes`` and
+  ``_sweep_classes`` answered from the two phases above, so it times the
+  expansion into one record per member and the sort;
+- ``summary``: ``cli.sweep_summary`` over those records.
+
+``run_sweep`` is the whole pass, unsplit.  A child first runs one
+untimed pass, which fills the process-level caches (the base families,
+the small-cube path systems) as a running sweep has them, then takes
+each phase ``BEST_OF`` times and keeps the least time.  There are
+``ROUNDS`` children per checkout, the two checkouts taking turns in an
+order swapped every round, so neither side gains from running first or
+in a quieter stretch.  Per checkout the tool prints one table: each
+phase's least and median time over the rounds, in milliseconds.  The
+split pass must build the records of the whole pass, and the two
+checkouts the same records: the exit status is 1 when they do not, and
+2 for a bad argument.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+
+N = 5
+SEED = 2024
+ROUNDS = 10
+BEST_OF = 7
+PHASES = ("classes", "constructs", "records", "summary", "run_sweep")
+
+
+def _best(fn, *args) -> tuple[float, object]:
+    """The least of ``BEST_OF`` timed calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(BEST_OF):
+        gc.collect()
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _run_child(checkout: str) -> None:
+    """Time each phase against ``checkout/src`` and print one JSON
+    document: the module path imported, the least seconds per phase,
+    and a digest of the records."""
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    from aqsteiner import cli, construct
+
+    triples = cli.all_triples(N)
+    random.Random(SEED).shuffle(triples)
+    cli.run_sweep(N, triples)
+    times = {}
+    times["classes"], classes = _best(construct.translation_classes, triples)
+    times["constructs"], results = _best(cli._sweep_classes, (N, [canon for canon, _ in classes]))
+    grouping, building = cli.translation_classes, cli._sweep_classes
+    cli.translation_classes, cli._sweep_classes = (lambda _: classes), (lambda _: results)
+    try:
+        times["records"], records = _best(cli.run_sweep, N, triples)
+    finally:
+        cli.translation_classes, cli._sweep_classes = grouping, building
+    times["summary"], _ = _best(cli.sweep_summary, N, records)
+    times["run_sweep"], whole = _best(cli.run_sweep, N, triples)
+    if whole != records:
+        sys.exit("the split pass and the whole pass built different records")
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    json.dump({"module": cli.__file__, "times": times, "digest": digest}, sys.stdout)
+
+
+def _collect(checkout: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", checkout],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: child failed with exit {proc.returncode}\n{proc.stderr}")
+    doc = json.loads(proc.stdout)
+    if not os.path.realpath(doc["module"]).startswith(os.path.realpath(checkout) + os.sep):
+        sys.exit(f"{checkout}: imported {doc['module']}, not the checkout's own src/")
+    return doc
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", nargs="?", help="checkout of the change")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        _run_child(os.path.abspath(args.parent))
+        return 0
+    if args.change is None:
+        parser.error("two checkouts are needed: PARENT CHANGE")
+    checkouts = [os.path.abspath(args.parent), os.path.abspath(args.change)]
+    for checkout in checkouts:
+        if not os.path.isfile(os.path.join(checkout, "src", "aqsteiner", "cli.py")):
+            parser.error(f"{checkout} has no src/aqsteiner/cli.py")
+    times: list[dict[str, list[float]]] = [{phase: [] for phase in PHASES} for _ in checkouts]
+    digests: list[set[str]] = [set() for _ in checkouts]
+    order = [0, 1]
+    for _ in range(ROUNDS):
+        for i in order:
+            doc = _collect(checkouts[i])
+            for phase in PHASES:
+                times[i][phase].append(doc["times"][phase] * 1e3)
+            digests[i].add(doc["digest"])
+        order.reverse()
+    print(f"n = {N}, seed {SEED}: least of {BEST_OF} per child, {ROUNDS} children per checkout, ms")
+    for checkout, table in zip(checkouts, times):
+        print(f"\n{checkout}")
+        print(f"  {'phase':<12}{'least':>9}{'median':>9}")
+        for phase in PHASES:
+            print(f"  {phase:<12}{min(table[phase]):>9.2f}{statistics.median(table[phase]):>9.2f}")
+    same = len(digests[0] | digests[1]) == 1
+    print(f"\nrecords {'identical' if same else 'DIFFER'} between the checkouts")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
