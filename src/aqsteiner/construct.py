@@ -40,16 +40,15 @@ sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
 builds it and checks it against the lower half-copy of AQ_n, where it
 lives.  Translation by a label x is an automorphism of the Cayley
 graph AQ_n that maps the lower half-copy onto x's, so the one check
-covers every translate, and translates are not checked again.  Every
-fan a recipe uses comes from the active ``fan_memo()``, an LRU cache
-of at most ``FAN_MEMO_MAX`` checked, untranslated fans keyed by
-(n, d): a sweep batch enters one for all its constructs, and a lone
-construct's recipe opens its own, which ends with the recipe.  So each
-fan is checked once per memo miss, and Case2_1_2 with z = h(x), whose
-two fans share d, builds and checks its one fan once.  Every family
-still passes the verifier.  The base families are likewise the pure function
-``_base_trees`` of the least translate, cached for the life of the
-process.  A sweep names each translation class by its least translate
+covers every translate, and translates are not checked again.  A sweep
+batch opens one ``fan_memo()``, an LRU cache of at most
+``FAN_MEMO_MAX`` checked, untranslated fans keyed by (n, d), for all
+its constructs, and every fan a recipe uses comes from it; a lone
+construct builds its fans directly.  A recipe takes each fan it needs
+once: Case2_1_2 with z = h(x), whose two fans share d, hands the lower
+fan itself to the upper side.  Every family still passes the verifier.
+The base families are likewise the pure function ``_base_trees`` of
+the least translate, cached for the life of the process.  A sweep names each translation class by its least translate
 and the masks a of its members canon ^ a: every least translate with
 all 2^n masks (``least_translates``), or the triples of a sample
 grouped once (``translation_classes``).  It calls ``construct`` on the
@@ -312,9 +311,10 @@ def _checked_fan(n: int, d: int) -> _paths.PathSystem:
 def fan_memo():
     """Open a memo of checked fans ``_checked_fan(n, d)``, an LRU cache of
     at most ``FAN_MEMO_MAX`` fans, that ends when the block exits,
-    normally or by an exception.  A nested block opens a memo of its own
-    and restores the outer one on exit; only ``_run_recipe`` joins an
-    active memo."""
+    normally or by an exception.  ``_system`` takes every fan from the
+    open memo; a nested block opens a memo of its own and restores the
+    outer one on exit.  A sweep batch (``cli._sweep_classes``) opens the
+    one memo of its constructs."""
     token = _fan_memo.set(functools.lru_cache(maxsize=FAN_MEMO_MAX)(_checked_fan))
     try:
         yield
@@ -325,12 +325,13 @@ def fan_memo():
 def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
     """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
     of src and dst (they share their leading bit): ``_checked_fan(n,
-    src ^ dst)`` from the active ``fan_memo()``, translated by src.  The
-    translation is an automorphism that maps the lower half-copy onto
-    src's, so the fan's one check covers it.  For src = 0 it is the
-    identity, and the memo's fan itself is returned: a ``PathSystem``
-    holds only tuples, and ``_pin`` builds a new one."""
-    res = _fan_memo.get()(g.dim, src ^ dst)
+    src ^ dst)``, from the open ``fan_memo()`` or built directly outside
+    one, translated by src.  The translation is an automorphism that
+    maps the lower half-copy onto src's, so the fan's one check covers
+    it.  For src = 0 it is the identity, and the checked fan itself is
+    returned: a ``PathSystem`` holds only tuples, and ``_pin`` builds a
+    new one."""
+    res = (_fan_memo.get() or _checked_fan)(g.dim, src ^ dst)
     if not src:
         return res
     # int.__xor__ translates in C, with no Python frame per vertex
@@ -394,15 +395,17 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     path that the walk takes is moved by z.  When x and y are adjacent,
     P is pinned so that P_0 is the edge between them, and tree 0 is the
     walk y, img(y), img(x) ... z, Q_0 backwards, plus the partner edge
-    x-img(x).  In Case2_1_2 with z = h(x) both fans have the difference
-    x ^ y, so Q's fan is a memo hit."""
+    x-img(x).  The lower fan is taken once, unmoved, and P is it moved
+    by x.  When zm = z ^ mask is x, as in Case2_1_2 with z = h(x), both
+    fans have the difference x ^ y, and Q is pinned from that same fan."""
     mask = _splice_image(g, x, y, z)
     zm = z ^ mask
-    P = _system(g, x, y)
+    lower = _system(g, 0, x ^ y)
+    P = _paths.map_path_system(x.__xor__, lower) if x else lower
     adjacent = int(x ^ y in delta_set(g.dim))
     if adjacent:
         P = _pin(P, [x])
-    Q = _pin(_system(g, 0, y ^ zm), [p[-2] ^ zm for p in P.paths])
+    Q = _pin(lower if zm == x else _system(g, 0, y ^ zm), [p[-2] ^ zm for p in P.paths])
     move = z.__xor__
     trees = []
     if adjacent:
@@ -414,18 +417,6 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
         edges.append(_edge(p[-2], y))
         trees.append(frozenset(edges))
     return trees
-
-
-def _run_recipe(g: AugmentedCube, tag: CaseTag) -> list[_Edges]:
-    """Run the recipe of a Case2 tag in the active ``fan_memo()``; a lone
-    construct, outside any memo, opens one for its recipe alone."""
-    if _fan_memo.get() is None:
-        with fan_memo():
-            return _run_recipe(g, tag)
-    x, y, z = tag.roles
-    if tag.case is Case.CASE2_1_1:
-        return _recipe_2_1_1(g, x, y, z)
-    return _recipe_grid(g, x, y, z)
 
 
 def _assemble(
@@ -580,24 +571,27 @@ def construct(
     Dimensions 3 and 4 are searched exhaustively; higher dimensions go
     through the case dispatch and its written recipe (Case1 recurses
     through this function, one call per dimension).  The recipe takes
-    its fans from the active ``fan_memo()``, or from its own when none
-    is active, so a lone Case2_1_2 construct with z = h(x), whose lower
+    its fans from the sweep batch's ``fan_memo()`` when one is open and
+    builds them directly otherwise; either way it takes each fan it
+    needs once, so a lone Case2_1_2 construct with z = h(x), whose lower
     and upper fans are both the fan to x ^ y, builds one fan.
     The result passes the independent verifier exactly once, here; a
     rejected or short family raises ``InternalError``.  ``fidelity`` lays each Case1
     quarter tree along the quarter's labels in counting order, a spanning
     path of 2^(dim-2) vertices.
     """
-    labels = _validate_terminals(g, terminals)
     n = g.dim
     if n <= 4:
-        family = base_case_search(g, [Vertex(a, n) for a in labels], target_family_size(n))
+        # the base search validates the targets itself, with the same messages
+        family = base_case_search(g, terminals, target_family_size(n))
     else:
+        labels = _validate_terminals(g, terminals)
         tag = _dispatch(n, labels)
         if tag.case is Case.CASE1:
             family = _construct_case1(g, labels, tag, fidelity)
         else:
-            family = _assemble(g, labels, _run_recipe(g, tag), (tag,))
+            recipe = _recipe_2_1_1 if tag.case is Case.CASE2_1_1 else _recipe_grid
+            family = _assemble(g, labels, recipe(g, *tag.roles), (tag,))
     _check(g, family)
     return family
 

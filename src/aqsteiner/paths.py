@@ -346,22 +346,18 @@ def _reflect(m: int, v: int) -> int:
 
 def fan(m: int, d: int) -> PathSystem:
     """The full fan of 2m - 1 disjoint paths from 0 to d in AQ_m (m >= 4).
-    At m = 4 it is the flow's checked system from ``disjoint_paths``
-    itself, whose paths already run in ascending order; above it, the
-    words of ``_fan_words`` walked from 0, sorted."""
+    At m = 4 it is the flow's checked system from ``disjoint_paths`` on
+    the whole cube, whose paths already run in ascending order, and a
+    flow short of full raises ``AssertionError``; above it, the words of
+    ``_fan_words`` walked from 0, sorted."""
     if m <= 4:
-        return _base_fan(m, d)
+        res = disjoint_paths(AugmentedCube(m).view(), 0, d, 2 * m - 1)
+        if isinstance(res, MinCut):
+            raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {d:0{m}b}")
+        return res
     # every path ends in the one int d: about 4 KiB less per m = 61 fan
     paths = sorted((*itertools.accumulate(w[:-1], operator.xor, initial=0), d) for w in _fan_words(m, d))
     return PathSystem(0, d, tuple(paths))
-
-
-def _base_fan(m: int, d: int) -> PathSystem:
-    """The flow's full fan from 0 to d in the whole of AQ_m, m <= 4."""
-    res = disjoint_paths(AugmentedCube(m).view(), 0, d, 2 * m - 1)
-    if isinstance(res, MinCut):
-        raise AssertionError(f"AQ_{m} admits only {res.size} disjoint paths to {d:0{m}b}")
-    return res
 
 
 def _fan_words(m: int, d: int) -> list[list[int]]:
@@ -369,11 +365,11 @@ def _fan_words(m: int, d: int) -> list[list[int]]:
     on m: bit m - 1 splits AQ_m into two copies of AQ_(m-1), and each level
     edits the lower fan's words in place and adds two through the upper
     copy (README, "Why every fan is full").  AQ_4 is searched by the flow
-    (``_base_fan``), the base of the induction.  Gray coordinates decide
+    (``fan``), the base of the induction.  Gray coordinates decide
     only the branch tests and the reflection (``_word`` has the
     dictionary)."""
     if m <= 4:
-        return [list(map(operator.xor, p, p[1:])) for p in _base_fan(m, d).paths]
+        return [list(map(operator.xor, p, p[1:])) for p in fan(m, d).paths]
     top, e2, e3 = (1 << m) - 1, (1 << (m - 1)) - 1, (1 << (m - 2)) - 1
     upper = d >> (m - 1)
     lo = d ^ top if upper else d

@@ -458,19 +458,13 @@ def oracle_tau(
 
     ground = [v for v in range(g.order) if v not in term_labels]
     index = {v: i for i, v in enumerate(ground)}
-    m = len(ground)
-    adj_mask = [0] * m
-    for v in ground:
-        for w in g.neighbor_labels(v):
-            if w in index:
-                adj_mask[index[v]] |= 1 << index[w]
-    attach_mask = []
-    for t in term_labels:
-        mask = 0
-        for w in g.neighbor_labels(t):
-            if w in index:
-                mask |= 1 << index[w]
-        attach_mask.append(mask)
+
+    def around(v: int) -> int:
+        # the neighbours of v in the ground, as bits of their indices
+        return sum(1 << index[w] for w in g.neighbor_labels(v) if w in index)
+
+    adj_mask = [around(v) for v in ground]
+    attach_mask = [around(t) for t in term_labels]
 
     # hard ceiling: each packed tree consumes a distinct edge at every
     # terminal, and edges between terminals are unusable for |S| >= 3;
@@ -522,7 +516,7 @@ def oracle_tau(
         # a finished search below stop_at proves only that stop_at is out of reach
         upper = best if stop_at is None else min(ceiling, floor)
         exact = best == upper
-    sets = tuple(frozenset(ground[i] for i in range(m) if mask >> i & 1) for mask in witness)
+    sets = tuple(frozenset(v for i, v in enumerate(ground) if mask >> i & 1) for mask in witness)
     return OracleResult(lower=best, upper=upper, exact=exact, nodes_used=nodes, witness=sets)
 
 

@@ -70,6 +70,14 @@ def test_info_values():
     assert json.loads(out)["degree"] == 1
 
 
+def test_info_json_to_a_file_is_what_stdout_gets(tmp_path, capsys):
+    out_path = tmp_path / "info.json"
+    assert main(["info", "-n", "3", "--format", "json", "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["info", "-n", "3", "--format", "json"]) == 0
+    assert out_path.read_text() == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n", range(6, 11))
 def test_info_connectivity_is_exact(n):
     # every fan above n = 4 is full, so the scan over all labels is exact
@@ -579,6 +587,14 @@ def test_dense_sampling_lists_the_triples():
     assert out == "ok\n"
 
 
+def test_dense_sampling_in_process():
+    # 2 * 300 > C(16, 3) = 560, so the n = 4 triples are listed and sampled
+    draw = sample_triples(4, 300, 2)
+    assert draw == sorted(set(draw)) and len(draw) == 300
+    assert set(draw) <= set(all_triples(4))
+    assert draw == sample_triples(4, 300, 2)
+
+
 def test_main_returns_exit_code():
     assert main(["info", "-n", "2"]) == 0
 
@@ -604,6 +620,7 @@ USAGE_ERRORS = {
     "sweep-dim-2": ("sweep -n 2 --samples 1", "sweep needs dimension in 3..62"),
     "sweep-exhaustive-unforced": ("sweep -n 6 --exhaustive", "exhaustive sweep above dimension 5 needs --force"),
     "sweep-exhaustive-over-cap": ("sweep -n 9 --exhaustive --force", "exhaustive sweep verifies at most 2763520 triples"),
+    "sweep-samples-over-cap": ("sweep -n 9 --samples 2763521", "sweep lists at most 2763520 triples"),
     "sweep-samples-0": ("sweep -n 5 --samples 0", "sample count must be in 1..4960"),
     "construct-label-length": ("construct -n 3 -S 000,001,0110", "label '0110' does not have length 3"),
     "construct-label-over-62-bits": (f"construct -n 3 -S 000,001,{'0' * 63}", "label longer than 62 bits"),
@@ -616,6 +633,7 @@ USAGE_ERRORS = {
         "--fidelity on a Case1 triple needs dimension at most 16",
     ),
     "oracle-dim-13": ("oracle -n 13 -S 0,1,10", "oracle needs dimension in 1..12"),
+    "oracle-over-16-unforced": ("oracle -n 5 -S 00000,00001,00010", "oracle beyond 16 vertices needs --force"),
     "paths-dim-63": ("paths -n 63 -u 0 -v 1 -k 1", "paths needs dimension in 1..62"),
 }
 

@@ -1076,12 +1076,26 @@ def test_broken_recipe_exits_1_from_cli(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:")
     # break every Case2 recipe so the sampled sweep meets one at once
-    monkeypatch.setattr(construct_mod, "_run_recipe", lambda g, tag: _broken_recipe(g, 0, 0, 0))
+    monkeypatch.setattr(construct_mod, "_recipe_grid", _broken_recipe)
     assert cli.main(["sweep", "-n", "5", "--samples", "40", "--seed", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("construction failed:")
     # the sweep's fan memo ended with the error
     assert construct_mod._fan_memo.get() is None
+
+
+def test_a_case1_construct_validates_its_targets_once_per_level(monkeypatch):
+    # the n = 4 sub-triple goes straight to the base search, which
+    # validates it; construct does not validate it first
+    seen = []
+    real = construct_mod._validate_terminals
+    monkeypatch.setattr(construct_mod, "_validate_terminals", lambda g, terms: seen.append(g.dim) or real(g, terms))
+    g = AugmentedCube(5)
+    targets = vs("00000", "00001", "00010")
+    assert classify(g, targets).case is Case.CASE1
+    seen.clear()
+    construct(g, targets)
+    assert seen == [5, 4]
 
 
 @pytest.mark.parametrize(
@@ -1163,27 +1177,28 @@ def test_a_broken_fan_raises_where_it_is_built(monkeypatch, joined):
         outer = construct_mod._fan_memo.get()
         with pytest.raises(InternalError, match="leaves the lower half-copy"):
             construct(AugmentedCube(5), vs("00000", "00101", "10000"))
-        # the recipe's own memo ended with the raise; a joined one stays
+        # a lone construct leaves no memo behind; a joined one stays
         assert construct_mod._fan_memo.get() is outer
     assert asked and all(d not in adjacency_deltas(4) for d in asked)
     assert construct_mod._fan_memo.get() is None
 
 
-def test_a_lone_construct_opens_a_memo_for_its_recipe_alone(monkeypatch):
-    memos = []
-    real = construct_mod._system
+def test_a_lone_construct_opens_no_memo_and_pins_q_from_the_lower_fan(monkeypatch):
+    # the least translate is (0, 01101, 10000) with x = 0 and z = h(x),
+    # so zm = x and Q is pinned from the lower fan's own object
+    memos, built, pinned = [], [], []
+    real_fan, real_pin = construct_mod._checked_fan, construct_mod._pin
 
-    def recording(g, src, dst):
+    def building(n, d):
         memos.append(construct_mod._fan_memo.get())
-        return real(g, src, dst)
+        built.append(real_fan(n, d))
+        return built[-1]
 
-    monkeypatch.setattr(construct_mod, "_system", recording)
+    monkeypatch.setattr(construct_mod, "_checked_fan", building)
+    monkeypatch.setattr(construct_mod, "_pin", lambda ps, wanted: pinned.append(ps) or real_pin(ps, wanted))
     construct(AugmentedCube(5), vs("00111", "01010", "10111"))
-    # both fans of the Case2_1_2 recipe come from one memo, which ends
-    # with the recipe
-    assert len(memos) == 2 and memos[0] is memos[1] is not None
-    assert memos[0].cache_info()[:2] == (1, 1)
-    assert construct_mod._fan_memo.get() is None
+    assert memos == [None]
+    assert len(pinned) == 1 and pinned[0] is built[0]
 
 
 def test_a_construct_inside_fan_memo_joins_it():
@@ -1245,7 +1260,7 @@ def test_fan_memo_leaves_certificates_unchanged(monkeypatch, n):
             docs.append(cli.certificate_doc(family, family.provenance[0].case.value))
         return docs
 
-    # one batch memo for every construct, then a memo per recipe
+    # one batch memo for every construct, then every fan built directly
     with construct_mod.fan_memo():
         memoised = certificates()
     searched = len(calls)

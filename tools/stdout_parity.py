@@ -13,7 +13,7 @@ child process, in-process through ``cli.main``, against that checkout's
 - ``construct -n 5`` on each of the 155 least translates (0, p, z),
   0 < p < z < p ^ z, of ``construct.least_translates(5)``: exactly the
   triples whose translation to their least translate is the identity,
-  so the recipe meets the memo's own untranslated fan;
+  so the recipe meets the untranslated checked fan itself;
 - ``paths`` at n = 1..10 with k in {1, n, 2n - 1, 2n}, at n = 1..4
   also with k = 2n + 5, and at n = 16, 33 and 62 with k in
   {2n - 1, 2n}, in all three formats (above n = 4 the paths are fan
