@@ -27,13 +27,12 @@ the least translate straddles the two half-copies:
   cross-twins x, y with z a partner of x get a star through x's other
   partner x ^ y ^ z, which is a partner of y, and 2n - 4 trees that
   climb to z from y's other lower neighbours.
-  A fan is named by its two endpoints alone: they share their leading
-  bit, which fixes the half-copy, and every fan is full, 2n - 3 paths.
-  Each fan is the fan from 0 to d = x ^ y in AQ_(n-1) (AQ_n's deltas
-  below 2^(n-1)), built by induction on the dimension down to a flow
-  search of AQ_4, checked once inside the lower half-copy, then
-  translated by x into x's half-copy; the splice's upper fan is moved
-  by z only along the part of each path that a tree takes.
+  A recipe reads each fan by its difference d alone: ``_fan(n, d)`` is
+  the full fan of 2n - 3 paths from 0 to d in AQ_(n-1) (AQ_n's deltas
+  below 2^(n-1)), built by induction down to a flow search of AQ_4,
+  checked once inside the lower half-copy and never moved.  A recipe
+  moves its lower fan by x, and the splice's upper fan by z only along
+  the part of each path that a tree takes.
 
 The fan from 0 to d is the pure function ``paths.fan(n - 1, d)``, so a
 sweep needs at most 2^(n-1) - 1 distinct fans.  ``_checked_fan(n, d)``
@@ -311,7 +310,7 @@ def _checked_fan(n: int, d: int) -> _paths.PathSystem:
 def fan_memo():
     """Open a memo of checked fans ``_checked_fan(n, d)``, an LRU cache of
     at most ``FAN_MEMO_MAX`` fans, that ends when the block exits,
-    normally or by an exception.  ``_system`` takes every fan from the
+    normally or by an exception.  ``_fan`` takes every fan from the
     open memo; a nested block opens a memo of its own and restores the
     outer one on exit.  A sweep batch (``cli._sweep_classes``) opens the
     one memo of its constructs."""
@@ -322,20 +321,11 @@ def fan_memo():
         _fan_memo.reset(token)
 
 
-def _system(g: AugmentedCube, src: int, dst: int) -> _paths.PathSystem:
-    """The full fan of 2n - 3 disjoint src-dst paths inside the half-copy
-    of src and dst (they share their leading bit): ``_checked_fan(n,
-    src ^ dst)``, from the open ``fan_memo()`` or built directly outside
-    one, translated by src.  The translation is an automorphism that
-    maps the lower half-copy onto src's, so the fan's one check covers
-    it.  For src = 0 it is the identity, and the checked fan itself is
-    returned: a ``PathSystem`` holds only tuples, and ``_pin`` builds a
-    new one."""
-    res = (_fan_memo.get() or _checked_fan)(g.dim, src ^ dst)
-    if not src:
-        return res
-    # int.__xor__ translates in C, with no Python frame per vertex
-    return _paths.map_path_system(src.__xor__, res)
+def _fan(n: int, d: int) -> _paths.PathSystem:
+    """The checked fan ``_checked_fan(n, d)`` from 0 to d, from the open
+    ``fan_memo()`` or built directly outside one, never moved: its one
+    check covers every translate a recipe makes of it."""
+    return (_fan_memo.get() or _checked_fan)(n, d)
 
 
 def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
@@ -355,15 +345,16 @@ _Edges = frozenset[tuple[int, int]]
 def _recipe_2_1_1(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     """The Case2_1_1 star, for cross-twins x, y (x ^ y = 2^(n-1) - 1)
     and z a cross-partner of x.  Tree 0 is the star on x's other partner
-    x ^ y ^ z, which is a partner of y too; each other path of the fan
-    from x to y climbs to z from its last inner vertex yi through
-    yi ^ lift, with lift = y ^ z, a cross-matching mask."""
-    P = _pin(_system(g, x, y), [x])
+    x ^ y ^ z, which is a partner of y too; each path of the fan from x
+    to y but the edge x-y, in fan order, climbs to z from its last inner
+    vertex yi through yi ^ lift, with lift = y ^ z, a cross-matching mask."""
+    P = _paths.map_path_system(x.__xor__, _fan(g.dim, x ^ y))
     centre, lift = x ^ y ^ z, y ^ z
     trees = [frozenset([_edge(x, centre), _edge(y, centre), _edge(z, centre)])]
-    for p in P.paths[1:]:
+    for p in P.paths:
         yi = p[-2]
-        trees.append(frozenset([*path_edges(p), _edge(yi, yi ^ lift), _edge(yi ^ lift, z)]))
+        if yi != x:
+            trees.append(frozenset([*path_edges(p), _edge(yi, yi ^ lift), _edge(yi ^ lift, z)]))
     return trees
 
 
@@ -400,12 +391,12 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     fans have the difference x ^ y, and Q is pinned from that same fan."""
     mask = _splice_image(g, x, y, z)
     zm = z ^ mask
-    lower = _system(g, 0, x ^ y)
+    lower = _fan(g.dim, x ^ y)
     P = _paths.map_path_system(x.__xor__, lower) if x else lower
     adjacent = int(x ^ y in delta_set(g.dim))
     if adjacent:
         P = _pin(P, [x])
-    Q = _pin(lower if zm == x else _system(g, 0, y ^ zm), [p[-2] ^ zm for p in P.paths])
+    Q = _pin(lower if zm == x else _fan(g.dim, y ^ zm), [p[-2] ^ zm for p in P.paths])
     move = z.__xor__
     trees = []
     if adjacent:

@@ -688,6 +688,33 @@ def test_construct_commutes_with_translations(n):
     assert h.hexdigest() == EQUIVARIANCE_DIGESTS[n]
 
 
+# sha256 over the families of ``_gap_dim_triples(n)`` at every n = 21..61
+# but 33 and 45, in order
+GAP_DIMS_DIGEST = "cfe9f2977a33941bef6bb801d9fd62cda719104980f118dd88a9c8f3c77c29c7"
+
+
+def _gap_dim_triples(n):
+    """The two triples of ``cli.sample_triples(n, 2, n)``, then one seeded
+    Case1 triple: three labels below 2^(n-2), so inside one half."""
+    return [*cli.sample_triples(n, 2, n), random.Random(n).sample(range(1 << (n - 2)), 3)]
+
+
+def test_construct_at_the_dimensions_between_20_and_62():
+    # 117 constructs at the dimensions where no other test builds a
+    # certificate, whose families are pinned
+    h = hashlib.sha256()
+    for n in range(21, 62):
+        if n in (33, 45):
+            continue
+        g = AugmentedCube(n)
+        for labels in _gap_dim_triples(n):
+            family = construct(g, [Vertex(v, n) for v in labels])
+            assert len(family.trees) == 2 * n - 3
+            _hash_family(h, family)
+        assert family.provenance[0].case is Case.CASE1
+    assert h.hexdigest() == GAP_DIMS_DIGEST
+
+
 def _least_translates(n):
     """One triple per translation class: the least translates (0, p, z),
     exactly those with 0 < p < z < p ^ z (``_least_translate``),
@@ -766,6 +793,27 @@ def test_one_construct_per_translation_class_covers_every_triple(n):
             _hash_family(h, family)
     assert cases == EXHAUSTIVE_CASES[n]
     assert h.hexdigest() == CLASS_FAMILY_DIGESTS[n]
+
+
+def test_the_recipes_need_only_full_fans(monkeypatch):
+    # phi = hc_swap_label(., n - 1) is an automorphism of AQ_(n-1) that
+    # fixes 0 and is its own inverse (Choudum & Sunitha 2008), so
+    # phi(fan(phi(d))) is a full fan from 0 to d, and a different one
+    # for every d; every class still builds a verified family from it
+    real = construct_mod._checked_fan
+
+    def swapped(n, d):
+        phi = functools.partial(hc_swap_label, dim=n - 1)
+        return paths_mod.map_path_system(phi, real(n, phi(d)))
+
+    monkeypatch.setattr(construct_mod, "_checked_fan", swapped)
+    for n in (5, 6, 7):
+        assert all(swapped(n, d) != real(n, d) for d in range(1, 1 << (n - 1)))
+        g = AugmentedCube(n)
+        for labels in construct_mod.least_translates(n):
+            # construct runs the verifier on its result and raises on a
+            # rejected family
+            assert len(construct(g, [Vertex(v, n) for v in labels]).trees) == 2 * n - 3
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1159,7 +1207,7 @@ def test_sweep_builds_each_fan_once(monkeypatch):
     assert len(calls) > 15
 
 
-@pytest.mark.parametrize("joined", [False, True], ids=["own memo", "joined memo"])
+@pytest.mark.parametrize("joined", [False, True], ids=["no memo", "joined memo"])
 def test_a_broken_fan_raises_where_it_is_built(monkeypatch, joined):
     # x = 00000 and y = 00101 are below, and 0101 is no delta of AQ_4, so
     # the direct step 0-d of the broken fan is a non-edge; the lower
