@@ -47,7 +47,9 @@ construct builds its fans directly.  A recipe takes each fan it needs
 once: Case2_1_2 with z = h(x), whose two fans share d, hands the lower
 fan itself to the upper side.  Every family still passes the verifier.
 The base families are likewise the pure function ``_base_trees`` of
-the least translate, cached for the life of the process.  A sweep names each translation class by its least translate
+the least translate, cached for the life of the process.
+
+A sweep names each translation class by its least translate
 and the masks a of its members canon ^ a: every least translate with
 all 2^n masks (``least_translates``), or the triples of a sample
 grouped once (``translation_classes``).  It calls ``construct`` on the

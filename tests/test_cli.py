@@ -9,12 +9,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import (
+    TOOL_VERSION,
     VERIFY_MAX_BYTES,
     all_triples,
     build_parser,
@@ -124,6 +126,13 @@ def test_certificate_roundtrip_is_lossless():
         fallback_used=False,
     )
     assert certificate_doc(refam, parsed.case) == doc
+
+
+def test_tool_version_is_the_project_version():
+    # certificates print TOOL_VERSION; a bump of one without the other shows here
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert TOOL_VERSION == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

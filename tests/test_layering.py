@@ -8,10 +8,12 @@ labels and never name ``Vertex``, and a ``SteinerTree`` is its label
 edges only.  Everything is read from the source with ``ast``, including
 imports inside functions.
 
-Importing the CLI, and then running a serial sweep, loads none of the
-modules that only some commands need.  That is checked in a fresh
-interpreter, since pytest itself has long since loaded ``dataclasses``
-and ``logging``.
+The package ``__init__`` imports nothing, so each of ``topology``,
+``verify`` and ``paths`` loads, at run time, only the package modules
+that its source imports.  Importing the CLI, and then running a serial
+sweep, loads none of the modules that only some commands need.  Both
+are checked in a fresh interpreter, since pytest itself has long since
+loaded the whole package, ``dataclasses`` and ``logging``.
 """
 
 import ast
@@ -19,6 +21,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import aqsteiner
 
@@ -70,6 +74,9 @@ def test_verify_imports_only_topology():
 def test_topology_imports_nothing_from_the_package():
     assert module_imports("topology") == set()
 
+
+def test_package_init_imports_nothing_from_the_package():
+    assert module_imports("__init__") == set()
 
 
 def names_used(source: str) -> set[str]:
@@ -137,3 +144,26 @@ def test_cli_import_and_serial_sweep_stay_lean():
     assert Path(module).parent == PACKAGE_DIR
     assert at_import == "[]"
     assert after_sweep == "0 []"
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("topology", ["topology"]),
+        ("verify", ["topology", "verify"]),
+        ("paths", ["paths", "topology", "verify"]),
+    ],
+)
+def test_each_import_loads_only_what_it_imports(module, loaded):
+    code = (
+        "import sys\n"
+        f"import aqsteiner.{module} as m\n"
+        "print(m.__file__)\n"
+        "print(sorted(k.split('.')[1] for k in sys.modules if k.startswith('aqsteiner.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    path, modules = proc.stdout.splitlines()
+    assert Path(path).parent == PACKAGE_DIR
+    assert modules == repr(loaded)
