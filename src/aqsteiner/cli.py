@@ -162,24 +162,31 @@ def parse_certificate(doc: dict) -> ParsedCertificate:
         raise ContractViolation("tool id and version must be strings")
     if not isinstance(doc["trees"], list):
         raise ContractViolation("trees must be a list")
+    # a tree that fails the inline test gets its message from
+    # _require_keys, and an edge end that misses the labels already read
+    # gets its check from read_label
+    look = ints.get
+    new = tuple.__new__
     trees = []
     for i, entry in enumerate(doc["trees"]):
-        _require_keys(entry, {"edges"}, f"trees[{i}]")
+        if not (type(entry) is dict and len(entry) == 1 and "edges" in entry):
+            _require_keys(entry, {"edges"}, f"trees[{i}]")
         if not isinstance(entry["edges"], list):
             raise ContractViolation(f"trees[{i}].edges must be a list")
-        edges = set()
+        edges = []
         for pair in entry["edges"]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ContractViolation(f"trees[{i}] has a malformed edge {pair!r}")
             a, b = pair
-            u = ints.get(a) if type(a) is str else None
+            # a list or an object is unhashable, and only a str can hit
+            u = look(a) if type(a) is str else None
             if u is None:
                 u = read_label(a)
-            v = ints.get(b) if type(b) is str else None
+            v = look(b) if type(b) is str else None
             if v is None:
                 v = read_label(b)
-            edges.add((u, v) if u <= v else (v, u))
-        trees.append(SteinerTree(frozenset(edges)))
+            edges.append((u, v) if u <= v else (v, u))
+        trees.append(new(SteinerTree, (frozenset(edges),)))
     return ParsedCertificate(n, terminals, doc["case"], tuple(trees))
 
 

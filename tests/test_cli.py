@@ -184,9 +184,12 @@ def test_parser_rejects_each_bad_label_with_one_message(label):
     doc = certificate_doc(construct(AugmentedCube(4), [parse_vertex(s) for s in ("0000", "0011", "1110")]), "Base4")
     message = re.escape(f"bad vertex label {label!r} for n=4")
     in_s = {**doc, "s": [label, *doc["s"][1:]]}
-    in_edge = json.loads(json.dumps(doc))
-    in_edge["trees"][2]["edges"].append([doc["s"][0], label])
-    for bad in (in_s, in_edge):
+    # the reader looks up the two ends of an edge one after the other
+    in_edge_end = json.loads(json.dumps(doc))
+    in_edge_end["trees"][2]["edges"].append([doc["s"][0], label])
+    in_edge_start = json.loads(json.dumps(doc))
+    in_edge_start["trees"][2]["edges"].append([label, doc["s"][0]])
+    for bad in (in_s, in_edge_end, in_edge_start):
         with pytest.raises(ContractViolation, match=message):
             parse_certificate(bad)
 
@@ -208,6 +211,19 @@ def test_parser_takes_exactly_the_binary_labels_of_length_n():
                 assert not binary and str(exc) == f"bad vertex label {label!r} for n=4"
             else:
                 assert binary and (0, int(label, 2)) in cert.trees[2].edges
+
+
+def test_parser_stores_a_reversed_edge_low_label_first():
+    doc = certificate_doc(construct(AugmentedCube(4), [parse_vertex(s) for s in ("0000", "0011", "1110")]), "Base4")
+    flipped = json.loads(json.dumps(doc))
+    for tree in flipped["trees"]:
+        tree["edges"] = [[b, a] for a, b in tree["edges"]]
+    assert flipped["trees"][0]["edges"][0][0] > flipped["trees"][0]["edges"][0][1]
+    cert = parse_certificate(flipped)
+    assert cert == parse_certificate(doc)
+    assert all(u < v for tree in cert.trees for u, v in tree.edges)
+    flipped["trees"][2]["edges"].append(["1111", "0000"])
+    assert (0b0000, 0b1111) in parse_certificate(flipped).trees[2].edges
 
 
 def test_verify_reports_a_wrong_tree_count(tmp_path):
@@ -667,6 +683,12 @@ BAD_CERTIFICATES = {
     "tree-not-an-object": ({**SMALL_CERT, "trees": [["000", "001"]]}, "trees[0] must be an object"),
     "edges-not-a-list": ({**SMALL_CERT, "trees": [{"edges": "000-001"}]}, "trees[0].edges must be a list"),
     "edge-malformed": ({**SMALL_CERT, "trees": [{"edges": [["000"]]}]}, "trees[0] has a malformed edge ['000']"),
+    "tree-wrong-fields": (
+        {**SMALL_CERT, "trees": [{"edges": [["000", "001"]], "x": 1}]},
+        "trees[0] has wrong fields (unknown: ['x'], missing: [])",
+    ),
+    # a two-character string would unpack into two ends
+    "edge-as-string": ({**SMALL_CERT, "trees": [{"edges": ["01"]}]}, "trees[0] has a malformed edge '01'"),
 }
 USAGE_ERRORS.update(
     (f"verify-{name}", (f"verify {{tmp}}/{name}.json", f"malformed certificate: {fragment}"))

@@ -48,7 +48,9 @@ child process, in-process through ``cli.main``, against that checkout's
   duplicated tree and one tree too few;
 - bad input that exits 2 with one ``error: ...`` line: ``verify`` on
   certificates whose ``n`` is true, 0 or 63, with a bad label, a
-  missing or an extra key, ``trees`` not a list or a malformed edge;
+  missing or an extra key, ``trees`` not a list, a malformed edge, a
+  tree with an extra key, an edge written as a string or a bad label
+  at the first end of an edge;
   ``construct`` and ``paths`` with labels of the wrong length, and
   ``paths`` with u = v.
 
@@ -134,6 +136,9 @@ BAD_CERTIFICATES = {
     "extra-key": {"extra": 1},
     "trees-not-list": {"trees": {"edges": []}},
     "malformed-edge": {"trees": [{"edges": [["000", "001", "011"]]}]},
+    "tree-wrong-fields": {"trees": [{"edges": [["000", "001"]], "x": 1}]},
+    "edge-as-string": {"trees": [{"edges": ["01"]}]},
+    "bad-label-first-end": {"trees": [{"edges": [["000", "001"], ["0O1", "011"]]}]},
 }
 BAD_COMMANDS = [
     ["construct", "-n", "5", "-S", "0000,00011,11110"],
