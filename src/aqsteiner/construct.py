@@ -4,12 +4,8 @@ Steiner trees on three targets in an augmented cube.
 For dimension n >= 3 and any three distinct targets S the constructor
 returns 2n - 3 trees in which every target is a leaf, pairwise sharing
 no edge and no vertex beyond S.  Every triple is first moved to its
-least translate S ^ a (``_least_translate``) and dispatched there.
-Case1 and the base search build there and are moved back; a Case2
-recipe commutes with translations, since it reads each fan by its
-difference and its matching by the roles' differences, so it runs on
-the roles moved back by a, the caller's labels, and no edge is moved
-twice.  Either way construct(S ^ b) is construct(S) translated by b.
+least translate S ^ a (``_least_translate``), built there and moved
+back, so construct(S ^ b) is construct(S) translated by b.
 Dimensions 3 and 4 are solved by the exhaustive packing search of
 ``verify.oracle_tau``, stopped at 2n - 3 trees (cached per least
 translate); higher dimensions run a recursive case analysis on how
@@ -113,9 +109,9 @@ class CaseTag(NamedTuple):
 
     ``transform`` is the label a of the translation v -> v ^ a that
     moved the targets to their least translate (``_least_translate``),
-    the coordinates the branch was dispatched in.  ``roles`` gives the
-    labels (x, y, z) in those coordinates for the two-one split
-    branches, and is None for Case1 and the base search.  The grid splice picks its
+    the coordinates the branch built in.  ``roles`` gives the labels
+    (x, y, z) in those coordinates for the two-one split branches, and
+    is None for Case1 and the base search.  The grid splice picks its
     matching from the roles alone (``_splice_image``).
     """
 
@@ -343,8 +339,8 @@ def _pin(ps: _paths.PathSystem, wanted: Sequence[int]) -> _paths.PathSystem:
         raise InternalError(str(exc)) from exc
 
 
-# a recipe's tree: a frozenset of label edges on the caller's labels,
-# which ``_family`` keeps as it is
+# a recipe's tree: the frozenset that ``_assemble`` keeps as it is when
+# the targets were their own least translate
 _Edges = frozenset[tuple[int, int]]
 
 
@@ -416,29 +412,6 @@ def _recipe_grid(g: AugmentedCube, x: int, y: int, z: int) -> list[_Edges]:
     return trees
 
 
-def _family(
-    g: AugmentedCube,
-    labels: Sequence[int],
-    trees: Iterable[_Edges],
-    provenance: tuple[CaseTag, ...],
-) -> TreeFamily:
-    """The family of trees already on the caller's labels, each kept as
-    the frozenset it is.  Only S is in ``Vertex``.  The named tuples are
-    made by ``tuple.__new__``, which skips their Python-level ``__new__``."""
-    n = g.dim
-    new = tuple.__new__
-    return new(
-        TreeFamily,
-        (
-            n,
-            frozenset([new(Vertex, (v, n)) for v in labels]),
-            tuple([new(SteinerTree, (edges,)) for edges in trees]),
-            provenance,
-            False,
-        ),
-    )
-
-
 def _assemble(
     g: AugmentedCube,
     labels: Sequence[int],
@@ -446,9 +419,22 @@ def _assemble(
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
     """Translate label edges built on the least translate back to the
-    caller's labels by ``provenance[0].transform`` (``_family``)."""
+    caller's labels by ``provenance[0].transform``.  Only S is in
+    ``Vertex``.  The named tuples are made by ``tuple.__new__``, which
+    skips their Python-level ``__new__``."""
+    n = g.dim
     a = provenance[0].transform
-    return _family(g, labels, [_translate(edges, a) for edges in trees], provenance)
+    new = tuple.__new__
+    return new(
+        TreeFamily,
+        (
+            n,
+            frozenset([new(Vertex, (v, n)) for v in labels]),
+            tuple([new(SteinerTree, (_translate(edges, a),)) for edges in trees]),
+            provenance,
+            False,
+        ),
+    )
 
 
 def _translate(edges: Iterable[tuple[int, int]], a: int) -> frozenset[tuple[int, int]]:
@@ -572,12 +558,9 @@ def construct(
     """Build and verify a family of 2*dim - 3 internally disjoint pendant
     Steiner trees for the target triple.
 
-    Every branch dispatches on the least translate S ^ a of the targets.
-    Case1 and the base search build there and translate their trees back
-    by a; a Case2 recipe runs on its roles moved back by a, which gives
-    the same trees, since it commutes with translations.  So
-    construct(S ^ b) is construct(S) with every edge translated by b,
-    and the case names agree.
+    Every branch builds on the least translate S ^ a of the targets and
+    translates its trees back by a, so construct(S ^ b) is construct(S)
+    with every edge translated by b, and the case names agree.
     Dimensions 3 and 4 are searched exhaustively; higher dimensions go
     through the case dispatch and its written recipe (Case1 recurses
     through this function, one call per dimension).  The recipe takes
@@ -601,8 +584,7 @@ def construct(
             family = _construct_case1(g, labels, tag, fidelity)
         else:
             recipe = _recipe_2_1_1 if tag.case is Case.CASE2_1_1 else _recipe_grid
-            a = tag.transform
-            family = _family(g, labels, recipe(g, *[v ^ a for v in tag.roles]), (tag,))
+            family = _assemble(g, labels, recipe(g, *tag.roles), (tag,))
     _check(g, family)
     return family
 

@@ -413,39 +413,6 @@ def test_grid_splice_walks_equal_the_three_piece_trees(n):
         assert 0 < matchings < adjacent < len(cases[0][1])
 
 
-def _recipe_tags(n, triples):
-    return [tag for tag in map(functools.partial(_dispatch, n), triples) if tag.case is not Case.CASE1]
-
-
-@pytest.mark.parametrize("n", [5, 6, 7, "8..62"])
-def test_the_recipes_commute_with_translations(n):
-    # construct runs each Case2 recipe on the caller's labels, so a recipe
-    # on roles moved by b must build its trees on the least translate
-    # moved by b, tree for tree: every Case2 class at n = 5..7, and at
-    # each n = 8..62 three seeded triples and one seeded star, whose
-    # cross-twins x, y = x ^ (2^(n-1) - 1) a random draw rarely holds
-    rng = random.Random(4808)
-    if n == "8..62":
-        cases = []
-        for m in range(8, 63):
-            x = rng.randrange(1 << (m - 1))
-            star = (x, x ^ ((1 << (m - 1)) - 1), h_label(x, m))
-            cases.append((m, _recipe_tags(m, [*(rng.sample(range(1 << m), 3) for _ in range(3)), star])))
-    else:
-        cases = [(n, _recipe_tags(n, construct_mod.least_translates(n)))]
-    stars = 0
-    for m, tags in cases:
-        g = AugmentedCube(m)
-        with construct_mod.fan_memo():
-            for tag in tags:
-                recipe = construct_mod._recipe_2_1_1 if tag.case is Case.CASE2_1_1 else construct_mod._recipe_grid
-                b = rng.randrange(1, 1 << m)
-                moved = [frozenset(undirected(u ^ b, v ^ b) for u, v in tree) for tree in recipe(g, *tag.roles)]
-                assert recipe(g, *[v ^ b for v in tag.roles]) == moved, (m, tag, b)
-                stars += tag.case is Case.CASE2_1_1
-    assert stars >= len(cases) if n == "8..62" else 0 < stars < len(cases[0][1])
-
-
 def test_sampled_sweep_at_dim_62():
     out = run_bounded(
         "import contextlib, io, json\n"
