@@ -263,9 +263,9 @@ def path_system_to_dot(res: _paths.PathSystem, n: int) -> str:
 class SweepRecord(NamedTuple):
     labels: tuple[int, ...]
     case: str
-    fallback: bool
     size: int
-    verified: bool
+    fallback = False  # construct has no repair path
+    verified = True  # construct raises on a family the verifier rejects
 
 
 def _sweep_classes(args: tuple[int, Sequence[Sequence[int]]]) -> list[tuple[str, int]]:
@@ -336,9 +336,7 @@ def run_sweep(n: int, triples: Iterable[Sequence[int]], jobs: int = 1) -> list[S
                     if a & hz
                     else ((a ^ p, a, a ^ z) if a & hp else (a, a ^ p, a ^ z)),
                     case,
-                    False,
                     size,
-                    True,
                 ),
             )
             for a in masks
@@ -375,7 +373,7 @@ def sweep_summary(n: int, records: Iterable[SweepRecord]) -> dict:
     """The summary of any iterable of records, one member each: the
     records are counted by (case, size) in one pass, and each distinct
     pair goes to the fold once, with its count."""
-    counts = Counter(map(itemgetter(1, 3), records))
+    counts = Counter(map(itemgetter(1, 2), records))
     return _summary(n, ((case, size, members) for (case, size), members in counts.items()))
 
 

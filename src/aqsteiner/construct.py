@@ -131,13 +131,14 @@ class TreeFamily(NamedTuple):
     """The trees built for one target set S.  S is a set of ``Vertex``,
     as in a parsed certificate: ``verify.verify_family`` reads S as
     objects with ``bits`` and ``dim`` and so checks both kinds of family
-    alike.  Every tree is label edges."""
+    alike.  Every tree is label edges, and ``fallback_used`` a class
+    constant for the v1 certificate schema: no family is repaired."""
 
     dim: int
     terminals: frozenset[Vertex]
     trees: tuple[SteinerTree, ...]
     provenance: tuple[CaseTag, ...]
-    fallback_used: bool  # always False; kept for the v1 certificate schema
+    fallback_used = False
 
 
 class InternalError(RuntimeError):
@@ -432,7 +433,6 @@ def _assemble(
             frozenset([new(Vertex, (v, n)) for v in labels]),
             tuple([new(SteinerTree, (_translate(edges, a),)) for edges in trees]),
             provenance,
-            False,
         ),
     )
 

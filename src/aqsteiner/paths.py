@@ -35,9 +35,9 @@ fan is full"), each path a word of label deltas that is walked to labels
 once, from 0; the fan base, ``fan(4, d)``, is the flow's own checked
 system, never turned into words and back.  ``cube_paths`` answers
 whole-cube requests: by ``disjoint_paths`` up to dimension 4, and above
-it by the fan's words to u ^ v walked from u, or by u's neighbourhood
-as the cut.  So the fan base and ``cube_paths`` up to dimension 4 are
-the only requests ``disjoint_paths`` meets, and it answers each from
+it by the fan to u ^ v moved by u, or by u's neighbourhood as the cut.
+So the fan base and ``cube_paths`` up to dimension 4 are the only
+requests ``disjoint_paths`` meets, and it answers each from
 ``_cube_system``, an unbounded ``functools.lru_cache`` of (m, u, v,
 min(k, 2m)): no path system has more than 2m - 1 paths, so every
 k >= 2m ends on the same cut, and the memo holds at most 2,308 keys.
@@ -244,10 +244,10 @@ def cube_paths(g: AugmentedCube, u: int, v: int, k: int) -> PathSystem | MinCut:
 
     Up to dimension 4 this is ``disjoint_paths`` on ``g.view()``, the
     small-cube memo.  Above it AQ_n is (2n - 1)-connected, so the first
-    k paths of the full fan to u ^ v, its words walked from u
-    (translations are automorphisms), sorted, answer every k up to the
-    degree, and past it the cut is u's neighbourhood less v, plus the
-    direct edge when u and v are adjacent: the cut the flow reports.
+    k paths of the full fan to u ^ v, moved by u (translations are
+    automorphisms) and sorted, answer every k up to the degree, and
+    past it the cut is u's neighbourhood less v, plus the direct edge
+    when u and v are adjacent: the cut the flow reports.
     Raises on u == v, k < 1 and labels outside the cube.
     """
     if g.dim <= 4:
@@ -256,7 +256,7 @@ def cube_paths(g: AugmentedCube, u: int, v: int, k: int) -> PathSystem | MinCut:
     if k > g.degree:
         separator = tuple(sorted(w for d in adjacency_deltas(g.dim) if (w := u ^ d) != v))
         return MinCut(source=u, sink=v, separator=separator, uses_direct_edge=g.adjacent_labels(u, v))
-    paths = sorted(tuple(itertools.accumulate(w, operator.xor, initial=u)) for w in _fan_words(g.dim, u ^ v))
+    paths = sorted(tuple(map(u.__xor__, p)) for p in fan(g.dim, u ^ v).paths)
     return _checked(g.view(), PathSystem(source=u, sink=v, paths=tuple(paths[:k])))
 
 

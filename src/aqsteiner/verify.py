@@ -56,15 +56,18 @@ class Violation(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    accepted: bool
     violations: tuple[Violation, ...]
+
+    @property
+    def accepted(self) -> bool:
+        return not self.violations
 
     def to_json(self) -> dict:
         return {"accepted": self.accepted, "violations": [v.to_json() for v in self.violations]}
 
 
 # the one report of every accepted family: immutable, so it is shared
-_ACCEPTED = VerificationReport(accepted=True, violations=())
+_ACCEPTED = VerificationReport(())
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ def _report(g: AugmentedCube, terminals: set[int], trees, size: int | None) -> V
         for w in sorted(reused):
             detail = f"internal vertex {w:0{width}b} reused"
             violations.append(Violation(SHARED_VERTEX, (vertex_owner[w], index), detail))
-    return VerificationReport(accepted=not violations, violations=tuple(violations))
+    return VerificationReport(tuple(violations))
 
 
 def check_path_system(view: GraphView, ps) -> list[str]:
@@ -311,15 +314,18 @@ def check_path_system(view: GraphView, ps) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class OracleResult(NamedTuple):
-    """Exact value when lower == upper and exact is set; else a bracket.
-    ``witness`` holds the internal label sets of the best packing found
-    (a direct edge between two terminals is the empty set)."""
+    """A bracket lower <= value <= upper, exact when the two meet.
+    ``witness`` holds the internal label sets of the packing ``lower``
+    counts (a direct edge between two terminals is the empty set)."""
 
     lower: int
     upper: int
-    exact: bool
     nodes_used: int
     witness: tuple[frozenset[int], ...] = ()
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def value(self) -> int:
@@ -438,13 +444,13 @@ def oracle_tau(
     ``_minimal_sets``), then packs pairwise disjoint ones, smallest first,
     by branch and bound.  Intended for hosts of at most 16 vertices; the
     budget counts grown sets, the vertices their removal tests try or
-    visit, and the sets the packing tries, and an exhausted budget yields
-    a bracket instead of an exact value.
+    visit, and the sets the packing tries.  ``lower`` is the best packing
+    found, and ``upper`` the degree ceiling on a spent budget, else it.
 
     With ``stop_at`` the packing returns once it holds ``stop_at`` trees
     and prunes the branches that cannot reach that many: an early stop is
-    exact only at the degree ceiling, and a finished search that falls
-    short bounds the value by ``stop_at - 1``.
+    bounded by the ceiling, and a finished search that falls short bounds
+    the value by ``stop_at - 1``.
     """
     if budget <= 0:
         raise ContractViolation("budget must be positive")
@@ -506,18 +512,12 @@ def oracle_tau(
                 return
 
     dfs(0, 0, len(chosen))
-    reached = stop_at is not None and best >= stop_at
-    if halted:
-        # a spent budget (the packing halts on entry) or an early stop
-        # bounds the value only by the ceiling
-        upper = max(best, ceiling)
-        exact = reached and best == ceiling
-    else:
-        # a finished search below stop_at proves only that stop_at is out of reach
-        upper = best if stop_at is None else min(ceiling, floor)
-        exact = best == upper
+    # a spent budget (the packing halts on entry) or an early stop bounds
+    # the value only by the ceiling, which no packing exceeds; a finished
+    # search below stop_at proves only that stop_at is out of reach
+    upper = ceiling if halted else best if stop_at is None else min(ceiling, floor)
     sets = tuple(frozenset(v for i, v in enumerate(ground) if mask >> i & 1) for mask in witness)
-    return OracleResult(lower=best, upper=upper, exact=exact, nodes_used=nodes, witness=sets)
+    return OracleResult(lower=best, upper=upper, nodes_used=nodes, witness=sets)
 
 
 # ---------------------------------------------------------------------------

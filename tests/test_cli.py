@@ -123,7 +123,6 @@ def test_certificate_roundtrip_is_lossless():
         terminals=parsed.terminals,
         trees=parsed.trees,
         provenance=fam.provenance,
-        fallback_used=False,
     )
     assert certificate_doc(refam, parsed.case) == doc
 
@@ -449,6 +448,17 @@ def test_oracle_command():
     assert doc["exact"] and doc["lower"] == 1
     code, _, _ = run_cli(["oracle", "-n", "3", "-S", "000"])
     assert code == 2  # too few labels
+
+
+def test_oracle_budget_that_closes_the_bracket_prints_exact():
+    # the budget runs out after the packing meets the degree ceiling, so
+    # the bracket is a point and the value is known
+    code, out, _ = run_cli(["oracle", "-n", "3", "-S", "000,001,010", "--budget", "15"])
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("oracle"))
+    assert (doc["lower"], doc["upper"], doc["exact"]) == (3, 3, True)
+    assert doc["nodes_used"] >= 15
 
 
 def test_oracle_dimension_out_of_range_is_usage_error():

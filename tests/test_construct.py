@@ -538,7 +538,7 @@ def test_a_target_outside_the_cube_names_its_fault(bad, message):
     # construct, classify and the verifier test the range inline and call
     # AugmentedCube.check_vertex only for a target that fails it
     def verify(g, targets):
-        return verify_family(g, TreeFamily(3, frozenset(targets), (), (), False))
+        return verify_family(g, TreeFamily(3, frozenset(targets), (), ()))
 
     g = AugmentedCube(3)
     for check in (construct, classify, verify):
@@ -990,7 +990,7 @@ def test_run_sweep_equals_the_per_member_records(n, triples):
     # labels give the records and the order of sorting whole records built
     # as sorted(v ^ a for v in canon); repeated triples keep their records
     expected = sorted(
-        cli.SweepRecord(tuple(sorted(v ^ a for v in canon)), case, False, size, True)
+        cli.SweepRecord(tuple(sorted(v ^ a for v in canon)), case, size)
         for canon, masks, case, size in cli._sweep(n, construct_mod.translation_classes(triples))
         for a in masks
     )
@@ -1044,14 +1044,14 @@ def test_sweep_summary_equals_the_per_record_fold():
     rng.shuffle(records)
     assert cli.sweep_summary(5, records) == fold(5, records)
     assert cli.sweep_summary(5, iter(records)) == fold(5, records)
-    records = [cli.SweepRecord(t, "Base4", False, 5, True) for t in itertools.combinations(range(16), 3)]
-    records.append(cli.SweepRecord((0, 1, 2), "Base4", False, 4, True))
+    records = [cli.SweepRecord(t, "Base4", 5) for t in itertools.combinations(range(16), 3)]
+    records.append(cli.SweepRecord((0, 1, 2), "Base4", 4))
     rng.shuffle(records)
     summary = cli.sweep_summary(4, records)
     assert summary == fold(4, records)
     assert cli.sweep_summary(4, iter(records)) == summary
     assert (summary["triples"], summary["min_size"], summary["max_size"]) == (561, 4, 5)
-    records.append(cli.SweepRecord((0, 1, 3), "Case1", False, 5, True))
+    records.append(cli.SweepRecord((0, 1, 3), "Case1", 5))
     assert cli.sweep_summary(4, iter(records)) == fold(4, records)
     assert cli.sweep_summary(4, iter(records))["cases"] == {"Base4": 561, "Case1": 1}
     assert cli.sweep_summary(4, []) == fold(4, []) == {
@@ -1074,7 +1074,6 @@ def test_family_images_under_automorphisms_verify(label_map):
             for tree in fam.trees
         ),
         provenance=fam.provenance,
-        fallback_used=False,
     )
     assert verify_family(g, mapped).accepted
 

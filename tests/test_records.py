@@ -1,7 +1,9 @@
 """The contract every record type keeps: immutable fields, a value
 ``repr``, equality and hash on the field values, pickling for the sweep's
-process pool, and the range check of ``AugmentedCube``.  Each record is
-taken from the code that produces it where there is one."""
+process pool, and the range check of ``AugmentedCube``.  Attributes that
+carry no information of their own are class constants or read off the
+fields, not stored.  Each record is taken from the code that produces
+it where there is one."""
 
 import pickle
 
@@ -76,15 +78,58 @@ def test_repr_names_every_field():
 def test_defaults_and_properties_are_kept():
     assert CaseTag(Case.BASE3).transform == 0
     assert CaseTag(Case.BASE3).roles is None and CaseTag._fields == ("case", "transform", "roles")
-    assert OracleResult(2, 2, True, 10).witness == ()
-    assert OracleResult(2, 2, True, 10).value == 2
+    assert OracleResult(2, 2, 10).witness == ()
+    assert OracleResult(2, 2, 10).value == 2
     with pytest.raises(ContractViolation, match="bracket"):
-        OracleResult(1, 2, False, 10).value
+        OracleResult(1, 2, 10).value
     assert MinCut(0, 3, (1, 2), True).size == 3
     g = AugmentedCube(dim=5)
     assert (g.dim, g.order, g.degree) == (5, 32, 9)
     assert GraphView(g, range(4)).dim == 5
-    assert VerificationReport(True, ()).to_json() == {"accepted": True, "violations": []}
+    assert VerificationReport(()).to_json() == {"accepted": True, "violations": []}
+
+
+# attributes read off the class or the fields, not stored: (record,
+# attribute, the value it must take on each record made below)
+DERIVED = [
+    ("TreeFamily", "fallback_used", lambda rec: False),
+    ("SweepRecord", "fallback", lambda rec: False),
+    ("SweepRecord", "verified", lambda rec: True),
+    ("VerificationReport", "accepted", lambda rec: not rec.violations),
+    ("OracleResult", "exact", lambda rec: rec.lower == rec.upper),
+]
+
+
+def derived_records() -> dict[str, list[object]]:
+    g = AugmentedCube(4)
+    family = construct(g, [Vertex(a, 4) for a in (0, 3, 12)])
+    doubled = family._replace(trees=family.trees + family.trees[:1])
+    return {
+        "TreeFamily": [family, construct(AugmentedCube(6), [Vertex(a, 6) for a in (0, 5, 40)])],
+        "SweepRecord": run_sweep(5, [(0, 1, 2), (0, 3, 20), (1, 6, 30)]),
+        "VerificationReport": [verify_family(g, family), verify_family(g, family, size=6), verify_family(g, doubled)],
+        "OracleResult": [oracle_tau(AugmentedCube(3), [0, 1, 2], budget=b) for b in (5, 15, 10**6)],
+    }
+
+
+def test_derived_attributes_read_what_they_follow_from():
+    made = derived_records()
+    assert [r.accepted for r in made["VerificationReport"]] == [True, False, False]
+    # budget 15 closes the bracket before the search ends
+    assert [(r.lower, r.upper, r.exact) for r in made["OracleResult"]] == [(0, 3, False), (3, 3, True), (3, 3, True)]
+    for name, attr, value in DERIVED:
+        for rec in made[name]:
+            assert getattr(rec, attr) is value(rec), (name, attr, rec)
+
+
+@pytest.mark.parametrize("name, attr", [(name, attr) for name, attr, _ in DERIVED])
+def test_derived_attributes_are_not_stored(name, attr):
+    for rec in derived_records()[name]:
+        assert attr not in type(rec)._fields
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, not getattr(rec, attr))
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and getattr(back, attr) is getattr(rec, attr)
 
 
 @pytest.mark.parametrize("dim", [0, 63])

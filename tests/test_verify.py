@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import all_triples, run_sweep, sample_triples
-from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, fan_memo
+from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, fan_memo, least_translates
 from aqsteiner.paths import PathSystem, connectivity
 from aqsteiner.topology import (
     AugmentedCube,
@@ -61,7 +61,7 @@ def targets(terms):
 
 
 def family(n, terms, trees):
-    return TreeFamily(n, targets(terms), tuple(trees), (CaseTag(Case.BASE3),), False)
+    return TreeFamily(n, targets(terms), tuple(trees), (CaseTag(Case.BASE3),))
 
 
 S_A = ("000", "001", "011")
@@ -360,6 +360,27 @@ def test_oracle_budget_bracket():
     assert res.lower <= 4 <= res.upper
     with pytest.raises(ContractViolation, match="bracket, not an exact value"):
         res.value
+
+
+def _point_bracket_cases():
+    cases = [(3, t) for t in least_translates(3)]
+    return cases + [(4, t) for t in random.Random(49).sample(list(least_translates(4)), 4)]
+
+
+@pytest.mark.parametrize("n, terms", _point_bracket_cases())
+def test_oracle_is_exact_wherever_its_bracket_closes(n, terms):
+    # every budget short of the full search's spend ends in a bracket
+    # around the value, a witnessed lower bound and a proved upper one, so
+    # a bracket that closes on a spent budget is the value too
+    g = AugmentedCube(n)
+    full = oracle_tau(g, terms)
+    assert full.exact and full.upper == full.lower
+    for budget in range(1, full.nodes_used + 1):
+        res = oracle_tau(g, terms, budget=budget)
+        assert res.lower <= full.value <= res.upper, (budget, res)
+        assert res.exact == (res.lower == res.upper), budget
+        if res.exact:
+            assert res.value == full.value, budget
 
 
 def test_oracle_contract_errors():

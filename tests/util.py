@@ -349,7 +349,7 @@ def reference_verify_family(g, family):
     vertex_owner = {}
     for i, tree in enumerate(family.trees):
         violations += reference_tree_violations(g, terminals, tree, i, edge_owner, vertex_owner)
-    return VerificationReport(accepted=not violations, violations=tuple(violations))
+    return VerificationReport(tuple(violations))
 
 
 def reference_check_path_system(view, ps):

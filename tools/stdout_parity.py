@@ -40,8 +40,9 @@ child process, in-process through ``cli.main``, against that checkout's
   draw falls into thousands of small classes;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
   under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the
-  enumeration or in the packing), and ``oracle -n 5 --force --budget
-  20000``;
+  enumeration or in the packing), ``oracle -n 3 -S 000,001,010
+  --budget 15``, whose spent budget leaves a point bracket, and
+  ``oracle -n 5 --force --budget 20000``;
 - ``verify`` on every certificate the JSON constructs printed, and on
   six mutants of the first certificate at each n = 5..8: a dropped
   edge, a non-edge, a reused internal vertex, a terminal of degree 2, a
@@ -315,6 +316,7 @@ def command_list() -> list[list[str]]:
             cmds.append(["oracle", "-n", str(n), "-S", ",".join(_label(v, n) for v in trio)])
     for budget in ("1", "100", "300", "1000", "28000", "31000"):
         cmds.append(["oracle", "-n", "4", "-S", "0000,0011,1110", "--budget", budget])
+    cmds.append(["oracle", "-n", "3", "-S", "000,001,010", "--budget", "15"])
     cmds.append(["oracle", "-n", "5", "-S", "00000,00001,00010", "--force", "--budget", "20000"])
     cmds += BAD_COMMANDS
     cmds += [["verify", f"bad-{kind}.json"] for kind in BAD_CERTIFICATES]

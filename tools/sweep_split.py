@@ -24,8 +24,9 @@ order swapped every round, so neither side gains from running first or
 in a quieter stretch.  Per checkout the tool prints one table: each
 phase's least and median time over the rounds, in milliseconds.  The
 split pass must build the records of the whole pass, and the two
-checkouts the same records: the exit status is 1 when they do not, and
-2 for a bad argument.
+checkouts records that read the same labels, case, size, ``fallback``
+and ``verified``: the exit status is 1 when they do not, and 2 for a
+bad argument.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def _run_child(checkout: str) -> None:
     times["run_sweep"], whole = _best(cli.run_sweep, N, triples)
     if whole != records:
         sys.exit("the split pass and the whole pass built different records")
-    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    # the values a record reads, not its layout, so a change that only
+    # stops storing a constant field keeps the digest
+    values = [(r.labels, r.case, r.size, r.fallback, r.verified) for r in records]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
     json.dump({"module": cli.__file__, "times": times, "digest": digest}, sys.stdout)
 
 
