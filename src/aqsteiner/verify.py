@@ -8,7 +8,10 @@ adjacency so a constructor bug cannot hide behind shared helpers.
 the packing search of ``oracle_tau`` is shared: the constructor's base
 case runs it with ``stop_at``, and this module imports nothing of the
 package but ``topology``.  The oracle grows its minimal internal sets
-as connected vertex sets on bitmasks (``_minimal_sets``).
+as connected vertex sets on bitmasks (``_minimal_sets``): all of them
+for an exact search, and for a ``stop_at`` search one size at a time,
+only as far as its packing reaches, from search frames parked at each
+size.
 
 Certificates are duck-typed: a tree is anything with ``edges``, a set
 of label pairs, and a family anything with ``terminals`` (S, as objects
@@ -32,7 +35,7 @@ from itertools import chain
 from operator import lt, xor
 from typing import Iterable, NamedTuple
 
-from .topology import AugmentedCube, ContractViolation, GraphView, delta_set
+from .topology import AugmentedCube, ContractViolation, GraphView, adjacency_deltas, delta_set
 
 NON_EDGE = "NonEdge"
 CYCLE = "Cycle"
@@ -334,7 +337,9 @@ class OracleResult(NamedTuple):
         return self.lower
 
 
-def _minimal_sets(adj_mask: list[int], attach_mask: list[int], budget: int) -> tuple[list[int], int]:
+def _minimal_sets(
+    adj_mask: list[int], attach_mask: list[int], budget: int, size: int | None = None, parked: list | None = None
+) -> tuple[list[int], int]:
     """The minimal internal sets over a ground of bit-indexed vertices,
     and the budget nodes spent finding them.
 
@@ -345,56 +350,62 @@ def _minimal_sets(adj_mask: list[int], attach_mask: list[int], budget: int) -> t
     leaf outside K.  Connected sets are grown as ESU does (Wernicke,
     "Efficient detection of network motifs", 2006), each once: rooted at
     their lowest index and extended by exclusive neighbours above the
-    root, on an explicit stack.  A feasible set is not extended, and
-    neither is a set with a dead vertex v: no attach mask meets the set
-    only in v, the set stays connected without v, and every neighbour
-    of v that the branch may still add has another neighbour in the set.
-    Then every set of the branch stays connected and meets the same
-    attach masks without v, so none is minimal.
+    root, on an explicit stack of frames.  A feasible set is not
+    extended, and neither is a set with a dead vertex v: no attach mask
+    meets the set only in v, the set stays connected without v, and
+    every neighbour of v that the branch may still add has another
+    neighbour in the set.  Then every set of the branch stays connected
+    and meets the same attach masks without v, so none is minimal.
+
+    With a ``size`` bound, a frame whose set has ``size`` vertices is
+    moved to ``parked`` instead of being extended, and a call given a
+    non-empty ``parked`` grows no roots but resumes those frames.  Each
+    step adds one vertex and a frame carries all it needs, so parking
+    changes only the order in which sets are grown: a fresh call with
+    bound k finds the minimal sets of at most k vertices, and each
+    resumed call at the next bound those of exactly that size.  Every
+    connected proper subset of a minimal set is infeasible and has no
+    dead vertex, so the search grows through it to the set.  Without a
+    bound nothing is parked and one call finds them all.
 
     Each grown set costs one node, and so does every vertex that a
     removal test tries or visits.  Once ``budget`` nodes are spent the
-    search stops with the sets found so far.
+    search stops with the sets found so far, and the frames it had not
+    reached are dropped.
     """
-    touch = [sum(1 << k for k, am in enumerate(attach_mask) if am >> i & 1) for i in range(len(adj_mask))]
-    every = (1 << len(attach_mask)) - 1
     found: list[int] = []
     nodes = 0
-    for root, near in enumerate(adj_mask):
-        # a set rooted here lies at or above the root, so once an attach
-        # mask lies wholly below it no later root has a feasible set
-        if nodes >= budget or not all(am >> root for am in attach_mask):
-            break
-        nodes += 1
-        if touch[root] == every:
-            found.append(1 << root)
-            continue
-        above = -1 << root + 1
-        # a frame: the set, its extension, the vertices with at least one
-        # and with at least two neighbours in it, and the targets it meets
-        stack = [(1 << root, near & above, near, 0, touch[root])] if near & above else []
+    stack: list[tuple[int, int, int, int]] = []
+    root = 0
+    if parked:
+        stack, root = parked[:], len(adj_mask)
+        parked.clear()
+    while True:
         while stack and nodes < budget:
-            sub, ext, once, twice, met = stack.pop()
+            # a frame: the set, its extension, and the vertices with at
+            # least one and with at least two neighbours in it; the first
+            # also holds every vertex below the root, so none joins ext
+            sub, ext, once, twice = stack.pop()
             w = ext & -ext
             ext ^= w
             if ext:
-                stack.append((sub, ext, once, twice, met))
-            i = w.bit_length() - 1
+                stack.append((sub, ext, once, twice))
             grown = sub | w
-            near = adj_mask[i]
-            ext |= near & above & ~(once | sub)  # w's exclusive neighbours
+            near = adj_mask[w.bit_length() - 1]
+            ext |= near & ~(once | sub)  # w's exclusive neighbours
             twice |= once & near
             once |= near
-            met |= touch[i]
-            feasible = met == every
             nodes += 1
             # try each vertex that is no attach mask's only vertex in the
             # set; below feasibility, also no neighbour in the extension
             # may have it as its only neighbour in the set
+            feasible = True
             rest = grown
             for am in attach_mask:
                 only = am & grown
-                if not only & (only - 1):
+                if not only:
+                    feasible = False
+                elif not only & (only - 1):
                     rest &= ~only
             pinned = 0 if feasible else ext & ~twice
             while rest:
@@ -424,8 +435,18 @@ def _minimal_sets(adj_mask: list[int], attach_mask: list[int], budget: int) -> t
                 if feasible:
                     found.append(grown)
                 elif ext:
-                    stack.append((grown, ext, once, twice, met))
-    return found, nodes
+                    (parked if size and grown.bit_count() >= size else stack).append((grown, ext, once, twice))
+        # a set rooted here lies at or above the root, so once an attach
+        # mask lies wholly below it no later root has a feasible set
+        if root == len(adj_mask) or nodes >= budget or not all(am >> root for am in attach_mask):
+            return found, nodes
+        bit, near = 1 << root, adj_mask[root]
+        root += 1
+        nodes += 1
+        if all(am & bit for am in attach_mask):
+            found.append(bit)
+        elif near >> root:
+            (parked if size == 1 else stack).append((bit, near & -1 << root, near | bit - 1, 0))
 
 
 def oracle_tau(
@@ -450,7 +471,19 @@ def oracle_tau(
     With ``stop_at`` the packing returns once it holds ``stop_at`` trees
     and prunes the branches that cannot reach that many: an early stop is
     bounded by the ceiling, and a finished search that falls short bounds
-    the value by ``stop_at - 1``.
+    the value by ``stop_at - 1``.  Such a search grows the minimal sets
+    one size at a time, and only as far as the packing reaches: it starts
+    with the sets of one vertex, and each time a packing loop has tried
+    every set in the list while ``_minimal_sets`` still holds parked
+    frames, it appends the next size that has any, sorted by mask.  The
+    list is then always a prefix of the one the exact search packs,
+    sorted by size and mask, so the packing tries the same sets in the
+    same order and returns the same bounds and witness.  Its budget
+    counts only the levels grown and the sets tried, so it can finish
+    where growing every minimal set first would spend the budget.  A
+    budget spent before the next size is wholly grown halts the packing
+    as a spent budget does anywhere, so the bracket's upper end is then
+    the ceiling.
     """
     if budget <= 0:
         raise ContractViolation("budget must be positive")
@@ -464,10 +497,11 @@ def oracle_tau(
 
     ground = [v for v in range(g.order) if v not in term_labels]
     index = {v: i for i, v in enumerate(ground)}
+    deltas = adjacency_deltas(g.dim)
 
     def around(v: int) -> int:
         # the neighbours of v in the ground, as bits of their indices
-        return sum(1 << index[w] for w in g.neighbor_labels(v) if w in index)
+        return sum(1 << index[w] for d in deltas if (w := v ^ d) in index)
 
     adj_mask = [around(v) for v in ground]
     attach_mask = [around(t) for t in term_labels]
@@ -478,7 +512,10 @@ def oracle_tau(
     direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
     ceiling = min(am.bit_count() for am in attach_mask) + direct_edge_tree
 
-    minimal, nodes = _minimal_sets(adj_mask, attach_mask, budget)
+    # a stop_at search starts at the sets of one vertex and parks the rest
+    parked: list[tuple[int, int, int, int]] = []
+    level = 1
+    minimal, nodes = _minimal_sets(adj_mask, attach_mask, budget, None if stop_at is None else level, parked)
 
     # pack pairwise disjoint minimal sets, largest count wins; below
     # stop_at, a branch is worth searching only if it can reach stop_at
@@ -492,6 +529,21 @@ def oracle_tau(
     def slots_left(used: int) -> int:
         return min((am & ~used).bit_count() for am in attach_mask)
 
+    def more() -> bool:
+        # the next level that holds a minimal set, sorted by mask; a budget
+        # spent before a whole level is grown halts the packing, as the
+        # sets it did not grow may be packed
+        nonlocal nodes, level, halted
+        while parked and nodes < budget:
+            level += 1
+            sets, spent = _minimal_sets(adj_mask, attach_mask, budget - nodes, level, parked)
+            nodes += spent
+            if sets and nodes < budget:
+                minimal.extend(sorted(sets))
+                return True
+        halted = nodes >= budget
+        return False
+
     def dfs(start: int, used: int, count: int) -> None:
         nonlocal best, nodes, witness, halted
         if count > best:
@@ -501,20 +553,25 @@ def oracle_tau(
             return
         if count + slots_left(used) <= max(best, floor):
             return
-        for j in range(start, len(minimal)):
-            nodes += 1  # every set tried costs a node, taken or not
-            if minimal[j] & used:
-                continue
-            chosen.append(minimal[j])
-            dfs(j + 1, used | minimal[j], count + 1)
-            chosen.pop()
-            if halted:
-                return
+        # a deeper call may have grown the list; at its end, grow a level
+        while start < len(minimal) or parked and more():
+            end = len(minimal)
+            for j in range(start, end):
+                nodes += 1  # every set tried costs a node, taken or not
+                if minimal[j] & used:
+                    continue
+                chosen.append(minimal[j])
+                dfs(j + 1, used | minimal[j], count + 1)
+                chosen.pop()
+                if halted:
+                    return
+            start = end
 
     dfs(0, 0, len(chosen))
-    # a spent budget (the packing halts on entry) or an early stop bounds
-    # the value only by the ceiling, which no packing exceeds; a finished
-    # search below stop_at proves only that stop_at is out of reach
+    # a spent budget (the packing halts on entry, or on a level it could
+    # not finish growing) or an early stop bounds the value only by the
+    # ceiling, which no packing exceeds; a finished search below stop_at
+    # proves only that stop_at is out of reach
     upper = ceiling if halted else best if stop_at is None else min(ceiling, floor)
     sets = tuple(frozenset(v for i, v in enumerate(ground) if mask >> i & 1) for mask in witness)
     return OracleResult(lower=best, upper=upper, nodes_used=nodes, witness=sets)

@@ -1,8 +1,10 @@
 import collections
 import functools
+import importlib.util
 import itertools
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +49,7 @@ from util import (
     reference_canonical_triple,
     reference_check_path_system,
     reference_minimal_sets,
+    reference_oracle_tau,
     reference_verify_family,
     triangles,
 )
@@ -315,7 +318,21 @@ def test_minimal_sets_match_the_subset_scan():
         adj_mask, attach_mask = _ground_masks(n, terms)
         found, _ = _minimal_sets(adj_mask, attach_mask, 10**9)
         assert len(set(found)) == len(found), (n, terms)
-        assert sorted(found, key=by_size) == sorted(reference_minimal_sets(adj_mask, attach_mask), key=by_size), (n, terms)
+        expected = sorted(reference_minimal_sets(adj_mask, attach_mask), key=by_size)
+        assert sorted(found, key=by_size) == expected, (n, terms)
+        # a call bounded by k finds the sets of at most k vertices, and
+        # resuming its parked frames one bound at a time finds each next
+        # size, until nothing is parked
+        for k in range(1, len(adj_mask) + 1):
+            parked = []
+            found, _ = _minimal_sets(adj_mask, attach_mask, 10**9, k, parked)
+            assert sorted(found, key=by_size) == [m for m in expected if m.bit_count() <= k], (n, terms, k)
+            level = k
+            while parked:
+                level += 1
+                found, _ = _minimal_sets(adj_mask, attach_mask, 10**9, level, parked)
+                assert sorted(found) == [m for m in expected if m.bit_count() == level], (n, terms, k, level)
+            assert all(m.bit_count() <= level for m in expected), (n, terms, k)
 
 
 def test_minimal_sets_stop_on_the_budget():
@@ -353,6 +370,65 @@ def test_oracle_stop_at_witness_on_canonical_triples(n, stop_at):
     assert values == {3: {3: 48, 4: 8}, 4: {5: 272, 6: 288}}[n]
 
 
+def _reference_packing_cases():
+    # every pair and triple at n = 2 and 3, and at n = 4 every pair and
+    # every triple that holds 0
+    return [
+        (n, t)
+        for n in (2, 3, 4)
+        for k in (2, 3)
+        for t in itertools.combinations(range(1 << n), k)
+        if n < 4 or k == 2 or t[0] == 0
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_packs_like_the_reference(n):
+    # the packing grows its minimal sets one size at a time, only as far as
+    # it reaches, and still returns the bounds and witness of packing every
+    # minimal set sorted by size and mask
+    g = AugmentedCube(n)
+    cases = [t for m, t in _reference_packing_cases() if m == n]
+    assert len(cases) == {2: 10, 3: 84, 4: 225}[n]
+    for t in cases:
+        for stop_at in (None, *range(1, 8)):
+            res = oracle_tau(g, t, stop_at=stop_at)
+            assert (res.lower, res.upper, res.witness) == reference_oracle_tau(n, t, stop_at), (t, stop_at)
+
+
+def test_oracle_alone_gives_tau3_of_aq5():
+    # every least translate at n = 5 packs 7 = 2n - 3 minimal sets, the
+    # degree ceiling caps every triple there, and a translation is an
+    # automorphism, so each class's packing moves to every member of its
+    # class: tau_3(AQ_5) = 7 with no recipe involved
+    g = AugmentedCube(5)
+    assert hager_upper_bound(g, 3) == 7
+    canon = list(least_translates(5))
+    assert len(canon) == 155
+    for t in canon:
+        res = oracle_tau(g, t, stop_at=7)
+        assert res.lower == 7 and len(res.witness) == 7 and _is_packing(5, t, res.witness), t
+
+
+def test_oracle_floor_tool_names_every_short_class(capsys, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "tools" / "oracle_floor.py"
+    spec = importlib.util.spec_from_file_location("oracle_floor", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["4"]) == 0
+    out = capsys.readouterr().out
+    assert "n = 4: 35 of 35 classes reach 5 (degree ceiling 5)" in out and "SHORT" not in out
+    # a budget too small to pack anything leaves every class short
+    monkeypatch.setattr(tool, "oracle_tau", functools.partial(oracle_tau, budget=5))
+    assert tool.main(["4"]) == 1
+    out = capsys.readouterr().out
+    assert "n = 4: 0 of 35 classes reach 5" in out and out.count("SHORT") == 35
+    assert "SHORT [0, 1, 2]: lower 0, upper 5, nodes 5" in out
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["1"])
+    assert exc.value.code == 2
+
+
 def test_oracle_budget_bracket():
     g = AugmentedCube(3)
     res = oracle_tau(g, [int(s, 2) for s in S_B], budget=5)
@@ -381,6 +457,15 @@ def test_oracle_is_exact_wherever_its_bracket_closes(n, terms):
         assert res.exact == (res.lower == res.upper), budget
         if res.exact:
             assert res.value == full.value, budget
+    # so does a stop_at search, whose budget may run out while it grows
+    # the next size of minimal sets
+    for stop_at in range(1, full.upper + 1):
+        spent = oracle_tau(g, terms, stop_at=stop_at).nodes_used
+        for budget in range(1, spent + 1):
+            res = oracle_tau(g, terms, stop_at=stop_at, budget=budget)
+            assert res.lower <= full.value <= res.upper, (stop_at, budget, res)
+            if res.exact:
+                assert res.value == full.value, (stop_at, budget)
 
 
 def test_oracle_contract_errors():

@@ -24,6 +24,9 @@ of ``construct._least_translate`` replaced.
 ``reference_minimal_sets`` is the oracle's first phase as a subset
 scan: every subset of the ground, smallest first, kept when it holds no
 set kept before and one of its components meets every attach mask.
+``reference_oracle_tau`` packs those sets, sorted by size and mask, by
+the oracle's branch and bound with no budget: the search that
+``verify.oracle_tau`` ran before it grew the sets one size at a time.
 ``recursive_adjacent`` is the recursive definition one leading bit at
 a time, so ``reference_check_path_system`` runs at every dimension.
 ``inverse_gray`` is the prefix xor that undoes ``topology.gray``: the
@@ -426,3 +429,51 @@ def reference_minimal_sets(adj_mask: list[int], attach_mask: list[int]) -> list[
             if not any(prev & mask == prev for prev in minimal) and feasible(mask):
                 minimal.append(mask)
     return minimal
+
+
+@lru_cache(maxsize=None)
+def _reference_packing_input(n: int, terms: tuple[int, ...]):
+    # the ground labels, the attach masks and every minimal set sorted by
+    # (size, mask), over the recursive edge set
+    masks = recursive_adjacency_masks(n)
+    ground = [v for v in range(1 << n) if v not in terms]
+
+    def pick(mask: int) -> int:
+        return sum(1 << i for i, v in enumerate(ground) if mask >> v & 1)
+
+    adj_mask = [pick(masks[v]) for v in ground]
+    attach_mask = [pick(masks[t]) for t in terms]
+    minimal = sorted(reference_minimal_sets(adj_mask, attach_mask), key=lambda m: (m.bit_count(), m))
+    return tuple(ground), tuple(attach_mask), tuple(minimal)
+
+
+def reference_oracle_tau(n: int, terms, stop_at: int | None = None) -> tuple[int, int, tuple[frozenset[int], ...]]:
+    """(lower, upper, witness) of the packing oracle with no budget: every
+    minimal set of the subset scan, sorted by (size, mask), then the
+    branch and bound that packs them in that order, pruned by the degree
+    slots left and stopped once it holds ``stop_at`` sets."""
+    terms = tuple(sorted(set(terms)))
+    ground, attach_mask, minimal = _reference_packing_input(n, terms)
+    direct = len(terms) == 2 and recursive_adjacent(n, *terms)
+    ceiling = min(am.bit_count() for am in attach_mask) + direct
+    floor = 0 if stop_at is None else stop_at - 1
+    best, witness = 0, ()
+
+    def pack(start: int, used: int, chosen: list[int]) -> bool:
+        # whether the search stopped at stop_at sets
+        nonlocal best, witness
+        if len(chosen) > best:
+            best, witness = len(chosen), tuple(chosen)
+        if stop_at is not None and best >= stop_at:
+            return True
+        if len(chosen) + min((am & ~used).bit_count() for am in attach_mask) <= max(best, floor):
+            return False
+        return any(
+            not minimal[j] & used and pack(j + 1, used | minimal[j], chosen + [minimal[j]])
+            for j in range(start, len(minimal))
+        )
+
+    stopped = pack(0, 0, [0] if direct else [])
+    upper = ceiling if stopped else best if stop_at is None else min(ceiling, floor)
+    sets = tuple(frozenset(v for i, v in enumerate(ground) if mask >> i & 1) for mask in witness)
+    return best, upper, sets
