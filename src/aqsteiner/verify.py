@@ -8,10 +8,9 @@ adjacency so a constructor bug cannot hide behind shared helpers.
 the packing search of ``oracle_tau`` is shared: the constructor's base
 case runs it with ``stop_at``, and this module imports nothing of the
 package but ``topology``.  The oracle grows its minimal internal sets
-as connected vertex sets on bitmasks (``_minimal_sets``): all of them
-for an exact search, and for a ``stop_at`` search one size at a time,
-only as far as its packing reaches, from search frames parked at each
-size.
+as connected vertex sets on bitmasks (``_minimal_sets``), one size at a
+time and only as far as its packing reaches, which stops at its target:
+``stop_at`` trees, or for an exact search the degree ceiling.
 
 Certificates are duck-typed: a tree is anything with ``edges``, a set
 of label pairs, and a family anything with ``terminals`` (S, as objects
@@ -337,11 +336,9 @@ class OracleResult(NamedTuple):
         return self.lower
 
 
-def _minimal_sets(
-    adj_mask: list[int], attach_mask: list[int], budget: int, size: int | None = None, parked: list | None = None
-) -> tuple[list[int], int]:
-    """The minimal internal sets over a ground of bit-indexed vertices,
-    and the budget nodes spent finding them.
+def _minimal_sets(adj_mask: list[int], attach_mask: list[int], budget: int, parked: list) -> tuple[list[int], int]:
+    """The minimal internal sets of one size over a ground of bit-indexed
+    vertices, and the budget nodes spent finding them.
 
     A set is feasible when it is connected and meets every attach mask
     (a target's neighbourhood in the ground), and minimal when removing
@@ -350,55 +347,73 @@ def _minimal_sets(
     leaf outside K.  Connected sets are grown as ESU does (Wernicke,
     "Efficient detection of network motifs", 2006), each once: rooted at
     their lowest index and extended by exclusive neighbours above the
-    root, on an explicit stack of frames.  A feasible set is not
-    extended, and neither is a set with a dead vertex v: no attach mask
-    meets the set only in v, the set stays connected without v, and
-    every neighbour of v that the branch may still add has another
-    neighbour in the set.  Then every set of the branch stays connected
-    and meets the same attach masks without v, so none is minimal.
+    root.  A feasible set is not extended, and neither is a set with a
+    dead vertex v: no attach mask meets the set only in v, the set stays
+    connected without v, and every neighbour of v that the branch may
+    still add has another neighbour in the set.  Then every set of the
+    branch stays connected and meets the same attach masks without v, so
+    none is minimal.
 
-    With a ``size`` bound, a frame whose set has ``size`` vertices is
-    moved to ``parked`` instead of being extended, and a call given a
-    non-empty ``parked`` grows no roots but resumes those frames.  Each
-    step adds one vertex and a frame carries all it needs, so parking
-    changes only the order in which sets are grown: a fresh call with
-    bound k finds the minimal sets of at most k vertices, and each
-    resumed call at the next bound those of exactly that size.  Every
-    connected proper subset of a minimal set is infeasible and has no
-    dead vertex, so the search grows through it to the set.  Without a
-    bound nothing is parked and one call finds them all.
+    One call grows one size.  With nothing ``parked`` it grows the sets
+    of one vertex, and otherwise adds one vertex to each parked set in
+    every way its extension allows.  Each grown set that is neither
+    feasible nor dead and can still grow is parked for the next call, as
+    the order its vertices were added in: a few small ints, where its
+    masks would take a bit per ground vertex, for a level may park
+    millions.  Every connected proper subset of a minimal set is
+    infeasible and has no dead vertex, so the growth passes through it.
 
     Each grown set costs one node, and so does every vertex that a
     removal test tries or visits.  Once ``budget`` nodes are spent the
-    search stops with the sets found so far, and the frames it had not
+    call stops with the sets found so far, and the frames it had not
     reached are dropped.
     """
     found: list[int] = []
     nodes = 0
-    stack: list[tuple[int, int, int, int]] = []
-    root = 0
-    if parked:
-        stack, root = parked[:], len(adj_mask)
-        parked.clear()
-    while True:
-        while stack and nodes < budget:
-            # a frame: the set, its extension, and the vertices with at
-            # least one and with at least two neighbours in it; the first
-            # also holds every vertex below the root, so none joins ext
-            sub, ext, once, twice = stack.pop()
-            w = ext & -ext
-            ext ^= w
-            if ext:
-                stack.append((sub, ext, once, twice))
-            grown = sub | w
-            near = adj_mask[w.bit_length() - 1]
-            ext |= near & ~(once | sub)  # w's exclusive neighbours
+    if not parked:
+        for root, near in enumerate(adj_mask):
+            # a set rooted here lies at or above the root, so once an
+            # attach mask lies wholly below it no later root has a
+            # feasible set
+            if nodes >= budget or not all(am >> root for am in attach_mask):
+                break
+            bit = 1 << root
+            nodes += 1
+            if all(am & bit for am in attach_mask):
+                found.append(bit)
+            elif near >> root + 1:
+                parked.append((root,))
+        return found, nodes
+    frames = parked[:]
+    parked.clear()
+    while frames and nodes < budget:
+        # replay the order to the set, its extension, and the vertices
+        # with at least one and with at least two neighbours in it; the
+        # first also holds every vertex below the root
+        order = frames.pop()
+        root = order[0]
+        near = adj_mask[root]
+        sub, ext, once, twice = 1 << root, near & -1 << root + 1, near | (1 << root) - 1, 0
+        for i in order[1:]:
+            near = adj_mask[i]
+            ext = ext & -1 << i + 1 | near & ~(once | sub)
+            sub |= 1 << i
             twice |= once & near
             once |= near
+        # grow by each vertex w of the extension, lowest first: the grown
+        # set's extension is what lies above w and w's exclusive neighbours
+        while ext and nodes < budget:
+            w = ext & -ext
+            ext ^= w
+            i = w.bit_length() - 1
+            grown = sub | w
+            near = adj_mask[i]
+            grown_ext = ext | near & ~(once | sub)
+            grown_twice = twice | once & near
             nodes += 1
             # try each vertex that is no attach mask's only vertex in the
-            # set; below feasibility, also no neighbour in the extension
-            # may have it as its only neighbour in the set
+            # set; below feasibility, also no neighbour in the extension may
+            # have it as its only neighbour in the set
             feasible = True
             rest = grown
             for am in attach_mask:
@@ -407,7 +422,7 @@ def _minimal_sets(
                     feasible = False
                 elif not only & (only - 1):
                     rest &= ~only
-            pinned = 0 if feasible else ext & ~twice
+            pinned = 0 if feasible else grown_ext & ~grown_twice
             while rest:
                 v = rest & -rest
                 rest ^= v
@@ -434,19 +449,9 @@ def _minimal_sets(
             else:
                 if feasible:
                     found.append(grown)
-                elif ext:
-                    (parked if size and grown.bit_count() >= size else stack).append((grown, ext, once, twice))
-        # a set rooted here lies at or above the root, so once an attach
-        # mask lies wholly below it no later root has a feasible set
-        if root == len(adj_mask) or nodes >= budget or not all(am >> root for am in attach_mask):
-            return found, nodes
-        bit, near = 1 << root, adj_mask[root]
-        root += 1
-        nodes += 1
-        if all(am & bit for am in attach_mask):
-            found.append(bit)
-        elif near >> root:
-            (parked if size == 1 else stack).append((bit, near & -1 << root, near | bit - 1, 0))
+                elif grown_ext:
+                    parked.append(order + (i,))
+    return found, nodes
 
 
 def oracle_tau(
@@ -461,29 +466,24 @@ def oracle_tau(
 
     Every pendant tree prunes to one whose internal vertex set is minimal
     (connected, with every terminal attached and no removable vertex), so
-    the search grows exactly those internal sets as connected sets (see
-    ``_minimal_sets``), then packs pairwise disjoint ones, smallest first,
-    by branch and bound.  Intended for hosts of at most 16 vertices; the
-    budget counts grown sets, the vertices their removal tests try or
-    visit, and the sets the packing tries.  ``lower`` is the best packing
-    found, and ``upper`` the degree ceiling on a spent budget, else it.
+    the search packs pairwise disjoint minimal sets by branch and bound,
+    smallest first, and grows them only as far as the packing reaches
+    (``_minimal_sets``): the list starts with the sets of one vertex, and
+    each time a packing loop has tried every set in it while frames are
+    still parked, the next size that has any is appended, sorted by mask.
+    Intended for hosts of at most 16 vertices; the budget counts grown
+    sets, the vertices their removal tests try or visit, and the sets the
+    packing tries.
 
-    With ``stop_at`` the packing returns once it holds ``stop_at`` trees
-    and prunes the branches that cannot reach that many: an early stop is
-    bounded by the ceiling, and a finished search that falls short bounds
-    the value by ``stop_at - 1``.  Such a search grows the minimal sets
-    one size at a time, and only as far as the packing reaches: it starts
-    with the sets of one vertex, and each time a packing loop has tried
-    every set in the list while ``_minimal_sets`` still holds parked
-    frames, it appends the next size that has any, sorted by mask.  The
-    list is then always a prefix of the one the exact search packs,
-    sorted by size and mask, so the packing tries the same sets in the
-    same order and returns the same bounds and witness.  Its budget
-    counts only the levels grown and the sets tried, so it can finish
-    where growing every minimal set first would spend the budget.  A
-    budget spent before the next size is wholly grown halts the packing
-    as a spent budget does anywhere, so the bracket's upper end is then
-    the ceiling.
+    The packing returns once it holds its target: ``stop_at`` trees, or
+    for an exact search the degree ceiling, which no packing exceeds.
+    Below ``stop_at`` it prunes the branches that cannot reach that many.
+    ``lower`` is the best packing found.  ``upper`` is the ceiling on a
+    spent budget or a reached target; a finished exact search is exact,
+    and a finished ``stop_at`` search that falls short bounds the value
+    by ``stop_at - 1``.  A budget spent before the next size is wholly
+    grown halts the packing like a budget spent anywhere, as the sets it
+    did not grow may be packed.
     """
     if budget <= 0:
         raise ContractViolation("budget must be positive")
@@ -512,15 +512,13 @@ def oracle_tau(
     direct_edge_tree = len(term_labels) == 2 and g.adjacent_labels(term_labels[0], term_labels[1])
     ceiling = min(am.bit_count() for am in attach_mask) + direct_edge_tree
 
-    # a stop_at search starts at the sets of one vertex and parks the rest
-    parked: list[tuple[int, int, int, int]] = []
-    level = 1
-    minimal, nodes = _minimal_sets(adj_mask, attach_mask, budget, None if stop_at is None else level, parked)
+    # the sets of one vertex, already sorted by mask; the rest are parked
+    parked: list[tuple[int, ...]] = []
+    minimal, nodes = _minimal_sets(adj_mask, attach_mask, budget, parked)
 
     # pack pairwise disjoint minimal sets, largest count wins; below
     # stop_at, a branch is worth searching only if it can reach stop_at
-    minimal.sort(key=lambda msk: (msk.bit_count(), msk))
-    floor = 0 if stop_at is None else stop_at - 1
+    target, floor = (ceiling, 0) if stop_at is None else (stop_at, stop_at - 1)
     chosen = [0] if direct_edge_tree else []
     best = 0
     witness: tuple[int, ...] = ()
@@ -530,13 +528,10 @@ def oracle_tau(
         return min((am & ~used).bit_count() for am in attach_mask)
 
     def more() -> bool:
-        # the next level that holds a minimal set, sorted by mask; a budget
-        # spent before a whole level is grown halts the packing, as the
-        # sets it did not grow may be packed
-        nonlocal nodes, level, halted
+        # the next size that holds a minimal set, sorted by mask
+        nonlocal nodes, halted
         while parked and nodes < budget:
-            level += 1
-            sets, spent = _minimal_sets(adj_mask, attach_mask, budget - nodes, level, parked)
+            sets, spent = _minimal_sets(adj_mask, attach_mask, budget - nodes, parked)
             nodes += spent
             if sets and nodes < budget:
                 minimal.extend(sorted(sets))
@@ -548,12 +543,12 @@ def oracle_tau(
         nonlocal best, nodes, witness, halted
         if count > best:
             best, witness = count, tuple(chosen)
-        if nodes >= budget or (stop_at is not None and best >= stop_at):
+        if nodes >= budget or best >= target:
             halted = True
             return
         if count + slots_left(used) <= max(best, floor):
             return
-        # a deeper call may have grown the list; at its end, grow a level
+        # a deeper call may have grown the list; at its end, grow a size
         while start < len(minimal) or parked and more():
             end = len(minimal)
             for j in range(start, end):
@@ -568,10 +563,10 @@ def oracle_tau(
             start = end
 
     dfs(0, 0, len(chosen))
-    # a spent budget (the packing halts on entry, or on a level it could
-    # not finish growing) or an early stop bounds the value only by the
-    # ceiling, which no packing exceeds; a finished search below stop_at
-    # proves only that stop_at is out of reach
+    # a spent budget (the packing halts on entry, or on a size it could
+    # not finish growing) or a reached target bounds the value by the
+    # ceiling; a finished search below stop_at proves only that stop_at
+    # is out of reach
     upper = ceiling if halted else best if stop_at is None else min(ceiling, floor)
     sets = tuple(frozenset(v for i, v in enumerate(ground) if mask >> i & 1) for mask in witness)
     return OracleResult(lower=best, upper=upper, nodes_used=nodes, witness=sets)
@@ -583,7 +578,9 @@ def oracle_tau(
 
 def hager_upper_bound(g: AugmentedCube, k: int) -> int:
     """Largest pendant k-tree packing size not excluded by minimum degree:
-    a packing of m trees forces min degree >= k + m - 1, so m <= d - k + 1."""
+    for S a vertex of degree d and k - 1 of its neighbours, each of m
+    trees gives it its own neighbour outside S (one in S makes the tree
+    one edge), so m <= d - k + 1; for k = 2 that edge is a tree: m <= d."""
     if k < 2:
         raise ContractViolation("terminal count must be at least 2")
-    return g.degree - k + 1
+    return g.degree if k == 2 else g.degree - k + 1

@@ -436,12 +436,20 @@ def test_oracle_command():
     assert doc["exact"] and doc["lower"] == 4
     code, _, _ = run_cli(["oracle", "-n", "5", "-S", "00000,00001,00010"])
     assert code == 2  # needs --force beyond 16 vertices
+    # within the budget (0, 1, 2) packs its degree ceiling, which is
+    # exact, and (0, 5, 9) packs 8 but cannot rule out 9
     code, out, _ = run_cli(
         ["oracle", "-n", "5", "-S", "00000,00001,00010", "--force", "--budget", "20000"]
     )
     assert code == 0
     doc = json.loads(out)
-    assert not doc["exact"] and doc["lower"] <= doc["upper"]
+    assert doc["exact"] and doc["lower"] == 7
+    code, out, _ = run_cli(
+        ["oracle", "-n", "5", "-S", "00000,00101,01001", "--force", "--budget", "20000"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lower"], doc["upper"], doc["exact"]) == (8, 9, False)
     code, out, _ = run_cli(["oracle", "-n", "1", "-S", "0,1"])
     assert code == 0
     doc = json.loads(out)
@@ -480,14 +488,14 @@ def test_oracle_dimension_out_of_range_is_usage_error():
 def test_forced_oracle_spends_its_default_budget():
     # the budget charges every grown set, every vertex its removal tests
     # try or visit and every set the packing tries, so a forced run ends
-    # in a bracket instead of running for minutes; the same triple is
-    # exact at n = 5, so this runs at n = 8
+    # in a bracket instead of running for minutes; this triple falls one
+    # short of its degree ceiling 15 within the default budget
     out = run_bounded(
         "import contextlib, io\n"
         "from aqsteiner.cli import main\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    code = main(['oracle', '-n', '8', '-S', '00000000,00000001,00000010', '--force'])\n"
+        "    code = main(['oracle', '-n', '8', '-S', '00000000,00000101,00001001', '--force'])\n"
         "print(code)\n"
         "print(out.getvalue())\n",
         timeout=30,
@@ -495,14 +503,47 @@ def test_forced_oracle_spends_its_default_budget():
     code, doc = out.split("\n", 1)
     doc = json.loads(doc)
     jsonschema.validate(doc, schema("oracle"))
-    assert code == "0" and doc["exact"] is False and doc["lower"] <= doc["upper"]
+    assert code == "0" and (doc["lower"], doc["upper"], doc["exact"]) == (14, 15, False)
+    assert doc["nodes_used"] >= verify_mod.DEFAULT_ORACLE_BUDGET
+
+
+def test_forced_oracle_stops_at_the_degree_ceiling():
+    # a packing that meets the degree ceiling is exact, so the search
+    # stops there, having grown the minimal sets only as far as it packs
+    for targets in ("000000,000001,000010", "000000,000001,000011"):
+        code, out, _ = run_cli(["oracle", "-n", "6", "-S", targets, "--force"])
+        assert code == 0, targets
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema("oracle"))
+        assert (doc["lower"], doc["upper"], doc["exact"]) == (9, 9, True), targets
+        assert doc["nodes_used"] < 10_000, targets
+
+
+def test_forced_oracle_at_the_top_dimension_fits_in_memory():
+    # a spent default budget at n = 12 parks hundreds of thousands of
+    # sets to grow into the next size; each is parked as the indices it
+    # grew in, not as masks of 4093 bits, so the run fits under the cap
+    out = run_bounded(
+        "import contextlib, io\n"
+        "from aqsteiner.cli import main\n"
+        "out = io.StringIO()\n"
+        "targets = ','.join(format(v, '012b') for v in (0, 5, 9))\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['oracle', '-n', '12', '-S', targets, '--force'])\n"
+        "print(code)\n"
+        "print(out.getvalue())\n",
+        timeout=60,
+    )
+    code, doc = out.split("\n", 1)
+    doc = json.loads(doc)
+    assert code == "0" and (doc["lower"], doc["upper"], doc["exact"]) == (5, 23, False)
     assert doc["nodes_used"] >= verify_mod.DEFAULT_ORACLE_BUDGET
 
 
 def test_deep_forced_oracle_ends_in_a_bracket():
-    # the connected sets grow on an explicit stack: within this budget the
-    # n = 12 search grows sets of about a thousand vertices, past Python's
-    # default recursion limit, and still ends on the budget
+    # within this budget the n = 10 search packs its degree ceiling 17,
+    # so it is exact, while the n = 12 search, over 4093 ground vertices,
+    # ends on the budget in a bracket
     out = run_bounded(
         "import contextlib, io\n"
         "from aqsteiner.cli import main\n"
@@ -515,11 +556,14 @@ def test_deep_forced_oracle_ends_in_a_bracket():
         timeout=60,
     )
     assert len(out.splitlines()) == 2
+    brackets = []
     for line in out.splitlines():
         code, doc = line.split(" ", 1)
         doc = json.loads(doc)
         jsonschema.validate(doc, schema("oracle"))
-        assert code == "0" and doc["exact"] is False and doc["lower"] <= doc["upper"], line
+        assert code == "0", line
+        brackets.append((doc["lower"], doc["upper"], doc["exact"]))
+    assert brackets == [(17, 17, True), (3, 21, False)]
 
 
 def test_fidelity_case1_runs_to_its_bound():
@@ -947,11 +991,11 @@ STDOUT_DIGESTS = [
     ("sweep -n 4 --exhaustive", 0,
      "379afe24b86afc61b219a59d62d4fdce73ea6c3f82327e9abf2fc85a3f636e0a"),
     ("oracle -n 3 -S 001,010,100", 0,
-     "2f8be0e2bb92a7872dcae24e98ba5a0f7c137c1625ba33a98885eff904821539"),
+     "ed6cf85143b323e39751973f77385effc485f853a58af55738d61f86b2780f99"),
     ("oracle -n 4 -S 0000,0011,1100", 0,
-     "0ada5677573d2b4ea45ee6ea5b6ac81e055b20d8a54780fa394271cab282b6a4"),
+     "75190113906fd6e3ffe8ff324d342105e1c44a45ac636f5f6f11cc88e5b2c38e"),
     ("oracle -n 5 -S 00000,00001,00010 --force", 0,  # exact: 7, well inside the default budget
-     "576c01fdd8a3529e355056e6036a2a1ef9269356c4bc33b9a8b6c1a86f59025f"),
+     "4d651ed0a6a156bd1f87570b46b4133f2ade52d23699108b7767d201f1a99a53"),
 ]
 
 

@@ -313,33 +313,40 @@ def test_minimal_sets_match_the_subset_scan():
     cases = [(n, t) for n in (1, 2, 3) for k in (2, 3) for t in itertools.combinations(range(1 << n), k)]
     cases += [(4, t) for t in sorted({reference_canonical_triple(4, t)[0] for t in itertools.combinations(range(16), 3)})]
     cases += [(4, (0, w)) for w in range(1, 16)]
-    by_size = lambda mask: (mask.bit_count(), mask)
     for n, terms in cases:
         adj_mask, attach_mask = _ground_masks(n, terms)
-        found, _ = _minimal_sets(adj_mask, attach_mask, 10**9)
-        assert len(set(found)) == len(found), (n, terms)
-        expected = sorted(reference_minimal_sets(adj_mask, attach_mask), key=by_size)
-        assert sorted(found, key=by_size) == expected, (n, terms)
-        # a call bounded by k finds the sets of at most k vertices, and
-        # resuming its parked frames one bound at a time finds each next
-        # size, until nothing is parked
-        for k in range(1, len(adj_mask) + 1):
-            parked = []
-            found, _ = _minimal_sets(adj_mask, attach_mask, 10**9, k, parked)
-            assert sorted(found, key=by_size) == [m for m in expected if m.bit_count() <= k], (n, terms, k)
-            level = k
-            while parked:
-                level += 1
-                found, _ = _minimal_sets(adj_mask, attach_mask, 10**9, level, parked)
-                assert sorted(found) == [m for m in expected if m.bit_count() == level], (n, terms, k, level)
-            assert all(m.bit_count() <= level for m in expected), (n, terms, k)
+        expected = reference_minimal_sets(adj_mask, attach_mask)
+        # a fresh call finds the sets of one vertex, and each call on the
+        # frames the last one parked finds those of the next size, until
+        # nothing is parked
+        parked = []
+        found, _ = _minimal_sets(adj_mask, attach_mask, 10**9, parked)
+        size = 1
+        assert found == [m for m in expected if m.bit_count() == 1], (n, terms)
+        while parked:
+            size += 1
+            found, _ = _minimal_sets(adj_mask, attach_mask, 10**9, parked)
+            assert sorted(found) == sorted(m for m in expected if m.bit_count() == size), (n, terms, size)
+        assert all(m.bit_count() <= size for m in expected), (n, terms)
+
+
+def _grow_every_size(adj_mask, attach_mask, budget):
+    # the minimal sets of every size, one call per size, on one budget
+    parked, found, nodes = [], [], 0
+    while nodes < budget:
+        sets, spent = _minimal_sets(adj_mask, attach_mask, budget - nodes, parked)
+        found += sets
+        nodes += spent
+        if not parked:
+            break
+    return found, nodes
 
 
 def test_minimal_sets_stop_on_the_budget():
     adj_mask, attach_mask = _ground_masks(4, (0, 5, 10))
-    everything, spent = _minimal_sets(adj_mask, attach_mask, 10**9)
+    everything, spent = _grow_every_size(adj_mask, attach_mask, 10**9)
     for budget in (1, 50, spent // 2):
-        found, nodes = _minimal_sets(adj_mask, attach_mask, budget)
+        found, nodes = _grow_every_size(adj_mask, attach_mask, budget)
         assert budget <= nodes < spent and set(found) < set(everything)
 
 
@@ -488,9 +495,25 @@ def test_hager_bound_examples():
     assert hager_upper_bound(AugmentedCube(5), 3) == 7
     assert hager_upper_bound(AugmentedCube(3), 3) == 3
     for n in (2, 3, 4, 6):
-        assert hager_upper_bound(AugmentedCube(n), 2) == 2 * n - 2
+        assert hager_upper_bound(AugmentedCube(n), 2) == 2 * n - 1
     with pytest.raises(ContractViolation):
         hager_upper_bound(AugmentedCube(3), 1)
+
+
+def test_hager_bound_holds_over_the_oracle():
+    # the bound caps tau_k, the least value over k-sets; a translation is
+    # an automorphism, so the pairs (0, w) take every pair's value, and
+    # by Menger their least is the connectivity: the k = 2 bound 2n - 1
+    # is met except at n = 3, where kappa(AQ_3) = 4
+    for n in (2, 3, 4, 5):
+        g = AugmentedCube(n)
+        values = [oracle_tau(g, [0, w]) for w in range(1, 1 << n)]
+        assert all(res.exact and res.value <= hager_upper_bound(g, 2) == 2 * n - 1 for res in values), n
+        assert min(res.value for res in values) == connectivity(g), n
+    # the k = 3 bound is met at n = 3, though some triples pack more
+    g = AugmentedCube(3)
+    values = [oracle_tau(g, t).value for t in itertools.combinations(range(8), 3)]
+    assert min(values) == hager_upper_bound(g, 3) < max(values)
 
 
 def test_connectivity_values():

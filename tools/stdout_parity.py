@@ -40,9 +40,11 @@ child process, in-process through ``cli.main``, against that checkout's
   draw falls into thousands of small classes;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
   under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the
-  enumeration or in the packing), ``oracle -n 3 -S 000,001,010
-  --budget 15``, whose spent budget leaves a point bracket, and
-  ``oracle -n 5 --force --budget 20000``;
+  growth or in the packing), ``oracle -n 3 -S 000,001,010 --budget
+  15``, whose spent budget leaves a point bracket, and ``oracle -n 5
+  --force --budget 20000`` on (0, 1, 2), which meets its degree
+  ceiling and is exact, and on (0, 5, 9), which ends in the bracket
+  [8, 9];
 - ``verify`` on every certificate the JSON constructs printed, and on
   six mutants of the first certificate at each n = 5..8: a dropped
   edge, a non-edge, a reused internal vertex, a terminal of degree 2, a
@@ -318,6 +320,7 @@ def command_list() -> list[list[str]]:
         cmds.append(["oracle", "-n", "4", "-S", "0000,0011,1110", "--budget", budget])
     cmds.append(["oracle", "-n", "3", "-S", "000,001,010", "--budget", "15"])
     cmds.append(["oracle", "-n", "5", "-S", "00000,00001,00010", "--force", "--budget", "20000"])
+    cmds.append(["oracle", "-n", "5", "-S", "00000,00101,01001", "--force", "--budget", "20000"])
     cmds += BAD_COMMANDS
     cmds += [["verify", f"bad-{kind}.json"] for kind in BAD_CERTIFICATES]
     return cmds + verifies
