@@ -6,9 +6,10 @@ returns 2n - 3 trees in which every target is a leaf, pairwise sharing
 no edge and no vertex beyond S.  Every triple is first moved to its
 least translate S ^ a (``_least_translate``), built there and moved
 back, so construct(S ^ b) is construct(S) translated by b.
-Dimensions 3 and 4 are solved by the exhaustive packing search of
-``verify.oracle_tau``, stopped at 2n - 3 trees (cached per least
-translate); higher dimensions run a recursive case analysis on how
+Dimensions 3 and 4 read the 2n - 3 trees of the least translate from
+a table (``_BASE_TABLE``) that ``tools/base_table.py`` writes from
+packings of the exhaustive search ``oracle.oracle_tau``, so no build
+runs a search; higher dimensions run a recursive case analysis on how
 the least translate straddles the two half-copies:
 
 - all three targets in one half: recurse inside that half, then route
@@ -47,7 +48,7 @@ construct builds its fans directly.  A recipe takes each fan it needs
 once: Case2_1_2 with z = h(x), whose two fans share d, hands the lower
 fan itself to the upper side.  Every family still passes the verifier.
 The base families are likewise the pure function ``_base_trees`` of
-the least translate, cached for the life of the process.
+the least translate, decoded from the table once per process.
 
 A sweep names each translation class by its least translate
 and the masks a of its members canon ^ a: every least translate with
@@ -111,7 +112,7 @@ class CaseTag(NamedTuple):
     moved the targets to their least translate (``_least_translate``),
     the coordinates the branch built in.  ``roles`` gives the labels
     (x, y, z) in those coordinates for the two-one split branches, and
-    is None for Case1 and the base search.  The grid splice picks its
+    is None for Case1 and the base families.  The grid splice picks its
     matching from the roles alone (``_splice_image``).
     """
 
@@ -484,65 +485,93 @@ def _construct_case1(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive base search, cached per least translate
+# base families, from a table per least translate
 # ---------------------------------------------------------------------------
 
-def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int) -> TreeFamily:
-    """Exhaustive family search for dimensions 3 and 4.
+# The 2n - 3 trees of every least translate at n = 3 and 4, one string
+# per class in ``least_translates(n)`` order, so no key is stored.  A
+# string holds the class's trees separated by spaces, and a tree its
+# edges (u, v), u < v, as two hex digits u and v: every label is below
+# 16.  ``tools/base_table.py`` writes the table from packings of
+# ``oracle.oracle_tau``, and tier-1 checks that it still does and that
+# every row verifies.  Strings cost nothing to compile, where a literal
+# of edge tuples costs a few milliseconds of every start-up.
+_BASE_TABLE = {
+    3: (
+        "031323 04152545 07162667",
+        "031334 02122545 07164667",
+        "021226 03133446 07155657",
+        "032334 01121545 07264667",
+        "011215 03233445 07265667",
+        "073747 01131545 02232646",
+        "011315 022325 043445",
+    ),
+    4: (
+        "031323 04152545 07162667 08192a898a 0f1e2ddedf",
+        "031334 02122545 07164667 08194b898b 0f1e4ccecf",
+        "021226 03133446 07155657 08196989 0f1e6eef",
+        "07155778 02122a8a 03133b8b 0f1e8fef 0416466989",
+        "02122a 0415455a 0819898a 03133bab 0f1eaeef",
+        "03133c 0415454c 0819898c 02122dcd 0f1eceef",
+        "0416466e 0819899e 02122aae 03133cce 0715575dde",
+        "032334 01121545 07264667 082a4b8a8b 0f2d4ccdcf",
+        "011215 03233445 07265667 082a5a8a 0f2d5ddf",
+        "07255778 01121989 03233b8b 0f2d8fdf 0426464c8c",
+        "011219 04264669 082a898a 03233b9b 0f2d9ddf",
+        "03233c 0425454c 082a8a8c 01121ece 0f2dcddf",
+        "0425455d 0112199d 082a8aad 03233ccd 0726676ede",
+        "073747 01131545 02232646 083b4b8b 0f3c4ccf",
+        "011315 022325 043445 073757 083b5a8a8b",
+        "073778 01131989 02232a8a 04344b8b 0f3c8ccf",
+        "011319 02232669 07377889 04344b9b 0f3c9dcdcf",
+        "04344c 0737788c 02232dcd 01131ece 0f3bbcbf",
+        "02232d 0113155d 04344ccd 07377fdf 083b898b9d",
+        "074778 03343b8b 0f4c8ccf 0115194589 02262a468a",
+        "01131934 02264669 084b898b 0745575a9a 0f4c9dcdcf",
+        "02232a34 0115455a 084b8a8b 074667699a 0f4cadcdcf",
+        "03343b 0747788b 0f4cbccf 011519459b 02262a46ab",
+        "075778 01151989 02252a8a 04454b8b 0f5d8fdf",
+        "011519 02252669 07577889 04454b9b 0f5d9ddf",
+        "02252a 0757788a 0115199a 04454bab 0f5daddf",
+        "04454b 0113153b 0757788b 02252aab 0f5dbfdf",
+        "076778 01161989 02262a8a 04464b8b 0f6e8fef",
+        "011619 07677889 02262a9a 04464b9b 0f6e9eef",
+        "02262a 0115165a 0767788a 04464bab 0f6eaeef",
+        "04464b 0113163b 0767788b 02262aab 0f6ebfef",
+        "0f7f8f 03373b8b 04474c8c 0115195789 02262a678a",
+        "087889 01131937 02266769 04474b9b 0f7f9ddf",
+        "08788a 02232a37 0115575a 04474bab 0f7faddf",
+        "03373b 04474b 08788b 0f7fbf 011519579b",
+    ),
+}
 
-    ``verify.oracle_tau`` packs ``target`` pairwise disjoint minimal
-    internal sets (connected, touching the neighbourhood of every target)
-    and stops there; each set becomes a tree through a spanning tree of
-    the set, smallest labels first, plus one pendant edge per target.
-    The trees are those of ``_base_trees`` for the least translate of
-    the targets (``_least_translate``), translated back.  A packing
-    short of ``target`` raises ``InternalError``.
+
+def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int) -> TreeFamily:
+    """The first ``target`` trees of the base family of the targets, for
+    dimensions 3 and 4 and 1 <= target <= 2n - 3: those of
+    ``_base_trees`` for the least translate of the targets
+    (``_least_translate``), translated back.  Every subfamily of a valid
+    family is valid.
     """
     labels = _validate_terminals(g, terminals)
     n = g.dim
     if n not in (3, 4):
-        raise ContractViolation("exhaustive base search is for dimensions 3 and 4")
-    if target < 1:
-        raise ContractViolation("target must be positive")
+        raise ContractViolation("base families are for dimensions 3 and 4")
+    size = target_family_size(n)
+    if not 1 <= target <= size:
+        raise ContractViolation(f"target must be positive and at most 2n - 3 = {size}")
 
     canon, a = _least_translate(labels)
-    trees = _base_trees(n, target, canon)
+    trees = _base_trees(n, canon)[:target]
     return _assemble(g, labels, trees, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, a),))
 
 
 @functools.lru_cache(maxsize=None)
-def _base_trees(n: int, target: int, canon: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The label edges of ``target`` trees for the least translate, from
-    a packing of ``verify.oracle_tau``; a short packing raises
-    ``InternalError`` and is not cached."""
-    g = AugmentedCube(n)
-    res = _verify.oracle_tau(g, canon, stop_at=target)
-    if res.lower < target:
-        how = "search was exhaustive" if res.upper < target else "search budget ran out"
-        raise InternalError(f"no {target}-family found for targets {list(canon)} at dim {n}; {how}")
-    return tuple(_spanning_edges(g, canon, internal) for internal in res.witness)
-
-
-def _spanning_edges(
-    g: AugmentedCube, terms: Sequence[int], internal: frozenset[int]
-) -> tuple[tuple[int, int], ...]:
-    """A spanning tree of the internal set, smallest labels first, plus
-    each target's edge to its smallest neighbour in the set."""
-    members = sorted(internal)
-    edges: set[tuple[int, int]] = set()
-    seen = {members[0]}
-    frontier = [members[0]]
-    while frontier:
-        a = frontier.pop(0)
-        for b in g.neighbor_labels(a):
-            if b in internal and b not in seen:
-                seen.add(b)
-                edges.add((min(a, b), max(a, b)))
-                frontier.append(b)
-    for t in terms:
-        hook = min(w for w in g.neighbor_labels(t) if w in seen)
-        edges.add((min(t, hook), max(t, hook)))
-    return tuple(sorted(edges))
+def _base_trees(n: int, canon: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The label edges of the 2n - 3 trees of the least translate, from
+    its row of ``_BASE_TABLE``; a hex byte uv is the edge (u, v)."""
+    row = _BASE_TABLE[n][list(least_translates(n)).index(canon)]
+    return tuple(tuple(divmod(b, 16) for b in bytes.fromhex(tree)) for tree in row.split())
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +590,11 @@ def construct(
     Every branch builds on the least translate S ^ a of the targets and
     translates its trees back by a, so construct(S ^ b) is construct(S)
     with every edge translated by b, and the case names agree.
-    Dimensions 3 and 4 are searched exhaustively; higher dimensions go
-    through the case dispatch and its written recipe (Case1 recurses
-    through this function, one call per dimension).  The recipe takes
-    its fans from the sweep batch's ``fan_memo()`` when one is open and
-    builds them directly otherwise; either way it takes each fan it
+    Dimensions 3 and 4 read their trees from the base table; higher
+    dimensions go through the case dispatch and its written recipe
+    (Case1 recurses through this function, one call per dimension).
+    The recipe takes its fans from the sweep batch's ``fan_memo()`` when
+    one is open and builds them directly otherwise; either way it takes each fan it
     needs once, so a lone Case2_1_2 construct with z = h(x), whose lower
     and upper fans are both the fan to x ^ y, builds one fan.
     The result passes the independent verifier exactly once, here; a
@@ -575,7 +604,7 @@ def construct(
     """
     n = g.dim
     if n <= 4:
-        # the base search validates the targets itself, with the same messages
+        # the base lookup validates the targets itself, with the same messages
         family = base_case_search(g, terminals, target_family_size(n))
     else:
         labels = _validate_terminals(g, terminals)

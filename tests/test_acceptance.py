@@ -9,16 +9,14 @@ import sys
 import time
 
 from aqsteiner.cli import all_triples, run_sweep, sweep_summary
-from aqsteiner.construct import Case, base_case_search
+from aqsteiner.construct import Case, SteinerTree, TreeFamily
 from aqsteiner.paths import connectivity
 from aqsteiner.topology import AugmentedCube, Vertex
-from aqsteiner.verify import (
-    hager_upper_bound,
-    oracle_tau,
-    verify_family,
-)
+from aqsteiner.oracle import hager_upper_bound, oracle_tau
+from aqsteiner.verify import verify_family
 
 from util import (
+    load_tool,
     max_disjoint_paths_brute,
     recursive_adjacency_masks,
     recursive_edges,
@@ -92,7 +90,12 @@ def test_criterion_4_classic_dim3_families_reproduced():
     s_star = (0b001, 0b010, 0b100)
     res = oracle_tau(g, s_star)
     assert res.exact and res.value >= 4
-    fam4 = base_case_search(g, [Vertex(b, 3) for b in s_star], 4)
+    # the witness's internal sets, each spanned and hooked to S as the
+    # base table's tool does, make a verified 4-family; the constructor's
+    # own n = 3 families hold 2n - 3 = 3 trees
+    spanning_edges = load_tool("base_table").spanning_edges
+    trees = tuple(SteinerTree(frozenset(spanning_edges(g, s_star, w))) for w in res.witness[:4])
+    fam4 = TreeFamily(3, frozenset(Vertex(b, 3) for b in s_star), trees, ())
     assert len(fam4.trees) == 4 and verify_family(g, fam4).accepted
     res2 = oracle_tau(g, (0b000, 0b001, 0b011))
     assert res2.exact and res2.value >= 3

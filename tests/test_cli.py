@@ -27,6 +27,7 @@ from aqsteiner.cli import (
     sample_triples,
 )
 from aqsteiner.construct import construct
+from aqsteiner.oracle import DEFAULT_ORACLE_BUDGET
 from aqsteiner.paths import PathSystem
 from aqsteiner.topology import AugmentedCube, ContractViolation, parse_vertex
 from aqsteiner.verify import check_path_system
@@ -504,7 +505,7 @@ def test_forced_oracle_spends_its_default_budget():
     doc = json.loads(doc)
     jsonschema.validate(doc, schema("oracle"))
     assert code == "0" and (doc["lower"], doc["upper"], doc["exact"]) == (14, 15, False)
-    assert doc["nodes_used"] >= verify_mod.DEFAULT_ORACLE_BUDGET
+    assert doc["nodes_used"] >= DEFAULT_ORACLE_BUDGET
 
 
 def test_forced_oracle_stops_at_the_degree_ceiling():
@@ -537,7 +538,7 @@ def test_forced_oracle_at_the_top_dimension_fits_in_memory():
     code, doc = out.split("\n", 1)
     doc = json.loads(doc)
     assert code == "0" and (doc["lower"], doc["upper"], doc["exact"]) == (5, 23, False)
-    assert doc["nodes_used"] >= verify_mod.DEFAULT_ORACLE_BUDGET
+    assert doc["nodes_used"] >= DEFAULT_ORACLE_BUDGET
 
 
 def test_deep_forced_oracle_ends_in_a_bracket():

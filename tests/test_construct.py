@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import functools
@@ -9,6 +10,7 @@ import math
 import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from aqsteiner.construct import (
     construct,
     target_family_size,
 )
+from aqsteiner.oracle import oracle_tau
 from aqsteiner.paths import PathSystem, undirected
 from aqsteiner.topology import (
     AugmentedCube,
@@ -47,7 +50,7 @@ from aqsteiner.topology import (
 )
 from aqsteiner.verify import verify_family
 
-from util import reference_least_translate, run_bounded
+from util import load_tool, reference_least_translate, run_bounded
 
 
 def vs(*labels):
@@ -547,15 +550,23 @@ def test_a_target_outside_the_cube_names_its_fault(bad, message):
 
 
 # ---------------------------------------------------------------------------
-# base search
+# base families
 # ---------------------------------------------------------------------------
 
 def test_base_search_targets_three_and_four():
     g = AugmentedCube(3)
     fam3 = base_case_search(g, vs("000", "001", "011"), 3)
     assert len(fam3.trees) == 3 and verify_family(g, fam3).accepted
-    fam4 = base_case_search(g, vs("001", "010", "100"), 4)
-    assert len(fam4.trees) == 4 and verify_family(g, fam4).accepted
+    # the table holds 2n - 3 = 3 trees a class at n = 3; a triple with no
+    # adjacent pair packs 4, which the oracle finds
+    res = oracle_tau(g, [0b001, 0b010, 0b100], stop_at=4)
+    assert res.lower == len(res.witness) == 4
+    # a shorter target takes the first trees of the row, a valid subfamily
+    g = AugmentedCube(4)
+    full = base_case_search(g, vs("0000", "0101", "1001"), 5)
+    for target in range(1, 6):
+        fam = base_case_search(g, vs("0000", "0101", "1001"), target)
+        assert fam.trees == full.trees[:target] and verify_family(g, fam).accepted
 
 
 def test_base_search_cache_consistency_across_orbit():
@@ -570,7 +581,7 @@ def test_base_search_cache_consistency_across_orbit():
 
 
 def test_base_tag_records_the_applied_transform():
-    # the base search solves the least translate; the tag's transform
+    # the base table holds the least translate; the tag's transform
     # translates it back onto the caller's labels
     g = AugmentedCube(4)
     for labels in itertools.combinations(range(16), 3):
@@ -584,17 +595,50 @@ def test_base_search_contract():
         base_case_search(AugmentedCube(5), vs("00000", "00001", "00010"), 7)
     with pytest.raises(ContractViolation, match="target must be positive"):
         base_case_search(AugmentedCube(3), vs("000", "001", "011"), 0)
+    for n in (3, 4):
+        with pytest.raises(ContractViolation, match=f"at most 2n - 3 = {2 * n - 3}"):
+            base_case_search(AugmentedCube(n), vs("0" * n, "0" * (n - 1) + "1", "0" * (n - 2) + "11"), 2 * n - 2)
 
 
 def test_base_search_short_packing_raises_internal_error(monkeypatch):
-    # a triangle in AQ_3 packs only 3 trees; a tiny budget stops short of 3
-    construct_mod._base_trees.cache_clear()
-    with pytest.raises(InternalError, match="search was exhaustive"):
-        base_case_search(AugmentedCube(3), vs("000", "001", "011"), 4)
-    tiny = functools.partial(verify_mod.oracle_tau, budget=5)
-    monkeypatch.setattr(verify_mod, "oracle_tau", tiny)
-    with pytest.raises(InternalError, match="search budget ran out"):
-        base_case_search(AugmentedCube(3), vs("000", "001", "011"), 3)
+    # construct verifies what the table gives it: a row one tree short,
+    # or with an edge dropped from a tree, raises InternalError
+    rows = construct_mod._BASE_TABLE[3]
+    assert rows[0] == "031323 04152545 07162667"
+    try:
+        for row in ("031323 04152545", "0313 04152545 07162667"):
+            monkeypatch.setitem(construct_mod._BASE_TABLE, 3, (row,) + rows[1:])
+            construct_mod._base_trees.cache_clear()
+            with pytest.raises(InternalError, match="Base3 family rejected"):
+                construct(AugmentedCube(3), vs("000", "001", "010"))
+    finally:
+        construct_mod._base_trees.cache_clear()
+
+
+def test_base_table_is_what_the_oracle_packs(capsys):
+    # tools/base_table.py writes the table from the oracle: its output is
+    # the table in construct.py, and every row is a valid family
+    tool = load_tool("base_table")
+    assert tool.main() == 0
+    out = capsys.readouterr().out
+    assert out in Path(construct_mod.__file__).read_text()
+    assert ast.literal_eval(out.partition(" = ")[2]) == construct_mod._BASE_TABLE
+    trees = edges = 0
+    for n in (3, 4):
+        g = AugmentedCube(n)
+        classes = list(construct_mod.least_translates(n))
+        assert len(construct_mod._BASE_TABLE[n]) == len(classes)
+        for canon in classes:
+            family = TreeFamily(
+                n,
+                frozenset(Vertex(a, n) for a in canon),
+                tuple(SteinerTree(frozenset(tree)) for tree in construct_mod._base_trees(n, canon)),
+                (),
+            )
+            assert verify_family(g, family, size=2 * n - 3).accepted, (n, canon)
+            trees += len(family.trees)
+            edges += sum(len(tree.edges) for tree in family.trees)
+    assert (trees, edges) == (196, 764)
 
 
 def _hash_family(h, family) -> None:

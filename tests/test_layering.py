@@ -1,16 +1,17 @@
 """The import layering that keeps the verifier independent, and the
 label boundary.
 
-``verify`` may import nothing of the package but ``topology``, and
-``topology`` nothing of the package at all, so no constructor or path
-code can reach the checks.  ``paths`` and ``verify`` work on plain int
-labels and never name ``Vertex``, and a ``SteinerTree`` is its label
-edges only.  Everything is read from the source with ``ast``, including
+``verify`` and ``oracle`` may import nothing of the package but
+``topology``, and ``topology`` nothing of the package at all, so no
+constructor or path code can reach the checks.  Only the CLI imports
+the oracle: the constructor reads its base families from a table.
+``paths``, ``verify`` and ``oracle`` work on plain int labels and never
+name ``Vertex``, and a ``SteinerTree`` is its label edges only.  Everything is read from the source with ``ast``, including
 imports inside functions.
 
 The package ``__init__`` imports nothing, so each of ``topology``,
-``verify`` and ``paths`` loads, at run time, only the package modules
-that its source imports.  Importing the CLI, and then running a serial
+``verify``, ``oracle``, ``paths`` and ``construct`` loads, at run time,
+only the package modules that its source imports.  Importing the CLI, and then running a serial
 sweep, loads none of the modules that only some commands need.  Both
 are checked in a fresh interpreter, since pytest itself has long since
 loaded the whole package, ``dataclasses`` and ``logging``.
@@ -71,6 +72,15 @@ def test_verify_imports_only_topology():
     assert module_imports("verify") == {"topology"}
 
 
+def test_oracle_imports_only_topology():
+    assert module_imports("oracle") == {"topology"}
+
+
+def test_only_the_cli_imports_the_oracle():
+    modules = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
+    assert [name for name in modules if "oracle" in module_imports(name)] == ["cli"]
+
+
 def test_topology_imports_nothing_from_the_package():
     assert module_imports("topology") == set()
 
@@ -107,7 +117,7 @@ def test_name_reader_sees_every_form():
 
 
 def test_paths_and_verify_never_name_vertex():
-    for name in ("paths", "verify"):
+    for name in ("paths", "verify", "oracle"):
         assert "Vertex" not in names_used((PACKAGE_DIR / f"{name}.py").read_text()), name
 
 
@@ -122,8 +132,9 @@ def test_steiner_tree_holds_only_edges():
 
 
 # dataclasses drags in inspect, dis and tokenize; the process pool drags
-# in logging, and only ``sweep --jobs`` above 1 uses it
-UNUSED_AT_IMPORT = ("dataclasses", "inspect", "concurrent.futures", "logging")
+# in logging, and only ``sweep --jobs`` above 1 uses it; only the
+# ``oracle`` and ``info`` commands use the oracle
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "concurrent.futures", "logging", "aqsteiner.oracle")
 
 
 def test_cli_import_and_serial_sweep_stay_lean():
@@ -152,6 +163,8 @@ def test_cli_import_and_serial_sweep_stay_lean():
         ("topology", ["topology"]),
         ("verify", ["topology", "verify"]),
         ("paths", ["paths", "topology", "verify"]),
+        ("oracle", ["oracle", "topology"]),
+        ("construct", ["construct", "paths", "topology", "verify"]),
     ],
 )
 def test_each_import_loads_only_what_it_imports(module, loaded):

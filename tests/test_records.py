@@ -13,7 +13,8 @@ from aqsteiner.cli import certificate_doc, parse_certificate, run_sweep
 from aqsteiner.construct import Case, CaseTag, SteinerTree, TreeFamily, construct
 from aqsteiner.paths import MinCut, PathSystem, disjoint_paths
 from aqsteiner.topology import AugmentedCube, ContractViolation, GraphView, Vertex
-from aqsteiner.verify import OracleResult, VerificationReport, oracle_tau, verify_family
+from aqsteiner.oracle import OracleResult, oracle_tau
+from aqsteiner.verify import VerificationReport, verify_family
 
 
 RECORDS = (

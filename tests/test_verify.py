@@ -1,10 +1,8 @@
 import collections
 import functools
-import importlib.util
 import itertools
 import random
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +12,7 @@ from hypothesis import strategies as st
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import all_triples, run_sweep, sample_triples
 from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, fan_memo, least_translates
+from aqsteiner.oracle import _minimal_sets, hager_upper_bound, oracle_tau
 from aqsteiner.paths import PathSystem, connectivity
 from aqsteiner.topology import (
     AugmentedCube,
@@ -35,14 +34,12 @@ from aqsteiner.verify import (
     TREE_COUNT,
     WRONG_TERMINALS,
     _accepts,
-    _minimal_sets,
     check_path_system,
-    hager_upper_bound,
-    oracle_tau,
     verify_family,
 )
 
 from util import (
+    load_tool,
     max_disjoint_paths_brute,
     reachable_mask,
     recursive_adjacency_masks,
@@ -418,10 +415,7 @@ def test_oracle_alone_gives_tau3_of_aq5():
 
 
 def test_oracle_floor_tool_names_every_short_class(capsys, monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "tools" / "oracle_floor.py"
-    spec = importlib.util.spec_from_file_location("oracle_floor", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("oracle_floor")
     assert tool.main(["4"]) == 0
     out = capsys.readouterr().out
     assert "n = 4: 35 of 35 classes reach 5 (degree ceiling 5)" in out and "SHORT" not in out
@@ -498,6 +492,17 @@ def test_hager_bound_examples():
         assert hager_upper_bound(AugmentedCube(n), 2) == 2 * n - 1
     with pytest.raises(ContractViolation):
         hager_upper_bound(AugmentedCube(3), 1)
+
+
+def test_hager_bound_is_zero_once_a_set_can_hold_a_closed_neighbourhood():
+    # AQ_3 has degree 5: from k = 6 on, S can hold 0 and its neighbours,
+    # and then 0 has no neighbour outside S for a pendant tree to take
+    g = AugmentedCube(3)
+    assert [hager_upper_bound(g, k) for k in range(2, 9)] == [5, 3, 2, 1, 0, 0, 0]
+    closed = [0, *g.neighbor_labels(0)]
+    assert oracle_tau(g, closed).value == oracle_tau(g, closed + [5]).value == 0
+    with pytest.raises(ContractViolation, match="at most 8"):
+        hager_upper_bound(g, 9)
 
 
 def test_hager_bound_holds_over_the_oracle():

@@ -26,7 +26,7 @@ scan: every subset of the ground, smallest first, kept when it holds no
 set kept before and one of its components meets every attach mask.
 ``reference_oracle_tau`` packs those sets, sorted by size and mask, by
 the oracle's branch and bound with no budget: the search that
-``verify.oracle_tau`` ran before it grew the sets one size at a time.
+``oracle.oracle_tau`` ran before it grew the sets one size at a time.
 ``recursive_adjacent`` is the recursive definition one leading bit at
 a time, so ``reference_check_path_system`` runs at every dimension.
 ``inverse_gray`` is the prefix xor that undoes ``topology.gray``: the
@@ -35,19 +35,31 @@ against.
 
 ``run_bounded`` runs the large-dimension tests in a child process with
 capped memory, so a view that gets materialised fails fast with
-``MemoryError`` instead of exhausting the machine.
+``MemoryError`` instead of exhausting the machine.  ``load_tool``
+imports a script of ``tools/`` as a module.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import resource
 import subprocess
 import sys
 from collections import deque
 from functools import lru_cache
+from pathlib import Path
 
 MEMORY_LIMIT = 1 << 30
+TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS_DIR / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def inverse_gray(g: int) -> int:

@@ -3,7 +3,7 @@
     python3 tools/oracle_floor.py N
 
 For every least translate (0, p, z) of ``construct.least_translates(N)``
-the tool runs ``verify.oracle_tau`` with ``stop_at = 2N - 3`` and the
+the tool runs ``oracle.oracle_tau`` with ``stop_at = 2N - 3`` and the
 default budget, and prints the class count, how many classes reach
 2N - 3, the total time and the slowest class.  A translation is an
 automorphism, so a class's witnessed packing moves to every member of
@@ -25,8 +25,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aqsteiner.construct import least_translates  # noqa: E402
+from aqsteiner.oracle import hager_upper_bound, oracle_tau  # noqa: E402
 from aqsteiner.topology import MAX_DIM, AugmentedCube  # noqa: E402
-from aqsteiner.verify import hager_upper_bound, oracle_tau  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
