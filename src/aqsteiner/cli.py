@@ -29,7 +29,7 @@ import sys
 import time
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import paths as _paths
 from . import verify as _verify
@@ -41,9 +41,9 @@ from .construct import (
     classify,
     construct as build_family,
     fan_memo,
+    least_translate,
     least_translates,
     target_family_size,
-    translation_classes,
 )
 from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, parse_vertex
 
@@ -288,17 +288,13 @@ def _sweep_classes(args: tuple[int, Sequence[Sequence[int]]]) -> list[tuple[str,
     return results
 
 
-def _sweep(
-    n: int, classes: Sequence[tuple[Sequence[int], Sequence[int]]], jobs: int = 1
-) -> Iterator[tuple[Sequence[int], Sequence[int], str, int]]:
-    """One (canon, masks, case, size) per class (canon, masks), from one
-    construct on the least translate canon.  With ``jobs`` above 1 the
-    classes are dealt round-robin into 4 * jobs pool batches of least
-    translates alone; the masks stay here, and a batch returns one
-    (case, size) per class."""
+def _sweep(n: int, canons: Sequence[Sequence[int]], jobs: int = 1) -> list[tuple[str, int]]:
+    """One (case, size) per least translate of ``canons``, in order, from
+    one construct on it.  With ``jobs`` above 1 the least translates are
+    dealt round-robin into 4 * jobs pool batches, and batch i's results
+    go back to places i, i + 4 * jobs, ... of the list."""
     slices = 4 * jobs if jobs > 1 else 1
-    batches = [classes[i::slices] for i in range(min(slices, len(classes)))]
-    tasks = [(n, [canon for canon, _ in batch]) for batch in batches]
+    tasks = [(n, canons[i::slices]) for i in range(min(slices, len(canons)))]
     parts = map(_sweep_classes, tasks)
     if len(tasks) > 1:
         # imported here: the pool and the logging it pulls in cost every
@@ -307,46 +303,29 @@ def _sweep(
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_classes, tasks))
-    for batch, part in zip(batches, parts):
-        for (canon, masks), (case, size) in zip(batch, part):
-            yield canon, masks, case, size
+    results: list = [None] * len(canons)
+    for i, part in enumerate(parts):
+        results[i::slices] = part
+    return results
 
 
 def run_sweep(n: int, triples: Iterable[Sequence[int]], jobs: int = 1) -> list[SweepRecord]:
-    """A record for every triple, sorted by labels, which are sorted.
+    """A record for every triple, in input order, with its labels sorted.
     Each translation class is built and verified once, on its least
-    translate (0, p, z), and its case and size go to the record of every
-    member, whose labels are sorted((a, a ^ p, a ^ z)) for its mask a.
-
-    That order is read off two bits of a, not sorted.  The top bit hz of
-    z lies above the top bit hp of p (``_least_translate``), so a ^ p
-    agrees with a on hz, and a ^ p, a ^ z differ first at hz: a ^ z is
-    the least of the three when a holds hz and the greatest otherwise.
-    Likewise a ^ p is below a exactly when a holds hp.
-
-    The list is sorted once, on the labels alone: records with equal
-    labels are of one triple, so they are equal, and the order is that
-    of sorting whole records.  Each record is made by ``tuple.__new__``,
-    which skips the named tuple's Python-level ``__new__``."""
+    translate, and its case and size go to the record of every member.
+    One pass maps each triple to the index of its class, so one least
+    translate is kept per class.  Each record is made by
+    ``tuple.__new__``, which skips the named tuple's Python-level
+    ``__new__``."""
+    labels: list[tuple[int, ...]] = []
+    keys: list[int] = []
+    classes: dict[tuple[int, ...], int] = {}
+    for t in triples:
+        labels.append(tuple(sorted(t)))
+        keys.append(classes.setdefault(least_translate(t)[0], len(classes)))
+    results = _sweep(n, list(classes), jobs)
     new = tuple.__new__
-    records = []
-    for (_, p, z), masks, case, size in _sweep(n, translation_classes(triples), jobs):
-        hp, hz = 1 << p.bit_length() >> 1, 1 << z.bit_length() >> 1
-        records += [
-            new(
-                SweepRecord,
-                (
-                    ((a ^ z, a ^ p, a) if a & hp else (a ^ z, a, a ^ p))
-                    if a & hz
-                    else ((a ^ p, a, a ^ z) if a & hp else (a, a ^ p, a ^ z)),
-                    case,
-                    size,
-                ),
-            )
-            for a in masks
-        ]
-    records.sort(key=itemgetter(0))
-    return records
+    return [new(SweepRecord, (t, *results[k])) for t, k in zip(labels, keys)]
 
 
 def _summary(n: int, classes: Iterable[tuple[str, int, int]]) -> dict:
@@ -523,15 +502,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ContractViolation("exhaustive sweep above dimension 5 needs --force")
         if (members := math.comb(1 << n, 3)) > SWEEP_MAX_TRIPLES:
             raise ContractViolation(f"exhaustive sweep verifies at most {SWEEP_MAX_TRIPLES} triples, AQ_{n} has {members}")
-        classes = [(canon, range(1 << n)) for canon in least_translates(n)]
+        canons, weights = list(least_translates(n)), itertools.repeat(1 << n)
     elif args.samples is None:
         raise ContractViolation("either --exhaustive or --samples N is required")
     elif args.samples > SWEEP_MAX_TRIPLES:
         raise ContractViolation(f"sweep lists at most {SWEEP_MAX_TRIPLES} triples, this run would list {args.samples}")
     else:
-        classes = translation_classes(sample_triples(n, args.samples, args.seed))
+        counts = Counter(least_translate(t)[0] for t in sample_triples(n, args.samples, args.seed))
+        canons, weights = list(counts), counts.values()
     started = time.monotonic()
-    summary = _summary(n, ((case, size, len(masks)) for _, masks, case, size in _sweep(n, classes, args.jobs)))
+    summary = _summary(n, ((case, size, w) for (case, size), w in zip(_sweep(n, canons, args.jobs), weights)))
     elapsed = time.monotonic() - started
     if args.format == "json":
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")

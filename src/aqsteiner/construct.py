@@ -4,7 +4,7 @@ Steiner trees on three targets in an augmented cube.
 For dimension n >= 3 and any three distinct targets S the constructor
 returns 2n - 3 trees in which every target is a leaf, pairwise sharing
 no edge and no vertex beyond S.  Every triple is first moved to its
-least translate S ^ a (``_least_translate``), built there and moved
+least translate S ^ a (``least_translate``), built there and moved
 back, so construct(S ^ b) is construct(S) translated by b.
 Dimensions 3 and 4 read the 2n - 3 trees of the least translate from
 a table (``_BASE_TABLE``) that ``tools/base_table.py`` writes from
@@ -50,10 +50,9 @@ fan itself to the upper side.  Every family still passes the verifier.
 The base families are likewise the pure function ``_base_trees`` of
 the least translate, decoded from the table once per process.
 
-A sweep names each translation class by its least translate
-and the masks a of its members canon ^ a: every least translate with
-all 2^n masks (``least_translates``), or the triples of a sample
-grouped once (``translation_classes``).  It calls ``construct`` on the
+A sweep names each translation class by its least translate alone:
+every least translate of AQ_n (``least_translates``), or those of a
+sample's triples (``least_translate``).  It calls ``construct`` on the
 least translate alone; the same translation argument carries that one
 verified family to every member, since construct(canon ^ a) is
 construct(canon) translated by a.
@@ -66,7 +65,6 @@ result; a rejected family is a bug and raises ``InternalError``.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import functools
@@ -109,7 +107,7 @@ class CaseTag(NamedTuple):
     """Which branch built a tree batch, and from which translate.
 
     ``transform`` is the label a of the translation v -> v ^ a that
-    moved the targets to their least translate (``_least_translate``),
+    moved the targets to their least translate (``least_translate``),
     the coordinates the branch built in.  ``roles`` gives the labels
     (x, y, z) in those coordinates for the two-one split branches, and
     is None for Case1 and the base families.  The grid splice picks its
@@ -172,7 +170,7 @@ def _validate_terminals(g: AugmentedCube, terminals: Iterable[Vertex]) -> tuple[
     return labels
 
 
-def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
+def least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The least sorted translate S ^ a of the targets, and that a.
 
     A translate S ^ a holds 0 only when a is a target, and its other two
@@ -186,9 +184,7 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     forces a lower p, since an upper p would make p ^ z lower than z: at
     most one label of the least translate is upper, the last.  More
     generally hb(p) < hb(z), for hb the highest set bit: z < p ^ z says
-    that z lacks hb(p), and then p < z needs a bit of z above hb(p).  So
-    a member (a, a ^ p, a ^ z) of the class is sorted by the two bits
-    a & hb(z) and a & hb(p) alone (``cli.run_sweep``).
+    that z lacks hb(p), and then p < z needs a bit of z above hb(p).
 
     So the result is written down, not searched or sorted: a's two
     differences are d1 and d2, in order by one comparison."""
@@ -204,27 +200,16 @@ def _least_translate(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
 def least_translates(n: int) -> Iterator[tuple[int, int, int]]:
     """The least translates of AQ_n in ascending order, one per
     translation class: the (0, p, z) with 0 < p < z < p ^ z
-    (``_least_translate``).  Every class holds 2^n members, the
+    (``least_translate``).  Every class holds 2^n members, the
     sorted(v ^ a for v in canon) for each label a."""
     return ((0, p, z) for p in range(1, 1 << n) for z in range(p + 1, 1 << n) if z < p ^ z)
-
-
-def translation_classes(triples: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The label triples grouped by least translate in one pass, in order
-    of first appearance: (canon, masks), each triple being
-    sorted(v ^ a for v in canon) for its a in masks."""
-    classes: collections.defaultdict[tuple[int, ...], list[int]] = collections.defaultdict(list)
-    for labels in triples:
-        canon, a = _least_translate(labels)
-        classes[canon].append(a)
-    return list(classes.items())
 
 
 def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     """Classify a target triple by its least translate (0, p, z).
 
-    The tag's ``transform`` is the a of ``_least_translate``.  Case1 is
-    a lower z.  An upper z forces a lower p (``_least_translate``), so
+    The tag's ``transform`` is the a of ``least_translate``.  Case1 is
+    a lower z.  An upper z forces a lower p (``least_translate``), so
     then 0 and p are below: z is handed to x, the one of 0 and p whose
     cross-partner it is (0 when it partners neither), and y is the
     other.  Past that, which partners of x and y the target z touches
@@ -238,7 +223,7 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     ``AugmentedCube.adjacent_labels``; and x, y are cross-twins,
     {h(x), c(x)} = {h(y), c(y)}, exactly when x ^ y = half ^ full.
     """
-    (_, p, z), a = _least_translate(labels)
+    (_, p, z), a = least_translate(labels)
     half = h_label(0, n)
     if z < half:
         return tuple.__new__(CaseTag, (Case.CASE1, a, None))
@@ -550,7 +535,7 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     """The first ``target`` trees of the base family of the targets, for
     dimensions 3 and 4 and 1 <= target <= 2n - 3: those of
     ``_base_trees`` for the least translate of the targets
-    (``_least_translate``), translated back.  Every subfamily of a valid
+    (``least_translate``), translated back.  Every subfamily of a valid
     family is valid.
     """
     labels = _validate_terminals(g, terminals)
@@ -561,7 +546,7 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
     if not 1 <= target <= size:
         raise ContractViolation(f"target must be positive and at most 2n - 3 = {size}")
 
-    canon, a = _least_translate(labels)
+    canon, a = least_translate(labels)
     trees = _base_trees(n, canon)[:target]
     return _assemble(g, labels, trees, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, a),))
 

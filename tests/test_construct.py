@@ -29,11 +29,11 @@ from aqsteiner.construct import (
     TreeFamily,
     _assemble,
     _dispatch,
-    _least_translate,
     _splice_image,
     base_case_search,
     classify,
     construct,
+    least_translate,
     target_family_size,
 )
 from aqsteiner.oracle import oracle_tau
@@ -110,7 +110,7 @@ def test_dispatch_transform_normalises_targets(n):
         tag = _dispatch(n, labels)
         image = tuple(sorted(v ^ tag.transform for v in labels))
         assert tag.transform in labels
-        assert (image, tag.transform) == _least_translate(labels)
+        assert (image, tag.transform) == least_translate(labels)
         assert image == min(tuple(sorted(v ^ a for v in labels)) for a in range(1 << n))
         # 0 and p below; z, the last, is the only label that may be upper
         assert image[0] == 0 and image[1] < half
@@ -228,7 +228,7 @@ def _branch_triples(n):
 def _reference_dispatch(n, labels):
     """The dispatch written with the partner maps ``h_label`` and
     ``c_label`` and the cube's ``adjacent_labels``."""
-    (_, p, z), a = _least_translate(labels)
+    (_, p, z), a = least_translate(labels)
     half = 1 << (n - 1)
     if z < half:
         return CaseTag(Case.CASE1, a)
@@ -761,7 +761,7 @@ def test_construct_at_the_dimensions_between_20_and_62():
 
 def _least_translates(n):
     """One triple per translation class: the least translates (0, p, z),
-    exactly those with 0 < p < z < p ^ z (``_least_translate``),
+    exactly those with 0 < p < z < p ^ z (``least_translate``),
     C(2^n, 3) / 2^n of them."""
     return [(0, p, z) for p, z in itertools.combinations(range(1, 1 << n), 2) if z < p ^ z]
 
@@ -772,7 +772,7 @@ def test_least_translate_closed_form_on_every_triple(n):
     # least translates are exactly the (0, p, z) with p < z < p ^ z
     seen = set()
     for labels in itertools.combinations(range(1 << n), 3):
-        least = _least_translate(labels)
+        least = least_translate(labels)
         assert least == reference_least_translate(labels), labels
         seen.add(least[0])
     assert seen == set(_least_translates(n))
@@ -786,7 +786,7 @@ def test_least_translate_closed_form_on_seeded_triples():
     for n in range(8, 63):
         for _ in range(200):
             labels = rng.sample(range(1 << n), 3)
-            assert _least_translate(labels) == reference_least_translate(labels), (n, labels)
+            assert least_translate(labels) == reference_least_translate(labels), (n, labels)
 
 
 # the case histograms of `sweep -n 5 --exhaustive`, `sweep -n 6
@@ -887,15 +887,17 @@ def test_construct_batch_equals_construct(n, batch):
     # translate canon ^ a of exactly one class, named by its least
     # translate; construct(canon ^ a) = construct(canon) ^ a is checked
     # by test_construct_commutes_with_translations
-    classes = construct_mod.translation_classes(batch)
-    members = [tuple(sorted(v ^ a for v in canon)) for canon, masks in classes for a in masks]
-    assert sorted(members) == sorted(tuple(sorted(t)) for t in batch)
-    assert all(_least_translate(canon)[0] == canon for canon, _ in classes)
-    assert len({canon for canon, _ in classes}) == len(classes) < len(batch)
+    canons = set()
+    for t in batch:
+        canon, a = least_translate(t)
+        assert tuple(sorted(v ^ a for v in canon)) == tuple(sorted(t))
+        assert least_translate(canon) == (canon, 0)
+        canons.add(canon)
+    assert len(canons) < len(batch)
 
 
 def _inline_pool(monkeypatch) -> list:
-    """Replace the process pool of ``run_sweep`` with one that runs each
+    """Replace the process pool of ``cli._sweep`` with one that runs each
     batch in this process, and return the list of batches it is handed."""
     import concurrent.futures
 
@@ -920,14 +922,15 @@ def _inline_pool(monkeypatch) -> list:
 def test_sweep_batches_hold_whole_translation_classes(monkeypatch, n, count):
     # the batches hold least translates alone, each class's once, and
     # count = 4 * jobs of them; each stand-in result, the least translate
-    # itself, lands on the record of every member of its class
+    # itself, lands on the record of every member of its class, and the
+    # records keep the input order
     jobs = count // 4
     handed = _inline_pool(monkeypatch)
     monkeypatch.setattr(cli, "_sweep_classes", lambda args: [(canon, args[0]) for canon in args[1]])
-    triples = cli.all_triples(n)
-    records = cli.run_sweep(n, triples[::-1], jobs=jobs)
+    triples = cli.all_triples(n)[::-1]
+    records = cli.run_sweep(n, triples, jobs=jobs)
     assert [r.labels for r in records] == triples
-    assert all(r.case == _least_translate(r.labels)[0] and r.size == n for r in records)
+    assert all(r.case == least_translate(r.labels)[0] and r.size == n for r in records)
     canons = [canon for _, batch in handed for canon in batch]
     assert sorted(canons) == _least_translates(n)
     assert len(canons) == len(triples) >> n
@@ -936,37 +939,37 @@ def test_sweep_batches_hold_whole_translation_classes(monkeypatch, n, count):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_sweep_indexes_its_classes_once(monkeypatch, jobs):
-    # the pool's batches run here, so a worker that grouped its batch
-    # again, or built a class twice, would count: one index and 155
-    # constructs at n = 5, serial or pooled
+    # the pool's batches run here, so a worker that indexed its batch
+    # again, or built a class twice, would count: one least translate per
+    # triple and 155 constructs at n = 5, serial or pooled
     handed = _inline_pool(monkeypatch)
     indexed, built = [], []
-    index, build = cli.translation_classes, cli.build_family
-    monkeypatch.setattr(cli, "translation_classes", lambda batch: indexed.append(len(batch)) or index(batch))
+    index, build = cli.least_translate, cli.build_family
+    monkeypatch.setattr(cli, "least_translate", lambda labels: indexed.append(labels) or index(labels))
     monkeypatch.setattr(
         cli, "build_family", lambda g, s, **kw: built.append(tuple(sorted(v.bits for v in s))) or build(g, s, **kw)
     )
     records = cli.run_sweep(5, cli.all_triples(5), jobs=jobs)
     assert [r.labels for r in records] == cli.all_triples(5) and all(r.size == 7 for r in records)
-    assert indexed == [4960]
+    assert indexed == cli.all_triples(5)
     assert sorted(built) == _least_translates(5)
     assert len(handed) == (8 if jobs == 2 else 0)
-    # a sweep of one class is one batch, which needs no pool
+    # a sweep of one class is one batch, and an empty sweep none, so
+    # neither needs a pool
     handed.clear()
     assert len(cli.run_sweep(5, [(0, 1, 2), (0, 1, 3)], jobs=jobs)) == 2 and handed == []
+    assert cli.run_sweep(5, [], jobs=jobs) == [] and handed == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_an_exhaustive_sweep_lists_no_triples(monkeypatch, capsys, jobs):
-    # the classes are the least translates, each with every mask, so no
-    # triple is listed, sampled or grouped; the summary folds the records
-    # as they stream
+    # the classes are the least translates, each of 2^n members, so no
+    # triple is listed, sampled or indexed
     def unreachable(*args):
         raise AssertionError("the exhaustive sweep listed its triples")
 
-    for module, name in [(cli, "all_triples"), (cli, "sample_triples"), (cli, "translation_classes"),
-                         (construct_mod, "translation_classes")]:
-        monkeypatch.setattr(module, name, unreachable)
+    for name in ("all_triples", "sample_triples", "least_translate"):
+        monkeypatch.setattr(cli, name, unreachable)
     handed = _inline_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["sweep", "-n", "6", "--exhaustive", "--force", "--jobs", str(jobs), "--format", "json"]
@@ -1030,14 +1033,12 @@ def _member_record_inputs():
     "n, triples", _member_record_inputs(), ids=["n3", "n4", "n5", "n6", "n5-unsorted", "n5-duplicated"]
 )
 def test_run_sweep_equals_the_per_member_records(n, triples):
-    # each member's labels, sorted((a, p ^ a, z ^ a)), and the one sort on
-    # labels give the records and the order of sorting whole records built
-    # as sorted(v ^ a for v in canon); repeated triples keep their records
-    expected = sorted(
-        cli.SweepRecord(tuple(sorted(v ^ a for v in canon)), case, size)
-        for canon, masks, case, size in cli._sweep(n, construct_mod.translation_classes(triples))
-        for a in masks
-    )
+    # each record is its triple's, in input order, with the triple's
+    # labels sorted and the case and size of its class's least translate;
+    # repeated triples keep their records
+    canons = list(dict.fromkeys(least_translate(t)[0] for t in triples))
+    results = dict(zip(canons, cli._sweep(n, canons)))
+    expected = [cli.SweepRecord(tuple(sorted(t)), *results[least_translate(t)[0]]) for t in triples]
     records = cli.run_sweep(n, triples)
     assert records == expected
     assert all(type(r) is cli.SweepRecord for r in records)
@@ -1046,34 +1047,23 @@ def test_run_sweep_equals_the_per_member_records(n, triples):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_least_translates_put_the_top_bit_of_z_above_that_of_p(n):
-    # hb(p) < hb(z), on which run_sweep orders a member's labels
+    # hb(p) < hb(z), which gives _dispatch its "an upper z forces a lower p"
     assert all(p.bit_length() < z.bit_length() for _, p, z in construct_mod.least_translates(n))
 
 
-def _member_label_inputs():
-    """(n, triples): every triple at n = 3..6, so every (class, mask),
-    and at each n = 7..62 the members (a, a ^ p, a ^ z), unsorted, of
-    2,000 seeded (class, mask) pairs."""
-    rng = random.Random(4411)
-    cases = [(n, cli.all_triples(n)) for n in range(3, 7)]
-    for n in range(7, 63):
-        members = []
-        for _ in range(2000):
-            (_, p, z), _ = _least_translate(rng.sample(range(1 << n), 3))
-            a = rng.randrange(1 << n)
-            members.append((a, a ^ p, a ^ z))
-        cases.append((n, members))
-    return cases
-
-
-def test_run_sweep_orders_member_labels_by_two_mask_bits(monkeypatch):
-    # the classes' constructs are stood in for, so only the grouping and
-    # the member labels are run: each record's labels are its triple's,
-    # sorted, as tuple(sorted((a, a ^ p, a ^ z))) gives them
-    monkeypatch.setattr(cli, "_sweep_classes", lambda args: [("stand-in", 0)] * len(args[1]))
-    for n, triples in _member_label_inputs():
-        records = cli.run_sweep(n, triples)
-        assert [r.labels for r in records] == sorted(tuple(sorted(t)) for t in triples), n
+def test_a_pooled_sample_sweep_equals_the_serial_one(monkeypatch, capsys):
+    # a sample's classes hold different numbers of members, so a result
+    # written back to another class's place would change the histogram;
+    # the pool's 8 uneven batches run here, so one CPU is enough
+    handed = _inline_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for jobs in ("1", "2"):
+        assert cli.main(["sweep", "-n", "6", "--samples", "2000", "--jobs", jobs, "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["triples"] == 2000
+    assert len(handed) == 8
 
 
 def test_sweep_summary_equals_the_per_record_fold():

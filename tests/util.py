@@ -20,7 +20,7 @@ under every (swap, mask) automorphism, a search over all 2^(n+1)
 pairs, which names the orbit classes of the oracle tests.
 ``reference_least_translate`` is the least sorted translate S ^ a as
 the minimum over the three targets a, the search that the closed form
-of ``construct._least_translate`` replaced.
+of ``construct.least_translate`` replaced.
 ``reference_minimal_sets`` is the oracle's first phase as a subset
 scan: every subset of the ground, smallest first, kept when it holds no
 set kept before and one of its components meets every attach mask.

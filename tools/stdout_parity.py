@@ -35,8 +35,8 @@ child process, in-process through ``cli.main``, against that checkout's
   asked for, and ``sweep -n 6 --samples 200 --seed 2`` and ``sweep -n 7
   --samples 100 --seed 2 --format json``, where Case1 recursion puts
   fans of two dimensions into one batch's memo, ``sweep -n 5 --samples
-  4000 --seed 3``, a dense draw that lists every triple and then groups
-  the draw by class, and ``sweep -n 7 --samples 3000 --seed 2``, whose
+  4000 --seed 3``, a dense draw that lists every triple and then counts
+  the draw's least translates, and ``sweep -n 7 --samples 3000 --seed 2``, whose
   draw falls into thousands of small classes;
 - ``oracle`` on every triple at n = 3 and 4, on one n = 4 triple
   under six budgets from 1 to 31,000 (1, 100 and 300 run out, in the

@@ -2,31 +2,27 @@
 
     python3 tools/sweep_split.py PARENT CHANGE
 
-Each checkout times one pass of ``cli.run_sweep(5, triples)`` over every
-n = 5 triple, shuffled by a fixed seed, in a child process that imports
-that checkout's ``src/``.  The pass is split into its four phases, each
-run on the output of the one before:
+Each checkout times ``cli.run_sweep(5, triples)`` over every n = 5
+triple, shuffled by a fixed seed, in a child process that imports that
+checkout's ``src/``, and then ``cli.sweep_summary`` over its records.
+Both are public calls, so the tool reads no internals of the sweep:
 
-- ``classes``: ``construct.translation_classes(triples)``;
-- ``constructs``: ``cli._sweep_classes``, one verified construct per
-  least translate inside one fan memo;
-- ``records``: ``cli.run_sweep`` with ``translation_classes`` and
-  ``_sweep_classes`` answered from the two phases above, so it times the
-  expansion into one record per member and the sort;
+- ``run_sweep``: the whole pass, one verified construct per least
+  translate and one record per triple;
 - ``summary``: ``cli.sweep_summary`` over those records.
 
-``run_sweep`` is the whole pass, unsplit.  A child first runs one
-untimed pass, which fills the process-level caches (the base families,
-the small-cube path systems) as a running sweep has them, then takes
-each phase ``BEST_OF`` times and keeps the least time.  There are
-``ROUNDS`` children per checkout, the two checkouts taking turns in an
-order swapped every round, so neither side gains from running first or
-in a quieter stretch.  Per checkout the tool prints one table: each
-phase's least and median time over the rounds, in milliseconds.  The
-split pass must build the records of the whole pass, and the two
-checkouts records that read the same labels, case, size, ``fallback``
-and ``verified``: the exit status is 1 when they do not, and 2 for a
-bad argument.
+A child first runs one untimed pass, which fills the process-level
+caches (the base families, the small-cube path systems) as a running
+sweep has them, then takes each phase ``BEST_OF`` times and keeps the
+least time.  There are ``ROUNDS`` children per checkout, the two
+checkouts taking turns in an order swapped every round, so neither
+side gains from running first or in a quieter stretch.  Per checkout
+the tool prints one table: each phase's least and median time over the
+rounds, in milliseconds.  The two checkouts must build records that
+read the same labels, case, size, ``fallback`` and ``verified``,
+compared sorted by labels, so two checkouts that list the records in
+different orders compare by content: the exit status is 1 when they do
+not, and 2 for a bad argument.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ N = 5
 SEED = 2024
 ROUNDS = 10
 BEST_OF = 7
-PHASES = ("classes", "constructs", "records", "summary", "run_sweep")
+PHASES = ("run_sweep", "summary")
 
 
 def _best(fn, *args) -> tuple[float, object]:
@@ -65,27 +61,18 @@ def _run_child(checkout: str) -> None:
     document: the module path imported, the least seconds per phase,
     and a digest of the records."""
     sys.path.insert(0, os.path.join(checkout, "src"))
-    from aqsteiner import cli, construct
+    from aqsteiner import cli
 
     triples = cli.all_triples(N)
     random.Random(SEED).shuffle(triples)
     cli.run_sweep(N, triples)
     times = {}
-    times["classes"], classes = _best(construct.translation_classes, triples)
-    times["constructs"], results = _best(cli._sweep_classes, (N, [canon for canon, _ in classes]))
-    grouping, building = cli.translation_classes, cli._sweep_classes
-    cli.translation_classes, cli._sweep_classes = (lambda _: classes), (lambda _: results)
-    try:
-        times["records"], records = _best(cli.run_sweep, N, triples)
-    finally:
-        cli.translation_classes, cli._sweep_classes = grouping, building
+    times["run_sweep"], records = _best(cli.run_sweep, N, triples)
     times["summary"], _ = _best(cli.sweep_summary, N, records)
-    times["run_sweep"], whole = _best(cli.run_sweep, N, triples)
-    if whole != records:
-        sys.exit("the split pass and the whole pass built different records")
     # the values a record reads, not its layout, so a change that only
-    # stops storing a constant field keeps the digest
-    values = [(r.labels, r.case, r.size, r.fallback, r.verified) for r in records]
+    # stops storing a constant field keeps the digest; sorted by labels,
+    # so a change that only reorders the records keeps it too
+    values = sorted((r.labels, r.case, r.size, r.fallback, r.verified) for r in records)
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     json.dump({"module": cli.__file__, "times": times, "digest": digest}, sys.stdout)
 
