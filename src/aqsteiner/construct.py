@@ -59,8 +59,12 @@ construct(canon) translated by a.
 
 The dispatch is total: it names a case for every triple, and every
 case has a written recipe, so there is no repair path.
-Every ``construct`` call runs the independent verifier once, on its
-result; a rejected family is a bug and raises ``InternalError``.
+Every top-level ``construct`` call runs the independent verifier once,
+on its result; a rejected family is a bug and raises ``InternalError``.
+Case1 recurses through ``construct`` once per dimension, and those
+inner calls skip the verifier: the top-level family holds every inner
+tree, and the lower half-copy of AQ_n is a copy of AQ_(n-1), so the
+one check of the whole family also checks each inner level.
 """
 
 from __future__ import annotations
@@ -233,30 +237,24 @@ def _dispatch(n: int, labels: Sequence[int]) -> CaseTag:
     twins = x ^ y == half ^ full
     # z ^ v ^ half and z ^ v ^ full test z against h(v) and c(v)
     zx, zy = z ^ x, z ^ y
-
-    def mk(case: Case) -> CaseTag:
-        return tuple.__new__(CaseTag, (case, a, (x, y, z)))
-
     if zx == half or zx == full:
-        if twins:
-            return mk(Case.CASE2_1_1)
         # h and c are translations, so z touches y's same-kind partner
         # exactly when x ~ y
-        return mk(Case.CASE2_1_3 if x ^ y in deltas else Case.CASE2_1_2)
-
-    if twins:
+        case = Case.CASE2_1_1 if twins else Case.CASE2_1_3 if x ^ y in deltas else Case.CASE2_1_2
+    elif twins:
         # cross-twins share both partners, and z is neither (else it
         # would be a partner of x, above)
         both = zx ^ half in deltas and zx ^ full in deltas
-        return mk(Case.CASE2_2_1B if both else Case.CASE2_2_1A)
-
-    xside = zx ^ half in deltas or zx ^ full in deltas
-    yside = zy ^ half in deltas or zy ^ full in deltas
-    if x ^ y in deltas:
-        cases = (Case.CASE2_2_3A, Case.CASE2_2_3B, Case.CASE2_2_3C)
+        case = Case.CASE2_2_1B if both else Case.CASE2_2_1A
     else:
-        cases = (Case.CASE2_2_2A, Case.CASE2_2_2B, Case.CASE2_2_2C)
-    return mk(cases[xside + yside])
+        xside = zx ^ half in deltas or zx ^ full in deltas
+        yside = zy ^ half in deltas or zy ^ full in deltas
+        if x ^ y in deltas:
+            cases = (Case.CASE2_2_3A, Case.CASE2_2_3B, Case.CASE2_2_3C)
+        else:
+            cases = (Case.CASE2_2_2A, Case.CASE2_2_2B, Case.CASE2_2_2C)
+        case = cases[xside + yside]
+    return tuple.__new__(CaseTag, (case, a, (x, y, z)))
 
 
 def classify(g: AugmentedCube, terminals: Iterable[Vertex]) -> CaseTag:
@@ -406,28 +404,25 @@ def _assemble(
     provenance: tuple[CaseTag, ...],
 ) -> TreeFamily:
     """Translate label edges built on the least translate back to the
-    caller's labels by ``provenance[0].transform``.  Only S is in
-    ``Vertex``.  The named tuples are made by ``tuple.__new__``, which
-    skips their Python-level ``__new__``."""
+    caller's labels by a = ``provenance[0].transform``, each edge with its
+    smaller label first.  Only S is in ``Vertex``.  The named tuples are
+    made by ``tuple.__new__``, which skips their Python-level ``__new__``.
+    At a = 0, as on every least translate a sweep builds, a recipe's
+    frozenset is kept as it is."""
     n = g.dim
     a = provenance[0].transform
+    if a:
+        trees = [[(u, v) if (u := p ^ a) < (v := q ^ a) else (v, u) for p, q in edges] for edges in trees]
     new = tuple.__new__
     return new(
         TreeFamily,
         (
             n,
             frozenset([new(Vertex, (v, n)) for v in labels]),
-            tuple([new(SteinerTree, (_translate(edges, a),)) for edges in trees]),
+            tuple([new(SteinerTree, (frozenset(edges),)) for edges in trees]),
             provenance,
         ),
     )
-
-
-def _translate(edges: Iterable[tuple[int, int]], a: int) -> frozenset[tuple[int, int]]:
-    """The label edges translated by a, each with its smaller label first."""
-    if not a:
-        return frozenset(edges)
-    return frozenset([(u, v) if (u := p ^ a) < (v := q ^ a) else (v, u) for p, q in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +438,31 @@ def _construct_case1(
     """All three targets in one half: recurse, then add one tree through
     each quarter of the other half."""
     n = g.dim
+    new = tuple.__new__
     # the least translate; its own least translate is itself, so the
-    # recursive construct builds in place (transform 0)
+    # recursive construct builds in place (transform 0).  The outer family
+    # holds every tree of sub, so the one check of the top-level construct
+    # covers them: the recursive call skips its own
     norm_labels = sorted(v ^ tag.transform for v in labels)
-    sub = construct(AugmentedCube(n - 1), [Vertex(a, n - 1) for a in norm_labels], fidelity=fidelity)
+    sub_terms = [new(Vertex, (a, n - 1)) for a in norm_labels]
+    sub = construct(AugmentedCube(n - 1), sub_terms, fidelity=fidelity, _inner=True)
     # sub's labels already name the lower half-copy (prefix bit 0)
     trees: list[Iterable[tuple[int, int]]] = [t.edges for t in sub.trees]
 
+    half, full = h_label(0, n), c_label(0, n)
     shift = n - 2
     for quarter in (0b10, 0b11):
         q_labels = range(quarter << shift, (quarter + 1) << shift)
-
-        def attach(s: int) -> int:
-            hs = h_label(s, n)
-            return hs if hs >> shift == quarter else c_label(s, n)
-
+        # each target's edge to its one cross-partner in the quarter,
+        # h(s) = s ^ half or c(s) = s ^ full; s is lower, so it comes first
+        ends = [(s, s ^ half if (s ^ half) >> shift == quarter else s ^ full) for s in norm_labels]
         if fidelity:
             # a spanning path in counting order: v ^ (v + 1) is a trailing
             # block of ones, so it lies in the delta set
             conn: Iterable[tuple[int, int]] = [(v, v + 1) for v in q_labels[:-1]]
         else:
-            conn = _paths.connector_tree(GraphView(g, q_labels), sorted({attach(s) for s in norm_labels}))
-        trees.append(set(conn) | {_edge(s, attach(s)) for s in norm_labels})
+            conn = _paths.connector_tree(new(GraphView, (g, q_labels)), sorted({w for _, w in ends}))
+        trees.append(set(conn).union(ends))
 
     return _assemble(g, labels, trees, (tag,) + sub.provenance)
 
@@ -548,7 +546,8 @@ def base_case_search(g: AugmentedCube, terminals: Iterable[Vertex], target: int)
 
     canon, a = least_translate(labels)
     trees = _base_trees(n, canon)[:target]
-    return _assemble(g, labels, trees, (CaseTag(Case.BASE3 if n == 3 else Case.BASE4, a),))
+    tag = tuple.__new__(CaseTag, (Case.BASE3 if n == 3 else Case.BASE4, a, None))
+    return _assemble(g, labels, trees, (tag,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,6 +567,7 @@ def construct(
     terminals: Iterable[Vertex],
     *,
     fidelity: bool = False,
+    _inner: bool = False,
 ) -> TreeFamily:
     """Build and verify a family of 2*dim - 3 internally disjoint pendant
     Steiner trees for the target triple.
@@ -586,6 +586,11 @@ def construct(
     rejected or short family raises ``InternalError``.  ``fidelity`` lays each Case1
     quarter tree along the quarter's labels in counting order, a spanning
     path of 2^(dim-2) vertices.
+
+    ``_inner`` is for Case1's recursive call alone, which skips the
+    check: the outer family holds every tree of the inner one, moved by
+    the outer translation, and the outer check verifies that family
+    whole, so no family that a top-level call returns goes unchecked.
     """
     n = g.dim
     if n <= 4:
@@ -599,7 +604,8 @@ def construct(
         else:
             recipe = _recipe_2_1_1 if tag.case is Case.CASE2_1_1 else _recipe_grid
             family = _assemble(g, labels, recipe(g, *tag.roles), (tag,))
-    _check(g, family)
+    if not _inner:
+        _check(g, family)
     return family
 
 

@@ -284,16 +284,15 @@ def reorder_paths(ps: PathSystem, wanted: Sequence[int]) -> PathSystem:
         if w not in by_nb:
             raise ContractViolation(f"no path has sink neighbour {w}")
     lead = [by_nb[w] for w in wanted]
-    return PathSystem(ps.source, ps.sink, tuple(lead + [p for p in ps.paths if p[-2] not in pinned]))
+    lead += [p for p in ps.paths if p[-2] not in pinned]
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return tuple.__new__(PathSystem, (ps.source, ps.sink, tuple(lead)))
 
 
 def map_path_system(iso: Callable[[int], int], ps: PathSystem) -> PathSystem:
     """Image of a path system under an adjacency-preserving label map."""
-    return PathSystem(
-        source=iso(ps.source),
-        sink=iso(ps.sink),
-        paths=tuple(tuple(map(iso, p)) for p in ps.paths),
-    )
+    paths = tuple([tuple(map(iso, p)) for p in ps.paths])
+    return tuple.__new__(PathSystem, (iso(ps.source), iso(ps.sink), paths))
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,16 @@ def _accepts(trees, terminals: set[int], order: int, deltas: frozenset[int]) -> 
     if not edges:
         return False
     us, vs = zip(*edges)
+    t1, t2, t3 = terminals
     # a rejected family pays for the checks before the one that fails it:
     # (a) fails a dropped edge or a reused vertex, the delta test a
     # non-edge, and (b) a target of the wrong degree
     if (
         len({*us, *vs}) != len(edges) - 2 * count + 3
         or not deltas.issuperset(map(xor, us, vs))
-        or any(us.count(t) + vs.count(t) != count for t in terminals)
+        or us.count(t1) + vs.count(t1) != count
+        or us.count(t2) + vs.count(t2) != count
+        or us.count(t3) + vs.count(t3) != count
         or min(us) < 0
         or max(vs) >= order
         or not all(map(lt, us, vs))

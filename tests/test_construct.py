@@ -615,6 +615,25 @@ def test_base_search_short_packing_raises_internal_error(monkeypatch):
         construct_mod._base_trees.cache_clear()
 
 
+def test_a_broken_inner_level_fails_the_top_level_check(monkeypatch, capsys):
+    # the n = 4 family under a Case1 triple is not verified on its own:
+    # the n = 5 family holds its trees, and its one check rejects the edge
+    # dropped from the n = 4 row of (0, 1, 2)
+    rows = construct_mod._BASE_TABLE[4]
+    assert rows[0].startswith("031323 ")
+    monkeypatch.setitem(construct_mod._BASE_TABLE, 4, ("0313" + rows[0][6:],) + rows[1:])
+    construct_mod._base_trees.cache_clear()
+    try:
+        for fidelity in (False, True):
+            with pytest.raises(InternalError, match="Case1 family rejected"):
+                construct(AugmentedCube(5), vs("00000", "00001", "00010"), fidelity=fidelity)
+        assert cli.main(["sweep", "-n", "5", "--exhaustive"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("construction failed:")
+    finally:
+        construct_mod._base_trees.cache_clear()
+
+
 def test_base_table_is_what_the_oracle_packs(capsys):
     # tools/base_table.py writes the table from the oracle: its output is
     # the table in construct.py, and every row is a valid family
@@ -1180,11 +1199,18 @@ def test_a_case1_construct_validates_its_targets_once_per_level(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "trio, dims",
-    [(("00000", "01111", "10000"), [5]), (("00000", "00001", "00010"), [4, 5])],
+    "n, labels, levels",
+    [
+        pytest.param(5, (0b00000, 0b01111, 0b10000), 1, id="case2-n5"),
+        pytest.param(5, (0, 1, 2), 2, id="case1-n5"),
+        # all three below 16, and not their own least translate
+        pytest.param(9, (3, 5, 14), 6, id="case1-deep-n9"),
+        pytest.param(62, (0, 1, 2), 59, id="case1-n62"),
+    ],
 )
-def test_verify_runs_once_per_construct_level(monkeypatch, trio, dims):
-    # a Case2 triple is one level; Case1 at n = 5 adds the n = 4 base level
+def test_verify_runs_once_per_top_level_construct(monkeypatch, n, labels, levels):
+    # Case1 recurses through construct down to the n = 4 base level, and
+    # only the top-level call verifies: its family holds every inner tree
     seen = []
     original = verify_mod.verify_family
 
@@ -1193,8 +1219,9 @@ def test_verify_runs_once_per_construct_level(monkeypatch, trio, dims):
         return original(g, family, size=size)
 
     monkeypatch.setattr(verify_mod, "verify_family", counting)
-    construct(AugmentedCube(5), vs(*trio))
-    assert seen == dims
+    family = construct(AugmentedCube(n), [Vertex(a, n) for a in labels])
+    assert len(family.provenance) == levels
+    assert seen == [n]
 
 
 # ---------------------------------------------------------------------------
