@@ -119,9 +119,6 @@ class AugmentedCube(collections.namedtuple("AugmentedCube", "dim")):
     def adjacent_labels(self, u: int, v: int) -> bool:
         return (u ^ v) in delta_set(self.dim)
 
-    def neighbor_labels(self, v: int) -> list[int]:
-        return sorted(v ^ d for d in adjacency_deltas(self.dim))
-
     def view(self) -> "GraphView":
         return GraphView(self, range(self.order))
 

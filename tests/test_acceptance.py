@@ -11,7 +11,7 @@ import time
 from aqsteiner.cli import all_triples, run_sweep, sweep_summary
 from aqsteiner.construct import Case, SteinerTree, TreeFamily
 from aqsteiner.paths import connectivity
-from aqsteiner.topology import AugmentedCube, Vertex
+from aqsteiner.topology import AugmentedCube, Vertex, adjacency_deltas
 from aqsteiner.oracle import hager_upper_bound, oracle_tau
 from aqsteiner.verify import verify_family
 
@@ -129,13 +129,13 @@ def test_criterion_6_property_suites():
     # adjacency model vs literal recursive construction, dims 1..8
     for n in range(1, 9):
         g = AugmentedCube(n)
-        closed = {frozenset({u, w}) for u in range(g.order) for w in g.neighbor_labels(u)}
+        closed = {frozenset({u, u ^ d}) for u in range(g.order) for d in adjacency_deltas(n)}
         assert closed == set(recursive_edges(n))
     # regularity dims 1..6 (full property suite lives in test_topology)
     for n in range(1, 7):
         g = AugmentedCube(n)
         for v in range(g.order):
-            assert len(g.neighbor_labels(v)) == g.degree
+            assert len({v ^ d for d in adjacency_deltas(n)}) == g.degree
     # byte-identical repeated CLI runs, including a parallel sweep
     def run(args):
         proc = subprocess.run(

@@ -32,7 +32,7 @@ from aqsteiner.paths import PathSystem
 from aqsteiner.topology import AugmentedCube, ContractViolation, parse_vertex
 from aqsteiner.verify import check_path_system
 
-from util import reference_verify_family, run_bounded
+from util import TOOLS_DIR, load_tool, reference_verify_family, run_bounded
 
 
 def schema(name):
@@ -818,6 +818,24 @@ def test_sweep_jobs_outside_cpu_count_is_usage_error(capsys):
         build_parser().parse_args(["sweep", "-n", "3", "--samples", "1", "--jobs", "x"])
     assert exc.value.code == 2 and "not an integer: 'x'" in capsys.readouterr().err
     assert build_parser().parse_args(["sweep", "-n", "3", "--samples", "1", "--jobs", "1"]).jobs == 1
+
+
+def test_every_tool_imports_and_every_parity_command_parses(capsys):
+    # no script of tools/ runs on import; and a parity command that the
+    # parser rejects exits 2 in both checkouts alike, so it compares nothing
+    tools = {path.stem: load_tool(path.stem) for path in sorted(TOOLS_DIR.glob("*.py"))}
+    cmds = tools["stdout_parity"].command_list()
+    assert cmds
+    if (os.cpu_count() or 1) < 2:
+        cmds = [cmd for cmd in cmds if "--jobs" not in cmd]
+    parser = build_parser()
+    rejected = []
+    for cmd in cmds:
+        try:
+            parser.parse_args(cmd)
+        except SystemExit:
+            rejected.append(cmd)
+    assert rejected == [], capsys.readouterr().err
 
 
 def test_construct_and_verify_at_dim_20():

@@ -499,7 +499,7 @@ def test_hager_bound_is_zero_once_a_set_can_hold_a_closed_neighbourhood():
     # and then 0 has no neighbour outside S for a pendant tree to take
     g = AugmentedCube(3)
     assert [hager_upper_bound(g, k) for k in range(2, 9)] == [5, 3, 2, 1, 0, 0, 0]
-    closed = [0, *g.neighbor_labels(0)]
+    closed = [0, *adjacency_deltas(3)]
     assert oracle_tau(g, closed).value == oracle_tau(g, closed + [5]).value == 0
     with pytest.raises(ContractViolation, match="at most 8"):
         hager_upper_bound(g, 9)

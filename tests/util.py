@@ -191,6 +191,9 @@ def run_bounded(code: str, timeout: float = 30) -> str:
 def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] | None, list[int]]:
     """Edmonds-Karp on the implicit split-vertex network of ``view``:
     (paths, []) with exactly k label paths, or (None, vertex_cut)."""
+    from aqsteiner.topology import adjacency_deltas
+
+    deltas = adjacency_deltas(view.dim)
     # node ids: 2*v = in side, 2*v + 1 = out side.  `through` holds the
     # inner vertices whose split arc carries a unit, `flow` the (u, w)
     # edge arcs (u's out side to w's in side) that carry one.  Edge arcs
@@ -203,7 +206,7 @@ def reference_flow_paths(view, s: int, t: int, k: int) -> tuple[list[list[int]] 
     def nbrs(v: int) -> list[int]:
         out = closed.get(v)
         if out is None:
-            out = closed[v] = sorted([v, *(w for w in view.cube.neighbor_labels(v) if w in view.allowed)])
+            out = closed[v] = sorted([v, *(v ^ d for d in deltas if v ^ d in view.allowed)])
         return out
 
     src, dst = 2 * s + 1, 2 * t

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aqsteiner.construct import least_translates  # noqa: E402
 from aqsteiner.oracle import oracle_tau  # noqa: E402
-from aqsteiner.topology import AugmentedCube  # noqa: E402
+from aqsteiner.topology import AugmentedCube, adjacency_deltas  # noqa: E402
 
 DIMS = (3, 4)
 
@@ -34,19 +34,20 @@ DIMS = (3, 4)
 def spanning_edges(g: AugmentedCube, terms: Sequence[int], internal: frozenset[int]) -> list[tuple[int, int]]:
     """A spanning tree of the internal set, smallest labels first, plus
     each target's edge to its smallest neighbour in the set, sorted."""
+    deltas = adjacency_deltas(g.dim)
     members = sorted(internal)
     edges: set[tuple[int, int]] = set()
     seen = {members[0]}
     frontier = [members[0]]
     while frontier:
         a = frontier.pop(0)
-        for b in g.neighbor_labels(a):
+        for b in sorted(a ^ d for d in deltas):
             if b in internal and b not in seen:
                 seen.add(b)
                 edges.add((min(a, b), max(a, b)))
                 frontier.append(b)
     for t in terms:
-        hook = min(w for w in g.neighbor_labels(t) if w in seen)
+        hook = min(t ^ d for d in deltas if t ^ d in seen)
         edges.add((min(t, hook), max(t, hook)))
     return sorted(edges)
 
