@@ -45,7 +45,7 @@ from .construct import (
     least_translates,
     target_family_size,
 )
-from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, parse_vertex
+from .topology import MAX_DIM, AugmentedCube, ContractViolation, Vertex, hager_upper_bound, parse_vertex
 
 TOOL_ID = "aqsteiner"
 TOOL_VERSION = "0.1.0"
@@ -418,9 +418,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= 10:
         raise ContractViolation("info supports dimensions 1..10")
-    # imported here, as in cmd_oracle: no other command needs the oracle
-    from .oracle import hager_upper_bound
-
     g = AugmentedCube(n)
     conn = _paths.connectivity(g)
     doc = {

@@ -1,15 +1,14 @@
-"""Exact packing oracle for small hosts, and the degree bound.
+"""Exact packing oracle for small hosts.
 
 ``oracle_tau`` brackets the largest number of internally disjoint
 pendant Steiner trees on a target set by exhaustive packing.  It grows
 its minimal internal sets as connected vertex sets on bitmasks
 (``_minimal_sets``), one size at a time and only as far as its packing
 reaches, which stops at its target: ``stop_at`` trees, or for an exact
-search the degree ceiling.  ``hager_upper_bound`` is the degree bound on
-the least value over k-sets.  Targets are plain int labels.
+search the degree ceiling.  Targets are plain int labels.
 
 The module imports nothing of the package but ``topology``, and only
-the ``oracle`` and ``info`` commands load it.  The constructor reads its
+the ``oracle`` command loads it.  The constructor reads its
 base families from a table that ``tools/base_table.py`` writes with
 this oracle, so no build runs a search.
 """
@@ -278,22 +277,3 @@ def oracle_tau(
     upper = ceiling if halted else best if stop_at is None else min(ceiling, floor)
     sets = tuple(frozenset(v for i, v in enumerate(ground) if mask >> i & 1) for mask in witness)
     return OracleResult(lower=best, upper=upper, nodes_used=nodes, witness=sets)
-
-
-# ---------------------------------------------------------------------------
-# degree bound
-# ---------------------------------------------------------------------------
-
-def hager_upper_bound(g: AugmentedCube, k: int) -> int:
-    """Largest pendant k-tree packing size not excluded by minimum degree:
-    for S a vertex of degree d and k - 1 of its neighbours, each of m
-    trees gives it its own neighbour outside S (one in S makes the tree
-    one edge), so m <= d - k + 1; for k = 2 that edge is a tree: m <= d.
-    From k = d + 1 on, S can hold a vertex and all of its neighbours; no
-    pendant tree leaves that vertex a neighbour outside S, so the bound
-    is 0.  No set has more than 2^n vertices."""
-    if k < 2:
-        raise ContractViolation("terminal count must be at least 2")
-    if k > g.order:
-        raise ContractViolation(f"terminal count must be at most {g.order}")
-    return g.degree if k == 2 else max(0, g.degree - k + 1)

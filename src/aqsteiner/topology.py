@@ -21,6 +21,8 @@ Conventions used everywhere in this package:
   neighbour enumeration is O(n); ``GraphView`` is only a membership test
   on a label collection it never copies (a ``range`` for the whole cube,
   half-copies and quarters).
+- ``hager_upper_bound`` is Hager's bound on the packing number of
+  k-sets, which reads only the order and the degree.
 
 The xor structure of the adjacency rule makes every label translation
 v -> v ^ a an automorphism (``c_label`` is the one by the all-ones mask,
@@ -121,6 +123,21 @@ class AugmentedCube(collections.namedtuple("AugmentedCube", "dim")):
 
     def view(self) -> "GraphView":
         return GraphView(self, range(self.order))
+
+
+def hager_upper_bound(g: AugmentedCube, k: int) -> int:
+    """Largest pendant k-tree packing size not excluded by minimum degree:
+    for S a vertex of degree d and k - 1 of its neighbours, each of m
+    trees gives it its own neighbour outside S (one in S makes the tree
+    one edge), so m <= d - k + 1; for k = 2 that edge is a tree: m <= d.
+    From k = d + 1 on, S can hold a vertex and all of its neighbours; no
+    pendant tree leaves that vertex a neighbour outside S, so the bound
+    is 0.  No set has more than 2^n vertices."""
+    if k < 2:
+        raise ContractViolation("terminal count must be at least 2")
+    if k > g.order:
+        raise ContractViolation(f"terminal count must be at most {g.order}")
+    return g.degree if k == 2 else max(0, g.degree - k + 1)
 
 
 # ---------------------------------------------------------------------------

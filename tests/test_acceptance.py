@@ -4,15 +4,19 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 Every tolerance is exact integer equality.
 """
 
+import contextlib
+import io
+import json
+import math
 import subprocess
 import sys
 import time
 
-from aqsteiner.cli import all_triples, run_sweep, sweep_summary
+from aqsteiner import cli
 from aqsteiner.construct import Case, SteinerTree, TreeFamily
 from aqsteiner.paths import connectivity
-from aqsteiner.topology import AugmentedCube, Vertex, adjacency_deltas
-from aqsteiner.oracle import hager_upper_bound, oracle_tau
+from aqsteiner.topology import AugmentedCube, Vertex, adjacency_deltas, hager_upper_bound
+from aqsteiner.oracle import oracle_tau
 from aqsteiner.verify import verify_family
 
 from util import (
@@ -24,11 +28,15 @@ from util import (
 )
 
 
-def _sweep_checked(n, jobs=1):
-    records = run_sweep(n, all_triples(n), jobs=jobs)
-    summary = sweep_summary(n, records)
+def _sweep_checked(n):
+    """The summary that ``aqsteiner sweep -n N --exhaustive`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["sweep", "-n", str(n), "--exhaustive", "--format", "json"])
+    assert code == 0
+    summary = json.loads(out.getvalue())
     expected = 2 * n - 3
-    assert summary["triples"] == len(all_triples(n))
+    assert summary["triples"] == math.comb(1 << n, 3)
     assert summary["min_size"] == summary["max_size"] == expected
     assert summary["all_verified"]
     return summary
@@ -164,10 +172,9 @@ def test_criterion_7_fidelity_accounting():
     recipes = {case.value for case in Case} - {Case.BASE3.value, Case.BASE4.value}
     for n in (3, 4, 5):
         written = {f"Base{n}"} if n <= 4 else recipes
-        records = run_sweep(n, all_triples(n), jobs=1)
-        summary = sweep_summary(n, records)
-        assert summary["all_verified"] and summary["fallback_count"] == 0
-        assert all(r.case in written and not r.fallback for r in records)
+        summary = _sweep_checked(n)
+        assert summary["fallback_count"] == 0
+        assert set(summary["cases"]) <= written
     print(
         "\nACCEPTANCE 7 PASS: exhaustive sweeps at dims 3, 4, 5 built and "
         "verified one family per translation class by a written case recipe, "

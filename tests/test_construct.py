@@ -889,8 +889,8 @@ def test_exhaustive_sweep_at_dim_6(jobs):
     assert all(r.size == 9 and r.verified and not r.fallback for r in records)
 
 
-def _batch_cases():
-    """(n, batch): every triple at n = 3, 4 and 5, the n = 5 triples in
+def _triple_lists():
+    """(n, triples): every triple at n = 3, 4 and 5, the n = 5 triples in
     descending label order, and 3,000 seeded n = 6 triples, which repeat
     most of the 651 classes."""
     return (
@@ -900,19 +900,19 @@ def _batch_cases():
     )
 
 
-@pytest.mark.parametrize("n, batch", _batch_cases(), ids=["n3", "n4", "n5", "n5-descending", "n6-sampled"])
-def test_construct_batch_equals_construct(n, batch):
-    # the batch split into translation classes: each triple is the
+@pytest.mark.parametrize("n, triples", _triple_lists(), ids=["n3", "n4", "n5", "n5-descending", "n6-sampled"])
+def test_each_triple_is_a_translate_of_its_least_translate(n, triples):
+    # the triples split into translation classes: each triple is the
     # translate canon ^ a of exactly one class, named by its least
     # translate; construct(canon ^ a) = construct(canon) ^ a is checked
     # by test_construct_commutes_with_translations
     canons = set()
-    for t in batch:
+    for t in triples:
         canon, a = least_translate(t)
         assert tuple(sorted(v ^ a for v in canon)) == tuple(sorted(t))
         assert least_translate(canon) == (canon, 0)
         canons.add(canon)
-    assert len(canons) < len(batch)
+    assert len(canons) < len(triples)
 
 
 def _inline_pool(monkeypatch) -> list:

@@ -4,7 +4,9 @@ label boundary.
 ``verify`` and ``oracle`` may import nothing of the package but
 ``topology``, and ``topology`` nothing of the package at all, so no
 constructor or path code can reach the checks.  Only the CLI imports
-the oracle: the constructor reads its base families from a table.
+the oracle, and only for its ``oracle`` command: the constructor reads
+its base families from a table, and ``info`` takes the degree bound
+from ``topology``.
 ``paths``, ``verify`` and ``oracle`` work on plain int labels and never
 name ``Vertex``, and a ``SteinerTree`` is its label edges only.  Everything is read from the source with ``ast``, including
 imports inside functions.
@@ -12,9 +14,10 @@ imports inside functions.
 The package ``__init__`` imports nothing, so each of ``topology``,
 ``verify``, ``oracle``, ``paths`` and ``construct`` loads, at run time,
 only the package modules that its source imports.  Importing the CLI, and then running a serial
-sweep, loads none of the modules that only some commands need.  Both
-are checked in a fresh interpreter, since pytest itself has long since
-loaded the whole package, ``dataclasses`` and ``logging``.
+sweep, loads none of the modules that only some commands need; ``info``
+leaves the oracle unloaded, and ``oracle`` loads it.  These are checked
+in a fresh interpreter, since pytest itself has long since loaded the
+whole package, ``dataclasses`` and ``logging``.
 """
 
 import ast
@@ -133,7 +136,7 @@ def test_steiner_tree_holds_only_edges():
 
 # dataclasses drags in inspect, dis and tokenize; the process pool drags
 # in logging, and only ``sweep --jobs`` above 1 uses it; only the
-# ``oracle`` and ``info`` commands use the oracle
+# ``oracle`` command uses the oracle
 UNUSED_AT_IMPORT = ("dataclasses", "inspect", "concurrent.futures", "logging", "aqsteiner.oracle")
 
 
@@ -155,6 +158,21 @@ def test_cli_import_and_serial_sweep_stay_lean():
     assert Path(module).parent == PACKAGE_DIR
     assert at_import == "[]"
     assert after_sweep == "0 []"
+
+
+def test_only_the_oracle_command_loads_the_oracle():
+    code = (
+        "import contextlib, io, sys\n"
+        "import aqsteiner.cli as cli\n"
+        "for argv in (['info', '-n', '4'], ['oracle', '-n', '3', '-S', '000,001,010']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'aqsteiner.oracle' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["info 0 False", "oracle 0 True"]
 
 
 @pytest.mark.parametrize(

@@ -61,7 +61,7 @@ def test_regularity_dims_1_to_8():
         g = AugmentedCube(n)
         for v in range(g.order):
             nb = [v ^ d for d in adjacency_deltas(n)]
-            assert len(nb) == len(set(nb)) == 2 * n - 1 if n > 1 else 1
+            assert len(nb) == len(set(nb)) == 2 * n - 1
             assert v not in nb
 
 

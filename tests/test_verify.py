@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from aqsteiner import verify as verify_mod
 from aqsteiner.cli import all_triples, run_sweep, sample_triples
 from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, fan_memo, least_translates
-from aqsteiner.oracle import _minimal_sets, hager_upper_bound, oracle_tau
+from aqsteiner.oracle import _minimal_sets, oracle_tau
 from aqsteiner.paths import PathSystem, connectivity
 from aqsteiner.topology import (
     AugmentedCube,
@@ -21,6 +21,7 @@ from aqsteiner.topology import (
     Vertex,
     adjacency_deltas,
     delta_set,
+    hager_upper_bound,
     parse_vertex,
     side_view,
 )

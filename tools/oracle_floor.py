@@ -25,8 +25,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aqsteiner.construct import least_translates  # noqa: E402
-from aqsteiner.oracle import hager_upper_bound, oracle_tau  # noqa: E402
-from aqsteiner.topology import MAX_DIM, AugmentedCube  # noqa: E402
+from aqsteiner.oracle import oracle_tau  # noqa: E402
+from aqsteiner.topology import MAX_DIM, AugmentedCube, hager_upper_bound  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
