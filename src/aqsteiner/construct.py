@@ -287,9 +287,8 @@ def _checked_fan(n: int, d: int) -> _paths.PathSystem:
     """``paths.fan(n - 1, d)``, checked against the lower half-copy of
     AQ_n, the copy it lives in; a problem raises ``InternalError``."""
     fan = _paths.fan(n - 1, d)
-    problems = _verify.check_path_system(side_view(AugmentedCube(n), 0), fan)
-    if problems:
-        raise InternalError(f"fan to {d:0{n}b} leaves the lower half-copy: {problems}")
+    if not _verify.check_path_system(side_view(AugmentedCube(n), 0), fan):
+        raise InternalError(f"fan to {d:0{n}b} is no path system of the lower half-copy of AQ_{n}")
     return fan
 
 

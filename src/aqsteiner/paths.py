@@ -233,9 +233,9 @@ def _check_request(g: AugmentedCube, u: int, v: int, k: int) -> None:
 
 
 def _checked(view: GraphView, system: PathSystem) -> PathSystem:
-    problems = check_path_system(view, system)
-    if problems:
-        raise AssertionError(f"invalid path system: {problems}")
+    if not check_path_system(view, system):
+        u, v, width = system.source, system.sink, view.dim
+        raise AssertionError(f"invalid path system from {u:0{width}b} to {v:0{width}b}")
     return system
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import collections
 import functools
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 MAX_DIM = 62
 
@@ -184,18 +184,17 @@ def gray(v: int) -> int:
 # ---------------------------------------------------------------------------
 
 class GraphView(NamedTuple):
-    """A vertex-filtered slice of a cube: the cube plus a membership test.
+    """A vertex-filtered slice of a cube: the cube plus a label range.
 
-    ``allowed`` is a collection of labels with O(1) membership: a
-    ``range`` for the whole cube (``range(2^n)``, ``AugmentedCube.view``),
-    a half-copy (``side_view``) or a quarter.  Nothing is copied.  The
-    whole-cube view names a small cube to ``paths.disjoint_paths``, and
-    the others bound what ``verify.check_path_system`` and
-    ``paths.connector_tree`` accept.
+    ``allowed`` is a step-1 ``range`` of labels: the whole cube
+    (``range(2^n)``, ``AugmentedCube.view``), a half-copy (``side_view``)
+    or a quarter.  Nothing is copied.  The whole-cube view names a small
+    cube to ``paths.disjoint_paths``, and the others bound what
+    ``verify.check_path_system`` and ``paths.connector_tree`` accept.
     """
 
     cube: AugmentedCube
-    allowed: Collection[int]
+    allowed: range
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,9 @@
 assembly code with the constructor; they go straight to label-level
 adjacency so a constructor bug cannot hide behind shared helpers.
 ``verify_family`` takes the cube itself; ``check_path_system`` takes
-the view its paths must stay inside.  This module imports nothing of
+the view its paths must stay inside, a step-1 label range, and only
+says whether the system is valid: nothing in the package reads more of
+a system that fails than that it failed.  This module imports nothing of
 the package but ``topology``.  The exact packing oracle and the degree
 bound live in ``oracle``, which no check needs.
 
@@ -230,79 +232,34 @@ def _report(g: AugmentedCube, terminals: set[int], trees, size: int | None) -> V
     return VerificationReport(tuple(violations))
 
 
-def check_path_system(view: GraphView, ps) -> list[str]:
-    """Invariant check for a path system of label paths; returns
-    human-readable problems, with labels written at ``view.dim`` digits.
-    A step a-b is an edge of the view when both labels lie in the cube
-    and in ``view.allowed`` and a ^ b is an adjacency delta.
+def check_path_system(view: GraphView, ps) -> bool:
+    """Whether a path system of label paths is valid in the view, whose
+    ``allowed`` is a step-1 label range.  A step a-b is an edge of the
+    view when both labels lie in the cube and in ``view.allowed`` and
+    a ^ b is an adjacency delta.
 
-    One pass of set operations accepts a valid system first: every path
-    runs from source to sink in at least one step and every step is a
-    delta; the system holds 2 + its inner vertex count distinct labels,
-    so source != sink and no inner vertex repeats or meets an end; at
-    most one path is the direct edge; and every label lies in the cube
-    and the view.  Two paths that share an edge share an inner vertex
-    or are both direct, so the pass accepts exactly the systems with no
-    problem.  The per-step loop runs only when it rejects, and writes
-    the report."""
-    width = view.dim
-    order = 1 << width
+    One pass of set operations: every path runs from source to sink in
+    at least one step and every step is a delta; the system holds 2 +
+    its inner vertex count distinct labels, so source != sink and no
+    inner vertex repeats or meets an end; at most one path is the
+    direct edge; and every label on a path lies in the cube and the
+    view.  Two paths that share an edge share an inner vertex or are
+    both direct, so the pass accepts exactly the systems with no
+    problem: source != sink, and no path of fewer than two vertices,
+    off its ends or with a repeated vertex, no non-edge step, and no
+    edge or inner vertex in two paths."""
     allowed = view.allowed
-    deltas = delta_set(width)
+    # a step-1 range holds every label between two it holds
+    lo, hi = max(0, allowed.start), min(1 << view.dim, allowed.stop)
+    deltas = delta_set(view.dim)
     source, sink = ps.source, ps.sink
     labels = {source, sink}
     inner = direct = 0
     for vs in ps.paths:
         if len(vs) < 2 or vs[0] != source or vs[-1] != sink or not deltas.issuperset(map(xor, vs, vs[1:])):
-            break
+            return False
         labels.update(vs)
         inner += len(vs) - 2
         direct += len(vs) == 2
-    else:
-        lo, hi = min(labels), max(labels)
-        if (
-            len(labels) == 2 + inner
-            and direct <= 1
-            and 0 <= lo
-            and hi < order
-            # a step-1 range holds every label between two it holds
-            and (
-                lo in allowed and hi in allowed
-                if isinstance(allowed, range) and allowed.step == 1
-                else all(map(allowed.__contains__, labels))
-            )
-        ):
-            return []
-    problems: list[str] = []
-    if source == sink:
-        problems.append("source equals sink")
-    seen_inner: dict[int, int] = {}
-    seen_edges: dict[tuple[int, int], int] = {}
-    for i, vs in enumerate(ps.paths):
-        if len(vs) < 2:
-            problems.append(f"path {i} has fewer than two vertices")
-            continue
-        if vs[0] != source or vs[-1] != sink:
-            problems.append(f"path {i} does not run source to sink")
-        if len(set(vs)) != len(vs):
-            problems.append(f"path {i} repeats a vertex")
-        for a, b in zip(vs, vs[1:]):
-            if not (
-                0 <= a < order
-                and 0 <= b < order
-                and a in allowed and b in allowed
-                and a ^ b in deltas
-            ):
-                problems.append(f"path {i} uses non-edge {a:0{width}b}-{b:0{width}b}")
-            # a tuple key: a label outside the cube can reach this line
-            key = (a, b) if a <= b else (b, a)
-            owner = seen_edges.setdefault(key, i)
-            if owner != i:
-                problems.append(f"edge {a:0{width}b}-{b:0{width}b} appears in paths {owner} and {i}")
-                seen_edges[key] = i
-        for w in vs[1:-1]:
-            if w in seen_inner:
-                problems.append(f"inner vertex {w:0{width}b} shared by paths {seen_inner[w]} and {i}")
-            else:
-                seen_inner[w] = i
-    return problems
+    # the ends of a system of no paths take no step, so no bound holds them
+    return len(labels) == 2 + inner and direct <= 1 and (not ps.paths or lo <= min(labels) and max(labels) < hi)

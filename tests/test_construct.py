@@ -1283,7 +1283,7 @@ def test_a_broken_fan_raises_where_it_is_built(monkeypatch, joined):
     monkeypatch.setattr(paths_mod, "fan", broken)
     with construct_mod.fan_memo() if joined else contextlib.nullcontext():
         outer = construct_mod._fan_memo.get()
-        with pytest.raises(InternalError, match="leaves the lower half-copy"):
+        with pytest.raises(InternalError, match="fan to 00101 is no path system of the lower half-copy of AQ_5"):
             construct(AugmentedCube(5), vs("00000", "00101", "10000"))
         # a lone construct leaves no memo behind; a joined one stays
         assert construct_mod._fan_memo.get() is outer

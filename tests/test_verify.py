@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqsteiner import verify as verify_mod
-from aqsteiner.cli import all_triples, run_sweep, sample_triples
+from aqsteiner import paths as paths_mod, verify as verify_mod
+from aqsteiner.cli import all_triples, main, run_sweep, sample_triples
 from aqsteiner.construct import SteinerTree, TreeFamily, CaseTag, Case, construct, fan_memo, least_translates
 from aqsteiner.oracle import _minimal_sets, oracle_tau
 from aqsteiner.paths import PathSystem, connectivity
@@ -415,6 +415,28 @@ def test_oracle_alone_gives_tau3_of_aq5():
         assert res.lower == 7 and len(res.witness) == 7 and _is_packing(5, t, res.witness), t
 
 
+@pytest.mark.parametrize(
+    "n, k, counts",
+    [(3, 4, {2: 13, 4: 1}), (3, 5, {1: 7}), (4, 4, {4: 85, 5: 52, 6: 3}), (4, 5, {3: 75, 4: 181, 5: 17})],
+    ids=["n3-k4", "n3-k5", "n4-k4", "n4-k5"],
+)
+def test_oracle_alone_gives_tau4_and_tau5(n, k, counts):
+    # a translation is an automorphism, so each class of k-sets, named by
+    # its least sorted translate S ^ a with a in S, packs as its members
+    # do; the least exact value over the classes is tau_k, and it meets
+    # the degree bound 2n - k.  Counts are per class: for even k a class
+    # can hold fewer than 2^n sets
+    g = AugmentedCube(n)
+    classes = {min(tuple(sorted(s ^ a for s in S)) for a in S) for S in itertools.combinations(range(g.order), k)}
+    values = collections.Counter()
+    for t in classes:
+        res = oracle_tau(g, t)
+        assert res.exact and len(res.witness) == res.value and _is_packing(n, t, res.witness), t
+        values[res.value] += 1
+    assert min(values) == hager_upper_bound(g, k) == 2 * n - k
+    assert values == counts
+
+
 def test_oracle_floor_tool_names_every_short_class(capsys, monkeypatch):
     tool = load_tool("oracle_floor")
     assert tool.main(["4"]) == 0
@@ -642,8 +664,13 @@ def test_verify_matches_the_reference_on_random_edge_sets(n, data):
 def test_check_path_system_matches_the_reference(n, data):
     g = AugmentedCube(n)
     label = labels_of(g.order + 1)
-    region = frozenset(data.draw(st.sets(st.integers(0, g.order - 1))))
-    view = data.draw(st.sampled_from((g.view(), side_view(g, 0), side_view(g, g.order - 1), GraphView(g, region))))
+    # the ranges the program builds (the cube, its half-copies and its
+    # quarters), and one past both ends of the cube, so that the check
+    # against the cube's bounds runs too
+    quarter = g.order // 4
+    quarters = [GraphView(g, range(q, q + quarter)) for q in range(0, g.order, quarter)]
+    views = [g.view(), side_view(g, 0), side_view(g, g.order - 1), *quarters, GraphView(g, range(-g.order, 2 * g.order))]
+    view = data.draw(st.sampled_from(views))
     source, sink = data.draw(label), data.draw(label)
     # walks along the deltas, with a loop (0) and a step out of the cube
     steps = st.lists(st.sampled_from(adjacency_deltas(n) + (0, g.order)), max_size=6)
@@ -656,7 +683,41 @@ def test_check_path_system_matches_the_reference(n, data):
             walk.append(sink)
         paths.append(tuple(walk))
     ps = PathSystem(source, sink, tuple(paths))
-    assert check_path_system(view, ps) == reference_check_path_system(view, ps)
+    assert check_path_system(view, ps) == (reference_check_path_system(view, ps) == [])
+
+
+def test_every_view_the_program_checks_is_an_aligned_label_range(monkeypatch, cold_cube_memo):
+    # check_path_system reads its view as a step-1 range, so every view
+    # that real commands hand it, at both of its bindings, must be a
+    # range of 2^k labels that starts at a multiple of 2^k
+    views = []
+    real = verify_mod.check_path_system
+
+    def guarded(view, ps):
+        views.append(view.allowed)
+        return real(view, ps)
+
+    monkeypatch.setattr(verify_mod, "check_path_system", guarded)
+    monkeypatch.setattr(paths_mod, "check_path_system", guarded)
+    # a Case1 triple at n = 62 whose recursion meets Case2 at n = 61, and
+    # a Case2 triple
+    triples = [",".join(format(a, "062b") for a in (0, 1, z)) for z in (1 << 60, 1 << 61)]
+    commands = [
+        ["sweep", "-n", "5", "--exhaustive"],
+        *(["construct", "-n", "62", "-S", triple] for triple in triples),
+        ["info", "-n", "6"],
+        ["paths", "-n", "4", "-u", "0000", "-v", "1111", "-k", "7"],
+        ["paths", "-n", "8", "-u", "00000000", "-v", "10110101", "-k", "15"],
+    ]
+    for argv in commands:
+        del views[:]
+        cold_cube_memo.cache_clear()
+        assert main(argv) == 0, argv
+        assert views, argv
+        for allowed in views:
+            size = len(allowed)
+            assert type(allowed) is range and allowed.step == 1, (argv, allowed)
+            assert size and not size & (size - 1) and not allowed.start % size, (argv, allowed)
 
 
 # ---------------------------------------------------------------------------

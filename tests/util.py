@@ -15,7 +15,10 @@ runs only on a whole cube.  It is kept as a differential oracle, since
 the two must return the same path lists and the same cuts.  ``reference_verify_family`` and
 ``reference_check_path_system`` are kept the same way: the certificate
 and path-system checks as they were before ``verify`` moved to one int
-pass per tree.  ``reference_canonical_triple`` is the least triple
+pass per tree.  ``verify.check_path_system`` now only says whether a
+system is valid, so ``reference_check_path_system`` is the only code
+that names path-system problems: run it to diagnose a system that the
+package rejects.  ``reference_canonical_triple`` is the least triple
 under every (swap, mask) automorphism, a search over all 2^(n+1)
 pairs, which names the orbit classes of the oracle tests.
 ``reference_least_translate`` is the least sorted translate S ^ a as
